@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .langsets import ActionSet, FiniteSet, SymbolicSet, union_all
+from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass, union_all
 from .words import (
     FreeWord,
     GroupElement,
@@ -65,10 +65,10 @@ class Action:
         raise NotImplementedError
 
     def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        return self.normalize_element(g) * self.normalize_element(h)
 
     def inverse(self, g: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        return ~self.normalize_element(g)
 
     def element_order(self, g: GroupElement) -> Optional[int]:
         """Order of g in the acting group; None means infinite."""
@@ -128,12 +128,6 @@ class FreeSelfAction(Action):
 
     def identity(self) -> FreeWord:
         return FreeWord(())
-
-    def multiply(self, g, h):
-        return self.normalize_element(g) * self.normalize_element(h)
-
-    def inverse(self, g):
-        return ~self.normalize_element(g)
 
     def element_order(self, g) -> Optional[int]:
         return 1 if self.normalize_element(g).is_identity else None
@@ -196,12 +190,6 @@ class FinitePermutationAction(Action):
 
     def identity(self) -> Permutation:
         return identity_permutation(self.degree)
-
-    def multiply(self, g, h):
-        return self.normalize_element(g) * self.normalize_element(h)
-
-    def inverse(self, g):
-        return ~self.normalize_element(g)
 
     def element_order(self, g) -> int:
         return self.normalize_element(g).order()
@@ -267,12 +255,6 @@ class TrivialAction(Action):
 
     def identity(self) -> FreeWord:
         return FreeWord(())
-
-    def multiply(self, g, h):
-        return self.normalize_element(g) * self.normalize_element(h)
-
-    def inverse(self, g):
-        return ~self.normalize_element(g)
 
     def element_order(self, g) -> Optional[int]:
         # unknowable from the action alone; the label group is free
@@ -343,12 +325,6 @@ class FiniteRegularAction(Action):
     def identity(self) -> Permutation:
         return identity_permutation(self.elements[0].degree)
 
-    def multiply(self, g, h):
-        return self.normalize_element(g) * self.normalize_element(h)
-
-    def inverse(self, g):
-        return ~self.normalize_element(g)
-
     def element_order(self, g) -> int:
         return self.normalize_element(g).order()
 
@@ -393,22 +369,27 @@ class PartitionReport:
 
 
 def validate_partition(action: Action, blocks: Sequence[ActionSet]) -> PartitionReport:
-    """Check blocks are nonempty, pairwise disjoint, and cover the universe."""
+    """Check blocks are nonempty, pairwise disjoint, and cover the universe.
+
+    One labelled pass over the universe and the blocks decides all three;
+    the universe sits at index 0, so block i keeps its 1-based number.
+    """
     blocks = tuple(blocks)
     if not blocks:
         return PartitionReport(False, "empty-block", (), None)
-    for i, block in enumerate(blocks):
-        if block.is_empty:
-            return PartitionReport(False, "empty-block", (i + 1,), None)
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            overlap = blocks[i].intersection(blocks[j])
-            if not overlap.is_empty:
-                return PartitionReport(False, "overlap", (i + 1, j + 1), overlap.witness())
-    covered = union_all(blocks)
-    gap = action.full_set().difference(covered)
-    if not gap.is_empty:
-        return PartitionReport(False, "cover-gap", (), gap.witness())
+    points = labelled_pass((action.full_set(),) + blocks)
+    numbers = range(1, len(blocks) + 1)
+    occupied = {i for label in points.points for i in label}
+    for i in numbers:
+        if i not in occupied:
+            return PartitionReport(False, "empty-block", (i,), None)
+    overlaps = points.overlaps(numbers)
+    if overlaps:
+        pair, witness = overlaps[0]
+        return PartitionReport(False, "overlap", pair, witness)
+    gap = points.uncovered(numbers)
+    if gap is not None:
+        return PartitionReport(False, "cover-gap", (), gap)
     return PartitionReport(True)
 
 
@@ -417,7 +398,7 @@ def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
     report = validate_partition(action, blocks)
     if not report:
         raise ValueError(f"invalid partition: {report.problem} "
-                         f"(blocks {report.blocks_involved}, witness {report.witness!r})")
+                         f"(blocks {list(report.blocks_involved)}, witness {report.witness!r})")
     return Partition(tuple(blocks))
 
 

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import configurations as cfg
 from . import equations as eqs
 from . import paradox as pdx
-from .actions import validate_partition
 from .serialization import (
     DocumentError,
     action_json,
@@ -68,12 +67,10 @@ def _cap(name: str, requested: int, cap: int) -> int:
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
     elements = parse_elements(_require(doc, "tuple", f"{location}.tuple"), action, f"{location}.tuple")
     blocks = parse_sets(_require(doc, "partition", f"{location}.partition"), action, f"{location}.partition")
-    report = validate_partition(action, blocks)
-    if not report:
-        raise DocumentError(
-            f"invalid partition: {report.problem} (blocks {list(report.blocks_involved)}, "
-            f"witness {report.witness!r})", f"{location}.partition")
-    return cfg.configuration_pair(action, elements, blocks)
+    try:
+        return cfg.configuration_pair(action, elements, blocks)
+    except ValueError as err:   # elements are already normalized: only the partition can fail
+        raise DocumentError(str(err), f"{location}.partition") from None
 
 
 def _witness_json(value):
@@ -212,6 +209,8 @@ def cmd_compare_con(args, doc):
 
     def explicit(key, action):
         if key not in doc:
+            if not action.is_finite:
+                raise DocumentError("supply explicit pairs for infinite actions", key)
             return None
         items = doc[key]
         if not isinstance(items, list):
@@ -300,7 +299,10 @@ def cmd_paradox_search(args, doc):
     cone_depth = _cap("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
     translator_length = _cap("translator_length",
                              _int_field(doc, "translator_length", 1), args.bound_length)
-    result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
+    try:
+        result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
+    except ValueError as err:   # bounds below the least meaningful search
+        raise DocumentError(str(err), "") from None
     bounds_json = {
         "max_pieces": max_pieces,
         "cone_depth": cone_depth,

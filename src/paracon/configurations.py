@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .actions import Action, Partition, partition as make_partition, validate_partition
-from .langsets import ActionSet, union_all
+from .actions import Action, Partition, partition as make_partition
+from .langsets import ActionSet, Label, Labelling, labelled_pass
 from .words import FreeWord
 
 Configuration = tuple[int, ...]
@@ -54,12 +55,16 @@ def configuration_pair(action: Action, elements: Sequence, blocks: Sequence[Acti
 
 
 class ConfigurationSet:
-    """Realized configurations of a pair with their base cells."""
+    """Realized configurations of a pair with their base cells.
+
+    `base_cells` is kept as given; compute_configurations passes a mapping
+    that builds each cell the first time it is read.
+    """
 
     def __init__(self, pair: ConfigurationPair, base_cells: Mapping[Configuration, ActionSet]):
         self.pair = pair
         self.configurations: tuple[Configuration, ...] = tuple(sorted(base_cells))
-        self.base_cells = dict(base_cells)
+        self.base_cells = base_cells
 
     def __contains__(self, config: Configuration) -> bool:
         return tuple(config) in self.base_cells
@@ -90,34 +95,45 @@ class ConfigurationSet:
         return f"ConfigurationSet({len(self.configurations)} configurations, n={self.pair.tuple_length}, m={self.pair.block_count})"
 
 
-def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
-    """Enumerate candidates in lexicographic order, keeping nonempty cells.
+class _BaseCells(Mapping):
+    """Configuration -> base cell, each cell read off the labelling once, when first asked for."""
 
-    Candidates are pruned along shared prefixes: the partial intersection
-    E_{C_0} cap g_1^-1 E_{C_1} cap ... is threaded through the recursion and
-    abandoned as soon as it is empty.
+    def __init__(self, points: Labelling, labels: dict[Configuration, Label]):
+        self._points, self._labels, self._built = points, labels, {}
+
+    def __getitem__(self, config: Configuration) -> ActionSet:
+        if config not in self._built:
+            self._built[config] = self._points.cell(self._labels[config])
+        return self._built[config]
+
+    def __contains__(self, config) -> bool:      # without building the cell
+        return config in self._labels
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+
+def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
+    """Realized configurations from one labelled pass.
+
+    The pass runs over the blocks followed by the g_j^-1-translates of the
+    blocks, m sets per coordinate.  Since each family partitions X, a point
+    x carries exactly one index per family, and its label spells out its
+    configuration; the labels that occur are the configuration set, and
+    the base cell of C is the set of points labelled C.
     """
     action = pair.action
     blocks = pair.partition.blocks
-    n = pair.tuple_length
-    inverse_translates = [
-        [action.act_on_set(action.inverse(g), block) for block in blocks]
-        for g in pair.elements
-    ]
-    found: dict[Configuration, ActionSet] = {}
-
-    def extend(j: int, current: ActionSet, prefix: Configuration) -> None:
-        if j > n:
-            found[prefix] = current
-            return
-        for i, translated in enumerate(inverse_translates[j - 1], start=1):
-            refined = current.intersection(translated)
-            if not refined.is_empty:
-                extend(j + 1, refined, prefix + (i,))
-
-    for i, block in enumerate(blocks, start=1):
-        extend(1, block, (i,))
-    return ConfigurationSet(pair, found)
+    m = len(blocks)
+    families = list(blocks)
+    for g in pair.elements:
+        families += [action.act_on_set(action.inverse(g), block) for block in blocks]
+    points = labelled_pass(families)
+    labels = {tuple(i - j * m + 1 for j, i in enumerate(label)): label for label in points.points}
+    return ConfigurationSet(pair, _BaseCells(points, labels))
 
 
 @dataclass(frozen=True)
@@ -134,30 +150,32 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
-    C_j = i.
+    C_j = i.  Each j takes one labelled pass over the computed cells followed
+    by the blocks, so the check never rests on the blocks alone.
     """
-    action = cs.pair.action
     blocks = cs.pair.partition.blocks
-    full = action.full_set()
+    configs = cs.configurations
+    k = len(configs)
     violations = []
     for j in range(cs.pair.tuple_length + 1):
-        cells = [(config, cs.cell(config, j)) for config in cs.configurations]
-        for (c1, s1), (c2, s2) in itertools.combinations(cells, 2):
-            overlap = s1.intersection(s2)
-            if not overlap.is_empty:
-                violations.append(("overlap", j, (c1, c2), overlap.witness()))
-        union = union_all([s for _, s in cells])
-        gap = full.difference(union)
-        if not gap.is_empty:
-            violations.append(("cover-gap", j, None, gap.witness()))
-        for i, block in enumerate(blocks, start=1):
-            matched = [s for (config, s) in cells if config[j] == i]
-            covered = union_all(matched) if matched else action.empty_set()
-            if covered != block:
-                missing = block.difference(covered)
-                extra = covered.difference(block)
-                witness = missing.witness() if not missing.is_empty else extra.witness()
-                violations.append(("block-identity", j, i, witness))
+        points = labelled_pass([cs.cell(config, j) for config in configs] + list(blocks))
+        for (x, y), witness in points.overlaps(range(k)):
+            violations.append(("overlap", j, (configs[x], configs[y]), witness))
+        gap = points.uncovered(range(k))
+        if gap is not None:
+            violations.append(("cover-gap", j, None, gap))
+        missing: dict[int, object] = {}   # block index -> least point of E_i outside its cells
+        extra: dict[int, object] = {}     # block index -> least point of its cells outside E_i
+        for label, point in points.points.items():
+            in_blocks = {c - k + 1 for c in label if c >= k}
+            in_cells = {configs[c][j] for c in label if c < k}
+            for i in in_blocks - in_cells:
+                missing.setdefault(i, point)
+            for i in in_cells - in_blocks:
+                extra.setdefault(i, point)
+        for i in range(1, len(blocks) + 1):
+            if i in missing or i in extra:
+                violations.append(("block-identity", j, i, missing.get(i, extra.get(i))))
     return CellPartitionReport(not violations, tuple(violations))
 
 
@@ -410,8 +428,5 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         length += 1
     chosen = words[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
-    rest = full
-    for b in blocks:
-        rest = rest.difference(b)
-    blocks.append(rest)
+    blocks.append(labelled_pass([full] + blocks).cell((0,)))   # the points in no block
     return CardinalityProbe(True, make_partition(action, blocks))

@@ -7,15 +7,19 @@ algebra, membership, emptiness, inclusion, and left translation are all
 decidable and deterministic.
 
 Finite sets are plain subsets of {0, ..., n-1} tagged with their degree.
+
+Every question about which points lie in which of several sets (partition,
+disjointness, cover, inclusion, the boolean operations themselves) is
+answered by one labelled pass over the universe, `labelled_pass`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
 
-from .words import FreeWord, alphabet, letter_from_index, letter_index, word_sorted
+from .words import FreeWord, letter_from_index, letter_index
 
 
 # ---------------------------------------------------------------------------
@@ -29,114 +33,49 @@ from .words import FreeWord, alphabet, letter_from_index, letter_index, word_sor
 _Transitions = tuple[tuple[int, ...], ...]
 
 
-def _universe(rank: int) -> tuple[_Transitions, tuple[bool, ...]]:
-    """DFA of all reduced words: remember the last letter, kill inverse pairs."""
-    n_letters = 2 * rank
-    dead = n_letters + 1
-    trans = []
-    # state 0: nothing read yet; state i+1: last letter had index i; dead sink
-    trans.append(tuple(i + 1 for i in range(n_letters)))
-    for last in range(n_letters):
-        row = []
-        bad = letter_index(-letter_from_index(last))
-        for nxt in range(n_letters):
-            row.append(dead if nxt == bad else nxt + 1)
-        trans.append(tuple(row))
-    trans.append(tuple(dead for _ in range(n_letters)))
-    accepting = tuple(state != dead for state in range(dead + 1))
-    return tuple(trans), accepting
-
-
-def _product(
-    rank: int,
-    t1: _Transitions,
-    a1: tuple[bool, ...],
-    t2: _Transitions,
-    a2: tuple[bool, ...],
-    keep: Callable[[bool, bool], bool],
-) -> tuple[_Transitions, tuple[bool, ...]]:
-    n_letters = 2 * rank
-    index = {(0, 0): 0}
-    order = [(0, 0)]
-    trans: list[tuple[int, ...]] = []
-    pos = 0
-    while pos < len(order):
-        s1, s2 = order[pos]
-        row = []
-        for letter in range(n_letters):
-            nxt = (t1[s1][letter], t2[s2][letter])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        trans.append(tuple(row))
-        pos += 1
-    accepting = tuple(keep(a1[s1], a2[s2]) for s1, s2 in order)
-    return tuple(trans), accepting
-
-
 def _minimize(
-    rank: int, trans: _Transitions, accepting: tuple[bool, ...]
-) -> tuple[_Transitions, tuple[bool, ...]]:
-    """Moore partition refinement followed by BFS renumbering."""
-    n_letters = 2 * rank
-    # restrict to reachable states first
-    reachable = [0]
-    seen = {0}
-    for state in reachable:
-        for letter in range(n_letters):
-            nxt = trans[state][letter]
-            if nxt not in seen:
-                seen.add(nxt)
-                reachable.append(nxt)
-    states = reachable
-    block = {s: int(accepting[s]) for s in states}
-    while True:
-        signature = {
-            s: (block[s],) + tuple(block[trans[s][l]] for l in range(n_letters))
-            for s in states
-        }
-        renumber: dict[tuple, int] = {}
-        new_block = {}
-        for s in states:
-            sig = signature[s]
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block[s] = renumber[sig]
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-    # representative transition table over blocks
-    block_trans = {}
-    block_accept = {}
-    for s in states:
-        b = block[s]
-        if b not in block_trans:
-            block_trans[b] = tuple(block[trans[s][l]] for l in range(n_letters))
-            block_accept[b] = accepting[s]
-    # canonical BFS numbering from the initial block
-    start = block[0]
-    numbering = {start: 0}
-    order = [start]
-    for b in order:
-        for letter in range(n_letters):
-            nxt = block_trans[b][letter]
-            if nxt not in numbering:
-                numbering[nxt] = len(order)
+    rank: int, trans: _Transitions, accepting: tuple[Hashable, ...]
+) -> tuple[_Transitions, tuple[Hashable, ...]]:
+    """Moore partition refinement followed by BFS renumbering.
+
+    `accepting` may hold any hashable output per state, not only booleans;
+    states are merged only when their outputs agree.
+    """
+    number = {0: 0}
+    order = [0]
+    for state in order:                  # the reachable states, breadth first
+        for nxt in trans[state]:
+            if nxt not in number:
+                number[nxt] = len(order)
                 order.append(nxt)
-    new_trans = tuple(
-        tuple(numbering[block_trans[b][l]] for l in range(n_letters)) for b in order
-    )
-    new_accept = tuple(block_accept[b] for b in order)
+    rows = [[number[t] for t in trans[s]] for s in order]
+    ids: dict = {}
+    block = [ids.setdefault(accepting[s], len(ids)) for s in order]
+    while True:
+        count = len(ids)
+        ids = {}
+        block = [ids.setdefault((b, *map(block.__getitem__, row)), len(ids))
+                 for b, row in zip(block, rows)]
+        if len(ids) == count:
+            break
+    first: dict[int, int] = {}           # block -> a representative state
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    numbering = {block[0]: 0}
+    blocks = [block[0]]
+    for b in blocks:                     # canonical BFS numbering of the blocks
+        for t in rows[first[b]]:
+            if block[t] not in numbering:
+                numbering[block[t]] = len(blocks)
+                blocks.append(block[t])
+    new_trans = tuple(tuple(numbering[block[t]] for t in rows[first[b]]) for b in blocks)
+    new_accept = tuple(accepting[order[first[b]]] for b in blocks)
     return new_trans, new_accept
 
 
 def _canonical(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> "SymbolicSet":
-    ut, ua = _universe(rank)
-    pt, pa = _product(rank, trans, accepting, ut, ua, lambda x, y: x and y)
-    mt, ma = _minimize(rank, pt, pa)
-    return SymbolicSet(rank, mt, ma)
+    """The reduced words an automaton accepts, as a canonical set."""
+    return labelled_pass([SymbolicSet(rank, trans, accepting)]).cell((0,))
 
 
 def _alive(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> set[int]:
@@ -153,8 +92,39 @@ def _alive(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> set[i
     return alive
 
 
+class _Queries:
+    """Inclusion, disjointness and witnesses, each read off one labelled pass,
+    plus the operator spellings of the set algebra."""
+
+    def is_subset(self, other) -> bool:
+        return self.subset_witness(other) is None
+
+    def is_disjoint(self, other) -> bool:
+        return (0, 1) not in labelled_pass([self, other]).points
+
+    def subset_witness(self, other):
+        """Least point of self missing from other; None when self <= other."""
+        return labelled_pass([self, other]).points.get((0,))
+
+    def witness(self):
+        """Least member (shortlex-least word, or least integer); None if empty."""
+        return labelled_pass([self]).points.get((0,))
+
+    def __or__(self, other):
+        return self.union(other)
+
+    def __and__(self, other):
+        return self.intersection(other)
+
+    def __sub__(self, other):
+        return self.difference(other)
+
+    def __invert__(self):
+        return self.complement()
+
+
 @dataclass(frozen=True)
-class SymbolicSet:
+class SymbolicSet(_Queries):
     """Canonical automaton for a set of reduced words over F_rank."""
 
     rank: int
@@ -263,25 +233,6 @@ class SymbolicSet:
     def is_full(self) -> bool:
         return self == SymbolicSet.full(self.rank)
 
-    def shortest(self) -> Optional[FreeWord]:
-        """Minimal-length, lexicographically least member (None if empty)."""
-        if self.accepting[0]:
-            return FreeWord(())
-        seen = {0}
-        queue = deque([(0, ())])
-        while queue:
-            state, path = queue.popleft()
-            for idx in range(2 * self.rank):
-                nxt = self.transitions[state][idx]
-                if nxt in seen:
-                    continue
-                seen.add(nxt)
-                new_path = path + (letter_from_index(idx),)
-                if self.accepting[nxt]:
-                    return FreeWord(new_path)
-                queue.append((nxt, new_path))
-        return None
-
     def enumerate_up_to(self, max_length: int) -> list[FreeWord]:
         """Members of length <= max_length in length-then-lex order."""
         alive = _alive(self.rank, self.transitions, self.accepting)
@@ -310,28 +261,13 @@ class SymbolicSet:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        self._check_rank(other)
-        t, a = _product(
-            self.rank, self.transitions, self.accepting,
-            other.transitions, other.accepting, lambda x, y: x or y,
-        )
-        return _canonical(self.rank, t, a)
+        return labelled_pass([self, other]).select(bool)
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        self._check_rank(other)
-        t, a = _product(
-            self.rank, self.transitions, self.accepting,
-            other.transitions, other.accepting, lambda x, y: x and y,
-        )
-        return _canonical(self.rank, t, a)
+        return labelled_pass([self, other]).cell((0, 1))
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        self._check_rank(other)
-        t, a = _product(
-            self.rank, self.transitions, self.accepting,
-            other.transitions, other.accepting, lambda x, y: x and not y,
-        )
-        return _canonical(self.rank, t, a)
+        return labelled_pass([self, other]).cell((0,))
 
     def complement(self) -> "SymbolicSet":
         flipped = tuple(not a for a in self.accepting)
@@ -364,40 +300,13 @@ class SymbolicSet:
         new_accept = (self.accepting[after_inv],) + self.accepting
         return _canonical(self.rank, new_trans, new_accept)
 
-    def is_subset(self, other: "SymbolicSet") -> bool:
-        return self.difference(other).is_empty
-
-    def is_disjoint(self, other: "SymbolicSet") -> bool:
-        return self.intersection(other).is_empty
-
-    def subset_witness(self, other: "SymbolicSet") -> Optional[FreeWord]:
-        """Least word of self missing from other; None when self <= other."""
-        return self.difference(other).shortest()
-
-    def witness(self) -> Optional[FreeWord]:
-        return self.shortest()
-
-    # -- operators -----------------------------------------------------------
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
-    def __invert__(self):
-        return self.complement()
-
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
         return f"SymbolicSet(rank={self.rank}, ~{{{sample}, ...}})"
 
 
 @dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(_Queries):
     """Subset of the points {0, ..., degree-1}."""
 
     degree: int
@@ -455,36 +364,139 @@ class FiniteSet:
     def complement(self) -> "FiniteSet":
         return FiniteSet(self.degree, frozenset(range(self.degree)) - self.members)
 
-    def is_subset(self, other: "FiniteSet") -> bool:
-        return self.members <= other.members
-
-    def is_disjoint(self, other: "FiniteSet") -> bool:
-        return not (self.members & other.members)
-
-    def subset_witness(self, other: "FiniteSet") -> Optional[int]:
-        extra = self.members - other.members
-        return min(extra) if extra else None
-
-    def witness(self) -> Optional[int]:
-        return min(self.members) if self.members else None
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
-    def __invert__(self):
-        return self.complement()
-
     def __repr__(self) -> str:
         return f"FiniteSet({self.degree}, {sorted(self.members)})"
 
 
 ActionSet = Union[SymbolicSet, FiniteSet]
+
+
+# ---------------------------------------------------------------------------
+# the labelled pass: one traversal answers every partition-shaped question
+# ---------------------------------------------------------------------------
+
+Label = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Labelling:
+    """The labels that occur among the points of a universe, from one pass.
+
+    The label of a point is the tuple of indices of the given sets that
+    contain it.  `points` maps every label that occurs to its least point
+    (the shortlex-least word, or the least integer), ordered by that point,
+    so the first label passing a test carries the least point passing it.
+    `select(test)` is the set of points whose label passes `test`.
+    """
+
+    points: dict[Label, object]
+    select: Callable[[Callable[[Label], bool]], ActionSet]
+
+    def cell(self, label: Label) -> ActionSet:
+        """The set of points whose label is exactly `label`."""
+        return self.select(lambda found: found == label)
+
+    def uncovered(self, indices: Iterable[int]):
+        """Least point in none of the sets at `indices`, or None if they cover."""
+        wanted = set(indices)
+        return next((point for label, point in self.points.items() if wanted.isdisjoint(label)),
+                    None)
+
+    def overlaps(self, indices: Iterable[int]) -> list[tuple[tuple[int, int], object]]:
+        """Every pair of sets at `indices` that meet, in index order, each
+        with its least shared point."""
+        wanted = set(indices)
+        shared: dict[tuple[int, int], object] = {}
+        for label, point in self.points.items():
+            inside = [i for i in label if i in wanted]
+            for k, x in enumerate(inside):
+                for y in inside[k + 1:]:
+                    shared.setdefault((x, y), point)
+        return sorted(shared.items())
+
+
+def labelled_pass(sets: Sequence[ActionSet]) -> Labelling:
+    """Label every point of the sets' common universe in one pass."""
+    sets = list(sets)
+    if not sets:
+        raise ValueError("labelled pass over no sets")
+    return (_finite_pass if isinstance(sets[0], FiniteSet) else _symbolic_pass)(sets)
+
+
+def _finite_pass(sets: list[FiniteSet]) -> Labelling:
+    """Scan each set's members, then read the points in ascending order."""
+    degree = sets[0].degree
+    owners: list[list[int]] = [[] for _ in range(degree)]
+    for i, s in enumerate(sets):
+        sets[0]._check(s)
+        for point in s.members:
+            owners[point].append(i)
+    members: dict[Label, list[int]] = {}
+    for point in range(degree):
+        members.setdefault(tuple(owners[point]), []).append(point)
+    return Labelling(
+        {label: points[0] for label, points in members.items()},
+        lambda test: FiniteSet.of(
+            degree, (p for label, points in members.items() if test(label) for p in points)),
+    )
+
+
+def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
+    """Breadth-first search over reduced words, tracking one state per set.
+
+    A node is the last letter read plus the tuple of states; inverse steps
+    go to a dead node, so only reduced words are labelled.  Letters are taken
+    in canonical order, so the first word to reach a label is the
+    shortlex-least word with that label.  The product is minimized once with
+    the labels as outputs, the first time a set is selected, and each
+    selected set is minimized from that.
+    """
+    rank = sets[0].rank
+    for s in sets:
+        sets[0]._check_rank(s)
+    n_letters = 2 * rank
+    inverse = [letter_index(-letter_from_index(i)) for i in range(n_letters)]
+    tables = [s.transitions for s in sets]
+    accepts = [s.accepting for s in sets]
+    start = (-1, (0,) * len(sets))
+    index: dict = {start: 0}
+    nodes: list = [start]
+    paths: list[tuple[int, ...]] = [()]
+    trans: list[tuple[int, ...]] = []
+    labels: list[Optional[Label]] = []
+    points: dict[Label, FreeWord] = {}
+    for pos, node in enumerate(nodes):       # nodes grows while we read it
+        if node is None:                     # the dead node: a word stopped being reduced
+            trans.append((pos,) * n_letters)
+            labels.append(None)
+            continue
+        last, states = node
+        label = tuple([i for i, (acc, s) in enumerate(zip(accepts, states)) if acc[s]])
+        labels.append(label)
+        if label not in points:
+            points[label] = FreeWord(tuple(letter_from_index(l) for l in paths[pos]))
+        banned = inverse[last] if last >= 0 else -1
+        row = []
+        # zip(*rows) yields, letter by letter, the tuple of next states
+        for letter, moved in enumerate(zip(*[t[s] for t, s in zip(tables, states)])):
+            nxt = None if letter == banned else (letter, moved)
+            if nxt not in index:
+                index[nxt] = len(nodes)
+                nodes.append(nxt)
+                paths.append(paths[pos] + (letter,))
+            row.append(index[nxt])
+        trans.append(tuple(row))
+
+    @functools.cache
+    def labelled_product() -> tuple[_Transitions, tuple]:
+        return _minimize(rank, tuple(trans), tuple(labels))
+
+    def select(test: Callable[[Label], bool]) -> SymbolicSet:
+        product, outputs = labelled_product()
+        accepting = tuple(o is not None and bool(test(o)) for o in outputs)
+        return SymbolicSet(rank, *_minimize(rank, product, accepting))
+
+    return Labelling(points, select)
 
 
 def make_base(kind: str, w: FreeWord | None, rank: int) -> SymbolicSet:
@@ -513,10 +525,8 @@ def combine(op: str, *operands: ActionSet) -> ActionSet:
     if op in ("union", "intersection"):
         if not operands:
             raise ValueError(f"{op} needs at least one operand")
-        result = operands[0]
-        for s in operands[1:]:
-            result = result.union(s) if op == "union" else result.intersection(s)
-        return result
+        points = labelled_pass(operands)
+        return points.select(bool) if op == "union" else points.cell(tuple(range(len(operands))))
     raise ValueError(f"unknown operation {op!r}")
 
 
@@ -533,21 +543,16 @@ class SetRelation:
 
 def compare(s: ActionSet, t: ActionSet) -> SetRelation:
     """Decide equality, inclusion s <= t, disjointness, and emptiness of s."""
-    subset = s.is_subset(t)
+    points = labelled_pass([s, t]).points
     return SetRelation(
-        equal=subset and t.is_subset(s),
-        subset=subset,
-        disjoint=s.is_disjoint(t),
+        equal=(0,) not in points and (1,) not in points,
+        subset=(0,) not in points,
+        disjoint=(0, 1) not in points,
         empty=s.is_empty,
-        subset_witness=None if subset else s.subset_witness(t),
+        subset_witness=points.get((0,)),
     )
 
 
 def union_all(sets: Iterable[ActionSet]) -> ActionSet:
-    items = list(sets)
-    if not items:
-        raise ValueError("union of no sets")
-    result = items[0]
-    for s in items[1:]:
-        result = result.union(s)
-    return result
+    """Union of one or more sets, in one labelled pass."""
+    return labelled_pass(sets).select(bool)

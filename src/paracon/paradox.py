@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
-from .langsets import ActionSet, SymbolicSet, union_all
+from .langsets import ActionSet, SymbolicSet, labelled_pass
 from .words import FreeWord, GroupElement
 
 WAGON_NOTE = (
@@ -64,33 +64,34 @@ def verify_decomposition(
     if not dec.pieces_a or not dec.pieces_b:
         raise ValueError("both families must be nonempty")
     count = dec.piece_count
-    pieces = list(dec.pieces_a) + list(dec.pieces_b)
-    for x, y in itertools.combinations(range(len(pieces)), 2):
-        overlap = pieces[x].intersection(pieces[y])
-        if not overlap.is_empty:
-            return DecompositionReport(False, count, "pieces-overlap", overlap.witness(), (x, y))
-    full = action.full_set()
+    sets = list(dec.pieces_a) + list(dec.pieces_b)
+    pieces = range(len(sets))
+    families = []
     for name, family, translators in (
         ("a", dec.pieces_a, dec.translators_a),
         ("b", dec.pieces_b, dec.translators_b),
     ):
-        translates = [
-            action.act_on_set(action.normalize_element(g), piece)
-            for g, piece in zip(translators, family)
-        ]
-        gap = full.difference(union_all(translates))
-        if not gap.is_empty:
-            return DecompositionReport(False, count, f"cover-gap-{name}", gap.witness())
-        if strict:
-            for x, y in itertools.combinations(range(len(translates)), 2):
-                overlap = translates[x].intersection(translates[y])
-                if not overlap.is_empty:
-                    return DecompositionReport(
-                        False, count, f"translates-overlap-{name}", overlap.witness(), (x, y))
-    if strict:
-        leftover = full.difference(union_all(pieces))
-        if not leftover.is_empty:
-            return DecompositionReport(False, count, "pieces-not-exhaustive", leftover.witness())
+        start = len(sets)
+        sets += [action.act_on_set(action.normalize_element(g), piece)
+                 for g, piece in zip(translators, family)]
+        families.append((name, range(start, len(sets))))
+    points = labelled_pass(sets)
+    overlaps = points.overlaps(pieces)
+    if overlaps:
+        pair, witness = overlaps[0]
+        return DecompositionReport(False, count, "pieces-overlap", witness, pair)
+    for name, translates in families:
+        gap = points.uncovered(translates)
+        if gap is not None:
+            return DecompositionReport(False, count, f"cover-gap-{name}", gap)
+        overlaps = points.overlaps(translates) if strict else []
+        if overlaps:
+            (x, y), witness = overlaps[0]
+            return DecompositionReport(False, count, f"translates-overlap-{name}", witness,
+                                       (x - translates.start, y - translates.start))
+    leftover = points.uncovered(pieces) if strict else None
+    if leftover is not None:
+        return DecompositionReport(False, count, "pieces-not-exhaustive", leftover)
     return DecompositionReport(True, count)
 
 
@@ -148,16 +149,14 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
     differences = []
     for i in range(n):
         image = action.act_on_set(elements[i], sets[i])
-        outside = image.difference(sets[i + 1])
-        if not outside.is_empty:
+        outside = image.subset_witness(sets[i + 1])
+        if outside is not None:
             raise ChainHypothesisError(
-                f"h_{i+1} X_{i+1} is not contained in X_{(i + 1) % n + 1}",
-                outside.witness())
+                f"h_{i+1} X_{i+1} is not contained in X_{(i + 1) % n + 1}", outside)
         differences.append(sets[i + 1].difference(image))
-    gap = full.difference(union_all(differences))
-    if not gap.is_empty:
-        raise ChainHypothesisError("the differences X_{i+1} minus h_i X_i do not cover X",
-                                   gap.witness())
+    gap = labelled_pass(differences).uncovered(range(n))
+    if gap is not None:
+        raise ChainHypothesisError("the differences X_{i+1} minus h_i X_i do not cover X", gap)
 
     stages = []
     suffix = action.identity()
@@ -169,10 +168,11 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
 
     telescope = [action.act_on_set(stages[0], sets[0])]
     telescope += [action.act_on_set(stages[i + 1], differences[i]) for i in range(n)]
-    for x, y in itertools.combinations(range(len(telescope)), 2):
-        if not telescope[x].is_disjoint(telescope[y]):
-            raise RuntimeError("telescoping pieces overlap; internal error")
-    if union_all(telescope) != sets[0]:
+    x1 = len(telescope)      # X_1 follows the pieces in the pass
+    points = labelled_pass(telescope + [sets[0]])
+    if points.overlaps(range(x1)):
+        raise RuntimeError("telescoping pieces overlap; internal error")
+    if any((x1 in label) != any(i < x1 for i in label) for label in points.points):
         raise RuntimeError("telescoping identity failed; internal error")
 
     complement = full.difference(sets[0])
@@ -235,20 +235,18 @@ def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongRep
     """
     k = len(tableau.elements)
     everything = list(tableau.sets_a) + list(tableau.sets_b)
-    for x, y in itertools.combinations(range(2 * k), 2):
-        overlap = everything[x].intersection(everything[y])
-        if not overlap.is_empty:
-            raise ValueError(f"tableau sets {x} and {y} overlap (witness {overlap.witness()!r})")
+    overlaps = labelled_pass(everything).overlaps(range(2 * k))
+    if overlaps:
+        (x, y), witness = overlaps[0]
+        raise ValueError(f"tableau sets {x} and {y} overlap (witness {witness!r})")
     inclusions = []
     for i in range(k):
         g = action.normalize_element(tableau.elements[i])
         target = action.act_on_set(g, tableau.sets_a[i])
-        source = tableau.sets_b[i].complement()
-        missing = source.difference(target)
-        if not missing.is_empty:
+        missing = tableau.sets_b[i].complement().subset_witness(target)
+        if missing is not None:
             return PingPongReport(
-                False, problem=f"B_{i+1}^c is not contained in g_{i+1} A_{i+1}",
-                witness=missing.witness())
+                False, problem=f"B_{i+1}^c is not contained in g_{i+1} A_{i+1}", witness=missing)
         inclusions.append((f"B_{i+1}^c", f"g_{i+1} A_{i+1}"))
     return PingPongReport(
         True,
@@ -325,10 +323,10 @@ def check_pingpong_subgroups(
     k = len(subgroups)
     if k < 2 or len(sets) != k:
         raise ValueError("need k >= 2 subgroups with one set each")
-    for x, y in itertools.combinations(range(k), 2):
-        overlap = sets[x].intersection(sets[y])
-        if not overlap.is_empty:
-            raise ValueError(f"sets X_{x+1} and X_{y+1} overlap (witness {overlap.witness()!r})")
+    overlaps = labelled_pass(sets).overlaps(range(k))
+    if overlaps:
+        (x, y), witness = overlaps[0]
+        raise ValueError(f"sets X_{x+1} and X_{y+1} overlap (witness {witness!r})")
     enumerated = [_subgroup_nonidentity(action, spec) for spec in subgroups]
     sizes = [size for _, size, _ in enumerated]
     if k == 2:
@@ -344,14 +342,13 @@ def check_pingpong_subgroups(
             for s in range(k):
                 if s == i:
                     continue
-                image = action.act_on_set(h, sets[s])
-                outside = image.difference(sets[i])
+                outside = action.act_on_set(h, sets[s]).subset_witness(sets[i])
                 checks += 1
-                if not outside.is_empty:
+                if outside is not None:
                     return PingPongReport(
                         False,
                         problem=f"h X_{s+1} is not contained in X_{i+1} for an element of H_{i+1}",
-                        witness=outside.witness())
+                        witness=outside)
     bound_note = "; ".join(f"H_{i+1}: {note}" for i, (_, _, note) in enumerate(enumerated))
     return PingPongReport(
         True,
@@ -406,11 +403,10 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     e1, e2, e3, e4, e5 = witness.sets
     if e1.is_empty:
         return PingPongReport(False, problem="E_1 is empty; relations hold vacuously")
-    sets = [e1, e2, e3, e4, e5]
-    for x, y in itertools.combinations(range(5), 2):
-        if not sets[x].is_disjoint(sets[y]):
-            return PingPongReport(False, problem=f"E_{x+1} and E_{y+1} overlap",
-                                  witness=sets[x].intersection(sets[y]).witness())
+    overlaps = labelled_pass(witness.sets).overlaps(range(5))
+    if overlaps:
+        (x, y), point = overlaps[0]
+        return PingPongReport(False, problem=f"E_{x+1} and E_{y+1} overlap", witness=point)
     g1 = action.normalize_element(witness.g1)
     g2 = action.normalize_element(witness.g2)
     relations = [
@@ -421,10 +417,9 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     ]
     for name, left, right in relations:
         if left != right:
+            extra = left.subset_witness(right)
             return PingPongReport(False, problem=f"relation {name} fails",
-                                  witness=left.difference(right).witness()
-                                  if not left.difference(right).is_empty
-                                  else right.difference(left).witness())
+                                  witness=extra if extra is not None else right.subset_witness(left))
     return PingPongReport(True, conclusion="the two elements do not commute")
 
 
@@ -462,16 +457,13 @@ def verify_infinite_order(action: Action, witness: InfiniteOrderWitness) -> Ping
     backend no witness can pass.
     """
     a = action.normalize_element(witness.element)
-    if not witness.e1.is_disjoint(witness.e2):
-        return PingPongReport(False, problem="E_1 and E_2 overlap",
-                              witness=witness.e1.intersection(witness.e2).witness())
-    moved = action.act_on_set(a, witness.e1)
-    outside = moved.difference(witness.e1)
-    if not outside.is_empty:
-        return PingPongReport(False, problem="a E_1 is not contained in E_1",
-                              witness=outside.witness())
-    touched = action.act_on_set(a, witness.e2).intersection(witness.e1)
-    if touched.is_empty:
+    shared = labelled_pass([witness.e1, witness.e2]).points.get((0, 1))
+    if shared is not None:
+        return PingPongReport(False, problem="E_1 and E_2 overlap", witness=shared)
+    outside = action.act_on_set(a, witness.e1).subset_witness(witness.e1)
+    if outside is not None:
+        return PingPongReport(False, problem="a E_1 is not contained in E_1", witness=outside)
+    if action.act_on_set(a, witness.e2).is_disjoint(witness.e1):
         return PingPongReport(False, problem="a E_2 does not meet E_1")
     return PingPongReport(True, conclusion="the element has infinite order")
 
@@ -619,14 +611,19 @@ def bounded_paradox_search(
             moved[key] = atoms[a_idx].translate(translators[t_idx])
         return moved[key]
 
-    full = action.full_set()
+    choices: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
-    def covering_choices(atom_indices: tuple[int, ...]):
-        """Translator assignments making the translates cover X, lex order."""
-        for assignment in itertools.product(range(len(translators)), repeat=len(atom_indices)):
-            translates = [translate(t, a) for t, a in zip(assignment, atom_indices)]
-            if union_all(translates) == full:
-                yield assignment
+    def covering_choices(atom_indices: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """Translator assignments making the translates cover X, lex order,
+        found once per subset of atoms."""
+        if atom_indices not in choices:
+            found = []
+            for assignment in itertools.product(range(len(translators)), repeat=len(atom_indices)):
+                translates = [translate(t, a) for t, a in zip(assignment, atom_indices)]
+                if labelled_pass(translates).uncovered(range(len(translates))) is None:
+                    found.append(assignment)
+            choices[atom_indices] = found
+        return choices[atom_indices]
 
     for total in range(2, max_pieces + 1):
         for count_a in range(1, total):

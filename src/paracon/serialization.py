@@ -20,7 +20,7 @@ from .actions import (
     FreeSelfAction,
     TrivialAction,
 )
-from .langsets import ActionSet, FiniteSet, SymbolicSet
+from .langsets import ActionSet, FiniteSet, SymbolicSet, combine
 from .words import FreeWord, Permutation, WordParseError, parse_word, word_str
 
 
@@ -92,6 +92,9 @@ def parse_action(doc: Any, location: str = "action") -> Action:
         degree, rank = doc.get("degree"), doc.get("rank")
         _expect((degree is None) != (rank is None),
                 "trivial needs exactly one of degree, rank", location)
+        key, size = ("degree", degree) if rank is None else ("rank", rank)
+        _expect(isinstance(size, int) and not isinstance(size, bool) and size >= 1,
+                f"trivial needs integer {key} >= 1", f"{location}.{key}")
         try:
             return TrivialAction(degree=degree, rank=rank)
         except ValueError as err:
@@ -190,11 +193,8 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
     if kind in ("union", "intersection"):
         parts = doc.get("of")
         _expect(isinstance(parts, list) and parts, f"{kind} needs a nonempty 'of' array", location)
-        sets = [parse_set(p, action, f"{location}.of[{i}]") for i, p in enumerate(parts)]
-        result = sets[0]
-        for s in sets[1:]:
-            result = result.union(s) if kind == "union" else result.intersection(s)
-        return result
+        return combine(kind, *(parse_set(p, action, f"{location}.of[{i}]")
+                               for i, p in enumerate(parts)))
     if kind == "complement":
         inner = doc.get("of")
         _expect(inner is not None, "complement needs 'of'", location)

@@ -2,8 +2,9 @@
 
 Group elements live in one of two universes: reduced words over signed
 generators (the free group F_k) or permutations of {0, ..., n-1}.  Words use
-a compact letter syntax for I/O: lowercase ``a``..``j`` are generators 1..10,
-uppercase letters are their inverses, and ``"e"`` is the identity.
+a compact letter syntax for I/O: the lowercase letters ``a``..``k`` except
+``e`` are generators 1..10, uppercase letters are their inverses, and ``"e"``
+is the identity.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 MAX_RANK = 10
 
-_LETTERS = "abcdefghij"
+_LETTERS = "abcdfghijk"   # skips "e", which names the identity
 
 
 class WordParseError(ValueError):
@@ -207,10 +208,6 @@ def invert(x: GroupElement) -> GroupElement:
     return ~x
 
 
-def identity_like(x: GroupElement) -> GroupElement:
-    return IDENTITY_WORD if isinstance(x, FreeWord) else identity_permutation(x.degree)
-
-
 def evaluate_word(assignment: Mapping[int, Permutation], w: FreeWord) -> Permutation:
     """Image of w under the homomorphism sending generator i to assignment[i].
 
@@ -229,11 +226,6 @@ def evaluate_word(assignment: Mapping[int, Permutation], w: FreeWord) -> Permuta
             raise ValueError(f"generator {abs(letter)} unassigned")
         result = result * (gen if letter > 0 else ~gen)
     return result
-
-
-def word_sorted(words: Iterable[FreeWord]) -> list[FreeWord]:
-    """Length-then-lexicographic order (letters ordered a < A < b < B < ...)."""
-    return sorted(words, key=FreeWord.sort_key)
 
 
 def permutation_closure(generators: Sequence[Permutation], limit: int = 100_000) -> list[Permutation]:

@@ -255,6 +255,21 @@ class TestExitCodes:
         assert code == 0
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("paradox search", {"action": {"backend": "free-self", "rank": 2}, "max_pieces": 1}),
+    ("con compute", {"action": {"backend": "trivial", "degree": "3"},
+                     "tuple": ["a"], "partition": [{"kind": "full"}]}),
+    ("compare con", {"action_a": {"backend": "free-self", "rank": 2},
+                     "action_b": {"backend": "free-self", "rank": 2}}),
+], ids=["search-one-piece", "trivial-string-degree", "compare-free-without-pairs"])
+def test_engine_rejections_exit_2_with_report(command, doc, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, *command.split(), "--input", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+
+
 class TestDeterminism:
     def test_reports_are_byte_stable(self, capsys):
         outputs = []

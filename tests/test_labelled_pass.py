@@ -1,0 +1,219 @@
+"""Partition, disjointness and cover reports checked point by point.
+
+Blocks and base cells are mutated (one dropped, inflated with another, or
+duplicated) and every reported problem, index and least witness is compared
+with a pointwise recomputation over explicitly enumerated points: reduced
+words in shortlex order for the free group, integers for a finite action.
+"""
+
+import functools
+import random
+from dataclasses import dataclass
+from typing import Callable
+
+from hypothesis import given, settings, strategies as st
+
+from oracles import all_reduced_words, expr_contains
+from paracon import (
+    ConfigurationSet,
+    FinitePermutationAction,
+    FreeSelfAction,
+    Permutation,
+    SymbolicSet,
+    compute_configurations,
+    configuration_pair,
+    parse_word,
+    validate_partition,
+    verify_cell_partition,
+)
+from paracon.langsets import labelled_pass
+
+WORDS = all_reduced_words(2, 5)          # every point a witness below can be, shortlex order
+F2 = FreeSelfAction(2)
+
+
+def build(expr: tuple) -> SymbolicSet:
+    """The library value of an oracle expression tree over F_2."""
+    kind = expr[0]
+    if kind == "cone":
+        return SymbolicSet.cone(expr[1], 2)
+    if kind == "singleton":
+        return SymbolicSet.singleton(expr[1], 2)
+    if kind == "union":
+        return build(expr[1]).union(build(expr[2]))
+    if kind == "complement":
+        return build(expr[1]).complement()
+    raise ValueError(kind)
+
+
+@dataclass
+class Member:
+    """A set under test: its library value and an independent membership test."""
+
+    value: object
+    contains: Callable[[object], bool]
+
+    @staticmethod
+    def of(expr: tuple) -> "Member":
+        return Member(build(expr), lambda p: expr_contains(expr, p))
+
+    def union(self, other: "Member") -> "Member":
+        return Member(self.value.union(other.value),
+                      lambda p: self.contains(p) or other.contains(p))
+
+
+@dataclass
+class Universe:
+    action: object
+    points: list                 # ascending: shortlex words or integers
+    atoms: list[Member]          # a partition into singletons and cones
+    words: list                  # the tuple g_1..g_n
+    forward: list[Callable]      # p -> g_j p, pointwise
+    backward: list[Callable]     # p -> g_j^-1 p, pointwise
+
+
+@st.composite
+def universes(draw) -> Universe:
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):
+        depth = rng.randint(1, 2)
+        atoms = [Member.of(("singleton" if len(w) < depth else "cone", w))
+                 for w in all_reduced_words(2, depth)]
+        # one-letter tuple entries keep every least witness within WORDS
+        words = [parse_word(w) for w in rng.sample(["a", "A", "b", "B"], rng.randint(1, 2))]
+        return Universe(F2, WORDS, atoms, words,
+                        [lambda p, g=g: g * p for g in words],
+                        [lambda p, g=~g: g * p for g in words])
+    degree = rng.randint(3, 7)
+    images = list(range(degree))
+    rng.shuffle(images)
+    action = FinitePermutationAction(degree, {1: Permutation(tuple(images))})
+    atoms = [Member(action.point_set([p]), lambda q, p=p: q == p) for p in range(degree)]
+    words = [parse_word(w) for w in rng.sample(["a", "A", "aa"], rng.randint(1, 2))]
+    perms = [action.normalize_element(w) for w in words]
+    return Universe(action, list(range(degree)), atoms, words,
+                    [lambda p, g=g: g.images[p] for g in perms],
+                    [lambda p, g=~g: g.images[p] for g in perms])
+
+
+def merge(rng: random.Random, atoms: list[Member], m: int) -> list[Member]:
+    """The atoms merged at random into m nonempty blocks."""
+    order = atoms[:]
+    rng.shuffle(order)
+    blocks = order[:m]
+    for atom in order[m:]:
+        k = rng.randrange(m)
+        blocks[k] = blocks[k].union(atom)
+    return blocks
+
+
+def first(points, test):
+    return next((p for p in points if test(p)), None)
+
+
+def expected_partition_report(points, blocks: list[Member]):
+    for x in range(len(blocks)):
+        for y in range(x + 1, len(blocks)):
+            shared = first(points, lambda p: blocks[x].contains(p) and blocks[y].contains(p))
+            if shared is not None:
+                return ("overlap", (x + 1, y + 1), shared)
+    gap = first(points, lambda p: not any(b.contains(p) for b in blocks))
+    return ("cover-gap", (), gap) if gap is not None else (None, (), None)
+
+
+MUTATIONS = st.lists(st.sampled_from(["drop", "inflate", "duplicate"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6), mutations=MUTATIONS)
+def test_mutated_blocks_report_least_witness(universe, seed, mutations):
+    rng = random.Random(seed)
+    blocks = merge(rng, universe.atoms, rng.randint(2, min(5, len(universe.atoms))))
+    for mutation in mutations:
+        i = rng.randrange(len(blocks))
+        if mutation == "drop" and len(blocks) > 1:
+            del blocks[i]
+        elif mutation == "inflate":
+            blocks[i] = blocks[i].union(rng.choice(universe.atoms))
+        elif mutation == "duplicate":
+            blocks.insert(rng.randrange(len(blocks) + 1), blocks[i])
+    report = validate_partition(universe.action, [b.value for b in blocks])
+    expected = expected_partition_report(universe.points, blocks)
+    assert report.ok == (expected[0] is None)
+    assert (report.problem, report.blocks_involved, report.witness) == expected
+
+
+def expected_cell_violations(universe: Universe, blocks, cells: dict) -> list:
+    """The violations verify_cell_partition must report, recomputed pointwise."""
+    configs = sorted(cells)
+    violations = []
+    for j in range(len(universe.words) + 1):
+        move = (lambda p: p) if j == 0 else universe.backward[j - 1]
+        # p lies in x_j(C) = g_j x_0(C) exactly when g_j^-1 p lies in x_0(C)
+        owners = {p: [c for c in configs if cells[c].contains(move(p))] for p in universe.points}
+        shared = {}
+        for p in universe.points:
+            for x, cx in enumerate(owners[p]):
+                for cy in owners[p][x + 1:]:
+                    shared.setdefault((cx, cy), p)
+        violations += [("overlap", j, pair, p) for pair, p in sorted(shared.items())]
+        gap = first(universe.points, lambda p: not owners[p])
+        if gap is not None:
+            violations.append(("cover-gap", j, None, gap))
+        for i, block in enumerate(blocks, start=1):
+            def covered(p):
+                return any(c[j] == i for c in owners[p])
+            missing = first(universe.points, lambda p: block.contains(p) and not covered(p))
+            extra = first(universe.points, lambda p: covered(p) and not block.contains(p))
+            if missing is not None or extra is not None:
+                violations.append(("block-identity", j, i, missing if missing is not None else extra))
+    return violations
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6), mutations=MUTATIONS)
+def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
+    rng = random.Random(seed)
+    blocks = merge(rng, universe.atoms, rng.randint(2, min(4, len(universe.atoms))))
+    pair = configuration_pair(universe.action, universe.words, [b.value for b in blocks])
+    cs = compute_configurations(pair)
+
+    @functools.cache
+    def configuration(p):
+        moved = [p] + [g(p) for g in universe.forward]
+        return tuple(next(i for i, b in enumerate(blocks, start=1) if b.contains(q)) for q in moved)
+
+    cells = {c: Member(cs.base_cells[c], lambda p, c=c: configuration(p) == c)
+             for c in cs.configurations}
+    assert not verify_cell_partition(cs).violations
+    for mutation in mutations:
+        c = rng.choice(sorted(cells))
+        if mutation == "drop" and len(cells) > 1:
+            del cells[c]
+        elif mutation == "inflate":
+            cells[c] = cells[c].union(rng.choice(universe.atoms))
+        elif mutation == "duplicate":
+            fresh = [c[:-1] + (i,) for i in range(1, len(blocks) + 1) if c[:-1] + (i,) not in cells]
+            if fresh:
+                cells[rng.choice(fresh)] = cells[c]
+    report = verify_cell_partition(ConfigurationSet(pair, {k: v.value for k, v in cells.items()}))
+    expected = expected_cell_violations(universe, blocks, cells)
+    assert list(report.violations) == expected
+    assert report.ok == (not expected)
+
+
+def test_labels_cells_and_least_points_match_pointwise():
+    a, ab, b, e = (parse_word(w) for w in ("a", "ab", "b", "e"))
+    members = [Member.of(expr) for expr in (
+        ("cone", a), ("cone", ab), ("union", ("singleton", e), ("cone", b)),
+        ("complement", ("union", ("cone", a), ("cone", b))))]
+    labelling = labelled_pass([m.value for m in members])
+    expected = {}
+    for w in WORDS:
+        expected.setdefault(tuple(i for i, m in enumerate(members) if m.contains(w)), w)
+    assert labelling.points == expected
+    assert list(labelling.points) == list(expected)
+    for label in expected:
+        cell = labelling.cell(label)
+        assert all((w in cell) == (tuple(i for i, m in enumerate(members) if m.contains(w)) == label)
+                   for w in WORDS)

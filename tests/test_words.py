@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paracon.words import (
+    MAX_RANK,
     FreeWord,
     Permutation,
     WordParseError,
@@ -181,3 +182,11 @@ def test_word_sort_key_order():
     words = [parse_word(s) for s in ["b", "e", "aa", "A", "a", "aB", "ab"]]
     ordered = sorted(words, key=FreeWord.sort_key)
     assert [word_str(w) for w in ordered] == ["e", "a", "A", "b", "aa", "ab", "aB"]
+
+
+@pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
+@given(data=st.data())
+def test_word_str_round_trips_at_every_rank(rank, data):
+    generators = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
+    w = reduce_word(data.draw(st.lists(generators, max_size=8)), rank)
+    assert parse_word(word_str(w), rank) == w
