@@ -25,6 +25,7 @@ COMMANDS = [
     ("z3-cycle", ("eq", "solve")),
     ("z3-cycle", ("eq", "verify")),
     ("z3-cycle", ("con", "compute")),
+    ("s4-regular-eq", ("eq", "solve")),
     ("f2-classical-decomposition", ("paradox", "verify")),
     ("f2-classical-decomposition", ("paradox", "verify", "--strict-partition")),
     ("f2-chain-n2", ("paradox", "chain")),
