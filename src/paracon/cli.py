@@ -26,6 +26,7 @@ from .serialization import (
     DocumentError,
     action_json,
     element_json,
+    is_integer,
     parse_action,
     parse_element,
     parse_elements,
@@ -53,9 +54,16 @@ def _require(doc: dict, key: str, location: str = ""):
 
 def _int_field(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise DocumentError(f"field {key!r} must be an integer", key)
     return value
+
+
+def _rationals(doc: dict, key: str) -> list[Fraction]:
+    raw = _require(doc, key)
+    if not isinstance(raw, list):
+        raise DocumentError(f"{key} must be an array of 'p/q' strings", key)
+    return [parse_rational(v, f"{key}[{i}]") for i, v in enumerate(raw)]
 
 
 def _cap(name: str, requested: int, cap: int) -> int:
@@ -151,12 +159,10 @@ def cmd_eq_verify(args, doc):
     system = eqs.build_equations(cs)
     data = {"variables": [list(c) for c in cs.configurations]}
     if "solution" in doc:
-        values = [parse_rational(v, f"solution[{i}]") for i, v in enumerate(_require(doc, "solution"))]
-        report = eqs.verify_solution(system, values)
+        report = eqs.verify_solution(system, _rationals(doc, "solution"))
         kind = "solution"
     elif "multipliers" in doc:
-        values = [parse_rational(v, f"multipliers[{i}]") for i, v in enumerate(_require(doc, "multipliers"))]
-        report = eqs.verify_certificate(system, values)
+        report = eqs.verify_certificate(system, _rationals(doc, "multipliers"))
         kind = "certificate"
     else:
         raise DocumentError("need either 'solution' or 'multipliers'", "")
@@ -176,8 +182,7 @@ def cmd_coarsen(args, doc):
     coarse = _parse_pair(_require(doc, "coarse"), action, "coarse")
     fine_cs = cfg.compute_configurations(fine)
     coarse_cs = cfg.compute_configurations(coarse)
-    raw = _require(doc, "solution")
-    values = [parse_rational(v, f"solution[{i}]") for i, v in enumerate(raw)]
+    values = _rationals(doc, "solution")
     try:
         result = cfg.coarsen_solution(mode, fine_cs, coarse_cs, values)
     except ValueError as err:
@@ -323,7 +328,7 @@ def cmd_paradox_pattern(args, doc):
         items = raw.get(key)
         if not (isinstance(items, list) and items
                 and all(isinstance(p, list) and len(p) == 2
-                        and all(isinstance(v, int) for v in p) for p in items)):
+                        and all(map(is_integer, p)) for p in items)):
             raise DocumentError(f"pattern.{key} must be a nonempty array of [coordinate, block] pairs",
                                 f"pattern.{key}")
         return tuple((j, i) for j, i in items)

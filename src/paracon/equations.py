@@ -6,17 +6,17 @@ for one value f_C per configuration with
     sum { f_C : C_j = i }  =  sum { f_C : C_0 = i }      (j in 1..n, i in 1..m)
     sum f_C = 1,   f_C >= 0.
 
-Feasibility is decided by a phase-one simplex over Fraction with Bland's
-anti-cycling rule, so the answer is exact and deterministic: either a
-normalized solution or a Farkas certificate (row multipliers whose combined
-row has no nonnegative solution).
+Feasibility is decided by a phase-one simplex with Bland's anti-cycling
+rule on a fraction-free integer tableau, so the answer is exact and
+deterministic: either a normalized solution or a Farkas certificate (row
+multipliers whose combined row has no nonnegative solution).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .configurations import Configuration, ConfigurationSet
@@ -87,7 +87,7 @@ def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport
         if value < 0:
             return VerifyReport(False, ("nonnegativity", system.variables[idx]))
     for label, row, target in zip(system.labels, system.rows, system.rhs):
-        total = sum((c * v for c, v in zip(row, values)), start=ZERO)
+        total = sum((c * v for c, v in zip(row, values) if c), start=ZERO)
         if total != target:
             return VerifyReport(False, ("row", label, total, target))
     return VerifyReport(True)
@@ -98,11 +98,16 @@ def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) ->
     values = [Fraction(v) for v in multipliers]
     if len(values) != system.n_rows:
         return VerifyReport(False, ("length", len(values), system.n_rows))
-    combined_rhs = sum((y * b for y, b in zip(values, system.rhs)), start=ZERO)
+    combined_rhs = sum((y * b for y, b in zip(values, system.rhs) if y), start=ZERO)
     if combined_rhs <= 0:
         return VerifyReport(False, ("constant-not-positive", combined_rhs))
-    for col in range(system.n_vars):
-        coeff = sum((values[r] * system.rows[r][col] for r in range(system.n_rows)), start=ZERO)
+    combined = [ZERO] * system.n_vars
+    for y, row in zip(values, system.rows):
+        if y:
+            for col, c in enumerate(row):
+                if c:
+                    combined[col] += y * c
+    for col, coeff in enumerate(combined):
         if coeff > 0:
             return VerifyReport(False, ("positive-coefficient", system.variables[col], coeff))
     return VerifyReport(True)
@@ -115,19 +120,11 @@ class FeasibilityResult:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def _normalize_certificate(values: list[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to integers with gcd 1; the combined constant stays positive."""
-    denominators = [v.denominator for v in values]
-    scale = Fraction(1)
-    for d in denominators:
-        scale = Fraction(scale.numerator * d // gcd(scale.numerator, d))
-    ints = [int(v * scale) for v in values]
-    common = 0
-    for value in ints:
-        common = gcd(common, abs(value))
-    if common > 1:
-        ints = [v // common for v in ints]
-    return tuple(Fraction(v) for v in ints)
+def _eliminate(v: list[int], w: list[int], p: int, s: int, d: int) -> list[int]:
+    """Row v after a pivot on p in row w, s = v's entry in the pivot column."""
+    if s == 0:
+        return v if p == d else [p * x // d for x in v]
+    return [(p * x - s * y) // d for x, y in zip(v, w)]
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -137,70 +134,68 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     yields the basic feasible point of the original variables; a positive
     optimum yields the dual multipliers y with y.A <= 0 and y.b > 0, read
     off the artificial columns' reduced costs.
+
+    The tableau is fraction-free (Bareiss): rows are scaled to integers by
+    the lcm of all denominators, and every entry, reduced costs included, is
+    an int over one denominator d > 0, the basis determinant.  A pivot on p
+    keeps the pivot row, maps each other row v to (p*v - s*w) // d (exact),
+    and sets d = p.  Signs and ratio order match the tableau over Fraction,
+    so Bland's rule makes the same pivots and returns the same answer.
     """
     n, r = system.n_vars, system.n_rows
     if n == 0:
         raise ValueError("system has no variables")
-    flips = [ONE if b >= 0 else -ONE for b in system.rhs]
+    scale = lcm(*{v.denominator for row in (system.rhs, *system.rows) for v in row})
+    flips = [1 if b >= 0 else -1 for b in system.rhs]
     # tableau rows: n original columns, r artificial columns, then rhs
     table = [
-        [system.rows[i][j] * flips[i] for j in range(n)]
-        + [ONE if k == i else ZERO for k in range(r)]
-        + [system.rhs[i] * flips[i]]
-        for i in range(r)
+        [c.numerator * (scale // c.denominator) * flip for c in row]
+        + [int(k == i) for k in range(r)] + [b.numerator * (scale // b.denominator) * flip]
+        for i, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flips))
     ]
+    # reduced costs: c_j - sum of basic rows (artificial costs are all 1);
+    # the last entry is minus the phase-one objective
+    cost = [-sum(column) for column in zip(*table)]
+    cost[n:n + r] = [0] * r
     basis = [n + i for i in range(r)]
-    # reduced costs: c_j - sum of basic rows (artificial costs are all 1)
-    cost = [ZERO - sum((table[i][j] for i in range(r)), start=ZERO) for j in range(n)]
-    cost += [ZERO for _ in range(r)]
-    objective = sum((table[i][-1] for i in range(r)), start=ZERO)
-
-    def pivot(row: int, col: int) -> None:
-        nonlocal objective
-        factor = table[row][col]
-        table[row] = [v / factor for v in table[row]]
-        for i in range(r):
-            if i != row and table[i][col] != 0:
-                scale = table[i][col]
-                table[i] = [v - scale * w for v, w in zip(table[i], table[row])]
-        if cost[col] != 0:
-            scale = cost[col]
-            for j in range(n + r):
-                cost[j] -= scale * table[row][j]
-            objective += scale * table[row][-1]
-        basis[row] = col
+    basic, d = set(basis), 1
 
     while True:
-        entering = next(
-            (j for j in range(n) if cost[j] < 0 and j not in basis), None
-        )
+        entering = next((j for j in range(n) if cost[j] < 0 and j not in basic), None)
         if entering is None:
             break
-        best: Optional[tuple[Fraction, int, int]] = None
-        for i in range(r):
-            if table[i][entering] > 0:
-                ratio = table[i][-1] / table[i][entering]
-                key = (ratio, basis[i], i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        # Bland's ratio test: least rhs/a over a > 0, ties to the least basic index
+        row = -1
+        for i, line in enumerate(table):
+            a = line[entering]
+            if a > 0 and (row < 0 or (line[-1] * bottom, basis[i]) < (top * a, basis[row])):
+                row, top, bottom = i, line[-1], a
+        if row < 0:
             raise RuntimeError("phase-one objective unbounded; should be impossible")
-        pivot(best[2], entering)
+        pivot_row, p = table[row], table[row][entering]
+        for i, line in enumerate(table):
+            if i != row:
+                table[i] = _eliminate(line, pivot_row, p, line[entering], d)
+        cost = _eliminate(cost, pivot_row, p, cost[entering], d)
+        basic ^= {basis[row], entering}
+        basis[row], d = entering, p
 
-    if objective == 0:
+    if cost[-1] == 0:
         values = [ZERO] * n
         for i, var in enumerate(basis):
             if var < n:
-                values[var] = table[i][-1]
+                values[var] = Fraction(table[i][-1], d)
         solution = tuple(values)
         check = verify_solution(system, solution)
         if not check.ok:
             raise RuntimeError(f"simplex produced an invalid solution: {check.violation}")
         return FeasibilityResult(True, solution=solution)
 
-    # infeasible: y_i = 1 - reduced cost of artificial column i, undone flips
-    multipliers = [(ONE - cost[n + i]) * flips[i] for i in range(r)]
-    certificate = _normalize_certificate(multipliers)
+    # infeasible: d*y_i = d - reduced cost of artificial column i, undone flips;
+    # dividing by the gcd leaves integers whose combined constant is positive
+    multipliers = [(d - cost[n + i]) * flips[i] for i in range(r)]
+    common = gcd(*multipliers) or 1
+    certificate = tuple(Fraction(v // common) for v in multipliers)
     check = verify_certificate(system, certificate)
     if not check.ok:
         raise RuntimeError(f"simplex produced an invalid certificate: {check.violation}")

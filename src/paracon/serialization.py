@@ -38,6 +38,11 @@ def _expect(condition: bool, message: str, location: str) -> None:
         raise DocumentError(message, location)
 
 
+def is_integer(value: Any) -> bool:
+    """A JSON integer; true and false are bools, which Python counts as ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(value: Any, location: str) -> Fraction:
     _expect(isinstance(value, str), "rational must be a 'p/q' string", location)
     try:
@@ -65,7 +70,7 @@ def parse_element(value: Any, action: Action, location: str):
         except ValueError as err:
             raise DocumentError(str(err), location) from None
     if isinstance(value, list):
-        _expect(all(isinstance(v, int) for v in value), "permutation entries must be integers", location)
+        _expect(all(map(is_integer, value)), "permutation entries must be integers", location)
         try:
             return action.normalize_element(Permutation(tuple(value)))
         except ValueError as err:
@@ -86,15 +91,14 @@ def parse_action(doc: Any, location: str = "action") -> Action:
     backend = doc.get("backend")
     if backend == "free-self":
         rank = doc.get("rank")
-        _expect(isinstance(rank, int) and rank >= 1, "free-self needs integer rank >= 1", f"{location}.rank")
+        _expect(is_integer(rank) and rank >= 1, "free-self needs integer rank >= 1", f"{location}.rank")
         return FreeSelfAction(rank)
     if backend == "trivial":
         degree, rank = doc.get("degree"), doc.get("rank")
         _expect((degree is None) != (rank is None),
                 "trivial needs exactly one of degree, rank", location)
         key, size = ("degree", degree) if rank is None else ("rank", rank)
-        _expect(isinstance(size, int) and not isinstance(size, bool) and size >= 1,
-                f"trivial needs integer {key} >= 1", f"{location}.{key}")
+        _expect(is_integer(size) and size >= 1, f"trivial needs integer {key} >= 1", f"{location}.{key}")
         try:
             return TrivialAction(degree=degree, rank=rank)
         except ValueError as err:
@@ -109,7 +113,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
                 index = abs(parse_word(name).letters[0])
             except (WordParseError, IndexError):
                 raise DocumentError(f"bad generator name {name!r}", gen_loc) from None
-            _expect(isinstance(images, list) and all(isinstance(v, int) for v in images),
+            _expect(isinstance(images, list) and all(map(is_integer, images)),
                     "generator must be an image array", gen_loc)
             try:
                 generators[index] = Permutation(tuple(images))
@@ -119,7 +123,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
             if backend == "finite-regular":
                 return FiniteRegularAction(generators)
             degree = doc.get("degree")
-            _expect(isinstance(degree, int) and degree >= 1,
+            _expect(is_integer(degree) and degree >= 1,
                     "finite-permutation needs integer degree >= 1", f"{location}.degree")
             return FinitePermutationAction(degree, generators)
         except DocumentError:
@@ -184,7 +188,7 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
     if kind == "points":
         _expect(not symbolic, "points sets need a finite universe", location)
         points = doc.get("points")
-        _expect(isinstance(points, list) and all(isinstance(p, int) for p in points),
+        _expect(isinstance(points, list) and all(map(is_integer, points)),
                 "points must be an integer array", f"{location}.points")
         try:
             return action.point_set(points)
@@ -207,7 +211,7 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
     if kind == "automaton":
         _expect(symbolic, "automaton sets need a free-word universe", location)
         rank, trans, acc = doc.get("rank"), doc.get("transitions"), doc.get("accepting")
-        _expect(isinstance(rank, int) and rank == action.full_set().rank,
+        _expect(is_integer(rank) and rank == action.full_set().rank,
                 "automaton rank must match the action", f"{location}.rank")
         _expect(isinstance(trans, list) and isinstance(acc, list) and trans
                 and len(trans) == len(acc),
@@ -215,7 +219,7 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
         n_states = len(trans)
         for i, row in enumerate(trans):
             _expect(isinstance(row, list) and len(row) == 2 * rank
-                    and all(isinstance(t, int) and 0 <= t < n_states for t in row),
+                    and all(is_integer(t) and 0 <= t < n_states for t in row),
                     f"transition row {i} must hold {2*rank} states below {n_states}",
                     f"{location}.transitions")
         raw = SymbolicSet(rank, tuple(tuple(row) for row in trans), tuple(bool(v) for v in acc))

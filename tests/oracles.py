@@ -3,13 +3,15 @@
 Everything here is deliberately naive and shares no code path with the
 package: word enumeration by direct recursion, set membership by evaluating
 expression trees pointwise, configurations of finite actions by iterating
-points, and linear feasibility by Fourier-Motzkin elimination.
+points, linear feasibility by Fourier-Motzkin elimination, and a reference
+phase-one simplex over Fraction that fixes which answer the solver returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from paracon.words import FreeWord, alphabet
 
@@ -149,3 +151,66 @@ def fourier_motzkin_feasible(rows: list[tuple], rhs: list[Fraction]) -> bool:
                 if not add(combined, factor * pb + nb):
                     return False
     return True
+
+
+def bland_simplex(rows: list[tuple], rhs: list[Fraction]) -> tuple:
+    """(feasible, solution, certificate) of {A x = b, x >= 0}, over Fraction.
+
+    A dense phase-one simplex: one artificial variable per row (rows with
+    b < 0 negated first), the entering column is the least index with a
+    negative reduced cost, and the leaving row has the least ratio, ties
+    going to the least basic variable (Bland's rule).  A zero optimum gives
+    the basic solution; a positive one gives the multipliers 1 - (reduced
+    cost of each artificial column), signs restored, scaled to coprime
+    integers.
+    """
+    n, r = len(rows[0]), len(rows)
+    signs = [1 if b >= 0 else -1 for b in rhs]
+    table = []
+    for i in range(r):
+        artificial = [Fraction(1) if k == i else Fraction(0) for k in range(r)]
+        table.append([Fraction(c) * signs[i] for c in rows[i]] + artificial
+                     + [Fraction(rhs[i]) * signs[i]])
+    basis = list(range(n, n + r))
+    cost = [-sum(table[i][j] for i in range(r)) for j in range(n)] + [Fraction(0)] * r
+    objective = sum(table[i][-1] for i in range(r))
+    while True:
+        entering = None
+        for j in range(n):
+            if cost[j] < 0 and j not in basis:
+                entering = j
+                break
+        if entering is None:
+            break
+        leaving = None
+        for i in range(r):
+            if table[i][entering] > 0:
+                key = (table[i][-1] / table[i][entering], basis[i])
+                if leaving is None or key < leaving[0]:
+                    leaving = (key, i)
+        row = leaving[1]
+        pivot = table[row][entering]
+        table[row] = [v / pivot for v in table[row]]
+        for i in range(r):
+            if i != row:
+                factor = table[i][entering]
+                table[i] = [v - factor * w for v, w in zip(table[i], table[row])]
+        factor = cost[entering]
+        cost = [c - factor * w for c, w in zip(cost, table[row])]
+        objective += factor * table[row][-1]
+        basis[row] = entering
+    if objective == 0:
+        solution = [Fraction(0)] * n
+        for i, var in enumerate(basis):
+            if var < n:
+                solution[var] = table[i][-1]
+        return True, tuple(solution), None
+    multipliers = [(1 - cost[n + i]) * signs[i] for i in range(r)]
+    scale = 1
+    for value in multipliers:
+        scale = scale * value.denominator // gcd(scale, value.denominator)
+    integers = [int(value * scale) for value in multipliers]
+    common = 0
+    for value in integers:
+        common = gcd(common, value)
+    return False, None, tuple(Fraction(value // common) for value in integers)

@@ -270,6 +270,49 @@ def test_engine_rejections_exit_2_with_report(command, doc, capsys, tmp_path):
     assert report["status"] == "error"
 
 
+Z2 = {"backend": "finite-permutation", "degree": 2, "generators": {"a": [1, 0]}}
+Z2_BLOCKS = [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]
+F1_AUTOMATON = {"kind": "automaton", "rank": 1, "transitions": [[0, 0]], "accepting": [True]}
+
+
+@pytest.mark.parametrize("command,doc,location", [
+    ("con compute", {"action": {"backend": "free-self", "rank": True}}, ".rank"),
+    ("con compute", {"action": {"backend": "trivial", "degree": True}}, ".degree"),
+    ("con compute", {"action": {**Z2, "degree": True}}, ".degree"),
+    ("con compute", {"action": Z2, "partition": [{"kind": "points", "points": [0]},
+                                                 {"kind": "points", "points": [True]}]}, ".points"),
+    ("con compute", {"action": {**Z2, "generators": {"a": [True, False]}}}, ".generators.a"),
+    ("con compute", {"action": Z2, "tuple": [[True, False]]}, ".tuple[0]"),
+    ("con compute", {"action": {"backend": "free-self", "rank": 1},
+                     "partition": [{**F1_AUTOMATON, "transitions": [[False, 0]]}]}, ".transitions"),
+    ("con compute", {"action": {"backend": "free-self", "rank": 1},
+                     "partition": [{**F1_AUTOMATON, "rank": True}]}, ".rank"),
+    ("paradox pattern", {"action": Z2, "pattern": {"family_a": [[True, 1]], "family_b": [[0, 2]]}},
+     "pattern.family_a"),
+], ids=["free-self-rank", "trivial-degree", "permutation-degree", "points", "generator-images",
+        "permutation-element", "automaton-state", "automaton-rank", "pattern-pair"])
+def test_json_booleans_are_not_integers(command, doc, location, capsys, tmp_path):
+    doc = {"tuple": ["a"], "partition": Z2_BLOCKS, **doc}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, *command.split(), "--input", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["location"].endswith(location)
+
+
+@pytest.mark.parametrize("key", ["solution", "multipliers"])
+def test_eq_verify_needs_an_array(key, capsys, tmp_path):
+    doc = {**json.loads((FIXTURES / "z3-cycle.json").read_text()), key: "1"}
+    doc.pop("solution" if key == "multipliers" else "multipliers", None)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, report = run(capsys, "eq", "verify", "--input", str(path))
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["location"] == key
+
+
 class TestDeterminism:
     def test_reports_are_byte_stable(self, capsys):
         outputs = []

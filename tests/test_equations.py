@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cone
-from oracles import fourier_motzkin_feasible
+from oracles import bland_simplex, fourier_motzkin_feasible
 from paracon import (
     FinitePermutationAction,
+    FiniteRegularAction,
     Permutation,
     TrivialAction,
     build_equations,
@@ -203,3 +205,63 @@ def test_certificate_normalization_is_integral(f2, five_blocks):
     for v in values:
         common = gcd(common, abs(v))
     assert common == 1
+
+
+def as_system(rows, rhs) -> LinearSystem:
+    return LinearSystem(
+        variables=tuple((i,) for i in range(len(rows[0]))),
+        labels=tuple(("row", i) for i in range(len(rows))),
+        rows=tuple(tuple(row) for row in rows),
+        rhs=tuple(rhs),
+    )
+
+
+def assert_matches_reference(system: LinearSystem):
+    result = solve_feasibility(system)
+    expected = bland_simplex(list(system.rows), list(system.rhs))
+    assert (result.feasible, result.solution, result.certificate) == expected
+
+
+INTEGERS = st.integers(-3, 3).map(Fraction)
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+NEGATIVE = st.builds(Fraction, st.integers(-12, -1), st.integers(1, 6))
+
+
+@st.composite
+def matrices(draw, entries):
+    n_vars = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n_vars, max_size=n_vars), min_size=1, max_size=5))
+    rhs = draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=matrices(INTEGERS))
+def test_solver_matches_reference_on_integral_systems(matrix):
+    assert_matches_reference(as_system(*matrix))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=matrices(RATIONALS), negative=NEGATIVE)
+def test_solver_matches_reference_on_rational_systems(matrix, negative):
+    rows, rhs = matrix
+    assert_matches_reference(as_system(rows, [negative, *rhs[1:]]))
+
+
+S3_REGULAR = FiniteRegularAction({1: Permutation((1, 0, 2)), 2: Permutation((0, 2, 1))})
+S4_REGULAR = FiniteRegularAction({1: Permutation((1, 0, 2, 3)), 2: Permutation((1, 2, 3, 0))})
+WORDS = ["a", "b", "A", "B", "ab", "ba", "aB", "Ab", "bb", "BA"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(action=st.sampled_from([S3_REGULAR, S4_REGULAR]),
+       words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+       m=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_solver_matches_reference_on_regular_actions(action, words, m, seed):
+    rng = random.Random(seed)
+    points = list(range(action.size()))
+    rng.shuffle(points)
+    labels = list(range(m)) + [rng.randrange(m) for _ in points[m:]]
+    blocks = [action.point_set([p for p, k in zip(points, labels) if k == b]) for b in range(m)]
+    _, system = system_for(action, words, blocks)
+    assert_matches_reference(system)
