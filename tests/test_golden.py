@@ -29,6 +29,7 @@ COMMANDS = [
     ("f2-classical-decomposition", ("paradox", "verify")),
     ("f2-classical-decomposition", ("paradox", "verify", "--strict-partition")),
     ("f2-chain-n2", ("paradox", "chain")),
+    ("f2-search-d2", ("paradox", "search")),
     ("f2-pingpong-cyclic", ("pingpong", "cyclic")),
     ("s3-nonabelian-witness", ("witness", "nonabelian")),
     ("z4-quotient", ("compare", "con")),
