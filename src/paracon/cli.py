@@ -306,6 +306,8 @@ def cmd_paradox_search(args, doc):
                              _int_field(doc, "translator_length", 1), args.bound_length)
     try:
         result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
+    except pdx.SearchTooLarge as err:
+        raise BoundExceeded("search_table_bits", err.bits, pdx.SEARCH_TABLE_CAP) from None
     except ValueError as err:   # bounds below the least meaningful search
         raise DocumentError(str(err), "") from None
     bounds_json = {

@@ -561,17 +561,58 @@ class SearchResult:
         return self.decomposition is not None
 
 
-def depth_atoms(rank: int, depth: int) -> list[SymbolicSet]:
-    """The canonical depth-d partition atoms of the free-word universe:
-    singletons for words shorter than d, cones at length exactly d."""
-    full = SymbolicSet.full(rank)
-    atoms: list[SymbolicSet] = []
-    for w in full.enumerate_up_to(depth):
-        if len(w.letters) < depth:
-            atoms.append(SymbolicSet.singleton(w, rank))
-        else:
-            atoms.append(SymbolicSet.cone(w, rank))
-    return atoms
+# Bits in the search's cover table (translators x atoms x fine atoms); the
+# benchmark menu needs at most 17 * 53 * 485, about 437 kbit.
+SEARCH_TABLE_CAP = 1 << 26
+
+
+class SearchTooLarge(Exception):
+    """The cover table of a search would hold more than SEARCH_TABLE_CAP bits."""
+
+    def __init__(self, bits: int):
+        super().__init__(f"search table of {bits} bits exceeds the cap of {SEARCH_TABLE_CAP}")
+        self.bits = bits
+
+
+def _word_count(rank: int, length: int) -> int:
+    """Reduced words of length <= `length` over F_rank: 1 + sum 2r(2r-1)^(i-1)."""
+    if rank == 1:
+        return 1 + 2 * length
+    return 1 + rank * ((2 * rank - 1) ** length - 1) // (rank - 1)
+
+
+def cover_masks(
+    rank: int, depth: int, length: int
+) -> tuple[list[FreeWord], list[FreeWord], list[list[int]], int]:
+    """The search's cover table over the depth-(depth+length) "fine" atoms.
+
+    Returns (atoms, translators, masks, full): the depth-`depth` atom words
+    and the translators of length <= `length`, both in shortlex order;
+    masks[t][a], whose bit i is set when the i-th fine atom (in shortlex
+    order of its word) lies inside translators[t] * atom a; and the mask of
+    all fine atoms.  Every such translate is a union of fine atoms, so
+    translates cover X exactly when their masks OR to `full`.  Raises
+    SearchTooLarge, before building anything, past SEARCH_TABLE_CAP bits.
+    """
+    fine = _word_count(rank, depth + length)
+    bits = _word_count(rank, length) * _word_count(rank, depth) * fine
+    if bits > SEARCH_TABLE_CAP:
+        raise SearchTooLarge(bits)
+    words = [w.letters for w in SymbolicSet.full(rank).enumerate_up_to(depth + length)]
+    atoms = words[:_word_count(rank, depth)]
+    translators = words[:_word_count(rank, length)]
+    atom_of = {w: i for i, w in enumerate(atoms)}
+    masks = []
+    for t in translators:
+        inverse = tuple(-l for l in reversed(t))
+        row = [0] * len(atoms)
+        for bit, u in enumerate(words):
+            k = 0        # letters cancelled between t^-1 and u
+            while k < len(inverse) and k < len(u) and inverse[-1 - k] == -u[k]:
+                k += 1
+            row[atom_of[(inverse[:len(inverse) - k] + u[k:])[:depth]]] |= 1 << bit
+        masks.append(row)
+    return [FreeWord(w) for w in atoms], [FreeWord(t) for t in translators], masks, (1 << fine) - 1
 
 
 def bounded_paradox_search(
@@ -579,12 +620,20 @@ def bounded_paradox_search(
 ) -> SearchResult:
     """Exhaustive search for a decomposition within the stated bounds.
 
-    Pieces range over the depth atoms (pairwise disjoint by construction),
-    translators over words of bounded length; candidates are scanned in
-    lexicographic order (piece count, then split, then atom choices, then
-    translators) and the first verified decomposition is returned.  Finite
-    and trivial actions are rejected up front with the counting and
-    invariance obstructions.
+    Pieces range over the depth-d atoms (singletons of words shorter than
+    d, cones at length d; pairwise disjoint by construction), translators
+    over words of length <= L; candidates are scanned in lexicographic
+    order (piece count, then split, then atom choices, then translators)
+    and the first verified decomposition is returned.  Finite and trivial
+    actions are rejected up front with the counting and invariance
+    obstructions.
+
+    Covers are decided on bitmasks of the depth-(d+L) atoms, by a lemma: if
+    A is a depth-d atom and |t| <= L, then t A is a union of depth-(d+L)
+    atoms.  Proof: u is in t A exactly when reduce(t^-1 u) is in A, and for
+    |u| >= d+L the cancellation uses at most L < |u| letters of u, so the
+    first d letters of reduce(t^-1 u) depend only on the first d+L letters
+    of u.  Each candidate is still verified exactly on automata.
     """
     bounds = (max_pieces, cone_depth, translator_length)
     if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
@@ -599,18 +648,12 @@ def bounded_paradox_search(
             "covers need |A|+|B| >= 2|X|"))
     if not isinstance(action, FreeSelfAction):
         raise ValueError(f"unsupported backend {action.kind}")
+    not_found = SearchResult(None, bounds, reason="no decomposition within bounds")
+    if cone_depth == 0:      # the one depth-0 atom is X: no two disjoint pieces
+        return not_found
 
     rank = action.rank
-    atoms = depth_atoms(rank, cone_depth)
-    translators = SymbolicSet.full(rank).enumerate_up_to(translator_length)
-    moved: dict[tuple[int, int], SymbolicSet] = {}
-
-    def translate(t_idx: int, a_idx: int) -> SymbolicSet:
-        key = (t_idx, a_idx)
-        if key not in moved:
-            moved[key] = atoms[a_idx].translate(translators[t_idx])
-        return moved[key]
-
+    atoms, translators, masks, full = cover_masks(rank, cone_depth, translator_length)
     choices: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
     def covering_choices(atom_indices: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -619,11 +662,17 @@ def bounded_paradox_search(
         if atom_indices not in choices:
             found = []
             for assignment in itertools.product(range(len(translators)), repeat=len(atom_indices)):
-                translates = [translate(t, a) for t, a in zip(assignment, atom_indices)]
-                if labelled_pass(translates).uncovered(range(len(translates))) is None:
+                covered = 0
+                for t, a in zip(assignment, atom_indices):
+                    covered |= masks[t][a]
+                if covered == full:
                     found.append(assignment)
             choices[atom_indices] = found
         return choices[atom_indices]
+
+    def pieces(atom_indices: tuple[int, ...]) -> tuple[SymbolicSet, ...]:
+        return tuple(SymbolicSet.cone(atoms[i], rank) if len(atoms[i]) == cone_depth
+                     else SymbolicSet.singleton(atoms[i], rank) for i in atom_indices)
 
     for total in range(2, max_pieces + 1):
         for count_a in range(1, total):
@@ -636,12 +685,12 @@ def bounded_paradox_search(
                     for subset_b in itertools.combinations(remaining, count_b):
                         for assign_b in covering_choices(subset_b):
                             dec = ParadoxicalDecomposition(
-                                tuple(atoms[i] for i in subset_a),
+                                pieces(subset_a),
                                 tuple(translators[t] for t in assign_a),
-                                tuple(atoms[i] for i in subset_b),
+                                pieces(subset_b),
                                 tuple(translators[t] for t in assign_b),
                             )
                             report = verify_decomposition(action, dec)
                             if report.ok:
                                 return SearchResult(dec, bounds)
-    return SearchResult(None, bounds, reason="no decomposition within bounds")
+    return not_found

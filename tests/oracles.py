@@ -3,14 +3,15 @@
 Everything here is deliberately naive and shares no code path with the
 package: word enumeration by direct recursion, set membership by evaluating
 expression trees pointwise, configurations of finite actions by iterating
-points, linear feasibility by Fourier-Motzkin elimination, and a reference
-phase-one simplex over Fraction that fixes which answer the solver returns.
+points, linear feasibility by Fourier-Motzkin elimination, a reference
+phase-one simplex over Fraction that fixes which answer the solver returns,
+and a lex-first paradox search that tests covers word by word.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from paracon.words import FreeWord, alphabet
@@ -214,3 +215,73 @@ def bland_simplex(rows: list[tuple], rhs: list[Fraction]) -> tuple:
     for value in integers:
         common = gcd(common, value)
     return False, None, tuple(Fraction(value // common) for value in integers)
+
+
+def lex_first_search(rank: int, max_pieces: int, depth: int, length: int):
+    """The first decomposition of F_rank acting on itself, or None.
+
+    Pieces are depth-`depth` atoms (the singleton of each word shorter than
+    `depth`, the cone of each word of length `depth`), translators words of
+    length <= `length`, both in shortlex order with letters a < A < b < B.
+    Candidates go by piece count, split, atoms of A, translators of A,
+    atoms of B, translators of B, each in lexicographic order.  A family
+    covers when every reduced word of length <= depth + length + 1 lies in
+    one of its translates, found by reducing t^-1 u letter by letter.
+    Returns (atoms_a, translators_a, atoms_b, translators_b) as tuples of
+    letter tuples (+i for generator i, -i for its inverse).
+    """
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+
+    def words(n):
+        out, level = [()], [()]
+        for _ in range(n):
+            level = [w + (l,) for w in level for l in letters if not (w and w[-1] == -l)]
+            out += level
+        return out
+
+    def reduce(word):
+        stack = []
+        for letter in word:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+        return tuple(stack)
+
+    atoms, translators = words(depth), words(length)
+    tests = words(depth + length + 1)
+
+    def inside(t, atom):
+        """Indices of the test words u with reduce(t^-1 u) in the atom."""
+        inverse = tuple(-l for l in reversed(t))
+        found = set()
+        for i, u in enumerate(tests):
+            x = reduce(inverse + u)
+            if x == atom or (len(atom) == depth and x[:depth] == atom):
+                found.add(i)
+        return found
+
+    translates = {(t, a): inside(translators[t], atoms[a])
+                  for t in range(len(translators)) for a in range(len(atoms))}
+    covers = {}
+
+    def covering(subset):
+        if subset not in covers:
+            covers[subset] = [
+                assignment for assignment in product(range(len(translators)), repeat=len(subset))
+                if len(set().union(*(translates[t, a] for t, a in zip(assignment, subset))))
+                == len(tests)]
+        return covers[subset]
+
+    for total in range(2, max_pieces + 1):
+        for count_a in range(1, total):
+            for subset_a in combinations(range(len(atoms)), count_a):
+                rest = [i for i in range(len(atoms)) if i not in subset_a]
+                for assign_a in covering(subset_a):
+                    for subset_b in combinations(rest, total - count_a):
+                        for assign_b in covering(subset_b):
+                            return (tuple(atoms[i] for i in subset_a),
+                                    tuple(translators[t] for t in assign_a),
+                                    tuple(atoms[i] for i in subset_b),
+                                    tuple(translators[t] for t in assign_b))
+    return None

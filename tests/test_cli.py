@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +245,18 @@ class TestExitCodes:
         assert code == 3
         assert report["status"] == "bound-exceeded"
         assert report["error"]["requested"] == 99
+
+    def test_search_table_cap_checked_before_building(self, capsys, tmp_path):
+        doc = {"action": {"backend": "free-self", "rank": 10},
+               "max_pieces": 4, "cone_depth": 6, "translator_length": 8}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        code, report = run(capsys, "paradox", "search", "--input", str(path))
+        assert time.perf_counter() - started < 0.5
+        assert code == 3
+        assert report["status"] == "bound-exceeded"
+        assert report["error"]["bound"] == "search_table_bits"
 
     def test_bound_flag_raises_cap(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 2},

@@ -1,8 +1,11 @@
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cone, singleton
+from oracles import all_reduced_words, lex_first_search
 from paracon import (
     CyclicSubgroup,
     CyclicTableau,
@@ -35,6 +38,9 @@ from paracon import (
     verify_infinite_order,
     verify_nonabelian,
 )
+from paracon.langsets import labelled_pass
+from paracon.paradox import cover_masks
+from paracon.words import FreeWord
 
 E, A_, B_ = parse_word("e"), parse_word("a"), parse_word("b")
 
@@ -349,3 +355,52 @@ class TestBoundedSearch:
         result = bounded_paradox_search(f2, max_pieces=2, cone_depth=1, translator_length=1)
         assert result.decomposition is None
         assert result.bounds == (2, 1, 1)
+
+    def test_depth_two_none_within_two_seconds(self, f2):
+        started = time.perf_counter()
+        result = bounded_paradox_search(f2, max_pieces=4, cone_depth=2, translator_length=1)
+        assert result.decomposition is None
+        assert time.perf_counter() - started < 2.0
+
+
+def _atom(word, depth, rank):
+    build = SymbolicSet.cone if len(word) == depth else SymbolicSet.singleton
+    return build(FreeWord(tuple(word)), rank)
+
+
+@pytest.mark.parametrize("rank,max_pieces", [(r, p) for r in (1, 2) for p in (2, 3, 4)])
+def test_search_returns_the_oracles_first_decomposition(rank, max_pieces):
+    for depth in range(4):
+        for length in range(4 - depth):
+            result = bounded_paradox_search(FreeSelfAction(rank), max_pieces, depth, length)
+            expected = lex_first_search(rank, max_pieces, depth, length)
+            bounds = (rank, max_pieces, depth, length)
+            if expected is None:
+                assert result.decomposition is None, bounds
+                continue
+            atoms_a, translators_a, atoms_b, translators_b = expected
+            assert result.decomposition == ParadoxicalDecomposition(
+                tuple(_atom(w, depth, rank) for w in atoms_a),
+                tuple(FreeWord(t) for t in translators_a),
+                tuple(_atom(w, depth, rank) for w in atoms_b),
+                tuple(FreeWord(t) for t in translators_b)), bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank=st.integers(1, 2), depth=st.integers(1, 2), length=st.integers(0, 2),
+       data=st.data())
+def test_mask_cover_agrees_with_labelled_pass(rank, depth, length, data):
+    atoms, translators, masks, full = cover_masks(rank, depth, length)
+    assert full == (1 << len(all_reduced_words(rank, depth + length))) - 1
+    count = data.draw(st.integers(1, min(6, len(atoms))))
+    chosen = data.draw(st.lists(st.integers(0, len(atoms) - 1), min_size=count,
+                                max_size=count, unique=True))
+    assignment = data.draw(st.lists(st.integers(0, len(translators) - 1),
+                                    min_size=count, max_size=count))
+    covered = 0
+    for t, a in zip(assignment, chosen):
+        covered |= masks[t][a]
+    translates = [_atom(atoms[a].letters, depth, rank).translate(translators[t])
+                  for t, a in zip(assignment, chosen)]
+    by_pass = labelled_pass(translates).uncovered(range(count)) is None
+    assert (covered == full) == by_pass
