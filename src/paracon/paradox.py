@@ -610,7 +610,8 @@ def cover_masks(
             k = 0        # letters cancelled between t^-1 and u
             while k < len(inverse) and k < len(u) and inverse[-1 - k] == -u[k]:
                 k += 1
-            row[atom_of[(inverse[:len(inverse) - k] + u[k:])[:depth]]] |= 1 << bit
+            reduced = inverse[:len(inverse) - k] + u[k:]     # t^-1 u
+            row[atom_of[reduced[:depth]]] |= 1 << bit
         masks.append(row)
     return [FreeWord(w) for w in atoms], [FreeWord(t) for t in translators], masks, (1 << fine) - 1
 
