@@ -1,10 +1,13 @@
 """Golden CLI reports: every fixture command's stdout, compared byte for byte.
 
-The files under tests/golden/ are the reports these commands print.  To
-record them again after an intended change of output, run this file
-directly (`PYTHONPATH=src python tests/test_golden.py`) and review the diff.
+The files under tests/golden/ are the reports these commands print, and
+the error reports (exit 2 or 3) of the malformed documents in ERRORS,
+which pin each error's message and location.  To record them again after
+an intended change of output, run this file directly
+(`PYTHONPATH=src python tests/test_golden.py`) and review the diff.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,66 @@ COMMANDS = [
 ]
 
 
+FREE2 = {"backend": "free-self", "rank": 2}
+Z2 = {"backend": "finite-permutation", "degree": 2, "generators": {"a": [1, 0]}}
+Z2_BLOCKS = [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]
+F1_AUTOMATON = {"kind": "automaton", "rank": 1, "transitions": [[0, 0]], "accepting": [True]}
+
+
+def _z2(**fields) -> dict:
+    return {"tuple": ["a"], "partition": Z2_BLOCKS, **fields}
+
+
+def _z3_verify(key: str) -> dict:
+    doc = {**json.loads((FIXTURES / "z3-cycle.json").read_text()), key: "1"}
+    doc.pop("solution" if key == "multipliers" else "multipliers", None)
+    return doc
+
+
+# (name, command words, input document or raw bytes, exit code); golden file error-<name>.json
+ERRORS = [
+    ("bad-word", ("con", "compute"),
+     {"action": FREE2, "tuple": ["aX"], "partition": [{"kind": "full"}]}, 2),
+    ("invalid-json", ("eq", "solve"), b"{not json", 2),
+    ("invalid-partition", ("con", "compute"),
+     {"action": FREE2, "tuple": ["a"],
+      "partition": [{"kind": "cone", "word": "a"}, {"kind": "cone", "word": "ab"}]}, 2),
+    ("max-pieces-cap", ("paradox", "search"), {"action": FREE2, "max_pieces": 99}, 3),
+    ("search-table-cap", ("paradox", "search"),
+     {"action": {"backend": "free-self", "rank": 10},
+      "max_pieces": 4, "cone_depth": 6, "translator_length": 8}, 3),
+    ("search-one-piece", ("paradox", "search"), {"action": FREE2, "max_pieces": 1}, 2),
+    ("trivial-string-degree", ("con", "compute"),
+     {"action": {"backend": "trivial", "degree": "3"},
+      "tuple": ["a"], "partition": [{"kind": "full"}]}, 2),
+    ("compare-free-without-pairs", ("compare", "con"), {"action_a": FREE2, "action_b": FREE2}, 2),
+    ("bool-free-self-rank", ("con", "compute"),
+     _z2(action={"backend": "free-self", "rank": True}), 2),
+    ("bool-trivial-degree", ("con", "compute"),
+     _z2(action={"backend": "trivial", "degree": True}), 2),
+    ("bool-permutation-degree", ("con", "compute"), _z2(action={**Z2, "degree": True}), 2),
+    ("bool-points", ("con", "compute"),
+     _z2(action=Z2, partition=[{"kind": "points", "points": [0]},
+                               {"kind": "points", "points": [True]}]), 2),
+    ("bool-generator-images", ("con", "compute"),
+     _z2(action={**Z2, "generators": {"a": [True, False]}}), 2),
+    ("bool-permutation-element", ("con", "compute"), _z2(action=Z2, tuple=[[True, False]]), 2),
+    ("bool-automaton-state", ("con", "compute"),
+     _z2(action={"backend": "free-self", "rank": 1},
+         partition=[{**F1_AUTOMATON, "transitions": [[False, 0]]}]), 2),
+    ("bool-automaton-rank", ("con", "compute"),
+     _z2(action={"backend": "free-self", "rank": 1}, partition=[{**F1_AUTOMATON, "rank": True}]), 2),
+    ("bool-pattern-pair", ("paradox", "pattern"),
+     _z2(action=Z2, pattern={"family_a": [[True, 1]], "family_b": [[0, 2]]}), 2),
+    ("eq-verify-solution-string", ("eq", "verify"), _z3_verify("solution"), 2),
+    ("eq-verify-multipliers-string", ("eq", "verify"), _z3_verify("multipliers"), 2),
+]
+
+
+def error_input(raw) -> bytes:
+    return raw if isinstance(raw, bytes) else json.dumps(raw).encode()
+
+
 def golden_path(stem: str, words: tuple) -> Path:
     return GOLDEN / f"{stem}.{'-'.join(w.lstrip('-') for w in words)}.json"
 
@@ -52,9 +115,18 @@ def test_report_matches_golden(stem, words, capsys):
     assert report_text(stem, words, capsys).encode() == golden_path(stem, words).read_bytes()
 
 
+@pytest.mark.parametrize("name,words,raw,code", ERRORS, ids=[case[0] for case in ERRORS])
+def test_error_report_matches_golden(name, words, raw, code, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(error_input(raw))
+    assert main([*words, "--input", str(path)]) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"error-{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
+    import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
     for stem, words in COMMANDS:
@@ -62,3 +134,11 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out):
             assert main([*words, "--input", str(FIXTURES / f"{stem}.json")]) == 0
         golden_path(stem, words).write_bytes(out.getvalue().encode())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "doc.json"
+        for name, words, raw, code in ERRORS:
+            path.write_bytes(error_input(raw))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main([*words, "--input", str(path)]) == code
+            (GOLDEN / f"error-{name}.json").write_bytes(out.getvalue().encode())
