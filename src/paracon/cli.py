@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface: paracon <command words> [options].
 
 Reads a JSON document, dispatches to the engines, and prints a
 deterministic JSON report: {"command", "status", "data", "bounds",
@@ -8,6 +8,8 @@ wall-clock timing goes to stderr so stdout stays diffable.
 Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
 location, 3 = a requested bound exceeds the declared --bound-* cap.
+Whatever bytes the input holds, the run ends with one of these codes and a
+report.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import configurations as cfg
 from . import equations as eqs
@@ -52,6 +56,12 @@ def _require(doc: dict, key: str, location: str = ""):
     return doc[key]
 
 
+def _object(value, location: str, name: str = "") -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{name or location} must be an object", location)
+    return value
+
+
 def _int_field(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
     if not is_integer(value):
@@ -73,6 +83,7 @@ def _cap(name: str, requested: int, cap: int) -> int:
 
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
+    _object(doc, location)
     elements = parse_elements(_require(doc, "tuple", f"{location}.tuple"), action, f"{location}.tuple")
     blocks = parse_sets(_require(doc, "partition", f"{location}.partition"), action, f"{location}.partition")
     try:
@@ -109,6 +120,7 @@ def _decomposition_json(dec: pdx.ParadoxicalDecomposition) -> dict:
 
 
 def _parse_decomposition(doc: dict, action, location: str) -> pdx.ParadoxicalDecomposition:
+    _object(doc, location)
     return pdx.ParadoxicalDecomposition(
         tuple(parse_sets(_require(doc, "pieces_a", location), action, f"{location}.pieces_a")),
         tuple(parse_elements(_require(doc, "translators_a", location), action, f"{location}.translators_a")),
@@ -118,14 +130,11 @@ def _parse_decomposition(doc: dict, action, location: str) -> pdx.ParadoxicalDec
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (args, doc) -> (status, data, bounds)
+# command handlers: (args, doc, action, cs) -> (status, data, bounds)
 # ---------------------------------------------------------------------------
 
 
-def cmd_con_compute(args, doc):
-    action = parse_action(_require(doc, "action"))
-    pair = _parse_pair(doc, action, "")
-    cs = cfg.compute_configurations(pair)
+def cmd_con_compute(args, doc, action, cs):
     cells = cfg.verify_cell_partition(cs)
     data = _cs_json(cs)
     data["base_cells"] = [
@@ -135,10 +144,7 @@ def cmd_con_compute(args, doc):
     return "ok", data, {}
 
 
-def cmd_eq_solve(args, doc):
-    action = parse_action(_require(doc, "action"))
-    pair = _parse_pair(doc, action, "")
-    cs = cfg.compute_configurations(pair)
+def cmd_eq_solve(args, doc, action, cs):
     system = eqs.build_equations(cs)
     result = eqs.solve_feasibility(system)
     data = {
@@ -152,10 +158,7 @@ def cmd_eq_solve(args, doc):
     return "infeasible", data, {}
 
 
-def cmd_eq_verify(args, doc):
-    action = parse_action(_require(doc, "action"))
-    pair = _parse_pair(doc, action, "")
-    cs = cfg.compute_configurations(pair)
+def cmd_eq_verify(args, doc, action, cs):
     system = eqs.build_equations(cs)
     data = {"variables": [list(c) for c in cs.configurations]}
     if "solution" in doc:
@@ -173,8 +176,7 @@ def cmd_eq_verify(args, doc):
     return "violated", data, {}
 
 
-def cmd_coarsen(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_coarsen(args, doc, action, cs):
     mode = _require(doc, "mode")
     if mode not in ("partition", "string", "composed"):
         raise DocumentError("mode must be partition | string | composed", "mode")
@@ -182,11 +184,7 @@ def cmd_coarsen(args, doc):
     coarse = _parse_pair(_require(doc, "coarse"), action, "coarse")
     fine_cs = cfg.compute_configurations(fine)
     coarse_cs = cfg.compute_configurations(coarse)
-    values = _rationals(doc, "solution")
-    try:
-        result = cfg.coarsen_solution(mode, fine_cs, coarse_cs, values)
-    except ValueError as err:
-        raise DocumentError(str(err), "solution") from None
+    result = cfg.coarsen_solution(mode, fine_cs, coarse_cs, _rationals(doc, "solution"))
     data = {
         "mode": mode,
         "fine_configurations": [list(c) for c in fine_cs.configurations],
@@ -196,12 +194,10 @@ def cmd_coarsen(args, doc):
     return "ok", data, {}
 
 
-def cmd_compare_con(args, doc):
+def cmd_compare_con(args, doc, action, cs):
     action_a = parse_action(_require(doc, "action_a"), "action_a")
     action_b = parse_action(_require(doc, "action_b"), "action_b")
-    raw_bounds = doc.get("bounds", {})
-    if not isinstance(raw_bounds, dict):
-        raise DocumentError("bounds must be an object", "bounds")
+    raw_bounds = _object(doc.get("bounds", {}), "bounds")
     bounds = cfg.ConSearchBounds(
         max_tuple_length=_cap("max_tuple_length",
                               _int_field(raw_bounds, "max_tuple_length", 1), args.bound_length),
@@ -247,11 +243,8 @@ def cmd_compare_con(args, doc):
     return "counterexample", data, bounds_json
 
 
-def cmd_probe_cardinality(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_probe_cardinality(args, doc, action, cs):
     n = _int_field(doc, "n")
-    if n < 1:
-        raise DocumentError("n must be positive", "n")
     probe = cfg.cardinality_probe(action, n)
     data = {"n": n}
     if probe.possible:
@@ -260,8 +253,7 @@ def cmd_probe_cardinality(args, doc):
     return "no", data, {}
 
 
-def cmd_paradox_verify(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_paradox_verify(args, doc, action, cs):
     dec = _parse_decomposition(_require(doc, "decomposition"), action, "decomposition")
     report = pdx.verify_decomposition(action, dec, strict=args.strict_partition)
     data = {"piece_count": report.piece_count, "strict": args.strict_partition}
@@ -272,15 +264,11 @@ def cmd_paradox_verify(args, doc):
     return "failed", data, {}
 
 
-def cmd_paradox_chain(args, doc):
-    action = parse_action(_require(doc, "action"))
-    raw = _require(doc, "chain")
+def cmd_paradox_chain(args, doc, action, cs):
+    raw = _object(_require(doc, "chain"), "chain")
     sets = parse_sets(_require(raw, "sets", "chain.sets"), action, "chain.sets")
     elements = parse_elements(_require(raw, "elements", "chain.elements"), action, "chain.elements")
-    try:
-        chain = pdx.PingPongChain(tuple(sets), tuple(elements))
-    except ValueError as err:
-        raise DocumentError(str(err), "chain") from None
+    chain = pdx.PingPongChain(tuple(sets), tuple(elements))
     try:
         result = pdx.chain_to_decomposition(action, chain)
     except pdx.ChainHypothesisError as err:
@@ -298,8 +286,7 @@ def cmd_paradox_chain(args, doc):
     return "ok", data, {}
 
 
-def cmd_paradox_search(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_paradox_search(args, doc, action, cs):
     max_pieces = _cap("max_pieces", _int_field(doc, "max_pieces", 4), args.bound_pieces)
     cone_depth = _cap("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
     translator_length = _cap("translator_length",
@@ -308,8 +295,6 @@ def cmd_paradox_search(args, doc):
         result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
     except pdx.SearchTooLarge as err:
         raise BoundExceeded("search_table_bits", err.bits, pdx.SEARCH_TABLE_CAP) from None
-    except ValueError as err:   # bounds below the least meaningful search
-        raise DocumentError(str(err), "") from None
     bounds_json = {
         "max_pieces": max_pieces,
         "cone_depth": cone_depth,
@@ -320,11 +305,8 @@ def cmd_paradox_search(args, doc):
     return "none-within-bounds", {"reason": result.reason}, bounds_json
 
 
-def cmd_paradox_pattern(args, doc):
-    action = parse_action(_require(doc, "action"))
-    pair = _parse_pair(doc, action, "")
-    cs = cfg.compute_configurations(pair)
-    raw = _require(doc, "pattern")
+def cmd_paradox_pattern(args, doc, action, cs):
+    raw = _object(_require(doc, "pattern"), "pattern")
 
     def family(key):
         items = raw.get(key)
@@ -336,10 +318,7 @@ def cmd_paradox_pattern(args, doc):
         return tuple((j, i) for j, i in items)
 
     pattern = pdx.ParadoxPattern(family("family_a"), family("family_b"))
-    try:
-        report = pdx.pattern_check(cs, pattern)
-    except ValueError as err:
-        raise DocumentError(str(err), "pattern") from None
+    report = pdx.pattern_check(cs, pattern)
     data = {"configurations": [list(c) for c in cs.configurations]}
     if report.holds:
         data["decomposition"] = _decomposition_json(report.decomposition)
@@ -350,9 +329,8 @@ def cmd_paradox_pattern(args, doc):
     return "fails", data, {}
 
 
-def cmd_pingpong_cyclic(args, doc):
-    action = parse_action(_require(doc, "action"))
-    raw = _require(doc, "tableau")
+def cmd_pingpong_cyclic(args, doc, action, cs):
+    raw = _object(_require(doc, "tableau"), "tableau")
     sets_a = parse_sets(_require(raw, "sets_a", "tableau.sets_a"), action, "tableau.sets_a")
     sets_b = parse_sets(_require(raw, "sets_b", "tableau.sets_b"), action, "tableau.sets_b")
     elements = parse_elements(_require(raw, "elements", "tableau.elements"), action, "tableau.elements")
@@ -369,17 +347,14 @@ def cmd_pingpong_cyclic(args, doc):
     return "failed", {"problem": report.problem, "witness": _witness_json(report.witness)}, {}
 
 
-def cmd_pingpong_subgroups(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_pingpong_subgroups(args, doc, action, cs):
     raw_specs = _require(doc, "subgroups")
     if not isinstance(raw_specs, list) or len(raw_specs) < 2:
         raise DocumentError("subgroups must be an array of at least two descriptions", "subgroups")
     specs = []
     for i, item in enumerate(raw_specs):
         loc = f"subgroups[{i}]"
-        if not isinstance(item, dict):
-            raise DocumentError("subgroup description must be an object", loc)
-        kind = item.get("kind")
+        kind = _object(item, loc, "subgroup description").get("kind")
         if kind == "cyclic":
             bound = _cap("exponent_bound", _int_field(item, "exponent_bound", 3), args.bound_length)
             generator = parse_element(_require(item, "generator", loc), action, f"{loc}.generator")
@@ -392,8 +367,6 @@ def cmd_pingpong_subgroups(args, doc):
     sets = parse_sets(_require(doc, "sets"), action, "sets")
     try:
         report = pdx.check_pingpong_subgroups(action, specs, sets)
-    except BoundExceeded:
-        raise
     except ValueError as err:
         return "precondition-failed", {"message": str(err)}, {}
     if report.ok:
@@ -404,8 +377,7 @@ def cmd_pingpong_subgroups(args, doc):
     return "failed", {"problem": report.problem, "witness": _witness_json(report.witness)}, {}
 
 
-def cmd_witness_nonabelian(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_witness_nonabelian(args, doc, action, cs):
     g1 = parse_element(_require(doc, "g1"), action, "g1")
     g2 = parse_element(_require(doc, "g2"), action, "g2")
     try:
@@ -421,8 +393,7 @@ def cmd_witness_nonabelian(args, doc):
     return ("ok" if report.ok else "failed"), data, {}
 
 
-def cmd_witness_infinite_order(args, doc):
-    action = parse_action(_require(doc, "action"))
+def cmd_witness_infinite_order(args, doc, action, cs):
     element = parse_element(_require(doc, "element"), action, "element")
     try:
         witness = pdx.make_infinite_order_witness(action, element)
@@ -446,106 +417,113 @@ def cmd_witness_infinite_order(args, doc):
     return ("ok" if report.ok else "failed"), data, {}
 
 
+@dataclass(frozen=True)
+class Command:
+    """A command's table entry.
+
+    _run parses the `action` field (None: run reads its own actions) and,
+    with `pair`, the top-level tuple and partition, whose configuration set
+    it passes to run as cs.  An engine ValueError that run does not report
+    as an outcome is a schema error at `where`.
+    """
+
+    run: Callable
+    action: str | None = "action"
+    pair: bool = False
+    where: str = ""
+
+
 COMMANDS = {
-    ("con", "compute"): cmd_con_compute,
-    ("eq", "solve"): cmd_eq_solve,
-    ("eq", "verify"): cmd_eq_verify,
-    ("coarsen", None): cmd_coarsen,
-    ("compare", "con"): cmd_compare_con,
-    ("probe", "cardinality"): cmd_probe_cardinality,
-    ("paradox", "verify"): cmd_paradox_verify,
-    ("paradox", "chain"): cmd_paradox_chain,
-    ("paradox", "search"): cmd_paradox_search,
-    ("paradox", "pattern"): cmd_paradox_pattern,
-    ("pingpong", "cyclic"): cmd_pingpong_cyclic,
-    ("pingpong", "subgroups"): cmd_pingpong_subgroups,
-    ("witness", "nonabelian"): cmd_witness_nonabelian,
-    ("witness", "infinite-order"): cmd_witness_infinite_order,
+    "con compute": Command(cmd_con_compute, pair=True),
+    "eq solve": Command(cmd_eq_solve, pair=True),
+    "eq verify": Command(cmd_eq_verify, pair=True),
+    "coarsen": Command(cmd_coarsen, where="solution"),
+    "compare con": Command(cmd_compare_con, action=None, where="bounds"),
+    "probe cardinality": Command(cmd_probe_cardinality, where="n"),
+    "paradox verify": Command(cmd_paradox_verify, where="decomposition"),
+    "paradox chain": Command(cmd_paradox_chain, where="chain"),
+    "paradox search": Command(cmd_paradox_search),
+    "paradox pattern": Command(cmd_paradox_pattern, pair=True, where="pattern"),
+    "pingpong cyclic": Command(cmd_pingpong_cyclic),
+    "pingpong subgroups": Command(cmd_pingpong_subgroups),
+    "witness nonabelian": Command(cmd_witness_nonabelian),
+    "witness infinite-order": Command(cmd_witness_infinite_order),
 }
 
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="input JSON document (default: stdin)")
-    common.add_argument("--output", help="output path (default: stdout)")
-    common.add_argument("--bound-depth", type=int, default=6,
-                        help="cap on cone depths and block counts")
-    common.add_argument("--bound-length", type=int, default=8,
-                        help="cap on word/tuple lengths and exponent bounds")
-    common.add_argument("--bound-pieces", type=int, default=8,
-                        help="cap on decomposition piece counts")
-    common.add_argument("--strict-partition", action="store_true",
-                        help="verify decompositions as exact covers")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled candidate families")
-
-    parser = argparse.ArgumentParser(prog="paracon", description=__doc__)
-    subparsers = parser.add_subparsers(dest="group")
-    groups: dict[str, argparse.ArgumentParser] = {}
-    for (group, sub), handler in COMMANDS.items():
-        if sub is None:
-            leaf = subparsers.add_parser(group, parents=[common])
-            leaf.set_defaults(handler=handler, command=group)
-            continue
-        if group not in groups:
-            groups[group] = subparsers.add_parser(group).add_subparsers(dest="subcommand")
-        leaf = groups[group].add_parser(sub, parents=[common])
-        leaf.set_defaults(handler=handler, command=f"{group} {sub}")
-    return parser
+PARSER = argparse.ArgumentParser(prog="paracon", usage="%(prog)s <command words> [options]",
+                                 description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+PARSER.add_argument("words", nargs="+", metavar="command words",
+                    help="one of: " + ", ".join(COMMANDS))
+PARSER.add_argument("--input", help="input JSON document (default: stdin)")
+PARSER.add_argument("--output", help="output path (default: stdout)")
+PARSER.add_argument("--bound-depth", type=int, default=6,
+                    help="cap on cone depths and block counts")
+PARSER.add_argument("--bound-length", type=int, default=8,
+                    help="cap on word/tuple lengths and exponent bounds")
+PARSER.add_argument("--bound-pieces", type=int, default=8,
+                    help="cap on decomposition piece counts")
+PARSER.add_argument("--strict-partition", action="store_true",
+                    help="verify decompositions as exact covers")
+PARSER.add_argument("--seed", type=int, default=0,
+                    help="seed for sampled candidate families")
 
 
-def _emit(args, report: dict) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _load(raw: bytes) -> dict:
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise DocumentError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from None
+    except UnicodeDecodeError as err:
+        raise DocumentError(f"invalid JSON: {err.reason}", f"byte {err.start}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply", "") from None
+    return _object(doc, "", "document")
+
+
+def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
+    """Exit code and report body of one command on the input bytes."""
+    try:
+        doc = _load(raw)
+        action = None if command.action is None else parse_action(
+            _require(doc, command.action), command.action)
+        cs = cfg.compute_configurations(_parse_pair(doc, action, "")) if command.pair else None
+        status, data, bounds = command.run(args, doc, action, cs)
+    except DocumentError as err:
+        return 2, {"status": "error", "error": {"message": err.reason, "location": err.location}}
+    except ValueError as err:
+        return 2, {"status": "error", "error": {"message": str(err), "location": command.where}}
+    except RecursionError:
+        return 2, {"status": "error", "error": {"message": "input nested too deeply", "location": ""}}
+    except BoundExceeded as err:
+        return 3, {"status": "bound-exceeded",
+                   "error": {"message": str(err), "bound": err.name,
+                             "requested": err.requested, "cap": err.cap}}
+    return 0, {"status": status, "data": data, "bounds": bounds}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = getattr(args, "handler", None)
-    if handler is None:
-        parser.print_help(sys.stderr)
-        return 2
-
+    args = PARSER.parse_args(argv)
+    name = " ".join(args.words)
+    if name not in COMMANDS:
+        PARSER.error(f"unknown command {name!r}; one of: {', '.join(COMMANDS)}")
     started = time.monotonic()
     if args.input:
         with open(args.input, "rb") as handle:
             raw = handle.read()
     else:
         raw = sys.stdin.buffer.read()
-    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-
-    base = {"command": args.command, "input_digest": digest, "seed": args.seed}
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as err:
-        report = dict(base, status="error",
-                      error={"message": f"invalid JSON: {err.msg}",
-                             "location": f"line {err.lineno} column {err.colno}"})
-        _emit(args, report)
-        return 2
-    try:
-        status, data, bounds = handler(args, doc)
-    except DocumentError as err:
-        report = dict(base, status="error",
-                      error={"message": err.reason, "location": err.location})
-        _emit(args, report)
-        return 2
-    except BoundExceeded as err:
-        report = dict(base, status="bound-exceeded",
-                      error={"message": str(err), "bound": err.name,
-                             "requested": err.requested, "cap": err.cap})
-        _emit(args, report)
-        return 3
-
-    report = dict(base, status=status, data=data, bounds=bounds)
-    _emit(args, report)
-    print(f"{args.command}: {time.monotonic() - started:.3f}s", file=sys.stderr)
-    return 0
+    code, body = _run(COMMANDS[name], args, raw)
+    report = {"command": name, "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
+              "seed": args.seed, **body}
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    print(f"{name}: {time.monotonic() - started:.3f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -280,6 +280,10 @@ class ConSearchBounds:
     family_limit: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        if self.family_limit < 0:
+            raise ValueError("family_limit must be >= 0")
+
 
 @dataclass(frozen=True)
 class ConInclusionReport:

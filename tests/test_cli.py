@@ -1,4 +1,5 @@
 import json
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -257,6 +258,18 @@ class TestExitCodes:
         assert code == 3
         assert report["status"] == "bound-exceeded"
         assert report["error"]["bound"] == "search_table_bits"
+
+    @pytest.mark.parametrize("command,text,code", [
+        ("eq solve", "{not json", 2),
+        ("paradox search", json.dumps({"action": {"backend": "free-self", "rank": 2},
+                                       "max_pieces": 99}), 3),
+    ], ids=["exit-2", "exit-3"])
+    def test_timing_line_on_error_exits(self, command, text, code, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([*command.split(), "--input", str(path)]) == code
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"{command}: \d+\.\d{{3}}s\n", err), err
 
     def test_bound_flag_raises_cap(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 2},

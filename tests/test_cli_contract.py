@@ -1,0 +1,195 @@
+"""The CLI contract: whatever bytes arrive on stdin, main() ends with exit
+code 0, 2 or 3 and a JSON report, never with an exception.
+
+Every field of every fixture document (and of one document for each
+command without a fixture) is replaced, one at a time, by each value in
+VALUES or deleted, and the result is run in-process through its command.
+Byte strings that are not JSON objects run through every command.
+"""
+
+import inspect
+import io
+import json
+import sys
+
+import pytest
+
+from paracon.cli import COMMANDS, main
+from test_golden import COMMANDS as GOLDEN_RUNS, FIXTURES
+
+VALUES = [None, True, "x", 7, -1, [], {}, 1.5]
+DELETE = object()
+
+F2 = {"backend": "free-self", "rank": 2}
+F2_FIRST_LETTER = [{"kind": "singleton", "word": "e"}] + [
+    {"kind": "cone", "word": w} for w in "aAbB"]
+TRIVIAL2 = {"action": {"backend": "trivial", "degree": 2}, "tuple": ["a"],
+            "partition": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
+
+# documents for the commands that no fixture exercises
+EXTRA_RUNS = [
+    ("probe-cardinality", ("probe", "cardinality"), {"action": F2, "n": 4}),
+    ("coarsen", ("coarsen",), {
+        "action": {"backend": "trivial", "degree": 4},
+        "mode": "partition",
+        "fine": {"tuple": ["a"],
+                 "partition": [{"kind": "points", "points": [p]} for p in range(4)]},
+        "coarse": {"tuple": ["a"],
+                   "partition": [{"kind": "points", "points": [0, 1]},
+                                 {"kind": "points", "points": [2, 3]}]},
+        "solution": ["1/4", "1/4", "1/4", "1/4"],
+    }),
+    ("paradox-pattern", ("paradox", "pattern"), {
+        "action": F2, "tuple": ["A", "B"], "partition": F2_FIRST_LETTER,
+        "pattern": {"family_a": [[0, 2], [1, 3]], "family_b": [[0, 4], [2, 5]]},
+    }),
+    ("pingpong-subgroups", ("pingpong", "subgroups"), {
+        "action": F2,
+        "subgroups": [{"kind": "cyclic", "generator": "a", "exponent_bound": 3},
+                      {"kind": "cyclic", "generator": "b", "exponent_bound": 3}],
+        "sets": [{"kind": "union", "of": [{"kind": "cone", "word": "a"},
+                                           {"kind": "cone", "word": "A"}]},
+                 {"kind": "union", "of": [{"kind": "cone", "word": "b"},
+                                           {"kind": "cone", "word": "B"}]}],
+    }),
+    ("witness-infinite-order", ("witness", "infinite-order"), {"action": F2, "element": "abA"}),
+    ("eq-verify-multipliers", ("eq", "verify"),
+     {**TRIVIAL2, "multipliers": ["0/1", "0/1", "0/1", "0/1", "1/1"]}),
+    ("compare-con-pairs", ("compare", "con"), {
+        "action_a": F2, "action_b": F2,
+        "pairs_a": [{"tuple": ["a"], "partition": F2_FIRST_LETTER}],
+        "pairs_b": [{"tuple": ["b"], "partition": F2_FIRST_LETTER}],
+    }),
+]
+
+RUNS = [(f"{stem}-{'-'.join(w.lstrip('-') for w in words)}", words,
+         json.loads((FIXTURES / f"{stem}.json").read_text()))
+        for stem, words in GOLDEN_RUNS] + EXTRA_RUNS
+
+
+def nested_set(depth: int) -> bytes:
+    """An F2 con compute document whose one block is `depth` nested one-set unions."""
+    return ('{"action": {"backend": "free-self", "rank": 2}, "tuple": ["a"], "partition": ['
+            + '{"kind": "union", "of": [' * depth + '{"kind": "full"}' + "]}" * depth
+            + "]}").encode()
+
+
+DEEP_SET = nested_set(2000)
+BYTES = {
+    "non-utf8": b"\xc3\x28",
+    "truncated-utf16": b"\xff\xfe\x00",
+    "empty": b"",
+    "number": b"7",
+    "null": b"null",
+    "nan": b"NaN",
+    "array": b"[]",
+    "string": b'"x"',
+    "deep-set": DEEP_SET,
+}
+
+
+def paths(node, prefix=()):
+    """Every key path into a JSON tree, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def run_stdin(words, raw: bytes, capsys, monkeypatch):
+    """Exit code and report of one in-process run; any exception escapes."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    code = main(list(words))
+    report = json.loads(capsys.readouterr().out)
+    return code, report
+
+
+def breaches(words, raw: bytes, capsys, monkeypatch) -> str | None:
+    try:
+        code, report = run_stdin(words, raw, capsys, monkeypatch)
+    except Exception as err:   # the contract allows no escaping exception
+        return f"{type(err).__name__}: {err}"
+    if code not in (0, 2, 3) or "status" not in report:
+        return f"exit {code}, report {report}"
+    return None
+
+
+@pytest.mark.parametrize("words,doc", [run[1:] for run in RUNS], ids=[run[0] for run in RUNS])
+def test_every_field_mutation_ends_in_a_report(words, doc, capsys, monkeypatch):
+    failures = []
+    for path in paths(doc):
+        for value in VALUES + [DELETE]:
+            raw = json.dumps(mutated(doc, path, value)).encode()
+            problem = breaches(words, raw, capsys, monkeypatch)
+            if problem:
+                shown = "deleted" if value is DELETE else json.dumps(value)
+                failures.append(f"{'/'.join(map(str, path))} = {shown}: {problem}")
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("raw", BYTES.values(), ids=BYTES.keys())
+def test_every_byte_input_ends_in_a_report(raw, capsys, monkeypatch):
+    failures = [f"{name}: {problem}" for name in COMMANDS
+                if (problem := breaches(name.split(), raw, capsys, monkeypatch))]
+    assert not failures, "\n".join(failures)
+
+
+def test_nesting_at_the_recursion_limit_ends_in_a_report(capsys, monkeypatch):
+    # the decoder accepts a few levels more than parse_set can then recurse through
+    top = (sys.getrecursionlimit() - len(inspect.stack())) // 2
+    for depth in range(top - 20, top + 3):
+        problem = breaches(("con", "compute"), nested_set(depth), capsys, monkeypatch)
+        assert problem is None, f"depth {depth}: {problem}"
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"\xc3\x28", "invalid JSON: invalid continuation byte"),
+    (b"\xff\xfe\x00", "invalid JSON: truncated data"),
+    (b"7", "document must be an object"),
+    (b"null", "document must be an object"),
+    (b"NaN", "document must be an object"),
+    (DEEP_SET, "invalid JSON: nested too deeply"),
+], ids=["non-utf8", "truncated-utf16", "number", "null", "nan", "deep-set"])
+def test_unreadable_documents_exit_2(raw, message, capsys, monkeypatch):
+    code, report = run_stdin(("con", "compute"), raw, capsys, monkeypatch)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["message"] == message
+
+
+CLASSICAL = json.loads((FIXTURES / "f2-classical-decomposition.json").read_text())
+COARSEN = EXTRA_RUNS[1][2]
+PATTERN = EXTRA_RUNS[2][2]
+
+
+@pytest.mark.parametrize("words,doc,location", [
+    (("paradox", "verify"), {**CLASSICAL, "decomposition": 7}, "decomposition"),
+    (("paradox", "verify"), {**CLASSICAL, "decomposition": {
+        **CLASSICAL["decomposition"], "translators_a": ["e"]}}, "decomposition"),
+    (("paradox", "chain"), {"action": F2, "chain": None}, "chain"),
+    (("pingpong", "cyclic"), {"action": F2, "tableau": True}, "tableau"),
+    (("coarsen",), {**COARSEN, "fine": 7}, "fine"),
+    (("coarsen",), {**COARSEN, "coarse": None}, "coarse"),
+    (("compare", "con"), {"action_a": F2, "action_b": F2, "pairs_a": [True]}, "pairs_a[0]"),
+    (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
+                          "bounds": {"family_limit": -1}}, "bounds"),
+    (("paradox", "pattern"), {**PATTERN, "pattern": 5}, "pattern"),
+], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
+        "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number"])
+def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, monkeypatch):
+    code, report = run_stdin(words, json.dumps(doc).encode(), capsys, monkeypatch)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"]["location"] == location
