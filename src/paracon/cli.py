@@ -490,16 +490,18 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
         cs = cfg.compute_configurations(_parse_pair(doc, action, "")) if command.pair else None
         status, data, bounds = command.run(args, doc, action, cs)
     except DocumentError as err:
-        return 2, {"status": "error", "error": {"message": err.reason, "location": err.location}}
+        message, location = err.reason, err.location
     except ValueError as err:
-        return 2, {"status": "error", "error": {"message": str(err), "location": command.where}}
+        message, location = str(err), command.where
     except RecursionError:
-        return 2, {"status": "error", "error": {"message": "input nested too deeply", "location": ""}}
+        message, location = "input nested too deeply", ""
     except BoundExceeded as err:
         return 3, {"status": "bound-exceeded",
                    "error": {"message": str(err), "bound": err.name,
                              "requested": err.requested, "cap": err.cap}}
-    return 0, {"status": status, "data": data, "bounds": bounds}
+    else:
+        return 0, {"status": status, "data": data, "bounds": bounds}
+    return 2, {"status": "error", "error": {"message": message, "location": location}}
 
 
 def main(argv=None) -> int:
