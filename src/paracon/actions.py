@@ -1,13 +1,14 @@
-"""Group actions over three kinds of backend.
+"""Group actions over four kinds of backend.
 
 Supported backends: finite permutation actions, the left self-action of a
 free group on itself, trivial actions (g.x = x) over a finite or free-word
 point universe, and the regular action of a finite permutation-generated
-group on its own element list.
+group on its own element list (a finite permutation action too).
 
 Every backend exposes the same small surface: normalize elements, act on
-points and on sets, and build sets over its point universe.  All values are
-immutable and every operation is pure.
+points and on sets, and build sets over its point universe, which Action
+derives from `degree` or `rank`.  All values are immutable and every
+operation is pure.
 """
 
 from __future__ import annotations
@@ -30,29 +31,43 @@ Point = Union[int, FreeWord]
 
 
 class Action:
-    """Common backend interface; concrete actions subclass this."""
+    """Common backend interface; concrete actions subclass this.
+
+    The points are 0..degree-1 when `degree` is set, else the words of F_rank.
+    """
 
     kind: str = "abstract"
+    degree: Optional[int] = None
+    rank: Optional[int] = None
 
     @property
     def is_finite(self) -> bool:
-        raise NotImplementedError
+        return self.degree is not None
 
     def size(self) -> Optional[int]:
         """Number of points, or None for the infinite free-word universe."""
-        raise NotImplementedError
+        return self.degree
 
     def points(self) -> Sequence[Point]:
-        raise NotImplementedError
+        if self.degree is None:
+            raise ValueError("free-word universe is infinite; enumerate sets instead")
+        return range(self.degree)
 
     def full_set(self) -> ActionSet:
-        raise NotImplementedError
+        if self.degree is not None:
+            return FiniteSet.full(self.degree)
+        return SymbolicSet.full(self.rank)
 
     def empty_set(self) -> ActionSet:
-        raise NotImplementedError
+        if self.degree is not None:
+            return FiniteSet.empty(self.degree)
+        return SymbolicSet.empty(self.rank)
 
     def point_set(self, points: Iterable[Point]) -> ActionSet:
-        raise NotImplementedError
+        if self.degree is not None:
+            return FiniteSet.of(self.degree, points)
+        items = [SymbolicSet.singleton(w, self.rank) for w in points]
+        return union_all(items) if items else self.empty_set()
 
     def generator_map(self) -> Mapping[int, GroupElement]:
         """Generator index -> normalized element (empty when unspecified)."""
@@ -95,26 +110,6 @@ class FreeSelfAction(Action):
             raise ValueError("rank must be at least 1")
         self.rank = rank
 
-    @property
-    def is_finite(self) -> bool:
-        return False
-
-    def size(self) -> Optional[int]:
-        return None
-
-    def points(self):
-        raise ValueError("free-word universe is infinite; enumerate sets instead")
-
-    def full_set(self) -> SymbolicSet:
-        return SymbolicSet.full(self.rank)
-
-    def empty_set(self) -> SymbolicSet:
-        return SymbolicSet.empty(self.rank)
-
-    def point_set(self, points: Iterable[FreeWord]) -> SymbolicSet:
-        items = [SymbolicSet.singleton(w, self.rank) for w in points]
-        return union_all(items) if items else self.empty_set()
-
     def generator_map(self):
         return {i: FreeWord((i,)) for i in range(1, self.rank + 1)}
 
@@ -153,25 +148,6 @@ class FinitePermutationAction(Action):
             if perm.degree != degree:
                 raise ValueError(f"generator {idx} has degree {perm.degree}, expected {degree}")
 
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    def size(self) -> int:
-        return self.degree
-
-    def points(self):
-        return range(self.degree)
-
-    def full_set(self) -> FiniteSet:
-        return FiniteSet.full(self.degree)
-
-    def empty_set(self) -> FiniteSet:
-        return FiniteSet.empty(self.degree)
-
-    def point_set(self, points: Iterable[int]) -> FiniteSet:
-        return FiniteSet.of(self.degree, points)
-
     def generator_map(self):
         return dict(self.generators)
 
@@ -180,7 +156,7 @@ class FinitePermutationAction(Action):
             g = parse_word(g)
         if isinstance(g, FreeWord):
             if g.is_identity:
-                return identity_permutation(self.degree)
+                return self.identity()
             return evaluate_word(self.generators, g)
         if isinstance(g, Permutation):
             if g.degree != self.degree:
@@ -194,12 +170,16 @@ class FinitePermutationAction(Action):
     def element_order(self, g) -> int:
         return self.normalize_element(g).order()
 
+    def point_images(self, g) -> tuple[int, ...]:
+        """The images of the points 0..degree-1 under g."""
+        return self.normalize_element(g).images
+
     def act(self, g, x: int) -> int:
-        return self.normalize_element(g).images[x]
+        return self.point_images(g)[x]
 
     def act_on_set(self, g, s: FiniteSet) -> FiniteSet:
-        perm = self.normalize_element(g)
-        return FiniteSet.of(self.degree, (perm.images[p] for p in s.members))
+        images = self.point_images(g)
+        return FiniteSet.of(self.degree, [images[p] for p in s.members])
 
 
 class TrivialAction(Action):
@@ -218,34 +198,6 @@ class TrivialAction(Action):
             raise ValueError("specify exactly one of degree, rank")
         self.degree = degree
         self.rank = rank
-
-    @property
-    def is_finite(self) -> bool:
-        return self.degree is not None
-
-    def size(self) -> Optional[int]:
-        return self.degree
-
-    def points(self):
-        if self.degree is None:
-            raise ValueError("free-word universe is infinite; enumerate sets instead")
-        return range(self.degree)
-
-    def full_set(self) -> ActionSet:
-        if self.degree is not None:
-            return FiniteSet.full(self.degree)
-        return SymbolicSet.full(self.rank)
-
-    def empty_set(self) -> ActionSet:
-        if self.degree is not None:
-            return FiniteSet.empty(self.degree)
-        return SymbolicSet.empty(self.rank)
-
-    def point_set(self, points) -> ActionSet:
-        if self.degree is not None:
-            return FiniteSet.of(self.degree, points)
-        items = [SymbolicSet.singleton(w, self.rank) for w in points]
-        return union_all(items) if items else self.empty_set()
 
     def normalize_element(self, g) -> FreeWord:
         g = _parse_if_str(g, 10)
@@ -267,73 +219,52 @@ class TrivialAction(Action):
         return s
 
 
-class FiniteRegularAction(Action):
+class FiniteRegularAction(FinitePermutationAction):
     """A finite permutation-generated group acting on its own element list.
 
-    Points are indices into the sorted element list of G = <generators>, and
-    g acts by left multiplication.  This is where subsets of G itself live.
+    Points are indices into the element list of G = <generators>, sorted by
+    image tuple, and g moves point x to the index of g * elements[x]; this
+    index permutation is computed once per element.  Elements stay the
+    generating permutations.  This is where subsets of G itself live.
     """
 
     kind = "finite-regular"
 
-    def __init__(self, generators: Mapping[int, Permutation], limit: int = 100_000):
-        if not generators:
-            raise ValueError("need at least one generator")
+    def __init__(self, generators: Mapping[int, Permutation]):
         self.generators = dict(generators)
-        self.elements = permutation_closure(list(self.generators.values()), limit=limit)
-        self._index = {perm: i for i, perm in enumerate(self.elements)}
-
-    @property
-    def is_finite(self) -> bool:
-        return True
-
-    def size(self) -> int:
-        return len(self.elements)
-
-    def points(self):
-        return range(len(self.elements))
-
-    def full_set(self) -> FiniteSet:
-        return FiniteSet.full(len(self.elements))
-
-    def empty_set(self) -> FiniteSet:
-        return FiniteSet.empty(len(self.elements))
-
-    def point_set(self, points: Iterable[int]) -> FiniteSet:
-        return FiniteSet.of(len(self.elements), points)
-
-    def generator_map(self):
-        return dict(self.generators)
+        self.elements = permutation_closure(list(self.generators.values()))
+        self.degree = len(self.elements)
+        self._index = {perm.images: i for i, perm in enumerate(self.elements)}
+        self._regular: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def point_of(self, g) -> int:
         """Index of a group element in the point list."""
-        return self._index[self.normalize_element(g)]
+        return self._index[self.normalize_element(g).images]
 
     def normalize_element(self, g) -> Permutation:
-        if isinstance(g, str):
-            g = parse_word(g)
-        if isinstance(g, FreeWord):
-            if g.is_identity:
-                return identity_permutation(self.elements[0].degree)
-            g = evaluate_word(self.generators, g)
+        if isinstance(g, (str, FreeWord)):
+            return super().normalize_element(g)
         if not isinstance(g, Permutation):
             raise ValueError(f"cannot interpret {g!r} as a group element")
-        if g not in self._index:
+        if g.images not in self._index:
             raise ValueError(f"{g!r} is not in the generated group")
         return g
 
     def identity(self) -> Permutation:
-        return identity_permutation(self.elements[0].degree)
+        return self.elements[0]
 
-    def element_order(self, g) -> int:
-        return self.normalize_element(g).order()
+    def point_images(self, g) -> tuple[int, ...]:
+        """The left-regular index permutation of g."""
+        images = self.normalize_element(g).images
+        regular = self._regular.get(images)
+        if regular is None:
+            index = self._index
+            regular = self._regular[images] = tuple([index[tuple([images[p] for p in h])]
+                                                     for h in index])
+        return regular
 
-    def act(self, g, x: int) -> int:
-        return self._index[self.normalize_element(g) * self.elements[x]]
-
-    def act_on_set(self, g, s: FiniteSet) -> FiniteSet:
-        perm = self.normalize_element(g)
-        return FiniteSet.of(len(self.elements), (self._index[perm * self.elements[p]] for p in s.members))
+    # bench/tracer.py times act_on_set per backend class, from its own namespace
+    act_on_set = FinitePermutationAction.act_on_set
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +432,6 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     degree = action.size()
     if degree is None:
         raise ValueError("orbit/coset construction needs a finite action")
-    # for the regular backend, points are already group-element indices but
-    # the machinery below only uses act(), so treat points uniformly
     orbit = [x0]
     seen = {x0}
     for x in orbit:

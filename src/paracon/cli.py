@@ -7,9 +7,10 @@ wall-clock timing goes to stderr so stdout stays diffable.
 
 Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
-location, 3 = a requested bound exceeds the declared --bound-* cap.
+location, 3 = a requested bound exceeds the declared --bound-* cap, or
+a size the engines cap (search table bits, group order) exceeds its cap.
 Whatever bytes the input holds, the run ends with one of these codes and a
-report.
+report; so do an unreadable --input and an unwritable --output (exit 2).
 """
 
 from __future__ import annotations
@@ -28,26 +29,17 @@ from . import equations as eqs
 from . import paradox as pdx
 from .serialization import (
     DocumentError,
-    action_json,
     element_json,
     is_integer,
     parse_action,
     parse_element,
     parse_elements,
     parse_rational,
-    parse_set,
     parse_sets,
     rational_str,
     set_json,
 )
-
-
-class BoundExceeded(Exception):
-    def __init__(self, name: str, requested: int, cap: int):
-        super().__init__(f"requested {name}={requested} exceeds declared cap {cap}")
-        self.name = name
-        self.requested = requested
-        self.cap = cap
+from .words import BoundExceeded
 
 
 def _require(doc: dict, key: str, location: str = ""):
@@ -291,10 +283,7 @@ def cmd_paradox_search(args, doc, action, cs):
     cone_depth = _cap("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
     translator_length = _cap("translator_length",
                              _int_field(doc, "translator_length", 1), args.bound_length)
-    try:
-        result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
-    except pdx.SearchTooLarge as err:
-        raise BoundExceeded("search_table_bits", err.bits, pdx.SEARCH_TABLE_CAP) from None
+    result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
     bounds_json = {
         "max_pieces": max_pieces,
         "cone_depth": cone_depth,
@@ -481,6 +470,10 @@ def _load(raw: bytes) -> dict:
     return _object(doc, "", "document")
 
 
+def _error(message: str, location: str) -> dict:
+    return {"status": "error", "error": {"message": message, "location": location}}
+
+
 def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
     """Exit code and report body of one command on the input bytes."""
     try:
@@ -501,7 +494,13 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
                              "requested": err.requested, "cap": err.cap}}
     else:
         return 0, {"status": status, "data": data, "bounds": bounds}
-    return 2, {"status": "error", "error": {"message": message, "location": location}}
+    return 2, _error(message, location)
+
+
+def _report(name: str, seed: int, raw: bytes, body: dict) -> str:
+    report = {"command": name, "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
+              "seed": seed, **body}
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def main(argv=None) -> int:
@@ -510,20 +509,28 @@ def main(argv=None) -> int:
     if name not in COMMANDS:
         PARSER.error(f"unknown command {name!r}; one of: {', '.join(COMMANDS)}")
     started = time.monotonic()
-    if args.input:
-        with open(args.input, "rb") as handle:
-            raw = handle.read()
+    raw = b""
+    try:
+        if args.input:
+            with open(args.input, "rb") as handle:
+                raw = handle.read()
+        else:
+            raw = sys.stdin.buffer.read()
+    except OSError as err:
+        code, body = 2, _error(f"cannot read input: {err.strerror or err}", "--input")
     else:
-        raw = sys.stdin.buffer.read()
-    code, body = _run(COMMANDS[name], args, raw)
-    report = {"command": name, "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
-              "seed": args.seed, **body}
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        code, body = _run(COMMANDS[name], args, raw)
+    text = _report(name, args.seed, raw, body)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:   # the report goes to stdout instead
+            code, text = 2, _report(name, args.seed, raw, _error(
+                f"cannot write output: {err.strerror or err}", "--output"))
+        else:
+            text = ""
+    sys.stdout.write(text)
     print(f"{name}: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code
 

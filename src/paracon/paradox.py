@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, GroupElement
+from .words import BoundExceeded, FreeWord
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -566,14 +566,6 @@ class SearchResult:
 SEARCH_TABLE_CAP = 1 << 26
 
 
-class SearchTooLarge(Exception):
-    """The cover table of a search would hold more than SEARCH_TABLE_CAP bits."""
-
-    def __init__(self, bits: int):
-        super().__init__(f"search table of {bits} bits exceeds the cap of {SEARCH_TABLE_CAP}")
-        self.bits = bits
-
-
 def _word_count(rank: int, length: int) -> int:
     """Reduced words of length <= `length` over F_rank: 1 + sum 2r(2r-1)^(i-1)."""
     if rank == 1:
@@ -592,12 +584,12 @@ def cover_masks(
     order of its word) lies inside translators[t] * atom a; and the mask of
     all fine atoms.  Every such translate is a union of fine atoms, so
     translates cover X exactly when their masks OR to `full`.  Raises
-    SearchTooLarge, before building anything, past SEARCH_TABLE_CAP bits.
+    BoundExceeded, before building anything, past SEARCH_TABLE_CAP bits.
     """
     fine = _word_count(rank, depth + length)
     bits = _word_count(rank, length) * _word_count(rank, depth) * fine
     if bits > SEARCH_TABLE_CAP:
-        raise SearchTooLarge(bits)
+        raise BoundExceeded("search_table_bits", bits, SEARCH_TABLE_CAP)
     words = [w.letters for w in SymbolicSet.full(rank).enumerate_up_to(depth + length)]
     atoms = words[:_word_count(rank, depth)]
     translators = words[:_word_count(rank, length)]

@@ -141,18 +141,12 @@ def action_json(action: Action) -> dict:
             return {"backend": "trivial", "degree": action.degree}
         return {"backend": "trivial", "rank": action.rank}
     if isinstance(action, FinitePermutationAction):
-        return {
-            "backend": "finite-permutation",
-            "degree": action.degree,
-            "generators": {word_str(FreeWord((i,))): list(p.images)
-                           for i, p in sorted(action.generators.items())},
-        }
-    if isinstance(action, FiniteRegularAction):
-        return {
-            "backend": "finite-regular",
-            "generators": {word_str(FreeWord((i,))): list(p.images)
-                           for i, p in sorted(action.generators.items())},
-        }
+        doc = {"backend": action.kind,
+               "generators": {word_str(FreeWord((i,))): list(p.images)
+                              for i, p in sorted(action.generators.items())}}
+        if not isinstance(action, FiniteRegularAction):   # its degree is the group order
+            doc["degree"] = action.degree
+        return doc
     raise TypeError(f"unknown action {action!r}")
 
 

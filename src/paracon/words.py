@@ -228,28 +228,41 @@ def evaluate_word(assignment: Mapping[int, Permutation], w: FreeWord) -> Permuta
     return result
 
 
-def permutation_closure(generators: Sequence[Permutation], limit: int = 100_000) -> list[Permutation]:
+GROUP_ORDER_CAP = 100_000   # elements a permutation closure may enumerate
+
+
+class BoundExceeded(Exception):
+    """A size went past its declared cap (CLI exit 3); the input itself is valid."""
+
+    def __init__(self, name: str, requested: int, cap: int):
+        super().__init__(f"requested {name}={requested} exceeds declared cap {cap}")
+        self.name = name
+        self.requested = requested
+        self.cap = cap
+
+
+def permutation_closure(generators: Sequence[Permutation]) -> list[Permutation]:
     """All elements of the group generated by the given permutations.
 
-    Returned sorted by image tuple, identity included.  Raises if the group
-    grows past `limit`.
+    Returned sorted by image tuple, identity first.  One breadth-first pass
+    over image tuples multiplies each element on the left by each
+    generator; a finite group is closed under products, so no inverses are
+    needed.  Raises BoundExceeded past GROUP_ORDER_CAP elements.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators of mixed degree")
-    seen = {identity_permutation(degree)}
-    frontier = list(seen)
-    while frontier:
-        next_frontier = []
-        for elem in frontier:
-            for gen in generators:
-                for product in (gen * elem, (~gen) * elem):
-                    if product not in seen:
-                        seen.add(product)
-                        next_frontier.append(product)
-                        if len(seen) > limit:
-                            raise ValueError(f"group exceeds {limit} elements")
-        frontier = next_frontier
-    return sorted(seen, key=lambda p: p.images)
+    steps = [g.images for g in generators]
+    found = [tuple(range(degree))]
+    seen = set(found)
+    for elem in found:
+        for step in steps:
+            product = tuple([step[p] for p in elem])
+            if product not in seen:
+                seen.add(product)
+                found.append(product)
+                if len(found) > GROUP_ORDER_CAP:
+                    raise BoundExceeded("group_order", len(found), GROUP_ORDER_CAP)
+    return [Permutation(images) for images in sorted(found)]

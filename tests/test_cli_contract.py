@@ -11,6 +11,7 @@ import inspect
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -193,3 +194,37 @@ def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, mon
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["location"] == location
+
+
+def test_missing_input_file_exits_2_at_input(tmp_path, capsys):
+    code = main(["eq", "solve", "--input", str(tmp_path / "missing.json")])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == {"message": "cannot read input: No such file or directory",
+                               "location": "--input"}
+
+
+def test_output_into_missing_directory_exits_2_at_output(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "missing" / "report.json"
+    code, report = run_stdin(("eq", "solve", "--output", str(target)),
+                             json.dumps(TRIVIAL2).encode(), capsys, monkeypatch)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == {"message": "cannot write output: No such file or directory",
+                               "location": "--output"}
+    assert not target.parent.exists()
+
+
+def test_group_order_past_its_cap_exits_3(capsys, monkeypatch):
+    # S9, generated by (0 1) and a 9-cycle, has 362,880 elements
+    s9 = {"backend": "finite-regular",
+          "generators": {"a": [1, 0, 2, 3, 4, 5, 6, 7, 8], "b": [1, 2, 3, 4, 5, 6, 7, 8, 0]}}
+    doc = {"action": s9, "tuple": ["a"], "partition": [{"kind": "full"}]}
+    started = time.perf_counter()
+    code, report = run_stdin(("eq", "solve"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert time.perf_counter() - started < 2
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"]["bound"] == "group_order"
+    assert report["error"]["requested"] == report["error"]["cap"] + 1 == 100_001

@@ -1,0 +1,106 @@
+"""The regular backend against an independent left-regular representation.
+
+Each group (S4, S5 or a cyclic Z_n) is given by generators whose points are
+relabelled by a random permutation.  The test enumerates the group by
+multiplying until nothing new appears, sorts it by image tuple, and builds
+each element's left-regular permutation x -> index of g * elements[x] from
+plain Permutation products; none of the library's closure or index code is
+used.  Elements enter the library both as words and as image arrays.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from oracles import brute_force_configurations
+from paracon import (
+    FiniteRegularAction,
+    Permutation,
+    compute_configurations,
+    configuration_pair,
+    identity_permutation,
+    reduce_word,
+)
+from paracon.serialization import parse_element
+from paracon.words import permutation_closure, word_str
+
+
+def cycle(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n)) + (0,)
+
+
+def transposition(n: int) -> tuple[int, ...]:
+    return (1, 0) + tuple(range(2, n))
+
+
+GROUPS = {"s4": [transposition(4), cycle(4)], "s5": [transposition(5), cycle(5)]}
+GROUPS.update({f"z{n}": [cycle(n)] for n in range(2, 8)})
+
+
+def relabelled(images: tuple[int, ...], sigma: list[int]) -> Permutation:
+    """sigma g sigma^-1: g with every point p renamed sigma[p]."""
+    out = [0] * len(images)
+    for p, q in enumerate(images):
+        out[sigma[p]] = sigma[q]
+    return Permutation(tuple(out))
+
+
+def naive_closure(generators: list[Permutation]) -> list[Permutation]:
+    group = {identity_permutation(generators[0].degree)}
+    while True:
+        bigger = group | {g * h for g in group for h in generators}
+        if bigger == group:
+            return sorted(group, key=lambda p: p.images)
+        group = bigger
+
+
+def evaluate(generators: list[Permutation], letters: list[int]) -> Permutation:
+    result = identity_permutation(generators[0].degree)
+    for letter in letters:
+        gen = generators[abs(letter) - 1]
+        result = result * (gen if letter > 0 else ~gen)
+    return result
+
+
+@st.composite
+def regular_cases(draw):
+    name = draw(st.sampled_from(sorted(GROUPS)))
+    n = len(GROUPS[name][0])
+    sigma = draw(st.permutations(range(n)))
+    generators = [relabelled(images, sigma) for images in GROUPS[name]]
+    if draw(st.booleans()):
+        generators.reverse()
+    letter = st.sampled_from([s * i for i in range(1, len(generators) + 1) for s in (1, -1)])
+    words = [reduce_word(w) for w in draw(st.lists(st.lists(letter, max_size=6),
+                                                   min_size=1, max_size=3))]
+    return generators, words, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=regular_cases())
+def test_regular_action_matches_left_regular_oracle(case):
+    generators, words, rng = case
+    action = FiniteRegularAction(dict(enumerate(generators, start=1)))
+    elements = naive_closure(generators)
+    assert permutation_closure(generators) == elements
+    assert action.elements == elements
+    index = {g: i for i, g in enumerate(elements)}
+    size = len(elements)
+    assert action.size() == size
+
+    perms = [evaluate(generators, list(w.letters)) for w in words]
+    regular = [Permutation(tuple(index[g * h] for h in elements)) for g in perms]
+    subset = frozenset(rng.sample(range(size), rng.randrange(size + 1)))
+    for word, g, moved in zip(words, perms, regular):
+        for given_as in (word_str(word), list(g.images)):
+            element = parse_element(given_as, action, "g")
+            assert element == g
+            assert action.point_of(element) == index[g]
+            assert [action.act(element, x) for x in range(size)] == list(moved.images)
+            image = action.act_on_set(element, action.point_set(subset))
+            assert image.members == {moved.images[x] for x in subset}
+
+    labels = [rng.randrange(1, 4) for _ in range(size)]
+    blocks = [frozenset(x for x in range(size) if labels[x] == b) for b in sorted(set(labels))]
+    pair = configuration_pair(action, [word_str(w) for w in words],
+                              [action.point_set(b) for b in blocks])
+    assert set(compute_configurations(pair).configurations) == brute_force_configurations(
+        size, regular, blocks)

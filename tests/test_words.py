@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paracon.words import (
+    GROUP_ORDER_CAP,
     MAX_RANK,
+    BoundExceeded,
     FreeWord,
     Permutation,
     WordParseError,
@@ -170,6 +172,15 @@ def test_permutation_closure_s3():
     closure = permutation_closure([Permutation((1, 0, 2)), Permutation((0, 2, 1))])
     assert len(closure) == 6
     assert identity_permutation(3) in closure
+
+
+def test_permutation_closure_stops_past_the_group_order_cap():
+    # S9 has 362,880 elements; a cap is not a malformed input, so no ValueError
+    s9 = [Permutation((1, 0) + tuple(range(2, 9))), Permutation(tuple(range(1, 9)) + (0,))]
+    with pytest.raises(BoundExceeded) as err:
+        permutation_closure(s9)
+    assert not isinstance(err.value, ValueError)
+    assert (err.value.name, err.value.requested) == ("group_order", GROUP_ORDER_CAP + 1)
 
 
 def test_permutation_order():
