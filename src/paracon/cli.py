@@ -39,7 +39,7 @@ from .serialization import (
     rational_str,
     set_json,
 )
-from .words import BoundExceeded
+from .words import BoundExceeded, capped
 
 
 def _require(doc: dict, key: str, location: str = ""):
@@ -66,12 +66,6 @@ def _rationals(doc: dict, key: str) -> list[Fraction]:
     if not isinstance(raw, list):
         raise DocumentError(f"{key} must be an array of 'p/q' strings", key)
     return [parse_rational(v, f"{key}[{i}]") for i, v in enumerate(raw)]
-
-
-def _cap(name: str, requested: int, cap: int) -> int:
-    if requested > cap:
-        raise BoundExceeded(name, requested, cap)
-    return requested
 
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
@@ -191,11 +185,11 @@ def cmd_compare_con(args, doc, action, cs):
     action_b = parse_action(_require(doc, "action_b"), "action_b")
     raw_bounds = _object(doc.get("bounds", {}), "bounds")
     bounds = cfg.ConSearchBounds(
-        max_tuple_length=_cap("max_tuple_length",
-                              _int_field(raw_bounds, "max_tuple_length", 1), args.bound_length),
-        max_word_length=_cap("max_word_length",
-                             _int_field(raw_bounds, "max_word_length", 1), args.bound_length),
-        max_blocks=_cap("max_blocks", _int_field(raw_bounds, "max_blocks", 3), args.bound_depth),
+        max_tuple_length=capped("max_tuple_length",
+                                _int_field(raw_bounds, "max_tuple_length", 1), args.bound_length),
+        max_word_length=capped("max_word_length",
+                               _int_field(raw_bounds, "max_word_length", 1), args.bound_length),
+        max_blocks=capped("max_blocks", _int_field(raw_bounds, "max_blocks", 3), args.bound_depth),
         family_limit=_int_field(raw_bounds, "family_limit", 500),
         seed=args.seed,
     )
@@ -279,10 +273,10 @@ def cmd_paradox_chain(args, doc, action, cs):
 
 
 def cmd_paradox_search(args, doc, action, cs):
-    max_pieces = _cap("max_pieces", _int_field(doc, "max_pieces", 4), args.bound_pieces)
-    cone_depth = _cap("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
-    translator_length = _cap("translator_length",
-                             _int_field(doc, "translator_length", 1), args.bound_length)
+    max_pieces = capped("max_pieces", _int_field(doc, "max_pieces", 4), args.bound_pieces)
+    cone_depth = capped("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
+    translator_length = capped("translator_length",
+                               _int_field(doc, "translator_length", 1), args.bound_length)
     result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
     bounds_json = {
         "max_pieces": max_pieces,
@@ -345,7 +339,7 @@ def cmd_pingpong_subgroups(args, doc, action, cs):
         loc = f"subgroups[{i}]"
         kind = _object(item, loc, "subgroup description").get("kind")
         if kind == "cyclic":
-            bound = _cap("exponent_bound", _int_field(item, "exponent_bound", 3), args.bound_length)
+            bound = capped("exponent_bound", _int_field(item, "exponent_bound", 3), args.bound_length)
             generator = parse_element(_require(item, "generator", loc), action, f"{loc}.generator")
             specs.append(pdx.CyclicSubgroup(generator, bound))
         elif kind == "finite":

@@ -133,11 +133,14 @@ class SymbolicSet(_Queries):
 
     # -- constructors -------------------------------------------------------
 
+    # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
+    @functools.cache
     def empty(rank: int) -> "SymbolicSet":
         return _canonical(rank, (tuple(0 for _ in range(2 * rank)),), (False,))
 
     @staticmethod
+    @functools.cache
     def full(rank: int) -> "SymbolicSet":
         return _canonical(rank, (tuple(0 for _ in range(2 * rank)),), (True,))
 
@@ -274,31 +277,32 @@ class SymbolicSet(_Queries):
         return _canonical(self.rank, self.transitions, flipped)
 
     def translate(self, g: FreeWord) -> "SymbolicSet":
-        """Left translate gS = {g*w : w in S}, applied letter by letter."""
+        """Left translate gS = {g*w : w in S}, built in one construction.
+
+        A reduced word v is in gS iff reduce(g^-1 v) is in S.  With k = |g|,
+        fresh states 0..k-1 count how many leading letters of v have
+        cancelled against g^-1: state j steps to j+1 on the letter g[j]
+        (state k is S's initial state), and accepts when S accepts the
+        uncancelled rest of g^-1, the inverse of g[j:].  Any other letter
+        leaves the chain for S's state after that rest.  The automaton is
+        canonicalized once.
+        """
         if any(abs(l) > self.rank for l in g.letters):
             raise ValueError(f"word {g} outside rank {self.rank}")
-        result = self
-        for letter in reversed(g.letters):
-            result = result._translate_letter(letter)
-        return result
-
-    def _translate_letter(self, letter: int) -> "SymbolicSet":
-        # v is in l.S  iff  l^-1 * v is in S.  A fresh initial state simulates
-        # reading l^-1 first: consuming l cancels it, any other letter m sends
-        # us where S's automaton goes after l^-1 then m.
-        n_letters = 2 * self.rank
-        shift = 1
-        trans = [tuple(t + shift for t in row) for row in self.transitions]
-        after_inv = self.transitions[0][letter_index(-letter)]
-        row = []
-        for idx in range(n_letters):
-            if idx == letter_index(letter):
-                row.append(0 + shift)
-            else:
-                row.append(self.transitions[after_inv][idx] + shift)
-        new_trans = tuple([tuple(row)] + trans)
-        new_accept = (self.accepting[after_inv],) + self.accepting
-        return _canonical(self.rank, new_trans, new_accept)
+        k = len(g.letters)
+        if not k:
+            return self
+        rest = [0] * (k + 1)         # rest[j]: S's state after the inverse of g[j:]
+        for j in range(k - 1, -1, -1):
+            rest[j] = self.transitions[rest[j + 1]][letter_index(-g.letters[j])]
+        chain = []
+        for j in range(k):
+            row = [t + k for t in self.transitions[rest[j]]]
+            row[letter_index(g.letters[j])] = j + 1
+            chain.append(tuple(row))
+        trans = tuple(chain) + tuple(tuple(t + k for t in row) for row in self.transitions)
+        accepting = tuple(self.accepting[rest[j]] for j in range(k)) + self.accepting
+        return _canonical(self.rank, trans, accepting)
 
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
@@ -447,9 +451,10 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     A node is the last letter read plus the tuple of states; inverse steps
     go to a dead node, so only reduced words are labelled.  Letters are taken
     in canonical order, so the first word to reach a label is the
-    shortlex-least word with that label.  The product is minimized once with
-    the labels as outputs, the first time a set is selected, and each
-    selected set is minimized from that.
+    shortlex-least word with that label.  Over several sets the product is
+    minimized once with the labels as outputs, the first time a set is
+    selected, and each selected set is minimized from that; over one set
+    the raw product is minimized with the selection alone.
     """
     rank = sets[0].rank
     for s in sets:
@@ -492,7 +497,8 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
         return _minimize(rank, tuple(trans), tuple(labels))
 
     def select(test: Callable[[Label], bool]) -> SymbolicSet:
-        product, outputs = labelled_product()
+        # one set: its selection is its only output, so minimize the raw product once
+        product, outputs = (tuple(trans), labels) if len(sets) == 1 else labelled_product()
         accepting = tuple(o is not None and bool(test(o)) for o in outputs)
         return SymbolicSet(rank, *_minimize(rank, product, accepting))
 

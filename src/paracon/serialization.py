@@ -20,8 +20,17 @@ from .actions import (
     FreeSelfAction,
     TrivialAction,
 )
-from .langsets import ActionSet, FiniteSet, SymbolicSet, combine
-from .words import FreeWord, Permutation, WordParseError, parse_word, word_str
+from .langsets import ActionSet, FiniteSet, SymbolicSet, combine, labelled_pass
+from .words import (
+    GROUP_ORDER_CAP,
+    MAX_RANK,
+    FreeWord,
+    Permutation,
+    WordParseError,
+    capped,
+    parse_word,
+    word_str,
+)
 
 
 class DocumentError(ValueError):
@@ -87,18 +96,22 @@ def element_json(value) -> Any:
 
 
 def parse_action(doc: Any, location: str = "action") -> Action:
+    """An action, with rank and degree under declared caps (BoundExceeded):
+    no word names a letter past MAX_RANK, and a finite universe is no larger
+    than the largest group a closure may enumerate."""
     _expect(isinstance(doc, dict), "action must be an object", location)
     backend = doc.get("backend")
     if backend == "free-self":
         rank = doc.get("rank")
         _expect(is_integer(rank) and rank >= 1, "free-self needs integer rank >= 1", f"{location}.rank")
-        return FreeSelfAction(rank)
+        return FreeSelfAction(capped("rank", rank, MAX_RANK))
     if backend == "trivial":
         degree, rank = doc.get("degree"), doc.get("rank")
         _expect((degree is None) != (rank is None),
                 "trivial needs exactly one of degree, rank", location)
         key, size = ("degree", degree) if rank is None else ("rank", rank)
         _expect(is_integer(size) and size >= 1, f"trivial needs integer {key} >= 1", f"{location}.{key}")
+        capped(key, size, MAX_RANK if key == "rank" else GROUP_ORDER_CAP)
         try:
             return TrivialAction(degree=degree, rank=rank)
         except ValueError as err:
@@ -125,7 +138,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
             degree = doc.get("degree")
             _expect(is_integer(degree) and degree >= 1,
                     "finite-permutation needs integer degree >= 1", f"{location}.degree")
-            return FinitePermutationAction(degree, generators)
+            return FinitePermutationAction(capped("degree", degree, GROUP_ORDER_CAP), generators)
         except DocumentError:
             raise
         except ValueError as err:
@@ -163,10 +176,10 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
     """Set expression tree over the action's point universe."""
     _expect(isinstance(doc, dict), "set must be an object", location)
     kind = doc.get("kind")
-    symbolic = isinstance(action.full_set(), SymbolicSet)
+    symbolic = not action.is_finite
+    rank = action.rank
     if kind in ("cone", "singleton", "powers"):
         _expect(symbolic, f"{kind} sets need a free-word universe", location)
-        rank = action.full_set().rank
         w = _parse_word_field(doc, location)
         if any(abs(l) > rank for l in w.letters):
             raise DocumentError(f"word {word_str(w)!r} outside rank {rank}", f"{location}.word")
@@ -204,8 +217,8 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
             parse_set(right, action, f"{location}.right"))
     if kind == "automaton":
         _expect(symbolic, "automaton sets need a free-word universe", location)
-        rank, trans, acc = doc.get("rank"), doc.get("transitions"), doc.get("accepting")
-        _expect(is_integer(rank) and rank == action.full_set().rank,
+        trans, acc = doc.get("transitions"), doc.get("accepting")
+        _expect(is_integer(doc.get("rank")) and doc.get("rank") == rank,
                 "automaton rank must match the action", f"{location}.rank")
         _expect(isinstance(trans, list) and isinstance(acc, list) and trans
                 and len(trans) == len(acc),
@@ -218,7 +231,7 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
                     f"{location}.transitions")
         raw = SymbolicSet(rank, tuple(tuple(row) for row in trans), tuple(bool(v) for v in acc))
         # re-canonicalize so hand-written tables compare like computed ones
-        return raw.union(SymbolicSet.empty(rank))
+        return labelled_pass([raw]).select(bool)
     raise DocumentError(f"unknown set kind {kind!r}", f"{location}.kind")
 
 

@@ -241,6 +241,13 @@ class BoundExceeded(Exception):
         self.cap = cap
 
 
+def capped(name: str, requested: int, cap: int) -> int:
+    """`requested`, or BoundExceeded when it is past its declared cap."""
+    if requested > cap:
+        raise BoundExceeded(name, requested, cap)
+    return requested
+
+
 def permutation_closure(generators: Sequence[Permutation]) -> list[Permutation]:
     """All elements of the group generated by the given permutations.
 

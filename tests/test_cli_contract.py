@@ -12,10 +12,12 @@ import io
 import json
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 from paracon.cli import COMMANDS, main
+from paracon.langsets import FiniteSet, SymbolicSet
 from test_golden import COMMANDS as GOLDEN_RUNS, FIXTURES
 
 VALUES = [None, True, "x", 7, -1, [], {}, 1.5]
@@ -228,3 +230,35 @@ def test_group_order_past_its_cap_exits_3(capsys, monkeypatch):
     assert report["status"] == "bound-exceeded"
     assert report["error"]["bound"] == "group_order"
     assert report["error"]["requested"] == report["error"]["cap"] + 1 == 100_001
+
+
+def _never_built(*args):
+    raise AssertionError(f"a universe was built for {args}")
+
+
+@pytest.mark.parametrize("action,bound", [
+    ({"backend": "free-self", "rank": 10**18}, "rank"),
+    ({"backend": "trivial", "rank": 10**18}, "rank"),
+    ({"backend": "trivial", "degree": 10**18}, "degree"),
+    ({"backend": "finite-permutation", "degree": 10**18, "generators": {"a": [1, 0]}}, "degree"),
+], ids=["free-self-rank", "trivial-rank", "trivial-degree", "permutation-degree"])
+def test_huge_rank_or_degree_exits_3_before_building(action, bound, capsys, monkeypatch):
+    # a universe of that size is never built: the constructors fail the test if reached
+    for owner in (SymbolicSet, FiniteSet):
+        monkeypatch.setattr(owner, "full", staticmethod(_never_built))
+        monkeypatch.setattr(owner, "empty", staticmethod(_never_built))
+    doc = {"action": action, "tuple": ["a"], "partition": [{"kind": "full"}]}
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, report = run_stdin(("con", "compute"), json.dumps(doc).encode(), capsys, monkeypatch)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 1 << 20
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"]["bound"] == bound
+    assert report["error"]["requested"] == 10**18

@@ -26,11 +26,16 @@ def build(expr):
     return combine(kind, build(expr[1]), build(expr[2]))
 
 
-short_words = st.builds(
-    lambda ls: parse_word("e") if not ls else FreeWord(tuple(ls)),
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3).filter(
-        lambda ls: all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))),
-)
+def reduced_words(max_size):
+    return st.builds(
+        lambda ls: parse_word("e") if not ls else FreeWord(tuple(ls)),
+        st.lists(st.sampled_from([1, -1, 2, -2]), max_size=max_size).filter(
+            lambda ls: all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))),
+    )
+
+
+short_words = reduced_words(3)
+translators = reduced_words(4)
 
 exprs = st.recursive(
     st.one_of(
@@ -217,13 +222,26 @@ def test_membership_matches_pointwise_oracle(expr):
 
 
 @settings(max_examples=40, deadline=None)
-@given(exprs, short_words)
+@given(exprs, translators)
 def test_translation_coherence(expr, g):
+    """The whole-word translate is the composition of the letter translates,
+    holds exactly the words w with g^-1 w in S, and g^-1 undoes it."""
     s = build(expr)
     moved = s.translate(g)
+    by_letters = s
+    for letter in reversed(g.letters):
+        by_letters = by_letters.translate(FreeWord((letter,)))
+    assert moved == by_letters
     g_inv = invert(g)
-    for w in all_reduced_words(RANK, 4):
+    for w in WORDS6:
         assert (w in moved) == (multiply(g_inv, w) in s)
+    assert moved.translate(g_inv) == s
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_constant_sets_are_built_once_per_rank(rank):
+    assert SymbolicSet.full(rank) is SymbolicSet.full(rank)
+    assert SymbolicSet.empty(rank) is SymbolicSet.empty(rank)
 
 
 @settings(max_examples=40, deadline=None)

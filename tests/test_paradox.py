@@ -404,3 +404,25 @@ def test_mask_cover_agrees_with_labelled_pass(rank, depth, length, data):
                   for t, a in zip(assignment, chosen)]
     by_pass = labelled_pass(translates).uncovered(range(count)) is None
     assert (covered == full) == by_pass
+
+
+# The Tarski number of a non-abelian free group is 4 (Ershov, Golan and Sapir,
+# arXiv:1303.4211), so no three pieces make F_2 paradoxical, and Z = F_1 is
+# amenable, so no number of pieces does.
+TARSKI_F2_BOUNDS = [(d, L) for d in range(4) for L in range(3)] + [(1, 3), (2, 3), (4, 0), (4, 1)]
+
+
+def test_three_pieces_never_decompose_f2():
+    for depth, length in TARSKI_F2_BOUNDS:
+        result = bounded_paradox_search(FreeSelfAction(2), 3, depth, length)
+        assert result.decomposition is None, (depth, length)
+        assert result.reason == "no decomposition within bounds", (depth, length)
+
+
+def test_no_pieces_decompose_the_amenable_f1():
+    for max_pieces in range(2, 6):
+        for depth in range(4):
+            for length in range(3):
+                result = bounded_paradox_search(FreeSelfAction(1), max_pieces, depth, length)
+                assert result.decomposition is None, (max_pieces, depth, length)
+                assert result.reason == "no decomposition within bounds"
