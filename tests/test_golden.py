@@ -2,7 +2,9 @@
 
 The files under tests/golden/ are the reports these commands print, and
 the error reports (exit 2 or 3) of the malformed documents in ERRORS,
-which pin each error's message and location.  To record them again after
+which pin each error's message and location, and the `eq verify` reports
+of the VIOLATIONS documents, which pin each kind of violation and how its
+values print.  To record them again after
 an intended change of output, run this file directly
 (`PYTHONPATH=src python tests/test_golden.py`) and review the diff.
 """
@@ -49,10 +51,16 @@ def _z2(**fields) -> dict:
     return {"tuple": ["a"], "partition": Z2_BLOCKS, **fields}
 
 
-def _z3_verify(key: str) -> dict:
-    doc = {**json.loads((FIXTURES / "z3-cycle.json").read_text()), key: "1"}
+def _verify(stem: str, key: str, values) -> dict:
+    """The fixture's document with `key` set to `values` and the other of
+    solution/multipliers removed."""
+    doc = {**json.loads((FIXTURES / f"{stem}.json").read_text()), key: values}
     doc.pop("solution" if key == "multipliers" else "multipliers", None)
     return doc
+
+
+def _z3_verify(key: str) -> dict:
+    return _verify("z3-cycle", key, "1")
 
 
 # (name, command words, input document or raw bytes, exit code); golden file error-<name>.json
@@ -92,6 +100,24 @@ ERRORS = [
      _z2(action=Z2, pattern={"family_a": [[True, 1]], "family_b": [[0, 2]]}), 2),
     ("eq-verify-solution-string", ("eq", "verify"), _z3_verify("solution"), 2),
     ("eq-verify-multipliers-string", ("eq", "verify"), _z3_verify("multipliers"), 2),
+    ("coarsen-not-a-solution", ("coarsen",),
+     {"action": {"backend": "trivial", "degree": 4}, "mode": "partition",
+      "fine": {"tuple": ["a"], "partition": [{"kind": "points", "points": [p]} for p in range(4)]},
+      "coarse": {"tuple": ["a"], "partition": [{"kind": "points", "points": [0, 1]},
+                                               {"kind": "points", "points": [2, 3]}]},
+      "solution": ["1/2", "1/4", "1/4", "1/4"]}, 2),
+]
+
+
+# (name, input document); `eq verify` exits 0 with status "violated", one
+# case per violation kind; golden file violated-<name>.json
+VIOLATIONS = [
+    ("length", _verify("z3-cycle", "solution", ["1/2", "1/2"])),
+    ("nonnegativity", _verify("z3-cycle", "solution", ["2/3", "2/3", "-1/3"])),
+    ("row-fractional-total", _verify("z3-cycle", "solution", ["1/2", "1/3", "1/3"])),
+    ("constant-not-positive", _verify("z3-cycle", "multipliers", ["0", "0", "-1/2"])),
+    ("positive-fractional-coefficient",
+     _verify("f2-ab-5block", "multipliers", ["0"] * 10 + ["1/2"])),
 ]
 
 
@@ -123,6 +149,16 @@ def test_error_report_matches_golden(name, words, raw, code, capsys, tmp_path):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"error-{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name,doc", VIOLATIONS, ids=[case[0] for case in VIOLATIONS])
+def test_violation_report_matches_golden(name, doc, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eq", "verify", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["status"] == "violated"
+    assert out.encode() == (GOLDEN / f"violated-{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -142,3 +178,9 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 assert main([*words, "--input", str(path)]) == code
             (GOLDEN / f"error-{name}.json").write_bytes(out.getvalue().encode())
+        for name, doc in VIOLATIONS:
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["eq", "verify", "--input", str(path)]) == 0
+            (GOLDEN / f"violated-{name}.json").write_bytes(out.getvalue().encode())
