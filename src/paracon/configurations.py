@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .actions import Action, Partition, partition as make_partition
 from .langsets import ActionSet, Label, Labelling, labelled_pass
-from .words import FreeWord
+from .words import FreeWord, capped
 
 Configuration = tuple[int, ...]
 
@@ -272,17 +272,21 @@ def coarsen_solution(
 # ---------------------------------------------------------------------------
 
 
+FAMILY_LIMIT_CAP = 1_000_000   # candidate pairs a bounded comparison may sample
+
+
 @dataclass(frozen=True)
 class ConSearchBounds:
     max_tuple_length: int = 1
     max_word_length: int = 1
     max_blocks: int = 3
-    family_limit: int = 500
+    family_limit: int = 500   # at most FAMILY_LIMIT_CAP (BoundExceeded)
     seed: int = 0
 
     def __post_init__(self):
         if self.family_limit < 0:
             raise ValueError("family_limit must be >= 0")
+        capped("family_limit", self.family_limit, FAMILY_LIMIT_CAP)
 
 
 @dataclass(frozen=True)

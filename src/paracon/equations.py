@@ -1,4 +1,4 @@
-"""Configuration equations over exact rationals.
+"""Configuration equations over the integers, decided and checked exactly.
 
 For a configuration set with tuple length n and m blocks, the system asks
 for one value f_C per configuration with
@@ -6,10 +6,11 @@ for one value f_C per configuration with
     sum { f_C : C_j = i }  =  sum { f_C : C_0 = i }      (j in 1..n, i in 1..m)
     sum f_C = 1,   f_C >= 0.
 
-Feasibility is decided by a phase-one simplex with Bland's anti-cycling
-rule on a fraction-free integer tableau, so the answer is exact and
-deterministic: either a normalized solution or a Farkas certificate (row
-multipliers whose combined row has no nonnegative solution).
+Every coefficient is an int in {-1, 0, 1}.  A phase-one simplex with
+Bland's rule on an integer tableau decides it exactly and deterministically:
+a normalized solution, or a Farkas certificate (row multipliers whose
+combined row has no nonnegative solution).  Both are checked in ints too,
+over their common denominator.
 """
 
 from __future__ import annotations
@@ -21,20 +22,16 @@ from typing import Optional, Sequence
 
 from .configurations import Configuration, ConfigurationSet
 
-RowLabel = tuple
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equality rows over nonnegative variables indexed by configurations."""
+    """Equality rows over nonnegative variables indexed by configurations;
+    ints from build_equations, and Fractions too in a hand-built system."""
 
     variables: tuple[Configuration, ...]
-    labels: tuple[RowLabel, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    labels: tuple[tuple, ...]
+    rows: tuple[tuple[int | Fraction, ...], ...]
+    rhs: tuple[int | Fraction, ...]
 
     @property
     def n_rows(self) -> int:
@@ -50,23 +47,13 @@ def build_equations(cs: ConfigurationSet) -> LinearSystem:
     variables = cs.configurations
     if not variables:
         raise ValueError("configuration set is empty; nothing to solve")
-    n = cs.pair.tuple_length
-    m = cs.pair.block_count
-    labels: list[RowLabel] = []
-    rows: list[tuple[Fraction, ...]] = []
-    rhs: list[Fraction] = []
-    for j in range(1, n + 1):
-        for i in range(1, m + 1):
-            coeffs = tuple(
-                Fraction(int(config[j] == i) - int(config[0] == i)) for config in variables
-            )
-            labels.append(("balance", j, i))
-            rows.append(coeffs)
-            rhs.append(ZERO)
-    labels.append(("normalize",))
-    rows.append(tuple(ONE for _ in variables))
-    rhs.append(ONE)
-    return LinearSystem(tuple(variables), tuple(labels), tuple(rows), tuple(rhs))
+    columns = list(zip(*variables))   # columns[j][k] = C_j of the k-th configuration
+    keys = [(j, i) for j in range(1, cs.pair.tuple_length + 1)
+            for i in range(1, cs.pair.block_count + 1)]
+    rows = tuple(tuple((cj == i) - (c0 == i) for cj, c0 in zip(columns[j], columns[0]))
+                 for j, i in keys) + ((1,) * len(variables),)
+    labels = tuple(("balance", j, i) for j, i in keys) + (("normalize",),)
+    return LinearSystem(tuple(variables), labels, rows, (0,) * len(keys) + (1,))
 
 
 @dataclass(frozen=True)
@@ -79,37 +66,39 @@ class VerifyReport:
 
 
 def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport:
-    """Exact check of every row plus nonnegativity."""
-    values = [Fraction(v) for v in f]
-    if len(values) != system.n_vars:
-        return VerifyReport(False, ("length", len(values), system.n_vars))
-    for idx, value in enumerate(values):
-        if value < 0:
+    """Exact check of every row plus nonnegativity, in ints over the common
+    denominator D of f: row . (D*f) must equal D * rhs."""
+    common = lcm(*{v.denominator for v in f})
+    scaled = [v.numerator * (common // v.denominator) for v in f]
+    if len(scaled) != system.n_vars:
+        return VerifyReport(False, ("length", len(scaled), system.n_vars))
+    for idx, x in enumerate(scaled):
+        if x < 0:
             return VerifyReport(False, ("nonnegativity", system.variables[idx]))
+    support = [(k, x) for k, x in enumerate(scaled) if x]
     for label, row, target in zip(system.labels, system.rows, system.rhs):
-        total = sum((c * v for c, v in zip(row, values) if c), start=ZERO)
-        if total != target:
-            return VerifyReport(False, ("row", label, total, target))
+        total = sum(row[k] * x for k, x in support)
+        if total != target * common:
+            return VerifyReport(False, ("row", label, Fraction(total, common), Fraction(target)))
     return VerifyReport(True)
 
 
 def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) -> VerifyReport:
-    """A valid certificate combines rows into coefficients <= 0 with rhs > 0."""
-    values = [Fraction(v) for v in multipliers]
-    if len(values) != system.n_rows:
-        return VerifyReport(False, ("length", len(values), system.n_rows))
-    combined_rhs = sum((y * b for y, b in zip(values, system.rhs) if y), start=ZERO)
-    if combined_rhs <= 0:
-        return VerifyReport(False, ("constant-not-positive", combined_rhs))
-    combined = [ZERO] * system.n_vars
-    for y, row in zip(values, system.rows):
-        if y:
-            for col, c in enumerate(row):
-                if c:
-                    combined[col] += y * c
-    for col, coeff in enumerate(combined):
+    """A valid certificate combines rows into coefficients <= 0 with rhs > 0;
+    both are summed in ints over the multipliers' common denominator."""
+    common = lcm(*{y.denominator for y in multipliers})
+    scaled = [y.numerator * (common // y.denominator) for y in multipliers]
+    if len(scaled) != system.n_rows:
+        return VerifyReport(False, ("length", len(scaled), system.n_rows))
+    constant = sum(y * b for y, b in zip(scaled, system.rhs) if y)
+    if constant <= 0:
+        return VerifyReport(False, ("constant-not-positive", Fraction(constant, common)))
+    weights, rows = zip(*[(y, row) for y, row in zip(scaled, system.rows) if y])
+    for col, column in enumerate(zip(*rows)):
+        coeff = sum(y * c for y, c in zip(weights, column))
         if coeff > 0:
-            return VerifyReport(False, ("positive-coefficient", system.variables[col], coeff))
+            return VerifyReport(False, ("positive-coefficient", system.variables[col],
+                                        Fraction(coeff, common)))
     return VerifyReport(True)
 
 
@@ -120,11 +109,17 @@ class FeasibilityResult:
     certificate: Optional[tuple[Fraction, ...]] = None
 
 
-def _eliminate(v: list[int], w: list[int], p: int, s: int, d: int) -> list[int]:
-    """Row v after a pivot on p in row w, s = v's entry in the pivot column."""
-    if s == 0:
-        return v if p == d else [p * x // d for x in v]
-    return [(p * x - s * y) // d for x, y in zip(v, w)]
+def _eliminate(v: list[int], w: list[int], support: list, q: int, s: int) -> list[int]:
+    """Row v (pivot-column entry s != 0) after a pivot on entry q > 0 of row
+    w: q*v - s*w over its gcd, or, when q divides s (most pivots of a
+    configuration system), v - (s/q)*w in place on w's nonzero columns."""
+    if s % q == 0:
+        m = s // q
+        for k, y in support:
+            v[k] -= m * y
+        return v
+    v = [q * x - s * y for x, y in zip(v, w)]
+    return [x // g for x in v] if (g := gcd(*v)) > 1 else v
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
@@ -132,33 +127,32 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
 
     Minimizes the sum of one artificial variable per row.  Optimum zero
     yields the basic feasible point of the original variables; a positive
-    optimum yields the dual multipliers y with y.A <= 0 and y.b > 0, read
-    off the artificial columns' reduced costs.
+    optimum yields the multipliers y = c_B B^-1 with y.A <= 0 and y.b > 0.
 
-    The tableau is fraction-free (Bareiss): rows are scaled to integers by
-    the lcm of all denominators, and every entry, reduced costs included, is
-    an int over one denominator d > 0, the basis determinant.  A pivot on p
-    keeps the pivot row, maps each other row v to (p*v - s*w) // d (exact),
-    and sets d = p.  Signs and ratio order match the tableau over Fraction,
-    so Bland's rule makes the same pivots and returns the same answer.
+    The tableau is fraction-free (a hand-built system is scaled by the lcm
+    of its denominators).  Each row, reduced costs included, is held as ints,
+    a positive multiple of its row over Fraction: signs and ratios rhs/a are
+    the same, so Bland's rule makes the same pivots to the same answer.
     """
     n, r = system.n_vars, system.n_rows
     if n == 0:
         raise ValueError("system has no variables")
-    scale = lcm(*{v.denominator for row in (system.rhs, *system.rows) for v in row})
+    # each distinct entry is scaled once; rows with rhs < 0 are negated
+    entries = set(system.rhs).union(*system.rows)
+    scale = lcm(*(v.denominator for v in entries))
+    as_int = {flip: {v: int(v * scale) * flip for v in entries} for flip in (1, -1)}
     flips = [1 if b >= 0 else -1 for b in system.rhs]
     # tableau rows: n original columns, r artificial columns, then rhs
-    table = [
-        [c.numerator * (scale // c.denominator) * flip for c in row]
-        + [int(k == i) for k in range(r)] + [b.numerator * (scale // b.denominator) * flip]
-        for i, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flips))
-    ]
+    table = []
+    for i, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flips)):
+        entry = as_int[flip].__getitem__
+        table.append([*map(entry, row), *(int(k == i) for k in range(r)), entry(b)])
     # reduced costs: c_j - sum of basic rows (artificial costs are all 1);
     # the last entry is minus the phase-one objective
     cost = [-sum(column) for column in zip(*table)]
     cost[n:n + r] = [0] * r
     basis = [n + i for i in range(r)]
-    basic, d = set(basis), 1
+    basic = set(basis)
 
     while True:
         entering = next((j for j in range(n) if cost[j] < 0 and j not in basic), None)
@@ -172,30 +166,35 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
                 row, top, bottom = i, line[-1], a
         if row < 0:
             raise RuntimeError("phase-one objective unbounded; should be impossible")
-        pivot_row, p = table[row], table[row][entering]
+        pivot_row, q = table[row], table[row][entering]
+        support = [(k, y) for k, y in enumerate(pivot_row) if y]
         for i, line in enumerate(table):
-            if i != row:
-                table[i] = _eliminate(line, pivot_row, p, line[entering], d)
-        cost = _eliminate(cost, pivot_row, p, cost[entering], d)
+            if line[entering] and i != row:
+                table[i] = _eliminate(line, pivot_row, support, q, line[entering])
+        if cost[entering]:
+            cost = _eliminate(cost, pivot_row, support, q, cost[entering])
         basic ^= {basis[row], entering}
-        basis[row], d = entering, p
+        basis[row] = entering
 
-    if cost[-1] == 0:
-        values = [ZERO] * n
-        for i, var in enumerate(basis):
+    if cost[-1] == 0:   # a basic variable is its row's rhs over its own entry
+        solution = [Fraction(0)] * n
+        for line, var in zip(table, basis):
             if var < n:
-                values[var] = Fraction(table[i][-1], d)
-        solution = tuple(values)
+                solution[var] = Fraction(line[-1], line[var])
         check = verify_solution(system, solution)
         if not check.ok:
             raise RuntimeError(f"simplex produced an invalid solution: {check.violation}")
-        return FeasibilityResult(True, solution=solution)
+        return FeasibilityResult(True, solution=tuple(solution))
 
-    # infeasible: d*y_i = d - reduced cost of artificial column i, undone flips;
-    # dividing by the gcd leaves integers whose combined constant is positive
-    multipliers = [(d - cost[n + i]) * flips[i] for i in range(r)]
-    common = gcd(*multipliers) or 1
-    certificate = tuple(Fraction(v // common) for v in multipliers)
+    # infeasible: y = c_B B^-1 sums the artificial block of the rows whose basic
+    # variable is artificial (cost 1), each over its basic entry; the
+    # certificate is y with the flips undone, as coprime integers
+    artificial = [(line, line[var]) for line, var in zip(table, basis) if var >= n]
+    common = lcm(*(entry for _, entry in artificial))
+    weighted = [[common // entry * x for x in line[n:n + r]] for line, entry in artificial]
+    multipliers = [sum(column) * flip for column, flip in zip(zip(*weighted), flips)]
+    divisor = gcd(*multipliers)
+    certificate = tuple(Fraction(v // divisor) for v in multipliers)
     check = verify_certificate(system, certificate)
     if not check.ok:
         raise RuntimeError(f"simplex produced an invalid certificate: {check.violation}")

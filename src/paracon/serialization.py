@@ -172,8 +172,13 @@ def _parse_word_field(doc: Mapping, location: str) -> FreeWord:
         raise DocumentError(f"bad word {value!r}: {err}", f"{location}.word") from None
 
 
-def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
-    """Set expression tree over the action's point universe."""
+SET_DEPTH_CAP = 100   # nesting levels of a set expression
+
+
+def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> ActionSet:
+    """Set expression tree over the action's point universe, nested at most
+    SET_DEPTH_CAP levels deep (BoundExceeded), checked as it descends."""
+    capped("set_depth", depth, SET_DEPTH_CAP)
     _expect(isinstance(doc, dict), "set must be an object", location)
     kind = doc.get("kind")
     symbolic = not action.is_finite
@@ -204,17 +209,17 @@ def parse_set(doc: Any, action: Action, location: str) -> ActionSet:
     if kind in ("union", "intersection"):
         parts = doc.get("of")
         _expect(isinstance(parts, list) and parts, f"{kind} needs a nonempty 'of' array", location)
-        return combine(kind, *(parse_set(p, action, f"{location}.of[{i}]")
+        return combine(kind, *(parse_set(p, action, f"{location}.of[{i}]", depth + 1)
                                for i, p in enumerate(parts)))
     if kind == "complement":
         inner = doc.get("of")
         _expect(inner is not None, "complement needs 'of'", location)
-        return parse_set(inner, action, f"{location}.of").complement()
+        return parse_set(inner, action, f"{location}.of", depth + 1).complement()
     if kind == "difference":
         left, right = doc.get("left"), doc.get("right")
         _expect(left is not None and right is not None, "difference needs 'left' and 'right'", location)
-        return parse_set(left, action, f"{location}.left").difference(
-            parse_set(right, action, f"{location}.right"))
+        return parse_set(left, action, f"{location}.left", depth + 1).difference(
+            parse_set(right, action, f"{location}.right", depth + 1))
     if kind == "automaton":
         _expect(symbolic, "automaton sets need a free-word universe", location)
         trans, acc = doc.get("transitions"), doc.get("accepting")

@@ -5,7 +5,8 @@ package: word enumeration by direct recursion, set membership by evaluating
 expression trees pointwise, configurations of finite actions by iterating
 points, linear feasibility by Fourier-Motzkin elimination, a reference
 phase-one simplex over Fraction that fixes which answer the solver returns,
-and a lex-first paradox search that tests covers word by word.
+row-by-row Fraction checks of solutions and certificates, and a lex-first
+paradox search that tests covers word by word.
 """
 
 from __future__ import annotations
@@ -215,6 +216,53 @@ def bland_simplex(rows: list[tuple], rhs: list[Fraction]) -> tuple:
     for value in integers:
         common = gcd(common, value)
     return False, None, tuple(Fraction(value // common) for value in integers)
+
+
+def check_solution(variables, labels, rows, rhs, values) -> tuple:
+    """(ok, first violation) of a claimed solution of {A x = b, x >= 0}.
+
+    Every entry is taken as a Fraction and every row summed entry by entry.
+    Violations are looked for in this order: ("length", given, expected),
+    ("nonnegativity", variable) at the first negative entry, then
+    ("row", label, total, target) at the first row whose total is off.
+    """
+    values = [Fraction(v) for v in values]
+    if len(values) != len(variables):
+        return False, ("length", len(values), len(variables))
+    for variable, value in zip(variables, values):
+        if value < 0:
+            return False, ("nonnegativity", variable)
+    for label, row, target in zip(labels, rows, rhs):
+        total = Fraction(0)
+        for coefficient, value in zip(row, values):
+            total += Fraction(coefficient) * value
+        if total != target:
+            return False, ("row", label, total, Fraction(target))
+    return True, None
+
+
+def check_certificate(variables, rows, rhs, multipliers) -> tuple:
+    """(ok, first violation) of claimed Farkas multipliers y: y.A <= 0, y.b > 0.
+
+    Violations are looked for in this order: ("length", given, expected),
+    ("constant-not-positive", y.b), then ("positive-coefficient", variable,
+    coefficient) at the first column whose combined coefficient is positive.
+    """
+    y = [Fraction(v) for v in multipliers]
+    if len(y) != len(rows):
+        return False, ("length", len(y), len(rows))
+    constant = Fraction(0)
+    for weight, target in zip(y, rhs):
+        constant += weight * Fraction(target)
+    if constant <= 0:
+        return False, ("constant-not-positive", constant)
+    for column, variable in enumerate(variables):
+        coefficient = Fraction(0)
+        for weight, row in zip(y, rows):
+            coefficient += weight * Fraction(row[column])
+        if coefficient > 0:
+            return False, ("positive-coefficient", variable, coefficient)
+    return True, None
 
 
 def lex_first_search(rank: int, max_pieces: int, depth: int, length: int):

@@ -1,12 +1,15 @@
-"""The benchmark tracer's per-class hooks name attributes the classes own.
+"""The benchmark tracer's hooks reach what they are meant to time.
 
 bench/tracer.py wraps a class entry point by replacing `owner.__dict__[name]`
 for the length of a traced pass, so a method a backend only inherits makes
-a traced run fail with KeyError.  This test reads the tracer's target list
-and changes nothing under bench/.
+a traced run fail with KeyError.  It wraps a module function by rebinding
+the module's name, so a call that does not go through that name (an inlined
+check, say) drops out of the layer it belongs to.  These tests read the
+tracer's target list and change nothing under bench/.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -20,3 +23,31 @@ def test_every_class_target_is_in_its_owner_namespace(monkeypatch):
     missing = [f"{owner.__name__}.{name}" for owner, name, _ in tracer._layer_targets()
                if isinstance(owner, type) and name not in owner.__dict__]
     assert not missing, missing
+
+
+def test_solver_rechecks_through_the_public_verifiers(monkeypatch, z3, f2, five_blocks):
+    """The tracer times the solver's re-check as equations.verify only while
+    solve_feasibility calls the public verifiers by module-level lookup."""
+    from paracon import compute_configurations, configuration_pair, equations
+
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(equations, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("verify_solution", "verify_certificate"):
+        monkeypatch.setattr(equations, name, counting(name))
+    for action, words, blocks, feasible in (
+            (z3, ["a"], [z3.point_set([0]), z3.point_set([1, 2])], True),
+            (f2, ["a", "b"], five_blocks, False)):
+        system = equations.build_equations(
+            compute_configurations(configuration_pair(action, words, blocks)))
+        calls.clear()
+        assert equations.solve_feasibility(system).feasible is feasible
+        name = "verify_solution" if feasible else "verify_certificate"
+        assert calls == Counter({name: 1})

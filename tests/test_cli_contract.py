@@ -16,8 +16,10 @@ import tracemalloc
 
 import pytest
 
+from paracon import configurations
 from paracon.cli import COMMANDS, main
 from paracon.langsets import FiniteSet, SymbolicSet
+from paracon.serialization import SET_DEPTH_CAP
 from test_golden import COMMANDS as GOLDEN_RUNS, FIXTURES
 
 VALUES = [None, True, "x", 7, -1, [], {}, 1.5]
@@ -262,3 +264,47 @@ def test_huge_rank_or_degree_exits_3_before_building(action, bound, capsys, monk
     assert report["status"] == "bound-exceeded"
     assert report["error"]["bound"] == bound
     assert report["error"]["requested"] == 10**18
+
+
+def test_huge_family_limit_exits_3_before_sampling(capsys, monkeypatch):
+    # candidate families are never built: reaching candidate_pairs fails the test
+    monkeypatch.setattr(configurations, "candidate_pairs", _never_built)
+    doc = json.loads((FIXTURES / "z4-quotient.json").read_text())
+    doc["bounds"] = {**doc["bounds"], "family_limit": 10**18}
+    started = time.perf_counter()
+    code, report = run_stdin(("compare", "con"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert time.perf_counter() - started < 0.5
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"]["bound"] == "family_limit"
+    assert report["error"]["requested"] == 10**18
+    assert report["error"]["cap"] == configurations.FAMILY_LIMIT_CAP
+
+
+def nested_kind(kind: str, wrappers: int) -> bytes:
+    """con compute on F2 with one block: `wrappers` nodes of `kind` around a
+    full set, wrappers + 1 levels; differences nest left and right in turn."""
+    node = {"kind": "full"}
+    for level in range(wrappers):
+        if kind == "complement":
+            node = {"kind": kind, "of": node}
+        elif level % 2:
+            node = {"kind": kind, "left": node, "right": {"kind": "empty"}}
+        else:
+            node = {"kind": kind, "left": {"kind": "full"}, "right": node}
+    return json.dumps({"action": F2, "tuple": ["a"], "partition": [node]}).encode()
+
+
+@pytest.mark.parametrize("raw,code", [
+    (nested_set(SET_DEPTH_CAP - 1), 0),
+    (nested_set(SET_DEPTH_CAP), 3),
+    (nested_kind("complement", SET_DEPTH_CAP), 3),
+    (nested_kind("difference", SET_DEPTH_CAP), 3),
+], ids=["union-at-cap", "union-past-cap", "complement-past-cap", "difference-past-cap"])
+def test_set_nesting_past_its_cap_exits_3(raw, code, capsys, monkeypatch):
+    got, report = run_stdin(("con", "compute"), raw, capsys, monkeypatch)
+    assert got == code
+    if code == 3:
+        assert report["status"] == "bound-exceeded"
+        assert report["error"]["bound"] == "set_depth"
+        assert report["error"]["requested"] == SET_DEPTH_CAP + 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cone
-from oracles import bland_simplex, fourier_motzkin_feasible
+from oracles import bland_simplex, check_certificate, check_solution, fourier_motzkin_feasible
 from paracon import (
     FinitePermutationAction,
     FiniteRegularAction,
@@ -69,7 +69,9 @@ class TestSolveFeasibility:
         result = solve_feasibility(system)
         assert not result.feasible
         assert verify_certificate(system, result.certificate).ok
-        assert not fourier_motzkin_feasible(list(system.rows), list(system.rhs))
+        # the oracle divides: give it Fractions, not the system's ints
+        assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in system.rows],
+                                            list(map(Fraction, system.rhs)))
 
     def test_single_variable_normalization_only(self):
         system = LinearSystem(
@@ -265,3 +267,63 @@ def test_solver_matches_reference_on_regular_actions(action, words, m, seed):
     blocks = [action.point_set([p for p, k in zip(points, labels) if k == b]) for b in range(m)]
     _, system = system_for(action, words, blocks)
     assert_matches_reference(system)
+
+
+def mutated(values, how: str, index: int, delta: Fraction) -> list:
+    """values with one entry perturbed by delta, negated or dropped (or as is)."""
+    values = list(values)
+    if values and how != "none":
+        k = index % len(values)
+        if how == "perturb":
+            values[k] += delta
+        elif how == "negate":
+            values[k] = -values[k]
+        else:
+            del values[k]
+    return values
+
+
+@st.composite
+def verify_cases(draw):
+    """A system with one solution-like and one multiplier-like vector.
+
+    Systems come from build_equations on S3/S4 regular pairs or are built by
+    hand with Fraction entries.  Each vector is a valid solution or
+    certificate when the system has one, random rationals otherwise, and
+    then one entry may be perturbed, negated or dropped.
+    """
+    if draw(st.booleans()):
+        action = draw(st.sampled_from([S3_REGULAR, S4_REGULAR]))
+        words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+        m = draw(st.integers(1, 5))
+        labels = draw(st.permutations(range(action.size())))
+        blocks = [action.point_set([p for k, p in enumerate(labels) if k % m == b]) for b in range(m)]
+        cs, system = system_for(action, words, blocks)
+        solutions = [counting_solution(cs)]
+    else:
+        rows, rhs = draw(matrices(RATIONALS))
+        system = as_system(rows, rhs)
+        solutions = []
+    result = solve_feasibility(system)
+    solutions.append(result.solution if result.feasible else None)
+    solution = draw(st.sampled_from(solutions)) or draw(
+        st.lists(RATIONALS.map(abs), min_size=system.n_vars, max_size=system.n_vars))
+    multipliers = result.certificate or draw(
+        st.lists(RATIONALS, min_size=system.n_rows, max_size=system.n_rows))
+    change = st.tuples(st.sampled_from(["none", "perturb", "negate", "drop"]),
+                       st.integers(0, 10**6), RATIONALS.filter(bool))
+    return (system, mutated(solution, *draw(change)), mutated(multipliers, *draw(change)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=verify_cases())
+def test_verifiers_match_the_fraction_oracle(case):
+    system, solution, multipliers = case
+    got = verify_solution(system, solution)
+    expected = check_solution(system.variables, system.labels, system.rows, system.rhs, solution)
+    assert (got.ok, got.violation) == expected
+    assert repr(got.violation) == repr(expected[1])   # the same types, as reports print them
+    got = verify_certificate(system, multipliers)
+    expected = check_certificate(system.variables, system.rows, system.rhs, multipliers)
+    assert (got.ok, got.violation) == expected
+    assert repr(got.violation) == repr(expected[1])
