@@ -84,7 +84,9 @@ def test_criterion_2_f2_infeasibility():
     result = solve_feasibility(system)
     assert not result.feasible
     assert verify_certificate(system, result.certificate).ok
-    assert not fourier_motzkin_feasible(list(system.rows), list(system.rhs))
+    # the oracle divides: give it Fractions, not the system's ints
+    assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in system.rows],
+                                        list(map(Fraction, system.rhs)))
     _finish(2, 1.0, started, "five-block system infeasible; certificate and elimination oracle agree")
 
 

@@ -125,12 +125,27 @@ class TestVerifySolution:
                                [trivial3.point_set([p]) for p in range(3)])
         assert not verify_solution(system, [Fraction(1)]).ok
 
+    def test_reads_any_iterable_of_fraction_inputs_once(self, trivial3):
+        _, system = system_for(trivial3, ["a"],
+                               [trivial3.point_set([p]) for p in range(3)])
+        assert verify_solution(system, (v for v in [Fraction(1, 3)] * 3)).ok
+        assert verify_solution(system, ["1/3", "1/3", "1/3"]).ok
+        assert verify_solution(system, [0.5, 0.25, 0.25]).ok
+        assert not verify_solution(system, ["1/3", "1/3", "1/2"]).ok
+
 
 class TestVerifyCertificate:
     def test_emitted_certificate(self, f2, five_blocks):
         _, system = system_for(f2, ["a", "b"], five_blocks)
         certificate = solve_feasibility(system).certificate
         assert verify_certificate(system, certificate).ok
+
+    def test_reads_any_iterable_of_fraction_inputs_once(self, f2, five_blocks):
+        _, system = system_for(f2, ["a", "b"], five_blocks)
+        certificate = solve_feasibility(system).certificate
+        assert verify_certificate(system, (y for y in certificate)).ok
+        assert verify_certificate(system, [str(y) for y in certificate]).ok
+        assert verify_certificate(system, [float(y) for y in certificate]).ok
 
     def test_zero_multipliers_rejected(self, f2, five_blocks):
         _, system = system_for(f2, ["a", "b"], five_blocks)
