@@ -38,6 +38,7 @@ COMMANDS = [
     ("f2-pingpong-cyclic", ("pingpong", "cyclic")),
     ("s3-nonabelian-witness", ("witness", "nonabelian")),
     ("z4-quotient", ("compare", "con")),
+    ("z4-quotient-sampled", ("compare", "con", "--seed", "3")),
 ]
 
 
