@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .words import FreeWord, letter_from_index, letter_index
 
@@ -34,62 +34,38 @@ _Transitions = tuple[tuple[int, ...], ...]
 
 
 def _minimize(
-    rank: int, trans: _Transitions, accepting: tuple[Hashable, ...]
-) -> tuple[_Transitions, tuple[Hashable, ...]]:
-    """Moore partition refinement followed by BFS renumbering.
+    trans: _Transitions, accepting: Sequence[bool]
+) -> tuple[_Transitions, tuple[bool, ...]]:
+    """Moore partition refinement; the quotient is already canonical.
 
-    `accepting` may hold any hashable output per state, not only booleans;
-    states are merged only when their outputs agree.
+    Precondition: every state is reachable from state 0, and the states are
+    numbered breadth-first with letters in canonical order, as
+    `_symbolic_pass` builds its product.  State order is then the order of
+    the states' shortlex-least access words.  A block's least access word is
+    that of its least state, so numbering the blocks by their least state,
+    as the refinement does, is the canonical BFS numbering of the minimal
+    automaton, and no reachability pass or renumbering is needed.
     """
-    number = {0: 0}
-    order = [0]
-    for state in order:                  # the reachable states, breadth first
-        for nxt in trans[state]:
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-    rows = [[number[t] for t in trans[s]] for s in order]
     ids: dict = {}
-    block = [ids.setdefault(accepting[s], len(ids)) for s in order]
+    block = [ids.setdefault(a, len(ids)) for a in accepting]
     while True:
         count = len(ids)
         ids = {}
         block = [ids.setdefault((b, *map(block.__getitem__, row)), len(ids))
-                 for b, row in zip(block, rows)]
+                 for b, row in zip(block, trans)]
         if len(ids) == count:
             break
-    first: dict[int, int] = {}           # block -> a representative state
+    least: list[int] = []                # least state of each block, in block order
     for s, b in enumerate(block):
-        first.setdefault(b, s)
-    numbering = {block[0]: 0}
-    blocks = [block[0]]
-    for b in blocks:                     # canonical BFS numbering of the blocks
-        for t in rows[first[b]]:
-            if block[t] not in numbering:
-                numbering[block[t]] = len(blocks)
-                blocks.append(block[t])
-    new_trans = tuple(tuple(numbering[block[t]] for t in rows[first[b]]) for b in blocks)
-    new_accept = tuple(accepting[order[first[b]]] for b in blocks)
-    return new_trans, new_accept
+        if b == len(least):
+            least.append(s)
+    return (tuple(tuple(block[t] for t in trans[s]) for s in least),
+            tuple(accepting[s] for s in least))
 
 
 def _canonical(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> "SymbolicSet":
     """The reduced words an automaton accepts, as a canonical set."""
     return labelled_pass([SymbolicSet(rank, trans, accepting)]).cell((0,))
-
-
-def _alive(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> set[int]:
-    """States from which some accepting state is reachable."""
-    n = len(trans)
-    alive = {s for s in range(n) if accepting[s]}
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if s not in alive and any(t in alive for t in trans[s]):
-                alive.add(s)
-                changed = True
-    return alive
 
 
 class _Queries:
@@ -237,10 +213,15 @@ class SymbolicSet(_Queries):
         return self == SymbolicSet.full(self.rank)
 
     def enumerate_up_to(self, max_length: int) -> list[FreeWord]:
-        """Members of length <= max_length in length-then-lex order."""
-        alive = _alive(self.rank, self.transitions, self.accepting)
+        """Members of length <= max_length in length-then-lex order.
+
+        The automaton is canonical, so the one state that reaches no member
+        is the rejecting sink; the search prunes that state alone.
+        """
+        sink = next((s for s, row in enumerate(self.transitions)
+                     if not self.accepting[s] and all(t == s for t in row)), None)
         out: list[FreeWord] = []
-        level = [((), 0)] if 0 in alive else []
+        level = [((), 0)] if sink != 0 else []
         if self.accepting[0]:
             out.append(FreeWord(()))
         for _ in range(max_length):
@@ -248,7 +229,7 @@ class SymbolicSet(_Queries):
             for path, state in level:
                 for idx in range(2 * self.rank):
                     nxt = self.transitions[state][idx]
-                    if nxt not in alive:
+                    if nxt == sink:
                         continue
                     new_path = path + (letter_from_index(idx),)
                     if self.accepting[nxt]:
@@ -390,7 +371,8 @@ class Labelling:
     contain it.  `points` maps every label that occurs to its least point
     (the shortlex-least word, or the least integer), ordered by that point,
     so the first label passing a test carries the least point passing it.
-    `select(test)` is the set of points whose label passes `test`.
+    `select(test)` is the set of points whose label passes `test`; over
+    symbolic sets each call refines the pass's product once.
     """
 
     points: dict[Label, object]
@@ -451,10 +433,10 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     A node is the last letter read plus the tuple of states; inverse steps
     go to a dead node, so only reduced words are labelled.  Letters are taken
     in canonical order, so the first word to reach a label is the
-    shortlex-least word with that label.  Over several sets the product is
-    minimized once with the labels as outputs, the first time a set is
-    selected, and each selected set is minimized from that; over one set
-    the raw product is minimized with the selection alone.
+    shortlex-least word with that label.  The product is therefore
+    reachable and numbered breadth-first, which is what `_minimize` needs:
+    each selected set is one Moore refinement of this product, with the
+    selection as the accepting states.
     """
     rank = sets[0].rank
     for s in sets:
@@ -492,30 +474,13 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
             row.append(index[nxt])
         trans.append(tuple(row))
 
-    @functools.cache
-    def labelled_product() -> tuple[_Transitions, tuple]:
-        return _minimize(rank, tuple(trans), tuple(labels))
+    product = tuple(trans)
 
     def select(test: Callable[[Label], bool]) -> SymbolicSet:
-        # one set: its selection is its only output, so minimize the raw product once
-        product, outputs = (tuple(trans), labels) if len(sets) == 1 else labelled_product()
-        accepting = tuple(o is not None and bool(test(o)) for o in outputs)
-        return SymbolicSet(rank, *_minimize(rank, product, accepting))
+        return SymbolicSet(rank, *_minimize(
+            product, [label is not None and bool(test(label)) for label in labels]))
 
     return Labelling(points, select)
-
-
-def make_base(kind: str, w: FreeWord | None, rank: int) -> SymbolicSet:
-    """Base symbolic sets: cone(w), singleton(w), full, empty."""
-    if kind == "cone":
-        return SymbolicSet.cone(w if w is not None else FreeWord(()), rank)
-    if kind == "singleton":
-        return SymbolicSet.singleton(w if w is not None else FreeWord(()), rank)
-    if kind == "full":
-        return SymbolicSet.full(rank)
-    if kind == "empty":
-        return SymbolicSet.empty(rank)
-    raise ValueError(f"unknown base kind {kind!r}")
 
 
 def combine(op: str, *operands: ActionSet) -> ActionSet:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
-from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, make_base, union_all
+from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, union_all
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
 RANK = 2
@@ -56,23 +56,19 @@ exprs = st.recursive(
 
 class TestBases:
     def test_cone_membership(self):
-        cone_a = make_base("cone", parse_word("a"), RANK)
+        cone_a = SymbolicSet.cone(parse_word("a"), RANK)
         for text in ["a", "ab", "aB", "aa"]:
             assert parse_word(text) in cone_a
         for text in ["A", "e", "ba"]:
             assert parse_word(text) not in cone_a
 
     def test_singleton_identity(self):
-        only_e = make_base("singleton", parse_word("e"), RANK)
+        only_e = SymbolicSet.singleton(parse_word("e"), RANK)
         assert parse_word("e") in only_e
         assert only_e.enumerate_up_to(3) == [FreeWord(())]
 
     def test_cone_of_identity_is_full(self):
-        assert make_base("cone", parse_word("e"), RANK) == SymbolicSet.full(RANK)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_base("halfspace", parse_word("a"), RANK)
+        assert SymbolicSet.cone(parse_word("e"), RANK) == SymbolicSet.full(RANK)
 
 
 class TestCombine:
