@@ -272,7 +272,9 @@ def coarsen_solution(
 # ---------------------------------------------------------------------------
 
 
-FAMILY_LIMIT_CAP = 1_000_000   # candidate pairs a bounded comparison may sample
+# candidate pairs a bounded comparison may build: `candidate_pairs` decodes
+# at most `family_limit` sampled indices, so this cap bounds that work
+FAMILY_LIMIT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -320,26 +322,30 @@ def _element_pool(action: Action, max_word_length: int) -> list:
 def _all_partitions(action: Action, max_blocks: int) -> list[tuple[ActionSet, ...]]:
     """Every partition of a finite point set into at most max_blocks blocks.
 
-    Blocks are ordered by least member, which makes the family canonical.
+    A partition is a restricted growth string a (point p lies in block a[p],
+    and a[p] is at most one more than every earlier entry), so blocks are
+    ordered by least member, which makes the family canonical.  The strings
+    come in lexicographic order from a loop, so the degree is not limited by
+    the interpreter's recursion depth.
     """
     degree = action.size()
+    if degree and max_blocks < 1:
+        return []
+    a = [0] * degree
     results: list[tuple[ActionSet, ...]] = []
-
-    def assign(point: int, groups: list[list[int]]) -> None:
-        if point == degree:
-            results.append(tuple(action.point_set(g) for g in groups))
-            return
-        for group in groups:
-            group.append(point)
-            assign(point + 1, groups)
-            group.pop()
-        if len(groups) < max_blocks:
-            groups.append([point])
-            assign(point + 1, groups)
-            groups.pop()
-
-    assign(0, [])
-    return results
+    while True:
+        groups: list[list[int]] = [[] for _ in range(1 + max(a, default=-1))]
+        for point, block in enumerate(a):
+            groups[block].append(point)
+        results.append(tuple(action.point_set(g) for g in groups))
+        # the next string raises the last point that may move to a later block
+        p = degree - 1
+        while p > 0 and (a[p] + 1 >= max_blocks or a[p] > max(a[:p])):
+            p -= 1
+        if p <= 0:
+            return results
+        a[p] += 1
+        a[p + 1:] = [0] * (degree - 1 - p)
 
 
 def candidate_pairs(
@@ -347,24 +353,27 @@ def candidate_pairs(
     bounds: ConSearchBounds,
     explicit: Optional[Sequence[tuple[Sequence, Sequence[ActionSet]]]] = None,
 ) -> list[ConfigurationPair]:
-    """Configuration pairs to search: explicit ones, or generated to bounds."""
+    """Configuration pairs to search: explicit ones, or generated to bounds.
+
+    The generated family is every tuple with every partition; pair k is
+    (tuples[k // P], partitions[k % P]) for P partitions.  Past
+    `family_limit` pairs, a seeded sample of the indices is decoded, so at
+    most `family_limit` pairs are built.
+    """
     if explicit is not None:
         return [configuration_pair(action, elems, blocks) for elems, blocks in explicit]
     if not action.is_finite:
         raise ValueError("supply explicit pairs for infinite actions")
     elements = _element_pool(action, bounds.max_word_length)
-    tuples = []
-    for length in range(1, bounds.max_tuple_length + 1):
-        tuples.extend(itertools.product(elements, repeat=length))
+    tuples = [tpl for length in range(1, bounds.max_tuple_length + 1)
+              for tpl in itertools.product(elements, repeat=length)]
     partitions = _all_partitions(action, bounds.max_blocks)
-    pairs = [(tpl, blocks) for tpl in tuples for blocks in partitions]
-    if len(pairs) > bounds.family_limit:
-        rng = random.Random(bounds.seed)
-        pairs = sorted(rng.sample(range(len(pairs)), bounds.family_limit))
-        pairs = [
-            (tuples[k // len(partitions)], partitions[k % len(partitions)]) for k in pairs
-        ]
-    return [ConfigurationPair(action, tuple(tpl), Partition(tuple(blocks))) for tpl, blocks in pairs]
+    size = len(tuples) * len(partitions)
+    chosen = range(size)
+    if size > bounds.family_limit:
+        chosen = sorted(random.Random(bounds.seed).sample(range(size), bounds.family_limit))
+    return [ConfigurationPair(action, tuples[k // len(partitions)],
+                              Partition(partitions[k % len(partitions)])) for k in chosen]
 
 
 def con_included(

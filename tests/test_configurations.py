@@ -22,6 +22,7 @@ from paracon import (
     project_configuration,
     verify_cell_partition,
 )
+from paracon.configurations import _all_partitions
 
 
 def finite_pair(action, words, point_blocks):
@@ -255,6 +256,37 @@ class TestConIncluded:
             pairs_b=[([Permutation((1, 2, 0))], [z3.point_set([0]), z3.point_set([1, 2])])],
         )
         assert not report.included
+
+
+def recursive_partitions(degree, max_blocks):
+    """Partitions of range(degree) into at most max_blocks blocks, each point
+    tried in every earlier block and then in a new one, depth first."""
+    found = []
+
+    def assign(point, groups):
+        if point == degree:
+            found.append([list(g) for g in groups])
+            return
+        for group in groups:
+            group.append(point)
+            assign(point + 1, groups)
+            group.pop()
+        if len(groups) < max_blocks:
+            groups.append([point])
+            assign(point + 1, groups)
+            groups.pop()
+
+    assign(0, [])
+    return found
+
+
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_candidate_partitions_in_depth_first_order(degree):
+    action = TrivialAction(degree)
+    for max_blocks in range(0, 5):
+        got = [[list(block) for block in blocks]
+               for blocks in _all_partitions(action, max_blocks)]
+        assert got == recursive_partitions(degree, max_blocks)
 
 
 class TestCardinalityProbe:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
+from paracon import FreeSelfAction, compute_configurations, configuration_pair
 from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, union_all
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
@@ -277,3 +278,78 @@ class TestFiniteSet:
         report = compare(FiniteSet.of(3, [0, 1]), FiniteSet.of(3, [1]))
         assert not report.subset
         assert report.subset_witness == 0
+
+
+# -- canonical form, checked with routines that share nothing with _minimize --
+
+def bfs_order(s: SymbolicSet) -> list[int]:
+    """The states in order of discovery from state 0, letters in canonical order."""
+    order, seen = [0], {0}
+    for state in order:
+        for nxt in s.transitions[state]:
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+    return order
+
+
+def equivalent_pairs(s: SymbolicSet) -> list[tuple[int, int]]:
+    """Pairs of states no word tells apart, by the table-filling algorithm:
+    mark pairs that differ in acceptance, then pairs with a letter leading
+    to a marked pair, until nothing changes."""
+    n = len(s.transitions)
+    marked = {(p, q) for p in range(n) for q in range(p + 1, n)
+              if s.accepting[p] != s.accepting[q]}
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(p + 1, n):
+                if (p, q) in marked:
+                    continue
+                for x, y in zip(s.transitions[p], s.transitions[q]):
+                    if (min(x, y), max(x, y)) in marked:
+                        marked.add((p, q))
+                        changed = True
+                        break
+    return [(p, q) for p in range(n) for q in range(p + 1, n) if (p, q) not in marked]
+
+
+def barren_states(s: SymbolicSet) -> list[int]:
+    """States from which no accepting state is reachable."""
+    reaching = {t for t, a in enumerate(s.accepting) if a}
+    changed = True
+    while changed:
+        changed = False
+        for state, row in enumerate(s.transitions):
+            if state not in reaching and reaching.intersection(row):
+                reaching.add(state)
+                changed = True
+    return [t for t in range(len(s.transitions)) if t not in reaching]
+
+
+@st.composite
+def canonical_candidates(draw) -> list[SymbolicSet]:
+    """Sets from a random expression, its translate and complement, and the
+    base cells of a configuration set over a random merge of depth-2 atoms."""
+    s = build(draw(exprs))
+    g = draw(translators)
+    atoms = [SymbolicSet.singleton(w, RANK) if len(w.letters) < 2 else SymbolicSet.cone(w, RANK)
+             for w in all_reduced_words(RANK, 2)]
+    owner = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+    blocks = [union_all(a for a, o in zip(atoms, owner) if o == b) for b in sorted(set(owner))]
+    words = draw(st.lists(translators.filter(lambda w: w.letters), min_size=1, max_size=2))
+    cells = compute_configurations(configuration_pair(FreeSelfAction(RANK), words, blocks))
+    return [s, s.translate(g), s.complement(), s.translate(g).complement(),
+            *cells.base_cells.values()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(canonical_candidates())
+def test_every_set_is_in_canonical_form(sets):
+    for s in sets:
+        assert bfs_order(s) == list(range(len(s.transitions)))
+        assert equivalent_pairs(s) == []
+        [sink] = barren_states(s)
+        assert not s.accepting[sink]
+        assert all(t == sink for t in s.transitions[sink])
