@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .words import FreeWord, letter_from_index, letter_index
 
@@ -34,17 +34,19 @@ _Transitions = tuple[tuple[int, ...], ...]
 
 
 def _minimize(
-    trans: _Transitions, accepting: Sequence[bool]
+    trans: Sequence[Sequence[int]], accepting: Sequence[bool]
 ) -> tuple[_Transitions, tuple[bool, ...]]:
     """Moore partition refinement; the quotient is already canonical.
 
-    Precondition: every state is reachable from state 0, and the states are
-    numbered breadth-first with letters in canonical order, as
-    `_symbolic_pass` builds its product.  State order is then the order of
-    the states' shortlex-least access words.  A block's least access word is
-    that of its least state, so numbering the blocks by their least state,
-    as the refinement does, is the canonical BFS numbering of the minimal
-    automaton, and no reachability pass or renumbering is needed.
+    Precondition: every state is reachable from state 0, and state order is
+    the order of the states' shortlex-least access words.  Three builders
+    meet it: `_symbolic_pass` numbers its product breadth-first with letters
+    in canonical order, `select` trims that product without reordering it,
+    and `_reduced_closed` numbers a raw automaton breadth-first.  A block's
+    least access word is that of its least state, so numbering the blocks by
+    their least state, as the refinement does, is the canonical BFS
+    numbering of the minimal automaton, and no reachability pass or
+    renumbering is needed.
     """
     ids: dict = {}
     block = [ids.setdefault(a, len(ids)) for a in accepting]
@@ -66,6 +68,29 @@ def _minimize(
 def _canonical(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> "SymbolicSet":
     """The reduced words an automaton accepts, as a canonical set."""
     return labelled_pass([SymbolicSet(rank, trans, accepting)]).cell((0,))
+
+
+def _reduced_closed(rank: int, trans: Sequence[Sequence[int]],
+                    accepting: Sequence[bool]) -> "SymbolicSet":
+    """The set an automaton accepts, as a canonical set, with no product pass.
+
+    Precondition: the automaton is reduced-closed, that is, every word that
+    is not reduced leads to a state from which no word is accepted (so it
+    accepts reduced words only).  The reduced-word product of
+    `_symbolic_pass` would then add nothing: numbering the states reachable
+    from 0 breadth-first, letters in canonical order, and refining once is
+    the canonical form.
+    """
+    index = [-1] * len(trans)
+    index[0] = 0
+    order = [0]
+    for s in order:                          # order grows while we read it
+        for t in trans[s]:
+            if index[t] < 0:
+                index[t] = len(order)
+                order.append(t)
+    return SymbolicSet(rank, *_minimize([[index[t] for t in trans[s]] for s in order],
+                                        [accepting[s] for s in order]))
 
 
 class _Queries:
@@ -131,22 +156,33 @@ class SymbolicSet(_Queries):
 
     @staticmethod
     def _chain(w: FreeWord, rank: int, tail_accepts_all: bool) -> "SymbolicSet":
+        """The singleton {w}, or the cone of w, built reduced-closed.
+
+        States 0..|w| are the chain of w: state j has read w[:j] and steps to
+        j+1 on the letter w[j], every other letter goes to the dead state
+        |w|+1.  For a singleton, state |w| accepts and sends every letter to
+        the dead state.  For a cone, state |w| and the states |w|+2+x, one
+        per last letter x, accept; each steps on a letter y to the state of
+        y, except on the inverse of its last letter, which goes to the dead
+        state.
+        """
         if any(abs(l) > rank for l in w.letters):
             raise ValueError(f"word {w} outside rank {rank}")
         n_letters = 2 * rank
         length = len(w.letters)
         dead = length + 1
-        trans = []
-        for pos in range(length):
-            want = letter_index(w.letters[pos])
-            trans.append(tuple(pos + 1 if l == want else dead for l in range(n_letters)))
-        if tail_accepts_all:
-            trans.append(tuple(length for _ in range(n_letters)))
-        else:
-            trans.append(tuple(dead for _ in range(n_letters)))
-        trans.append(tuple(dead for _ in range(n_letters)))
-        accepting = tuple(s == length for s in range(dead + 1))
-        return _canonical(rank, tuple(trans), accepting)
+        trans = [tuple(pos + 1 if l == want else dead for l in range(n_letters))
+                 for pos, want in enumerate(map(letter_index, w.letters))]
+        if not tail_accepts_all:
+            trans += [(dead,) * n_letters] * 2
+            return _reduced_closed(rank, trans, (False,) * length + (True, False))
+        # x ^ 1 is the index of the inverse of the letter at index x
+        inside = [tuple(dead if l == x ^ 1 else dead + 1 + l for l in range(n_letters))
+                  for x in range(n_letters)]
+        tail = inside[letter_index(w.letters[-1])] if length else \
+            tuple(dead + 1 + l for l in range(n_letters))
+        trans += [tail, (dead,) * n_letters, *inside]
+        return _reduced_closed(rank, trans, (False,) * length + (True, False) + (True,) * n_letters)
 
     @staticmethod
     def powers(a: FreeWord, rank: int) -> "SymbolicSet":
@@ -192,7 +228,7 @@ class SymbolicSet(_Queries):
         accepting = [False] * total
         accepting[0] = True  # a^0 = e
         accepting[accept_state if n_suf else boundary] = True
-        return _canonical(rank, tuple(tuple(r) for r in trans), tuple(accepting))
+        return _reduced_closed(rank, trans, accepting)   # it accepts only the reduced a^n
 
     # -- queries -------------------------------------------------------------
 
@@ -262,28 +298,35 @@ class SymbolicSet(_Queries):
 
         A reduced word v is in gS iff reduce(g^-1 v) is in S.  With k = |g|,
         fresh states 0..k-1 count how many leading letters of v have
-        cancelled against g^-1: state j steps to j+1 on the letter g[j]
-        (state k is S's initial state), and accepts when S accepts the
-        uncancelled rest of g^-1, the inverse of g[j:].  Any other letter
-        leaves the chain for S's state after that rest.  The automaton is
-        canonicalized once.
+        cancelled against g^-1: state j steps to j+1 on the letter g[j], and
+        accepts when S accepts the uncancelled rest of g^-1, the inverse of
+        g[j:].  Any other letter leaves the chain for S's state after that
+        rest.  State k is a copy of S's initial state.  Each state j >= 1
+        sends the inverse of g[j-1] to S's rejecting sink, so the automaton
+        accepts reduced words only and `_reduced_closed` canonicalizes it
+        without a product pass.
         """
         if any(abs(l) > self.rank for l in g.letters):
             raise ValueError(f"word {g} outside rank {self.rank}")
         k = len(g.letters)
         if not k:
             return self
+        table = self.transitions
+        sink = table[table[0][0]][1] + k + 1     # S's state after aA, which is not reduced
         rest = [0] * (k + 1)         # rest[j]: S's state after the inverse of g[j:]
         for j in range(k - 1, -1, -1):
-            rest[j] = self.transitions[rest[j + 1]][letter_index(-g.letters[j])]
-        chain = []
-        for j in range(k):
-            row = [t + k for t in self.transitions[rest[j]]]
-            row[letter_index(g.letters[j])] = j + 1
-            chain.append(tuple(row))
-        trans = tuple(chain) + tuple(tuple(t + k for t in row) for row in self.transitions)
-        accepting = tuple(self.accepting[rest[j]] for j in range(k)) + self.accepting
-        return _canonical(self.rank, trans, accepting)
+            rest[j] = table[rest[j + 1]][letter_index(-g.letters[j])]
+        trans = []
+        for j in range(k + 1):
+            row = [t + k + 1 for t in table[rest[j]]]
+            if j < k:
+                row[letter_index(g.letters[j])] = j + 1
+            if j:
+                row[letter_index(-g.letters[j - 1])] = sink
+            trans.append(row)
+        trans += [[t + k + 1 for t in row] for row in table]
+        accepting = tuple(self.accepting[r] for r in rest) + self.accepting
+        return _reduced_closed(self.rank, trans, accepting)
 
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
@@ -372,7 +415,7 @@ class Labelling:
     (the shortlex-least word, or the least integer), ordered by that point,
     so the first label passing a test carries the least point passing it.
     `select(test)` is the set of points whose label passes `test`; over
-    symbolic sets each call refines the pass's product once.
+    symbolic sets each call refines the live part of the pass's product once.
     """
 
     points: dict[Label, object]
@@ -434,9 +477,14 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     go to a dead node, so only reduced words are labelled.  Letters are taken
     in canonical order, so the first word to reach a label is the
     shortlex-least word with that label.  The product is therefore
-    reachable and numbered breadth-first, which is what `_minimize` needs:
-    each selected set is one Moore refinement of this product, with the
-    selection as the accepting states.
+    reachable and numbered breadth-first, in the order of its states'
+    shortlex-least access words.
+
+    Each selected set is trimmed, then refined once: the states that reach
+    a selected state keep their product order, and every other state merges
+    into one rejecting sink at the least such index, which is the least
+    access word of any of them.  The order of access words is unchanged, as
+    `_minimize` needs, so its refinement of the live part is canonical.
     """
     rank = sets[0].rank
     for s in sets:
@@ -450,18 +498,18 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     nodes: list = [start]
     paths: list[tuple[int, ...]] = [()]
     trans: list[tuple[int, ...]] = []
-    labels: list[Optional[Label]] = []
+    states_of: dict[Label, list[int]] = {}   # label -> the product states carrying it
     points: dict[Label, FreeWord] = {}
     for pos, node in enumerate(nodes):       # nodes grows while we read it
         if node is None:                     # the dead node: a word stopped being reduced
             trans.append((pos,) * n_letters)
-            labels.append(None)
             continue
         last, states = node
         label = tuple([i for i, (acc, s) in enumerate(zip(accepts, states)) if acc[s]])
-        labels.append(label)
         if label not in points:
             points[label] = FreeWord(tuple(letter_from_index(l) for l in paths[pos]))
+            states_of[label] = []
+        states_of[label].append(pos)
         banned = inverse[last] if last >= 0 else -1
         row = []
         # zip(*rows) yields, letter by letter, the tuple of next states
@@ -475,10 +523,31 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
         trans.append(tuple(row))
 
     product = tuple(trans)
+    sources: list[list[int]] = []            # reverse edges, built on the first select
 
     def select(test: Callable[[Label], bool]) -> SymbolicSet:
-        return SymbolicSet(rank, *_minimize(
-            product, [label is not None and bool(test(label)) for label in labels]))
+        if not sources:
+            sources.extend([] for _ in product)
+            for s, row in enumerate(product):
+                for t in row:
+                    sources[t].append(s)
+        selected = {s for label, members in states_of.items() if test(label) for s in members}
+        live = list(selected)
+        seen = set(selected)
+        for t in live:                       # live grows while we read it
+            for s in sources[t]:
+                if s not in seen:
+                    seen.add(s)
+                    live.append(s)
+        live.sort()
+        sink = next((i for i, s in enumerate(live) if s != i), len(live))   # least not live
+        renumber = {s: i + (i >= sink) for i, s in enumerate(live)}
+        rows = [[renumber.get(t, sink) for t in product[s]] for s in live]
+        accepting = [s in selected for s in live]
+        if len(live) < len(product):
+            rows.insert(sink, [sink] * n_letters)
+            accepting.insert(sink, False)
+        return SymbolicSet(rank, *_minimize(rows, accepting))
 
     return Labelling(points, select)
 

@@ -22,7 +22,7 @@ from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import SET_DEPTH_CAP
 from test_golden import COMMANDS as GOLDEN_RUNS, FIXTURES
 
-VALUES = [None, True, "x", 7, -1, [], {}, 1.5]
+VALUES = [None, True, "x", 7, -1, [], {}, 1.5, 10**18, -10**18]
 DELETE = object()
 
 F2 = {"backend": "free-self", "rank": 2}
@@ -279,6 +279,20 @@ def test_huge_family_limit_exits_3_before_sampling(capsys, monkeypatch):
     assert report["error"]["bound"] == "family_limit"
     assert report["error"]["requested"] == 10**18
     assert report["error"]["cap"] == configurations.FAMILY_LIMIT_CAP
+
+
+def test_huge_probe_n_exits_3_before_enumerating(capsys, monkeypatch):
+    # no word is enumerated: reaching enumerate_up_to fails the test
+    monkeypatch.setattr(SymbolicSet, "enumerate_up_to", _never_built)
+    started = time.perf_counter()
+    raw = json.dumps({"action": F2, "n": 10**18}).encode()
+    code, report = run_stdin(("probe", "cardinality"), raw, capsys, monkeypatch)
+    assert time.perf_counter() - started < 0.5
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"]["bound"] == "n"
+    assert report["error"]["requested"] == 10**18
+    assert report["error"]["cap"] == configurations.PROBE_N_CAP
 
 
 def nested_kind(kind: str, wrappers: int) -> bytes:

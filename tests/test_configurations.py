@@ -282,10 +282,9 @@ def recursive_partitions(degree, max_blocks):
 
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_candidate_partitions_in_depth_first_order(degree):
-    action = TrivialAction(degree)
     for max_blocks in range(0, 5):
-        got = [[list(block) for block in blocks]
-               for blocks in _all_partitions(action, max_blocks)]
+        got = [[[p for p, b in enumerate(growth) if b == block] for block in range(max(growth) + 1)]
+               for growth in _all_partitions(degree, max_blocks)]
         assert got == recursive_partitions(degree, max_blocks)
 
 

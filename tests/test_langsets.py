@@ -3,56 +3,60 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
 from paracon import FreeSelfAction, compute_configurations, configuration_pair
-from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, union_all
+from paracon.langsets import FiniteSet, SymbolicSet, _canonical, combine, compare, union_all
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
 RANK = 2
 WORDS6 = all_reduced_words(RANK, 6)
 
 
-def build(expr):
+def build(expr, rank=RANK):
     kind = expr[0]
     if kind == "cone":
-        return SymbolicSet.cone(expr[1], RANK)
+        return SymbolicSet.cone(expr[1], rank)
     if kind == "singleton":
-        return SymbolicSet.singleton(expr[1], RANK)
+        return SymbolicSet.singleton(expr[1], rank)
     if kind == "full":
-        return SymbolicSet.full(RANK)
+        return SymbolicSet.full(rank)
     if kind == "empty":
-        return SymbolicSet.empty(RANK)
+        return SymbolicSet.empty(rank)
     if kind == "complement":
-        return build(expr[1]).complement()
+        return build(expr[1], rank).complement()
     if kind == "difference":
-        return build(expr[1]).difference(build(expr[2]))
-    return combine(kind, build(expr[1]), build(expr[2]))
+        return build(expr[1], rank).difference(build(expr[2], rank))
+    return combine(kind, build(expr[1], rank), build(expr[2], rank))
 
 
-def reduced_words(max_size):
+def reduced_words(max_size, rank=RANK):
+    letters = [l for g in range(1, rank + 1) for l in (g, -g)]
     return st.builds(
         lambda ls: parse_word("e") if not ls else FreeWord(tuple(ls)),
-        st.lists(st.sampled_from([1, -1, 2, -2]), max_size=max_size).filter(
+        st.lists(st.sampled_from(letters), max_size=max_size).filter(
             lambda ls: all(ls[i] != -ls[i + 1] for i in range(len(ls) - 1))),
     )
 
 
-short_words = reduced_words(3)
-translators = reduced_words(4)
+def expressions(rank):
+    words = reduced_words(3, rank)
+    return st.recursive(
+        st.one_of(
+            st.tuples(st.just("cone"), words),
+            st.tuples(st.just("singleton"), words),
+            st.tuples(st.just("full")),
+            st.tuples(st.just("empty")),
+        ),
+        lambda children: st.one_of(
+            st.tuples(st.just("union"), children, children),
+            st.tuples(st.just("intersection"), children, children),
+            st.tuples(st.just("difference"), children, children),
+            st.tuples(st.just("complement"), children),
+        ),
+        max_leaves=6,
+    )
 
-exprs = st.recursive(
-    st.one_of(
-        st.tuples(st.just("cone"), short_words),
-        st.tuples(st.just("singleton"), short_words),
-        st.tuples(st.just("full")),
-        st.tuples(st.just("empty")),
-    ),
-    lambda children: st.one_of(
-        st.tuples(st.just("union"), children, children),
-        st.tuples(st.just("intersection"), children, children),
-        st.tuples(st.just("difference"), children, children),
-        st.tuples(st.just("complement"), children),
-    ),
-    max_leaves=6,
-)
+
+translators = reduced_words(4)
+exprs = expressions(RANK)
 
 
 class TestBases:
@@ -330,10 +334,12 @@ def barren_states(s: SymbolicSet) -> list[int]:
 
 @st.composite
 def canonical_candidates(draw) -> list[SymbolicSet]:
-    """Sets from a random expression, its translate and complement, and the
-    base cells of a configuration set over a random merge of depth-2 atoms."""
+    """Sets from a random expression, its translate and complement, the
+    cone, singleton and powers of a random word, and the base cells of a
+    configuration set over a random merge of depth-2 atoms."""
     s = build(draw(exprs))
     g = draw(translators)
+    word = draw(translators)
     atoms = [SymbolicSet.singleton(w, RANK) if len(w.letters) < 2 else SymbolicSet.cone(w, RANK)
              for w in all_reduced_words(RANK, 2)]
     owner = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
@@ -341,7 +347,8 @@ def canonical_candidates(draw) -> list[SymbolicSet]:
     words = draw(st.lists(translators.filter(lambda w: w.letters), min_size=1, max_size=2))
     cells = compute_configurations(configuration_pair(FreeSelfAction(RANK), words, blocks))
     return [s, s.translate(g), s.complement(), s.translate(g).complement(),
-            *cells.base_cells.values()]
+            SymbolicSet.cone(word, RANK), SymbolicSet.singleton(word, RANK),
+            SymbolicSet.powers(word, RANK), *cells.base_cells.values()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,3 +360,19 @@ def test_every_set_is_in_canonical_form(sets):
         [sink] = barren_states(s)
         assert not s.accepting[sink]
         assert all(t == sink for t in s.transitions[sink])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_constructors_need_no_canonicalization(data):
+    """Cones, singletons, powers and translates are built without the
+    reduced-word product, which is sound only when the raw automaton accepts
+    reduced words alone; canonicalizing the result again must change nothing.
+    Rank 1 is where a cone has a single inner state."""
+    rank = data.draw(st.integers(1, 3))
+    w = data.draw(reduced_words(4, rank))
+    s = build(data.draw(expressions(rank)), rank)
+    g = data.draw(reduced_words(4, rank))
+    for t in (SymbolicSet.cone(w, rank), SymbolicSet.singleton(w, rank),
+              SymbolicSet.powers(w, rank), s.translate(g)):
+        assert _canonical(rank, t.transitions, t.accepting) == t
