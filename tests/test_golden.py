@@ -24,6 +24,8 @@ GOLDEN = ROOT / "golden"
 COMMANDS = [
     ("f2-ab-5block", ("eq", "solve")),
     ("f2-ab-5block", ("con", "compute")),
+    ("f2-depth2-merged", ("con", "compute")),
+    ("f2-depth2-merged", ("eq", "solve")),
     ("trivial-action", ("eq", "solve")),
     ("trivial-action", ("eq", "verify")),
     ("trivial-action", ("con", "compute")),
