@@ -30,6 +30,9 @@ rebuilt = (
     .union(SymbolicSet.cone(parse_word("aB"), 2))
 )
 print("cone(a) rebuilt from its atoms equals cone(a):", rebuilt == cone_a)
+trie = SymbolicSet.words(2, singletons=[parse_word("a")],
+                         cones=[parse_word(x) for x in ("aa", "ab", "aB")])
+print("the same atoms as one prefix trie equal cone(a):", trie == cone_a)
 print("complement of complement is the set itself:",
       cone_a.complement().complement() == cone_a)
 

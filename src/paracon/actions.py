@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass, union_all
+from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
 from .words import (
     FreeWord,
     GroupElement,
@@ -66,8 +66,7 @@ class Action:
     def point_set(self, points: Iterable[Point]) -> ActionSet:
         if self.degree is not None:
             return FiniteSet.of(self.degree, points)
-        items = [SymbolicSet.singleton(w, self.rank) for w in points]
-        return union_all(items) if items else self.empty_set()
+        return SymbolicSet.words(self.rank, singletons=points)
 
     def generator_map(self) -> Mapping[int, GroupElement]:
         """Generator index -> normalized element (empty when unspecified)."""
@@ -367,9 +366,6 @@ class EquivariantMap:
                 image = self.target.inverse(image)
             result = self.target.multiply(result, image)
         return result
-
-    def apply(self, x: int) -> int:
-        return self.point_map[x]
 
     def validate(self) -> None:
         if not (self.source.is_finite and self.target.is_finite):

@@ -393,20 +393,24 @@ def con_included(
     a candidate pair of A must be realized by some candidate pair of B.
 
     This is a search within the stated bounds, never a proof of unbounded
-    inclusion; a failure report carries the unmatched pair.
+    inclusion; a failure report carries the unmatched pair.  B's sets are
+    computed in order, only until every pair of A is matched.
     """
     family_a = candidate_pairs(action_a, bounds, pairs_a)
     family_b = candidate_pairs(action_b, bounds, pairs_b)
-    available = {compute_configurations(p).as_tuple_set() for p in family_b}
+    pending = (compute_configurations(p).as_tuple_set() for p in family_b)
+    available: set = set()
     checked = 0
     for pair in family_a:
-        cs = compute_configurations(pair)
+        wanted = compute_configurations(pair).as_tuple_set()
         checked += 1
-        if cs.as_tuple_set() not in available:
+        while wanted not in available and (found := next(pending, None)) is not None:
+            available.add(found)
+        if wanted not in available:
             detail = (
                 tuple(repr(g) for g in pair.elements),
                 tuple(repr(b) for b in pair.partition.blocks),
-                tuple(sorted(cs.as_tuple_set())),
+                tuple(sorted(wanted)),
             )
             return ConInclusionReport(False, checked, bounds, detail)
     return ConInclusionReport(True, checked, bounds, None)

@@ -42,7 +42,8 @@ def _minimize(
     the order of the states' shortlex-least access words.  Three builders
     meet it: `_symbolic_pass` numbers its product breadth-first with letters
     in canonical order, `select` trims that product without reordering it,
-    and `_reduced_closed` numbers a raw automaton breadth-first.  A block's
+    and `_reduced_closed` numbers a raw automaton breadth-first (the trie of
+    `SymbolicSet.words`, or what `powers` or `translate` builds).  A block's
     least access word is that of its least state, so numbering the blocks by
     their least state, as the refinement does, is the canonical BFS
     numbering of the minimal automaton, and no reachability pass or
@@ -79,7 +80,8 @@ def _reduced_closed(rank: int, trans: Sequence[Sequence[int]],
     accepts reduced words only).  The reduced-word product of
     `_symbolic_pass` would then add nothing: numbering the states reachable
     from 0 breadth-first, letters in canonical order, and refining once is
-    the canonical form.
+    the canonical form.  `SymbolicSet.words`, `powers` and `translate` build
+    such automata.
     """
     index = [-1] * len(trans)
     index[0] = 0
@@ -134,55 +136,60 @@ class SymbolicSet(_Queries):
 
     # -- constructors -------------------------------------------------------
 
+    @staticmethod
+    def words(rank: int, singletons: Iterable[FreeWord] = (),
+              cones: Iterable[FreeWord] = ()) -> "SymbolicSet":
+        """The union of the singletons {w} and the cones of w, as one
+        reduced-closed prefix trie.  State 0 is the empty word, state 1 the
+        dead state, and state 2 + x, one per letter index x, the inside of a
+        cone whose last letter is x: it accepts and steps on a letter y to
+        2 + y, except on the inverse x ^ 1.  A word's last node accepts; a
+        cone's node takes the inside row of its last letter (the empty word,
+        x = -1, takes the row into every inside state), so the trie below it
+        is unreachable, a word walked through a cone stays inside it, and the
+        order of insertion does not matter.
+        """
+        n_letters = 2 * rank
+        # row n_letters, also row -1, has no inverse to block (n_letters ^ 1 > n_letters)
+        inside = [[1 if y == x ^ 1 else 2 + y for y in range(n_letters)]
+                  for x in range(n_letters + 1)]
+        trans = [[1] * n_letters, [1] * n_letters, *inside[:-1]]
+        accepting = [False, False] + [True] * n_letters
+        for is_cone, listed in ((False, singletons), (True, cones)):
+            for w in listed:
+                if any(abs(l) > rank for l in w.letters):
+                    raise ValueError(f"word {w} outside rank {rank}")
+                state, x = 0, -1
+                for x in map(letter_index, w.letters):
+                    if trans[state][x] == 1:
+                        trans[state][x] = len(trans)
+                        trans.append([1] * n_letters)
+                        accepting.append(False)
+                    state = trans[state][x]
+                accepting[state] = True
+                if is_cone:
+                    trans[state] = inside[x]
+        return _reduced_closed(rank, trans, accepting)
+
     # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
     @functools.cache
     def empty(rank: int) -> "SymbolicSet":
-        return _canonical(rank, (tuple(0 for _ in range(2 * rank)),), (False,))
+        return SymbolicSet.words(rank)
 
     @staticmethod
     @functools.cache
     def full(rank: int) -> "SymbolicSet":
-        return _canonical(rank, (tuple(0 for _ in range(2 * rank)),), (True,))
+        return SymbolicSet.words(rank, cones=[FreeWord(())])
 
     @staticmethod
     def singleton(w: FreeWord, rank: int) -> "SymbolicSet":
-        return SymbolicSet._chain(w, rank, tail_accepts_all=False)
+        return SymbolicSet.words(rank, singletons=[w])
 
     @staticmethod
     def cone(w: FreeWord, rank: int) -> "SymbolicSet":
         """All reduced words with prefix w, including w itself."""
-        return SymbolicSet._chain(w, rank, tail_accepts_all=True)
-
-    @staticmethod
-    def _chain(w: FreeWord, rank: int, tail_accepts_all: bool) -> "SymbolicSet":
-        """The singleton {w}, or the cone of w, built reduced-closed.
-
-        States 0..|w| are the chain of w: state j has read w[:j] and steps to
-        j+1 on the letter w[j], every other letter goes to the dead state
-        |w|+1.  For a singleton, state |w| accepts and sends every letter to
-        the dead state.  For a cone, state |w| and the states |w|+2+x, one
-        per last letter x, accept; each steps on a letter y to the state of
-        y, except on the inverse of its last letter, which goes to the dead
-        state.
-        """
-        if any(abs(l) > rank for l in w.letters):
-            raise ValueError(f"word {w} outside rank {rank}")
-        n_letters = 2 * rank
-        length = len(w.letters)
-        dead = length + 1
-        trans = [tuple(pos + 1 if l == want else dead for l in range(n_letters))
-                 for pos, want in enumerate(map(letter_index, w.letters))]
-        if not tail_accepts_all:
-            trans += [(dead,) * n_letters] * 2
-            return _reduced_closed(rank, trans, (False,) * length + (True, False))
-        # x ^ 1 is the index of the inverse of the letter at index x
-        inside = [tuple(dead if l == x ^ 1 else dead + 1 + l for l in range(n_letters))
-                  for x in range(n_letters)]
-        tail = inside[letter_index(w.letters[-1])] if length else \
-            tuple(dead + 1 + l for l in range(n_letters))
-        trans += [tail, (dead,) * n_letters, *inside]
-        return _reduced_closed(rank, trans, (False,) * length + (True, False) + (True,) * n_letters)
+        return SymbolicSet.words(rank, cones=[w])
 
     @staticmethod
     def powers(a: FreeWord, rank: int) -> "SymbolicSet":
@@ -243,10 +250,6 @@ class SymbolicSet(_Queries):
     @property
     def is_empty(self) -> bool:
         return not any(self.accepting)
-
-    @property
-    def is_full(self) -> bool:
-        return self == SymbolicSet.full(self.rank)
 
     def enumerate_up_to(self, max_length: int) -> list[FreeWord]:
         """Members of length <= max_length in length-then-lex order.
@@ -368,10 +371,6 @@ class FiniteSet(_Queries):
     @property
     def is_empty(self) -> bool:
         return not self.members
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.members) == self.degree
 
     def _check(self, other: "FiniteSet") -> None:
         if self.degree != other.degree:
@@ -591,8 +590,3 @@ def compare(s: ActionSet, t: ActionSet) -> SetRelation:
         empty=s.is_empty,
         subset_witness=points.get((0,)),
     )
-
-
-def union_all(sets: Iterable[ActionSet]) -> ActionSet:
-    """Union of one or more sets, in one labelled pass."""
-    return labelled_pass(sets).select(bool)

@@ -120,16 +120,14 @@ def parse_action(doc: Any, location: str = "action") -> Action:
         raw = doc.get("generators")
         _expect(isinstance(raw, dict) and raw, "needs a generators object", f"{location}.generators")
         generators = {}
+        letters = {word_str(FreeWord((i,))): i for i in range(1, MAX_RANK + 1)}
         for name, images in raw.items():
             gen_loc = f"{location}.generators.{name}"
-            try:
-                index = abs(parse_word(name).letters[0])
-            except (WordParseError, IndexError):
-                raise DocumentError(f"bad generator name {name!r}", gen_loc) from None
+            _expect(name in letters, f"bad generator name {name!r}", gen_loc)   # not "A", "ab"
             _expect(isinstance(images, list) and all(map(is_integer, images)),
                     "generator must be an image array", gen_loc)
             try:
-                generators[index] = Permutation(tuple(images))
+                generators[letters[name]] = Permutation(tuple(images))
             except ValueError as err:
                 raise DocumentError(str(err), gen_loc) from None
         try:
@@ -163,13 +161,16 @@ def action_json(action: Action) -> dict:
     raise TypeError(f"unknown action {action!r}")
 
 
-def _parse_word_field(doc: Mapping, location: str) -> FreeWord:
+def _parse_word_field(doc: Mapping, rank: int, location: str) -> FreeWord:
     value = doc.get("word", "e")
     _expect(isinstance(value, str), "word must be a string", f"{location}.word")
     try:
-        return parse_word(value)
+        w = parse_word(value)
     except WordParseError as err:
         raise DocumentError(f"bad word {value!r}: {err}", f"{location}.word") from None
+    if any(abs(l) > rank for l in w.letters):
+        raise DocumentError(f"word {word_str(w)!r} outside rank {rank}", f"{location}.word")
+    return w
 
 
 SET_DEPTH_CAP = 100   # nesting levels of a set expression
@@ -185,9 +186,7 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     rank = action.rank
     if kind in ("cone", "singleton", "powers"):
         _expect(symbolic, f"{kind} sets need a free-word universe", location)
-        w = _parse_word_field(doc, location)
-        if any(abs(l) > rank for l in w.letters):
-            raise DocumentError(f"word {word_str(w)!r} outside rank {rank}", f"{location}.word")
+        w = _parse_word_field(doc, rank, location)
         if kind == "cone":
             return SymbolicSet.cone(w, rank)
         if kind == "singleton":
@@ -209,6 +208,13 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     if kind in ("union", "intersection"):
         parts = doc.get("of")
         _expect(isinstance(parts, list) and parts, f"{kind} needs a nonempty 'of' array", location)
+        if kind == "union" and symbolic and all(
+                isinstance(p, dict) and p.get("kind") in ("cone", "singleton") for p in parts):
+            capped("set_depth", depth + 1, SET_DEPTH_CAP)   # one prefix trie, no product pass
+            atoms = [(p["kind"], _parse_word_field(p, rank, f"{location}.of[{i}]"))
+                     for i, p in enumerate(parts)]
+            return SymbolicSet.words(rank, [w for k, w in atoms if k == "singleton"],
+                                     [w for k, w in atoms if k == "cone"])
         return combine(kind, *(parse_set(p, action, f"{location}.of[{i}]", depth + 1)
                                for i, p in enumerate(parts)))
     if kind == "complement":

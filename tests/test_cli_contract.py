@@ -72,11 +72,16 @@ RUNS = [(f"{stem}-{'-'.join(w.lstrip('-') for w in words)}", words,
         for stem, words in GOLDEN_RUNS] + EXTRA_RUNS
 
 
-def nested_set(depth: int) -> bytes:
-    """An F2 con compute document whose one block is `depth` nested one-set unions."""
+def nested_set(depth: int, inner: str = '{"kind": "full"}') -> bytes:
+    """An F2 con compute document whose one block is `depth` nested one-set
+    unions around `inner`."""
     return ('{"action": {"backend": "free-self", "rank": 2}, "tuple": ["a"], "partition": ['
-            + '{"kind": "union", "of": [' * depth + '{"kind": "full"}' + "]}" * depth
+            + '{"kind": "union", "of": [' * depth + inner + "]}" * depth
             + "]}").encode()
+
+
+# the whole of F2 as one union of atoms, which parses as one prefix trie
+ATOM_UNION = json.dumps({"kind": "union", "of": F2_FIRST_LETTER})
 
 
 DEEP_SET = nested_set(2000)
@@ -174,6 +179,15 @@ def test_unreadable_documents_exit_2(raw, message, capsys, monkeypatch):
     assert report["error"]["message"] == message
 
 
+Z2 = {"backend": "finite-permutation", "degree": 2, "generators": {"a": [1, 0]}}
+
+
+def atom_union(word) -> dict:
+    """A union of atoms whose second operand, a cone, has the given word."""
+    return {"kind": "union", "of": [{"kind": "singleton", "word": "e"},
+                                    {"kind": "cone", "word": word}]}
+
+
 CLASSICAL = json.loads((FIXTURES / "f2-classical-decomposition.json").read_text())
 COARSEN = EXTRA_RUNS[1][2]
 PATTERN = EXTRA_RUNS[2][2]
@@ -191,8 +205,22 @@ PATTERN = EXTRA_RUNS[2][2]
     (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
                           "bounds": {"family_limit": -1}}, "bounds"),
     (("paradox", "pattern"), {**PATTERN, "pattern": 5}, "pattern"),
+    (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"A": [1, 0]}}},
+     "action.generators.A"),
+    (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"ab": [1, 0]}}},
+     "action.generators.ab"),
+    (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"a": [1, 0], "A": [0, 1]}}},
+     "action.generators.A"),
+    (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("aX")]},
+     ".partition[0].of[1].word"),
+    (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union(7)]},
+     ".partition[0].of[1].word"),
+    (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("c")]},
+     ".partition[0].of[1].word"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
-        "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number"])
+        "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
+        "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
+        "bad-word-in-atom-union", "number-word-in-atom-union", "word-past-rank-in-atom-union"])
 def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, monkeypatch):
     code, report = run_stdin(words, json.dumps(doc).encode(), capsys, monkeypatch)
     assert code == 2
@@ -314,7 +342,10 @@ def nested_kind(kind: str, wrappers: int) -> bytes:
     (nested_set(SET_DEPTH_CAP), 3),
     (nested_kind("complement", SET_DEPTH_CAP), 3),
     (nested_kind("difference", SET_DEPTH_CAP), 3),
-], ids=["union-at-cap", "union-past-cap", "complement-past-cap", "difference-past-cap"])
+    (nested_set(SET_DEPTH_CAP - 2, ATOM_UNION), 0),
+    (nested_set(SET_DEPTH_CAP - 1, ATOM_UNION), 3),
+], ids=["union-at-cap", "union-past-cap", "complement-past-cap", "difference-past-cap",
+        "atom-union-at-cap", "atom-union-past-cap"])
 def test_set_nesting_past_its_cap_exits_3(raw, code, capsys, monkeypatch):
     got, report = run_stdin(("con", "compute"), raw, capsys, monkeypatch)
     assert got == code

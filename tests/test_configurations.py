@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,9 @@ from paracon import (
     project_configuration,
     verify_cell_partition,
 )
+from paracon import configurations
 from paracon.configurations import _all_partitions
+from paracon.serialization import parse_action
 
 
 def finite_pair(action, words, point_blocks):
@@ -248,6 +252,26 @@ class TestConIncluded:
     def test_infinite_needs_explicit_pairs(self, f2, z3):
         with pytest.raises(ValueError):
             con_included(f2, z3, ConSearchBounds())
+
+    def test_stops_once_every_pair_is_matched(self, monkeypatch):
+        # z4-quotient: the 4 pairs of Z2 are matched by the first 14 of Z4's 24
+        doc = json.loads((Path(__file__).parent.parent / "fixtures" / "z4-quotient.json")
+                         .read_text())
+        action_a = parse_action(doc["action_a"], "action_a")
+        action_b = parse_action(doc["action_b"], "action_b")
+        bounds = ConSearchBounds(**doc["bounds"])
+        computed = []
+
+        def counting(pair):
+            computed.append(pair.action)
+            return compute_configurations(pair)
+
+        monkeypatch.setattr(configurations, "compute_configurations", counting)
+        report = con_included(action_a, action_b, bounds)
+        assert report.included and report.pairs_checked == 4
+        assert len(configurations.candidate_pairs(action_b, bounds)) == 24
+        assert computed.count(action_a) == 4
+        assert computed.count(action_b) == 14
 
     def test_explicit_pairs(self, f2, z3, five_blocks):
         report = con_included(

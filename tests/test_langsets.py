@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
 from paracon import FreeSelfAction, compute_configurations, configuration_pair
-from paracon.langsets import FiniteSet, SymbolicSet, _canonical, combine, compare, union_all
+from paracon.langsets import FiniteSet, SymbolicSet, _canonical, combine, compare
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
 RANK = 2
@@ -53,6 +53,10 @@ def expressions(rank):
         ),
         max_leaves=6,
     )
+
+
+def word_lists(rank, max_size=6):
+    return st.lists(reduced_words(4, rank), max_size=max_size)
 
 
 translators = reduced_words(4)
@@ -169,13 +173,16 @@ class TestCanonicity:
         assert s.complement().complement() == s
 
     def test_cone_rebuilt_from_extensions(self):
-        rebuilt = union_all([
+        rebuilt = combine(
+            "union",
             SymbolicSet.singleton(parse_word("a"), RANK),
             SymbolicSet.cone(parse_word("aa"), RANK),
             SymbolicSet.cone(parse_word("ab"), RANK),
             SymbolicSet.cone(parse_word("aB"), RANK),
-        ])
+        )
         assert rebuilt == SymbolicSet.cone(parse_word("a"), RANK)
+        extensions = [parse_word(text) for text in ("aa", "ab", "aB")]
+        assert SymbolicSet.words(RANK, [parse_word("a")], extensions) == rebuilt
 
     def test_structural_equality_is_extensional(self):
         # same set built two ways hashes and compares identically
@@ -335,20 +342,23 @@ def barren_states(s: SymbolicSet) -> list[int]:
 @st.composite
 def canonical_candidates(draw) -> list[SymbolicSet]:
     """Sets from a random expression, its translate and complement, the
-    cone, singleton and powers of a random word, and the base cells of a
-    configuration set over a random merge of depth-2 atoms."""
+    cone, singleton and powers of a random word, the base cells of a
+    configuration set over a random merge of depth-2 atoms, and a random
+    union of singletons and cones built as one prefix trie."""
     s = build(draw(exprs))
     g = draw(translators)
     word = draw(translators)
     atoms = [SymbolicSet.singleton(w, RANK) if len(w.letters) < 2 else SymbolicSet.cone(w, RANK)
              for w in all_reduced_words(RANK, 2)]
     owner = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
-    blocks = [union_all(a for a, o in zip(atoms, owner) if o == b) for b in sorted(set(owner))]
+    blocks = [combine("union", *(a for a, o in zip(atoms, owner) if o == b))
+              for b in sorted(set(owner))]
     words = draw(st.lists(translators.filter(lambda w: w.letters), min_size=1, max_size=2))
     cells = compute_configurations(configuration_pair(FreeSelfAction(RANK), words, blocks))
     return [s, s.translate(g), s.complement(), s.translate(g).complement(),
             SymbolicSet.cone(word, RANK), SymbolicSet.singleton(word, RANK),
-            SymbolicSet.powers(word, RANK), *cells.base_cells.values()]
+            SymbolicSet.powers(word, RANK), *cells.base_cells.values(),
+            SymbolicSet.words(RANK, draw(word_lists(RANK)), draw(word_lists(RANK)))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -365,14 +375,79 @@ def test_every_set_is_in_canonical_form(sets):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_constructors_need_no_canonicalization(data):
-    """Cones, singletons, powers and translates are built without the
-    reduced-word product, which is sound only when the raw automaton accepts
-    reduced words alone; canonicalizing the result again must change nothing.
-    Rank 1 is where a cone has a single inner state."""
+    """Unions of cones and singletons (so also full and empty), powers and
+    translates are built without the reduced-word product, which is sound
+    only when the raw automaton accepts reduced words alone; canonicalizing
+    the result again must change nothing.  Rank 1 is where a cone has a
+    single inner state."""
     rank = data.draw(st.integers(1, 3))
     w = data.draw(reduced_words(4, rank))
     s = build(data.draw(expressions(rank)), rank)
     g = data.draw(reduced_words(4, rank))
+    union = SymbolicSet.words(rank, data.draw(word_lists(rank)), data.draw(word_lists(rank)))
     for t in (SymbolicSet.cone(w, rank), SymbolicSet.singleton(w, rank),
+              SymbolicSet.full(rank), SymbolicSet.empty(rank), union,
               SymbolicSet.powers(w, rank), s.translate(g)):
         assert _canonical(rank, t.transitions, t.accepting) == t
+
+
+def union_expr(singletons, cones):
+    """The oracle expression of a union of singletons and cones."""
+    expr = ("empty",)
+    for kind, words in (("singleton", singletons), ("cone", cones)):
+        for w in words:
+            expr = ("union", expr, (kind, w))
+    return expr
+
+
+def checked_words(rank, singletons, cones):
+    """SymbolicSet.words, checked against the labelled-pass union of the same
+    atoms and, word by word up to length 5, against the oracle."""
+    built = SymbolicSet.words(rank, singletons, cones)
+    atoms = [SymbolicSet.singleton(w, rank) for w in singletons] + \
+        [SymbolicSet.cone(w, rank) for w in cones]
+    assert built == combine("union", SymbolicSet.empty(rank), *atoms)
+    expr = union_expr(singletons, cones)
+    for w in all_reduced_words(rank, 5):
+        assert (w in built) == expr_contains(expr, w)
+    return built
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_words_is_the_union_of_its_atoms(data):
+    """One prefix trie equals the union of its cones and singletons, with
+    duplicate words, a word that is both, and a cone that is a prefix of
+    another word, put before or after it."""
+    rank = data.draw(st.integers(1, 3))
+    singletons = data.draw(word_lists(rank))
+    cones = data.draw(word_lists(rank))
+    longer = data.draw(reduced_words(4, rank))
+    stem = FreeWord(longer.letters[:data.draw(st.integers(0, len(longer.letters)))])
+    into = singletons if data.draw(st.booleans()) else cones
+    into.insert(data.draw(st.integers(0, len(into))), longer)
+    cones.insert(data.draw(st.integers(0, len(cones))), stem)
+    cones.extend(data.draw(st.lists(st.sampled_from(cones), max_size=2)))
+    singletons.extend(data.draw(st.lists(st.sampled_from(singletons + cones), max_size=2)))
+    checked_words(rank, singletons, cones)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("singletons,cones", [
+    ([], []),
+    (["e"], []),
+    ([], ["e"]),
+    (["e", "e"], ["a", "a"]),
+    (["aa", "a"], ["a"]),
+    ([], ["a", "aaa"]),
+    ([], ["aaa", "a"]),
+    (["a", "AA"], ["e", "A"]),
+], ids=["empty", "identity", "full", "duplicates", "singletons-inside-cone",
+        "cone-then-longer-cone", "longer-cone-then-cone", "everything-inside-full"])
+def test_words_edge_cases(rank, singletons, cones):
+    built = checked_words(rank, [parse_word(w) for w in singletons],
+                          [parse_word(w) for w in cones])
+    if "e" in cones:
+        assert built == SymbolicSet.full(rank)
+    if not singletons and not cones:
+        assert built == SymbolicSet.empty(rank)
