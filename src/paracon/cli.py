@@ -71,12 +71,13 @@ def _rationals(doc: dict, key: str) -> list[Fraction]:
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
     _object(doc, location)
-    elements = parse_elements(_require(doc, "tuple", f"{location}.tuple"), action, f"{location}.tuple")
-    blocks = parse_sets(_require(doc, "partition", f"{location}.partition"), action, f"{location}.partition")
+    prefix = f"{location}." if location else ""     # top-level pairs: "tuple", not ".tuple"
+    elements = parse_elements(_require(doc, "tuple", f"{prefix}tuple"), action, f"{prefix}tuple")
+    blocks = parse_sets(_require(doc, "partition", f"{prefix}partition"), action, f"{prefix}partition")
     try:
         return cfg.configuration_pair(action, elements, blocks)
     except ValueError as err:   # elements are already normalized: only the partition can fail
-        raise DocumentError(str(err), f"{location}.partition") from None
+        raise DocumentError(str(err), f"{prefix}partition") from None
 
 
 def _witness_json(value):

@@ -218,7 +218,7 @@ class TestExitCodes:
         assert code == 2
         assert report["status"] == "error"
         assert "offset 1" in report["error"]["message"]
-        assert report["error"]["location"] == ".tuple[0]"
+        assert report["error"]["location"] == "tuple[0]"
 
     def test_invalid_json(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -320,7 +320,7 @@ F1_AUTOMATON = {"kind": "automaton", "rank": 1, "transitions": [[0, 0]], "accept
     ("con compute", {"action": Z2, "partition": [{"kind": "points", "points": [0]},
                                                  {"kind": "points", "points": [True]}]}, ".points"),
     ("con compute", {"action": {**Z2, "generators": {"a": [True, False]}}}, ".generators.a"),
-    ("con compute", {"action": Z2, "tuple": [[True, False]]}, ".tuple[0]"),
+    ("con compute", {"action": Z2, "tuple": [[True, False]]}, "tuple[0]"),
     ("con compute", {"action": {"backend": "free-self", "rank": 1},
                      "partition": [{**F1_AUTOMATON, "transitions": [[False, 0]]}]}, ".transitions"),
     ("con compute", {"action": {"backend": "free-self", "rank": 1},

@@ -212,11 +212,11 @@ PATTERN = EXTRA_RUNS[2][2]
     (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"a": [1, 0], "A": [0, 1]}}},
      "action.generators.A"),
     (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("aX")]},
-     ".partition[0].of[1].word"),
+     "partition[0].of[1].word"),
     (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union(7)]},
-     ".partition[0].of[1].word"),
+     "partition[0].of[1].word"),
     (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("c")]},
-     ".partition[0].of[1].word"),
+     "partition[0].of[1].word"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
         "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
         "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
