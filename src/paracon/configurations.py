@@ -129,8 +129,8 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
     blocks = pair.partition.blocks
     m = len(blocks)
     families = list(blocks)
-    for g in pair.elements:
-        families += [action.act_on_set(action.inverse(g), block) for block in blocks]
+    for inverse in map(action.inverse, pair.elements):
+        families += [action.act_on_set(inverse, block) for block in blocks]
     points = labelled_pass(families)
     labels = {tuple(i - j * m + 1 for j, i in enumerate(label)): label for label in points.points}
     return ConfigurationSet(pair, _BaseCells(points, labels))

@@ -109,10 +109,6 @@ class _Queries:
         """Least point of self missing from other; None when self <= other."""
         return labelled_pass([self, other]).points.get((0,))
 
-    def witness(self):
-        """Least member (shortlex-least word, or least integer); None if empty."""
-        return labelled_pass([self]).points.get((0,))
-
     def __or__(self, other):
         return self.union(other)
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
@@ -616,17 +618,17 @@ def bounded_paradox_search(
     Pieces range over the depth-d atoms (singletons of words shorter than
     d, cones at length d; pairwise disjoint by construction), translators
     over words of length <= L; candidates are scanned in lexicographic
-    order (piece count, then split, then atom choices, then translators)
-    and the first verified decomposition is returned.  Finite and trivial
-    actions are rejected up front with the counting and invariance
-    obstructions.
+    order (piece count, then split, then atoms of A, then atoms of B; each
+    family takes its lex-first covering translators) and the first
+    decomposition found is returned.  Finite and trivial actions are
+    rejected up front with the counting and invariance obstructions.
 
     Covers are decided on bitmasks of the depth-(d+L) atoms, by a lemma: if
     A is a depth-d atom and |t| <= L, then t A is a union of depth-(d+L)
     atoms.  Proof: u is in t A exactly when reduce(t^-1 u) is in A, and for
     |u| >= d+L the cancellation uses at most L < |u| letters of u, so the
     first d letters of reduce(t^-1 u) depend only on the first d+L letters
-    of u.  Each candidate is still verified exactly on automata.
+    of u.  The returned decomposition is verified exactly on automata.
     """
     bounds = (max_pieces, cone_depth, translator_length)
     if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
@@ -647,21 +649,19 @@ def bounded_paradox_search(
 
     rank = action.rank
     atoms, translators, masks, full = cover_masks(rank, cone_depth, translator_length)
-    choices: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    reach = [reduce(or_, column) for column in zip(*masks)]   # all translates of each atom
 
-    def covering_choices(atom_indices: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Translator assignments making the translates cover X, lex order,
-        found once per subset of atoms."""
-        if atom_indices not in choices:
-            found = []
-            for assignment in itertools.product(range(len(translators)), repeat=len(atom_indices)):
-                covered = 0
-                for t, a in zip(assignment, atom_indices):
-                    covered |= masks[t][a]
-                if covered == full:
-                    found.append(assignment)
-            choices[atom_indices] = found
-        return choices[atom_indices]
+    def first_cover(atom_indices: tuple[int, ...], covered: int = 0) -> Optional[tuple[int, ...]]:
+        """Lex-first translators whose translates of the atoms, with `covered`, cover X; or None."""
+        if reduce(or_, (reach[a] for a in atom_indices), covered) != full:
+            return None
+        if not atom_indices:
+            return ()
+        for t, row in enumerate(masks):
+            tail = first_cover(atom_indices[1:], covered | row[atom_indices[0]])
+            if tail is not None:
+                return (t,) + tail
+        return None
 
     def pieces(atom_indices: tuple[int, ...]) -> tuple[SymbolicSet, ...]:
         return tuple(SymbolicSet.cone(atoms[i], rank) if len(atoms[i]) == cone_depth
@@ -669,21 +669,20 @@ def bounded_paradox_search(
 
     for total in range(2, max_pieces + 1):
         for count_a in range(1, total):
-            count_b = total - count_a
             for subset_a in itertools.combinations(range(len(atoms)), count_a):
-                remaining = [i for i in range(len(atoms)) if i not in subset_a]
-                if len(remaining) < count_b:
+                assign_a = first_cover(subset_a)
+                if assign_a is None:
                     continue
-                for assign_a in covering_choices(subset_a):
-                    for subset_b in itertools.combinations(remaining, count_b):
-                        for assign_b in covering_choices(subset_b):
-                            dec = ParadoxicalDecomposition(
-                                pieces(subset_a),
-                                tuple(translators[t] for t in assign_a),
-                                pieces(subset_b),
-                                tuple(translators[t] for t in assign_b),
-                            )
-                            report = verify_decomposition(action, dec)
-                            if report.ok:
-                                return SearchResult(dec, bounds)
+                remaining = [i for i in range(len(atoms)) if i not in subset_a]
+                for subset_b in itertools.combinations(remaining, total - count_a):
+                    assign_b = first_cover(subset_b)
+                    if assign_b is None:
+                        continue
+                    dec = ParadoxicalDecomposition(
+                        pieces(subset_a), tuple(translators[t] for t in assign_a),
+                        pieces(subset_b), tuple(translators[t] for t in assign_b))
+                    report = verify_decomposition(action, dec)
+                    if not report.ok:
+                        raise RuntimeError(f"mask cover failed verification: {report.problem}")
+                    return SearchResult(dec, bounds)
     return not_found

@@ -3,8 +3,9 @@
 bench/tracer.py wraps a class entry point by replacing `owner.__dict__[name]`
 for the length of a traced pass, so a method a backend only inherits makes
 a traced run fail with KeyError.  It wraps a module function by rebinding
-the module's name, so a call that does not go through that name (an inlined
-check, say) drops out of the layer it belongs to.  These tests read the
+the module's name, so a deleted or renamed function makes a traced run fail
+with AttributeError, and a call that does not go through that name (an
+inlined check, say) drops out of the layer it belongs to.  These tests read the
 tracer's target list and change nothing under bench/.
 """
 
@@ -15,13 +16,22 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_class_target_is_in_its_owner_namespace(monkeypatch):
+def layer_targets(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.delitem(sys.modules, "tracer", raising=False)
     import tracer
+    return tracer._layer_targets()
 
-    missing = [f"{owner.__name__}.{name}" for owner, name, _ in tracer._layer_targets()
+
+def test_every_class_target_is_in_its_owner_namespace(monkeypatch):
+    missing = [f"{owner.__name__}.{name}" for owner, name, _ in layer_targets(monkeypatch)
                if isinstance(owner, type) and name not in owner.__dict__]
+    assert not missing, missing
+
+
+def test_every_module_target_resolves_to_a_function(monkeypatch):
+    missing = [f"{owner.__name__}.{name}" for owner, name, _ in layer_targets(monkeypatch)
+               if not isinstance(owner, type) and not callable(getattr(owner, name, None))]
     assert not missing, missing
 
 

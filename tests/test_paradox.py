@@ -39,6 +39,7 @@ from paracon import (
     verify_nonabelian,
 )
 from paracon.langsets import labelled_pass
+from paracon import paradox
 from paracon.paradox import cover_masks
 from paracon.words import FreeWord
 
@@ -356,11 +357,35 @@ class TestBoundedSearch:
         assert result.decomposition is None
         assert result.bounds == (2, 1, 1)
 
-    def test_depth_two_none_within_two_seconds(self, f2):
+    @pytest.mark.parametrize("bounds", [(4, 2, 1), (4, 3, 2), (5, 3, 1)],
+                             ids=lambda bounds: "-".join(map(str, bounds)))
+    def test_depth_two_none_within_two_seconds(self, f2, bounds):
         started = time.perf_counter()
-        result = bounded_paradox_search(f2, max_pieces=4, cone_depth=2, translator_length=1)
-        assert result.decomposition is None
+        result = bounded_paradox_search(f2, *bounds)
+        assert result.reason == "no decomposition within bounds"
         assert time.perf_counter() - started < 2.0
+
+    def test_verifies_only_the_decomposition_it_returns(self, f2, monkeypatch):
+        calls = []
+
+        def counting(action, dec, strict=False):
+            calls.append(dec)
+            return verify_decomposition(action, dec, strict)
+
+        monkeypatch.setattr(paradox, "verify_decomposition", counting)
+        found = bounded_paradox_search(f2, 4, 1, 1)
+        assert calls == [found.decomposition]
+        calls.clear()
+        assert not bounded_paradox_search(f2, 3, 2, 1)
+        assert calls == []
+
+        def all_full(*bounds):
+            atoms, translators, masks, full = cover_masks(*bounds)
+            return atoms, translators, [[full] * len(row) for row in masks], full
+
+        monkeypatch.setattr(paradox, "cover_masks", all_full)
+        with pytest.raises(RuntimeError, match="cover-gap"):
+            bounded_paradox_search(f2, 2, 1, 1)
 
 
 def _atom(word, depth, rank):
