@@ -5,8 +5,8 @@ for the length of a traced pass, so a method a backend only inherits makes
 a traced run fail with KeyError.  It wraps a module function by rebinding
 the module's name, so a deleted or renamed function makes a traced run fail
 with AttributeError, and a call that does not go through that name (an
-inlined check, say) drops out of the layer it belongs to.  These tests read the
-tracer's target list and change nothing under bench/.
+inlined check, say) drops out of the layer it belongs to.  These tests read
+the tracer's target list and change nothing under bench/.
 """
 
 import sys
