@@ -415,7 +415,7 @@ class OrbitQuotient:
 def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     """Identify the orbit of x0 with the coset space G/Stab(x0).
 
-    Enumerates G = <generators>, its stabilizer of x0, and the left cosets;
+    Enumerates G = <generators> and names the coset g Stab(x0) by g.x0;
     returns the coset action together with the equivariant bijection sending
     each orbit point x to the coset {g : g.x0 = x}.  A non-transitive action
     is restricted to the orbit (flagged in the result).
@@ -447,34 +447,17 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     }
     orbit_action = FinitePermutationAction(len(orbit), orbit_gens)
 
+    # g Stab(x0) = {h : h.x0 = g.x0}: name each coset by that point, and
+    # number the cosets in the order the sorted group first reaches them
     group = permutation_closure(list(orbit_gens.values()))
     base = position[x0]
-    stabilizer = [g for g in group if g.images[base] == base]
-    # left cosets of the stabilizer, each recorded as a frozenset of elements
-    cosets: list[frozenset[Permutation]] = []
-    assignment: dict[Permutation, int] = {}
+    coset_of_point: dict[int, int] = {}
     for g in group:
-        if g in assignment:
-            continue
-        coset = frozenset(g * s for s in stabilizer)
-        index = len(cosets)
-        cosets.append(coset)
-        for member in coset:
-            assignment[member] = index
-    coset_gens = {}
-    for idx, perm in orbit_gens.items():
-        images = []
-        for coset in cosets:
-            representative = next(iter(coset))
-            images.append(assignment[perm * representative])
-        coset_gens[idx] = Permutation(tuple(images))
-    coset_action = FinitePermutationAction(len(cosets), coset_gens)
-
-    # x -> g_x Stab(x0) where g_x.x0 = x; all members of a coset move x0 alike
-    coset_of_point = {}
-    for element, index in assignment.items():
-        coset_of_point[element.images[base]] = index
+        coset_of_point.setdefault(g.images[base], len(coset_of_point))
     point_map = tuple(coset_of_point[i] for i in range(len(orbit)))
+    coset_gens = {idx: Permutation(tuple(coset_of_point[perm.images[x]] for x in coset_of_point))
+                  for idx, perm in orbit_gens.items()}
+    coset_action = FinitePermutationAction(len(orbit), coset_gens)
     emap = EquivariantMap(orbit_action, coset_action, point_map, coset_gens)
     emap.validate()
     return OrbitQuotient(
@@ -483,5 +466,5 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
         orbit_action=orbit_action,
         orbit=tuple(orbit),
         restricted=restricted,
-        stabilizer_order=len(stabilizer),
+        stabilizer_order=sum(g.images[base] == base for g in group),
     )

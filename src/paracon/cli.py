@@ -9,7 +9,7 @@ Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
 location, 3 = a requested bound exceeds the declared --bound-* cap, or
 a size with a fixed cap (rank, degree, group order, search table bits,
-family limit, set nesting depth) exceeds it.
+family limit, set nesting depth, automaton states) exceeds it.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
 """

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .words import FreeWord, letter_from_index, letter_index
+from .words import FreeWord, capped, letter_from_index, letter_index
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,9 @@ def _minimize(
 
     Precondition: every state is reachable from state 0, and state order is
     the order of the states' shortlex-least access words.  Three builders
-    meet it: `_symbolic_pass` numbers its product breadth-first with letters
-    in canonical order, `select` trims that product without reordering it,
+    meet it: `_symbolic_pass` numbers its product with X breadth-first,
+    letters in canonical order, `select` trims that product without
+    reordering it,
     and `_reduced_closed` numbers a raw automaton breadth-first (the trie of
     `SymbolicSet.words`, or what `powers` or `translate` builds).  A block's
     least access word is that of its least state, so numbering the blocks by
@@ -66,9 +67,12 @@ def _minimize(
             tuple(accepting[s] for s in least))
 
 
-def _canonical(rank: int, trans: _Transitions, accepting: tuple[bool, ...]) -> "SymbolicSet":
-    """The reduced words an automaton accepts, as a canonical set."""
-    return labelled_pass([SymbolicSet(rank, trans, accepting)]).cell((0,))
+def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
+    """The state after aA, which is not reduced, when it is a rejecting
+    self-loop, else -1.  In a canonical set it is the one state that reaches
+    no member; a hand-written table may have no such state there."""
+    s = trans[trans[0][0]][1]
+    return -1 if accepting[s] or any(t != s for t in trans[s]) else s
 
 
 def _reduced_closed(rank: int, trans: Sequence[Sequence[int]],
@@ -77,11 +81,11 @@ def _reduced_closed(rank: int, trans: Sequence[Sequence[int]],
 
     Precondition: the automaton is reduced-closed, that is, every word that
     is not reduced leads to a state from which no word is accepted (so it
-    accepts reduced words only).  The reduced-word product of
-    `_symbolic_pass` would then add nothing: numbering the states reachable
-    from 0 breadth-first, letters in canonical order, and refining once is
-    the canonical form.  `SymbolicSet.words`, `powers` and `translate` build
-    such automata.
+    accepts reduced words only).  The product with X in `_symbolic_pass`
+    would then add nothing, since X's sink only shadows states that accept
+    no word: numbering the states reachable from 0 breadth-first, letters in
+    canonical order, and refining once is the canonical form.
+    `SymbolicSet.words`, `powers` and `translate` build such automata.
     """
     index = [-1] * len(trans)
     index[0] = 0
@@ -250,11 +254,10 @@ class SymbolicSet(_Queries):
     def enumerate_up_to(self, max_length: int) -> list[FreeWord]:
         """Members of length <= max_length in length-then-lex order.
 
-        The automaton is canonical, so the one state that reaches no member
-        is the rejecting sink; the search prunes that state alone.
+        The search prunes the rejecting sink, the one state that reaches no
+        member.
         """
-        sink = next((s for s, row in enumerate(self.transitions)
-                     if not self.accepting[s] and all(t == s for t in row)), None)
+        sink = _sink(self.transitions, self.accepting)
         out: list[FreeWord] = []
         level = [((), 0)] if sink != 0 else []
         if self.accepting[0]:
@@ -289,8 +292,7 @@ class SymbolicSet(_Queries):
         return labelled_pass([self, other]).cell((0,))
 
     def complement(self) -> "SymbolicSet":
-        flipped = tuple(not a for a in self.accepting)
-        return _canonical(self.rank, self.transitions, flipped)
+        return labelled_pass([self]).cell(())
 
     def translate(self, g: FreeWord) -> "SymbolicSet":
         """Left translate gS = {g*w : w in S}, built in one construction.
@@ -311,7 +313,7 @@ class SymbolicSet(_Queries):
         if not k:
             return self
         table = self.transitions
-        sink = table[table[0][0]][1] + k + 1     # S's state after aA, which is not reduced
+        sink = _sink(table, self.accepting) + k + 1
         rest = [0] * (k + 1)         # rest[j]: S's state after the inverse of g[j:]
         for j in range(k - 1, -1, -1):
             rest[j] = table[rest[j + 1]][letter_index(-g.letters[j])]
@@ -465,15 +467,20 @@ def _finite_pass(sets: list[FiniteSet]) -> Labelling:
     )
 
 
-def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
-    """Breadth-first search over reduced words, tracking one state per set.
+AUTOMATON_STATES_CAP = 2_000   # product nodes one labelled pass may build
 
-    A node is the last letter read plus the tuple of states; inverse steps
-    go to a dead node, so only reduced words are labelled.  Letters are taken
-    in canonical order, so the first word to reach a label is the
-    shortlex-least word with that label.  The product is therefore
-    reachable and numbered breadth-first, in the order of its states'
-    shortlex-least access words.
+
+def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
+    """Breadth-first search over the product of X = full(rank) and the sets.
+
+    X is set 0, and its state is the last letter read, so a word is a point
+    (reduced) exactly while X is outside its sink.  A node is the tuple of
+    (set, state) pairs of the sets outside their sinks (`_sink`), so it costs
+    what its live sets cost.  Letters are taken in canonical order, so the
+    first word to reach a label is the shortlex-least word with that label,
+    and the product is numbered breadth-first, in the order of its states'
+    shortlex-least access words.  Past AUTOMATON_STATES_CAP nodes it raises
+    BoundExceeded.
 
     Each selected set is trimmed, then refined once: the states that reach
     a selected state keep their product order, and every other state merges
@@ -485,35 +492,37 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     for s in sets:
         sets[0]._check_rank(s)
     n_letters = 2 * rank
-    inverse = [letter_index(-letter_from_index(i)) for i in range(n_letters)]
+    sets = [SymbolicSet.full(rank), *sets]
     tables = [s.transitions for s in sets]
     accepts = [s.accepting for s in sets]
-    start = (-1, (0,) * len(sets))
+    sinks = [_sink(s.transitions, s.accepting) for s in sets]
+    start = tuple((i, 0) for i, sink in enumerate(sinks) if sink != 0)
     index: dict = {start: 0}
     nodes: list = [start]
-    paths: list[tuple[int, ...]] = [()]
+    parent = [0]                             # the node each node was first reached from
     trans: list[tuple[int, ...]] = []
     states_of: dict[Label, list[int]] = {}   # label -> the product states carrying it
     points: dict[Label, FreeWord] = {}
     for pos, node in enumerate(nodes):       # nodes grows while we read it
-        if node is None:                     # the dead node: a word stopped being reduced
-            trans.append((pos,) * n_letters)
-            continue
-        last, states = node
-        label = tuple([i for i, (acc, s) in enumerate(zip(accepts, states)) if acc[s]])
-        if label not in points:
-            points[label] = FreeWord(tuple(letter_from_index(l) for l in paths[pos]))
-            states_of[label] = []
-        states_of[label].append(pos)
-        banned = inverse[last] if last >= 0 else -1
+        if node and not node[0][0]:          # X is live: the access word is a point
+            label = tuple([i - 1 for i, s in node[1:] if accepts[i][s]])
+            if label not in points:          # spell out the first point of each label
+                letters, up = [], pos
+                while up:                    # a letter is its parent's first step onto it
+                    up, child = parent[up], up
+                    letters.append(letter_from_index(trans[up].index(child)))
+                points[label] = FreeWord(tuple(reversed(letters)))
+                states_of[label] = []
+            states_of[label].append(pos)
+        moves = [(i, tables[i][s], sinks[i]) for i, s in node]
         row = []
-        # zip(*rows) yields, letter by letter, the tuple of next states
-        for letter, moved in enumerate(zip(*[t[s] for t, s in zip(tables, states)])):
-            nxt = None if letter == banned else (letter, moved)
+        for letter in range(n_letters):
+            nxt = tuple([(i, t) for i, step, sink in moves if (t := step[letter]) != sink])
             if nxt not in index:
                 index[nxt] = len(nodes)
                 nodes.append(nxt)
-                paths.append(paths[pos] + (letter,))
+                parent.append(pos)
+                capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
             row.append(index[nxt])
         trans.append(tuple(row))
 

@@ -247,6 +247,23 @@ class TestExitCodes:
         assert report["status"] == "bound-exceeded"
         assert report["error"]["requested"] == 99
 
+    @pytest.mark.parametrize("k", [6, 7, 8, 9])
+    def test_automaton_states_cap_stops_a_long_product(self, k, capsys, tmp_path):
+        # the words of F_1 that are no power of a^p, for the first k primes:
+        # the product of the complements has about 2*3*5*...*p_k states
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23][:k]
+        block = {"kind": "intersection", "of": [
+            {"kind": "complement", "of": {"kind": "powers", "word": "a" * p}} for p in primes]}
+        doc = {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"],
+               "partition": [block, {"kind": "complement", "of": block}]}
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        code, report = run(capsys, "con", "compute", "--input", str(path))
+        assert time.perf_counter() - started < 0.5
+        assert code == 3
+        assert report["error"]["bound"] == "automaton_states"
+
     def test_compare_con_on_a_large_degree_ends_in_a_report(self, capsys, tmp_path):
         # more points than the interpreter's recursion limit: the candidate
         # partitions must not recurse once per point

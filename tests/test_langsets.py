@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
 from paracon import FreeSelfAction, compute_configurations, configuration_pair
-from paracon.langsets import FiniteSet, SymbolicSet, _canonical, combine, compare
+from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, labelled_pass
+from paracon.serialization import parse_set
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
 RANK = 2
@@ -376,7 +377,7 @@ def test_every_set_is_in_canonical_form(sets):
 @given(st.data())
 def test_constructors_need_no_canonicalization(data):
     """Unions of cones and singletons (so also full and empty), powers and
-    translates are built without the reduced-word product, which is sound
+    translates are built without the product pass, which is sound
     only when the raw automaton accepts reduced words alone; canonicalizing
     the result again must change nothing.  Rank 1 is where a cone has a
     single inner state."""
@@ -388,7 +389,40 @@ def test_constructors_need_no_canonicalization(data):
     for t in (SymbolicSet.cone(w, rank), SymbolicSet.singleton(w, rank),
               SymbolicSet.full(rank), SymbolicSet.empty(rank), union,
               SymbolicSet.powers(w, rank), s.translate(g)):
-        assert _canonical(rank, t.transitions, t.accepting) == t
+        assert labelled_pass([t]).select(bool) == t
+
+
+@st.composite
+def hand_written_tables(draw) -> tuple[int, list[list[int]], list[bool]]:
+    """A complete table at rank 1 or 2 with up to 4 states.  Nothing ties
+    the state after aA to a rejecting self-loop: it may accept, or leave."""
+    rank = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=2 * rank, max_size=2 * rank)
+    return (rank, draw(st.lists(row, min_size=n, max_size=n)),
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+WORDS6_BY_RANK = {1: all_reduced_words(1, 6), RANK: WORDS6}
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_written_tables())
+@example((1, [[0, 0]], [True]))               # accepts everything: no sink after aA
+@example((1, [[1, 2], [1, 3], [3, 2], [3, 3]], [True, True, True, False]))   # a sink there
+def test_hand_written_tables_hold_the_reduced_words_they_accept(table):
+    """An `automaton` set holds exactly the reduced words a direct walk of
+    its table accepts, and comes out canonical."""
+    rank, trans, accepting = table
+    doc = {"kind": "automaton", "rank": rank, "transitions": trans, "accepting": accepting}
+    parsed = parse_set(doc, FreeSelfAction(rank), "set")
+    for w in WORDS6_BY_RANK[rank]:
+        state = 0
+        for letter in w.letters:             # letters in the order a < A < b < B
+            state = trans[state][2 * (abs(letter) - 1) + (letter < 0)]
+        assert (w in parsed) == accepting[state], word_str(w)
+    assert bfs_order(parsed) == list(range(len(parsed.transitions)))
+    assert equivalent_pairs(parsed) == []
 
 
 def union_expr(singletons, cones):
