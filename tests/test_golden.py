@@ -41,6 +41,7 @@ COMMANDS = [
     ("s3-nonabelian-witness", ("witness", "nonabelian")),
     ("z4-quotient", ("compare", "con")),
     ("z4-quotient-sampled", ("compare", "con", "--seed", "3")),
+    ("s3-sampled-tuples", ("compare", "con", "--seed", "5")),
 ]
 
 
