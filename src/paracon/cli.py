@@ -9,7 +9,8 @@ Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
 location, 3 = a requested bound exceeds the declared --bound-* cap, or
 a size with a fixed cap (rank, degree, group order, search table bits,
-family limit, set nesting depth, automaton states) exceeds it.
+family limit, candidate family size, set nesting depth, automaton states)
+exceeds it.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
 """
@@ -43,10 +44,20 @@ from .serialization import (
 from .words import BoundExceeded, capped
 
 
-def _require(doc: dict, key: str, location: str = ""):
+def _at(parent: str, key: str) -> str:
+    """The location of field `key` of the object at `parent` ("" for the document)."""
+    return f"{parent}.{key}" if parent else key
+
+
+def _require(doc: dict, key: str, parent: str = ""):
     if key not in doc:
-        raise DocumentError(f"missing field {key!r}", location or key)
+        raise DocumentError(f"missing field {key!r}", _at(parent, key))
     return doc[key]
+
+
+def _field(doc: dict, key: str, parse, action, parent: str = ""):
+    """Field `key` of the object at `parent`, read by parse(value, action, location)."""
+    return parse(_require(doc, key, parent), action, _at(parent, key))
 
 
 def _object(value, location: str, name: str = "") -> dict:
@@ -55,10 +66,10 @@ def _object(value, location: str, name: str = "") -> dict:
     return value
 
 
-def _int_field(doc: dict, key: str, default=None) -> int:
+def _int_field(doc: dict, key: str, default=None, parent: str = "") -> int:
     value = doc.get(key, default)
     if not is_integer(value):
-        raise DocumentError(f"field {key!r} must be an integer", key)
+        raise DocumentError(f"field {key!r} must be an integer", _at(parent, key))
     return value
 
 
@@ -71,13 +82,12 @@ def _rationals(doc: dict, key: str) -> list[Fraction]:
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
     _object(doc, location)
-    prefix = f"{location}." if location else ""     # top-level pairs: "tuple", not ".tuple"
-    elements = parse_elements(_require(doc, "tuple", f"{prefix}tuple"), action, f"{prefix}tuple")
-    blocks = parse_sets(_require(doc, "partition", f"{prefix}partition"), action, f"{prefix}partition")
+    elements = _field(doc, "tuple", parse_elements, action, location)
+    blocks = _field(doc, "partition", parse_sets, action, location)
     try:
         return cfg.configuration_pair(action, elements, blocks)
     except ValueError as err:   # elements are already normalized: only the partition can fail
-        raise DocumentError(str(err), f"{prefix}partition") from None
+        raise DocumentError(str(err), _at(location, "partition")) from None
 
 
 def _witness_json(value):
@@ -110,10 +120,10 @@ def _decomposition_json(dec: pdx.ParadoxicalDecomposition) -> dict:
 def _parse_decomposition(doc: dict, action, location: str) -> pdx.ParadoxicalDecomposition:
     _object(doc, location)
     return pdx.ParadoxicalDecomposition(
-        tuple(parse_sets(_require(doc, "pieces_a", location), action, f"{location}.pieces_a")),
-        tuple(parse_elements(_require(doc, "translators_a", location), action, f"{location}.translators_a")),
-        tuple(parse_sets(_require(doc, "pieces_b", location), action, f"{location}.pieces_b")),
-        tuple(parse_elements(_require(doc, "translators_b", location), action, f"{location}.translators_b")),
+        tuple(_field(doc, "pieces_a", parse_sets, action, location)),
+        tuple(_field(doc, "translators_a", parse_elements, action, location)),
+        tuple(_field(doc, "pieces_b", parse_sets, action, location)),
+        tuple(_field(doc, "translators_b", parse_elements, action, location)),
     )
 
 
@@ -168,8 +178,8 @@ def cmd_coarsen(args, doc, action, cs):
     mode = _require(doc, "mode")
     if mode not in ("partition", "string", "composed"):
         raise DocumentError("mode must be partition | string | composed", "mode")
-    fine = _parse_pair(_require(doc, "fine"), action, "fine")
-    coarse = _parse_pair(_require(doc, "coarse"), action, "coarse")
+    fine = _field(doc, "fine", _parse_pair, action)
+    coarse = _field(doc, "coarse", _parse_pair, action)
     fine_cs = cfg.compute_configurations(fine)
     coarse_cs = cfg.compute_configurations(coarse)
     result = cfg.coarsen_solution(mode, fine_cs, coarse_cs, _rationals(doc, "solution"))
@@ -188,11 +198,11 @@ def cmd_compare_con(args, doc, action, cs):
     raw_bounds = _object(doc.get("bounds", {}), "bounds")
     bounds = cfg.ConSearchBounds(
         max_tuple_length=capped("max_tuple_length",
-                                _int_field(raw_bounds, "max_tuple_length", 1), args.bound_length),
+                                _int_field(raw_bounds, "max_tuple_length", 1, "bounds"), args.bound_length),
         max_word_length=capped("max_word_length",
-                               _int_field(raw_bounds, "max_word_length", 1), args.bound_length),
-        max_blocks=capped("max_blocks", _int_field(raw_bounds, "max_blocks", 3), args.bound_depth),
-        family_limit=_int_field(raw_bounds, "family_limit", 500),
+                               _int_field(raw_bounds, "max_word_length", 1, "bounds"), args.bound_length),
+        max_blocks=capped("max_blocks", _int_field(raw_bounds, "max_blocks", 3, "bounds"), args.bound_depth),
+        family_limit=_int_field(raw_bounds, "family_limit", 500, "bounds"),
         seed=args.seed,
     )
 
@@ -204,11 +214,7 @@ def cmd_compare_con(args, doc, action, cs):
         items = doc[key]
         if not isinstance(items, list):
             raise DocumentError(f"{key} must be an array of pairs", key)
-        out = []
-        for i, item in enumerate(items):
-            pair = _parse_pair(item, action, f"{key}[{i}]")
-            out.append((pair.elements, pair.partition.blocks))
-        return out
+        return [_parse_pair(item, action, f"{key}[{i}]") for i, item in enumerate(items)]
 
     report = cfg.con_included(action_a, action_b, bounds,
                               pairs_a=explicit("pairs_a", action_a),
@@ -242,7 +248,7 @@ def cmd_probe_cardinality(args, doc, action, cs):
 
 
 def cmd_paradox_verify(args, doc, action, cs):
-    dec = _parse_decomposition(_require(doc, "decomposition"), action, "decomposition")
+    dec = _field(doc, "decomposition", _parse_decomposition, action)
     report = pdx.verify_decomposition(action, dec, strict=args.strict_partition)
     data = {"piece_count": report.piece_count, "strict": args.strict_partition}
     if report.ok:
@@ -254,8 +260,8 @@ def cmd_paradox_verify(args, doc, action, cs):
 
 def cmd_paradox_chain(args, doc, action, cs):
     raw = _object(_require(doc, "chain"), "chain")
-    sets = parse_sets(_require(raw, "sets", "chain.sets"), action, "chain.sets")
-    elements = parse_elements(_require(raw, "elements", "chain.elements"), action, "chain.elements")
+    sets = _field(raw, "sets", parse_sets, action, "chain")
+    elements = _field(raw, "elements", parse_elements, action, "chain")
     chain = pdx.PingPongChain(tuple(sets), tuple(elements))
     try:
         result = pdx.chain_to_decomposition(action, chain)
@@ -299,7 +305,7 @@ def cmd_paradox_pattern(args, doc, action, cs):
                 and all(isinstance(p, list) and len(p) == 2
                         and all(map(is_integer, p)) for p in items)):
             raise DocumentError(f"pattern.{key} must be a nonempty array of [coordinate, block] pairs",
-                                f"pattern.{key}")
+                                _at("pattern", key))
         return tuple((j, i) for j, i in items)
 
     pattern = pdx.ParadoxPattern(family("family_a"), family("family_b"))
@@ -316,9 +322,9 @@ def cmd_paradox_pattern(args, doc, action, cs):
 
 def cmd_pingpong_cyclic(args, doc, action, cs):
     raw = _object(_require(doc, "tableau"), "tableau")
-    sets_a = parse_sets(_require(raw, "sets_a", "tableau.sets_a"), action, "tableau.sets_a")
-    sets_b = parse_sets(_require(raw, "sets_b", "tableau.sets_b"), action, "tableau.sets_b")
-    elements = parse_elements(_require(raw, "elements", "tableau.elements"), action, "tableau.elements")
+    sets_a = _field(raw, "sets_a", parse_sets, action, "tableau")
+    sets_b = _field(raw, "sets_b", parse_sets, action, "tableau")
+    elements = _field(raw, "elements", parse_elements, action, "tableau")
     try:
         tableau = pdx.CyclicTableau(tuple(sets_a), tuple(sets_b), tuple(elements))
         report = pdx.check_pingpong_cyclic(action, tableau)
@@ -341,15 +347,15 @@ def cmd_pingpong_subgroups(args, doc, action, cs):
         loc = f"subgroups[{i}]"
         kind = _object(item, loc, "subgroup description").get("kind")
         if kind == "cyclic":
-            bound = capped("exponent_bound", _int_field(item, "exponent_bound", 3), args.bound_length)
-            generator = parse_element(_require(item, "generator", loc), action, f"{loc}.generator")
+            bound = capped("exponent_bound", _int_field(item, "exponent_bound", 3, loc), args.bound_length)
+            generator = _field(item, "generator", parse_element, action, loc)
             specs.append(pdx.CyclicSubgroup(generator, bound))
         elif kind == "finite":
-            elements = parse_elements(_require(item, "elements", loc), action, f"{loc}.elements")
+            elements = _field(item, "elements", parse_elements, action, loc)
             specs.append(pdx.FiniteSubgroup(tuple(elements)))
         else:
-            raise DocumentError(f"unknown subgroup kind {kind!r}", f"{loc}.kind")
-    sets = parse_sets(_require(doc, "sets"), action, "sets")
+            raise DocumentError(f"unknown subgroup kind {kind!r}", _at(loc, "kind"))
+    sets = _field(doc, "sets", parse_sets, action)
     try:
         report = pdx.check_pingpong_subgroups(action, specs, sets)
     except ValueError as err:
@@ -363,8 +369,8 @@ def cmd_pingpong_subgroups(args, doc, action, cs):
 
 
 def cmd_witness_nonabelian(args, doc, action, cs):
-    g1 = parse_element(_require(doc, "g1"), action, "g1")
-    g2 = parse_element(_require(doc, "g2"), action, "g2")
+    g1 = _field(doc, "g1", parse_element, action)
+    g2 = _field(doc, "g2", parse_element, action)
     try:
         witness = pdx.make_nonabelian_witness(action, g1, g2)
     except ValueError as err:
@@ -379,7 +385,7 @@ def cmd_witness_nonabelian(args, doc, action, cs):
 
 
 def cmd_witness_infinite_order(args, doc, action, cs):
-    element = parse_element(_require(doc, "element"), action, "element")
+    element = _field(doc, "element", parse_element, action)
     try:
         witness = pdx.make_infinite_order_witness(action, element)
     except ValueError as err:

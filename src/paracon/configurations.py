@@ -15,7 +15,6 @@ paradox patterns) relies on.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -185,15 +184,36 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 
 
 def refinement_block_map(fine: Partition, coarse: Partition) -> tuple[int, ...]:
-    """For each fine block, the 1-based index of the coarse block containing it."""
-    mapping = []
-    for p, fine_block in enumerate(fine.blocks, start=1):
-        hits = [l for l, coarse_block in enumerate(coarse.blocks, start=1)
-                if fine_block.is_subset(coarse_block)]
-        if not hits:
+    """For each fine block, the 1-based index of the coarse block containing it.
+
+    Read off one labelled pass over the fine blocks, then the coarse ones: a
+    fine block lies in coarse block l when every label holding it holds l.
+    """
+    m = len(fine.blocks)
+    holders = [set(range(m, m + len(coarse.blocks))) for _ in fine.blocks]
+    for label in labelled_pass([*fine.blocks, *coarse.blocks]).points:
+        for p in label:
+            if p < m:
+                holders[p].intersection_update(label)
+    for p, held in enumerate(holders, start=1):
+        if not held:
             raise ValueError(f"fine block {p} lies in no coarse block: not a refinement")
-        mapping.append(hits[0])
-    return tuple(mapping)
+    return tuple(min(held) - m + 1 for held in holders)
+
+
+def _projection(mode: str, fine_pair: ConfigurationPair, coarse_pair: ConfigurationPair):
+    """The projection of project_configuration, once `mode` is checked to hold."""
+    if mode == "partition" and fine_pair.elements != coarse_pair.elements:
+        raise ValueError("partition mode needs identical tuples")
+    if mode == "string" and fine_pair.partition.blocks != coarse_pair.partition.blocks:
+        raise ValueError("string mode needs identical partitions")
+    if mode not in ("partition", "string", "composed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    block_map = refinement_block_map(fine_pair.partition, coarse_pair.partition)
+    n = coarse_pair.tuple_length
+    if fine_pair.elements[:n] != coarse_pair.elements:
+        raise ValueError("fine tuple does not extend the coarse tuple")
+    return lambda config: tuple(block_map[c - 1] for c in config[: n + 1])
 
 
 def project_configuration(
@@ -204,27 +224,15 @@ def project_configuration(
 ) -> Configuration:
     """The unique coarse configuration under a fine one.
 
-    mode "partition": same tuple, finer partition; each block index is
-    replaced by the index of the containing coarse block.
-    mode "string": same partition, extended tuple; the configuration is
-    truncated to the coarse tuple's coordinates.
+    Every mode projects alike: C maps to (l(C_0), ..., l(C_n)) for l the
+    refinement_block_map and n the coarse tuple length.  `mode` is a checked
+    declaration: "partition" (same tuple), "string" (same partition) or
+    "composed"; the fine tuple must extend the coarse one.
     """
     config = tuple(config)
     if len(config) != fine_pair.tuple_length + 1:
         raise ValueError(f"configuration length {len(config)} does not match the fine pair")
-    if mode == "partition":
-        if fine_pair.elements != coarse_pair.elements:
-            raise ValueError("partition mode needs identical tuples")
-        block_map = refinement_block_map(fine_pair.partition, coarse_pair.partition)
-        return tuple(block_map[c - 1] for c in config)
-    if mode == "string":
-        if fine_pair.partition.blocks != coarse_pair.partition.blocks:
-            raise ValueError("string mode needs identical partitions")
-        n = coarse_pair.tuple_length
-        if fine_pair.elements[:n] != coarse_pair.elements:
-            raise ValueError("fine tuple does not extend the coarse tuple")
-        return config[: n + 1]
-    raise ValueError(f"unknown mode {mode!r}")
+    return _projection(mode, fine_pair, coarse_pair)(config)
 
 
 def coarsen_solution(
@@ -235,33 +243,24 @@ def coarsen_solution(
 ) -> tuple[Fraction, ...]:
     """Push a verified normalized solution down a refinement.
 
-    Masses add up along the projection: z_D = sum of z_C over the fine C
-    projecting to D.  Works coordinate-for-coordinate for both modes, and
-    for a genuine two-step refinement compose partition mode with string
-    mode (mode "composed" does this through the intermediate pair).
+    Masses add up along the projection of project_configuration, built
+    once per call: z_D = sum of z_C over the fine C projecting to D.  Both
+    the input and the result are verified exactly.
     """
     from .equations import build_equations, verify_solution
 
-    if mode == "composed":
-        middle_pair = ConfigurationPair(
-            fine_cs.pair.action, fine_cs.pair.elements, coarse_cs.pair.partition)
-        middle_cs = compute_configurations(middle_pair)
-        step1 = coarsen_solution("partition", fine_cs, middle_cs, z)
-        return coarsen_solution("string", middle_cs, coarse_cs, step1)
-
-    fine_system = build_equations(fine_cs)
-    check = verify_solution(fine_system, z)
+    check = verify_solution(build_equations(fine_cs), z)
     if not check.ok:
         raise ValueError(f"input vector is not a normalized solution: {check.violation}")
+    project = _projection(mode, fine_cs.pair, coarse_cs.pair)
     totals: dict[Configuration, Fraction] = {c: Fraction(0) for c in coarse_cs.configurations}
     for config, value in zip(fine_cs.configurations, z):
-        projected = project_configuration(mode, fine_cs.pair, coarse_cs.pair, config)
+        projected = project(config)
         if projected not in totals:
             raise ValueError(f"projection {projected} is not a coarse configuration")
         totals[projected] += value
     result = tuple(totals[c] for c in coarse_cs.configurations)
-    coarse_system = build_equations(coarse_cs)
-    check = verify_solution(coarse_system, result)
+    check = verify_solution(build_equations(coarse_cs), result)
     if not check.ok:
         raise RuntimeError(f"coarsened vector failed verification: {check.violation}")
     return result
@@ -304,81 +303,81 @@ class ConInclusionReport:
 
 def _element_pool(action: Action, max_word_length: int) -> list:
     """Distinct elements reachable by generator words up to a length bound."""
-    gens = action.generator_map()
-    pool = {action.identity()}
-    frontier = [action.identity()]
+    steps = [s for gen in action.generator_map().values() for s in (gen, action.inverse(gen))]
+    pool = frontier = {action.identity()}
     for _ in range(max_word_length):
-        next_frontier = []
-        for elem in frontier:
-            for gen in gens.values():
-                for product in (action.multiply(gen, elem), action.multiply(action.inverse(gen), elem)):
-                    if product not in pool:
-                        pool.add(product)
-                        next_frontier.append(product)
-        frontier = next_frontier
+        frontier = {action.multiply(step, elem) for elem in frontier for step in steps} - pool
+        pool = pool | frontier
     return sorted(pool, key=repr)
 
 
-def _all_partitions(degree: int, max_blocks: int) -> list[tuple[int, ...]]:
-    """Every partition of {0..degree-1} into at most max_blocks blocks.
+# candidate pairs one family may hold: random.sample raises OverflowError
+# past sys.maxsize indices, and trivial actions of degree 30 already have
+# 3.1e20 partitions into 6 blocks
+CANDIDATE_FAMILY_CAP = 10**18
 
-    A partition is a restricted growth string a (point p lies in block a[p],
-    and a[p] is at most one more than every earlier entry), so blocks are
-    ordered by least member, which makes the family canonical.  The strings
-    come in lexicographic order from a loop, so the degree is not limited by
-    the interpreter's recursion depth.  No block is built here: the family
-    grows with the Bell numbers, and a bounded search decodes a sample.
+
+def _growth_counts(degree: int, max_blocks: int) -> list[list[int]]:
+    """ways[p][b]: the partitions of points p.. once b blocks are open.
+
+    A partition into at most max_blocks blocks is a restricted growth string
+    (point p lies in block a[p], at most one more than every earlier entry),
+    so blocks are ordered by least member; ways[0][0] counts the family.
+    Counts are held at CANDIDATE_FAMILY_CAP + 1, and once the partitions of
+    the last points pass the cap, the rows stop: only ways[0][0] is read.
     """
-    if degree and max_blocks < 1:
-        return []
-    a = [0] * degree
-    results: list[tuple[int, ...]] = []
-    while True:
-        results.append(tuple(a))
-        # the next string raises the last point that may move to a later block
-        p = degree - 1
-        while p > 0 and (a[p] + 1 >= max_blocks or a[p] > max(a[:p])):
-            p -= 1
-        if p <= 0:
-            return results
-        a[p] += 1
-        a[p + 1:] = [0] * (degree - 1 - p)
+    top = max(0, min(max_blocks, degree))
+    ways = [[1] * (top + 1)]
+    while len(ways) <= degree and ways[-1][0] <= CANDIDATE_FAMILY_CAP:
+        rest = ways[-1]
+        ways.append([min(CANDIDATE_FAMILY_CAP + 1, b * rest[b] + (rest[b + 1] if b < top else 0))
+                     for b in range(top + 1)])
+    return ways[::-1]
 
 
-def _partition_of(action: Action, growth: tuple[int, ...]) -> Partition:
-    """The blocks a restricted growth string names, as point sets."""
-    groups: list[list[int]] = [[] for _ in range(1 + max(growth, default=-1))]
-    for point, block in enumerate(growth):
-        groups[block].append(point)
+def _partition_at(action: Action, ways: list[list[int]], k: int) -> Partition:
+    """Partition k, in lexicographic order of growth strings, decoded one point at a time."""
+    groups: list[list[int]] = []
+    for point, rest in enumerate(ways[1:]):
+        joins = len(groups) * rest[len(groups)]     # strings where the point joins an open block
+        if k < joins:
+            block, k = divmod(k, rest[len(groups)])
+            groups[block].append(point)
+        else:
+            k -= joins
+            groups.append([point])
     return Partition(tuple(action.point_set(g) for g in groups))
 
 
-def candidate_pairs(
-    action: Action,
-    bounds: ConSearchBounds,
-    explicit: Optional[Sequence[tuple[Sequence, Sequence[ActionSet]]]] = None,
-) -> list[ConfigurationPair]:
-    """Configuration pairs to search: explicit ones, or generated to bounds.
+def _tuple_at(pool: Sequence, t: int) -> tuple:
+    """Tuple t over pool, ordered by length, then in itertools.product order."""
+    length = 1
+    while t >= len(pool) ** length:
+        t -= len(pool) ** length
+        length += 1
+    return tuple(pool[t // len(pool) ** (length - 1 - i) % len(pool)] for i in range(length))
 
-    The generated family is every tuple with every partition; pair k is
-    (tuples[k // P], partitions[k % P]) for P partitions.  Past
-    `family_limit` pairs, a seeded sample of the indices is decoded, so at
-    most `family_limit` pairs, and their blocks, are built.
+
+def candidate_pairs(action: Action, bounds: ConSearchBounds) -> list[ConfigurationPair]:
+    """Configuration pairs of a finite action, generated to bounds.
+
+    The family is every tuple with every partition; pair k is (tuple k // P,
+    partition k % P) for P partitions, decoded from its index.  Past
+    `family_limit` pairs only a seeded sample of indices is decoded, so only
+    the pairs returned are built.  Past CANDIDATE_FAMILY_CAP pairs, BoundExceeded.
     """
-    if explicit is not None:
-        return [configuration_pair(action, elems, blocks) for elems, blocks in explicit]
     if not action.is_finite:
         raise ValueError("supply explicit pairs for infinite actions")
-    elements = _element_pool(action, bounds.max_word_length)
-    tuples = [tpl for length in range(1, bounds.max_tuple_length + 1)
-              for tpl in itertools.product(elements, repeat=length)]
-    partitions = _all_partitions(action.size(), bounds.max_blocks)
-    size = len(tuples) * len(partitions)
+    pool = _element_pool(action, bounds.max_word_length)
+    ways = _growth_counts(action.size(), bounds.max_blocks)
+    partitions = ways[0][0]
+    tuples = sum(len(pool) ** length for length in range(1, bounds.max_tuple_length + 1))
+    size = capped("candidate_family", tuples * partitions, CANDIDATE_FAMILY_CAP)
     chosen = range(size)
     if size > bounds.family_limit:
         chosen = sorted(random.Random(bounds.seed).sample(range(size), bounds.family_limit))
-    return [ConfigurationPair(action, tuples[k // len(partitions)],
-                              _partition_of(action, partitions[k % len(partitions)]))
+    return [ConfigurationPair(action, _tuple_at(pool, k // partitions),
+                              _partition_at(action, ways, k % partitions))
             for k in chosen]
 
 
@@ -386,18 +385,19 @@ def con_included(
     action_a: Action,
     action_b: Action,
     bounds: ConSearchBounds = ConSearchBounds(),
-    pairs_a: Optional[Sequence] = None,
-    pairs_b: Optional[Sequence] = None,
+    pairs_a: Optional[Sequence[ConfigurationPair]] = None,
+    pairs_b: Optional[Sequence[ConfigurationPair]] = None,
 ) -> ConInclusionReport:
     """Bounded test of Con(A) <= Con(B): every configuration set realized by
     a candidate pair of A must be realized by some candidate pair of B.
 
-    This is a search within the stated bounds, never a proof of unbounded
-    inclusion; a failure report carries the unmatched pair.  B's sets are
-    computed in order, only until every pair of A is matched.
+    A side's candidates are its given, validated pairs, or else its
+    candidate_pairs.  This is a search within the stated bounds, never a
+    proof of unbounded inclusion; a failure report carries the unmatched
+    pair.  B's sets are computed in order, only until A is matched.
     """
-    family_a = candidate_pairs(action_a, bounds, pairs_a)
-    family_b = candidate_pairs(action_b, bounds, pairs_b)
+    family_a = candidate_pairs(action_a, bounds) if pairs_a is None else pairs_a
+    family_b = candidate_pairs(action_b, bounds) if pairs_b is None else pairs_b
     pending = (compute_configurations(p).as_tuple_set() for p in family_b)
     available: set = set()
     checked = 0

@@ -10,6 +10,7 @@ is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_RANK = 10
@@ -52,14 +53,6 @@ class FreeWord:
 
     def __invert__(self) -> "FreeWord":
         return FreeWord(tuple(-l for l in reversed(self.letters)))
-
-    def __pow__(self, n: int) -> "FreeWord":
-        if n < 0:
-            return (~self) ** (-n)
-        result = IDENTITY_WORD
-        for _ in range(n):
-            result = result * self
-        return result
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(letter_index(l) for l in self.letters))
@@ -172,17 +165,16 @@ class Permutation:
             inv[dst] = src
         return Permutation(tuple(inv))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == p for p, i in enumerate(self.images))
-
     def order(self) -> int:
-        power = self
-        k = 1
-        while not power.is_identity:
-            power = power * self
-            k += 1
-        return k
+        """The lcm of the cycle lengths."""
+        order, unseen = 1, set(range(self.degree))
+        while unseen:
+            point, length = unseen.pop(), 1
+            while (point := self.images[point]) in unseen:    # round the cycle
+                unseen.remove(point)
+                length += 1
+            order = lcm(order, length)
+        return order
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"

@@ -3,10 +3,11 @@
 Everything here is deliberately naive and shares no code path with the
 package: word enumeration by direct recursion, set membership by evaluating
 expression trees pointwise, configurations of finite actions by iterating
-points, linear feasibility by Fourier-Motzkin elimination, a reference
-phase-one simplex over Fraction that fixes which answer the solver returns,
-row-by-row Fraction checks of solutions and certificates, and a lex-first
-paradox search that tests covers word by word.
+points, permutation orders by repeated composition, linear feasibility by
+Fourier-Motzkin elimination, a reference phase-one simplex over Fraction
+that fixes which answer the solver returns, row-by-row Fraction checks of
+solutions and certificates, and a lex-first paradox search that tests
+covers word by word.
 """
 
 from __future__ import annotations
@@ -73,6 +74,16 @@ def brute_force_configurations(degree: int, perms: list, blocks: list[frozenset]
     for x in range(degree):
         observed.add(tuple([block_of(x)] + [block_of(p.images[x]) for p in perms]))
     return observed
+
+
+def permutation_order(images: tuple[int, ...]) -> int:
+    """Order of the permutation with these images, by composing it with
+    itself until the identity comes back."""
+    power, k = tuple(images), 1
+    while power != tuple(range(len(images))):
+        power = tuple(images[p] for p in power)
+        k += 1
+    return k
 
 
 def fourier_motzkin_feasible(rows: list[tuple], rhs: list[Fraction]) -> bool:

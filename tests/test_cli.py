@@ -199,6 +199,25 @@ class TestOtherCommands:
         assert report["status"] == "finite-order"
         assert report["data"]["order"] == 2
 
+    def test_witness_infinite_order_of_a_long_cycle_product(self, capsys, tmp_path):
+        # one generator whose cycles have the nine primes 2..23 as lengths:
+        # degree 100, order 223,092,870, far too many powers to multiply out
+        images, start = [], 0
+        for length in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            images += [start + (i + 1) % length for i in range(length)]
+            start += length
+        doc = {"action": {"backend": "finite-permutation", "degree": 100,
+                          "generators": {"a": images}},
+               "element": "a"}
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        code, report = run(capsys, "witness", "infinite-order", "--input", str(path))
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert report["status"] == "finite-order"
+        assert report["data"]["order"] == 223092870
+
     def test_witness_infinite_order_free(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 2}, "element": "abA"}
         path = tmp_path / "order2.json"
@@ -275,6 +294,28 @@ class TestExitCodes:
         assert code == 0
         assert report["status"] == "included-up-to-bounds"
         assert report["data"]["pairs_checked"] == 1
+
+    @pytest.mark.parametrize("action,bounds,code", [
+        ({"backend": "trivial", "degree": 22}, {"max_blocks": 6}, 0),
+        ({"backend": "finite-regular", "generators": {"a": [1, 0, 2, 3], "b": [1, 2, 3, 0]}},
+         {"max_word_length": 8, "max_tuple_length": 5, "max_blocks": 1}, 0),
+        ({"backend": "trivial", "degree": 30}, {"max_blocks": 6}, 3),
+    ], ids=["degree-22-partitions", "s4-pool-24-tuples", "degree-30-past-cap"])
+    def test_compare_con_decodes_only_sampled_pairs(self, action, bounds, code, capsys, tmp_path):
+        # 1.8e14 partitions, 8.3 million tuples, and 3.1e20 partitions, more
+        # than random.sample takes: no family is listed before sampling
+        doc = {"action_a": action, "action_b": action, "bounds": {**bounds, "family_limit": 10}}
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        got, report = run(capsys, "compare", "con", "--input", str(path))
+        assert time.perf_counter() - started < 1
+        assert got == code
+        if code == 0:
+            assert report["status"] == "included-up-to-bounds"
+            assert report["data"]["pairs_checked"] == 10
+        else:
+            assert report["error"]["bound"] == "candidate_family"
 
     def test_search_table_cap_checked_before_building(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 10},

@@ -191,6 +191,7 @@ def atom_union(word) -> dict:
 CLASSICAL = json.loads((FIXTURES / "f2-classical-decomposition.json").read_text())
 COARSEN = EXTRA_RUNS[1][2]
 PATTERN = EXTRA_RUNS[2][2]
+SUBGROUPS = EXTRA_RUNS[3][2]
 
 
 @pytest.mark.parametrize("words,doc,location", [
@@ -205,6 +206,16 @@ PATTERN = EXTRA_RUNS[2][2]
     (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
                           "bounds": {"family_limit": -1}}, "bounds"),
     (("paradox", "pattern"), {**PATTERN, "pattern": 5}, "pattern"),
+    (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
+                          "bounds": {"max_blocks": "x"}}, "bounds.max_blocks"),
+    (("pingpong", "subgroups"), {**SUBGROUPS, "subgroups": [
+        {**SUBGROUPS["subgroups"][0], "exponent_bound": "3"}, SUBGROUPS["subgroups"][1]]},
+     "subgroups[0].exponent_bound"),
+    (("pingpong", "subgroups"), {**SUBGROUPS, "subgroups": [
+        {"kind": "cyclic"}, SUBGROUPS["subgroups"][1]]}, "subgroups[0].generator"),
+    (("paradox", "verify"), {**CLASSICAL, "decomposition": {
+        k: v for k, v in CLASSICAL["decomposition"].items() if k != "translators_a"}},
+     "decomposition.translators_a"),
     (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"A": [1, 0]}}},
      "action.generators.A"),
     (("con", "compute"), {**TRIVIAL2, "action": {**Z2, "generators": {"ab": [1, 0]}}},
@@ -219,6 +230,8 @@ PATTERN = EXTRA_RUNS[2][2]
      "partition[0].of[1].word"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
         "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
+        "string-in-bounds", "string-exponent-bound", "cyclic-without-generator",
+        "decomposition-without-translators",
         "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
         "bad-word-in-atom-union", "number-word-in-atom-union", "word-past-rank-in-atom-union"])
 def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, monkeypatch):

@@ -25,7 +25,7 @@ from paracon import (
     verify_cell_partition,
 )
 from paracon import configurations
-from paracon.configurations import _all_partitions
+from paracon.configurations import _element_pool, _growth_counts, _partition_at, _tuple_at
 from paracon.serialization import parse_action
 
 
@@ -228,6 +228,53 @@ class TestCoarsening:
         out = coarsen_solution("composed", fine_cs, coarse_cs, counting_solution(fine_cs))
         assert out == (Fraction(1, 2), Fraction(1, 2))
 
+    @pytest.mark.parametrize("mode,fine_words", [
+        ("partition", ["a"]), ("string", ["a", "aa"]), ("composed", ["a", "aa"])])
+    def test_one_block_map_and_no_configuration_set_per_call(self, z4, mode, fine_words,
+                                                             monkeypatch):
+        # one block map serves every fine configuration of a call, and no
+        # configuration set is built beyond the two given
+        blocks = [[0], [1], [2], [3]] if mode != "string" else [[0, 2], [1, 3]]
+        fine = finite_pair(z4, fine_words, blocks)
+        coarse = finite_pair(z4, ["a"], [[0, 2], [1, 3]])
+        fine_cs, coarse_cs = compute_configurations(fine), compute_configurations(coarse)
+        calls = {"block_map": 0, "compute": 0}
+        block_map, compute = configurations.refinement_block_map, configurations.compute_configurations
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(configurations, "refinement_block_map", counted("block_map", block_map))
+        monkeypatch.setattr(configurations, "compute_configurations", counted("compute", compute))
+        coarsen_solution(mode, fine_cs, coarse_cs, counting_solution(fine_cs))
+        assert len(fine_cs) > 1
+        assert calls == {"block_map": 1, "compute": 0}
+
+    @pytest.mark.parametrize("mode,fine_words,fine_blocks,coarse_words,coarse_blocks,message", [
+        ("partition", ["a"], [[0], [1], [2], [3]], ["aa"], [[0, 2], [1, 3]],
+         "partition mode needs identical tuples"),
+        ("string", ["a", "aa"], [[0], [1], [2], [3]], ["a"], [[0, 2], [1, 3]],
+         "string mode needs identical partitions"),
+        ("composed", ["a", "aa"], [[0, 1], [2, 3]], ["a"], [[0, 2], [1, 3]],
+         "fine block 1 lies in no coarse block: not a refinement"),
+        ("composed", ["a", "aa"], [[0], [1], [2], [3]], ["aa"], [[0, 2], [1, 3]],
+         "fine tuple does not extend the coarse tuple"),
+        ("partition", ["a"], [[0, 1], [2, 3]], ["a"], [[0, 2], [1, 3]],
+         "fine block 1 lies in no coarse block: not a refinement"),
+        ("pairwise", ["a"], [[0], [1], [2], [3]], ["a"], [[0, 2], [1, 3]],
+         "unknown mode 'pairwise'"),
+    ])
+    def test_mode_is_checked_in_order(self, z4, mode, fine_words, fine_blocks,
+                                      coarse_words, coarse_blocks, message):
+        fine_cs = compute_configurations(finite_pair(z4, fine_words, fine_blocks))
+        coarse_cs = compute_configurations(finite_pair(z4, coarse_words, coarse_blocks))
+        with pytest.raises(ValueError) as caught:
+            coarsen_solution(mode, fine_cs, coarse_cs, counting_solution(fine_cs))
+        assert str(caught.value) == message
+
 
 class TestConIncluded:
     def test_identical_actions(self, z3):
@@ -276,8 +323,9 @@ class TestConIncluded:
     def test_explicit_pairs(self, f2, z3, five_blocks):
         report = con_included(
             f2, z3,
-            pairs_a=[([parse_word("a"), parse_word("b")], five_blocks)],
-            pairs_b=[([Permutation((1, 2, 0))], [z3.point_set([0]), z3.point_set([1, 2])])],
+            pairs_a=[configuration_pair(f2, [parse_word("a"), parse_word("b")], five_blocks)],
+            pairs_b=[configuration_pair(z3, [Permutation((1, 2, 0))],
+                                        [z3.point_set([0]), z3.point_set([1, 2])])],
         )
         assert not report.included
 
@@ -307,9 +355,18 @@ def recursive_partitions(degree, max_blocks):
 @pytest.mark.parametrize("degree", range(1, 7))
 def test_candidate_partitions_in_depth_first_order(degree):
     for max_blocks in range(0, 5):
-        got = [[[p for p, b in enumerate(growth) if b == block] for block in range(max(growth) + 1)]
-               for growth in _all_partitions(degree, max_blocks)]
+        ways = _growth_counts(degree, max_blocks)
+        partitions = (_partition_at(TrivialAction(degree=degree), ways, k) for k in range(ways[0][0]))
+        got = [[sorted(block.members) for block in partition.blocks] for partition in partitions]
         assert got == recursive_partitions(degree, max_blocks)
+
+
+@pytest.mark.parametrize("max_word_length,max_tuple_length", [(0, 4), (1, 3), (2, 2)])
+def test_candidate_tuples_by_length_in_product_order(z4, max_word_length, max_tuple_length):
+    pool = _element_pool(z4, max_word_length)
+    expected = [tpl for length in range(1, max_tuple_length + 1)
+                for tpl in itertools.product(pool, repeat=length)]
+    assert [_tuple_at(pool, t) for t in range(len(expected))] == expected
 
 
 class TestCardinalityProbe:

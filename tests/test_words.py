@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import permutation_order
 from paracon.words import (
     GROUP_ORDER_CAP,
     MAX_RANK,
@@ -187,6 +189,14 @@ def test_permutation_order():
     assert Permutation((1, 0, 2)).order() == 2
     assert Permutation((1, 2, 0)).order() == 3
     assert identity_permutation(4).order() == 1
+
+
+def test_permutation_order_matches_repeated_composition():
+    rng = random.Random(7)
+    for _ in range(3000):
+        images = list(range(rng.randint(1, 12)))
+        rng.shuffle(images)
+        assert Permutation(tuple(images)).order() == permutation_order(tuple(images))
 
 
 def test_word_sort_key_order():
