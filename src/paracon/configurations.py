@@ -16,7 +16,7 @@ paradox patterns) relies on.
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -358,13 +358,14 @@ def _tuple_at(pool: Sequence, t: int) -> tuple:
     return tuple(pool[t // len(pool) ** (length - 1 - i) % len(pool)] for i in range(length))
 
 
-def candidate_pairs(action: Action, bounds: ConSearchBounds) -> list[ConfigurationPair]:
+def candidate_pairs(action: Action, bounds: ConSearchBounds) -> Iterator[ConfigurationPair]:
     """Configuration pairs of a finite action, generated to bounds.
 
     The family is every tuple with every partition; pair k is (tuple k // P,
-    partition k % P) for P partitions, decoded from its index.  Past
-    `family_limit` pairs only a seeded sample of indices is decoded, so only
-    the pairs returned are built.  Past CANDIDATE_FAMILY_CAP pairs, BoundExceeded.
+    partition k % P) for P partitions, decoded from its index as the
+    returned iterator reaches it.  Past `family_limit` pairs only a seeded
+    sample of indices is decoded.  The checks run before anything is
+    returned: past CANDIDATE_FAMILY_CAP pairs, BoundExceeded.
     """
     if not action.is_finite:
         raise ValueError("supply explicit pairs for infinite actions")
@@ -376,9 +377,9 @@ def candidate_pairs(action: Action, bounds: ConSearchBounds) -> list[Configurati
     chosen = range(size)
     if size > bounds.family_limit:
         chosen = sorted(random.Random(bounds.seed).sample(range(size), bounds.family_limit))
-    return [ConfigurationPair(action, _tuple_at(pool, k // partitions),
+    return (ConfigurationPair(action, _tuple_at(pool, k // partitions),
                               _partition_at(action, ways, k % partitions))
-            for k in chosen]
+            for k in chosen)
 
 
 def con_included(

@@ -32,24 +32,45 @@ from .words import FreeWord, capped, letter_from_index, letter_index
 
 _Transitions = tuple[tuple[int, ...], ...]
 
+AUTOMATON_STATES_CAP = 2_000   # states one product pass or one canonicalization may take
 
-def _minimize(
-    trans: Sequence[Sequence[int]], accepting: Sequence[bool]
-) -> tuple[_Transitions, tuple[bool, ...]]:
-    """Moore partition refinement; the quotient is already canonical.
 
-    Precondition: every state is reachable from state 0, and state order is
-    the order of the states' shortlex-least access words.  Three builders
-    meet it: `_symbolic_pass` numbers its product with X breadth-first,
-    letters in canonical order, `select` trims that product without
-    reordering it,
-    and `_reduced_closed` numbers a raw automaton breadth-first (the trie of
-    `SymbolicSet.words`, or what `powers` or `translate` builds).  A block's
-    least access word is that of its least state, so numbering the blocks by
-    their least state, as the refinement does, is the canonical BFS
-    numbering of the minimal automaton, and no reachability pass or
-    renumbering is needed.
+def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
+    """The state after aA, which is not reduced, when it is a rejecting
+    self-loop, else -1.  In a canonical set it is the one state that reaches
+    no member; a hand-written table may have no such state there."""
+    s = trans[trans[0][0]][1]
+    return -1 if accepting[s] or any(t != s for t in trans[s]) else s
+
+
+def _canonical(rank: int, trans: Sequence[Sequence[int]],
+               accepting: Sequence[bool]) -> "SymbolicSet":
+    """The set an automaton accepts, as a canonical set.
+
+    Precondition: the automaton is reduced-closed, that is, every word that
+    is not reduced leads to a state from which no word is accepted (so it
+    accepts reduced words only).  `SymbolicSet.words`, `powers` and
+    `translate` build such automata, and `select` trims a product with X,
+    which has that property.
+
+    The states reachable from 0 are numbered breadth-first, letters in
+    canonical order, which is the order of their shortlex-least access
+    words; past AUTOMATON_STATES_CAP of them it raises BoundExceeded.  Moore
+    refinement then merges equivalent states.  A block's least access word
+    is that of its least state, so numbering the blocks by their least
+    state is the canonical BFS numbering of the minimal automaton.
     """
+    index = [-1] * len(trans)
+    index[0] = 0
+    order = [0]
+    for s in order:                          # order grows while we read it
+        for t in trans[s]:
+            if index[t] < 0:
+                index[t] = len(order)
+                order.append(t)
+    capped("automaton_states", len(order), AUTOMATON_STATES_CAP)
+    trans = [[index[t] for t in trans[s]] for s in order]
+    accepting = [accepting[s] for s in order]
     ids: dict = {}
     block = [ids.setdefault(a, len(ids)) for a in accepting]
     while True:
@@ -63,40 +84,8 @@ def _minimize(
     for s, b in enumerate(block):
         if b == len(least):
             least.append(s)
-    return (tuple(tuple(block[t] for t in trans[s]) for s in least),
-            tuple(accepting[s] for s in least))
-
-
-def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
-    """The state after aA, which is not reduced, when it is a rejecting
-    self-loop, else -1.  In a canonical set it is the one state that reaches
-    no member; a hand-written table may have no such state there."""
-    s = trans[trans[0][0]][1]
-    return -1 if accepting[s] or any(t != s for t in trans[s]) else s
-
-
-def _reduced_closed(rank: int, trans: Sequence[Sequence[int]],
-                    accepting: Sequence[bool]) -> "SymbolicSet":
-    """The set an automaton accepts, as a canonical set, with no product pass.
-
-    Precondition: the automaton is reduced-closed, that is, every word that
-    is not reduced leads to a state from which no word is accepted (so it
-    accepts reduced words only).  The product with X in `_symbolic_pass`
-    would then add nothing, since X's sink only shadows states that accept
-    no word: numbering the states reachable from 0 breadth-first, letters in
-    canonical order, and refining once is the canonical form.
-    `SymbolicSet.words`, `powers` and `translate` build such automata.
-    """
-    index = [-1] * len(trans)
-    index[0] = 0
-    order = [0]
-    for s in order:                          # order grows while we read it
-        for t in trans[s]:
-            if index[t] < 0:
-                index[t] = len(order)
-                order.append(t)
-    return SymbolicSet(rank, *_minimize([[index[t] for t in trans[s]] for s in order],
-                                        [accepting[s] for s in order]))
+    return SymbolicSet(rank, tuple([tuple([block[t] for t in trans[s]]) for s in least]),
+                       tuple(accepting[s] for s in least))
 
 
 class _Queries:
@@ -169,7 +158,7 @@ class SymbolicSet(_Queries):
                 accepting[state] = True
                 if is_cone:
                     trans[state] = inside[x]
-        return _reduced_closed(rank, trans, accepting)
+        return _canonical(rank, trans, accepting)
 
     # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
@@ -235,7 +224,7 @@ class SymbolicSet(_Queries):
         accepting = [False] * total
         accepting[0] = True  # a^0 = e
         accepting[accept_state if n_suf else boundary] = True
-        return _reduced_closed(rank, trans, accepting)   # it accepts only the reduced a^n
+        return _canonical(rank, trans, accepting)   # it accepts only the reduced a^n
 
     # -- queries -------------------------------------------------------------
 
@@ -304,8 +293,8 @@ class SymbolicSet(_Queries):
         g[j:].  Any other letter leaves the chain for S's state after that
         rest.  State k is a copy of S's initial state.  Each state j >= 1
         sends the inverse of g[j-1] to S's rejecting sink, so the automaton
-        accepts reduced words only and `_reduced_closed` canonicalizes it
-        without a product pass.
+        accepts reduced words only and `_canonical` takes it without a
+        product pass.
         """
         if any(abs(l) > self.rank for l in g.letters):
             raise ValueError(f"word {g} outside rank {self.rank}")
@@ -327,7 +316,7 @@ class SymbolicSet(_Queries):
             trans.append(row)
         trans += [[t + k + 1 for t in row] for row in table]
         accepting = tuple(self.accepting[r] for r in rest) + self.accepting
-        return _reduced_closed(self.rank, trans, accepting)
+        return _canonical(self.rank, trans, accepting)
 
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
@@ -412,7 +401,8 @@ class Labelling:
     (the shortlex-least word, or the least integer), ordered by that point,
     so the first label passing a test carries the least point passing it.
     `select(test)` is the set of points whose label passes `test`; over
-    symbolic sets each call refines the live part of the pass's product once.
+    symbolic sets each call canonicalizes the live part of the pass's
+    product once.
     """
 
     points: dict[Label, object]
@@ -467,9 +457,6 @@ def _finite_pass(sets: list[FiniteSet]) -> Labelling:
     )
 
 
-AUTOMATON_STATES_CAP = 2_000   # product nodes one labelled pass may build
-
-
 def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     """Breadth-first search over the product of X = full(rank) and the sets.
 
@@ -482,11 +469,10 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     shortlex-least access words.  Past AUTOMATON_STATES_CAP nodes it raises
     BoundExceeded.
 
-    Each selected set is trimmed, then refined once: the states that reach
-    a selected state keep their product order, and every other state merges
-    into one rejecting sink at the least such index, which is the least
-    access word of any of them.  The order of access words is unchanged, as
-    `_minimize` needs, so its refinement of the live part is canonical.
+    Each selected set is trimmed, then canonicalized once: the states that
+    reach a selected state keep their product order, every other target
+    goes to one appended rejecting row, and `_canonical` numbers and refines
+    the result.
     """
     rank = sets[0].rank
     for s in sets:
@@ -544,14 +530,13 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
                     seen.add(s)
                     live.append(s)
         live.sort()
-        sink = next((i for i, s in enumerate(live) if s != i), len(live))   # least not live
-        renumber = {s: i + (i >= sink) for i, s in enumerate(live)}
-        rows = [[renumber.get(t, sink) for t in product[s]] for s in live]
-        accepting = [s in selected for s in live]
-        if len(live) < len(product):
-            rows.insert(sink, [sink] * n_letters)
-            accepting.insert(sink, False)
-        return SymbolicSet(rank, *_minimize(rows, accepting))
+        dead = len(live)
+        renumber = [dead] * len(product)
+        for i, s in enumerate(live):
+            renumber[s] = i
+        rows = [[renumber[t] for t in product[s]] for s in live]
+        rows.append([dead] * n_letters)
+        return _canonical(rank, rows, [s in selected for s in live] + [False])
 
     return Labelling(points, select)
 

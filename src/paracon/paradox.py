@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import BoundExceeded, FreeWord
+from .words import FreeWord, capped
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -589,9 +589,8 @@ def cover_masks(
     BoundExceeded, before building anything, past SEARCH_TABLE_CAP bits.
     """
     fine = _word_count(rank, depth + length)
-    bits = _word_count(rank, length) * _word_count(rank, depth) * fine
-    if bits > SEARCH_TABLE_CAP:
-        raise BoundExceeded("search_table_bits", bits, SEARCH_TABLE_CAP)
+    capped("search_table_bits", _word_count(rank, length) * _word_count(rank, depth) * fine,
+           SEARCH_TABLE_CAP)
     words = [w.letters for w in SymbolicSet.full(rank).enumerate_up_to(depth + length)]
     atoms = words[:_word_count(rank, depth)]
     translators = words[:_word_count(rank, length)]

@@ -77,11 +77,6 @@ def letter_from_index(index: int) -> int:
     return -(gen + 1) if neg else gen + 1
 
 
-def alphabet(rank: int) -> list[int]:
-    """All signed letters of F_rank in canonical order."""
-    return [letter_from_index(i) for i in range(2 * rank)]
-
-
 def reduce_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
     """Cancel adjacent inverse pairs until the word is reduced."""
     limit = rank if rank is not None else MAX_RANK

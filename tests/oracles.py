@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from paracon.words import FreeWord, alphabet
+from paracon.words import FreeWord
 
 
 def all_reduced_words(rank: int, max_length: int) -> list[FreeWord]:
@@ -26,7 +26,7 @@ def all_reduced_words(rank: int, max_length: int) -> list[FreeWord]:
     for _ in range(max_length):
         next_level = []
         for letters in level:
-            for letter in alphabet(rank):
+            for letter in [s * g for g in range(1, rank + 1) for s in (1, -1)]:
                 if letters and letters[-1] == -letter:
                     continue
                 next_level.append(letters + (letter,))

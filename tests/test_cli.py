@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -283,6 +284,23 @@ class TestExitCodes:
         assert code == 3
         assert report["error"]["bound"] == "automaton_states"
 
+    @pytest.mark.parametrize("command,doc", [
+        (("con", "compute"), {"tuple": ["a"], "partition": [
+            {"kind": "powers", "word": "a" * 1990},
+            {"kind": "complement", "of": {"kind": "powers", "word": "a" * 1990}}]}),
+        (("witness", "infinite-order"), {"element": "a" * 1000}),
+    ], ids=["powers-partition", "infinite-order-witness"])
+    def test_automaton_states_cap_stops_a_long_refinement(self, command, doc, capsys, tmp_path):
+        # powers of a long word build one cycle as long as the word: the cap
+        # must hold before its refinement, which is quadratic in the cycle
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"action": {"backend": "free-self", "rank": 1}, **doc}))
+        started = time.perf_counter()
+        code, report = run(capsys, *command, "--input", str(path))
+        assert time.perf_counter() - started < 1
+        assert code == 3
+        assert report["error"]["bound"] == "automaton_states"
+
     def test_compare_con_on_a_large_degree_ends_in_a_report(self, capsys, tmp_path):
         # more points than the interpreter's recursion limit: the candidate
         # partitions must not recurse once per point
@@ -316,6 +334,29 @@ class TestExitCodes:
             assert report["data"]["pairs_checked"] == 10
         else:
             assert report["error"]["bound"] == "candidate_family"
+
+    def test_compare_con_stops_at_a_counterexample_without_building_the_families(
+            self, capsys, tmp_path):
+        # B's one pair does not match A's first sampled pair, so of A's
+        # 20,000 sampled pairs only the first is decoded
+        doc = {"action_a": {"backend": "trivial", "degree": 10},
+               "action_b": {"backend": "trivial", "degree": 1},
+               "bounds": {"max_blocks": 6, "family_limit": 20_000}}
+        path = tmp_path / "lazy.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            code, report = run(capsys, "compare", "con", "--input", str(path))
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert report["status"] == "counterexample"
+        assert report["data"]["pairs_checked"] == 1
+        assert elapsed < 0.5
+        assert peak < 8 * 2**20
 
     def test_search_table_cap_checked_before_building(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 10},

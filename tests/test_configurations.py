@@ -316,7 +316,7 @@ class TestConIncluded:
         monkeypatch.setattr(configurations, "compute_configurations", counting)
         report = con_included(action_a, action_b, bounds)
         assert report.included and report.pairs_checked == 4
-        assert len(configurations.candidate_pairs(action_b, bounds)) == 24
+        assert len(list(configurations.candidate_pairs(action_b, bounds))) == 24
         assert computed.count(action_a) == 4
         assert computed.count(action_b) == 14
 

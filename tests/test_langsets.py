@@ -292,7 +292,7 @@ class TestFiniteSet:
         assert report.subset_witness == 0
 
 
-# -- canonical form, checked with routines that share nothing with _minimize --
+# -- canonical form, checked with routines that share nothing with _canonical --
 
 def bfs_order(s: SymbolicSet) -> list[int]:
     """The states in order of discovery from state 0, letters in canonical order."""
@@ -344,8 +344,9 @@ def barren_states(s: SymbolicSet) -> list[int]:
 def canonical_candidates(draw) -> list[SymbolicSet]:
     """Sets from a random expression, its translate and complement, the
     cone, singleton and powers of a random word, the base cells of a
-    configuration set over a random merge of depth-2 atoms, and a random
-    union of singletons and cones built as one prefix trie."""
+    configuration set over a random merge of depth-2 atoms, a random union
+    of singletons and cones built as one prefix trie, and the selections of
+    no point and of every point."""
     s = build(draw(exprs))
     g = draw(translators)
     word = draw(translators)
@@ -359,7 +360,8 @@ def canonical_candidates(draw) -> list[SymbolicSet]:
     return [s, s.translate(g), s.complement(), s.translate(g).complement(),
             SymbolicSet.cone(word, RANK), SymbolicSet.singleton(word, RANK),
             SymbolicSet.powers(word, RANK), *cells.base_cells.values(),
-            SymbolicSet.words(RANK, draw(word_lists(RANK)), draw(word_lists(RANK)))]
+            SymbolicSet.words(RANK, draw(word_lists(RANK)), draw(word_lists(RANK))),
+            s.difference(s), s.union(s.complement())]
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,6 @@ from paracon.words import (
     FreeWord,
     Permutation,
     WordParseError,
-    alphabet,
     evaluate_word,
     identity_permutation,
     invert,
