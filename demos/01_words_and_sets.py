@@ -5,7 +5,7 @@ singletons and shows that boolean operations, membership, inclusion and
 left translation are all decided exactly on a canonical automaton form.
 """
 
-from paracon import SymbolicSet, compare, multiply, parse_word, word_str
+from paracon import SymbolicSet, multiply, parse_word, word_str
 
 print("== reduced words ==")
 w = parse_word("aBbAab")
@@ -47,5 +47,6 @@ print("b * cone(a) equals cone(ba):",
 
 print()
 print("== decidable comparisons with witnesses ==")
-report = compare(cone_a, SymbolicSet.cone(parse_word("aB"), 2))
-print("cone(a) inside cone(aB)?", report.subset, "- witness:", word_str(report.subset_witness))
+witness = cone_a.subset_witness(SymbolicSet.cone(parse_word("aB"), 2))
+print("cone(a) inside cone(aB)?", witness is None, "- witness:", word_str(witness))
+print("cone(a) and cone(b) disjoint?", cone_a.is_disjoint(SymbolicSet.cone(parse_word("b"), 2)))

@@ -12,7 +12,7 @@ from .words import (
     reduce_word,
     word_str,
 )
-from .langsets import FiniteSet, SymbolicSet, combine, compare
+from .langsets import FiniteSet, SymbolicSet
 from .actions import (
     Action,
     EquivariantMap,

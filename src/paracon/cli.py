@@ -9,8 +9,8 @@ Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
 location, 3 = a requested bound exceeds the declared --bound-* cap, or
 a size with a fixed cap (rank, degree, group order, search table bits,
-family limit, candidate family size, set nesting depth, automaton states)
-exceeds it.
+family limit, candidate family size, set nesting depth, automaton states,
+the n of probe cardinality) exceeds it.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
 """
@@ -349,7 +349,10 @@ def cmd_pingpong_subgroups(args, doc, action, cs):
         if kind == "cyclic":
             bound = capped("exponent_bound", _int_field(item, "exponent_bound", 3, loc), args.bound_length)
             generator = _field(item, "generator", parse_element, action, loc)
-            specs.append(pdx.CyclicSubgroup(generator, bound))
+            try:
+                specs.append(pdx.CyclicSubgroup(generator, bound))
+            except ValueError as err:
+                raise DocumentError(str(err), _at(loc, "exponent_bound")) from None
         elif kind == "finite":
             elements = _field(item, "elements", parse_elements, action, loc)
             specs.append(pdx.FiniteSubgroup(tuple(elements)))

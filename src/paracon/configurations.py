@@ -102,7 +102,7 @@ class _BaseCells(Mapping):
 
     def __getitem__(self, config: Configuration) -> ActionSet:
         if config not in self._built:
-            self._built[config] = self._points.cell(self._labels[config])
+            self._built[config] = self._points.cells([self._labels[config]])
         return self._built[config]
 
     def __contains__(self, config) -> bool:      # without building the cell
@@ -466,5 +466,5 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         length += 1
     chosen = words[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
-    blocks.append(labelled_pass([full] + blocks).cell((0,)))   # the points in no block
+    blocks.append(labelled_pass([full] + blocks).cells([(0,)]))   # the points in no block
     return CardinalityProbe(True, make_partition(action, blocks))

@@ -10,7 +10,9 @@ Finite sets are plain subsets of {0, ..., n-1} tagged with their degree.
 
 Every question about which points lie in which of several sets (partition,
 disjointness, cover, inclusion, the boolean operations themselves) is
-answered by one labelled pass over the universe, `labelled_pass`.
+answered by one labelled pass over the universe, `labelled_pass`, and
+every set computed from such a pass is read off it by label, with
+`Labelling.cells`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]],
     Precondition: the automaton is reduced-closed, that is, every word that
     is not reduced leads to a state from which no word is accepted (so it
     accepts reduced words only).  `SymbolicSet.words`, `powers` and
-    `translate` build such automata, and `select` trims a product with X,
+    `translate` build such automata, and `cells` trims a product with X,
     which has that property.
 
     The states reachable from 0 are numbered breadth-first, letters in
@@ -89,11 +91,7 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]],
 
 
 class _Queries:
-    """Inclusion, disjointness and witnesses, each read off one labelled pass,
-    plus the operator spellings of the set algebra."""
-
-    def is_subset(self, other) -> bool:
-        return self.subset_witness(other) is None
+    """Disjointness and inclusion witnesses, each read off one labelled pass."""
 
     def is_disjoint(self, other) -> bool:
         return (0, 1) not in labelled_pass([self, other]).points
@@ -101,18 +99,6 @@ class _Queries:
     def subset_witness(self, other):
         """Least point of self missing from other; None when self <= other."""
         return labelled_pass([self, other]).points.get((0,))
-
-    def __or__(self, other):
-        return self.union(other)
-
-    def __and__(self, other):
-        return self.intersection(other)
-
-    def __sub__(self, other):
-        return self.difference(other)
-
-    def __invert__(self):
-        return self.complement()
 
 
 @dataclass(frozen=True)
@@ -267,21 +253,17 @@ class SymbolicSet(_Queries):
 
     # -- algebra -------------------------------------------------------------
 
-    def _check_rank(self, other: "SymbolicSet") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return labelled_pass([self, other]).select(bool)
+        return labelled_pass([self, other]).cells([(0,), (1,), (0, 1)])
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        return labelled_pass([self, other]).cell((0, 1))
+        return labelled_pass([self, other]).cells([(0, 1)])
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return labelled_pass([self, other]).cell((0,))
+        return labelled_pass([self, other]).cells([(0,)])
 
     def complement(self) -> "SymbolicSet":
-        return labelled_pass([self]).cell(())
+        return labelled_pass([self]).cells([()])
 
     def translate(self, g: FreeWord) -> "SymbolicSet":
         """Left translate gS = {g*w : w in S}, built in one construction.
@@ -400,17 +382,13 @@ class Labelling:
     contain it.  `points` maps every label that occurs to its least point
     (the shortlex-least word, or the least integer), ordered by that point,
     so the first label passing a test carries the least point passing it.
-    `select(test)` is the set of points whose label passes `test`; over
-    symbolic sets each call canonicalizes the live part of the pass's
-    product once.
+    `cells(labels)` is the set of points whose label is one of `labels`; a
+    label that does not occur adds nothing.  Over symbolic sets each call
+    canonicalizes the live part of the pass's product once.
     """
 
     points: dict[Label, object]
-    select: Callable[[Callable[[Label], bool]], ActionSet]
-
-    def cell(self, label: Label) -> ActionSet:
-        """The set of points whose label is exactly `label`."""
-        return self.select(lambda found: found == label)
+    cells: Callable[[Iterable[Label]], ActionSet]
 
     def uncovered(self, indices: Iterable[int]):
         """Least point in none of the sets at `indices`, or None if they cover."""
@@ -452,8 +430,8 @@ def _finite_pass(sets: list[FiniteSet]) -> Labelling:
         members.setdefault(tuple(owners[point]), []).append(point)
     return Labelling(
         {label: points[0] for label, points in members.items()},
-        lambda test: FiniteSet.of(
-            degree, (p for label, points in members.items() if test(label) for p in points)),
+        lambda labels: FiniteSet.of(
+            degree, (p for label in labels for p in members.get(label, ()))),
     )
 
 
@@ -469,14 +447,15 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     shortlex-least access words.  Past AUTOMATON_STATES_CAP nodes it raises
     BoundExceeded.
 
-    Each selected set is trimmed, then canonicalized once: the states that
+    Each set of cells is trimmed, then canonicalized once: the states that
     reach a selected state keep their product order, every other target
     goes to one appended rejecting row, and `_canonical` numbers and refines
     the result.
     """
     rank = sets[0].rank
     for s in sets:
-        sets[0]._check_rank(s)
+        if s.rank != rank:
+            raise ValueError(f"rank mismatch: {rank} vs {s.rank}")
     n_letters = 2 * rank
     sets = [SymbolicSet.full(rank), *sets]
     tables = [s.transitions for s in sets]
@@ -513,15 +492,15 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
         trans.append(tuple(row))
 
     product = tuple(trans)
-    sources: list[list[int]] = []            # reverse edges, built on the first select
+    sources: list[list[int]] = []            # reverse edges, built on the first read
 
-    def select(test: Callable[[Label], bool]) -> SymbolicSet:
+    def cells(labels: Iterable[Label]) -> SymbolicSet:
         if not sources:
             sources.extend([] for _ in product)
             for s, row in enumerate(product):
                 for t in row:
                     sources[t].append(s)
-        selected = {s for label, members in states_of.items() if test(label) for s in members}
+        selected = {s for label in labels for s in states_of.get(label, ())}
         live = list(selected)
         seen = set(selected)
         for t in live:                       # live grows while we read it
@@ -538,45 +517,5 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
         rows.append([dead] * n_letters)
         return _canonical(rank, rows, [s in selected for s in live] + [False])
 
-    return Labelling(points, select)
+    return Labelling(points, cells)
 
-
-def combine(op: str, *operands: ActionSet) -> ActionSet:
-    """Boolean combination: union | intersection | complement | difference."""
-    if op == "complement":
-        if len(operands) != 1:
-            raise ValueError("complement takes exactly one operand")
-        return operands[0].complement()
-    if op == "difference":
-        if len(operands) != 2:
-            raise ValueError("difference takes exactly two operands")
-        return operands[0].difference(operands[1])
-    if op in ("union", "intersection"):
-        if not operands:
-            raise ValueError(f"{op} needs at least one operand")
-        points = labelled_pass(operands)
-        return points.select(bool) if op == "union" else points.cell(tuple(range(len(operands))))
-    raise ValueError(f"unknown operation {op!r}")
-
-
-@dataclass(frozen=True)
-class SetRelation:
-    """Exact relation report between two sets of the same kind."""
-
-    equal: bool
-    subset: bool
-    disjoint: bool
-    empty: bool
-    subset_witness: object = None
-
-
-def compare(s: ActionSet, t: ActionSet) -> SetRelation:
-    """Decide equality, inclusion s <= t, disjointness, and emptiness of s."""
-    points = labelled_pass([s, t]).points
-    return SetRelation(
-        equal=(0,) not in points and (1,) not in points,
-        subset=(0,) not in points,
-        disjoint=(0, 1) not in points,
-        empty=s.is_empty,
-        subset_witness=points.get((0,)),
-    )

@@ -264,6 +264,10 @@ class CyclicSubgroup:
     generator: object
     exponent_bound: int = 3
 
+    def __post_init__(self):
+        if self.exponent_bound < 1:   # a bound below 1 would check no element at all
+            raise ValueError(f"exponent bound must be at least 1, got {self.exponent_bound}")
+
 
 @dataclass(frozen=True)
 class FiniteSubgroup:

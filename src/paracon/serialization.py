@@ -20,7 +20,7 @@ from .actions import (
     FreeSelfAction,
     TrivialAction,
 )
-from .langsets import ActionSet, FiniteSet, SymbolicSet, combine, labelled_pass
+from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
 from .words import (
     GROUP_ORDER_CAP,
     MAX_RANK,
@@ -215,8 +215,11 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
                      for i, p in enumerate(parts)]
             return SymbolicSet.words(rank, [w for k, w in atoms if k == "singleton"],
                                      [w for k, w in atoms if k == "cone"])
-        return combine(kind, *(parse_set(p, action, f"{location}.of[{i}]", depth + 1)
-                               for i, p in enumerate(parts)))
+        points = labelled_pass([parse_set(p, action, f"{location}.of[{i}]", depth + 1)
+                                for i, p in enumerate(parts)])
+        if kind == "union":
+            return points.cells([label for label in points.points if label])
+        return points.cells([tuple(range(len(parts)))])
     if kind == "complement":
         inner = doc.get("of")
         _expect(inner is not None, "complement needs 'of'", location)
@@ -240,9 +243,11 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
                     and all(is_integer(t) and 0 <= t < n_states for t in row),
                     f"transition row {i} must hold {2*rank} states below {n_states}",
                     f"{location}.transitions")
-        raw = SymbolicSet(rank, tuple(tuple(row) for row in trans), tuple(bool(v) for v in acc))
+        _expect(all(isinstance(v, bool) for v in acc),
+                "accepting entries must be true or false", f"{location}.accepting")
+        raw = SymbolicSet(rank, tuple(tuple(row) for row in trans), tuple(acc))
         # re-canonicalize so hand-written tables compare like computed ones
-        return labelled_pass([raw]).select(bool)
+        return labelled_pass([raw]).cells([(0,)])
     raise DocumentError(f"unknown set kind {kind!r}", f"{location}.kind")
 
 

@@ -228,12 +228,22 @@ SUBGROUPS = EXTRA_RUNS[3][2]
      "partition[0].of[1].word"),
     (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("c")]},
      "partition[0].of[1].word"),
+    (("pingpong", "subgroups"), {"action": F2, "subgroups": [
+        {"kind": "cyclic", "generator": "a", "exponent_bound": 0},
+        {"kind": "cyclic", "generator": "b", "exponent_bound": -4}],
+        "sets": [{"kind": "cone", "word": "b"}, {"kind": "cone", "word": "a"}]},
+     "subgroups[0].exponent_bound"),
+    (("con", "compute"), {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"],
+                          "partition": [{"kind": "automaton", "rank": 1, "transitions": [[0, 0]],
+                                         "accepting": ["false"]}]},
+     "partition[0].accepting"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
         "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
         "string-in-bounds", "string-exponent-bound", "cyclic-without-generator",
         "decomposition-without-translators",
         "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
-        "bad-word-in-atom-union", "number-word-in-atom-union", "word-past-rank-in-atom-union"])
+        "bad-word-in-atom-union", "number-word-in-atom-union", "word-past-rank-in-atom-union",
+        "exponent-bound-below-one", "string-accepting-entry"])
 def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, monkeypatch):
     code, report = run_stdin(words, json.dumps(doc).encode(), capsys, monkeypatch)
     assert code == 2

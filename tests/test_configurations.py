@@ -108,7 +108,7 @@ class TestCell:
         for config in cs.configurations:
             for j in range(2):
                 block = pair.partition[config[j] - 1]
-                assert cs.cell(config, j).is_subset(block)
+                assert cs.cell(config, j).subset_witness(block) is None
 
     def test_unknown_configuration(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])

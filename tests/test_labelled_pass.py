@@ -202,18 +202,37 @@ def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
     assert report.ok == (not expected)
 
 
-def test_labels_cells_and_least_points_match_pointwise():
-    a, ab, b, e = (parse_word(w) for w in ("a", "ab", "b", "e"))
-    members = [Member.of(expr) for expr in (
-        ("cone", a), ("cone", ab), ("union", ("singleton", e), ("cone", b)),
-        ("complement", ("union", ("cone", a), ("cone", b))))]
+def check_cells(members: list[Member], points: list) -> None:
+    """One pass over the members' values against the oracle, point by point:
+    its least points, then `cells` of every label, of every two labels, of
+    a label that does not occur (alone and beside one that does) and of no
+    label."""
     labelling = labelled_pass([m.value for m in members])
+
+    def label_of(p):
+        return tuple(i for i, m in enumerate(members) if m.contains(p))
+
     expected = {}
-    for w in WORDS:
-        expected.setdefault(tuple(i for i, m in enumerate(members) if m.contains(w)), w)
+    for p in points:
+        expected.setdefault(label_of(p), p)
     assert labelling.points == expected
     assert list(labelling.points) == list(expected)
-    for label in expected:
-        cell = labelling.cell(label)
-        assert all((w in cell) == (tuple(i for i, m in enumerate(members) if m.contains(w)) == label)
-                   for w in WORDS)
+    absent = tuple(range(len(members)))
+    assert absent not in expected
+    labels = list(expected)
+    asked = [[label] for label in labels]
+    asked += [[x, y] for k, x in enumerate(labels) for y in labels[k + 1:]]
+    asked += [[absent], [labels[0], absent], []]
+    for wanted in asked:
+        cells = labelling.cells(wanted)
+        assert all((p in cells) == (label_of(p) in wanted) for p in points), wanted
+
+
+def test_labels_cells_and_least_points_match_pointwise():
+    a, ab, b, e = (parse_word(w) for w in ("a", "ab", "b", "e"))
+    check_cells([Member.of(expr) for expr in (
+        ("cone", a), ("cone", ab), ("union", ("singleton", e), ("cone", b)),
+        ("complement", ("union", ("cone", a), ("cone", b))))], WORDS)
+    finite = FinitePermutationAction(7, {1: Permutation((1, 2, 3, 4, 5, 6, 0))})
+    check_cells([Member(finite.point_set(ps), lambda p, ps=ps: p in ps)
+                 for ps in ([0, 1, 2], [2, 3, 4], [4, 5])], list(range(7)))

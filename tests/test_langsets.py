@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oracles import all_reduced_words, expr_contains
 from paracon import FreeSelfAction, compute_configurations, configuration_pair
-from paracon.langsets import FiniteSet, SymbolicSet, combine, compare, labelled_pass
+from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
 from paracon.serialization import parse_set
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
@@ -25,7 +25,15 @@ def build(expr, rank=RANK):
         return build(expr[1], rank).complement()
     if kind == "difference":
         return build(expr[1], rank).difference(build(expr[2], rank))
-    return combine(kind, build(expr[1], rank), build(expr[2], rank))
+    if kind == "union":
+        return build(expr[1], rank).union(build(expr[2], rank))
+    return build(expr[1], rank).intersection(build(expr[2], rank))
+
+
+def union_of(sets):
+    """The union of the sets, read off one labelled pass: every nonempty label."""
+    points = labelled_pass(sets)
+    return points.cells([label for label in points.points if label])
 
 
 def reduced_words(max_size, rank=RANK):
@@ -84,18 +92,15 @@ class TestBases:
 class TestCombine:
     def test_excluded_middle(self):
         cone_a = SymbolicSet.cone(parse_word("a"), RANK)
-        assert combine("union", cone_a, cone_a.complement()) == SymbolicSet.full(RANK)
+        assert cone_a.union(cone_a.complement()) == SymbolicSet.full(RANK)
 
     def test_incompatible_prefixes(self):
-        assert combine(
-            "intersection",
-            SymbolicSet.cone(parse_word("a"), RANK),
-            SymbolicSet.cone(parse_word("b"), RANK),
-        ).is_empty
+        assert SymbolicSet.cone(parse_word("a"), RANK).intersection(
+            SymbolicSet.cone(parse_word("b"), RANK)).is_empty
 
     def test_self_difference(self):
         cone_ab = SymbolicSet.cone(parse_word("ab"), RANK)
-        assert combine("difference", cone_ab, cone_ab).is_empty
+        assert cone_ab.difference(cone_ab).is_empty
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -132,21 +137,18 @@ class TestCompare:
     def test_subcone_inclusion(self):
         union = SymbolicSet.cone(parse_word("abA"), RANK).union(
             SymbolicSet.cone(parse_word("abb"), RANK))
-        report = compare(union, SymbolicSet.cone(parse_word("ab"), RANK))
-        assert report.subset and not report.equal
+        cone_ab = SymbolicSet.cone(parse_word("ab"), RANK)
+        assert union.subset_witness(cone_ab) is None and union != cone_ab
 
     def test_disjoint_singleton(self):
-        report = compare(
-            SymbolicSet.singleton(parse_word("e"), RANK),
-            SymbolicSet.cone(parse_word("a"), RANK))
-        assert report.disjoint and not report.empty
+        identity = SymbolicSet.singleton(parse_word("e"), RANK)
+        assert identity.is_disjoint(SymbolicSet.cone(parse_word("a"), RANK))
+        assert not identity.is_empty
 
     def test_failed_inclusion_witness(self):
-        report = compare(
-            SymbolicSet.cone(parse_word("a"), RANK),
+        witness = SymbolicSet.cone(parse_word("a"), RANK).subset_witness(
             SymbolicSet.cone(parse_word("aB"), RANK))
-        assert not report.subset
-        assert report.subset_witness == parse_word("a")
+        assert witness == parse_word("a")
 
 
 class TestEnumerate:
@@ -174,13 +176,12 @@ class TestCanonicity:
         assert s.complement().complement() == s
 
     def test_cone_rebuilt_from_extensions(self):
-        rebuilt = combine(
-            "union",
+        rebuilt = union_of([
             SymbolicSet.singleton(parse_word("a"), RANK),
             SymbolicSet.cone(parse_word("aa"), RANK),
             SymbolicSet.cone(parse_word("ab"), RANK),
             SymbolicSet.cone(parse_word("aB"), RANK),
-        )
+        ])
         assert rebuilt == SymbolicSet.cone(parse_word("a"), RANK)
         extensions = [parse_word(text) for text in ("aa", "ab", "aB")]
         assert SymbolicSet.words(RANK, [parse_word("a")], extensions) == rebuilt
@@ -258,14 +259,13 @@ def test_constant_sets_are_built_once_per_rank(rank):
 def test_compare_consistent_with_enumeration(expr):
     s = build(expr)
     t = SymbolicSet.cone(parse_word("a"), RANK)
-    report = compare(s, t)
     s_members = set(s.enumerate_up_to(5))
     t_members = set(t.enumerate_up_to(5))
-    if report.subset:
+    if s.subset_witness(t) is None:
         assert s_members <= t_members
-    if report.disjoint:
+    if s.is_disjoint(t):
         assert not (s_members & t_members)
-    if report.empty:
+    if s.is_empty:
         assert not s_members
 
 
@@ -273,10 +273,10 @@ class TestFiniteSet:
     def test_algebra(self):
         s = FiniteSet.of(4, [0, 1])
         t = FiniteSet.of(4, [1, 2])
-        assert (s | t).members == {0, 1, 2}
-        assert (s & t).members == {1}
-        assert (s - t).members == {0}
-        assert (~s).members == {2, 3}
+        assert s.union(t).members == {0, 1, 2}
+        assert s.intersection(t).members == {1}
+        assert s.difference(t).members == {0}
+        assert s.complement().members == {2, 3}
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
@@ -287,9 +287,7 @@ class TestFiniteSet:
             FiniteSet.of(2, [5])
 
     def test_compare_and_witness(self):
-        report = compare(FiniteSet.of(3, [0, 1]), FiniteSet.of(3, [1]))
-        assert not report.subset
-        assert report.subset_witness == 0
+        assert FiniteSet.of(3, [0, 1]).subset_witness(FiniteSet.of(3, [1])) == 0
 
 
 # -- canonical form, checked with routines that share nothing with _canonical --
@@ -353,7 +351,7 @@ def canonical_candidates(draw) -> list[SymbolicSet]:
     atoms = [SymbolicSet.singleton(w, RANK) if len(w.letters) < 2 else SymbolicSet.cone(w, RANK)
              for w in all_reduced_words(RANK, 2)]
     owner = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
-    blocks = [combine("union", *(a for a, o in zip(atoms, owner) if o == b))
+    blocks = [union_of([a for a, o in zip(atoms, owner) if o == b])
               for b in sorted(set(owner))]
     words = draw(st.lists(translators.filter(lambda w: w.letters), min_size=1, max_size=2))
     cells = compute_configurations(configuration_pair(FreeSelfAction(RANK), words, blocks))
@@ -391,7 +389,7 @@ def test_constructors_need_no_canonicalization(data):
     for t in (SymbolicSet.cone(w, rank), SymbolicSet.singleton(w, rank),
               SymbolicSet.full(rank), SymbolicSet.empty(rank), union,
               SymbolicSet.powers(w, rank), s.translate(g)):
-        assert labelled_pass([t]).select(bool) == t
+        assert labelled_pass([t]).cells([(0,)]) == t
 
 
 @st.composite
@@ -442,7 +440,7 @@ def checked_words(rank, singletons, cones):
     built = SymbolicSet.words(rank, singletons, cones)
     atoms = [SymbolicSet.singleton(w, rank) for w in singletons] + \
         [SymbolicSet.cone(w, rank) for w in cones]
-    assert built == combine("union", SymbolicSet.empty(rank), *atoms)
+    assert built == union_of([SymbolicSet.empty(rank), *atoms])
     expr = union_expr(singletons, cones)
     for w in all_reduced_words(rank, 5):
         assert (w in built) == expr_contains(expr, w)

@@ -215,6 +215,12 @@ class TestPingPongSubgroups:
                  FiniteSubgroup((Permutation((1, 0, 2)),))],
                 [s3_regular.point_set([0]), s3_regular.point_set([1])])
 
+    @pytest.mark.parametrize("bound", [0, -4])
+    def test_exponent_bound_below_one_rejected(self, bound):
+        # a bound below 1 would check no element and certify vacuously
+        with pytest.raises(ValueError, match="at least 1"):
+            CyclicSubgroup(parse_word("a"), bound)
+
     def test_overlapping_sets_rejected(self, f2):
         with pytest.raises(ValueError):
             check_pingpong_subgroups(
