@@ -45,8 +45,15 @@ class ConfigurationPair:
         return len(self.partition)
 
 
+# elements in the tuple of a given pair: cell verification translates every
+# cell by every element, so the tuple length multiplies its work
+TUPLE_LENGTH_CAP = 32
+
+
 def configuration_pair(action: Action, elements: Sequence, blocks: Sequence[ActionSet]) -> ConfigurationPair:
-    """Validated constructor: normalizes elements and checks the partition."""
+    """Validated constructor: normalizes elements and checks the partition.
+    Past TUPLE_LENGTH_CAP elements it raises BoundExceeded."""
+    capped("tuple_length", len(elements), TUPLE_LENGTH_CAP)
     normalized = tuple(action.normalize_element(g) for g in elements)
     if not normalized:
         raise ValueError("tuple must contain at least one element")

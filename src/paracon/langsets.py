@@ -34,7 +34,7 @@ from .words import FreeWord, capped, letter_from_index, letter_index
 
 _Transitions = tuple[tuple[int, ...], ...]
 
-AUTOMATON_STATES_CAP = 2_000   # states one product pass or one canonicalization may take
+AUTOMATON_STATES_CAP = 2_000   # states one product pass or one constructor may build
 
 
 def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
@@ -45,34 +45,40 @@ def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
     return -1 if accepting[s] or any(t != s for t in trans[s]) else s
 
 
-def _canonical(rank: int, trans: Sequence[Sequence[int]],
-               accepting: Sequence[bool]) -> "SymbolicSet":
-    """The set an automaton accepts, as a canonical set.
+def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
+               start: int = 0) -> "SymbolicSet":
+    """The set accepted from state `start`, numbered canonically.
 
     Precondition: the automaton is reduced-closed, that is, every word that
     is not reduced leads to a state from which no word is accepted (so it
-    accepts reduced words only).  `SymbolicSet.words`, `powers` and
-    `translate` build such automata, and `cells` trims a product with X,
-    which has that property.
+    accepts reduced words only), and no two states reachable from `start`
+    are equivalent.  Every constructor builds such an automaton directly,
+    and `_minimized` makes one for `Labelling.cells`.
 
-    The states reachable from 0 are numbered breadth-first, letters in
-    canonical order, which is the order of their shortlex-least access
-    words; past AUTOMATON_STATES_CAP of them it raises BoundExceeded.  Moore
-    refinement then merges equivalent states.  A block's least access word
-    is that of its least state, so numbering the blocks by their least
-    state is the canonical BFS numbering of the minimal automaton.
+    The reachable states are numbered breadth-first, letters in canonical
+    order, which is the order of their shortlex-least access words; that
+    numbering of the minimal automaton is the canonical form.  The walk
+    takes no cap: each constructor checks AUTOMATON_STATES_CAP on the rows
+    it built, which are at least as many, and the product pass's cap bounds
+    the rows of `cells`.
     """
     index = [-1] * len(trans)
-    index[0] = 0
-    order = [0]
+    index[start] = 0
+    order = [start]
     for s in order:                          # order grows while we read it
         for t in trans[s]:
             if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    capped("automaton_states", len(order), AUTOMATON_STATES_CAP)
-    trans = [[index[t] for t in trans[s]] for s in order]
-    accepting = [accepting[s] for s in order]
+    return SymbolicSet(rank, tuple([tuple([index[t] for t in trans[s]]) for s in order]),
+                       tuple([accepting[s] for s in order]))
+
+
+def _minimized(rank: int, trans: Sequence[Sequence[int]],
+               accepting: Sequence[bool]) -> "SymbolicSet":
+    """The set a reduced-closed automaton accepts from state 0: Moore
+    refinement merges its equivalent states, and `_canonical` numbers the
+    quotient.  Only `Labelling.cells` needs it."""
     ids: dict = {}
     block = [ids.setdefault(a, len(ids)) for a in accepting]
     while True:
@@ -82,12 +88,42 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]],
                  for b, row in zip(block, trans)]
         if len(ids) == count:
             break
-    least: list[int] = []                # least state of each block, in block order
+    rows: list = [None] * count
+    quotient = [False] * count
     for s, b in enumerate(block):
-        if b == len(least):
-            least.append(s)
-    return SymbolicSet(rank, tuple([tuple([block[t] for t in trans[s]]) for s in least]),
-                       tuple(accepting[s] for s in least))
+        if rows[b] is None:
+            rows[b] = [block[t] for t in trans[s]]
+            quotient[b] = accepting[s]
+    return _canonical(rank, rows, quotient, block[0])
+
+
+def _registered(rank: int, trans: list, accepting: Sequence[bool],
+                fixed: Iterable[int], fresh: Iterable[int]) -> "SymbolicSet":
+    """The set accepted from the last of `fresh`, built minimal with a
+    register (Daciuk, Mihov, Watson and Watson, "Incremental construction of
+    minimal acyclic finite-state automata", Computational Linguistics 26(1),
+    2000).
+
+    The `fixed` states are pairwise inequivalent and step only among
+    themselves; each fresh state steps only to fixed states and to fresh
+    states listed before it.  The register maps (accepting, row) to a state
+    and starts with the fixed states.  Each fresh state in turn has its
+    targets replaced by what they resolved to, then equals the registered
+    state with its row, or is registered as a new one.  Every registered
+    state's targets are registered, and those are pairwise inequivalent, so
+    a state is equivalent to a registered one exactly when both accept alike
+    and have the same row: the registered states stay pairwise inequivalent,
+    and no refinement is needed.  The fresh rows of `trans` are rewritten
+    in place.  Past AUTOMATON_STATES_CAP rows it raises BoundExceeded before
+    resolving any.
+    """
+    capped("automaton_states", len(trans), AUTOMATON_STATES_CAP)
+    register = {(accepting[s], tuple(trans[s])): s for s in fixed}
+    resolved = list(range(len(trans)))
+    for s in fresh:
+        row = trans[s] = tuple([resolved[t] for t in trans[s]])
+        resolved[s] = register.setdefault((accepting[s], row), s)
+    return _canonical(rank, trans, accepting, resolved[s])
 
 
 class _Queries:
@@ -123,6 +159,12 @@ class SymbolicSet(_Queries):
         x = -1, takes the row into every inside state), so the trie below it
         is unreachable, a word walked through a cone stays inside it, and the
         order of insertion does not matter.
+
+        A node steps only to the dead state, inside states and nodes made
+        after it, so `_registered` resolves the nodes in reverse creation
+        order, then state 0, against a register seeded with the dead state
+        and the inside states, which are pairwise inequivalent: the trie
+        comes out minimal without refinement.
         """
         n_letters = 2 * rank
         # row n_letters, also row -1, has no inverse to block (n_letters ^ 1 > n_letters)
@@ -144,7 +186,8 @@ class SymbolicSet(_Queries):
                 accepting[state] = True
                 if is_cone:
                     trans[state] = inside[x]
-        return _canonical(rank, trans, accepting)
+        return _registered(rank, trans, accepting, range(1, 2 + n_letters),
+                           [*range(len(trans) - 1, 1 + n_letters, -1), 0])
 
     # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
@@ -168,13 +211,33 @@ class SymbolicSet(_Queries):
 
     @staticmethod
     def powers(a: FreeWord, rank: int) -> "SymbolicSet":
-        """The set {a^n : n >= 0} of nonnegative powers of a reduced word."""
+        """The set {a^n : n >= 0} of nonnegative powers of a reduced word,
+        built as its minimal automaton.
+
+        Peel a = w c w^-1 with c cyclically reduced, so a^n = w c^n w^-1
+        letter for letter, with no cancellation anywhere.  With p = |w| and
+        m = |c|, the states are: wing positions 0..p-1 reading w; the start
+        of the first block, when p >= 1; the boundary positions 0..m-1 of c,
+        cycling, where boundary 0 follows at least one block and steps on
+        c[0] into another block or on w^-1's first letter into the suffix
+        (the two differ because a is reduced); suffix positions 1..p; and
+        the dead state.  First-block position j >= 1 reads what boundary
+        position j reads, so it is boundary position j, and with no wing
+        state 0 is boundary 0.  The rest are pairwise inequivalent: a suffix
+        state accepts one word and every other live state infinitely many,
+        and no two states of either kind have shortest accepted words of the
+        same length.
+
+        The cap is checked on 2p + 2m + 1, the states of the automaton whose
+        first block has states of its own, not on the 2p + m + 2 states built
+        here (m + 1 with no wing): a cycle near the cap makes every later
+        product and refinement slow (capped on m + 1, the partition of F_1
+        into the powers of a^1990 and the rest takes 11 s of `con compute`).
+        """
         if a.is_identity:
             return SymbolicSet.singleton(a, rank)
         if any(abs(l) > rank for l in a.letters):
             raise ValueError(f"word {a} outside rank {rank}")
-        # peel a = w c w^-1 with c cyclically reduced; then a^n = w c^n w^-1
-        # letter-for-letter, with no cancellation anywhere.
         letters = list(a.letters)
         wing: list[int] = []
         while len(letters) >= 2 and letters[0] == -letters[-1]:
@@ -182,35 +245,25 @@ class SymbolicSet(_Queries):
             letters = letters[1:-1]
         core = letters
         suffix = [-l for l in reversed(wing)]
-        n_letters = 2 * rank
-        # states: 0..len(wing)-1 read the wing, then core positions cycle;
-        # at each block boundary the next letter picks "another block" vs
-        # "start the suffix" (those letters differ because a is reduced).
-        n_wing, n_core, n_suf = len(wing), len(core), len(suffix)
-        first_block = n_wing                      # block positions, no block done
-        boundary = first_block + n_core           # >= 1 block done, at a boundary
-        suffix_start = boundary + n_core          # suffix position j at suffix_start + j
-        accept_state = suffix_start + n_suf
-        dead = accept_state + 1
-        total = dead + 1
-        trans = [[dead] * n_letters for _ in range(total)]
-        for pos in range(n_wing):
-            trans[pos][letter_index(wing[pos])] = pos + 1
-        for j in range(n_core):
-            nxt = boundary if j == n_core - 1 else first_block + j + 1
-            trans[first_block + j][letter_index(core[j])] = nxt
-        for j in range(n_core):
-            src = boundary + j
-            nxt = boundary if j == n_core - 1 else boundary + j + 1
-            trans[src][letter_index(core[j])] = nxt
-        if n_suf:
-            trans[boundary][letter_index(suffix[0])] = suffix_start + 1
-            for j in range(1, n_suf):
-                trans[suffix_start + j][letter_index(suffix[j])] = suffix_start + j + 1
-        accepting = [False] * total
-        accepting[0] = True  # a^0 = e
-        accepting[accept_state if n_suf else boundary] = True
-        return _canonical(rank, trans, accepting)   # it accepts only the reduced a^n
+        p, m = len(wing), len(core)
+        capped("automaton_states", 2 * p + 2 * m + 1, AUTOMATON_STATES_CAP)
+        boundary = p + 1 if p else 0              # boundary position j at boundary + j
+        suffix_at = boundary + m - 1              # suffix position j at suffix_at + j
+        dead = suffix_at + p + 1
+        trans = [[dead] * (2 * rank) for _ in range(dead + 1)]
+        for i in range(p):
+            trans[i][letter_index(wing[i])] = i + 1
+        for j in range(m):
+            trans[boundary + j][letter_index(core[j])] = boundary + (j + 1) % m
+        if p:                                     # the first block's start, at state p
+            trans[p][letter_index(core[0])] = trans[boundary][letter_index(core[0])]
+        for j in range(p):
+            trans[boundary if j == 0 else suffix_at + j][letter_index(suffix[j])] = suffix_at + j + 1
+        accepting = [False] * (dead + 1)
+        accepting[0] = True                       # a^0 = e
+        if p:
+            accepting[suffix_at + p] = True
+        return _canonical(rank, trans, accepting)
 
     # -- queries -------------------------------------------------------------
 
@@ -266,17 +319,19 @@ class SymbolicSet(_Queries):
         return labelled_pass([self]).cells([()])
 
     def translate(self, g: FreeWord) -> "SymbolicSet":
-        """Left translate gS = {g*w : w in S}, built in one construction.
+        """Left translate gS = {g*w : w in S}, built minimal.
 
-        A reduced word v is in gS iff reduce(g^-1 v) is in S.  With k = |g|,
-        fresh states 0..k-1 count how many leading letters of v have
-        cancelled against g^-1: state j steps to j+1 on the letter g[j], and
-        accepts when S accepts the uncancelled rest of g^-1, the inverse of
-        g[j:].  Any other letter leaves the chain for S's state after that
-        rest.  State k is a copy of S's initial state.  Each state j >= 1
-        sends the inverse of g[j-1] to S's rejecting sink, so the automaton
-        accepts reduced words only and `_canonical` takes it without a
-        product pass.
+        A reduced word v is in gS iff reduce(g^-1 v) is in S.  With k = |g|
+        and n = |S|, chain states n..n+k count how many leading letters of v
+        have cancelled against g^-1: chain state j steps to j+1 on the letter
+        g[j], and accepts when S accepts the uncancelled rest of g^-1, the
+        inverse of g[j:].  Any other letter leaves the chain for S's state
+        after that rest.  Chain state k reads like S's initial state.  Each
+        chain state j >= 1 sends the inverse of g[j-1] to S's rejecting sink,
+        so the automaton accepts reduced words only.  S is minimal and the
+        chain steps only into S or forward, so `_registered` resolves chain
+        states k, k-1, ..., 0 against S's states, and gS needs no product
+        pass and no refinement.
         """
         if any(abs(l) > self.rank for l in g.letters):
             raise ValueError(f"word {g} outside rank {self.rank}")
@@ -284,21 +339,21 @@ class SymbolicSet(_Queries):
         if not k:
             return self
         table = self.transitions
-        sink = _sink(table, self.accepting) + k + 1
+        n = len(table)
+        sink = _sink(table, self.accepting)
         rest = [0] * (k + 1)         # rest[j]: S's state after the inverse of g[j:]
         for j in range(k - 1, -1, -1):
             rest[j] = table[rest[j + 1]][letter_index(-g.letters[j])]
-        trans = []
+        trans = list(table)
         for j in range(k + 1):
-            row = [t + k + 1 for t in table[rest[j]]]
+            row = list(table[rest[j]])
             if j < k:
-                row[letter_index(g.letters[j])] = j + 1
+                row[letter_index(g.letters[j])] = n + j + 1
             if j:
                 row[letter_index(-g.letters[j - 1])] = sink
             trans.append(row)
-        trans += [[t + k + 1 for t in row] for row in table]
-        accepting = tuple(self.accepting[r] for r in rest) + self.accepting
-        return _canonical(self.rank, trans, accepting)
+        accepting = self.accepting + tuple([self.accepting[r] for r in rest])
+        return _registered(self.rank, trans, accepting, range(n), range(n + k, n - 1, -1))
 
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
@@ -384,7 +439,7 @@ class Labelling:
     so the first label passing a test carries the least point passing it.
     `cells(labels)` is the set of points whose label is one of `labels`; a
     label that does not occur adds nothing.  Over symbolic sets each call
-    canonicalizes the live part of the pass's product once.
+    minimizes the live part of the pass's product once.
     """
 
     points: dict[Label, object]
@@ -447,10 +502,12 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
     shortlex-least access words.  Past AUTOMATON_STATES_CAP nodes it raises
     BoundExceeded.
 
-    Each set of cells is trimmed, then canonicalized once: the states that
-    reach a selected state keep their product order, every other target
-    goes to one appended rejecting row, and `_canonical` numbers and refines
-    the result.
+    Each set of cells is trimmed, then minimized once: the states that reach
+    a selected state keep their product order, every other target goes to
+    one appended rejecting row, and `_minimized` refines the result, the one
+    refinement in the package.  No live state has X in its sink, and the
+    product has such a node (after aA), so these rows are no more than the
+    product's nodes, which its cap already bounds.
     """
     rank = sets[0].rank
     for s in sets:
@@ -515,7 +572,7 @@ def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
             renumber[s] = i
         rows = [[renumber[t] for t in product[s]] for s in live]
         rows.append([dead] * n_letters)
-        return _canonical(rank, rows, [s in selected for s in live] + [False])
+        return _minimized(rank, rows, [s in selected for s in live] + [False])
 
     return Labelling(points, cells)
 

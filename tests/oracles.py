@@ -1,9 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code path with the
-package: word enumeration by direct recursion, set membership by evaluating
-expression trees pointwise, configurations of finite actions by iterating
-points, permutation orders by repeated composition, linear feasibility by
+package: word enumeration by direct recursion, free reduction by cancelling
+letter pairs on a stack, set membership by evaluating expression trees
+pointwise, configurations of finite actions by iterating points,
+permutation orders by repeated composition, linear feasibility by
 Fourier-Motzkin elimination, a reference phase-one simplex over Fraction
 that fixes which answer the solver returns, row-by-row Fraction checks of
 solutions and certificates, and a lex-first paradox search that tests
@@ -33,6 +34,23 @@ def all_reduced_words(rank: int, max_length: int) -> list[FreeWord]:
         out.extend(FreeWord(l) for l in next_level)
         level = next_level
     return out
+
+
+def free_product(*words: FreeWord) -> FreeWord:
+    """The reduced product of the words, by cancelling adjacent inverse
+    letters on a stack."""
+    stack: list[int] = []
+    for word in words:
+        for letter in word.letters:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+    return FreeWord(tuple(stack))
+
+
+def free_inverse(word: FreeWord) -> FreeWord:
+    return FreeWord(tuple(-letter for letter in reversed(word.letters)))
 
 
 # expression trees: ("cone", word) ("singleton", word) ("full",) ("empty",)

@@ -5,13 +5,17 @@ for the length of a traced pass, so a method a backend only inherits makes
 a traced run fail with KeyError.  It wraps a module function by rebinding
 the module's name, so a deleted or renamed function makes a traced run fail
 with AttributeError, and a call that does not go through that name (an
-inlined check, say) drops out of the layer it belongs to.  These tests read
-the tracer's target list and change nothing under bench/.
+inlined check, say) drops out of the layer it belongs to.  The harness
+rejects a run with any report that bench/checker.py does not accept, so the
+first round of each workload is run through the harness's command loop too.
+These tests change nothing under bench/.
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -61,3 +65,24 @@ def test_solver_rechecks_through_the_public_verifiers(monkeypatch, z3, f2, five_
         assert equations.solve_feasibility(system).feasible is feasible
         name = "verify_solution" if feasible else "verify_certificate"
         assert calls == Counter({name: 1})
+
+
+def bench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    return __import__(name)
+
+
+@pytest.mark.parametrize("workload", ["free-decide", "finite-eq", "paradox-search"])
+def test_first_benchmark_round_passes_the_checker(workload, monkeypatch, tmp_path):
+    """Round 0 of each workload at seed 1, run through the harness's own
+    command loop, which checks every report with bench/checker.py: a report
+    the checker rejects fails here before any timed run."""
+    import paracon.cli
+
+    run = bench_module(monkeypatch, "run")
+    workloads = bench_module(monkeypatch, "workloads")
+    commands = workloads.make_round(workload, 1, 0)
+    result = run.run_commands(paracon.cli, commands, tmp_path)
+    assert result.attempted == len(commands)
+    assert result.failures == []

@@ -25,6 +25,14 @@ from paracon.words import Permutation, parse_word
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def f2_words(length):
+    """The reduced words of F2 of exactly this length, in the letters aAbB."""
+    words = [""]
+    for _ in range(length):
+        words = [w + c for w in words for c in "aAbB" if not w or w[-1] != c.swapcase()]
+    return words
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -300,6 +308,42 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1
         assert code == 3
         assert report["error"]["bound"] == "automaton_states"
+
+    # the slowest documents found at the tuple-length cap of 32: the cone of a
+    # and its complement with the tuple a, a^2, ..., a^32 (0.2 s of command
+    # time on a 2-vCPU VM), and the 53 depth-3 atoms of F2 with the slowest of
+    # 14 random tuples of words of length 1 to 3 (638 configurations, 2.3 s)
+    LONG_TUPLES = {
+        "cone-family": ([{"kind": "cone", "word": "a"},
+                         {"kind": "complement", "of": {"kind": "cone", "word": "a"}}],
+                        ["a" * k for k in range(1, 33)]),
+        "depth-3-atoms": ([{"kind": "singleton", "word": w or "e"}
+                           for n in range(3) for w in f2_words(n)]
+                          + [{"kind": "cone", "word": w} for w in f2_words(3)],
+                          ["baa", "A", "a", "Ba", "BBB", "AbA", "b", "bb", "a", "ABa", "ab", "Bab",
+                           "bb", "bb", "bb", "aa", "AB", "b", "aa", "bbb", "aab", "b", "aBB", "aBB",
+                           "b", "ba", "bbA", "a", "B", "A", "baB", "Bab"]),
+    }
+
+    @pytest.mark.parametrize("family", LONG_TUPLES)
+    @pytest.mark.parametrize("extra,code", [(0, 0), (1, 3)], ids=["at-cap", "past-cap"])
+    def test_tuple_length_cap(self, family, extra, code, capsys, tmp_path):
+        partition, tuple_ = self.LONG_TUPLES[family]
+        doc = {"action": {"backend": "free-self", "rank": 2},
+               "tuple": tuple_ + ["a"] * extra, "partition": partition}
+        path = tmp_path / "long-tuple.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        got, report = run(capsys, "con", "compute", "--input", str(path))
+        elapsed = time.perf_counter() - started
+        assert got == code
+        if code == 0:
+            assert report["data"]["cell_partition_ok"] is True
+            assert elapsed < 10
+        else:
+            assert report["error"]["bound"] == "tuple_length"
+            assert report["error"]["cap"] == 32
+            assert elapsed < 0.5
 
     def test_compare_con_on_a_large_degree_ends_in_a_report(self, capsys, tmp_path):
         # more points than the interpreter's recursion limit: the candidate

@@ -1,14 +1,18 @@
+import time
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import all_reduced_words, expr_contains
+from oracles import all_reduced_words, expr_contains, free_inverse, free_product
 from paracon import FreeSelfAction, compute_configurations, configuration_pair
+from paracon import langsets
 from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
 from paracon.serialization import parse_set
 from paracon.words import FreeWord, multiply, invert, parse_word, word_str
 
 RANK = 2
 WORDS6 = all_reduced_words(RANK, 6)
+WORDS6_BY_RANK = {1: all_reduced_words(1, 6), RANK: WORDS6}
 
 
 def build(expr, rank=RANK):
@@ -218,6 +222,15 @@ class TestPowers:
                 expected.add(current)
         assert got == expected
 
+    def test_long_power_is_built_as_its_cycle(self):
+        # a refinement of the 1,999-state automaton with a separate first
+        # block took over a second; the minimal cycle is built directly
+        started = time.perf_counter()
+        powers = SymbolicSet.powers(FreeWord((1,) * 999), 1)
+        assert time.perf_counter() - started < 0.1
+        assert len(powers.transitions) == 1000
+        assert FreeWord((1,) * 1998) in powers and FreeWord((1,) * 1000) not in powers
+
     def test_identity_powers(self):
         assert SymbolicSet.powers(parse_word("e"), RANK) == \
             SymbolicSet.singleton(parse_word("e"), RANK)
@@ -392,6 +405,55 @@ def test_constructors_need_no_canonicalization(data):
         assert labelled_pass([t]).cells([(0,)]) == t
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_constructor_refines(data):
+    """Every constructor builds its automaton minimal: with the refinement
+    made to raise, cones, singletons, unions of both, the full and empty
+    sets, powers and translates still build (full and empty bypass their
+    per-rank cache).  The set to translate is built first, since boolean
+    operations do refine."""
+    rank = data.draw(st.integers(1, 3))
+    s = build(data.draw(expressions(rank)), rank)
+    w = data.draw(reduced_words(6, rank))
+    g = data.draw(reduced_words(6, rank))
+    singletons, cones = data.draw(word_lists(rank)), data.draw(word_lists(rank))
+
+    def refuse(*args):
+        raise AssertionError("a constructor called the refinement")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(langsets, "_minimized", refuse)
+        SymbolicSet.cone(w, rank)
+        SymbolicSet.singleton(w, rank)
+        SymbolicSet.words(rank, singletons, cones)
+        SymbolicSet.full.__wrapped__(rank)
+        SymbolicSet.empty.__wrapped__(rank)
+        SymbolicSet.powers(w, rank)
+        s.translate(g)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_translate_and_powers_match_the_pointwise_oracle(rank, data):
+    """gS holds v exactly when the oracle's S holds the reduced g^-1 v, and
+    powers(a) holds v exactly when v is some reduced a^n, on every reduced
+    word up to length 6; the oracle side reduces words by itself.  a is
+    drawn as a conjugate w c w^-1, so it often has a wing."""
+    expr = data.draw(expressions(rank))
+    g = data.draw(reduced_words(6, rank))
+    w = data.draw(reduced_words(2, rank))
+    a = free_product(w, data.draw(reduced_words(3, rank)), free_inverse(w))
+    moved = build(expr, rank).translate(g)
+    powers = SymbolicSet.powers(a, rank)
+    power_words = {free_product(*[a] * n) for n in range(7)}   # |a^n| >= n
+    g_inv = free_inverse(g)
+    for v in WORDS6_BY_RANK[rank]:
+        assert (v in moved) == expr_contains(expr, free_product(g_inv, v)), word_str(v)
+        assert (v in powers) == (v in power_words), word_str(v)
+
+
 @st.composite
 def hand_written_tables(draw) -> tuple[int, list[list[int]], list[bool]]:
     """A complete table at rank 1 or 2 with up to 4 states.  Nothing ties
@@ -401,9 +463,6 @@ def hand_written_tables(draw) -> tuple[int, list[list[int]], list[bool]]:
     row = st.lists(st.integers(0, n - 1), min_size=2 * rank, max_size=2 * rank)
     return (rank, draw(st.lists(row, min_size=n, max_size=n)),
             draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-
-
-WORDS6_BY_RANK = {1: all_reduced_words(1, 6), RANK: WORDS6}
 
 
 @settings(max_examples=150, deadline=None)
