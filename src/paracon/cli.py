@@ -24,6 +24,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 from . import configurations as cfg
@@ -502,10 +503,40 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
     return 2, _error(message, location)
 
 
+def _json(value, indent: str = "") -> str:
+    """The bytes of json.dumps(value, sort_keys=True, indent=2), nested at
+    `indent`, for objects with string keys.  Given an indent, json.dumps runs
+    the json module's pure-Python encoder; this one pass is faster."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}"
+                 for key in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is int for v in value):
+            items = map(str, value)
+        else:
+            items = (_json(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _report(name: str, seed: int, raw: bytes, body: dict) -> str:
     report = {"command": name, "input_digest": "sha256:" + hashlib.sha256(raw).hexdigest(),
               "seed": seed, **body}
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _json(report) + "\n"
 
 
 def main(argv=None) -> int:

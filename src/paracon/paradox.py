@@ -14,12 +14,12 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, capped
+from .words import FreeWord, capped, letter_from_index
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -591,24 +591,57 @@ def cover_masks(
     all fine atoms.  Every such translate is a union of fine atoms, so
     translates cover X exactly when their masks OR to `full`.  Raises
     BoundExceeded, before building anything, past SEARCH_TABLE_CAP bits.
+
+    Fine word u lies in t * atom a exactly when reduce(t^-1 u) starts with
+    (or, below length `depth`, equals) the word of a.  Each row is filled
+    by one depth-first walk of the word tree, by a prefix-class lemma: with
+    s = t^-1 of length l, and k the letters of u cancelled against s,
+    reduce(s u) = s[:l-k] + u[k:].  Once u has stopped cancelling (k < |u|),
+    every extension of u cancels the same k letters, so its first `depth`
+    letters depend only on u[:depth+2k-l].  A word u past that length thus
+    sends all its extensions to one atom: the walk ORs in below[u], the
+    fine words with prefix u, and goes no deeper.
     """
     fine = _word_count(rank, depth + length)
     capped("search_table_bits", _word_count(rank, length) * _word_count(rank, depth) * fine,
            SEARCH_TABLE_CAP)
-    words = [w.letters for w in SymbolicSet.full(rank).enumerate_up_to(depth + length)]
+    letters = [letter_from_index(i) for i in range(2 * rank)]
+    words, children = [()], []     # shortlex; children[i] indexes the one-letter extensions
+    for w in words:                # also visits the words it appends
+        start = len(words)
+        if len(w) < depth + length:
+            words += [w + (x,) for x in letters if not w or w[-1] != -x]
+        children.append(range(start, len(words)))
+    # Every fine word splits once as t * a with |t| <= length and |a| <= depth,
+    # so fine <= translators * atoms and `below`, fine masks of fine bits,
+    # holds at most fine^2 bits: no more than the table the cap has bounded.
+    below = [0] * fine
+    for i in reversed(range(fine)):
+        mask = 1 << i
+        for c in children[i]:
+            mask |= below[c]
+        below[i] = mask
     atoms = words[:_word_count(rank, depth)]
     translators = words[:_word_count(rank, length)]
     atom_of = {w: i for i, w in enumerate(atoms)}
     masks = []
     for t in translators:
-        inverse = tuple(-l for l in reversed(t))
+        s = tuple(-x for x in reversed(t))
+        l = len(s)
         row = [0] * len(atoms)
-        for bit, u in enumerate(words):
-            k = 0        # letters cancelled between t^-1 and u
-            while k < len(inverse) and k < len(u) and inverse[-1 - k] == -u[k]:
-                k += 1
-            reduced = inverse[:len(inverse) - k] + u[k:]     # t^-1 u
-            row[atom_of[reduced[:depth]]] |= 1 << bit
+        stack = [(0, 0)]           # (word index, letters of s it cancels)
+        while stack:
+            i, k = stack.pop()
+            u = words[i]
+            n = len(u)
+            atom = atom_of[(s[:l - k] + u[k:])[:depth]]
+            if k < n and n >= depth + 2 * k - l:
+                row[atom] |= below[i]
+                continue
+            row[atom] |= 1 << i
+            for c in children[i]:
+                cancels = k == n < l and words[c][-1] == -s[l - 1 - k]
+                stack.append((c, k + cancels))
         masks.append(row)
     return [FreeWord(w) for w in atoms], [FreeWord(t) for t in translators], masks, (1 << fine) - 1
 
@@ -631,7 +664,11 @@ def bounded_paradox_search(
     atoms.  Proof: u is in t A exactly when reduce(t^-1 u) is in A, and for
     |u| >= d+L the cancellation uses at most L < |u| letters of u, so the
     first d letters of reduce(t^-1 u) depend only on the first d+L letters
-    of u.  The returned decomposition is verified exactly on automata.
+    of u.  Each family's atoms are chosen depth-first in lex order, and a
+    branch is dropped once the atoms chosen, with every atom still after
+    them, cannot reach every fine atom (Knuth, "Dancing Links",
+    arXiv:cs/0011047, bounds its search the same way).  The returned
+    decomposition is verified exactly on automata.
     """
     bounds = (max_pieces, cone_depth, translator_length)
     if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
@@ -653,6 +690,23 @@ def bounded_paradox_search(
     rank = action.rank
     atoms, translators, masks, full = cover_masks(rank, cone_depth, translator_length)
     reach = [reduce(or_, column) for column in zip(*masks)]   # all translates of each atom
+    suffix = list(itertools.accumulate(reversed(reach), or_))[::-1]   # OR of reach[i:]
+
+    def subsets(count: int, skip: tuple[int, ...] = (), start: int = 0,
+                covered: int = 0) -> Iterator[tuple[int, ...]]:
+        """`count` >= 1 atoms from start on, outside `skip`, whose reach with
+        `covered` is `full`; in the lex order of itertools.combinations."""
+        for i in range(start, len(atoms) - count + 1):
+            if covered | suffix[i] != full:     # nor can any later i
+                return
+            if i in skip:
+                continue
+            if count == 1:
+                if covered | reach[i] == full:
+                    yield (i,)
+                continue
+            for rest in subsets(count - 1, skip, i + 1, covered | reach[i]):
+                yield (i,) + rest
 
     def first_cover(atom_indices: tuple[int, ...], covered: int = 0) -> Optional[tuple[int, ...]]:
         """Lex-first translators whose translates of the atoms, with `covered`, cover X; or None."""
@@ -672,12 +726,11 @@ def bounded_paradox_search(
 
     for total in range(2, max_pieces + 1):
         for count_a in range(1, total):
-            for subset_a in itertools.combinations(range(len(atoms)), count_a):
+            for subset_a in subsets(count_a):
                 assign_a = first_cover(subset_a)
                 if assign_a is None:
                     continue
-                remaining = [i for i in range(len(atoms)) if i not in subset_a]
-                for subset_b in itertools.combinations(remaining, total - count_a):
+                for subset_b in subsets(total - count_a, subset_a):
                     assign_b = first_cover(subset_b)
                     if assign_b is None:
                         continue

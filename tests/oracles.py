@@ -7,8 +7,8 @@ pointwise, configurations of finite actions by iterating points,
 permutation orders by repeated composition, linear feasibility by
 Fourier-Motzkin elimination, a reference phase-one simplex over Fraction
 that fixes which answer the solver returns, row-by-row Fraction checks of
-solutions and certificates, and a lex-first paradox search that tests
-covers word by word.
+solutions and certificates, and the paradox search's cover table and a
+lex-first paradox search, both testing covers word by word.
 """
 
 from __future__ import annotations
@@ -20,33 +20,37 @@ from math import gcd
 from paracon.words import FreeWord
 
 
+def shortlex_words(rank: int, max_length: int) -> list[tuple[int, ...]]:
+    """Every reduced word of length <= max_length as a letter tuple (+i for
+    generator i, -i for its inverse), in shortlex order with a < A < b < B."""
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    out, level = [()], [()]
+    for _ in range(max_length):
+        level = [w + (l,) for w in level for l in letters if not (w and w[-1] == -l)]
+        out += level
+    return out
+
+
+def reduce_letters(word: tuple[int, ...]) -> tuple[int, ...]:
+    """Free reduction, cancelling letter pairs on a stack."""
+    stack = []
+    for letter in word:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
+
+
 def all_reduced_words(rank: int, max_length: int) -> list[FreeWord]:
     """Every reduced word of length <= max_length, generated directly."""
-    out = [FreeWord(())]
-    level = [()]
-    for _ in range(max_length):
-        next_level = []
-        for letters in level:
-            for letter in [s * g for g in range(1, rank + 1) for s in (1, -1)]:
-                if letters and letters[-1] == -letter:
-                    continue
-                next_level.append(letters + (letter,))
-        out.extend(FreeWord(l) for l in next_level)
-        level = next_level
-    return out
+    return [FreeWord(w) for w in shortlex_words(rank, max_length)]
 
 
 def free_product(*words: FreeWord) -> FreeWord:
     """The reduced product of the words, by cancelling adjacent inverse
     letters on a stack."""
-    stack: list[int] = []
-    for word in words:
-        for letter in word.letters:
-            if stack and stack[-1] == -letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-    return FreeWord(tuple(stack))
+    return FreeWord(reduce_letters(tuple(l for word in words for l in word.letters)))
 
 
 def free_inverse(word: FreeWord) -> FreeWord:
@@ -294,6 +298,32 @@ def check_certificate(variables, rows, rhs, multipliers) -> tuple:
     return True, None
 
 
+def in_atom(word: tuple[int, ...], atom: tuple[int, ...], depth: int) -> bool:
+    """Whether the reduced word lies in the depth-`depth` atom of `atom`: its
+    cone at length `depth`, its singleton below."""
+    return word == atom or (len(atom) == depth and word[:depth] == atom)
+
+
+def cover_table(rank: int, depth: int, length: int):
+    """The paradox search's cover table, word by word.
+
+    Returns (atoms, translators, masks, full) as letter tuples: the
+    depth-`depth` atom words and the translators of length <= `length`,
+    both in shortlex order, and masks[t][a] with bit i set when the i-th
+    reduced word u of length <= depth + length has reduce(t^-1 u) in atom
+    a, with t^-1 u reduced letter by letter.
+    """
+    words = shortlex_words(rank, depth + length)
+    atoms, translators = shortlex_words(rank, depth), shortlex_words(rank, length)
+    masks = []
+    for t in translators:
+        inverse = tuple(-l for l in reversed(t))
+        reduced = [reduce_letters(inverse + u) for u in words]
+        masks.append([sum(1 << i for i, x in enumerate(reduced) if in_atom(x, atom, depth))
+                      for atom in atoms])
+    return atoms, translators, masks, (1 << len(words)) - 1
+
+
 def lex_first_search(rank: int, max_pieces: int, depth: int, length: int):
     """The first decomposition of F_rank acting on itself, or None.
 
@@ -307,36 +337,14 @@ def lex_first_search(rank: int, max_pieces: int, depth: int, length: int):
     Returns (atoms_a, translators_a, atoms_b, translators_b) as tuples of
     letter tuples (+i for generator i, -i for its inverse).
     """
-    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
-
-    def words(n):
-        out, level = [()], [()]
-        for _ in range(n):
-            level = [w + (l,) for w in level for l in letters if not (w and w[-1] == -l)]
-            out += level
-        return out
-
-    def reduce(word):
-        stack = []
-        for letter in word:
-            if stack and stack[-1] == -letter:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return tuple(stack)
-
-    atoms, translators = words(depth), words(length)
-    tests = words(depth + length + 1)
+    atoms, translators = shortlex_words(rank, depth), shortlex_words(rank, length)
+    tests = shortlex_words(rank, depth + length + 1)
 
     def inside(t, atom):
         """Indices of the test words u with reduce(t^-1 u) in the atom."""
         inverse = tuple(-l for l in reversed(t))
-        found = set()
-        for i, u in enumerate(tests):
-            x = reduce(inverse + u)
-            if x == atom or (len(atom) == depth and x[:depth] == atom):
-                found.add(i)
-        return found
+        return {i for i, u in enumerate(tests)
+                if in_atom(reduce_letters(inverse + u), atom, depth)}
 
     translates = {(t, a): inside(translators[t], atoms[a])
                   for t in range(len(translators)) for a in range(len(atoms))}

@@ -6,8 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paracon.cli import main
+from paracon.cli import _json, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
     DocumentError,
@@ -572,3 +573,32 @@ class TestRoundTrips:
         with pytest.raises(DocumentError) as err:
             parse_set({"kind": "union", "of": [{"kind": "cone", "word": "zz"}]}, f2, "sets")
         assert "sets.of[0]" in str(err.value)
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
+               | st.floats() | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], {"": []}, [{}], {"é \x00\x1f\"\\": "ü\n\t€\U0001f600"},
+    {"b": [True, False, None, 1], "a": [0, -1, 10**40], "c": [1.5, (2, 3)]},
+])
+def test_report_writer_edge_cases(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_report_writer_reproduces_every_golden():
+    for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.json")):
+        text = path.read_text()
+        assert _json(json.loads(text)) + "\n" == text, path.name

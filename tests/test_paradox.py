@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cone, singleton
-from oracles import all_reduced_words, lex_first_search
+from oracles import all_reduced_words, cover_table, lex_first_search
 from paracon import (
     CyclicSubgroup,
     CyclicTableau,
@@ -40,8 +40,8 @@ from paracon import (
 )
 from paracon.langsets import labelled_pass
 from paracon import paradox
-from paracon.paradox import cover_masks
-from paracon.words import FreeWord
+from paracon.paradox import SEARCH_TABLE_CAP, _word_count, cover_masks
+from paracon.words import BoundExceeded, FreeWord
 
 E, A_, B_ = parse_word("e"), parse_word("a"), parse_word("b")
 
@@ -363,7 +363,8 @@ class TestBoundedSearch:
         assert result.decomposition is None
         assert result.bounds == (2, 1, 1)
 
-    @pytest.mark.parametrize("bounds", [(4, 2, 1), (4, 3, 2), (5, 3, 1)],
+    @pytest.mark.parametrize("bounds", [(4, 2, 1), (4, 3, 2), (5, 3, 1), (5, 4, 0), (5, 4, 1),
+                                        (6, 3, 1), (6, 4, 1)],
                              ids=lambda bounds: "-".join(map(str, bounds)))
     def test_depth_two_none_within_two_seconds(self, f2, bounds):
         started = time.perf_counter()
@@ -435,6 +436,31 @@ def test_mask_cover_agrees_with_labelled_pass(rank, depth, length, data):
                   for t, a in zip(assignment, chosen)]
     by_pass = labelled_pass(translates).uncovered(range(count)) is None
     assert (covered == full) == by_pass
+
+
+MASK_TRIPLES = [(r, d, L) for r in (1, 2, 3) for d in range(5) for L in range(4)
+                if _word_count(r, L) * _word_count(r, d) * _word_count(r, d + L) <= 100_000]
+
+
+@pytest.mark.parametrize("rank,depth,length", MASK_TRIPLES)
+def test_cover_masks_match_the_word_by_word_table(rank, depth, length):
+    atoms, translators, masks, full = cover_masks(rank, depth, length)
+    assert ([w.letters for w in atoms], [t.letters for t in translators], masks, full) \
+        == cover_table(rank, depth, length)
+
+
+def test_prefix_masks_stay_within_the_table_cap():
+    # Every word of length <= d+L splits once as t * a with |t| <= L and
+    # |a| <= d, so fine <= translators * atoms, and the fine prefix masks of
+    # fine bits each hold no more bits than the capped table.
+    for rank in (1, 2, 3, 4):
+        for depth in range(7):
+            for length in range(7):
+                fine = _word_count(rank, depth + length)
+                assert fine <= _word_count(rank, length) * _word_count(rank, depth)
+    with pytest.raises(BoundExceeded) as err:
+        cover_masks(2, 8, 8)
+    assert err.value.name == "search_table_bits" and err.value.cap == SEARCH_TABLE_CAP
 
 
 # The Tarski number of a non-abelian free group is 4 (Ershov, Golan and Sapir,
