@@ -14,6 +14,7 @@ operation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
@@ -25,6 +26,7 @@ from .words import (
     identity_permutation,
     parse_word,
     permutation_closure,
+    right_multiplier,
 )
 
 Point = Union[int, FreeWord]
@@ -222,19 +224,32 @@ class FiniteRegularAction(FinitePermutationAction):
     """A finite permutation-generated group acting on its own element list.
 
     Points are indices into the element list of G = <generators>, sorted by
-    image tuple, and g moves point x to the index of g * elements[x]; this
-    index permutation is computed once per element.  Elements stay the
-    generating permutations.  This is where subsets of G itself live.
+    image tuple, and g moves point x to the index of g * elements[x].  The
+    closure and the point index hold image tuples only; `elements` builds
+    Permutations when first read.  The index permutation of g takes one
+    `right_multiplier` call per point x (made once per action) on g's
+    images, and is computed once per element.  Elements stay the generating
+    permutations.  This is where subsets of G itself live.
     """
 
     kind = "finite-regular"
 
     def __init__(self, generators: Mapping[int, Permutation]):
         self.generators = dict(generators)
-        self.elements = permutation_closure(list(self.generators.values()))
-        self.degree = len(self.elements)
-        self._index = {perm.images: i for i, perm in enumerate(self.elements)}
+        self._index = {images: i for i, images in
+                       enumerate(permutation_closure(list(self.generators.values())))}
+        self.degree = len(self._index)
         self._regular: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    @cached_property
+    def elements(self) -> list[Permutation]:
+        """The group's elements in point order."""
+        return [Permutation(images) for images in self._index]
+
+    @cached_property
+    def _multipliers(self) -> list:
+        """x -> x * elements[i] on image tuples, for every point i."""
+        return [right_multiplier(images) for images in self._index]
 
     def point_of(self, g) -> int:
         """Index of a group element in the point list."""
@@ -250,7 +265,7 @@ class FiniteRegularAction(FinitePermutationAction):
         return g
 
     def identity(self) -> Permutation:
-        return self.elements[0]
+        return Permutation(next(iter(self._index)))
 
     def point_images(self, g) -> tuple[int, ...]:
         """The left-regular index permutation of g."""
@@ -258,8 +273,8 @@ class FiniteRegularAction(FinitePermutationAction):
         regular = self._regular.get(images)
         if regular is None:
             index = self._index
-            regular = self._regular[images] = tuple([index[tuple([images[p] for p in h])]
-                                                     for h in index])
+            regular = self._regular[images] = tuple([index[times(images)]
+                                                     for times in self._multipliers])
         return regular
 
     # bench/tracer.py times act_on_set per backend class, from its own namespace
@@ -452,8 +467,8 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     group = permutation_closure(list(orbit_gens.values()))
     base = position[x0]
     coset_of_point: dict[int, int] = {}
-    for g in group:
-        coset_of_point.setdefault(g.images[base], len(coset_of_point))
+    for images in group:
+        coset_of_point.setdefault(images[base], len(coset_of_point))
     point_map = tuple(coset_of_point[i] for i in range(len(orbit)))
     coset_gens = {idx: Permutation(tuple(coset_of_point[perm.images[x]] for x in coset_of_point))
                   for idx, perm in orbit_gens.items()}
@@ -466,5 +481,5 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
         orbit_action=orbit_action,
         orbit=tuple(orbit),
         restricted=restricted,
-        stabilizer_order=sum(g.images[base] == base for g in group),
+        stabilizer_order=sum(images[base] == base for images in group),
     )

@@ -368,7 +368,7 @@ class FiniteSet(_Queries):
     members: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        if any(p < 0 or p >= self.degree for p in self.members):
+        if self.members and (min(self.members) < 0 or max(self.members) >= self.degree):
             raise ValueError(f"point outside 0..{self.degree-1}")
 
     @staticmethod

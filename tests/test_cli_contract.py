@@ -251,6 +251,16 @@ def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, mon
     assert report["error"]["location"] == location
 
 
+@pytest.mark.parametrize("points", [[1, 2], [-1, 1]], ids=["point-past-the-degree", "negative-point"])
+def test_points_outside_the_universe_exit_2(points, capsys, monkeypatch):
+    doc = {**TRIVIAL2, "partition": [{"kind": "points", "points": [0]},
+                                     {"kind": "points", "points": points}]}
+    code, report = run_stdin(("con", "compute"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error"] == {"message": "point outside 0..1", "location": "partition[1].points"}
+
+
 def test_missing_input_file_exits_2_at_input(tmp_path, capsys):
     code = main(["eq", "solve", "--input", str(tmp_path / "missing.json")])
     report = json.loads(capsys.readouterr().out)

@@ -125,6 +125,22 @@ VIOLATIONS = [
 ]
 
 
+# (name, generators); `eq solve` on the regular action of the group they
+# generate, with one block, exits 0; golden file small-group-<name>.json.
+# Below degree 2 every generator is the identity and the group has order 1.
+SMALL_GROUPS = [
+    ("degree-0", {"a": []}),
+    ("degree-1", {"a": [0]}),
+    ("two-of-degree-1", {"a": [0], "b": [0]}),
+    ("z2", {"a": [1, 0]}),
+]
+
+
+def small_group_doc(generators: dict) -> dict:
+    return {"action": {"backend": "finite-regular", "generators": generators},
+            "tuple": ["a"], "partition": [{"kind": "full"}]}
+
+
 def error_input(raw) -> bytes:
     return raw if isinstance(raw, bytes) else json.dumps(raw).encode()
 
@@ -163,6 +179,14 @@ def test_violation_report_matches_golden(name, doc, capsys, tmp_path):
     assert out.encode() == (GOLDEN / f"violated-{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name,generators", SMALL_GROUPS, ids=[case[0] for case in SMALL_GROUPS])
+def test_small_group_report_matches_golden(name, generators, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(small_group_doc(generators)))
+    assert main(["eq", "solve", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"small-group-{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -188,3 +212,9 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 assert main(["eq", "verify", "--input", str(path)]) == 0
             (GOLDEN / f"violated-{name}.json").write_bytes(out.getvalue().encode())
+        for name, generators in SMALL_GROUPS:
+            path.write_text(json.dumps(small_group_doc(generators)))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["eq", "solve", "--input", str(path)]) == 0
+            (GOLDEN / f"small-group-{name}.json").write_bytes(out.getvalue().encode())

@@ -171,8 +171,14 @@ def test_evaluate_word_is_a_homomorphism(a, b):
 
 def test_permutation_closure_s3():
     closure = permutation_closure([Permutation((1, 0, 2)), Permutation((0, 2, 1))])
-    assert len(closure) == 6
-    assert identity_permutation(3) in closure
+    assert closure == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+
+
+@pytest.mark.parametrize("generators", [[()], [(0,)], [(0,), (0,)]])
+def test_permutation_closure_below_degree_2_is_the_identity(generators):
+    # the products there are not itemgetter calls, which need two or more indices
+    degree = len(generators[0])
+    assert permutation_closure([Permutation(g) for g in generators]) == [tuple(range(degree))]
 
 
 def test_permutation_closure_stops_past_the_group_order_cap():
