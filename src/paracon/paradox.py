@@ -579,6 +579,13 @@ def _word_count(rank: int, length: int) -> int:
     return 1 + rank * ((2 * rank - 1) ** length - 1) // (rank - 1)
 
 
+def _table_bits(rank: int, depth: int, length: int) -> int:
+    """Bits in the cover table, or BoundExceeded past SEARCH_TABLE_CAP."""
+    return capped("search_table_bits",
+                  _word_count(rank, length) * _word_count(rank, depth)
+                  * _word_count(rank, depth + length), SEARCH_TABLE_CAP)
+
+
 def cover_masks(
     rank: int, depth: int, length: int
 ) -> tuple[list[FreeWord], list[FreeWord], list[list[int]], int]:
@@ -602,9 +609,8 @@ def cover_masks(
     sends all its extensions to one atom: the walk ORs in below[u], the
     fine words with prefix u, and goes no deeper.
     """
+    _table_bits(rank, depth, length)
     fine = _word_count(rank, depth + length)
-    capped("search_table_bits", _word_count(rank, length) * _word_count(rank, depth) * fine,
-           SEARCH_TABLE_CAP)
     letters = [letter_from_index(i) for i in range(2 * rank)]
     words, children = [()], []     # shortlex; children[i] indexes the one-letter extensions
     for w in words:                # also visits the words it appends
@@ -664,11 +670,18 @@ def bounded_paradox_search(
     atoms.  Proof: u is in t A exactly when reduce(t^-1 u) is in A, and for
     |u| >= d+L the cancellation uses at most L < |u| letters of u, so the
     first d letters of reduce(t^-1 u) depend only on the first d+L letters
-    of u.  Each family's atoms are chosen depth-first in lex order, and a
-    branch is dropped once the atoms chosen, with every atom still after
-    them, cannot reach every fine atom (Knuth, "Dancing Links",
-    arXiv:cs/0011047, bounds its search the same way).  The returned
-    decomposition is verified exactly on automata.
+    of u.  Each family has at least two pieces: one piece P covers only if
+    t P = X, so P = X and no piece is left for the other family.  Below four
+    pieces the search therefore answers without building the table, after
+    the same table-size cap.  Each family's atoms are chosen depth-first in
+    lex order, and a branch is dropped once the atoms chosen, with every
+    atom still after them, cannot reach every fine atom (Knuth, "Dancing
+    Links", arXiv:cs/0011047, bounds its search the same way).  Translators
+    are chosen depth-first in lex order too; each distinct union of
+    translates is tried once, and every (atoms left, union) state that no
+    translators complete is remembered for the rest of the search, since
+    the masks are fixed.  The returned decomposition is verified exactly on
+    automata.
     """
     bounds = (max_pieces, cone_depth, translator_length)
     if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
@@ -686,10 +699,14 @@ def bounded_paradox_search(
     not_found = SearchResult(None, bounds, reason="no decomposition within bounds")
     if cone_depth == 0:      # the one depth-0 atom is X: no two disjoint pieces
         return not_found
-
     rank = action.rank
+    _table_bits(rank, cone_depth, translator_length)   # the cap decides the exit at any p
+    if max_pieces < 4:       # each family needs two pieces
+        return not_found
+
     atoms, translators, masks, full = cover_masks(rank, cone_depth, translator_length)
-    reach = [reduce(or_, column) for column in zip(*masks)]   # all translates of each atom
+    columns = list(zip(*masks))    # columns[a][t]: the mask of translators[t] * atom a
+    reach = [reduce(or_, column) for column in columns]   # all translates of each atom
     suffix = list(itertools.accumulate(reversed(reach), or_))[::-1]   # OR of reach[i:]
 
     def subsets(count: int, skip: tuple[int, ...] = (), start: int = 0,
@@ -708,24 +725,38 @@ def bounded_paradox_search(
             for rest in subsets(count - 1, skip, i + 1, covered | reach[i]):
                 yield (i,) + rest
 
+    failed = set()     # (atom_indices, covered) that no translators complete
+
     def first_cover(atom_indices: tuple[int, ...], covered: int = 0) -> Optional[tuple[int, ...]]:
         """Lex-first translators whose translates of the atoms, with `covered`, cover X; or None."""
         if reduce(or_, (reach[a] for a in atom_indices), covered) != full:
             return None
-        if not atom_indices:
-            return ()
-        for t, row in enumerate(masks):
-            tail = first_cover(atom_indices[1:], covered | row[atom_indices[0]])
+        head, rest = atom_indices[0], atom_indices[1:]
+        if not rest:
+            for t, mask in enumerate(columns[head]):
+                if covered | mask == full:
+                    return (t,)
+            return None
+        if (atom_indices, covered) in failed:
+            return None
+        tried = set()      # a later translator with the same union fails alike
+        for t, mask in enumerate(columns[head]):
+            union = covered | mask
+            if union in tried:
+                continue
+            tried.add(union)
+            tail = first_cover(rest, union)
             if tail is not None:
                 return (t,) + tail
+        failed.add((atom_indices, covered))
         return None
 
     def pieces(atom_indices: tuple[int, ...]) -> tuple[SymbolicSet, ...]:
         return tuple(SymbolicSet.cone(atoms[i], rank) if len(atoms[i]) == cone_depth
                      else SymbolicSet.singleton(atoms[i], rank) for i in atom_indices)
 
-    for total in range(2, max_pieces + 1):
-        for count_a in range(1, total):
+    for total in range(4, max_pieces + 1):
+        for count_a in range(2, total - 1):
             for subset_a in subsets(count_a):
                 assign_a = first_cover(subset_a)
                 if assign_a is None:

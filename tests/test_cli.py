@@ -404,16 +404,18 @@ class TestExitCodes:
         assert peak < 8 * 2**20
 
     def test_search_table_cap_checked_before_building(self, capsys, tmp_path):
-        doc = {"action": {"backend": "free-self", "rank": 10},
-               "max_pieces": 4, "cone_depth": 6, "translator_length": 8}
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc))
-        started = time.perf_counter()
-        code, report = run(capsys, "paradox", "search", "--input", str(path))
-        assert time.perf_counter() - started < 0.5
-        assert code == 3
-        assert report["status"] == "bound-exceeded"
-        assert report["error"]["bound"] == "search_table_bits"
+        # below four pieces nothing is built, but the cap still decides the exit
+        for max_pieces in (4, 2, 3):
+            doc = {"action": {"backend": "free-self", "rank": 10},
+                   "max_pieces": max_pieces, "cone_depth": 6, "translator_length": 8}
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps(doc))
+            started = time.perf_counter()
+            code, report = run(capsys, "paradox", "search", "--input", str(path))
+            assert time.perf_counter() - started < 0.5
+            assert code == 3, max_pieces
+            assert report["status"] == "bound-exceeded"
+            assert report["error"]["bound"] == "search_table_bits"
 
     @pytest.mark.parametrize("command,text,code", [
         ("eq solve", "{not json", 2),
