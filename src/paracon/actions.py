@@ -6,9 +6,9 @@ point universe, and the regular action of a finite permutation-generated
 group on its own element list (a finite permutation action too).
 
 Every backend exposes the same small surface: normalize elements, act on
-points and on sets, and build sets over its point universe, which Action
-derives from `degree` or `rank`.  All values are immutable and every
-operation is pure.
+points and on sets (and on a labelling, all its sets at once), and build
+sets over its point universe, which Action derives from `degree` or `rank`.
+All values are immutable and every operation is pure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
+from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
 from .words import (
     FreeWord,
     GroupElement,
@@ -93,7 +93,8 @@ class Action:
     def act(self, g: GroupElement, x: Point) -> Point:
         raise NotImplementedError
 
-    def act_on_set(self, g: GroupElement, s: ActionSet) -> ActionSet:
+    def act_on_set(self, g: GroupElement, s: ActionSet | Labelling) -> ActionSet | Labelling:
+        """g.S, or for a labelling the labelling that gives g.x the label of x."""
         raise NotImplementedError
 
 
@@ -131,7 +132,7 @@ class FreeSelfAction(Action):
     def act(self, g, x: FreeWord) -> FreeWord:
         return self.normalize_element(g) * x
 
-    def act_on_set(self, g, s: SymbolicSet) -> SymbolicSet:
+    def act_on_set(self, g, s: SymbolicSet | Labelling) -> SymbolicSet | Labelling:
         return s.translate(self.normalize_element(g))
 
 
@@ -178,8 +179,10 @@ class FinitePermutationAction(Action):
     def act(self, g, x: int) -> int:
         return self.point_images(g)[x]
 
-    def act_on_set(self, g, s: FiniteSet) -> FiniteSet:
+    def act_on_set(self, g, s: FiniteSet | Labelling) -> FiniteSet | Labelling:
         images = self.point_images(g)
+        if isinstance(s, Labelling):
+            return s.permuted(images)
         return FiniteSet.of(self.degree, [images[p] for p in s.members])
 
 
@@ -216,7 +219,7 @@ class TrivialAction(Action):
     def act(self, g, x: Point) -> Point:
         return x
 
-    def act_on_set(self, g, s: ActionSet) -> ActionSet:
+    def act_on_set(self, g, s: ActionSet | Labelling) -> ActionSet | Labelling:
         return s
 
 

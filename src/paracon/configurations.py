@@ -45,8 +45,11 @@ class ConfigurationPair:
         return len(self.partition)
 
 
-# elements in the tuple of a given pair: cell verification translates every
-# cell by every element, so the tuple length multiplies its work
+# elements in the tuple of a given pair: computing the configurations and
+# verifying the cells each move one labelling by every element, and the check
+# takes one product per distinct element, so the tuple length multiplies
+# their work (0.4 s of `con compute` for the slowest document found, pinned
+# in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
 
@@ -125,19 +128,19 @@ class _BaseCells(Mapping):
 def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
     """Realized configurations from one labelled pass.
 
-    The pass runs over the blocks followed by the g_j^-1-translates of the
-    blocks, m sets per coordinate.  Since each family partitions X, a point
-    x carries exactly one index per family, and its label spells out its
+    The blocks take one pass, and the action moves that labelling once by
+    each g_j^-1, so the moved labelling gives x the block of g_j x.  The
+    configurations' pass runs over the blocks' labelling followed by its n
+    moves, m indices each.  Since each family partitions X, a point x
+    carries exactly one index per family, and its label spells out its
     configuration; the labels that occur are the configuration set, and
     the base cell of C is the set of points labelled C.
     """
     action = pair.action
-    blocks = pair.partition.blocks
-    m = len(blocks)
-    families = list(blocks)
-    for inverse in map(action.inverse, pair.elements):
-        families += [action.act_on_set(inverse, block) for block in blocks]
-    points = labelled_pass(families)
+    blocks = labelled_pass(pair.partition.blocks)
+    m = blocks.width
+    points = labelled_pass([blocks] + [action.act_on_set(action.inverse(g), blocks)
+                                       for g in pair.elements])
     labels = {tuple(i - j * m + 1 for j, i in enumerate(label)): label for label in points.points}
     return ConfigurationSet(pair, _BaseCells(points, labels))
 
@@ -156,15 +159,30 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
-    C_j = i.  Each j takes one labelled pass over the computed cells followed
-    by the blocks, so the check never rests on the blocks alone.
+    C_j = i.  The given base cells take one labelled pass, so the check
+    never rests on the blocks alone, and the blocks take another.  The
+    action moves the cells' labelling once by each distinct g_j, which
+    labels each point with the cells x_j(C) that hold it, and one pass over
+    that labelling and the blocks' labels every point of X.  A coordinate
+    whose every label is one cell C and the block E_{C_j} has no violation;
+    elsewhere each violation carries its least point in that frame, found
+    breadth-first.
     """
-    blocks = cs.pair.partition.blocks
+    action = cs.pair.action
     configs = cs.configurations
-    k = len(configs)
+    # with no cells, one empty set keeps the universe and holds no point
+    cells = labelled_pass([cs.base_cells[c] for c in configs] or [action.empty_set()])
+    blocks = labelled_pass(cs.pair.partition.blocks)
+    k = cells.width
+    passes = {}                           # element -> the pass in its frame, once per element
     violations = []
-    for j in range(cs.pair.tuple_length + 1):
-        points = labelled_pass([cs.cell(config, j) for config in configs] + list(blocks))
+    for j, g in enumerate((None, *cs.pair.elements)):
+        if g not in passes:
+            passes[g] = labelled_pass([cells if g is None else action.act_on_set(g, cells), blocks])
+        points = passes[g]
+        # a point in exactly one cell, and in that cell's block, violates nothing
+        if {(c, k + config[j] - 1) for c, config in enumerate(configs)}.issuperset(points.points):
+            continue
         for (x, y), witness in points.overlaps(range(k)):
             violations.append(("overlap", j, (configs[x], configs[y]), witness))
         gap = points.uncovered(range(k))
@@ -179,7 +197,7 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
                 missing.setdefault(i, point)
             for i in in_cells - in_blocks:
                 extra.setdefault(i, point)
-        for i in range(1, len(blocks) + 1):
+        for i in range(1, blocks.width + 1):
             if i in missing or i in extra:
                 violations.append(("block-identity", j, i, missing.get(i, extra.get(i))))
     return CellPartitionReport(not violations, tuple(violations))

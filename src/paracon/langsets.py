@@ -12,14 +12,20 @@ Every question about which points lie in which of several sets (partition,
 disjointness, cover, inclusion, the boolean operations themselves) is
 answered by one labelled pass over the universe, `labelled_pass`, and
 every set computed from such a pass is read off it by label, with
-`Labelling.cells`.
+`Labelling.cells`.  A pass's `Labelling` is a value too: it is moved by a
+group element as a set is, by the same chain construction over F_rank, and
+a later pass takes it next to sets, so one move of a labelling moves every
+set it labels.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .words import FreeWord, capped, letter_from_index, letter_index
 
@@ -37,12 +43,14 @@ _Transitions = tuple[tuple[int, ...], ...]
 AUTOMATON_STATES_CAP = 2_000   # states one product pass or one constructor may build
 
 
-def _sink(trans: Sequence[Sequence[int]], accepting: Sequence[bool]) -> int:
-    """The state after aA, which is not reduced, when it is a rejecting
-    self-loop, else -1.  In a canonical set it is the one state that reaches
-    no member; a hand-written table may have no such state there."""
+def _sink(trans: Sequence[Sequence[int]], outputs: Sequence) -> int:
+    """The state after aA, which is not reduced, when it is a self-loop
+    that outputs nothing (rejects, or labels no point), else -1.  In a
+    canonical set it is the one state that reaches no member, and in a
+    labelling the one state that is no point; a hand-written table may have
+    no such state there."""
     s = trans[trans[0][0]][1]
-    return -1 if accepting[s] or any(t != s for t in trans[s]) else s
+    return -1 if outputs[s] or any(t != s for t in trans[s]) else s
 
 
 def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
@@ -75,8 +83,8 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
 
 
 def _minimized(rank: int, trans: Sequence[Sequence[int]],
-               accepting: Sequence[bool]) -> "SymbolicSet":
-    """The set a reduced-closed automaton accepts from state 0: Moore
+               accepting: Sequence[bool], start: int = 0) -> "SymbolicSet":
+    """The set a reduced-closed automaton accepts from state `start`: Moore
     refinement merges its equivalent states, and `_canonical` numbers the
     quotient.  Only `Labelling.cells` needs it."""
     ids: dict = {}
@@ -94,7 +102,7 @@ def _minimized(rank: int, trans: Sequence[Sequence[int]],
         if rows[b] is None:
             rows[b] = [block[t] for t in trans[s]]
             quotient[b] = accepting[s]
-    return _canonical(rank, rows, quotient, block[0])
+    return _canonical(rank, rows, quotient, block[start])
 
 
 def _registered(rank: int, trans: list, accepting: Sequence[bool],
@@ -124,6 +132,42 @@ def _registered(rank: int, trans: list, accepting: Sequence[bool],
         row = trans[s] = tuple([resolved[t] for t in trans[s]])
         resolved[s] = register.setdefault((accepting[s], row), s)
     return _canonical(rank, trans, accepting, resolved[s])
+
+
+def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: int,
+           g: FreeWord) -> tuple[list, tuple]:
+    """The left translate by g of an automaton read from `start`, whose states
+    output `outputs` (acceptance for a set, a label for a labelling): its
+    rows with k + 1 chain states appended, k = |g|, and every state's output.
+
+    The translate reads v as the automaton reads reduce(g^-1 v).  With
+    n = len(table), chain states n..n+k count how many leading letters of v
+    have cancelled against g^-1: chain state j steps to j+1 on the letter
+    g[j], and outputs what the automaton outputs after the uncancelled rest
+    of g^-1, the inverse of g[j:].  Any other letter leaves the chain for
+    the automaton's state after that rest.  Chain state k reads like the
+    start.  Each chain state j >= 1 sends the inverse of g[j-1] to the
+    automaton's sink (`_sink`), so the translate reads unreduced words as
+    the automaton does.  Past AUTOMATON_STATES_CAP rows it raises
+    BoundExceeded.
+    """
+    if any(abs(l) > rank for l in g.letters):
+        raise ValueError(f"word {g} outside rank {rank}")
+    k, n = len(g.letters), len(table)
+    capped("automaton_states", n + k + 1, AUTOMATON_STATES_CAP)
+    sink = _sink(table, outputs)
+    rest = [start] * (k + 1)     # rest[j]: the state after the inverse of g[j:]
+    for j in range(k - 1, -1, -1):
+        rest[j] = table[rest[j + 1]][letter_index(-g.letters[j])]
+    trans = list(table)
+    for j in range(k + 1):
+        row = list(table[rest[j]])
+        if j < k:
+            row[letter_index(g.letters[j])] = n + j + 1
+        if j:
+            row[letter_index(-g.letters[j - 1])] = sink
+        trans.append(row)
+    return trans, (*outputs, *[outputs[r] for r in rest])
 
 
 class _Queries:
@@ -321,38 +365,15 @@ class SymbolicSet(_Queries):
     def translate(self, g: FreeWord) -> "SymbolicSet":
         """Left translate gS = {g*w : w in S}, built minimal.
 
-        A reduced word v is in gS iff reduce(g^-1 v) is in S.  With k = |g|
-        and n = |S|, chain states n..n+k count how many leading letters of v
-        have cancelled against g^-1: chain state j steps to j+1 on the letter
-        g[j], and accepts when S accepts the uncancelled rest of g^-1, the
-        inverse of g[j:].  Any other letter leaves the chain for S's state
-        after that rest.  Chain state k reads like S's initial state.  Each
-        chain state j >= 1 sends the inverse of g[j-1] to S's rejecting sink,
-        so the automaton accepts reduced words only.  S is minimal and the
-        chain steps only into S or forward, so `_registered` resolves chain
-        states k, k-1, ..., 0 against S's states, and gS needs no product
-        pass and no refinement.
+        `_chain` builds the translate with acceptance as the output.  S is
+        minimal and the chain steps only into S or forward, so `_registered`
+        resolves chain states k, k-1, ..., 0 against S's states, and gS
+        needs no product pass and no refinement.
         """
-        if any(abs(l) > self.rank for l in g.letters):
-            raise ValueError(f"word {g} outside rank {self.rank}")
-        k = len(g.letters)
-        if not k:
+        if not g.letters:
             return self
-        table = self.transitions
-        n = len(table)
-        sink = _sink(table, self.accepting)
-        rest = [0] * (k + 1)         # rest[j]: S's state after the inverse of g[j:]
-        for j in range(k - 1, -1, -1):
-            rest[j] = table[rest[j + 1]][letter_index(-g.letters[j])]
-        trans = list(table)
-        for j in range(k + 1):
-            row = list(table[rest[j]])
-            if j < k:
-                row[letter_index(g.letters[j])] = n + j + 1
-            if j:
-                row[letter_index(-g.letters[j - 1])] = sink
-            trans.append(row)
-        accepting = self.accepting + tuple([self.accepting[r] for r in rest])
+        n, k = len(self.transitions), len(g.letters)
+        trans, accepting = _chain(self.rank, self.transitions, self.accepting, 0, g)
         return _registered(self.rank, trans, accepting, range(n), range(n + k, n - 1, -1))
 
     def __repr__(self) -> str:
@@ -431,148 +452,292 @@ Label = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Labelling:
-    """The labels that occur among the points of a universe, from one pass.
+    """The label of every point of a universe, from one labelled pass.
 
-    The label of a point is the tuple of indices of the given sets that
-    contain it.  `points` maps every label that occurs to its least point
-    (the shortlex-least word, or the least integer), ordered by that point,
-    so the first label passing a test carries the least point passing it.
+    The label of a point is the tuple of indices of the `width` labelled
+    sets that contain it.  Over a finite universe `labels[p]` is the label
+    of point p.  Over F_rank the labelling is a Moore machine: it reads a
+    word from `start` along `transitions`, as a set's automaton does, and
+    the state reached outputs its label, or None when the word is not
+    reduced.  The action moves a labelling as it moves a set, by `translate`
+    or `permuted`, so one move relabels every set at once.
+
+    `points` maps every label that occurs to its least point (the
+    shortlex-least word, or the least integer), ordered by that point, so
+    the first label passing a test carries the least point passing it.
     `cells(labels)` is the set of points whose label is one of `labels`; a
-    label that does not occur adds nothing.  Over symbolic sets each call
-    minimizes the live part of the pass's product once.
+    label that does not occur adds nothing.  Over F_rank each call
+    minimizes the live part of the machine once.
     """
 
-    points: dict[Label, object]
-    cells: Callable[[Iterable[Label]], ActionSet]
+    width: int
+    labels: tuple[Optional[Label], ...]
+    rank: Optional[int] = None                  # None over a finite universe
+    transitions: _Transitions = ()
+    start: int = 0
+    # a pass numbers its product breadth-first from state 0, and this is the
+    # state each state was first reached from; None for a moved labelling
+    tree: Optional[Sequence[int]] = field(default=None, repr=False, compare=False)
 
-    def uncovered(self, indices: Iterable[int]):
-        """Least point in none of the sets at `indices`, or None if they cover."""
-        wanted = set(indices)
-        return next((point for label, point in self.points.items() if wanted.isdisjoint(label)),
-                    None)
+    @property
+    def degree(self) -> Optional[int]:
+        """The number of points of a finite universe; None over F_rank."""
+        return len(self.labels) if self.rank is None else None
 
-    def overlaps(self, indices: Iterable[int]) -> list[tuple[tuple[int, int], object]]:
-        """Every pair of sets at `indices` that meet, in index order, each
-        with its least shared point."""
-        wanted = set(indices)
-        shared: dict[tuple[int, int], object] = {}
-        for label, point in self.points.items():
-            inside = [i for i in label if i in wanted]
-            for k, x in enumerate(inside):
-                for y in inside[k + 1:]:
-                    shared.setdefault((x, y), point)
-        return sorted(shared.items())
+    @functools.cached_property
+    def _states(self) -> dict[Label, list[int]]:
+        """Label -> the states (or points) that output it, ascending."""
+        states: dict[Label, list[int]] = {}
+        for s, label in enumerate(self.labels):
+            if label is not None:
+                states.setdefault(label, []).append(s)
+        return states
 
+    @functools.cached_property
+    def points(self) -> Mapping[Label, object]:
+        if self.rank is None:
+            points: dict[Label, object] = {}
+            for point, label in enumerate(self.labels):
+                points.setdefault(label, point)
+            return points
+        if self.tree is not None:
+            return _LeastWords(self, range(len(self.labels)), self.tree)
+        parent = [-1] * len(self.transitions)
+        parent[self.start] = self.start
+        order = [self.start]
+        for s in order:                          # order grows while we read it
+            for t in self.transitions[s]:
+                if parent[t] < 0:
+                    parent[t] = s
+                    order.append(t)
+        return _LeastWords(self, order, parent)
 
-def labelled_pass(sets: Sequence[ActionSet]) -> Labelling:
-    """Label every point of the sets' common universe in one pass."""
-    sets = list(sets)
-    if not sets:
-        raise ValueError("labelled pass over no sets")
-    return (_finite_pass if isinstance(sets[0], FiniteSet) else _symbolic_pass)(sets)
+    @functools.cached_property
+    def _sources(self) -> list[list[int]]:
+        """State -> the states stepping into it."""
+        sources: list[list[int]] = [[] for _ in self.transitions]
+        for s, row in enumerate(self.transitions):
+            for t in row:
+                sources[t].append(s)
+        return sources
 
+    def cells(self, labels: Iterable[Label]) -> ActionSet:
+        """The points whose label is one of `labels`.
 
-def _finite_pass(sets: list[FiniteSet]) -> Labelling:
-    """Scan each set's members, then read the points in ascending order."""
-    degree = sets[0].degree
-    owners: list[list[int]] = [[] for _ in range(degree)]
-    for i, s in enumerate(sets):
-        sets[0]._check(s)
-        for point in s.members:
-            owners[point].append(i)
-    members: dict[Label, list[int]] = {}
-    for point in range(degree):
-        members.setdefault(tuple(owners[point]), []).append(point)
-    return Labelling(
-        {label: points[0] for label, points in members.items()},
-        lambda labels: FiniteSet.of(
-            degree, (p for label in labels for p in members.get(label, ()))),
-    )
-
-
-def _symbolic_pass(sets: list[SymbolicSet]) -> Labelling:
-    """Breadth-first search over the product of X = full(rank) and the sets.
-
-    X is set 0, and its state is the last letter read, so a word is a point
-    (reduced) exactly while X is outside its sink.  A node is the tuple of
-    (set, state) pairs of the sets outside their sinks (`_sink`), so it costs
-    what its live sets cost.  Letters are taken in canonical order, so the
-    first word to reach a label is the shortlex-least word with that label,
-    and the product is numbered breadth-first, in the order of its states'
-    shortlex-least access words.  Past AUTOMATON_STATES_CAP nodes it raises
-    BoundExceeded.
-
-    Each set of cells is trimmed, then minimized once: the states that reach
-    a selected state keep their product order, every other target goes to
-    one appended rejecting row, and `_minimized` refines the result, the one
-    refinement in the package.  No live state has X in its sink, and the
-    product has such a node (after aA), so these rows are no more than the
-    product's nodes, which its cap already bounds.
-    """
-    rank = sets[0].rank
-    for s in sets:
-        if s.rank != rank:
-            raise ValueError(f"rank mismatch: {rank} vs {s.rank}")
-    n_letters = 2 * rank
-    sets = [SymbolicSet.full(rank), *sets]
-    tables = [s.transitions for s in sets]
-    accepts = [s.accepting for s in sets]
-    sinks = [_sink(s.transitions, s.accepting) for s in sets]
-    start = tuple((i, 0) for i, sink in enumerate(sinks) if sink != 0)
-    index: dict = {start: 0}
-    nodes: list = [start]
-    parent = [0]                             # the node each node was first reached from
-    trans: list[tuple[int, ...]] = []
-    states_of: dict[Label, list[int]] = {}   # label -> the product states carrying it
-    points: dict[Label, FreeWord] = {}
-    for pos, node in enumerate(nodes):       # nodes grows while we read it
-        if node and not node[0][0]:          # X is live: the access word is a point
-            label = tuple([i - 1 for i, s in node[1:] if accepts[i][s]])
-            if label not in points:          # spell out the first point of each label
-                letters, up = [], pos
-                while up:                    # a letter is its parent's first step onto it
-                    up, child = parent[up], up
-                    letters.append(letter_from_index(trans[up].index(child)))
-                points[label] = FreeWord(tuple(reversed(letters)))
-                states_of[label] = []
-            states_of[label].append(pos)
-        moves = [(i, tables[i][s], sinks[i]) for i, s in node]
-        row = []
-        for letter in range(n_letters):
-            nxt = tuple([(i, t) for i, step, sink in moves if (t := step[letter]) != sink])
-            if nxt not in index:
-                index[nxt] = len(nodes)
-                nodes.append(nxt)
-                parent.append(pos)
-                capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
-            row.append(index[nxt])
-        trans.append(tuple(row))
-
-    product = tuple(trans)
-    sources: list[list[int]] = []            # reverse edges, built on the first read
-
-    def cells(labels: Iterable[Label]) -> SymbolicSet:
-        if not sources:
-            sources.extend([] for _ in product)
-            for s, row in enumerate(product):
-                for t in row:
-                    sources[t].append(s)
-        selected = {s for label in labels for s in states_of.get(label, ())}
-        live = list(selected)
-        seen = set(selected)
-        for t in live:                       # live grows while we read it
+        Over F_rank the machine is trimmed, then minimized: the states that
+        reach a selected state keep their order, every other target goes to
+        one appended rejecting row, and `_minimized` refines the result, the
+        one refinement in the package.  No point's state is the sink, so
+        these rows are no more than the machine's, which its pass or its
+        translate already capped.
+        """
+        selected = [s for label in labels for s in self._states.get(label, ())]
+        if self.rank is None:
+            return FiniteSet(len(self.labels), frozenset(selected))
+        sources = self._sources
+        chosen = set(selected)
+        live = list(chosen)
+        seen = set(chosen)
+        for t in live:                           # live grows while we read it
             for s in sources[t]:
                 if s not in seen:
                     seen.add(s)
                     live.append(s)
         live.sort()
         dead = len(live)
-        renumber = [dead] * len(product)
+        renumber = [dead] * len(self.transitions)
         for i, s in enumerate(live):
             renumber[s] = i
-        rows = [[renumber[t] for t in product[s]] for s in live]
-        rows.append([dead] * n_letters)
-        return _minimized(rank, rows, [s in selected for s in live] + [False])
+        rows = [[renumber[t] for t in self.transitions[s]] for s in live]
+        rows.append([dead] * (2 * self.rank))
+        return _minimized(self.rank, rows, [s in chosen for s in live] + [False],
+                          renumber[self.start])
 
-    return Labelling(points, cells)
+    def translate(self, g: FreeWord) -> "Labelling":
+        """The labelling moved by g over F_rank: the point v takes the label
+        of g^-1 v.  It is the `_chain` of the machine with labels as the
+        output, started at the chain's first state; the chain is not
+        resolved against the machine, since the labelling need not be
+        minimal, and a product pass reaches each chain state by one word."""
+        if not g.letters:
+            return self
+        trans, labels = _chain(self.rank, self.transitions, self.labels, self.start, g)
+        return Labelling(self.width, labels, self.rank, tuple(trans), len(self.transitions))
 
+    def permuted(self, images: Sequence[int]) -> "Labelling":
+        """The labelling moved by a permutation of a finite universe: point
+        images[p] takes the label of p."""
+        labels: list = [()] * len(self.labels)
+        for image, label in zip(images, self.labels):
+            labels[image] = label
+        return Labelling(self.width, tuple(labels))
+
+    def uncovered(self, indices: Iterable[int]):
+        """Least point in none of the sets at `indices`, or None if they cover."""
+        wanted = set(indices)
+        gap = next((label for label in self.points if wanted.isdisjoint(label)), None)
+        return None if gap is None else self.points[gap]
+
+    def overlaps(self, indices: Iterable[int]) -> list[tuple[tuple[int, int], object]]:
+        """Every pair of sets at `indices` that meet, in index order, each
+        with its least shared point."""
+        wanted = set(indices)
+        shared: dict[tuple[int, int], Label] = {}
+        for label in self.points:
+            inside = [i for i in label if i in wanted]
+            for k, x in enumerate(inside):
+                for y in inside[k + 1:]:
+                    shared.setdefault((x, y), label)
+        return sorted((pair, self.points[label]) for pair, label in shared.items())
+
+
+class _LeastWords(Mapping):
+    """Label -> least point of a labelling over F_rank, in the order of
+    those points.
+
+    `order` lists the states breadth-first from the start, letters in
+    canonical order, and `parent` is the state each was first reached from,
+    so the first state in `order` to output a label is reached by the least
+    point with that label, spelled along the tree.  A point is spelled when
+    first read, so a caller that reads only labels, or a few points, spells
+    no other word.
+    """
+
+    def __init__(self, labelling: Labelling, order: Sequence[int], parent: Sequence[int]):
+        self._first: dict[Label, int] = {}
+        for s in order:
+            self._first.setdefault(labelling.labels[s], s)
+        self._first.pop(None, None)
+        self._trans, self._parent = labelling.transitions, parent
+        self._letters = [letter_from_index(x) for x in range(2 * labelling.rank)]
+        self._words: dict[int, tuple[int, ...]] = {labelling.start: ()}
+
+    def __getitem__(self, label: Label) -> FreeWord:
+        s = self._first[label]
+        path = []
+        while s not in self._words:
+            path.append(s)
+            s = self._parent[s]
+        word = self._words[s]
+        for t in reversed(path):                 # a letter is its parent's first step onto it
+            word += (self._letters[self._trans[self._parent[t]].index(t)],)
+            self._words[t] = word
+        return FreeWord(word)
+
+    def __contains__(self, label) -> bool:
+        return label in self._first
+
+    def __iter__(self) -> Iterator[Label]:
+        return iter(self._first)
+
+    def __len__(self) -> int:
+        return len(self._first)
+
+
+def labelled_pass(parts: Sequence[Union[ActionSet, Labelling]]) -> Labelling:
+    """Label every point of the parts' common universe in one pass.
+
+    Each set is one index and each labelling its `width` indices, in order:
+    a labelling's labels are offset by the indices before it.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("labelled pass over no sets")
+    finite = getattr(parts[0], "degree", None) is not None
+    return (_finite_pass if finite else _symbolic_pass)(parts)
+
+
+def _finite_pass(parts: list) -> Labelling:
+    """Give each point the offset indices of the parts that hold it, part
+    after part: a set's members take its index, and a labelling's points
+    their offset labels."""
+    degree = parts[0].degree
+    labels: list[Label] = [()] * degree
+    width = 0
+    for part in parts:
+        if getattr(part, "degree", None) != degree:
+            raise ValueError(f"degree mismatch: {degree} vs {getattr(part, 'degree', None)}")
+        if isinstance(part, Labelling):
+            column = part.labels
+            if width:
+                shift = {label: tuple(map(width.__add__, label)) for label in set(column)}
+                column = map(shift.__getitem__, column)
+            labels = list(map(operator.add, labels, column))
+            width += part.width
+        else:
+            inside = (width,)
+            for point in part.members:
+                labels[point] += inside
+            width += 1
+    return Labelling(width, tuple(labels))
+
+
+def _symbolic_pass(parts: list) -> Labelling:
+    """Breadth-first search over the product of the parts.
+
+    The first machine tells the points: a leading labelling outputs None
+    exactly off the reduced words, and otherwise X = full(rank) goes first,
+    whose state is the last letter read, so a word is a point exactly while
+    X is outside its sink.  State s of the machine whose rows start at
+    `offset` is coded offset + s, and every machine's sink (`_sink`) is
+    coded 0.  A node is the tuple of the codes of the machines outside
+    their sinks, in order, so it costs what its live machines cost, and its
+    successors are the columns of its codes' rows.  A node that is a point
+    outputs its parts' offset outputs, joined in order, as its label.
+    Letters are taken in canonical order, so the product is numbered
+    breadth-first, in the order of its states' shortlex-least access words.
+    Past AUTOMATON_STATES_CAP nodes it raises BoundExceeded.
+    """
+    rank = parts[0].rank
+    for part in parts:
+        if getattr(part, "rank", None) != rank:
+            raise ValueError(f"rank mismatch: {rank} vs {getattr(part, 'rank', None)}")
+    lead = 0 if isinstance(parts[0], Labelling) else 1
+    machines = [SymbolicSet.full(rank)] * lead + parts
+    rows: list[Sequence[int]] = [(0,) * (2 * rank)]
+    outputs: list[Optional[Label]] = [()]
+    start = []
+    width = 0
+    for i, part in enumerate(machines):
+        if isinstance(part, Labelling):
+            own, first = part.labels, part.start
+            shift = {label: label and tuple(map(width.__add__, label)) for label in set(own)}
+            width += part.width
+        else:
+            own, first = part.accepting, 0
+            labelled = i >= lead                 # X labels nothing
+            shift = {True: (width,) if labelled else (), False: ()}
+            width += labelled
+        offset = len(rows)
+        sink = _sink(part.transitions, own)
+        code = list(range(offset, offset + len(own)))
+        if sink >= 0:
+            code[sink] = 0
+        rows += map(tuple, map(map, itertools.repeat(code.__getitem__), part.transitions))
+        outputs += map(shift.__getitem__, own)
+        if first != sink:
+            start.append(offset + first)
+    lead_end = len(machines[0].transitions)      # the first machine's codes are 1..lead_end
+    start = tuple(start)
+    dead = [()] * (2 * rank)                     # the node with no live machine
+    index: dict = {start: 0}
+    nodes: list = [start]
+    parent = [0]                                 # the node each node was first reached from
+    trans: list[tuple[int, ...]] = []
+    labels: list[Optional[Label]] = []
+    for pos, node in enumerate(nodes):           # nodes grows while we read it
+        point = node and node[0] <= lead_end and outputs[node[0]] is not None
+        labels.append(sum(map(outputs.__getitem__, node), ()) if point else None)
+        row = []
+        for nxt in zip(*map(rows.__getitem__, node)) if node else dead:
+            if 0 in nxt:
+                nxt = tuple(filter(None, nxt))
+            target = index.get(nxt)
+            if target is None:
+                target = index[nxt] = len(nodes)
+                nodes.append(nxt)
+                parent.append(pos)
+                capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
+            row.append(target)
+        trans.append(tuple(row))
+    return Labelling(width, tuple(labels), rank, tuple(trans), tree=parent)

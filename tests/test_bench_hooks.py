@@ -86,3 +86,17 @@ def test_first_benchmark_round_passes_the_checker(workload, monkeypatch, tmp_pat
     result = run.run_commands(paracon.cli, commands, tmp_path)
     assert result.attempted == len(commands)
     assert result.failures == []
+
+
+def test_traced_free_decide_round_times_the_configuration_layers(monkeypatch, tmp_path):
+    """A traced free-decide round passes the checker, its traced count of
+    realized configurations matches the reports, and the spans of
+    compute_configurations and verify_cell_partition still time work."""
+    import paracon.cli
+
+    run = bench_module(monkeypatch, "run")
+    total, metrics, _ = run.traced(paracon.cli, "free-decide", 1, tmp_path)
+    assert total.failures == []
+    assert metrics["configurations.realized"]["value"] > 0
+    assert metrics["configurations.compute_s"]["value"] > 0
+    assert metrics["configurations.verify_cells_s"]["value"] > 0

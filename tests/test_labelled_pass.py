@@ -11,24 +11,28 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import all_reduced_words, expr_contains
+from oracles import all_reduced_words, expr_contains, free_inverse, free_product
 from paracon import (
     ConfigurationSet,
     FinitePermutationAction,
     FreeSelfAction,
     Permutation,
     SymbolicSet,
+    TrivialAction,
     compute_configurations,
     configuration_pair,
     parse_word,
     validate_partition,
     verify_cell_partition,
 )
+from paracon import langsets
 from paracon.langsets import labelled_pass
+from paracon.words import BoundExceeded
 
-WORDS = all_reduced_words(2, 5)          # every point a witness below can be, shortlex order
+WORDS = all_reduced_words(2, 6)          # every point a witness below can be, shortlex order
 F2 = FreeSelfAction(2)
 
 
@@ -79,8 +83,9 @@ def universes(draw) -> Universe:
         depth = rng.randint(1, 2)
         atoms = [Member.of(("singleton" if len(w) < depth else "cone", w))
                  for w in all_reduced_words(2, depth)]
-        # one-letter tuple entries keep every least witness within WORDS
-        words = [parse_word(w) for w in rng.sample(["a", "A", "b", "B"], rng.randint(1, 2))]
+        # tuple entries of length 1-2 keep every least witness within WORDS,
+        # and the two-letter ones reach chain state 2 of a moved labelling
+        words = rng.sample(all_reduced_words(2, 2)[1:], rng.randint(1, 2))
         return Universe(F2, WORDS, atoms, words,
                         [lambda p, g=g: g * p for g in words],
                         [lambda p, g=~g: g * p for g in words])
@@ -228,11 +233,68 @@ def check_cells(members: list[Member], points: list) -> None:
         assert all((p in cells) == (label_of(p) in wanted) for p in points), wanted
 
 
-def test_labels_cells_and_least_points_match_pointwise():
+def f2_members() -> list[Member]:
     a, ab, b, e = (parse_word(w) for w in ("a", "ab", "b", "e"))
-    check_cells([Member.of(expr) for expr in (
+    return [Member.of(expr) for expr in (
         ("cone", a), ("cone", ab), ("union", ("singleton", e), ("cone", b)),
-        ("complement", ("union", ("cone", a), ("cone", b))))], WORDS)
-    finite = FinitePermutationAction(7, {1: Permutation((1, 2, 3, 4, 5, 6, 0))})
-    check_cells([Member(finite.point_set(ps), lambda p, ps=ps: p in ps)
-                 for ps in ([0, 1, 2], [2, 3, 4], [4, 5])], list(range(7)))
+        ("complement", ("union", ("cone", a), ("cone", b))))]
+
+
+FINITE = FinitePermutationAction(7, {1: Permutation((1, 2, 3, 4, 5, 6, 0))})
+
+
+def finite_members() -> list[Member]:
+    return [Member(FINITE.point_set(ps), lambda p, ps=ps: p in ps)
+            for ps in ([0, 1, 2], [2, 3, 4], [4, 5])]
+
+
+def test_labels_cells_and_least_points_match_pointwise():
+    check_cells(f2_members(), WORDS)
+    check_cells(finite_members(), list(range(7)))
+
+
+def check_moved(action, members: list[Member], points: list, g, preimage: Callable) -> None:
+    """One pass over the members' values, moved by g through the action,
+    against the oracle: the point p takes the label of g^-1 p, so each
+    label's least point is the least p whose preimage carries it, and the
+    points carrying a label are the g-translate of those carrying it
+    before the move."""
+    labelling = labelled_pass([m.value for m in members])
+    moved = action.act_on_set(g, labelling)
+    expected = {}
+    for p in points:
+        q = preimage(p)
+        expected.setdefault(tuple(i for i, m in enumerate(members) if m.contains(q)), p)
+    assert moved.points == expected
+    assert list(moved.points) == list(expected)
+    for label in labelling.points:
+        assert moved.cells([label]) == action.act_on_set(g, labelling.cells([label])), label
+
+
+@pytest.mark.parametrize("g", all_reduced_words(2, 3), ids=str)
+def test_moved_labelling_matches_pointwise_on_f2(g):
+    # words such as aB cancel partly against the chain before leaving it
+    check_moved(F2, f2_members(), WORDS, g, lambda p: free_product(free_inverse(g), p))
+
+
+@pytest.mark.parametrize("word", ["e", "a", "A", "aa"])
+def test_moved_labelling_matches_pointwise_on_a_finite_action(word):
+    images = FINITE.normalize_element(word).images
+    check_moved(FINITE, finite_members(), list(range(7)), word, images.index)
+
+
+@pytest.mark.parametrize("word", ["e", "a", "aB"])
+def test_trivial_action_leaves_a_labelling_of_words_unmoved(word):
+    check_moved(TrivialAction(rank=2), f2_members(), WORDS, parse_word(word), lambda p: p)
+
+
+def test_moved_labellings_stay_under_the_state_cap(monkeypatch):
+    labelling = labelled_pass([m.value for m in f2_members()])          # 19 states
+    moved = [F2.act_on_set(parse_word(w), labelling) for w in ("ab", "BA", "bab", "aBA")]
+    monkeypatch.setattr(langsets, "AUTOMATON_STATES_CAP", 40)
+    assert all(len(m.transitions) <= 40 for m in moved)
+    assert len(labelled_pass(moved[:2]).transitions) <= 40
+    with pytest.raises(BoundExceeded):      # their product has 65 states
+        labelled_pass(moved)
+    with pytest.raises(BoundExceeded):      # 19 states and a chain of 26
+        F2.act_on_set(parse_word("ab" * 12 + "a"), labelling)
