@@ -15,6 +15,8 @@ paradox patterns) relies on.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -46,10 +48,10 @@ class ConfigurationPair:
 
 
 # elements in the tuple of a given pair: computing the configurations and
-# verifying the cells each move one labelling by every element, and the check
-# takes one product per distinct element, so the tuple length multiplies
-# their work (0.4 s of `con compute` for the slowest document found, pinned
-# in tests/test_cli.py)
+# verifying the cells each take one product with a moved labelling per
+# distinct element, and the check reads every label once per coordinate,
+# so the tuple length multiplies their work (0.25 s of `con compute` for the
+# slowest document found, pinned in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
 
@@ -141,7 +143,8 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
     m = blocks.width
     points = labelled_pass([blocks] + [action.act_on_set(action.inverse(g), blocks)
                                        for g in pair.elements])
-    labels = {tuple(i - j * m + 1 for j, i in enumerate(label)): label for label in points.points}
+    shifts = [j * m - 1 for j in range(len(pair.elements) + 1)]   # family j's indices start at j * m
+    labels = {tuple(map(operator.sub, label, shifts)): label for label in points.points}
     return ConfigurationSet(pair, _BaseCells(points, labels))
 
 
@@ -160,46 +163,56 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
     C_j = i.  The given base cells take one labelled pass, so the check
-    never rests on the blocks alone, and the blocks take another.  The
-    action moves the cells' labelling once by each distinct g_j, which
-    labels each point with the cells x_j(C) that hold it, and one pass over
-    that labelling and the blocks' labels every point of X.  A coordinate
-    whose every label is one cell C and the block E_{C_j} has no violation;
-    elsewhere each violation carries its least point in that frame, found
-    breadth-first.
+    never rests on the blocks alone, and the blocks take another.  One
+    product of those two labellings and the blocks' moves by each distinct
+    g^-1 labels each point x with the cells holding x, the block of x and
+    the block of g x for every g.  Since x_j(C) = g_j x_0(C), a point x
+    with label L puts g_j x in the cells x_j(C) for the cells C of L, and
+    in the block L gives g_j x, so L alone says which violations its points
+    make at every coordinate.  A violation's least point in frame j is the
+    least point of the product moved by g_j whose label makes it, found
+    breadth-first; the product is moved once per element, and only for a
+    frame with a violation.
     """
     action = cs.pair.action
     configs = cs.configurations
     # with no cells, one empty set keeps the universe and holds no point
     cells = labelled_pass([cs.base_cells[c] for c in configs] or [action.empty_set()])
     blocks = labelled_pass(cs.pair.partition.blocks)
-    k = cells.width
-    passes = {}                           # element -> the pass in its frame, once per element
+    k, m = cells.width, blocks.width
+    frame_elements = (None, *cs.pair.elements)           # None: frame 0
+    elements = list(dict.fromkeys(frame_elements))
+    families = [elements.index(g) for g in frame_elements]
+    points = labelled_pass([cells] + [blocks if g is None else action.act_on_set(action.inverse(g), blocks)
+                                      for g in elements])
+    # (j, kind, detail) -> the labels making it, and for a block the labels of
+    # its cells' points outside it, which witness only when E_i lies in its cells
+    faults: dict[tuple, tuple[set, set]] = {}
+    for label in points.points:
+        inside = [c for c in label if c < k]             # a label lists its cells first
+        held = [set() for _ in elements]                 # family -> the blocks holding the points
+        for c in label[len(inside):]:
+            held[(c - k) // m].add((c - k) % m + 1)
+        # overlaps and gaps, the same at every coordinate
+        shared = [(0, (configs[x], configs[y])) for x, y in itertools.combinations(inside, 2)]
+        if not inside:
+            shared.append((1, None))
+        for j, f in enumerate(families):
+            in_cells = {configs[c][j] for c in inside}
+            for fault in shared + [(2, i) for i in held[f] - in_cells]:
+                faults.setdefault((j, *fault), (set(), set()))[0].add(label)
+            for i in in_cells - held[f]:
+                faults.setdefault((j, 2, i), (set(), set()))[1].add(label)
+    frames = {}                           # element -> the product in its frame
     violations = []
-    for j, g in enumerate((None, *cs.pair.elements)):
-        if g not in passes:
-            passes[g] = labelled_pass([cells if g is None else action.act_on_set(g, cells), blocks])
-        points = passes[g]
-        # a point in exactly one cell, and in that cell's block, violates nothing
-        if {(c, k + config[j] - 1) for c, config in enumerate(configs)}.issuperset(points.points):
-            continue
-        for (x, y), witness in points.overlaps(range(k)):
-            violations.append(("overlap", j, (configs[x], configs[y]), witness))
-        gap = points.uncovered(range(k))
-        if gap is not None:
-            violations.append(("cover-gap", j, None, gap))
-        missing: dict[int, object] = {}   # block index -> least point of E_i outside its cells
-        extra: dict[int, object] = {}     # block index -> least point of its cells outside E_i
-        for label, point in points.points.items():
-            in_blocks = {c - k + 1 for c in label if c >= k}
-            in_cells = {configs[c][j] for c in label if c < k}
-            for i in in_blocks - in_cells:
-                missing.setdefault(i, point)
-            for i in in_cells - in_blocks:
-                extra.setdefault(i, point)
-        for i in range(1, blocks.width + 1):
-            if i in missing or i in extra:
-                violations.append(("block-identity", j, i, missing.get(i, extra.get(i))))
+    for j, kind, detail in sorted(faults):
+        g = frame_elements[j]
+        if g not in frames:
+            frames[g] = points if g is None else action.act_on_set(g, points)
+        frame = frames[g]
+        making = faults[j, kind, detail][0] or faults[j, kind, detail][1]
+        witness = frame.points[next(label for label in frame.points if label in making)]
+        violations.append((("overlap", "cover-gap", "block-identity")[kind], j, detail, witness))
     return CellPartitionReport(not violations, tuple(violations))
 
 

@@ -475,9 +475,6 @@ class Labelling:
     rank: Optional[int] = None                  # None over a finite universe
     transitions: _Transitions = ()
     start: int = 0
-    # a pass numbers its product breadth-first from state 0, and this is the
-    # state each state was first reached from; None for a moved labelling
-    tree: Optional[Sequence[int]] = field(default=None, repr=False, compare=False)
 
     @property
     def degree(self) -> Optional[int]:
@@ -500,17 +497,7 @@ class Labelling:
             for point, label in enumerate(self.labels):
                 points.setdefault(label, point)
             return points
-        if self.tree is not None:
-            return _LeastWords(self, range(len(self.labels)), self.tree)
-        parent = [-1] * len(self.transitions)
-        parent[self.start] = self.start
-        order = [self.start]
-        for s in order:                          # order grows while we read it
-            for t in self.transitions[s]:
-                if parent[t] < 0:
-                    parent[t] = s
-                    order.append(t)
-        return _LeastWords(self, order, parent)
+        return _LeastWords(self)
 
     @functools.cached_property
     def _sources(self) -> list[list[int]]:
@@ -595,22 +582,30 @@ class _LeastWords(Mapping):
     """Label -> least point of a labelling over F_rank, in the order of
     those points.
 
-    `order` lists the states breadth-first from the start, letters in
-    canonical order, and `parent` is the state each was first reached from,
-    so the first state in `order` to output a label is reached by the least
+    The states are walked breadth-first from the start, letters in
+    canonical order, and each keeps the state it was first reached from, so
+    the first state in that order to output a label is reached by the least
     point with that label, spelled along the tree.  A point is spelled when
     first read, so a caller that reads only labels, or a few points, spells
     no other word.
     """
 
-    def __init__(self, labelling: Labelling, order: Sequence[int], parent: Sequence[int]):
+    def __init__(self, labelling: Labelling):
+        trans, labels, start = labelling.transitions, labelling.labels, labelling.start
+        parent = [-1] * len(trans)
+        parent[start] = start
+        order = [start]
         self._first: dict[Label, int] = {}
-        for s in order:
-            self._first.setdefault(labelling.labels[s], s)
+        for s in order:                          # order grows while we read it
+            self._first.setdefault(labels[s], s)
+            for t in trans[s]:
+                if parent[t] < 0:
+                    parent[t] = s
+                    order.append(t)
         self._first.pop(None, None)
-        self._trans, self._parent = labelling.transitions, parent
+        self._trans, self._parent = trans, parent
         self._letters = [letter_from_index(x) for x in range(2 * labelling.rank)]
-        self._words: dict[int, tuple[int, ...]] = {labelling.start: ()}
+        self._words: dict[int, tuple[int, ...]] = {start: ()}
 
     def __getitem__(self, label: Label) -> FreeWord:
         s = self._first[label]
@@ -658,11 +653,11 @@ def _finite_pass(parts: list) -> Labelling:
         if getattr(part, "degree", None) != degree:
             raise ValueError(f"degree mismatch: {degree} vs {getattr(part, 'degree', None)}")
         if isinstance(part, Labelling):
-            column = part.labels
             if width:
-                shift = {label: tuple(map(width.__add__, label)) for label in set(column)}
-                column = map(shift.__getitem__, column)
-            labels = list(map(operator.add, labels, column))
+                shift = {label: tuple([width + i for i in label]) for label in set(part.labels)}
+                labels = list(map(operator.add, labels, map(shift.__getitem__, part.labels)))
+            else:                                # no point is labelled yet
+                labels = list(part.labels)
             width += part.width
         else:
             inside = (width,)
@@ -722,10 +717,9 @@ def _symbolic_pass(parts: list) -> Labelling:
     dead = [()] * (2 * rank)                     # the node with no live machine
     index: dict = {start: 0}
     nodes: list = [start]
-    parent = [0]                                 # the node each node was first reached from
     trans: list[tuple[int, ...]] = []
     labels: list[Optional[Label]] = []
-    for pos, node in enumerate(nodes):           # nodes grows while we read it
+    for node in nodes:                           # nodes grows while we read it
         point = node and node[0] <= lead_end and outputs[node[0]] is not None
         labels.append(sum(map(outputs.__getitem__, node), ()) if point else None)
         row = []
@@ -736,8 +730,7 @@ def _symbolic_pass(parts: list) -> Labelling:
             if target is None:
                 target = index[nxt] = len(nodes)
                 nodes.append(nxt)
-                parent.append(pos)
                 capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
             row.append(target)
         trans.append(tuple(row))
-    return Labelling(width, tuple(labels), rank, tuple(trans), tree=parent)
+    return Labelling(width, tuple(labels), rank, tuple(trans))

@@ -311,9 +311,9 @@ class TestExitCodes:
         assert report["error"]["bound"] == "automaton_states"
 
     # the slowest documents found at the tuple-length cap of 32: the cone of a
-    # and its complement with the tuple a, a^2, ..., a^32 (0.06 s of command
+    # and its complement with the tuple a, a^2, ..., a^32 (0.04 s of command
     # time on a 2-vCPU VM), and the 53 depth-3 atoms of F2 with the slowest of
-    # 14 random tuples of words of length 1 to 3 (638 configurations, 0.4 s)
+    # 14 random tuples of words of length 1 to 3 (638 configurations, 0.25 s)
     LONG_TUPLES = {
         "cone-family": ([{"kind": "cone", "word": "a"},
                          {"kind": "complement", "of": {"kind": "cone", "word": "a"}}],
