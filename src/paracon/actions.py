@@ -331,9 +331,8 @@ def validate_partition(action: Action, blocks: Sequence[ActionSet]) -> Partition
     for i in numbers:
         if i not in occupied:
             return PartitionReport(False, "empty-block", (i,), None)
-    overlaps = points.overlaps(numbers)
-    if overlaps:
-        pair, witness = overlaps[0]
+    if overlap := points.overlap(numbers):
+        pair, witness = overlap
         return PartitionReport(False, "overlap", pair, witness)
     gap = points.uncovered(numbers)
     if gap is not None:

@@ -15,6 +15,7 @@ paradox patterns) relies on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -46,12 +47,23 @@ class ConfigurationPair:
     def block_count(self) -> int:
         return len(self.partition)
 
+    @functools.cached_property
+    def frames(self) -> Labelling:
+        """The blocks' labelling and its moves by each g_j^-1: family j labels
+        x with block i of g_j x, as index j * m + i - 1."""
+        blocks = labelled_pass(self.partition.blocks)
+        return labelled_pass([blocks] + [self.action.act_on_set(self.action.inverse(g), blocks)
+                                         for g in self.elements])
 
-# elements in the tuple of a given pair: computing the configurations and
-# verifying the cells each take one product with a moved labelling per
-# distinct element, and the check reads every label once per coordinate,
-# so the tuple length multiplies their work (0.25 s of `con compute` for the
-# slowest document found, pinned in tests/test_cli.py)
+    def block_shifts(self, offset: int = 0) -> list[int]:
+        """Family j's frame index, `offset` into a pass, minus its block."""
+        return [offset + j * len(self.partition) - 1 for j in range(len(self.elements) + 1)]
+
+
+# elements in the tuple of a given pair: the frames labelling moves the
+# blocks' labelling once per element, and the cell check reads every label
+# once per coordinate, so the tuple length multiplies their work (0.25 s of
+# `con compute` for the slowest document found, pinned in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
 
@@ -128,24 +140,15 @@ class _BaseCells(Mapping):
 
 
 def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
-    """Realized configurations from one labelled pass.
+    """Realized configurations, read off the pair's frames labelling.
 
-    The blocks take one pass, and the action moves that labelling once by
-    each g_j^-1, so the moved labelling gives x the block of g_j x.  The
-    configurations' pass runs over the blocks' labelling followed by its n
-    moves, m indices each.  Since each family partitions X, a point x
-    carries exactly one index per family, and its label spells out its
-    configuration; the labels that occur are the configuration set, and
+    Each family of `pair.frames` partitions X, so the label of x spells out
+    its configuration; the labels that occur are the configuration set, and
     the base cell of C is the set of points labelled C.
     """
-    action = pair.action
-    blocks = labelled_pass(pair.partition.blocks)
-    m = blocks.width
-    points = labelled_pass([blocks] + [action.act_on_set(action.inverse(g), blocks)
-                                       for g in pair.elements])
-    shifts = [j * m - 1 for j in range(len(pair.elements) + 1)]   # family j's indices start at j * m
-    labels = {tuple(map(operator.sub, label, shifts)): label for label in points.points}
-    return ConfigurationSet(pair, _BaseCells(points, labels))
+    frames, shifts = pair.frames, pair.block_shifts()
+    labels = {tuple(map(operator.sub, label, shifts)): label for label in frames.points}
+    return ConfigurationSet(pair, _BaseCells(frames, labels))
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,9 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
     C_j = i.  The given base cells take one labelled pass, so the check
-    never rests on the blocks alone, and the blocks take another.  One
-    product of those two labellings and the blocks' moves by each distinct
-    g^-1 labels each point x with the cells holding x, the block of x and
-    the block of g x for every g.  Since x_j(C) = g_j x_0(C), a point x
-    with label L puts g_j x in the cells x_j(C) for the cells C of L, and
-    in the block L gives g_j x, so L alone says which violations its points
+    never rests on the blocks alone.  Its product with `pair.frames` labels
+    x with the cells C holding x and the block of g_j x for every j; since
+    x_j(C) = g_j x_0(C), that label alone says which violations its points
     make at every coordinate.  A violation's least point in frame j is the
     least point of the product moved by g_j whose label makes it, found
     breadth-first; the product is moved once per element, and only for a
@@ -178,31 +178,25 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     configs = cs.configurations
     # with no cells, one empty set keeps the universe and holds no point
     cells = labelled_pass([cs.base_cells[c] for c in configs] or [action.empty_set()])
-    blocks = labelled_pass(cs.pair.partition.blocks)
-    k, m = cells.width, blocks.width
-    frame_elements = (None, *cs.pair.elements)           # None: frame 0
-    elements = list(dict.fromkeys(frame_elements))
-    families = [elements.index(g) for g in frame_elements]
-    points = labelled_pass([cells] + [blocks if g is None else action.act_on_set(action.inverse(g), blocks)
-                                      for g in elements])
+    k = cells.width
+    shifts = cs.pair.block_shifts(k)
+    points = labelled_pass([cells, cs.pair.frames])
     # (j, kind, detail) -> the labels making it, and for a block the labels of
     # its cells' points outside it, which witness only when E_i lies in its cells
     faults: dict[tuple, tuple[set, set]] = {}
     for label in points.points:
         inside = [c for c in label if c < k]             # a label lists its cells first
-        held = [set() for _ in elements]                 # family -> the blocks holding the points
-        for c in label[len(inside):]:
-            held[(c - k) // m].add((c - k) % m + 1)
         # overlaps and gaps, the same at every coordinate
         shared = [(0, (configs[x], configs[y])) for x, y in itertools.combinations(inside, 2)]
         if not inside:
             shared.append((1, None))
-        for j, f in enumerate(families):
+        for j, block in enumerate(map(operator.sub, label[len(inside):], shifts)):
             in_cells = {configs[c][j] for c in inside}
-            for fault in shared + [(2, i) for i in held[f] - in_cells]:
+            for fault in shared if block in in_cells else shared + [(2, block)]:
                 faults.setdefault((j, *fault), (set(), set()))[0].add(label)
-            for i in in_cells - held[f]:
+            for i in in_cells - {block}:
                 faults.setdefault((j, 2, i), (set(), set()))[1].add(label)
+    frame_elements = (None, *cs.pair.elements)           # None: frame 0
     frames = {}                           # element -> the product in its frame
     violations = []
     for j, kind, detail in sorted(faults):

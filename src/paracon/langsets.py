@@ -565,17 +565,14 @@ class Labelling:
         gap = next((label for label in self.points if wanted.isdisjoint(label)), None)
         return None if gap is None else self.points[gap]
 
-    def overlaps(self, indices: Iterable[int]) -> list[tuple[tuple[int, int], object]]:
-        """Every pair of sets at `indices` that meet, in index order, each
-        with its least shared point."""
+    def overlap(self, indices: Iterable[int]) -> Optional[tuple[tuple[int, int], object]]:
+        """The least pair of sets at `indices` that meet, with its least shared
+        point, or None.  The first label holding the least pair overall has
+        it as its own least pair: its first two indices in `indices`."""
         wanted = set(indices)
-        shared: dict[tuple[int, int], Label] = {}
-        for label in self.points:
-            inside = [i for i in label if i in wanted]
-            for k, x in enumerate(inside):
-                for y in inside[k + 1:]:
-                    shared.setdefault((x, y), label)
-        return sorted((pair, self.points[label]) for pair, label in shared.items())
+        pairs = ((tuple([i for i in label if i in wanted][:2]), label) for label in self.points)
+        least = min((p for p in pairs if len(p[0]) == 2), key=operator.itemgetter(0), default=None)
+        return least and (least[0], self.points[least[1]])
 
 
 class _LeastWords(Mapping):

@@ -78,17 +78,15 @@ def verify_decomposition(
                  for g, piece in zip(translators, family)]
         families.append((name, range(start, len(sets))))
     points = labelled_pass(sets)
-    overlaps = points.overlaps(pieces)
-    if overlaps:
-        pair, witness = overlaps[0]
+    if overlap := points.overlap(pieces):
+        pair, witness = overlap
         return DecompositionReport(False, count, "pieces-overlap", witness, pair)
     for name, translates in families:
         gap = points.uncovered(translates)
         if gap is not None:
             return DecompositionReport(False, count, f"cover-gap-{name}", gap)
-        overlaps = points.overlaps(translates) if strict else []
-        if overlaps:
-            (x, y), witness = overlaps[0]
+        if strict and (overlap := points.overlap(translates)):
+            (x, y), witness = overlap
             return DecompositionReport(False, count, f"translates-overlap-{name}", witness,
                                        (x - translates.start, y - translates.start))
     leftover = points.uncovered(pieces) if strict else None
@@ -172,7 +170,7 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
     telescope += [action.act_on_set(stages[i + 1], differences[i]) for i in range(n)]
     x1 = len(telescope)      # X_1 follows the pieces in the pass
     points = labelled_pass(telescope + [sets[0]])
-    if points.overlaps(range(x1)):
+    if points.overlap(range(x1)):
         raise RuntimeError("telescoping pieces overlap; internal error")
     if any((x1 in label) != any(i < x1 for i in label) for label in points.points):
         raise RuntimeError("telescoping identity failed; internal error")
@@ -237,9 +235,8 @@ def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongRep
     """
     k = len(tableau.elements)
     everything = list(tableau.sets_a) + list(tableau.sets_b)
-    overlaps = labelled_pass(everything).overlaps(range(2 * k))
-    if overlaps:
-        (x, y), witness = overlaps[0]
+    if overlap := labelled_pass(everything).overlap(range(2 * k)):
+        (x, y), witness = overlap
         raise ValueError(f"tableau sets {x} and {y} overlap (witness {witness!r})")
     inclusions = []
     for i in range(k):
@@ -283,15 +280,24 @@ def _subgroup_nonidentity(action: Action, spec: SubgroupSpec) -> tuple[list, obj
     """Nonidentity elements to test, the certified size, and a bound note."""
     identity = action.identity()
     if isinstance(spec, FiniteSubgroup):
-        elements = [action.normalize_element(g) for g in spec.elements]
-        pool = set(elements) | {identity}
-        for g in pool:
-            if action.inverse(g) not in pool:
-                raise ValueError(f"element list not closed under inverses at {g!r}")
-            for h in pool:
-                if action.multiply(g, h) not in pool:
-                    raise ValueError(f"element list not closed under products at {g!r}*{h!r}")
+        pool = {action.normalize_element(g) for g in spec.elements} | {identity}
         nonidentity = sorted((g for g in pool if g != identity), key=repr)
+        # a finite list closed under products is a group: grow the group its
+        # greedily chosen generators generate, breadth-first, until a product
+        # leaves the list; each generator at least doubles the group, so this
+        # takes about 2 |H| log2 |H| products
+        generators, group, reached = [], {identity}, [identity]
+        for g in nonidentity:
+            if g not in group:
+                generators.append(g)
+                for h in reached:                # reached grows while we read it
+                    for s in generators:
+                        product = action.multiply(h, s)
+                        if product not in pool:
+                            raise ValueError(f"element list not closed under products at {h!r}*{s!r}")
+                        if product not in group:
+                            group.add(product)
+                            reached.append(product)
         return nonidentity, len(pool), "exhaustive"
     generator = action.normalize_element(spec.generator)
     order = action.element_order(generator)
@@ -329,9 +335,8 @@ def check_pingpong_subgroups(
     k = len(subgroups)
     if k < 2 or len(sets) != k:
         raise ValueError("need k >= 2 subgroups with one set each")
-    overlaps = labelled_pass(sets).overlaps(range(k))
-    if overlaps:
-        (x, y), witness = overlaps[0]
+    if overlap := labelled_pass(sets).overlap(range(k)):
+        (x, y), witness = overlap
         raise ValueError(f"sets X_{x+1} and X_{y+1} overlap (witness {witness!r})")
     enumerated = [_subgroup_nonidentity(action, spec) for spec in subgroups]
     sizes = [size for _, size, _ in enumerated]
@@ -409,9 +414,8 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     e1, e2, e3, e4, e5 = witness.sets
     if e1.is_empty:
         return PingPongReport(False, problem="E_1 is empty; relations hold vacuously")
-    overlaps = labelled_pass(witness.sets).overlaps(range(5))
-    if overlaps:
-        (x, y), point = overlaps[0]
+    if overlap := labelled_pass(witness.sets).overlap(range(5)):
+        (x, y), point = overlap
         return PingPongReport(False, problem=f"E_{x+1} and E_{y+1} overlap", witness=point)
     g1 = action.normalize_element(witness.g1)
     g2 = action.normalize_element(witness.g2)

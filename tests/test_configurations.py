@@ -25,6 +25,7 @@ from paracon import (
     verify_cell_partition,
 )
 from paracon import configurations
+from paracon.langsets import Labelling
 from paracon.configurations import _element_pool, _growth_counts, _partition_at, _tuple_at
 from paracon.serialization import parse_action
 
@@ -127,6 +128,16 @@ class TestVerifyCellPartition:
             finite_pair(trivial3, ["a"], [[0], [1], [2]]),
         ):
             assert verify_cell_partition(compute_configurations(pair)).ok
+
+    def test_moves_no_labelling_beyond_the_frames(self, f2, five_blocks, monkeypatch):
+        # the frames labelling moves the blocks' labelling once per tuple
+        # element, a repeated one too; a clean check moves nothing more
+        moves = []
+        translate = Labelling.translate
+        monkeypatch.setattr(Labelling, "translate", lambda self, g: moves.append(g) or translate(self, g))
+        pair = configuration_pair(f2, ["ab", "b", "ab"], five_blocks)
+        assert verify_cell_partition(compute_configurations(pair)).ok
+        assert moves == [parse_word(w) for w in ("BA", "B", "BA")]
 
     def test_detects_deleted_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])

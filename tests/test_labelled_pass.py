@@ -84,8 +84,11 @@ def universes(draw) -> Universe:
         atoms = [Member.of(("singleton" if len(w) < depth else "cone", w))
                  for w in all_reduced_words(2, depth)]
         # tuple entries of length 1-2 keep every least witness within WORDS,
-        # and the two-letter ones reach chain state 2 of a moved labelling
+        # and the two-letter ones reach chain state 2 of a moved labelling;
+        # half the tuples repeat an entry, so two coordinates share an element
         words = rng.sample(all_reduced_words(2, 2)[1:], rng.randint(1, 2))
+        if rng.random() < 0.5:
+            words.insert(rng.randrange(len(words) + 1), rng.choice(words))
         return Universe(F2, WORDS, atoms, words,
                         [lambda p, g=g: g * p for g in words],
                         [lambda p, g=~g: g * p for g in words])

@@ -215,6 +215,29 @@ class TestPingPongSubgroups:
                  FiniteSubgroup((Permutation((1, 0, 2)),))],
                 [s3_regular.point_set([0]), s3_regular.point_set([1])])
 
+    # S_7 on the first 7 of 8 points: checking its 5,040 elements pair by
+    # pair took 139 s; the swap of the last two points is outside it
+    S7 = tuple(Permutation(p + (7,)) for p in itertools.permutations(range(7)))
+    SWAP = Permutation((0, 1, 2, 3, 4, 5, 7, 6))
+
+    @pytest.mark.parametrize("elements,closed", [
+        (S7, True),
+        (S7[:1] + S7[2:], False),     # without the involution swapping 5 and 6
+        (S7 + (SWAP,), False),        # with it, the list generates S_8
+    ], ids=["s7", "s7-less-an-involution", "s7-and-a-swap"])
+    def test_large_finite_subgroup_closure(self, elements, closed):
+        action = FinitePermutationAction(8, {1: Permutation((1, 2, 3, 4, 5, 6, 0, 7))})
+        subgroups = [FiniteSubgroup(elements), FiniteSubgroup((self.SWAP,))]
+        sets = [action.point_set([7]), action.point_set([0])]
+        started = time.perf_counter()
+        if closed:           # a finite group is no free product, so an inclusion fails
+            report = check_pingpong_subgroups(action, subgroups, sets)
+            assert report.problem == "h X_2 is not contained in X_1 for an element of H_1"
+        else:
+            with pytest.raises(ValueError, match="not closed under products"):
+                check_pingpong_subgroups(action, subgroups, sets)
+        assert time.perf_counter() - started < 10
+
     @pytest.mark.parametrize("bound", [0, -4])
     def test_exponent_bound_below_one_rejected(self, bound):
         # a bound below 1 would check no element and certify vacuously
