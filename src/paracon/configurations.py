@@ -57,7 +57,8 @@ class ConfigurationPair:
 
     def block_shifts(self, offset: int = 0) -> list[int]:
         """Family j's frame index, `offset` into a pass, minus its block."""
-        return [offset + j * len(self.partition) - 1 for j in range(len(self.elements) + 1)]
+        m = self.block_count
+        return [offset + j * m - 1 for j in range(self.tuple_length + 1)]
 
 
 # elements in the tuple of a given pair: the frames labelling moves the
