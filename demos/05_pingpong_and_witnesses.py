@@ -1,8 +1,9 @@
 """Ping-pong certificates and small structural witnesses.
 
 The cyclic tableau condition certifies a free subgroup from exact set
-inclusions; the subgroup form handles several players at once up to a
-stated enumeration bound.  Two singleton-based witnesses round things off:
+inclusions; the subgroup form handles several players at once, deciding
+(H_i minus e).X_s inside X_i over every power of each generator.  Two
+singleton-based witnesses round things off:
 five sets that can only exist when two elements fail to commute, and a
 nested-powers pair that can only exist for an element of infinite order.
 """
@@ -40,13 +41,14 @@ failed = check_pingpong_cyclic(f2, swapped)
 print("swapping the first pair fails with witness:", word_str(failed.witness))
 
 print()
-print("== subgroup ping-pong up to a bound ==")
-report = check_pingpong_subgroups(
-    f2,
-    [CyclicSubgroup(parse_word("a"), 3), CyclicSubgroup(parse_word("b"), 3)],
-    [cone("a").union(cone("A")), cone("b").union(cone("B"))])
+print("== subgroup ping-pong over every power ==")
+subgroups = [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))]
+x1, x2 = cone("a").union(cone("A")), cone("b").union(cone("B"))
+report = check_pingpong_subgroups(f2, subgroups, [x1, x2])
 print(report.conclusion)
-print("verified inclusions:", report.inclusions[0][1], "-", report.bound_note)
+print("verified inclusions:", report.inclusions[0][1])
+failed = check_pingpong_subgroups(f2, subgroups, [x1.difference(cone("aaaab")), x2])
+print("without cone(aaaab) in X_1 it fails with witness:", word_str(failed.witness))
 
 print()
 print("== a five-set witness of non-commuting ==")

@@ -97,6 +97,10 @@ class Action:
         """g.S, or for a labelling the labelling that gives g.x the label of x."""
         raise NotImplementedError
 
+    def moved_by_powers(self, g: GroupElement, s: ActionSet) -> ActionSet:
+        """(<g> minus e).S, the union of the sets g^k S with g^k != e."""
+        raise NotImplementedError
+
 
 def _parse_if_str(g, rank: int) -> GroupElement:
     return parse_word(g, rank) if isinstance(g, str) else g
@@ -134,6 +138,12 @@ class FreeSelfAction(Action):
 
     def act_on_set(self, g, s: SymbolicSet | Labelling) -> SymbolicSet | Labelling:
         return s.translate(self.normalize_element(g))
+
+    def moved_by_powers(self, g, s: SymbolicSet) -> SymbolicSet:
+        """The reduced product of the powers g^k != e with S."""
+        g = self.normalize_element(g)
+        powers = [SymbolicSet.powers(g, self.rank), SymbolicSet.powers(~g, self.rank)]
+        return labelled_pass(powers).cells([(0,), (1,)]).product(s)
 
 
 class FinitePermutationAction(Action):
@@ -185,6 +195,22 @@ class FinitePermutationAction(Action):
             return s.permuted(images)
         return FiniteSet.of(self.degree, [images[p] for p in s.members])
 
+    def moved_by_powers(self, g, s: FiniteSet) -> FiniteSet:
+        """Cycle by cycle: g^k, 1 <= k < ord(g), takes a point of S round its
+        whole cycle, but for the point itself when the cycle is as long as
+        ord(g), so such a cycle holding one point of S misses just that one."""
+        images, order = self.point_images(g), self.element_order(g)
+        moved, seen = set(), set()
+        for x in s.members:
+            if x not in seen:
+                cycle, y = [x], images[x]
+                while y != x:
+                    cycle.append(y)
+                    y = images[y]
+                seen.update(cycle)
+                moved.update(cycle[len(cycle) == order and len(s.members.intersection(cycle)) == 1:])
+        return FiniteSet(self.degree, frozenset(moved))
+
 
 class TrivialAction(Action):
     """Any group acting trivially: g.x = x for every g and x.
@@ -221,6 +247,9 @@ class TrivialAction(Action):
 
     def act_on_set(self, g, s: ActionSet | Labelling) -> ActionSet | Labelling:
         return s
+
+    def moved_by_powers(self, g, s: ActionSet) -> ActionSet:
+        return self.empty_set() if self.normalize_element(g).is_identity else s
 
 
 class FiniteRegularAction(FinitePermutationAction):

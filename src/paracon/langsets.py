@@ -61,7 +61,7 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
     is not reduced leads to a state from which no word is accepted (so it
     accepts reduced words only), and no two states reachable from `start`
     are equivalent.  Every constructor builds such an automaton directly,
-    and `_minimized` makes one for `Labelling.cells`.
+    and `_minimized` makes one for `Labelling.cells` and `product`.
 
     The reachable states are numbered breadth-first, letters in canonical
     order, which is the order of their shortlex-least access words; that
@@ -86,7 +86,7 @@ def _minimized(rank: int, trans: Sequence[Sequence[int]],
                accepting: Sequence[bool], start: int = 0) -> "SymbolicSet":
     """The set a reduced-closed automaton accepts from state `start`: Moore
     refinement merges its equivalent states, and `_canonical` numbers the
-    quotient.  Only `Labelling.cells` needs it."""
+    quotient.  `Labelling.cells` and `SymbolicSet.product` need it."""
     ids: dict = {}
     block = [ids.setdefault(a, len(ids)) for a in accepting]
     while True:
@@ -376,6 +376,57 @@ class SymbolicSet(_Queries):
         trans, accepting = _chain(self.rank, self.transitions, self.accepting, 0, g)
         return _registered(self.rank, trans, accepting, range(n), range(n + k, n - 1, -1))
 
+    def product(self, other: "SymbolicSet") -> "SymbolicSet":
+        """The reduced product {uv : u in self, v in other}, which is regular
+        (Benois 1969, "Parties rationnelles du groupe libre"; Kapovich and
+        Myasnikov 2002, "Stallings foldings and subgroups of free groups").
+
+        A reduced word w is in it exactly when w = u'v' with some c such that
+        u'c is in self and c^-1 v' in other, c being what cancels.  So first
+        `split[a]` collects, backwards from self's accepting states, the
+        states b of other such that self reads some c from a to acceptance
+        while other reads c^-1 from its start to b.  Then one subset
+        construction reads w: a node is self's state, the set of other's
+        states reached after a split so far, and the last letter, whose
+        inverse leads to a dead node.  `_minimized` makes it canonical.
+        Past AUTOMATON_STATES_CAP nodes it raises BoundExceeded.
+        """
+        if self.rank != other.rank:
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        mine, theirs = self.transitions, other.transitions
+        sink = _sink(theirs, other.accepting)
+        sources: list[list] = [[] for _ in mine]
+        for s, row in enumerate(mine):
+            for x, t in enumerate(row):
+                sources[t].append((s, x))
+        split: list[set] = [{0} if accepts and sink != 0 else set() for accepts in self.accepting]
+        todo = [(a, 0) for a, found in enumerate(split) if found]
+        for a, b in todo:                        # todo grows while we read it
+            for s, x in sources[a]:
+                c = theirs[b][x ^ 1]
+                if c != sink and c not in split[s]:
+                    split[s].add(c)
+                    todo.append((s, c))
+        dead = (_sink(mine, self.accepting), frozenset(), -1)
+        nodes = [(0, frozenset(split[0]), -1)]
+        index = {nodes[0]: 0}
+        trans, accepting = [], []
+        for a, states, last in nodes:            # nodes grows while we read it
+            accepting.append(any(other.accepting[b] for b in states))
+            row = []
+            for y in range(2 * self.rank):
+                node = dead
+                if y != last ^ 1:
+                    after = {theirs[b][y] for b in states} - {sink} | split[mine[a][y]]
+                    node = (mine[a][y], frozenset(after), y)
+                if node not in index:
+                    index[node] = len(nodes)
+                    nodes.append(node)
+                    capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
+                row.append(index[node])
+            trans.append(row)
+        return _minimized(self.rank, trans, accepting)
+
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
         return f"SymbolicSet(rank={self.rank}, ~{{{sample}, ...}})"
@@ -513,8 +564,8 @@ class Labelling:
 
         Over F_rank the machine is trimmed, then minimized: the states that
         reach a selected state keep their order, every other target goes to
-        one appended rejecting row, and `_minimized` refines the result, the
-        one refinement in the package.  No point's state is the sink, so
+        one appended rejecting row, and `_minimized` refines the result, as
+        it does `product`'s.  No point's state is the sink, so
         these rows are no more than the machine's, which its pass or its
         translate already capped.
         """

@@ -144,23 +144,6 @@ def parse_action(doc: Any, location: str = "action") -> Action:
     raise DocumentError(f"unknown backend {backend!r}", f"{location}.backend")
 
 
-def action_json(action: Action) -> dict:
-    if isinstance(action, FreeSelfAction):
-        return {"backend": "free-self", "rank": action.rank}
-    if isinstance(action, TrivialAction):
-        if action.degree is not None:
-            return {"backend": "trivial", "degree": action.degree}
-        return {"backend": "trivial", "rank": action.rank}
-    if isinstance(action, FinitePermutationAction):
-        doc = {"backend": action.kind,
-               "generators": {word_str(FreeWord((i,))): list(p.images)
-                              for i, p in sorted(action.generators.items())}}
-        if not isinstance(action, FiniteRegularAction):   # its degree is the group order
-            doc["degree"] = action.degree
-        return doc
-    raise TypeError(f"unknown action {action!r}")
-
-
 def _parse_word_field(doc: Mapping, rank: int, location: str) -> FreeWord:
     value = doc.get("word", "e")
     _expect(isinstance(value, str), "word must be a string", f"{location}.word")

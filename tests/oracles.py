@@ -4,7 +4,9 @@ Everything here is deliberately naive and shares no code path with the
 package: word enumeration by direct recursion, free reduction by cancelling
 letter pairs on a stack, set membership by evaluating expression trees
 pointwise, configurations of finite actions by iterating points,
-permutation orders by repeated composition, linear feasibility by
+permutation orders by repeated composition, the union of g^k S over the
+powers g^k != e (over F_rank by testing g^-k v in S for a range of k, on
+finite points by composing g with itself), linear feasibility by
 Fourier-Motzkin elimination, a reference phase-one simplex over Fraction
 that fixes which answer the solver returns, row-by-row Fraction checks of
 solutions and certificates, and the paradox search's cover table and a
@@ -81,6 +83,41 @@ def expr_contains(expr: tuple, word: FreeWord) -> bool:
     if kind == "difference":
         return expr_contains(expr[1], word) and not expr_contains(expr[2], word)
     raise ValueError(f"unknown expression {expr!r}")
+
+
+def longest_word(expr: tuple) -> int:
+    """The length of the longest word in an expression tree."""
+    if expr[0] in ("cone", "singleton"):
+        return len(expr[1].letters)
+    return max((longest_word(child) for child in expr[1:]), default=0)
+
+
+def in_moved_by_powers(g: FreeWord, expr: tuple, v: FreeWord) -> bool:
+    """Whether v lies in (<g> minus e).S for the set S of an expression tree:
+    some g^-k v with 1 <= |k| <= |v| + 2|g| + D + 2 lies in S, D the longest
+    word in the expression.  Past that range the first D letters of g^-k v,
+    which alone decide membership of a word longer than D, no longer change
+    with k."""
+    if not g.letters:
+        return False
+    inverse = tuple(-l for l in reversed(g.letters))
+    for step in (g.letters, inverse):
+        power = ()
+        for _ in range(len(v.letters) + 2 * len(g.letters) + longest_word(expr) + 2):
+            power = reduce_letters(power + step)
+            if expr_contains(expr, FreeWord(reduce_letters(power + v.letters))):
+                return True
+    return False
+
+
+def moved_by_powers_points(images: tuple[int, ...], members) -> set[int]:
+    """The union of g^k S for k = 1..ord(g)-1 on finite points, composing g
+    with itself until the identity comes back."""
+    moved, power = set(), tuple(images)
+    while power != tuple(range(len(images))):
+        moved.update(power[x] for x in members)
+        power = tuple(images[p] for p in power)
+    return moved
 
 
 def brute_force_configurations(degree: int, perms: list, blocks: list[frozenset]) -> set[tuple]:

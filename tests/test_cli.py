@@ -12,7 +12,6 @@ from paracon.cli import _json, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
     DocumentError,
-    action_json,
     element_json,
     parse_action,
     parse_element,
@@ -175,26 +174,36 @@ class TestOtherCommands:
         assert code == 0
         assert report["data"]["solution"] == ["1/2", "1/2"]
 
+    SUBGROUPS = {
+        "action": {"backend": "free-self", "rank": 2},
+        "subgroups": [{"kind": "cyclic", "generator": "a"}, {"kind": "cyclic", "generator": "b"}],
+        "sets": [
+            {"kind": "union", "of": [{"kind": "cone", "word": "a"}, {"kind": "cone", "word": "A"}]},
+            {"kind": "union", "of": [{"kind": "cone", "word": "b"}, {"kind": "cone", "word": "B"}]},
+        ],
+    }
+
     def test_pingpong_subgroups_command(self, capsys, tmp_path):
-        doc = {
-            "action": {"backend": "free-self", "rank": 2},
-            "subgroups": [
-                {"kind": "cyclic", "generator": "a", "exponent_bound": 3},
-                {"kind": "cyclic", "generator": "b", "exponent_bound": 3},
-            ],
-            "sets": [
-                {"kind": "union", "of": [{"kind": "cone", "word": "a"},
-                                          {"kind": "cone", "word": "A"}]},
-                {"kind": "union", "of": [{"kind": "cone", "word": "b"},
-                                          {"kind": "cone", "word": "B"}]},
-            ],
-        }
         path = tmp_path / "subgroups.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(self.SUBGROUPS))
         code, report = run(capsys, "pingpong", "subgroups", "--input", str(path))
         assert code == 0
         assert report["status"] == "ok"
-        assert report["data"]["checks"] == 12
+        assert report["data"]["checks"] == 2           # one inclusion per (i, s), s != i
+        assert report["bounds"] == {}
+
+    def test_pingpong_subgroups_decides_every_power(self, capsys, tmp_path):
+        # X_1 misses cone(aaaab), which a^4 moves X_2 into: no bound on the
+        # exponents tried finds this unless it reaches 4
+        x1 = {"kind": "difference", "left": self.SUBGROUPS["sets"][0],
+              "right": {"kind": "cone", "word": "aaaab"}}
+        path = tmp_path / "aaaab.json"
+        path.write_text(json.dumps({**self.SUBGROUPS, "sets": [x1, self.SUBGROUPS["sets"][1]]}))
+        code, report = run(capsys, "pingpong", "subgroups", "--input", str(path))
+        assert code == 0
+        assert report["status"] == "failed"
+        assert report["data"] == {"problem": "h X_2 is not contained in X_1 for an element of H_1",
+                                  "witness": "aaaab"}
 
     def test_witness_infinite_order_finite_backend(self, capsys, tmp_path):
         doc = {
@@ -529,15 +538,19 @@ class TestRoundTrips:
         assert parse_element(element_json(p), z3, "x") == p
 
     def test_actions(self):
-        docs = [
-            {"backend": "free-self", "rank": 3},
-            {"backend": "trivial", "degree": 5},
-            {"backend": "trivial", "rank": 2},
-            {"backend": "finite-permutation", "degree": 3, "generators": {"a": [1, 2, 0]}},
-            {"backend": "finite-regular", "generators": {"a": [1, 0, 2], "b": [0, 2, 1]}},
+        cases = [
+            ({"backend": "free-self", "rank": 3}, ("free-self", None, 3), {}),
+            ({"backend": "trivial", "degree": 5}, ("trivial", 5, None), {}),
+            ({"backend": "trivial", "rank": 2}, ("trivial", None, 2), {}),
+            ({"backend": "finite-permutation", "degree": 3, "generators": {"a": [1, 2, 0]}},
+             ("finite-permutation", 3, None), {1: (1, 2, 0)}),
+            ({"backend": "finite-regular", "generators": {"a": [1, 0, 2], "b": [0, 2, 1]}},
+             ("finite-regular", 6, None), {1: (1, 0, 2), 2: (0, 2, 1)}),
         ]
-        for doc in docs:
-            assert action_json(parse_action(doc)) == doc
+        for doc, shape, generators in cases:
+            action = parse_action(doc)
+            assert (action.kind, action.degree, action.rank) == shape
+            assert {i: p.images for i, p in getattr(action, "generators", {}).items()} == generators
 
     def test_symbolic_sets(self):
         from paracon.actions import FreeSelfAction
@@ -604,3 +617,16 @@ def test_report_writer_reproduces_every_golden():
     for path in sorted((Path(__file__).resolve().parent / "golden").glob("*.json")):
         text = path.read_text()
         assert _json(json.loads(text)) + "\n" == text, path.name
+
+
+def test_readme_names_every_bound():
+    # every name an exit-3 report can carry: the bound of each capped(...)
+    # and BoundExceeded(...) in the package
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for path in (root / "src").rglob("*.py"):
+        names |= set(re.findall(r'(?:capped|BoundExceeded)\(\s*"(\w+)"', path.read_text()))
+    readme = (root / "README.md").read_text()
+    cli = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    assert {"automaton_states", "max_pieces", "search_table_bits"} <= names
+    assert sorted(name for name in names if f"`{name}`" not in cli) == []

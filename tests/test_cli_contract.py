@@ -50,8 +50,7 @@ EXTRA_RUNS = [
     }),
     ("pingpong-subgroups", ("pingpong", "subgroups"), {
         "action": F2,
-        "subgroups": [{"kind": "cyclic", "generator": "a", "exponent_bound": 3},
-                      {"kind": "cyclic", "generator": "b", "exponent_bound": 3}],
+        "subgroups": [{"kind": "cyclic", "generator": "a"}, {"kind": "cyclic", "generator": "b"}],
         "sets": [{"kind": "union", "of": [{"kind": "cone", "word": "a"},
                                            {"kind": "cone", "word": "A"}]},
                  {"kind": "union", "of": [{"kind": "cone", "word": "b"},
@@ -209,9 +208,6 @@ SUBGROUPS = EXTRA_RUNS[3][2]
     (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
                           "bounds": {"max_blocks": "x"}}, "bounds.max_blocks"),
     (("pingpong", "subgroups"), {**SUBGROUPS, "subgroups": [
-        {**SUBGROUPS["subgroups"][0], "exponent_bound": "3"}, SUBGROUPS["subgroups"][1]]},
-     "subgroups[0].exponent_bound"),
-    (("pingpong", "subgroups"), {**SUBGROUPS, "subgroups": [
         {"kind": "cyclic"}, SUBGROUPS["subgroups"][1]]}, "subgroups[0].generator"),
     (("paradox", "verify"), {**CLASSICAL, "decomposition": {
         k: v for k, v in CLASSICAL["decomposition"].items() if k != "translators_a"}},
@@ -228,27 +224,35 @@ SUBGROUPS = EXTRA_RUNS[3][2]
      "partition[0].of[1].word"),
     (("con", "compute"), {"action": F2, "tuple": ["a"], "partition": [atom_union("c")]},
      "partition[0].of[1].word"),
-    (("pingpong", "subgroups"), {"action": F2, "subgroups": [
-        {"kind": "cyclic", "generator": "a", "exponent_bound": 0},
-        {"kind": "cyclic", "generator": "b", "exponent_bound": -4}],
-        "sets": [{"kind": "cone", "word": "b"}, {"kind": "cone", "word": "a"}]},
-     "subgroups[0].exponent_bound"),
     (("con", "compute"), {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"],
                           "partition": [{"kind": "automaton", "rank": 1, "transitions": [[0, 0]],
                                          "accepting": ["false"]}]},
      "partition[0].accepting"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
         "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
-        "string-in-bounds", "string-exponent-bound", "cyclic-without-generator",
+        "string-in-bounds", "cyclic-without-generator",
         "decomposition-without-translators",
         "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
         "bad-word-in-atom-union", "number-word-in-atom-union", "word-past-rank-in-atom-union",
-        "exponent-bound-below-one", "string-accepting-entry"])
+        "string-accepting-entry"])
 def test_malformed_fields_exit_2_with_location(words, doc, location, capsys, monkeypatch):
     code, report = run_stdin(words, json.dumps(doc).encode(), capsys, monkeypatch)
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["location"] == location
+
+
+@pytest.mark.parametrize("bounds", [("3", 3), (0, -4)], ids=["string", "below-one"])
+def test_exponent_bound_is_ignored(bounds, capsys, monkeypatch):
+    # the subgroup check is exact, so a leftover exponent_bound field, valid
+    # or not, is ignored as other unknown fields are
+    doc = {**SUBGROUPS, "subgroups": [{**spec, "exponent_bound": bound}
+                                      for spec, bound in zip(SUBGROUPS["subgroups"], bounds)]}
+    code, report = run_stdin(("pingpong", "subgroups"), json.dumps(doc).encode(), capsys, monkeypatch)
+    _, exact = run_stdin(("pingpong", "subgroups"), json.dumps(SUBGROUPS).encode(), capsys, monkeypatch)
+    assert code == 0
+    assert {**report, "input_digest": None} == {**exact, "input_digest": None}
+    assert report["status"] == "ok" and report["data"]["checks"] == 2 and report["bounds"] == {}
 
 
 @pytest.mark.parametrize("points", [[1, 2], [-1, 1]], ids=["point-past-the-degree", "negative-point"])

@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from conftest import cone, singleton
 from paracon import (
     CyclicSubgroup,
@@ -103,16 +105,18 @@ def test_chain_pieces_induce_pattern_and_infeasibility():
     assert not solve_feasibility(build_equations(cs)).feasible
 
 
-def test_pingpong_bound_monotonicity():
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pingpong_subgroups_decide_every_exponent(n):
+    # a^n moves cone(b) into cone(a^n b), so X_1 without that cone fails
+    # for every n, with the least word a^n b as witness
     f2 = FreeSelfAction(2)
-    sets = [cone("a").union(cone("A")), cone("b").union(cone("B"))]
-    for bound in (2, 3, 5):
-        report = check_pingpong_subgroups(
-            f2,
-            [CyclicSubgroup(parse_word("a"), bound), CyclicSubgroup(parse_word("b"), bound)],
-            sets)
-        assert report.ok
-        assert report.inclusions == (("checks", 4 * bound),)
+    subgroups = [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))]
+    x1, x2 = cone("a").union(cone("A")), cone("b").union(cone("B"))
+    report = check_pingpong_subgroups(f2, subgroups, [x1.difference(cone("a" * n + "b")), x2])
+    assert not report.ok
+    assert report.witness == parse_word("a" * n + "b")
+    report = check_pingpong_subgroups(f2, subgroups, [x1, x2])
+    assert report.ok and report.inclusions == (("checks", 2),)
 
 
 def test_solver_is_deterministic_across_instances():

@@ -172,18 +172,25 @@ class TestPingPongSubgroups:
     def test_f2_cyclic_subgroups(self, f2):
         report = check_pingpong_subgroups(
             f2,
-            [CyclicSubgroup(parse_word("a"), 3), CyclicSubgroup(parse_word("b"), 3)],
+            [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))],
             [cone("a").union(cone("A")), cone("b").union(cone("B"))])
         assert report.ok
-        assert report.inclusions == (("checks", 12),)
-        assert "exponents up to 3" in report.bound_note
+        assert report.inclusions == (("checks", 2),)     # k(k-1) inclusions, each exact
+
+    def test_three_cyclic_subgroups(self):
+        f3 = FreeSelfAction(3)
+        report = check_pingpong_subgroups(
+            f3, [CyclicSubgroup(parse_word(x)) for x in "abc"],
+            [cone(x, 3).union(cone(x.upper(), 3)) for x in "abc"])
+        assert report.ok
+        assert report.inclusions == (("checks", 6),)
 
     def test_size_condition_quoted(self, s3_regular):
         flip = Permutation((1, 0, 2))
         with pytest.raises(ValueError) as err:
             check_pingpong_subgroups(
                 s3_regular,
-                [CyclicSubgroup(flip, 3), CyclicSubgroup(Permutation((0, 2, 1)), 3)],
+                [CyclicSubgroup(flip), CyclicSubgroup(Permutation((0, 2, 1)))],
                 [s3_regular.point_set([0]), s3_regular.point_set([1])])
         assert "|H_1|" in str(err.value) and ">= 3" in str(err.value)
 
@@ -238,17 +245,19 @@ class TestPingPongSubgroups:
                 check_pingpong_subgroups(action, subgroups, sets)
         assert time.perf_counter() - started < 10
 
-    @pytest.mark.parametrize("bound", [0, -4])
-    def test_exponent_bound_below_one_rejected(self, bound):
-        # a bound below 1 would check no element and certify vacuously
-        with pytest.raises(ValueError, match="at least 1"):
-            CyclicSubgroup(parse_word("a"), bound)
+    @pytest.mark.parametrize("first,second", [("e", "b"), ("a", "e")])
+    def test_identity_generator_fails_the_size_condition(self, f2, first, second):
+        # <e> moves no set, so it would pass every inclusion vacuously
+        with pytest.raises(ValueError, match="size condition violated: [|]H_[12][|] = 1 <"):
+            check_pingpong_subgroups(
+                f2, [CyclicSubgroup(parse_word(first)), CyclicSubgroup(parse_word(second))],
+                [cone("a"), cone("b")])
 
     def test_overlapping_sets_rejected(self, f2):
         with pytest.raises(ValueError):
             check_pingpong_subgroups(
                 f2,
-                [CyclicSubgroup(parse_word("a"), 2), CyclicSubgroup(parse_word("b"), 2)],
+                [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))],
                 [cone("a"), cone("a")])
 
 
