@@ -43,6 +43,7 @@ from .equations import (
     LinearSystem,
     build_equations,
     counting_solution,
+    decide,
     solve_feasibility,
     verify_certificate,
     verify_solution,

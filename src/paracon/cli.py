@@ -144,8 +144,7 @@ def cmd_con_compute(args, doc, action, cs):
 
 
 def cmd_eq_solve(args, doc, action, cs):
-    system = eqs.build_equations(cs)
-    result = eqs.solve_feasibility(system)
+    system, result = eqs.decide(cs)
     data = {
         "variables": [list(c) for c in cs.configurations],
         "rows": [list(label) for label in system.labels],

@@ -19,6 +19,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,6 +103,12 @@ class ConfigurationSet:
     def as_tuple_set(self) -> frozenset[Configuration]:
         return frozenset(self.configurations)
 
+    def cell_sizes(self) -> list[int]:
+        """|x0(C)| for each configuration in order, over a finite universe."""
+        if isinstance(self.base_cells, _BaseCells):
+            return self.base_cells.sizes(self.configurations)
+        return [len(self.base_cells[c]) for c in self.configurations]
+
     def cell(self, config: Configuration, j: int) -> ActionSet:
         """x_j(C): the base cell for j = 0, its g_j-translate for j >= 1."""
         config = tuple(config)
@@ -132,6 +139,12 @@ class _BaseCells(Mapping):
 
     def __contains__(self, config) -> bool:      # without building the cell
         return config in self._labels
+
+    def sizes(self, configs: Sequence[Configuration]) -> list[int]:
+        """The points of a finite universe labelled each of `configs`, from
+        one count of the labels, without building a cell."""
+        counts = Counter(self._points.labels)
+        return [counts[self._labels[c]] for c in configs]
 
     def __iter__(self):
         return iter(self._labels)

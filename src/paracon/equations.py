@@ -6,10 +6,14 @@ for one value f_C per configuration with
     sum { f_C : C_j = i }  =  sum { f_C : C_0 = i }      (j in 1..n, i in 1..m)
     sum f_C = 1,   f_C >= 0.
 
-Every coefficient is an int in {-1, 0, 1}.  A phase-one simplex with Bland's
-rule on an integer tableau decides it exactly and deterministically: a
-normalized solution, or a Farkas certificate (row multipliers whose combined
-row has no nonnegative solution), each checked in ints over its common denominator.
+Every coefficient is an int in {-1, 0, 1}.  `decide` answers it exactly.
+On a finite action the counting measure f_C = |x0(C)| / |X| always solves
+it, since the C with C_j = i have base cells partitioning g_j^-1 E_i, of
+size |E_i|; so a finite action never reaches the simplex.  Any other
+system goes to a phase-one simplex with Bland's rule on an integer tableau,
+which gives, deterministically, a normalized solution or a Farkas
+certificate (row multipliers whose combined row has no nonnegative
+solution).  Each answer is checked in ints over its common denominator.
 """
 
 from __future__ import annotations
@@ -209,5 +213,23 @@ def counting_solution(cs: ConfigurationSet) -> tuple[Fraction, ...]:
     action = cs.pair.action
     if not action.is_finite:
         raise ValueError("counting solutions need a finite action")
+    sizes = cs.cell_sizes()
     total = action.size()
-    return tuple(Fraction(len(cs.base_cells[c]), total) for c in cs.configurations)
+    value = {size: Fraction(size, total) for size in set(sizes)}
+    return tuple(map(value.__getitem__, sizes))
+
+
+def decide(cs: ConfigurationSet) -> tuple[LinearSystem, FeasibilityResult]:
+    """The configuration equations of `cs` and their answer.
+
+    A finite action is answered by its counting solution, re-verified
+    exactly; any other system goes to solve_feasibility.
+    """
+    system = build_equations(cs)
+    if not cs.pair.action.is_finite:
+        return system, solve_feasibility(system)
+    solution = counting_solution(cs)
+    check = verify_solution(system, solution)
+    if not check.ok:
+        raise RuntimeError(f"counting produced an invalid solution: {check.violation}")
+    return system, FeasibilityResult(True, solution=solution)
