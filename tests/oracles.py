@@ -3,14 +3,16 @@
 Everything here is deliberately naive and shares no code path with the
 package: word enumeration by direct recursion, free reduction by cancelling
 letter pairs on a stack, set membership by evaluating expression trees
-pointwise, configurations of finite actions by iterating points,
-permutation orders by repeated composition, the union of g^k S over the
-powers g^k != e (over F_rank by testing g^-k v in S for a range of k, on
-finite points by composing g with itself), linear feasibility by
-Fourier-Motzkin elimination, a reference phase-one simplex over Fraction
-that fixes which answer the solver returns, row-by-row Fraction checks of
-solutions and certificates, and the paradox search's cover table and a
-lex-first paradox search, both testing covers word by word.
+pointwise, configurations of finite actions by iterating points, the
+counting solution of a finite action document by walking its points
+through plain image lists, permutation orders by repeated composition,
+the union of g^k S over the powers g^k != e (over F_rank by testing
+g^-k v in S for a range of k, on finite points by composing g with
+itself), linear feasibility by Fourier-Motzkin elimination, a reference
+phase-one simplex over Fraction that fixes which answer the solver
+returns, row-by-row Fraction checks of solutions and certificates, and the
+paradox search's cover table and a lex-first paradox search, both testing
+covers word by word.
 """
 
 from __future__ import annotations
@@ -133,6 +135,62 @@ def brute_force_configurations(degree: int, perms: list, blocks: list[frozenset]
     for x in range(degree):
         observed.add(tuple([block_of(x)] + [block_of(p.images[x]) for p in perms]))
     return observed
+
+
+def word_images(generators: dict[str, list[int]], word: str, degree: int) -> list[int]:
+    """The images of a word's permutation: the word xy sends p to x(y(p)),
+    and an uppercase letter is its generator's inverse."""
+    images = list(range(degree))
+    for ch in reversed(word):
+        perm = generators[ch.lower()]
+        if ch.isupper():
+            perm = sorted(range(degree), key=perm.__getitem__)
+        images = [perm[p] for p in images]
+    return images
+
+
+def finite_document_images(action: dict, words: list[str]) -> tuple[int, list[list[int]]]:
+    """(degree, one image list per tuple word) of a `trivial`,
+    `finite-permutation` or `finite-regular` action document.  The regular
+    action's points are its group's elements (closed under the generators
+    by a plain search) sorted by image tuple, each word acting by left
+    multiplication."""
+    backend = action["backend"]
+    if backend == "trivial":
+        degree = action["degree"]
+        return degree, [list(range(degree)) for _ in words]
+    generators = action["generators"]
+    if backend == "finite-permutation":
+        degree = action["degree"]
+        return degree, [word_images(generators, w, degree) for w in words]
+    size = len(next(iter(generators.values())))
+    group, frontier = {tuple(range(size))}, [tuple(range(size))]
+    while frontier:
+        elem = frontier.pop()
+        for perm in generators.values():
+            product = tuple(perm[p] for p in elem)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    elements = sorted(group)
+    index = {elem: k for k, elem in enumerate(elements)}
+    images = []
+    for w in words:
+        perm = word_images(generators, w, size)
+        images.append([index[tuple(perm[p] for p in elem)] for elem in elements])
+    return len(elements), images
+
+
+def counting_oracle(degree: int, images: list[list[int]], blocks: list[list[int]]) -> dict:
+    """|x0(C)| / |X| for every configuration C, walking the points: point x
+    realizes (block of x, block of g_1 x, ..., block of g_n x), with blocks
+    numbered from 1 and images[j - 1][x] = g_j x."""
+    block_of = {p: index for index, block in enumerate(blocks, start=1) for p in block}
+    counts: dict[tuple, int] = {}
+    for x in range(degree):
+        config = (block_of[x],) + tuple(block_of[image[x]] for image in images)
+        counts[config] = counts.get(config, 0) + 1
+    return {config: Fraction(count, degree) for config, count in counts.items()}
 
 
 def permutation_order(images: tuple[int, ...]) -> int:

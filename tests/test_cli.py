@@ -1,5 +1,7 @@
 import json
+import random
 import re
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +25,7 @@ from paracon.serialization import (
 from paracon.words import Permutation, parse_word
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def f2_words(length):
@@ -117,6 +120,27 @@ class TestFixtures:
         assert code == 0
         assert report["status"] == "included-up-to-bounds"
         assert report["bounds"]["max_blocks"] == 2
+
+
+def test_eq_solve_counts_the_s6_document_that_stalls_the_simplex(capsys, tmp_path, monkeypatch):
+    """The benchmark's S6 regular pair finite_eq_doc(Random(1), 6, 20, 3),
+    719 configurations and 61 rows, took 82 s under Bland's rule; a finite
+    action is answered by counting, in about 0.02 s."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    doc = workloads.finite_eq_doc(random.Random(1), 6, 20, 3)
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, report = run(capsys, "eq", "solve", "--input", str(path))
+    elapsed = time.perf_counter() - started
+    assert code == 0 and report["status"] == "feasible"
+    assert len(report["data"]["variables"]) == 719
+    path.write_text(json.dumps({**doc, "solution": report["data"]["solution"]}))
+    code, verified = run(capsys, "eq", "verify", "--input", str(path))
+    assert code == 0 and verified["status"] == "ok"
+    assert elapsed < 5.0
 
 
 class TestOtherCommands:

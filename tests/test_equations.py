@@ -1,12 +1,23 @@
+import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import cone
-from oracles import bland_simplex, check_certificate, check_solution, fourier_motzkin_feasible
+from oracles import (
+    bland_simplex,
+    check_certificate,
+    check_solution,
+    counting_oracle,
+    finite_document_images,
+    fourier_motzkin_feasible,
+)
 from paracon import (
+    ConfigurationSet,
     FinitePermutationAction,
     FiniteRegularAction,
     Permutation,
@@ -15,11 +26,16 @@ from paracon import (
     compute_configurations,
     configuration_pair,
     counting_solution,
+    decide,
+    equations,
     solve_feasibility,
     verify_certificate,
     verify_solution,
 )
+from paracon.cli import main
 from paracon.equations import LinearSystem
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def system_for(action, elements, blocks):
@@ -186,6 +202,49 @@ class TestCountingSolution:
         with pytest.raises(ValueError):
             counting_solution(cs)
 
+    def test_hand_built_cells_are_counted_by_length(self, z4):
+        blocks = [z4.point_set([0, 1]), z4.point_set([2]), z4.point_set([3])]
+        cs = compute_configurations(configuration_pair(z4, ["a"], blocks))
+        by_hand = ConfigurationSet(cs.pair, {c: cs.base_cells[c] for c in cs.configurations})
+        assert cs.cell_sizes() == by_hand.cell_sizes() == [1, 1, 1, 1]
+        assert counting_solution(by_hand) == counting_solution(cs) == (Fraction(1, 4),) * 4
+
+
+class TestDecide:
+    def test_finite_action_gets_the_counting_solution(self, z3):
+        cs, system = system_for(z3, ["a"], [z3.point_set([0]), z3.point_set([1, 2])])
+        decided, result = decide(cs)
+        assert decided == system
+        assert result.feasible and result.solution == counting_solution(cs)
+        assert result.certificate is None
+
+    def test_free_action_goes_to_the_simplex(self, f2, five_blocks):
+        cs, system = system_for(f2, ["a", "b"], five_blocks)
+        assert decide(cs) == (system, solve_feasibility(system))
+
+    def test_counting_solution_is_checked_before_it_is_returned(self, z3, monkeypatch):
+        cs, _ = system_for(z3, ["a"], [z3.point_set([0]), z3.point_set([1, 2])])
+        monkeypatch.setattr(equations, "counting_solution", lambda cs: (Fraction(1, 3),) * 2)
+        with pytest.raises(RuntimeError, match="counting produced an invalid solution"):
+            decide(cs)
+
+
+class SimplexReached(Exception):
+    pass
+
+
+def test_finite_fixtures_never_reach_the_simplex(monkeypatch, capsys):
+    """With solve_feasibility made to raise, every finite fixture's eq solve
+    still ends in a feasible report, and the F2 fixture still reaches it."""
+    def refuse(system):
+        raise SimplexReached
+    monkeypatch.setattr(equations, "solve_feasibility", refuse)
+    for stem in ("trivial-action", "z3-cycle", "s4-regular-eq"):
+        assert main(["eq", "solve", "--input", str(FIXTURES / f"{stem}.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "feasible"
+    with pytest.raises(SimplexReached):
+        main(["eq", "solve", "--input", str(FIXTURES / "f2-ab-5block.json")])
+
 
 def test_solver_agrees_with_fourier_motzkin_on_random_systems():
     rng = random.Random(11)
@@ -342,3 +401,47 @@ def test_verifiers_match_the_fraction_oracle(case):
     expected = check_certificate(system.variables, system.rows, system.rhs, multipliers)
     assert (got.ok, got.violation) == expected
     assert repr(got.violation) == repr(expected[1])
+
+
+@st.composite
+def finite_eq_documents(draw):
+    """eq solve documents over S3 or S4 regular, Z_n by an n-cycle, or a
+    trivial action, with 1-3 tuple words and a random partition."""
+    kind = draw(st.sampled_from(["s3", "s4", "cycle", "trivial"]))
+    if kind == "s3":
+        action, degree = {"backend": "finite-regular",
+                          "generators": {"a": [1, 0, 2], "b": [0, 2, 1]}}, 6
+    elif kind == "s4":
+        action, degree = {"backend": "finite-regular",
+                          "generators": {"a": [1, 0, 2, 3], "b": [1, 2, 3, 0]}}, 24
+    else:
+        degree = draw(st.integers(1, 7))
+        action = ({"backend": "trivial", "degree": degree} if kind == "trivial" else
+                  {"backend": "finite-permutation", "degree": degree,
+                   "generators": {"a": [*range(1, degree), 0]}})
+    letters = "aA" if kind == "cycle" else "aAbB"
+    words = draw(st.lists(st.text(letters, min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    m = draw(st.integers(1, min(degree, 5)))
+    owner = draw(st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree))
+    blocks = [points for b in range(m) if (points := [p for p in range(degree) if owner[p] == b])]
+    return {"action": action, "tuple": words,
+            "partition": [{"kind": "points", "points": points} for points in blocks]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=finite_eq_documents())
+def test_eq_solve_on_finite_actions_matches_the_counting_oracle(doc):
+    """Every eq solve entry on a finite action is |x0(C)|/|X|, counted by
+    walking the points through plain image lists."""
+    with tempfile.TemporaryDirectory() as folder:
+        source, target = Path(folder) / "doc.json", Path(folder) / "report.json"
+        source.write_text(json.dumps(doc))
+        assert main(["eq", "solve", "--input", str(source), "--output", str(target)]) == 0
+        report = json.loads(target.read_text())
+    degree, images = finite_document_images(doc["action"], doc["tuple"])
+    oracle = counting_oracle(degree, images, [b["points"] for b in doc["partition"]])
+    assert report["status"] == "feasible"
+    solved = {tuple(c): Fraction(v) for c, v in zip(report["data"]["variables"],
+                                                       report["data"]["solution"])}
+    assert solved == oracle
