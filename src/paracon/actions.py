@@ -320,9 +320,15 @@ class FiniteRegularAction(FinitePermutationAction):
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered blocks E_1..E_m; validity is checked by validate_partition."""
+    """Ordered blocks E_1..E_m; validity is checked by validate_partition.
+
+    A partition made by `partition` keeps the labelled pass over its blocks
+    that validated it, in `labelling`, for the configuration frames to start
+    from; one built from unvalidated blocks has None there.
+    """
 
     blocks: tuple[ActionSet, ...]
+    labelling: Optional[Labelling] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -340,6 +346,7 @@ class PartitionReport:
     problem: Optional[str] = None       # "empty-block" | "overlap" | "cover-gap"
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
+    labelling: Optional[Labelling] = field(default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -348,34 +355,41 @@ class PartitionReport:
 def validate_partition(action: Action, blocks: Sequence[ActionSet]) -> PartitionReport:
     """Check blocks are nonempty, pairwise disjoint, and cover the universe.
 
-    One labelled pass over the universe and the blocks decides all three;
-    the universe sits at index 0, so block i keeps its 1-based number.
+    Every block must be a set of the action's universe, of its degree or
+    rank, else ValueError.  One labelled pass over the blocks then decides
+    all three: block i is index i - 1 of the pass.  A valid report carries
+    that pass as its `labelling`.
     """
     blocks = tuple(blocks)
     if not blocks:
         return PartitionReport(False, "empty-block", (), None)
-    points = labelled_pass((action.full_set(),) + blocks)
-    numbers = range(1, len(blocks) + 1)
+    universe = "degree" if action.is_finite else "rank"
+    size = getattr(action, universe)
+    for block in blocks:
+        if getattr(block, universe, None) != size:
+            raise ValueError(f"{universe} mismatch: {size} vs {getattr(block, universe, None)}")
+    points = labelled_pass(blocks)
+    indices = range(len(blocks))
     occupied = {i for label in points.points for i in label}
-    for i in numbers:
+    for i in indices:
         if i not in occupied:
-            return PartitionReport(False, "empty-block", (i,), None)
-    if overlap := points.overlap(numbers):
-        pair, witness = overlap
-        return PartitionReport(False, "overlap", pair, witness)
-    gap = points.uncovered(numbers)
+            return PartitionReport(False, "empty-block", (i + 1,), None)
+    if overlap := points.overlap(indices):
+        (i, j), witness = overlap
+        return PartitionReport(False, "overlap", (i + 1, j + 1), witness)
+    gap = points.uncovered(indices)
     if gap is not None:
         return PartitionReport(False, "cover-gap", (), gap)
-    return PartitionReport(True)
+    return PartitionReport(True, labelling=points)
 
 
 def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
-    """Validated partition constructor."""
+    """Validated constructor: the partition keeps its validating pass."""
     report = validate_partition(action, blocks)
     if not report:
         raise ValueError(f"invalid partition: {report.problem} "
                          f"(blocks {list(report.blocks_involved)}, witness {report.witness!r})")
-    return Partition(tuple(blocks))
+    return Partition(tuple(blocks), report.labelling)
 
 
 # ---------------------------------------------------------------------------

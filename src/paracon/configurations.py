@@ -51,8 +51,10 @@ class ConfigurationPair:
     @functools.cached_property
     def frames(self) -> Labelling:
         """The blocks' labelling and its moves by each g_j^-1: family j labels
-        x with block i of g_j x, as index j * m + i - 1."""
-        blocks = labelled_pass(self.partition.blocks)
+        x with block i of g_j x, as index j * m + i - 1.  The blocks'
+        labelling is the pass that validated the partition, taken here only
+        for a partition built unvalidated."""
+        blocks = self.partition.labelling or labelled_pass(self.partition.blocks)
         return labelled_pass([blocks] + [self.action.act_on_set(self.action.inverse(g), blocks)
                                          for g in self.elements])
 
@@ -179,26 +181,26 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
-    C_j = i.  The given base cells take one labelled pass, so the check
-    never rests on the blocks alone.  Its product with `pair.frames` labels
-    x with the cells C holding x and the block of g_j x for every j; since
-    x_j(C) = g_j x_0(C), that label alone says which violations its points
-    make at every coordinate.  A violation's least point in frame j is the
-    least point of the product moved by g_j whose label makes it, found
-    breadth-first; the product is moved once per element, and only for a
-    frame with a violation.
+    C_j = i.  The given base cells and `pair.frames` take one labelled pass,
+    so the check never rests on the blocks alone.  It labels x with the
+    cells C holding x and the block of g_j x for every j; since x_j(C) =
+    g_j x_0(C), that label alone says which violations its points make at
+    every coordinate, and the faults are read off the labels that occur.  A
+    violation's least point in frame j is the least point of the product
+    moved by g_j whose label makes it, found breadth-first; the product is
+    moved, and least points are spelled, only for a frame with a violation.
     """
     action = cs.pair.action
     configs = cs.configurations
     # with no cells, one empty set keeps the universe and holds no point
-    cells = labelled_pass([cs.base_cells[c] for c in configs] or [action.empty_set()])
-    k = cells.width
+    cells = [cs.base_cells[c] for c in configs] or [action.empty_set()]
+    k = len(cells)
     shifts = cs.pair.block_shifts(k)
-    points = labelled_pass([cells, cs.pair.frames])
+    points = labelled_pass([*cells, cs.pair.frames])
     # (j, kind, detail) -> the labels making it, and for a block the labels of
     # its cells' points outside it, which witness only when E_i lies in its cells
     faults: dict[tuple, tuple[set, set]] = {}
-    for label in points.points:
+    for label in set(points.labels) - {None}:
         inside = [c for c in label if c < k]             # a label lists its cells first
         # overlaps and gaps, the same at every coordinate
         shared = [(0, (configs[x], configs[y])) for x, y in itertools.combinations(inside, 2)]

@@ -7,10 +7,13 @@ from paracon import (
     EquivariantMap,
     FinitePermutationAction,
     FiniteRegularAction,
+    FiniteSet,
     FreeSelfAction,
+    Partition,
     Permutation,
     SymbolicSet,
     TrivialAction,
+    configuration_pair,
     orbit_coset_action,
     parse_word,
     partition,
@@ -84,6 +87,23 @@ class TestValidatePartition:
     def test_partition_constructor_raises(self, f2):
         with pytest.raises(ValueError):
             partition(f2, [cone("a"), cone("ab")])
+
+    @pytest.mark.parametrize("build", [
+        partition, lambda action, blocks: configuration_pair(action, ["a"], blocks)],
+        ids=["partition", "configuration_pair"])
+    def test_blocks_from_another_universe_raise(self, build, z4):
+        # the pass runs over the blocks alone, so their universe is checked
+        # against the action's before it
+        with pytest.raises(ValueError, match="degree mismatch: 4 vs 3"):
+            build(z4, [FiniteSet.of(3, [0]), FiniteSet.of(3, [1, 2])])
+        with pytest.raises(ValueError, match="rank mismatch: 2 vs 1"):
+            build(FreeSelfAction(2), [SymbolicSet.full(1)])
+
+    def test_validated_partition_keeps_its_pass(self, f2, five_blocks):
+        validated = partition(f2, five_blocks)
+        assert validated.labelling == validate_partition(f2, five_blocks).labelling
+        assert validated.labelling.width == 5
+        assert validated == Partition(tuple(five_blocks))
 
 
 class TestActionAxioms:

@@ -24,7 +24,7 @@ from paracon import (
     project_configuration,
     verify_cell_partition,
 )
-from paracon import configurations
+from paracon import cli, configurations, langsets
 from paracon.langsets import Labelling
 from paracon.configurations import _element_pool, _growth_counts, _partition_at, _tuple_at
 from paracon.serialization import parse_action
@@ -138,6 +138,24 @@ class TestVerifyCellPartition:
         pair = configuration_pair(f2, ["ab", "b", "ab"], five_blocks)
         assert verify_cell_partition(compute_configurations(pair)).ok
         assert moves == [parse_word(w) for w in ("BA", "B", "BA")]
+
+    @pytest.mark.parametrize("fixture, kind", [("f2-ab-5block", "_symbolic_pass"),
+                                               ("z3-cycle", "_finite_pass")])
+    @pytest.mark.parametrize("command, passes", [("con compute", 3), ("eq solve", 2)])
+    def test_each_pass_is_taken_once(self, fixture, kind, command, passes, monkeypatch):
+        # the partition's validating pass, the frames, and for `con compute`
+        # the product of the cells with the frames
+        calls = []
+
+        def counted(name):
+            original = getattr(langsets, name)
+            return lambda parts: calls.append(name) or original(parts)
+
+        for name in ("_symbolic_pass", "_finite_pass"):
+            monkeypatch.setattr(langsets, name, counted(name))
+        path = Path(__file__).resolve().parent.parent / "fixtures" / f"{fixture}.json"
+        assert cli.main(command.split() + ["--input", str(path)]) == 0
+        assert calls == [kind] * passes
 
     def test_detects_deleted_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])

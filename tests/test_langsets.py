@@ -386,6 +386,79 @@ def test_every_set_is_in_canonical_form(sets):
         assert all(t == sink for t in s.transitions[sink])
 
 
+def both_starts(started: list):
+    """`_minimized` that, given a starting partition, also refines the same
+    machine from acceptance alone and asserts the two sets are equal;
+    `started` collects the partitions it was given."""
+    original = langsets._minimized
+
+    def checked(rank, trans, accepting, start=0, classes=None):
+        result = original(rank, trans, accepting, start, classes)
+        if classes is not None:
+            started.append(classes)
+            assert result == original(rank, trans, accepting, start)
+        return result
+    return checked
+
+
+@st.composite
+def small_f2_pairs(draw) -> tuple[list[tuple], list[FreeWord]]:
+    """Block expressions merged at random from the depth-2 atoms of F_2 (a
+    singleton for each word shorter than 2, a cone for each of length 2),
+    and a tuple of one or two nontrivial words of length up to 2."""
+    atoms = [("singleton" if len(w.letters) < 2 else "cone", w) for w in all_reduced_words(RANK, 2)]
+    owner = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+    blocks = []
+    for b in sorted(set(owner)):
+        mine = [a for a, o in zip(atoms, owner) if o == b]
+        expr = mine[0]
+        for atom in mine[1:]:
+            expr = ("union", expr, atom)
+        blocks.append(expr)
+    words = draw(st.lists(reduced_words(2).filter(lambda w: w.letters), min_size=1, max_size=2))
+    return blocks, words
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_base_cells_from_distances_match_acceptance_and_the_pointwise_oracle(data):
+    """Each base cell, refined from the trim distances, equals the cell
+    refined from acceptance alone on the same trimmed machine, and holds
+    exactly the reduced words up to length 5 whose pointwise configuration,
+    (block of x, block of g_1 x, ...), is its own."""
+    started = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(langsets, "_minimized", both_starts(started))
+        exprs, words = data.draw(small_f2_pairs())
+        pair = configuration_pair(FreeSelfAction(RANK), words, [build(e) for e in exprs])
+        cs = compute_configurations(pair)
+        cells = {c: cs.base_cells[c] for c in cs.configurations}
+    assert started
+
+    def block_of(x):
+        return next(i for i, e in enumerate(exprs, start=1) if expr_contains(e, x))
+
+    for x in all_reduced_words(RANK, 5):
+        config = tuple(block_of(y) for y in [x, *(free_product(g, x) for g in words)])
+        assert config in cells, word_str(x)
+        for c, cell in cells.items():
+            assert (x in cell) == (c == config), (word_str(x), c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_distance_start_agrees_with_acceptance_start(data):
+    """Every refinement the canonical candidates make, and the selection of
+    each candidate from a pass over it alone, comes out the same from both
+    starting partitions."""
+    started = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(langsets, "_minimized", both_starts(started))
+        for s in data.draw(canonical_candidates()):
+            assert labelled_pass([s]).cells([(0,)]) == s
+    assert started
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_constructors_need_no_canonicalization(data):
