@@ -20,51 +20,11 @@ from paracon import configurations
 from paracon.cli import COMMANDS, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import SET_DEPTH_CAP
-from test_golden import COMMANDS as GOLDEN_RUNS, FIXTURES
+from test_golden import (COMMANDS as GOLDEN_RUNS, EXTRA_RUNS, F2_FIRST_LETTER, FIXTURES,
+                         FREE2 as F2, TRIVIAL2)
 
 VALUES = [None, True, "x", 7, -1, [], {}, 1.5, 10**18, -10**18]
 DELETE = object()
-
-F2 = {"backend": "free-self", "rank": 2}
-F2_FIRST_LETTER = [{"kind": "singleton", "word": "e"}] + [
-    {"kind": "cone", "word": w} for w in "aAbB"]
-TRIVIAL2 = {"action": {"backend": "trivial", "degree": 2}, "tuple": ["a"],
-            "partition": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
-
-# documents for the commands that no fixture exercises
-EXTRA_RUNS = [
-    ("probe-cardinality", ("probe", "cardinality"), {"action": F2, "n": 4}),
-    ("coarsen", ("coarsen",), {
-        "action": {"backend": "trivial", "degree": 4},
-        "mode": "partition",
-        "fine": {"tuple": ["a"],
-                 "partition": [{"kind": "points", "points": [p]} for p in range(4)]},
-        "coarse": {"tuple": ["a"],
-                   "partition": [{"kind": "points", "points": [0, 1]},
-                                 {"kind": "points", "points": [2, 3]}]},
-        "solution": ["1/4", "1/4", "1/4", "1/4"],
-    }),
-    ("paradox-pattern", ("paradox", "pattern"), {
-        "action": F2, "tuple": ["A", "B"], "partition": F2_FIRST_LETTER,
-        "pattern": {"family_a": [[0, 2], [1, 3]], "family_b": [[0, 4], [2, 5]]},
-    }),
-    ("pingpong-subgroups", ("pingpong", "subgroups"), {
-        "action": F2,
-        "subgroups": [{"kind": "cyclic", "generator": "a"}, {"kind": "cyclic", "generator": "b"}],
-        "sets": [{"kind": "union", "of": [{"kind": "cone", "word": "a"},
-                                           {"kind": "cone", "word": "A"}]},
-                 {"kind": "union", "of": [{"kind": "cone", "word": "b"},
-                                           {"kind": "cone", "word": "B"}]}],
-    }),
-    ("witness-infinite-order", ("witness", "infinite-order"), {"action": F2, "element": "abA"}),
-    ("eq-verify-multipliers", ("eq", "verify"),
-     {**TRIVIAL2, "multipliers": ["0/1", "0/1", "0/1", "0/1", "1/1"]}),
-    ("compare-con-pairs", ("compare", "con"), {
-        "action_a": F2, "action_b": F2,
-        "pairs_a": [{"tuple": ["a"], "partition": F2_FIRST_LETTER}],
-        "pairs_b": [{"tuple": ["b"], "partition": F2_FIRST_LETTER}],
-    }),
-]
 
 RUNS = [(f"{stem}-{'-'.join(w.lstrip('-') for w in words)}", words,
          json.loads((FIXTURES / f"{stem}.json").read_text()))

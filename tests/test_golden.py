@@ -4,7 +4,8 @@ The files under tests/golden/ are the reports these commands print, and
 the error reports (exit 2 or 3) of the malformed documents in ERRORS,
 which pin each error's message and location, and the `eq verify` reports
 of the VIOLATIONS documents, which pin each kind of violation and how its
-values print.  To record them again after
+values print, and the reports of the EXTRA_RUNS documents, one for each
+command that no fixture exercises.  To record them again after
 an intended change of output, run this file directly
 (`PYTHONPATH=src python tests/test_golden.py`) and review the diff.
 """
@@ -136,6 +137,49 @@ SMALL_GROUPS = [
 ]
 
 
+F2_FIRST_LETTER = [{"kind": "singleton", "word": "e"}] + [
+    {"kind": "cone", "word": w} for w in "aAbB"]
+TRIVIAL2 = {"action": {"backend": "trivial", "degree": 2}, "tuple": ["a"],
+            "partition": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
+
+
+# (name, command words, input document); documents for the commands that no
+# fixture exercises, each exits 0; golden file extra-<name>.json
+EXTRA_RUNS = [
+    ("probe-cardinality", ("probe", "cardinality"), {"action": FREE2, "n": 4}),
+    ("coarsen", ("coarsen",), {
+        "action": {"backend": "trivial", "degree": 4},
+        "mode": "partition",
+        "fine": {"tuple": ["a"],
+                 "partition": [{"kind": "points", "points": [p]} for p in range(4)]},
+        "coarse": {"tuple": ["a"],
+                   "partition": [{"kind": "points", "points": [0, 1]},
+                                 {"kind": "points", "points": [2, 3]}]},
+        "solution": ["1/4", "1/4", "1/4", "1/4"],
+    }),
+    ("paradox-pattern", ("paradox", "pattern"), {
+        "action": FREE2, "tuple": ["A", "B"], "partition": F2_FIRST_LETTER,
+        "pattern": {"family_a": [[0, 2], [1, 3]], "family_b": [[0, 4], [2, 5]]},
+    }),
+    ("pingpong-subgroups", ("pingpong", "subgroups"), {
+        "action": FREE2,
+        "subgroups": [{"kind": "cyclic", "generator": "a"}, {"kind": "cyclic", "generator": "b"}],
+        "sets": [{"kind": "union", "of": [{"kind": "cone", "word": "a"},
+                                           {"kind": "cone", "word": "A"}]},
+                 {"kind": "union", "of": [{"kind": "cone", "word": "b"},
+                                           {"kind": "cone", "word": "B"}]}],
+    }),
+    ("witness-infinite-order", ("witness", "infinite-order"), {"action": FREE2, "element": "abA"}),
+    ("eq-verify-multipliers", ("eq", "verify"),
+     {**TRIVIAL2, "multipliers": ["0/1", "0/1", "0/1", "0/1", "1/1"]}),
+    ("compare-con-pairs", ("compare", "con"), {
+        "action_a": FREE2, "action_b": FREE2,
+        "pairs_a": [{"tuple": ["a"], "partition": F2_FIRST_LETTER}],
+        "pairs_b": [{"tuple": ["b"], "partition": F2_FIRST_LETTER}],
+    }),
+]
+
+
 def small_group_doc(generators: dict) -> dict:
     return {"action": {"backend": "finite-regular", "generators": generators},
             "tuple": ["a"], "partition": [{"kind": "full"}]}
@@ -187,6 +231,14 @@ def test_small_group_report_matches_golden(name, generators, capsys, tmp_path):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"small-group-{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name,words,doc", EXTRA_RUNS, ids=[run[0] for run in EXTRA_RUNS])
+def test_extra_report_matches_golden(name, words, doc, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*words, "--input", str(path)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"extra-{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -218,3 +270,9 @@ if __name__ == "__main__":
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 assert main(["eq", "solve", "--input", str(path)]) == 0
             (GOLDEN / f"small-group-{name}.json").write_bytes(out.getvalue().encode())
+        for name, words, doc in EXTRA_RUNS:
+            path.write_text(json.dumps(doc))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main([*words, "--input", str(path)]) == 0
+            (GOLDEN / f"extra-{name}.json").write_bytes(out.getvalue().encode())
