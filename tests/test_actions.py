@@ -153,13 +153,32 @@ class TestEquivariantMap:
     def test_non_equivariant_table_rejected(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
         emap = EquivariantMap(z4, z2, (0, 0, 1, 1), {1: Permutation((1, 0))})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not equivariant at generator 1, point 0: "
+                                             r"f\(g\.x\)=0 but phi\(g\)\.f\(x\)=1$"):
             emap.validate()
 
     def test_non_surjective_rejected(self, z4):
         z2 = FinitePermutationAction(2, {1: identity_permutation(2)})
         emap = EquivariantMap(z4, z2, (0, 0, 0, 0), {1: identity_permutation(2)})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^point map is not onto the target$"):
+            emap.validate()
+
+    def test_generator_without_image_rejected(self, z4):
+        z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
+        emap = EquivariantMap(z4, z2, (0, 1, 0, 1), {})
+        with pytest.raises(ValueError, match="^generator 1 has no image$"):
+            emap.validate()
+
+    def test_point_map_of_wrong_length_rejected(self, z4):
+        z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
+        emap = EquivariantMap(z4, z2, (0, 1), {1: Permutation((1, 0))})
+        with pytest.raises(ValueError, match="^point map has 2 entries, expected 4$"):
+            emap.validate()
+
+    def test_infinite_backend_rejected(self):
+        z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
+        emap = EquivariantMap(FreeSelfAction(1), z2, (0, 1), {1: Permutation((1, 0))})
+        with pytest.raises(ValueError, match="^equivariant maps are only validated on finite backends$"):
             emap.validate()
 
 

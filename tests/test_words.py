@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import permutation_order
+from oracles import permutation_order, reduce_letters
 from paracon.words import (
     GROUP_ORDER_CAP,
     MAX_RANK,
@@ -142,6 +142,17 @@ def test_word_times_inverse_is_identity(letters):
     w = reduce_word(letters)
     assert w * ~w == FreeWord(())
     assert ~w * w == FreeWord(())
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@given(data=st.data())
+def test_product_matches_independent_reducer(rank, data):
+    """x * y against the oracle's stack reduction, with x and y reduced by
+    the oracle too, so no library reduction builds either side."""
+    letters = st.lists(st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g))),
+                       max_size=12)
+    x, y = (FreeWord(reduce_letters(tuple(data.draw(letters)))) for _ in range(2))
+    assert x * y == FreeWord(reduce_letters(x.letters + y.letters))
 
 
 def test_associativity_exhaustive_short_words():
