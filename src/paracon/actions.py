@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
 from .words import (
+    MAX_RANK,
     FreeWord,
     GroupElement,
     Permutation,
@@ -164,8 +165,7 @@ class FinitePermutationAction(Action):
         return dict(self.generators)
 
     def normalize_element(self, g) -> Permutation:
-        if isinstance(g, str):
-            g = parse_word(g)
+        g = _parse_if_str(g, MAX_RANK)
         if isinstance(g, FreeWord):
             if g.is_identity:
                 return self.identity()
@@ -230,7 +230,7 @@ class TrivialAction(Action):
         self.rank = rank
 
     def normalize_element(self, g) -> FreeWord:
-        g = _parse_if_str(g, 10)
+        g = _parse_if_str(g, MAX_RANK)
         if not isinstance(g, FreeWord):
             raise ValueError("trivial-action elements are word labels")
         return g
@@ -436,10 +436,7 @@ class EquivariantMap:
         if set(self.point_map) != set(range(m)):
             raise ValueError("point map is not onto the target")
         for idx, gen in self.source.generator_map().items():
-            image = self.gen_images.get(idx)
-            if image is None:
-                raise ValueError(f"generator {idx} has no image")
-            image = self.target.normalize_element(image)
+            image = self.phi(FreeWord((idx,)))
             for x in range(n):
                 left = self.point_map[self.source.act(gen, x)]
                 right = self.target.act(image, self.point_map[x])

@@ -100,14 +100,6 @@ def _witness_json(value):
         return value if isinstance(value, (int, str)) else repr(value)
 
 
-def _cs_json(cs: cfg.ConfigurationSet) -> dict:
-    return {
-        "tuple_length": cs.pair.tuple_length,
-        "block_count": cs.pair.block_count,
-        "configurations": [list(c) for c in cs.configurations],
-    }
-
-
 def _decomposition_json(dec: pdx.ParadoxicalDecomposition) -> dict:
     return {
         "pieces_a": [set_json(p) for p in dec.pieces_a],
@@ -135,11 +127,14 @@ def _parse_decomposition(doc: dict, action, location: str) -> pdx.ParadoxicalDec
 
 def cmd_con_compute(args, doc, action, cs):
     cells = cfg.verify_cell_partition(cs)
-    data = _cs_json(cs)
-    data["base_cells"] = [
-        {"configuration": list(c), "cell": set_json(cs.base_cells[c])} for c in cs.configurations
-    ]
-    data["cell_partition_ok"] = bool(cells)
+    data = {
+        "tuple_length": cs.pair.tuple_length,
+        "block_count": cs.pair.block_count,
+        "configurations": [list(c) for c in cs.configurations],
+        "base_cells": [{"configuration": list(c), "cell": set_json(cs.base_cells[c])}
+                       for c in cs.configurations],
+        "cell_partition_ok": bool(cells),
+    }
     return "ok", data, {}
 
 
@@ -219,12 +214,7 @@ def cmd_compare_con(args, doc, action, cs):
     report = cfg.con_included(action_a, action_b, bounds,
                               pairs_a=explicit("pairs_a", action_a),
                               pairs_b=explicit("pairs_b", action_b))
-    bounds_json = {
-        "max_tuple_length": bounds.max_tuple_length,
-        "max_word_length": bounds.max_word_length,
-        "max_blocks": bounds.max_blocks,
-        "family_limit": bounds.family_limit,
-    }
+    bounds_json = {k: v for k, v in vars(bounds).items() if k != "seed"}
     data = {"pairs_checked": report.pairs_checked}
     if report.included:
         return "included-up-to-bounds", data, bounds_json

@@ -470,11 +470,11 @@ def con_included(
 # ---------------------------------------------------------------------------
 
 
-# blocks a free-word probe witness may have: its n - 1 singletons and the
-# rest take one labelled pass over n + 1 sets, of about n product states that
-# each hold only the few sets still live, so its cost grows about as n;
-# `probe cardinality` with n = 1,000 takes 0.18-0.24 s at rank 2 and
-# 0.35-0.40 s at rank 10 (three runs each, 2-vCPU VM, Python 3.11)
+# blocks a free-word probe witness may have: its n - 1 singletons, the rest
+# (the complement of one trie over their words) and the pass that validates
+# them each take about n states, so its cost grows about as n; `probe
+# cardinality` with n = 1,000 takes 0.09-0.12 s at rank 2 and 0.16-0.26 s at
+# rank 10 (15 in-process runs each, 2-vCPU VM, Python 3.11)
 PROBE_N_CAP = 1_000
 
 
@@ -514,5 +514,5 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         length += 1
     chosen = words[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
-    blocks.append(labelled_pass([full] + blocks).cells([(0,)]))   # the points in no block
+    blocks.append(action.point_set(chosen).complement())   # the points in no block
     return CardinalityProbe(True, make_partition(action, blocks))

@@ -144,7 +144,6 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
     n = len(chain.sets)
     sets = list(chain.sets) + [chain.sets[0]]
     elements = [action.normalize_element(h) for h in chain.elements]
-    full = action.full_set()
 
     differences = []
     for i in range(n):
@@ -175,9 +174,8 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
     if any((x1 in label) != any(i < x1 for i in label) for label in points.points):
         raise RuntimeError("telescoping identity failed; internal error")
 
-    complement = full.difference(sets[0])
     decomposition = ParadoxicalDecomposition(
-        pieces_a=(telescope[0], complement),
+        pieces_a=(telescope[0], sets[0].complement()),
         translators_a=(action.inverse(stages[0]), action.identity()),
         pieces_b=tuple(telescope[1:]),
         translators_b=tuple(action.inverse(stages[i + 1]) for i in range(n)),

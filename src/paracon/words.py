@@ -50,7 +50,7 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return _concat(self, other)
+        return reduce_word(self.letters + other.letters)
 
     def __invert__(self) -> "FreeWord":
         return FreeWord(tuple(-l for l in reversed(self.letters)))
@@ -90,16 +90,6 @@ def reduce_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
         else:
             stack.append(letter)
     return FreeWord(tuple(stack))
-
-
-def _concat(x: FreeWord, y: FreeWord) -> FreeWord:
-    left = list(x.letters)
-    for letter in y.letters:
-        if left and left[-1] == -letter:
-            left.pop()
-        else:
-            left.append(letter)
-    return FreeWord(tuple(left))
 
 
 def parse_word(text: str, rank: int = MAX_RANK) -> FreeWord:
