@@ -141,6 +141,16 @@ F2_FIRST_LETTER = [{"kind": "singleton", "word": "e"}] + [
     {"kind": "cone", "word": w} for w in "aAbB"]
 TRIVIAL2 = {"action": {"backend": "trivial", "degree": 2}, "tuple": ["a"],
             "partition": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
+Z3 = {"backend": "finite-permutation", "degree": 3, "generators": {"a": [1, 2, 0]}}
+S3_REGULAR = {"backend": "finite-regular", "generators": {"a": [1, 0, 2], "b": [1, 2, 0]}}
+
+
+def _cone(word: str) -> dict:
+    return {"kind": "cone", "word": word}
+
+
+def _points(*points: int) -> dict:
+    return {"kind": "points", "points": list(points)}
 
 
 # (name, command words, input document); documents for the commands that no
@@ -176,6 +186,33 @@ EXTRA_RUNS = [
         "action_a": FREE2, "action_b": FREE2,
         "pairs_a": [{"tuple": ["a"], "partition": F2_FIRST_LETTER}],
         "pairs_b": [{"tuple": ["b"], "partition": F2_FIRST_LETTER}],
+    }),
+    ("paradox-verify-cover-gap", ("paradox", "verify"), {
+        "action": Z3,
+        "decomposition": {"pieces_a": [_points(0)], "translators_a": ["e"],
+                          "pieces_b": [_points(1)], "translators_b": ["e"]},
+    }),
+    ("paradox-chain-violated", ("paradox", "chain"), {
+        "action": FREE2, "chain": {"sets": [_cone("a"), _cone("b")], "elements": ["a", "a"]},
+    }),
+    ("pingpong-cyclic-failed", ("pingpong", "cyclic"), {
+        "action": FREE2,
+        "tableau": {"sets_a": [_cone("A"), _cone("B")], "sets_b": [_cone("a"), _cone("b")],
+                    "elements": ["A", "B"]},
+    }),
+    ("pingpong-subgroups-finite", ("pingpong", "subgroups"), {
+        "action": S3_REGULAR,
+        "subgroups": [{"kind": "cyclic", "generator": "b"}, {"kind": "finite", "elements": ["e", "a"]}],
+        "sets": [_points(0), _points(1)],
+    }),
+    ("probe-cardinality-no", ("probe", "cardinality"), {"action": Z3, "n": 4}),
+    ("witness-nonabelian-no-witness", ("witness", "nonabelian"), {"action": Z3, "g1": "a", "g2": "aa"}),
+    ("con-compute-set-kinds", ("con", "compute"), {
+        "action": FREE2, "tuple": ["b"],
+        "partition": [{"kind": "intersection", "of": [{"kind": "full"}, _cone("a")]},
+                      {"kind": "union", "of": [{"kind": "empty"}, _cone("A")]},
+                      {"kind": "complement",
+                       "of": {"kind": "union", "of": [_cone("a"), _cone("A")]}}],
     }),
 ]
 
