@@ -296,6 +296,15 @@ class TestNonabelianWitness:
         report = verify_nonabelian(f2, witness)
         assert not report.ok and "vacuously" in report.problem
 
+    def test_overlapping_sets_fail_verify(self, f2):
+        witness = make_nonabelian_witness(f2, parse_word("a"), parse_word("b"))
+        overlapping = NonabelianWitness((cone("a"), cone("a")) + witness.sets[2:],
+                                        witness.g1, witness.g2)
+        report = verify_nonabelian(f2, overlapping)
+        assert not report.ok
+        assert report.problem == "E_1 and E_2 overlap"
+        assert report.witness == parse_word("a")
+
 
 class TestInfiniteOrderWitness:
     def test_rank_one_shapes(self):
@@ -323,6 +332,13 @@ class TestInfiniteOrderWitness:
     def test_overlapping_sets_fail_verify(self, f2):
         witness = InfiniteOrderWitness(cone("a"), cone("a"), parse_word("a"))
         assert not verify_infinite_order(f2, witness).ok
+
+    def test_empty_negative_powers_fail_verify(self, f2):
+        a = parse_word("a")
+        witness = InfiniteOrderWitness(SymbolicSet.powers(a, 2), SymbolicSet.empty(2), a)
+        report = verify_infinite_order(f2, witness)
+        assert not report.ok
+        assert report.problem == "a E_2 does not meet E_1"
 
     def test_finite_backend_never_verifies(self, s3_regular):
         witness = InfiniteOrderWitness(
