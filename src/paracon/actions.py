@@ -47,15 +47,6 @@ class Action:
     def is_finite(self) -> bool:
         return self.degree is not None
 
-    def size(self) -> Optional[int]:
-        """Number of points, or None for the infinite free-word universe."""
-        return self.degree
-
-    def points(self) -> Sequence[Point]:
-        if self.degree is None:
-            raise ValueError("free-word universe is infinite; enumerate sets instead")
-        return range(self.degree)
-
     def full_set(self) -> ActionSet:
         if self.degree is not None:
             return FiniteSet.full(self.degree)
@@ -430,7 +421,7 @@ class EquivariantMap:
     def validate(self) -> None:
         if not (self.source.is_finite and self.target.is_finite):
             raise ValueError("equivariant maps are only validated on finite backends")
-        n, m = self.source.size(), self.target.size()
+        n, m = self.source.degree, self.target.degree
         if len(self.point_map) != n:
             raise ValueError(f"point map has {len(self.point_map)} entries, expected {n}")
         if set(self.point_map) != set(range(m)):
@@ -482,7 +473,7 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
         raise ValueError("action has no generator assignment")
     perms = {idx: action.normalize_element(g) for idx, g in gens.items()}
 
-    degree = action.size()
+    degree = action.degree
     if degree is None:
         raise ValueError("orbit/coset construction needs a finite action")
     orbit = [x0]

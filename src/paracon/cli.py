@@ -91,13 +91,8 @@ def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
         raise DocumentError(str(err), _at(location, "partition")) from None
 
 
-def _witness_json(value):
-    if value is None:
-        return None
-    try:
-        return element_json(value)
-    except TypeError:
-        return value if isinstance(value, (int, str)) else repr(value)
+def _witness_json(point):
+    return point if isinstance(point, int) else element_json(point)
 
 
 def _decomposition_json(dec: pdx.ParadoxicalDecomposition) -> dict:
@@ -130,8 +125,8 @@ def cmd_con_compute(args, doc, action, cs):
     data = {
         "tuple_length": cs.pair.tuple_length,
         "block_count": cs.pair.block_count,
-        "configurations": [list(c) for c in cs.configurations],
-        "base_cells": [{"configuration": list(c), "cell": set_json(cs.base_cells[c])}
+        "configurations": cs.configurations,
+        "base_cells": [{"configuration": c, "cell": set_json(cs.base_cells[c])}
                        for c in cs.configurations],
         "cell_partition_ok": bool(cells),
     }
@@ -141,8 +136,8 @@ def cmd_con_compute(args, doc, action, cs):
 def cmd_eq_solve(args, doc, action, cs):
     system, result = eqs.decide(cs)
     data = {
-        "variables": [list(c) for c in cs.configurations],
-        "rows": [list(label) for label in system.labels],
+        "variables": cs.configurations,
+        "rows": system.labels,
     }
     if result.feasible:
         data["solution"] = [rational_str(v) for v in result.solution]
@@ -153,7 +148,7 @@ def cmd_eq_solve(args, doc, action, cs):
 
 def cmd_eq_verify(args, doc, action, cs):
     system = eqs.build_equations(cs)
-    data = {"variables": [list(c) for c in cs.configurations]}
+    data = {"variables": cs.configurations}
     if "solution" in doc:
         report = eqs.verify_solution(system, _rationals(doc, "solution"))
         kind = "solution"
@@ -180,8 +175,8 @@ def cmd_coarsen(args, doc, action, cs):
     result = cfg.coarsen_solution(mode, fine_cs, coarse_cs, _rationals(doc, "solution"))
     data = {
         "mode": mode,
-        "fine_configurations": [list(c) for c in fine_cs.configurations],
-        "coarse_configurations": [list(c) for c in coarse_cs.configurations],
+        "fine_configurations": fine_cs.configurations,
+        "coarse_configurations": coarse_cs.configurations,
         "solution": [rational_str(v) for v in result],
     }
     return "ok", data, {}
@@ -220,9 +215,9 @@ def cmd_compare_con(args, doc, action, cs):
         return "included-up-to-bounds", data, bounds_json
     elements, blocks, configs = report.counterexample
     data["counterexample"] = {
-        "tuple": list(elements),
-        "partition": list(blocks),
-        "configurations": [list(c) for c in configs],
+        "tuple": elements,
+        "partition": blocks,
+        "configurations": configs,
     }
     return "counterexample", data, bounds_json
 
@@ -300,13 +295,13 @@ def cmd_paradox_pattern(args, doc, action, cs):
 
     pattern = pdx.ParadoxPattern(family("family_a"), family("family_b"))
     report = pdx.pattern_check(cs, pattern)
-    data = {"configurations": [list(c) for c in cs.configurations]}
+    data = {"configurations": cs.configurations}
     if report.holds:
         data["decomposition"] = _decomposition_json(report.decomposition)
         return "holds", data, {}
     data["problem"] = report.problem
     if report.counterexample is not None:
-        data["counterexample"] = list(report.counterexample)
+        data["counterexample"] = report.counterexample
     return "fails", data, {}
 
 
@@ -323,7 +318,7 @@ def cmd_pingpong_cyclic(args, doc, action, cs):
     if report.ok:
         return "ok", {
             "conclusion": report.conclusion,
-            "inclusions": [list(pair) for pair in report.inclusions],
+            "inclusions": report.inclusions,
         }, {}
     return "failed", {"problem": report.problem, "witness": _witness_json(report.witness)}, {}
 
@@ -378,11 +373,7 @@ def cmd_witness_infinite_order(args, doc, action, cs):
         witness = pdx.make_infinite_order_witness(action, element)
     except ValueError as err:
         data = {"message": str(err)}
-        order = None
-        try:
-            order = action.element_order(element)
-        except ValueError:
-            pass
+        order = action.element_order(element)
         if order is not None:
             data["order"] = order
         return "finite-order", data, {}

@@ -342,7 +342,6 @@ class ConSearchBounds:
 class ConInclusionReport:
     included: bool
     pairs_checked: int
-    bounds: ConSearchBounds
     counterexample: Optional[tuple] = None   # (elements repr, blocks repr, configurations)
 
     def __bool__(self) -> bool:
@@ -418,7 +417,7 @@ def candidate_pairs(action: Action, bounds: ConSearchBounds) -> Iterator[Configu
     if not action.is_finite:
         raise ValueError("supply explicit pairs for infinite actions")
     pool = _element_pool(action, bounds.max_word_length)
-    ways = _growth_counts(action.size(), bounds.max_blocks)
+    ways = _growth_counts(action.degree, bounds.max_blocks)
     partitions = ways[0][0]
     tuples = sum(len(pool) ** length for length in range(1, bounds.max_tuple_length + 1))
     size = capped("candidate_family", tuples * partitions, CANDIDATE_FAMILY_CAP)
@@ -461,8 +460,8 @@ def con_included(
                 tuple(repr(b) for b in pair.partition.blocks),
                 tuple(sorted(wanted)),
             )
-            return ConInclusionReport(False, checked, bounds, detail)
-    return ConInclusionReport(True, checked, bounds, None)
+            return ConInclusionReport(False, checked, detail)
+    return ConInclusionReport(True, checked, None)
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +497,7 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
     if n < 1:
         raise ValueError("n must be positive")
     if action.is_finite:
-        degree = action.size()
+        degree = action.degree
         if degree < n:
             return CardinalityProbe(False, None)
         points = list(range(degree))

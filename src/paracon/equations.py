@@ -212,7 +212,7 @@ def counting_solution(cs: ConfigurationSet) -> tuple[Fraction, ...]:
     if not action.is_finite:
         raise ValueError("counting solutions need a finite action")
     sizes = cs.cell_sizes()
-    total = action.size()
+    total = action.degree
     value = {size: Fraction(size, total) for size in set(sizes)}
     return tuple(map(value.__getitem__, sizes))
 

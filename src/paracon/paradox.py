@@ -46,7 +46,6 @@ class DecompositionReport:
     piece_count: int
     problem: Optional[str] = None
     witness: object = None
-    detail: Optional[tuple] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -79,16 +78,13 @@ def verify_decomposition(
         families.append((name, range(start, len(sets))))
     points = labelled_pass(sets)
     if overlap := points.overlap(pieces):
-        pair, witness = overlap
-        return DecompositionReport(False, count, "pieces-overlap", witness, pair)
+        return DecompositionReport(False, count, "pieces-overlap", overlap[1])
     for name, translates in families:
         gap = points.uncovered(translates)
         if gap is not None:
             return DecompositionReport(False, count, f"cover-gap-{name}", gap)
         if strict and (overlap := points.overlap(translates)):
-            (x, y), witness = overlap
-            return DecompositionReport(False, count, f"translates-overlap-{name}", witness,
-                                       (x - translates.start, y - translates.start))
+            return DecompositionReport(False, count, f"translates-overlap-{name}", overlap[1])
     leftover = points.uncovered(pieces) if strict else None
     if leftover is not None:
         return DecompositionReport(False, count, "pieces-not-exhaustive", leftover)
@@ -123,7 +119,6 @@ class ChainResult:
     decomposition: ParadoxicalDecomposition
     piece_bound: int
     stage_elements: tuple            # s_1..s_{n+1}
-    differences: tuple[ActionSet, ...]
     note: Optional[str] = None
 
 
@@ -187,7 +182,6 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
         decomposition=decomposition,
         piece_bound=n + 2,
         stage_elements=tuple(stages),
-        differences=tuple(differences),
         note=WAGON_NOTE if n == 2 else None,
     )
 

@@ -112,10 +112,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
         key, size = ("degree", degree) if rank is None else ("rank", rank)
         _expect(is_integer(size) and size >= 1, f"trivial needs integer {key} >= 1", f"{location}.{key}")
         capped(key, size, MAX_RANK if key == "rank" else GROUP_ORDER_CAP)
-        try:
-            return TrivialAction(degree=degree, rank=rank)
-        except ValueError as err:
-            raise DocumentError(str(err), location) from None
+        return TrivialAction(degree=degree, rank=rank)
     if backend in ("finite-permutation", "finite-regular"):
         raw = doc.get("generators")
         _expect(isinstance(raw, dict) and raw, "needs a generators object", f"{location}.generators")

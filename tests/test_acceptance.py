@@ -125,7 +125,7 @@ def _random_finite_action(rng, max_degree=8, max_generators=3):
 
 
 def _random_blocks(rng, action, max_blocks=4):
-    degree = action.size()
+    degree = action.degree
     count = rng.randint(1, min(max_blocks, degree))
     assignment = [rng.randrange(count) for _ in range(degree)]
     for block in range(count):

@@ -619,6 +619,7 @@ JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2
 JSON_VALUES = st.recursive(
     JSON_LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
+    | st.lists(inner, max_size=4).map(tuple) | st.lists(st.integers(), max_size=4).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20)
 

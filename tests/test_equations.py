@@ -335,7 +335,7 @@ WORDS = ["a", "b", "A", "B", "ab", "ba", "aB", "Ab", "bb", "BA"]
        m=st.integers(1, 6), seed=st.integers(0, 10**6))
 def test_solver_matches_reference_on_regular_actions(action, words, m, seed):
     rng = random.Random(seed)
-    points = list(range(action.size()))
+    points = list(range(action.degree))
     rng.shuffle(points)
     labels = list(range(m)) + [rng.randrange(m) for _ in points[m:]]
     blocks = [action.point_set([p for p, k in zip(points, labels) if k == b]) for b in range(m)]
@@ -370,7 +370,7 @@ def verify_cases(draw):
         action = draw(st.sampled_from([S3_REGULAR, S4_REGULAR]))
         words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
         m = draw(st.integers(1, 5))
-        labels = draw(st.permutations(range(action.size())))
+        labels = draw(st.permutations(range(action.degree)))
         blocks = [action.point_set([p for k, p in enumerate(labels) if k % m == b]) for b in range(m)]
         cs, system = system_for(action, words, blocks)
         solutions = [counting_solution(cs)]

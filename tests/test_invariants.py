@@ -66,15 +66,15 @@ def test_regular_actions_free_and_transitive_up_to_24():
     }
     for name, generators in groups.items():
         action = FiniteRegularAction(generators)
-        assert action.size() <= 24
+        assert action.degree <= 24
         identity = action.identity()
         for g in action.elements:
-            moved = [action.act(g, x) for x in action.points()]
+            moved = [action.act(g, x) for x in range(action.degree)]
             if g == identity:
-                assert moved == list(action.points())
+                assert moved == list(range(action.degree))
             else:
-                assert all(moved[x] != x for x in action.points()), name
-        assert {action.act(g, 0) for g in action.elements} == set(action.points())
+                assert all(moved[x] != x for x in range(action.degree)), name
+        assert {action.act(g, 0) for g in action.elements} == set(range(action.degree))
 
 
 def test_act_on_set_preserves_size_and_partitions():

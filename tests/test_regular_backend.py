@@ -86,7 +86,7 @@ def test_regular_action_matches_left_regular_oracle(case):
     assert action.identity() == action.elements[0]
     index = {g: i for i, g in enumerate(elements)}
     size = len(elements)
-    assert action.size() == size
+    assert action.degree == size
 
     perms = [evaluate(generators, list(w.letters)) for w in words]
     regular = [Permutation(tuple(index[g * h] for h in elements)) for g in perms]
