@@ -413,6 +413,40 @@ class TestExitCodes:
         else:
             assert report["error"]["bound"] == "candidate_family"
 
+    Z3_VS_TRIVIAL3 = {"action_a": {"backend": "finite-permutation", "degree": 3,
+                                   "generators": {"a": [1, 2, 0]}},
+                      "action_b": {"backend": "trivial", "degree": 3}}
+
+    @pytest.mark.parametrize("bounds,message", [
+        ({"max_tuple_length": -1}, "max_tuple_length must be >= 1"),
+        ({"max_tuple_length": 0}, "max_tuple_length must be >= 1"),
+        ({"max_blocks": -2}, "max_blocks must be >= 1"),
+        ({"max_blocks": 0}, "max_blocks must be >= 1"),
+        ({"max_word_length": -1}, "max_word_length must be >= 0"),
+    ], ids=["tuple-length-negative", "tuple-length-0", "blocks-negative", "blocks-0",
+            "word-length-negative"])
+    def test_compare_con_rejects_bounds_that_admit_no_pair(self, bounds, message, capsys, tmp_path):
+        # the 3-cycle realizes a configuration set the trivial action does not,
+        # so a run that checked no pair would answer included-up-to-bounds
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**self.Z3_VS_TRIVIAL3, "bounds": bounds}))
+        code, report = run(capsys, "compare", "con", "--input", str(path))
+        assert code == 2
+        assert report["error"] == {"message": message, "location": "bounds"}
+
+    @pytest.mark.parametrize("bounds,status", [
+        ({}, "counterexample"),
+        ({"max_tuple_length": 1, "max_blocks": 1, "max_word_length": 0}, "included-up-to-bounds"),
+    ], ids=["default", "least-bounds"])
+    def test_compare_con_accepts_the_least_bounds(self, bounds, status, capsys, tmp_path):
+        # with word length 0 the one tuple is (e), which both actions fix
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**self.Z3_VS_TRIVIAL3, "bounds": bounds}))
+        code, report = run(capsys, "compare", "con", "--input", str(path))
+        assert code == 0
+        assert report["status"] == status
+        assert report["data"]["pairs_checked"] >= 1
+
     def test_compare_con_stops_at_a_counterexample_without_building_the_families(
             self, capsys, tmp_path):
         # B's one pair does not match A's first sampled pair, so of A's
