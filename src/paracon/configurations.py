@@ -466,7 +466,7 @@ def con_included(
                 tuple(sorted(wanted)),
             )
             return ConInclusionReport(False, checked, detail)
-    return ConInclusionReport(True, checked, None)
+    return ConInclusionReport(True, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,22 @@ class TestOtherCommands:
         assert report["status"] == "finite-order"
         assert report["data"]["order"] == 223092870
 
+    @pytest.mark.parametrize("action,element,data", [
+        ({"backend": "trivial", "rank": 2}, "a",
+         {"message": "the trivial action cannot exhibit infinite order"}),
+        ({"backend": "trivial", "degree": 2}, "e",
+         {"message": "the trivial action cannot exhibit infinite order", "order": 1}),
+        ({"backend": "free-self", "rank": 2}, "e", {"message": "element has finite order 1", "order": 1}),
+    ], ids=["trivial-letter", "trivial-identity", "free-identity"])
+    def test_witness_infinite_order_without_a_witness(self, action, element, data, capsys, tmp_path):
+        # a trivial action knows the order of the identity only: a letter's is None
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({"action": action, "element": element}))
+        code, report = run(capsys, "witness", "infinite-order", "--input", str(path))
+        assert code == 0
+        assert report["status"] == "finite-order"
+        assert report["data"] == data
+
     def test_witness_infinite_order_free(self, capsys, tmp_path):
         doc = {"action": {"backend": "free-self", "rank": 2}, "element": "abA"}
         path = tmp_path / "order2.json"
