@@ -50,6 +50,7 @@ FREE2 = {"backend": "free-self", "rank": 2}
 Z2 = {"backend": "finite-permutation", "degree": 2, "generators": {"a": [1, 0]}}
 Z2_BLOCKS = [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]
 F1_AUTOMATON = {"kind": "automaton", "rank": 1, "transitions": [[0, 0]], "accepting": [True]}
+S3_REGULAR = {"backend": "finite-regular", "generators": {"a": [1, 0, 2], "b": [1, 2, 0]}}
 
 
 def _z2(**fields) -> dict:
@@ -66,6 +67,14 @@ def _verify(stem: str, key: str, values) -> dict:
 
 def _z3_verify(key: str) -> dict:
     return _verify("z3-cycle", key, "1")
+
+
+def _s3_verify(key: str, values: list) -> dict:
+    """The regular S3 with tuple (a, b) and blocks {e}, {1, 2}, {3, 4, 5}: six
+    configurations, and each of the seven rows is nonzero on some of them."""
+    blocks = [[0], [1, 2], [3, 4, 5]]
+    return {"action": S3_REGULAR, "tuple": ["a", "b"],
+            "partition": [{"kind": "points", "points": b} for b in blocks], key: values}
 
 
 # (name, command words, input document or raw bytes, exit code); golden file error-<name>.json
@@ -123,6 +132,11 @@ VIOLATIONS = [
     ("constant-not-positive", _verify("z3-cycle", "multipliers", ["0", "0", "-1/2"])),
     ("positive-fractional-coefficient",
      _verify("f2-ab-5block", "multipliers", ["0"] * 10 + ["1/2"])),
+    # every (1, i) row holds; rows (2, 2) and (2, 3) both fail, and (2, 2) is reported
+    ("row-second-word", _s3_verify("solution", ["0", "0", "1/3", "1/3", "0", "1/3"])),
+    # coefficients -3/2, -1/2, 3/2, -1/2, 5/2, 3/2: the first positive one is reported
+    ("positive-coefficient-third-column",
+     _s3_verify("multipliers", ["0", "0", "1", "1", "0", "-1", "1/2"])),
 ]
 
 
@@ -142,7 +156,6 @@ F2_FIRST_LETTER = [{"kind": "singleton", "word": "e"}] + [
 TRIVIAL2 = {"action": {"backend": "trivial", "degree": 2}, "tuple": ["a"],
             "partition": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
 Z3 = {"backend": "finite-permutation", "degree": 3, "generators": {"a": [1, 2, 0]}}
-S3_REGULAR = {"backend": "finite-regular", "generators": {"a": [1, 0, 2], "b": [1, 2, 0]}}
 
 
 def _cone(word: str) -> dict:
