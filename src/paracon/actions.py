@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
@@ -27,7 +28,6 @@ from .words import (
     identity_permutation,
     parse_word,
     permutation_closure,
-    right_multiplier,
 )
 
 Point = Union[int, FreeWord]
@@ -249,20 +249,21 @@ class FiniteRegularAction(FinitePermutationAction):
     Points are indices into the element list of G = <generators>, sorted by
     image tuple, and g moves point x to the index of g * elements[x].  The
     closure and the point index hold image tuples only; `elements` builds
-    Permutations when first read.  The index permutation of g takes one
-    `right_multiplier` call per point x (made once per action) on g's
-    images, and is computed once per element.  Elements stay the generating
-    permutations.  This is where subsets of G itself live.
+    Permutations when first read.  g * x has coordinates g[x[p]], so the
+    index permutation of g takes one getter call on g's images per
+    coordinate p, and is computed once per element.  Elements stay the
+    generating permutations.  This is where subsets of G itself live.
     """
 
     kind = "finite-regular"
 
     def __init__(self, generators: Mapping[int, Permutation]):
         self.generators = dict(generators)
-        self._index = {images: i for i, images in
-                       enumerate(permutation_closure(list(self.generators.values())))}
-        self.degree = len(self._index)
-        self._regular: dict[tuple[int, ...], tuple[int, ...]] = {}
+        closure = permutation_closure(list(self.generators.values()))
+        self._index = dict(zip(closure, range(len(closure))))
+        self.degree = len(closure)
+        # order 1: a one-index itemgetter returns a scalar, and degree 0 has no coordinates
+        self._regular = {closure[0]: (0,)} if self.degree == 1 else {}
 
     @cached_property
     def elements(self) -> list[Permutation]:
@@ -270,9 +271,9 @@ class FiniteRegularAction(FinitePermutationAction):
         return [Permutation(images) for images in self._index]
 
     @cached_property
-    def _multipliers(self) -> list:
-        """x -> x * elements[i] on image tuples, for every point i."""
-        return [right_multiplier(images) for images in self._index]
+    def _coordinates(self) -> list:
+        """For each coordinate p, the getter of g[x[p]] for every element x in point order."""
+        return [itemgetter(*column) for column in zip(*self._index)]
 
     def point_of(self, g) -> int:
         """Index of a group element in the point list."""
@@ -295,9 +296,8 @@ class FiniteRegularAction(FinitePermutationAction):
         images = self.normalize_element(g).images
         regular = self._regular.get(images)
         if regular is None:
-            index = self._index
-            regular = self._regular[images] = tuple([index[times(images)]
-                                                     for times in self._multipliers])
+            products = zip(*[column(images) for column in self._coordinates])
+            regular = self._regular[images] = tuple(map(self._index.__getitem__, products))
         return regular
 
     # bench/tracer.py times act_on_set per backend class, from its own namespace

@@ -6,7 +6,8 @@ for one value f_C per configuration with
     sum { f_C : C_j = i }  =  sum { f_C : C_0 = i }      (j in 1..n, i in 1..m)
     sum f_C = 1,   f_C >= 0.
 
-Every coefficient is an int in {-1, 0, 1}.  `decide` answers it exactly.
+Every coefficient is an int in {-1, 0, 1}; the system is held by column, at
+most 2n + 1 nonzero entries per configuration.  `decide` answers it exactly.
 On a finite action the counting measure f_C = |x0(C)| / |X| always solves
 it, since the C with C_j = i have base cells partitioning g_j^-1 E_i, of
 size |E_i|; so a finite action never reaches the simplex.  Any other
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Optional, Sequence
 
 from .configurations import Configuration, ConfigurationSet
@@ -28,17 +30,18 @@ from .configurations import Configuration, ConfigurationSet
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Equality rows over nonnegative variables indexed by configurations;
-    ints from build_equations, and Fractions too in a hand-built system."""
+    """Equality rows over nonnegative variables indexed by configurations, held
+    by column: columns[k] lists the (row index, coefficient) pairs of variable
+    k's nonzero entries; ints from build_equations, Fractions too by hand."""
 
     variables: tuple[Configuration, ...]
     labels: tuple[tuple, ...]
-    rows: tuple[tuple[int | Fraction, ...], ...]
+    columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
     rhs: tuple[int | Fraction, ...]
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
 
     @property
     def n_vars(self) -> int:
@@ -46,17 +49,23 @@ class LinearSystem:
 
 
 def build_equations(cs: ConfigurationSet) -> LinearSystem:
-    """One balance row per (j, i), zero rows retained, normalization last."""
+    """Balance row (j, i) at index (j - 1) * m + i - 1, zero rows retained, then
+    normalization.  Column C joins, for each j, +1 at (j, C_j) and -1 at
+    (j, C_0) where the two differ, one piece per pair (C_0, C_j) that occurs."""
     variables = cs.configurations
     if not variables:
         raise ValueError("configuration set is empty; nothing to solve")
-    columns = list(zip(*variables))   # columns[j][k] = C_j of the k-th configuration
-    keys = [(j, i) for j in range(1, cs.pair.tuple_length + 1)
-            for i in range(1, cs.pair.block_count + 1)]
-    rows = tuple(tuple((cj == i) - (c0 == i) for cj, c0 in zip(columns[j], columns[0]))
-                 for j, i in keys) + ((1,) * len(variables),)
-    labels = tuple(("balance", j, i) for j, i in keys) + (("normalize",),)
-    return LinearSystem(tuple(variables), labels, rows, (0,) * len(keys) + (1,))
+    n, m = cs.pair.tuple_length, cs.pair.block_count
+    firsts, *others = zip(*variables)
+    columns = [()] * len(variables)
+    for offset, seconds in zip(range(-1, n * m - 1, m), others):
+        pairs = list(zip(firsts, seconds))
+        piece = {(a, b): ((offset + b, 1), (offset + a, -1)) if a != b else ()
+                 for a, b in set(pairs)}
+        columns = map(add, columns, map(piece.__getitem__, pairs))
+    columns = tuple(map(add, columns, [((n * m, 1),)] * len(variables)))
+    labels = [("balance", j, i) for j in range(1, n + 1) for i in range(1, m + 1)]
+    return LinearSystem(variables, (*labels, ("normalize",)), columns, (0,) * (n * m) + (1,))
 
 
 @dataclass(frozen=True)
@@ -70,26 +79,28 @@ class VerifyReport:
 
 def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport:
     """Exact check of every row plus nonnegativity of f (any values Fraction accepts),
-    in ints over their common denominator D: row . (D*f) must equal D * rhs."""
+    in ints over their common denominator D: the columns times D*f, added into
+    per-row totals, must equal D * rhs, compared in label order."""
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in f]
     common = lcm(*{v.denominator for v in values})
     scaled = [v.numerator * (common // v.denominator) for v in values]
     if len(scaled) != system.n_vars:
         return VerifyReport(False, ("length", len(scaled), system.n_vars))
-    for idx, x in enumerate(scaled):
+    totals = [0] * system.n_rows
+    for variable, column, x in zip(system.variables, system.columns, scaled):
         if x < 0:
-            return VerifyReport(False, ("nonnegativity", system.variables[idx]))
-    support = [(k, x) for k, x in enumerate(scaled) if x]
-    for label, row, target in zip(system.labels, system.rows, system.rhs):
-        total = sum(row[k] * x for k, x in support)
+            return VerifyReport(False, ("nonnegativity", variable))
+        for row, c in column:
+            totals[row] += c * x
+    for label, total, target in zip(system.labels, totals, system.rhs):
         if total != target * common:
             return VerifyReport(False, ("row", label, Fraction(total, common), Fraction(target)))
     return VerifyReport(True)
 
 
 def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) -> VerifyReport:
-    """A valid certificate combines rows into coefficients <= 0 with rhs > 0;
-    both are summed in ints over the multipliers' common denominator."""
+    """A valid certificate combines rows into coefficients <= 0, each summed over
+    its column, with rhs > 0; both in ints over the multipliers' common denominator."""
     values = [y if isinstance(y, (int, Fraction)) else Fraction(y) for y in multipliers]
     common = lcm(*{y.denominator for y in values})
     scaled = [y.numerator * (common // y.denominator) for y in values]
@@ -98,11 +109,9 @@ def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) ->
     constant = sum(y * b for y, b in zip(scaled, system.rhs) if y)
     if constant <= 0:
         return VerifyReport(False, ("constant-not-positive", Fraction(constant, common)))
-    weights, rows = zip(*[(y, row) for y, row in zip(scaled, system.rows) if y])
-    for col, column in enumerate(zip(*rows)):
-        if (coeff := sum(y * c for y, c in zip(weights, column))) > 0:
-            return VerifyReport(False, ("positive-coefficient", system.variables[col],
-                                        Fraction(coeff, common)))
+    for variable, column in zip(system.variables, system.columns):
+        if (coeff := sum(scaled[row] * c for row, c in column)) > 0:
+            return VerifyReport(False, ("positive-coefficient", variable, Fraction(coeff, common)))
     return VerifyReport(True)
 
 
@@ -144,16 +153,16 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     n, r = system.n_vars, system.n_rows
     if n == 0:
         raise ValueError("system has no variables")
-    # each distinct entry is scaled once; rows with rhs < 0 are negated
-    entries = set(system.rhs).union(*system.rows)
+    # every entry is scaled to an int; rows with rhs < 0 are negated
+    entries = set(system.rhs).union(c for column in system.columns for _, c in column)
     scale = lcm(*(v.denominator for v in entries))
-    as_int = {flip: {v: int(v * scale) * flip for v in entries} for flip in (1, -1)}
     flips = [1 if b >= 0 else -1 for b in system.rhs]
     # tableau rows: n original columns, r artificial columns, then rhs
-    table = []
-    for i, (row, b, flip) in enumerate(zip(system.rows, system.rhs, flips)):
-        entry = as_int[flip].__getitem__
-        table.append([*map(entry, row), *(int(k == i) for k in range(r)), entry(b)])
+    table = [[0] * n + [int(k == i) for k in range(r)] + [int(b * scale) * flip]
+             for i, (b, flip) in enumerate(zip(system.rhs, flips))]
+    for k, column in enumerate(system.columns):
+        for i, c in column:
+            table[i][k] = int(c * scale) * flips[i]
     # reduced costs: c_j - sum of basic rows (artificial costs are all 1);
     # the last entry is minus the phase-one objective
     cost = [-sum(column) for column in zip(*table)]

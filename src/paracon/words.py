@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 MAX_RANK = 10
 
@@ -226,32 +226,23 @@ def capped(name: str, requested: int, cap: int) -> int:
     return requested
 
 
-def right_multiplier(images: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map x -> x * s on image tuples, where s has these images, as one C call.
-
-    `itemgetter(*images)(x)` is the tuple of x[s(p)], which is x * s.  With
-    one index itemgetter returns a scalar and with none it fails, but the
-    identity is the only permutation of degree below 2, and `tuple` returns
-    a tuple argument unchanged.
-    """
-    return itemgetter(*images) if len(images) > 1 else tuple
-
-
 def permutation_closure(generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
     """The image tuples of the group generated by the given permutations.
 
     Returned sorted, identity first; no Permutation is built.  One
-    breadth-first pass multiplies each element on the right by each
-    generator, each product one `right_multiplier` call; a finite group is
-    closed under products, so no inverses are needed.  Raises BoundExceeded
-    past GROUP_ORDER_CAP elements.
+    breadth-first pass multiplies each element x on the right by each
+    generator s, each product one C call: `itemgetter(*s)(x)` is the tuple
+    of x[s(p)], which is x * s.  Below degree 2 the identity is the only
+    permutation, and `tuple` stands in for an itemgetter, which would return
+    a scalar there.  A finite group is closed under products, so no inverses
+    are needed.  Raises BoundExceeded past GROUP_ORDER_CAP elements.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators of mixed degree")
-    steps = [right_multiplier(g.images) for g in generators]
+    steps = [itemgetter(*g.images) if degree > 1 else tuple for g in generators]
     found = [tuple(range(degree))]
     seen = set(found)
     for elem in found:

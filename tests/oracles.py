@@ -8,7 +8,8 @@ counting solution of a finite action document by walking its points
 through plain image lists, permutation orders by repeated composition,
 the union of g^k S over the powers g^k != e (over F_rank by testing
 g^-k v in S for a range of k, on finite points by composing g with
-itself), linear feasibility by Fourier-Motzkin elimination, a reference
+itself), the dense rows of the configuration equations entry by entry,
+linear feasibility by Fourier-Motzkin elimination, a reference
 phase-one simplex over Fraction that fixes which answer the solver
 returns, row-by-row Fraction checks of solutions and certificates, and the
 paradox search's cover table and a lex-first paradox search, both testing
@@ -201,6 +202,18 @@ def permutation_order(images: tuple[int, ...]) -> int:
         power = tuple(images[p] for p in power)
         k += 1
     return k
+
+
+def equation_rows(configurations, tuple_length: int, block_count: int) -> list[tuple[int, ...]]:
+    """The configuration equations as dense rows, one entry per configuration:
+    row (j, i), for j = 1..n and then i = 1..m, holds (C_j == i) - (C_0 == i),
+    and the all-ones normalization row comes last."""
+    rows = []
+    for j in range(1, tuple_length + 1):
+        for i in range(1, block_count + 1):
+            rows.append(tuple(int(c[j] == i) - int(c[0] == i) for c in configurations))
+    rows.append(tuple(1 for _ in configurations))
+    return rows
 
 
 def fourier_motzkin_feasible(rows: list[tuple], rhs: list[Fraction]) -> bool:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from conftest import cone, singleton
-from oracles import fourier_motzkin_feasible
+from oracles import equation_rows, fourier_motzkin_feasible
 from paracon import (
     CyclicTableau,
     FinitePermutationAction,
@@ -80,12 +80,14 @@ def test_criterion_2_f2_infeasibility():
     started = time.perf_counter()
     f2 = FreeSelfAction(2)
     pair = configuration_pair(f2, ["a", "b"], five_block_partition())
-    system = build_equations(compute_configurations(pair))
+    cs = compute_configurations(pair)
+    system = build_equations(cs)
     result = solve_feasibility(system)
     assert not result.feasible
     assert verify_certificate(system, result.certificate).ok
     # the oracle divides: give it Fractions, not the system's ints
-    assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in system.rows],
+    rows = equation_rows(cs.configurations, 2, 5)
+    assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in rows],
                                         list(map(Fraction, system.rhs)))
     _finish(2, 1.0, started, "five-block system infeasible; certificate and elimination oracle agree")
 

@@ -11,6 +11,7 @@ first round of each workload is run through the harness's command loop too.
 These tests change nothing under bench/.
 """
 
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -100,3 +101,26 @@ def test_traced_free_decide_round_times_the_configuration_layers(monkeypatch, tm
     assert metrics["configurations.realized"]["value"] > 0
     assert metrics["configurations.compute_s"]["value"] > 0
     assert metrics["configurations.verify_cells_s"]["value"] > 0
+
+
+def test_traced_finite_eq_round_counts_the_equations_it_builds(monkeypatch, tmp_path, capsys):
+    """A traced finite-eq round passes the checker, and its traced counts of
+    equation variables and rows are the totals of the round's reports, so
+    the counters bench/tracer.py reads off each built system still count."""
+    import paracon.cli
+
+    run = bench_module(monkeypatch, "run")
+    workloads = bench_module(monkeypatch, "workloads")
+    total, metrics, _ = run.traced(paracon.cli, "finite-eq", 1, tmp_path)
+    assert total.failures == []
+    variables = rows = 0
+    path = tmp_path / "doc.json"
+    for command, doc in workloads.make_round("finite-eq", 1, 0):
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert paracon.cli.main([*command.split(), "--input", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        variables += len(data["variables"])
+        rows += len(data["rows"])
+    assert metrics["equations.vars"]["value"] == variables > 0
+    assert metrics["equations.rows"]["value"] == rows > 0

@@ -53,6 +53,12 @@ class TestComputeConfigurations:
             3, [Permutation((1, 2, 0))], [frozenset({0}), frozenset({1, 2})])
         assert set(cs.configurations) == oracle
 
+    def test_set_contains_iterates_and_prints(self, z3):
+        cs = compute_configurations(finite_pair(z3, ["a"], [[0], [1, 2]]))
+        assert list(cs) == [(1, 2), (2, 1), (2, 2)]
+        assert (2, 1) in cs and [2, 1] in cs and (1, 1) not in cs
+        assert repr(cs) == "ConfigurationSet(3 configurations, n=1, m=2)"
+
     def test_free_self_single_generator(self, f2):
         pair = configuration_pair(f2, ["a"], [cone("a"), cone("a").complement()])
         cs = compute_configurations(pair)
@@ -319,6 +325,12 @@ class TestConIncluded:
         assert not report.included
         assert report.counterexample is not None
 
+    def test_report_is_true_when_included(self, z3, trivial3):
+        bounds = ConSearchBounds(max_tuple_length=1, max_word_length=1, max_blocks=3,
+                                 family_limit=10**6)
+        assert con_included(trivial3, z3, bounds)
+        assert not con_included(z3, trivial3, bounds)
+
     def test_quotient_pairs_match(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
         bounds = ConSearchBounds(max_tuple_length=1, max_word_length=1, max_blocks=2,
@@ -402,6 +414,10 @@ class TestCardinalityProbe:
     def test_finite_counting(self, trivial3):
         assert cardinality_probe(trivial3, 3).possible
         assert not cardinality_probe(trivial3, 4).possible
+
+    def test_probe_is_true_when_possible(self, trivial3):
+        assert cardinality_probe(trivial3, 3)
+        assert not cardinality_probe(trivial3, 4)
 
     def test_witness_partition_shape(self, z4):
         probe = cardinality_probe(z4, 3)

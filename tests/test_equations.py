@@ -2,17 +2,19 @@ import json
 import random
 import tempfile
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cone
+from conftest import cone, singleton
 from oracles import (
     bland_simplex,
     check_certificate,
     check_solution,
     counting_oracle,
+    equation_rows,
     finite_document_images,
     fourier_motzkin_feasible,
 )
@@ -20,7 +22,9 @@ from paracon import (
     ConfigurationSet,
     FinitePermutationAction,
     FiniteRegularAction,
+    FreeSelfAction,
     Permutation,
+    SymbolicSet,
     TrivialAction,
     build_equations,
     compute_configurations,
@@ -44,18 +48,28 @@ def system_for(action, elements, blocks):
     return cs, build_equations(cs)
 
 
+def oracle_rows(cs) -> list[tuple[int, ...]]:
+    return equation_rows(cs.configurations, cs.pair.tuple_length, cs.pair.block_count)
+
+
+def row_of(system: LinearSystem, label: tuple) -> list:
+    """Row `label` of the system, read off its columns."""
+    index = system.labels.index(label)
+    return [dict(column).get(index, 0) for column in system.columns]
+
+
 class TestBuildEquations:
     def test_trivial_balance_rows_vanish(self, trivial3):
         _, system = system_for(trivial3, ["a"], [trivial3.point_set([0]), trivial3.point_set([1, 2])])
-        balance = [row for label, row in zip(system.labels, system.rows) if label[0] == "balance"]
-        assert balance and all(all(c == 0 for c in row) for row in balance)
-        assert system.labels[-1] == ("normalize",)
+        assert system.labels[-1] == ("normalize",) and system.n_rows == 3
+        # every column holds the normalization entry alone
+        assert system.columns and all(column == ((2, 1),) for column in system.columns)
 
     def test_z3_single_constraint(self, z3):
         cs, system = system_for(z3, ["a"], [z3.point_set([0]), z3.point_set([1, 2])])
         assert cs.configurations == ((1, 2), (2, 1), (2, 2))
         # row (1,1): f_(2,1) - f_(1,2) = 0 up to sign
-        row_11 = system.rows[system.labels.index(("balance", 1, 1))]
+        row_11 = row_of(system, ("balance", 1, 1))
         assert sorted(row_11) == [Fraction(-1), Fraction(0), Fraction(1)]
 
     def test_free_self_forces_zero(self, f2):
@@ -65,12 +79,12 @@ class TestBuildEquations:
         assert result.feasible
         assert result.solution[index] == 0
         # the (1,1) balance row alone pins the variable:
-        row = system.rows[system.labels.index(("balance", 1, 1))]
+        row = row_of(system, ("balance", 1, 1))
         assert row[index] == 1 and sum(abs(c) for c in row) == 1
 
     def test_row_count(self, z4):
         _, system = system_for(z4, ["a", "aa"], [z4.point_set([0, 2]), z4.point_set([1, 3])])
-        assert len(system.rows) == 2 * 2 + 1
+        assert system.n_rows == len(system.labels) == 2 * 2 + 1
 
 
 class TestSolveFeasibility:
@@ -81,19 +95,19 @@ class TestSolveFeasibility:
         assert verify_solution(system, result.solution).ok
 
     def test_f2_five_block_certificate(self, f2, five_blocks):
-        _, system = system_for(f2, ["a", "b"], five_blocks)
+        cs, system = system_for(f2, ["a", "b"], five_blocks)
         result = solve_feasibility(system)
         assert not result.feasible
         assert verify_certificate(system, result.certificate).ok
         # the oracle divides: give it Fractions, not the system's ints
-        assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in system.rows],
+        assert not fourier_motzkin_feasible([tuple(map(Fraction, row)) for row in oracle_rows(cs)],
                                             list(map(Fraction, system.rhs)))
 
     def test_single_variable_normalization_only(self):
         system = LinearSystem(
             variables=((1,),),
             labels=(("normalize",),),
-            rows=((Fraction(1),),),
+            columns=(((0, Fraction(1)),),),
             rhs=(Fraction(1),),
         )
         result = solve_feasibility(system)
@@ -136,6 +150,12 @@ class TestVerifySolution:
         report = verify_solution(system, [Fraction(2, 3)] * 3)
         assert not report.ok and report.violation[1] == ("normalize",)
 
+    def test_report_is_true_when_ok(self, trivial3):
+        _, system = system_for(trivial3, ["a"],
+                               [trivial3.point_set([p]) for p in range(3)])
+        assert verify_solution(system, [Fraction(1, 3)] * 3)
+        assert not verify_solution(system, [Fraction(2, 3)] * 3)
+
     def test_wrong_length(self, trivial3):
         _, system = system_for(trivial3, ["a"],
                                [trivial3.point_set([p]) for p in range(3)])
@@ -165,14 +185,14 @@ class TestVerifyCertificate:
 
     def test_zero_multipliers_rejected(self, f2, five_blocks):
         _, system = system_for(f2, ["a", "b"], five_blocks)
-        report = verify_certificate(system, [Fraction(0)] * len(system.rows))
+        report = verify_certificate(system, [Fraction(0)] * system.n_rows)
         assert not report.ok and report.violation[0] == "constant-not-positive"
 
     def test_wrong_system_rejected(self, f2, five_blocks, z3):
         _, infeasible_system = system_for(f2, ["a", "b"], five_blocks)
         certificate = solve_feasibility(infeasible_system).certificate
         _, other = system_for(z3, ["a", "a"], [z3.point_set([0]), z3.point_set([1, 2])])
-        if len(other.rows) == len(infeasible_system.rows):
+        if other.n_rows == infeasible_system.n_rows:
             assert not verify_certificate(other, certificate).ok
         else:
             assert not verify_certificate(other, certificate).ok  # length mismatch
@@ -256,12 +276,7 @@ def test_solver_agrees_with_fourier_motzkin_on_random_systems():
             for _ in range(n_rows)
         )
         rhs = tuple(Fraction(rng.randint(-2, 2)) for _ in range(n_rows))
-        system = LinearSystem(
-            variables=tuple((i,) for i in range(n_vars)),
-            labels=tuple(("row", i) for i in range(n_rows)),
-            rows=rows,
-            rhs=rhs,
-        )
+        system = as_system(rows, rhs)
         result = solve_feasibility(system)
         expected = fourier_motzkin_feasible(list(rows), list(rhs))
         assert result.feasible == expected
@@ -284,17 +299,18 @@ def test_certificate_normalization_is_integral(f2, five_blocks):
 
 
 def as_system(rows, rhs) -> LinearSystem:
+    """The hand-built system of these dense rows, held by column."""
     return LinearSystem(
         variables=tuple((i,) for i in range(len(rows[0]))),
         labels=tuple(("row", i) for i in range(len(rows))),
-        rows=tuple(tuple(row) for row in rows),
+        columns=tuple(tuple((r, c) for r, c in enumerate(column) if c) for column in zip(*rows)),
         rhs=tuple(rhs),
     )
 
 
-def assert_matches_reference(system: LinearSystem):
+def assert_matches_reference(system: LinearSystem, rows):
     result = solve_feasibility(system)
-    expected = bland_simplex(list(system.rows), list(system.rhs))
+    expected = bland_simplex(list(rows), list(system.rhs))
     assert (result.feasible, result.solution, result.certificate) == expected
 
 
@@ -314,14 +330,14 @@ def matrices(draw, entries):
 @settings(max_examples=200, deadline=None)
 @given(matrix=matrices(INTEGERS))
 def test_solver_matches_reference_on_integral_systems(matrix):
-    assert_matches_reference(as_system(*matrix))
+    assert_matches_reference(as_system(*matrix), matrix[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrix=matrices(RATIONALS), negative=NEGATIVE)
 def test_solver_matches_reference_on_rational_systems(matrix, negative):
     rows, rhs = matrix
-    assert_matches_reference(as_system(rows, [negative, *rhs[1:]]))
+    assert_matches_reference(as_system(rows, [negative, *rhs[1:]]), rows)
 
 
 S3_REGULAR = FiniteRegularAction({1: Permutation((1, 0, 2)), 2: Permutation((0, 2, 1))})
@@ -339,8 +355,46 @@ def test_solver_matches_reference_on_regular_actions(action, words, m, seed):
     rng.shuffle(points)
     labels = list(range(m)) + [rng.randrange(m) for _ in points[m:]]
     blocks = [action.point_set([p for p, k in zip(points, labels) if k == b]) for b in range(m)]
-    _, system = system_for(action, words, blocks)
-    assert_matches_reference(system)
+    cs, system = system_for(action, words, blocks)
+    assert_matches_reference(system, oracle_rows(cs))
+
+
+F2 = FreeSelfAction(2)
+# the depth-2 atoms of F2: the words of length below 2, and the cones at length 2
+F2_ATOMS = [singleton(w) for w in ("e", "a", "A", "b", "B")] + [
+    cone(x + y) for x in "aAbB" for y in "aAbB" if x.swapcase() != y]
+
+
+@st.composite
+def equation_pairs(draw):
+    """(action, words, blocks): an S3 or S4 regular pair whose blocks deal out
+    the points, or an F2 pair whose blocks merge the depth-2 atoms."""
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    m = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        action = draw(st.sampled_from([S3_REGULAR, S4_REGULAR]))
+        order = draw(st.permutations(range(action.degree)))
+        return action, words, [action.point_set(order[b::m]) for b in range(m)]
+    order = draw(st.permutations(F2_ATOMS))
+    return F2, words, [reduce(SymbolicSet.union, order[b::m]) for b in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=equation_pairs())
+def test_columns_match_the_dense_row_oracle(pair):
+    """Column k of build_equations holds exactly the nonzero entries of the
+    k-th configuration in the oracle's rows, one pair per row."""
+    cs, system = system_for(*pair)
+    rows = oracle_rows(cs)
+    n, m = cs.pair.tuple_length, cs.pair.block_count
+    assert system.variables == cs.configurations
+    assert system.labels == tuple(("balance", j, i) for j in range(1, n + 1)
+                                  for i in range(1, m + 1)) + (("normalize",),)
+    assert system.rhs == (0,) * (n * m) + (1,) and system.n_rows == len(rows)
+    assert len(system.columns) == system.n_vars
+    for k, column in enumerate(system.columns):
+        assert len({row for row, _ in column}) == len(column)
+        assert dict(column) == {r: row[k] for r, row in enumerate(rows) if row[k]}
 
 
 def mutated(values, how: str, index: int, delta: Fraction) -> list:
@@ -359,10 +413,10 @@ def mutated(values, how: str, index: int, delta: Fraction) -> list:
 
 @st.composite
 def verify_cases(draw):
-    """A system with one solution-like and one multiplier-like vector.
+    """A system, its dense rows, and one solution-like and one multiplier-like vector.
 
-    Systems come from build_equations on S3/S4 regular pairs or are built by
-    hand with Fraction entries.  Each vector is a valid solution or
+    Systems come from build_equations on S3/S4 regular pairs, their rows
+    from the dense-row oracle, or are built by hand with Fraction entries.  Each vector is a valid solution or
     certificate when the system has one, random rationals otherwise, and
     then one entry may be perturbed, negated or dropped.
     """
@@ -373,6 +427,7 @@ def verify_cases(draw):
         labels = draw(st.permutations(range(action.degree)))
         blocks = [action.point_set([p for k, p in enumerate(labels) if k % m == b]) for b in range(m)]
         cs, system = system_for(action, words, blocks)
+        rows = oracle_rows(cs)
         solutions = [counting_solution(cs)]
     else:
         rows, rhs = draw(matrices(RATIONALS))
@@ -386,19 +441,19 @@ def verify_cases(draw):
         st.lists(RATIONALS, min_size=system.n_rows, max_size=system.n_rows))
     change = st.tuples(st.sampled_from(["none", "perturb", "negate", "drop"]),
                        st.integers(0, 10**6), RATIONALS.filter(bool))
-    return (system, mutated(solution, *draw(change)), mutated(multipliers, *draw(change)))
+    return (system, rows, mutated(solution, *draw(change)), mutated(multipliers, *draw(change)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=verify_cases())
 def test_verifiers_match_the_fraction_oracle(case):
-    system, solution, multipliers = case
+    system, rows, solution, multipliers = case
     got = verify_solution(system, solution)
-    expected = check_solution(system.variables, system.labels, system.rows, system.rhs, solution)
+    expected = check_solution(system.variables, system.labels, rows, system.rhs, solution)
     assert (got.ok, got.violation) == expected
     assert repr(got.violation) == repr(expected[1])   # the same types, as reports print them
     got = verify_certificate(system, multipliers)
-    expected = check_certificate(system.variables, system.rows, system.rhs, multipliers)
+    expected = check_certificate(system.variables, rows, system.rhs, multipliers)
     assert (got.ok, got.violation) == expected
     assert repr(got.violation) == repr(expected[1])
 

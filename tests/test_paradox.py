@@ -57,6 +57,10 @@ class TestVerifyDecomposition:
         report = verify_decomposition(f2, classical_decomposition())
         assert report.ok and report.piece_count == 4
 
+    def test_report_is_true_when_ok(self, f2):
+        assert verify_decomposition(f2, classical_decomposition())
+        assert not verify_decomposition(f2, classical_decomposition(), strict=True)
+
     def test_cover_gap_witness(self, f2):
         broken = ParadoxicalDecomposition(
             (cone("a"), cone("A")), (E, E), (cone("b"), cone("B")), (E, B_))
@@ -160,6 +164,13 @@ class TestPingPongCyclic:
             (parse_word("a"), parse_word("b"))))
         assert not report.ok
         assert report.witness == parse_word("e")
+
+    def test_report_is_true_when_ok(self, f2):
+        words = (parse_word("a"), parse_word("b"))
+        assert check_pingpong_cyclic(f2, CyclicTableau(
+            (cone("A"), cone("B")), (cone("a"), cone("b")), words))
+        assert not check_pingpong_cyclic(f2, CyclicTableau(
+            (cone("a"), cone("B")), (cone("A"), cone("b")), words))
 
     def test_overlap_is_precondition_failure(self, f2):
         with pytest.raises(ValueError):
@@ -360,6 +371,11 @@ class TestPattern:
         assert report.holds
         assert verify_decomposition(f2, report.decomposition).ok
         assert not solve_feasibility(build_equations(cs)).feasible
+
+    def test_report_is_true_when_the_pattern_holds(self, f2, five_blocks):
+        cs, pattern = self.pattern_fixture(f2, five_blocks)
+        assert pattern_check(cs, pattern)
+        assert not pattern_check(cs, ParadoxPattern(((0, 2),), ((1, 2),)))
 
     def test_trivial_action_defeats_every_pattern(self, trivial3):
         pair = configuration_pair(

@@ -90,6 +90,11 @@ class TestMultiply:
         with pytest.raises(ValueError):
             multiply(Permutation((1, 0)), Permutation((1, 2, 0)))
 
+    def test_permutation_called_on_a_point_gives_its_image(self):
+        c, flip = Permutation((1, 2, 0)), Permutation((1, 0, 2))
+        assert [c(p) for p in range(3)] == [1, 2, 0]
+        assert [(c * flip)(p) for p in range(3)] == [c(flip(p)) for p in range(3)]
+
 
 class TestInvert:
     def test_word(self):
