@@ -31,8 +31,8 @@ from .configurations import Configuration, ConfigurationSet
 @dataclass(frozen=True)
 class LinearSystem:
     """Equality rows over nonnegative variables indexed by configurations, held
-    by column: columns[k] lists the (row index, coefficient) pairs of variable
-    k's nonzero entries; ints from build_equations, Fractions too by hand."""
+    by column: variable k's entry in a row is the sum of its pairs (row index,
+    coefficient) in columns[k]; ints, or Fractions in a hand-built system."""
 
     variables: tuple[Configuration, ...]
     labels: tuple[tuple, ...]
@@ -162,7 +162,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
              for i, (b, flip) in enumerate(zip(system.rhs, flips))]
     for k, column in enumerate(system.columns):
         for i, c in column:
-            table[i][k] = int(c * scale) * flips[i]
+            table[i][k] += int(c * scale) * flips[i]
     # reduced costs: c_j - sum of basic rows (artificial costs are all 1);
     # the last entry is minus the phase-one objective
     cost = [-sum(column) for column in zip(*table)]

@@ -113,6 +113,19 @@ class TestSolveFeasibility:
         result = solve_feasibility(system)
         assert result.feasible and result.solution == (Fraction(1),)
 
+    def test_repeated_rows_in_a_column_add_up(self):
+        # the tableau and both verifiers read column 0 as the coefficient 1
+        system = LinearSystem(
+            variables=((1,), (2,)),
+            labels=(("normalize",),),
+            columns=(((0, Fraction(1, 2)), (0, Fraction(1, 2))), ((0, Fraction(2)),)),
+            rhs=(Fraction(1),),
+        )
+        result = solve_feasibility(system)
+        assert result.feasible and result.solution == (Fraction(1), Fraction(0))
+        report = verify_certificate(system, [Fraction(1)])
+        assert report.violation == ("positive-coefficient", (1,), Fraction(1))
+
     def test_deterministic(self, f2, five_blocks):
         _, system = system_for(f2, ["a", "b"], five_blocks)
         assert solve_feasibility(system) == solve_feasibility(system)
