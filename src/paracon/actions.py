@@ -13,7 +13,6 @@ All values are immutable and every operation is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -28,6 +27,7 @@ from .words import (
     identity_permutation,
     parse_word,
     permutation_closure,
+    value,
 )
 
 Point = Union[int, FreeWord]
@@ -309,7 +309,7 @@ class FiniteRegularAction(FinitePermutationAction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value(hidden=("labelling",))
 class Partition:
     """Ordered blocks E_1..E_m; validity is checked by validate_partition.
 
@@ -319,7 +319,7 @@ class Partition:
     """
 
     blocks: tuple[ActionSet, ...]
-    labelling: Optional[Labelling] = field(default=None, compare=False, repr=False)
+    labelling: Optional[Labelling] = None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -331,13 +331,13 @@ class Partition:
         return self.blocks[i]
 
 
-@dataclass(frozen=True)
+@value(hidden=("labelling",))
 class PartitionReport:
     ok: bool
     problem: Optional[str] = None       # "empty-block" | "overlap" | "cover-gap"
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
-    labelling: Optional[Labelling] = field(default=None, compare=False, repr=False)
+    labelling: Optional[Labelling] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -388,7 +388,7 @@ def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class EquivariantMap:
     """A surjection f: X -> Y with f(g.x) = phi(g).f(x) on the generators.
 
@@ -399,7 +399,7 @@ class EquivariantMap:
     source: Action
     target: Action
     point_map: tuple[int, ...]
-    gen_images: Mapping[int, GroupElement] = field(default_factory=dict)
+    gen_images: Mapping[int, GroupElement]
 
     def phi(self, g) -> GroupElement:
         """Image of a source element, given as a word in the generators."""
@@ -448,7 +448,7 @@ def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Pa
     return partition(emap.source, blocks)
 
 
-@dataclass(frozen=True)
+@value
 class OrbitQuotient:
     """Result of the coset construction at a base point."""
 

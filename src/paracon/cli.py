@@ -22,7 +22,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable
@@ -42,7 +41,7 @@ from .serialization import (
     rational_str,
     set_json,
 )
-from .words import BoundExceeded, capped
+from .words import BoundExceeded, capped, value
 
 
 def _at(parent: str, key: str) -> str:
@@ -387,7 +386,7 @@ def cmd_witness_infinite_order(args, doc, action, cs):
     return ("ok" if report.ok else "failed"), data, {}
 
 
-@dataclass(frozen=True)
+@value
 class Command:
     """A command's table entry.
 

@@ -21,18 +21,17 @@ import operator
 import random
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import Action, Partition, partition as make_partition
 from .langsets import ActionSet, Label, Labelling, labelled_pass
-from .words import FreeWord, capped
+from .words import FreeWord, capped, value
 
 Configuration = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@value
 class ConfigurationPair:
     """Ordered elements (g_1..g_n) plus a validated partition (E_1..E_m)."""
 
@@ -167,7 +166,7 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
     return ConfigurationSet(pair, _BaseCells(frames, labels))
 
 
-@dataclass(frozen=True)
+@value
 class CellPartitionReport:
     ok: bool
     violations: tuple = ()
@@ -324,7 +323,7 @@ def coarsen_solution(
 FAMILY_LIMIT_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
+@value
 class ConSearchBounds:
     max_tuple_length: int = 1
     max_word_length: int = 1
@@ -343,7 +342,7 @@ class ConSearchBounds:
         capped("family_limit", self.family_limit, FAMILY_LIMIT_CAP)
 
 
-@dataclass(frozen=True)
+@value
 class ConInclusionReport:
     included: bool
     pairs_checked: int
@@ -482,7 +481,7 @@ def con_included(
 PROBE_N_CAP = 1_000
 
 
-@dataclass(frozen=True)
+@value
 class CardinalityProbe:
     possible: bool
     witness: Optional[Partition] = None

@@ -19,16 +19,16 @@ solution).  Each answer is checked in ints over its common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from typing import Optional, Sequence
 
 from .configurations import Configuration, ConfigurationSet
+from .words import value
 
 
-@dataclass(frozen=True)
+@value
 class LinearSystem:
     """Equality rows over nonnegative variables indexed by configurations, held
     by column: variable k's entry in a row is the sum of its pairs (row index,
@@ -68,7 +68,7 @@ def build_equations(cs: ConfigurationSet) -> LinearSystem:
     return LinearSystem(variables, (*labels, ("normalize",)), columns, (0,) * (n * m) + (1,))
 
 
-@dataclass(frozen=True)
+@value
 class VerifyReport:
     ok: bool
     violation: Optional[tuple] = None
@@ -115,7 +115,7 @@ def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) ->
     return VerifyReport(True)
 
 
-@dataclass(frozen=True)
+@value
 class FeasibilityResult:
     feasible: bool
     solution: Optional[tuple[Fraction, ...]] = None

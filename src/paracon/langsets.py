@@ -24,10 +24,9 @@ import functools
 import itertools
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .words import FreeWord, capped, letter_from_index, letter_index
+from .words import FreeWord, capped, letter_from_index, letter_index, value
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +187,7 @@ class _Queries:
         return labelled_pass([self, other]).points.get((0,))
 
 
-@dataclass(frozen=True)
+@value
 class SymbolicSet(_Queries):
     """Canonical automaton for a set of reduced words over F_rank."""
 
@@ -439,12 +438,12 @@ class SymbolicSet(_Queries):
         return f"SymbolicSet(rank={self.rank}, ~{{{sample}, ...}})"
 
 
-@dataclass(frozen=True)
+@value
 class FiniteSet(_Queries):
     """Subset of the points {0, ..., degree-1}."""
 
     degree: int
-    members: frozenset[int] = field(default_factory=frozenset)
+    members: frozenset[int]
 
     def __post_init__(self):
         if self.members and (min(self.members) < 0 or max(self.members) >= self.degree):
@@ -508,7 +507,7 @@ ActionSet = Union[SymbolicSet, FiniteSet]
 Label = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@value
 class Labelling:
     """The label of every point of a universe, from one labelled pass.
 

@@ -11,7 +11,6 @@ links decompositions to configuration sets through covering patterns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -19,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, capped, letter_from_index
+from .words import FreeWord, capped, letter_from_index, value
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -28,7 +27,7 @@ WAGON_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@value
 class ParadoxicalDecomposition:
     pieces_a: tuple[ActionSet, ...]
     translators_a: tuple
@@ -40,7 +39,7 @@ class ParadoxicalDecomposition:
         return len(self.pieces_a) + len(self.pieces_b)
 
 
-@dataclass(frozen=True)
+@value
 class DecompositionReport:
     ok: bool
     piece_count: int
@@ -96,7 +95,7 @@ def verify_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class PingPongChain:
     """Sets X_1..X_n and elements h_1..h_n with h_i X_i inside X_{i+1} (cyclically)."""
 
@@ -114,7 +113,7 @@ class ChainHypothesisError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
+@value
 class ChainResult:
     decomposition: ParadoxicalDecomposition
     piece_bound: int
@@ -191,7 +190,7 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class CyclicTableau:
     """Sets A_1..A_k, B_1..B_k and elements g_1..g_k with B_i^c inside g_i A_i."""
 
@@ -205,7 +204,7 @@ class CyclicTableau:
             raise ValueError("tableau needs k >= 2 with matching set lists")
 
 
-@dataclass(frozen=True)
+@value
 class PingPongReport:
     ok: bool
     conclusion: Optional[str] = None
@@ -245,14 +244,14 @@ def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongRep
     )
 
 
-@dataclass(frozen=True)
+@value
 class CyclicSubgroup:
     """<g>, finite or infinite."""
 
     generator: object
 
 
-@dataclass(frozen=True)
+@value
 class FiniteSubgroup:
     """An explicit element list; must be closed under product and inverse."""
 
@@ -337,7 +336,7 @@ def check_pingpong_subgroups(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class NonabelianWitness:
     sets: tuple[ActionSet, ...]      # E_1..E_5
     g1: object
@@ -396,7 +395,7 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     return PingPongReport(True, conclusion="the two elements do not commute")
 
 
-@dataclass(frozen=True)
+@value
 class InfiniteOrderWitness:
     e1: ActionSet                    # {a^n : n >= 0}
     e2: ActionSet                    # {a^-n : n >= 1}
@@ -446,7 +445,7 @@ def verify_infinite_order(action: Action, witness: InfiniteOrderWitness) -> Ping
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class ParadoxPattern:
     """Two families of (coordinate, block) hits.
 
@@ -463,7 +462,7 @@ class ParadoxPattern:
     family_b: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@value
 class PatternReport:
     holds: bool
     problem: Optional[str] = None
@@ -524,7 +523,7 @@ def pattern_check(cs: ConfigurationSet, pattern: ParadoxPattern) -> PatternRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value
 class SearchResult:
     decomposition: Optional[ParadoxicalDecomposition]
     bounds: tuple[int, int, int]     # (max_pieces, cone_depth, translator_length)
