@@ -203,6 +203,8 @@ def cmd_compare_con(args, doc, action, cs):
         items = doc[key]
         if not isinstance(items, list):
             raise DocumentError(f"{key} must be an array of pairs", key)
+        if not items and key == "pairs_a":   # no pair of A checked proves nothing
+            raise DocumentError("pairs_a must hold at least one pair", key)
         return [_parse_pair(item, action, f"{key}[{i}]") for i, item in enumerate(items)]
 
     report = cfg.con_included(action_a, action_b, bounds,

@@ -332,13 +332,13 @@ class ConSearchBounds:
     seed: int = 0
 
     def __post_init__(self):
-        # no tuple or partition fits a length or block count below 1, and a
-        # search that checks no pair must not answer included-up-to-bounds
-        for name, least in (("max_tuple_length", 1), ("max_word_length", 0), ("max_blocks", 1)):
+        # no tuple or partition fits a length or block count below 1, a family
+        # limit below 1 samples no pair, and a search that checks no pair
+        # must not answer included-up-to-bounds
+        for name, least in (("max_tuple_length", 1), ("max_word_length", 0), ("max_blocks", 1),
+                            ("family_limit", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.family_limit < 0:
-            raise ValueError("family_limit must be >= 0")
         capped("family_limit", self.family_limit, FAMILY_LIMIT_CAP)
 
 

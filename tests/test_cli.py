@@ -439,8 +439,9 @@ class TestExitCodes:
         ({"max_blocks": -2}, "max_blocks must be >= 1"),
         ({"max_blocks": 0}, "max_blocks must be >= 1"),
         ({"max_word_length": -1}, "max_word_length must be >= 0"),
+        ({"family_limit": 0}, "family_limit must be >= 1"),
     ], ids=["tuple-length-negative", "tuple-length-0", "blocks-negative", "blocks-0",
-            "word-length-negative"])
+            "word-length-negative", "family-limit-0"])
     def test_compare_con_rejects_bounds_that_admit_no_pair(self, bounds, message, capsys, tmp_path):
         # the 3-cycle realizes a configuration set the trivial action does not,
         # so a run that checked no pair would answer included-up-to-bounds

@@ -21,7 +21,7 @@ from paracon.cli import COMMANDS, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import SET_DEPTH_CAP
 from test_golden import (COMMANDS as GOLDEN_RUNS, EXTRA_RUNS, F2_FIRST_LETTER, FIXTURES,
-                         FREE2 as F2, TRIVIAL2)
+                         FREE2 as F2, S3_REGULAR, TRIVIAL2)
 
 VALUES = [None, True, "x", 7, -1, [], {}, 1.5, 10**18, -10**18]
 DELETE = object()
@@ -164,6 +164,12 @@ SUBGROUPS = EXTRA_RUNS[3][2]
     (("compare", "con"), {"action_a": F2, "action_b": F2, "pairs_a": [True]}, "pairs_a[0]"),
     (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
                           "bounds": {"family_limit": -1}}, "bounds"),
+    (("compare", "con"), {"action_a": S3_REGULAR, "action_b": S3_REGULAR,
+                          "bounds": {"family_limit": 0}}, "bounds"),
+    (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
+                          "pairs_a": []}, "pairs_a"),
+    (("compare", "con"), {"action_a": F2, "action_b": F2, "pairs_a": [], "pairs_b": []},
+     "pairs_a"),
     (("paradox", "pattern"), {**PATTERN, "pattern": 5}, "pattern"),
     (("compare", "con"), {"action_a": TRIVIAL2["action"], "action_b": TRIVIAL2["action"],
                           "bounds": {"max_blocks": "x"}}, "bounds.max_blocks"),
@@ -189,7 +195,8 @@ SUBGROUPS = EXTRA_RUNS[3][2]
                                          "accepting": ["false"]}]},
      "partition[0].accepting"),
 ], ids=["decomposition-number", "fewer-translators", "chain-null", "tableau-true",
-        "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "pattern-number",
+        "fine-number", "coarse-null", "pair-item-true", "negative-family-limit", "family-limit-0",
+        "no-pairs-a", "no-pairs-on-f2", "pattern-number",
         "string-in-bounds", "cyclic-without-generator",
         "decomposition-without-translators",
         "inverse-generator-name", "two-letter-generator-name", "generator-and-its-inverse",
