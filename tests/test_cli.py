@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -26,6 +28,16 @@ from paracon.words import Permutation, parse_word
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays for what `import paracon.cli` loads; dataclasses
+    # (which pulls in inspect) made up about a third of that start-up time
+    probe = "import sys, paracon.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def f2_words(length):

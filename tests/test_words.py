@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import permutation_order, reduce_letters
+from paracon.actions import FreeSelfAction, Partition, PartitionReport, partition, validate_partition
+from paracon.configurations import ConSearchBounds, configuration_pair
+from paracon.equations import VerifyReport
+from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
+from paracon.paradox import CyclicSubgroup, FiniteSubgroup
 from paracon.words import (
     GROUP_ORDER_CAP,
+    IDENTITY_WORD,
     MAX_RANK,
     BoundExceeded,
     FreeWord,
@@ -232,3 +238,92 @@ def test_word_str_round_trips_at_every_rank(rank, data):
     generators = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
     w = reduce_word(data.draw(st.lists(generators, max_size=8)), rank)
     assert parse_word(word_str(w), rank) == w
+
+
+class TestValue:
+    """The rules of the `value` decorator, which makes every result class of
+    the library an immutable value, as frozen dataclasses did."""
+
+    CONE_A = SymbolicSet.cone(parse_word("a"), 2)
+    HALVES = (CONE_A, CONE_A.complement())     # the cone of a and its complement
+
+    def test_positional_keyword_and_default_construction(self):
+        assert FreeWord((1, 2)) == FreeWord(letters=(1, 2))
+        assert FreeWord() == FreeWord(()) == IDENTITY_WORD
+        assert ConSearchBounds(2, family_limit=9) == ConSearchBounds(
+            max_tuple_length=2, max_word_length=1, max_blocks=3, family_limit=9, seed=0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Permutation(),
+        lambda: FreeWord((), ()),
+        lambda: FreeWord(word=(1,)),
+        lambda: FiniteSet(3),
+        lambda: VerifyReport(True, None, None),
+    ], ids=["missing", "extra", "unknown-keyword", "missing-members", "extra-field"])
+    def test_a_missing_or_extra_argument_raises_type_error(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_post_init_runs(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            FreeWord((1, -1))
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation((0, 0))
+        with pytest.raises(ValueError, match="family_limit must be >= 1"):
+            ConSearchBounds(family_limit=0)
+
+    def test_equality_within_a_class_only(self):
+        assert Permutation((1, 0)) == Permutation((1, 0)) != Permutation((0, 1))
+        # equal field tuples, different classes
+        assert CyclicSubgroup((1,)) != FiniteSubgroup((1,))
+        assert CyclicSubgroup((1,)).__eq__(FiniteSubgroup((1,))) is NotImplemented
+        assert FreeWord((1,)).__eq__((1,)) is NotImplemented
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        # pins set and dict iteration order to the frozen dataclasses' order
+        s = self.CONE_A
+        for v, fields in [(parse_word("aB"), ((1, -2),)),
+                          (Permutation((1, 2, 0)), ((1, 2, 0),)),
+                          (s, (s.rank, s.transitions, s.accepting))]:
+            assert hash(v) == hash(fields)
+
+    def test_a_class_keeps_its_own_repr(self):
+        # these reprs appear in compare con reports
+        assert repr(self.CONE_A) == "SymbolicSet(rank=2, ~{a, aa, ab, aB, ...})"
+        assert repr(FiniteSet.of(4, [3, 1])) == "FiniteSet(4, [1, 3])"
+        assert repr(parse_word("aB")) == "FreeWord('aB')"
+        assert repr(Permutation((1, 2, 0))) == "Permutation([1, 2, 0])"
+
+    def test_the_generated_repr_names_each_field(self):
+        assert repr(VerifyReport(True)) == "VerifyReport(ok=True, violation=None)"
+        assert repr(ConSearchBounds()) == ("ConSearchBounds(max_tuple_length=1, max_word_length=1, "
+                                           "max_blocks=3, family_limit=500, seed=0)")
+
+    def test_assignment_and_deletion_raise_attribute_error(self):
+        w = parse_word("ab")
+        with pytest.raises(AttributeError):
+            w.letters = ()
+        with pytest.raises(AttributeError):
+            w.extra = 1
+        with pytest.raises(AttributeError):
+            del w.letters
+        assert w.letters == (1, 2)
+
+    def test_labelling_is_left_out_of_partition_values(self):
+        f2, blocks = FreeSelfAction(2), self.HALVES
+        validated, bare = partition(f2, blocks), Partition(blocks)
+        assert validated.labelling is not None and bare.labelling is None
+        assert validated == bare and hash(validated) == hash(bare)
+        assert repr(validated) == repr(bare) == f"Partition(blocks={blocks!r})"
+        report = validate_partition(f2, blocks)
+        assert report.labelling is not None
+        assert report == PartitionReport(True) and hash(report) == hash(PartitionReport(True))
+        assert repr(report) == "PartitionReport(ok=True, problem=None, blocks_involved=(), witness=None)"
+
+    def test_cached_properties_still_cache(self):
+        pair = configuration_pair(FreeSelfAction(2), [parse_word("a")], self.HALVES)
+        assert pair.frames is pair.frames
+        assert pair.frames.points is pair.frames.points      # the symbolic form
+        labelling = labelled_pass([FiniteSet.of(3, [0, 2])])     # the finite form
+        assert labelling.points is labelling.points
+        assert labelling._states is labelling._states
