@@ -309,17 +309,16 @@ class FiniteRegularAction(FinitePermutationAction):
 # ---------------------------------------------------------------------------
 
 
-@value(hidden=("labelling",))
+@value
 class Partition:
     """Ordered blocks E_1..E_m; validity is checked by validate_partition.
 
-    A partition made by `partition` keeps the labelled pass over its blocks
-    that validated it, in `labelling`, for the configuration frames to start
-    from; one built from unvalidated blocks has None there.
+    `labelling` is the one labelled pass over the blocks, in which block i
+    is index i - 1, taken when first read: validation reads it, and the
+    configuration frames start from it.
     """
 
     blocks: tuple[ActionSet, ...]
-    labelling: Optional[Labelling] = None
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -330,37 +329,39 @@ class Partition:
     def __getitem__(self, i: int) -> ActionSet:
         return self.blocks[i]
 
+    @cached_property
+    def labelling(self) -> Labelling:
+        return labelled_pass(self.blocks)
 
-@value(hidden=("labelling",))
+
+@value
 class PartitionReport:
     ok: bool
     problem: Optional[str] = None       # "empty-block" | "overlap" | "cover-gap"
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
-    labelling: Optional[Labelling] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def validate_partition(action: Action, blocks: Sequence[ActionSet]) -> PartitionReport:
+def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) -> PartitionReport:
     """Check blocks are nonempty, pairwise disjoint, and cover the universe.
 
     Every block must be a set of the action's universe, of its degree or
-    rank, else ValueError.  One labelled pass over the blocks then decides
-    all three: block i is index i - 1 of the pass.  A valid report carries
-    that pass as its `labelling`.
+    rank, else ValueError.  The partition's labelling then decides all
+    three; given a Partition, the check takes that partition's own pass.
     """
-    blocks = tuple(blocks)
-    if not blocks:
+    part = blocks if isinstance(blocks, Partition) else Partition(tuple(blocks))
+    if not part.blocks:
         return PartitionReport(False, "empty-block", (), None)
     universe = "degree" if action.is_finite else "rank"
     size = getattr(action, universe)
-    for block in blocks:
+    for block in part.blocks:
         if getattr(block, universe, None) != size:
             raise ValueError(f"{universe} mismatch: {size} vs {getattr(block, universe, None)}")
-    points = labelled_pass(blocks)
-    indices = range(len(blocks))
+    points = part.labelling
+    indices = range(len(part.blocks))
     occupied = {i for label in points.points for i in label}
     for i in indices:
         if i not in occupied:
@@ -371,16 +372,17 @@ def validate_partition(action: Action, blocks: Sequence[ActionSet]) -> Partition
     gap = points.uncovered(indices)
     if gap is not None:
         return PartitionReport(False, "cover-gap", (), gap)
-    return PartitionReport(True, labelling=points)
+    return PartitionReport(True)
 
 
 def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
-    """Validated constructor: the partition keeps its validating pass."""
-    report = validate_partition(action, blocks)
+    """Validated constructor: the partition checked, with its validating pass."""
+    part = Partition(tuple(blocks))
+    report = validate_partition(action, part)
     if not report:
         raise ValueError(f"invalid partition: {report.problem} "
                          f"(blocks {list(report.blocks_involved)}, witness {report.witness!r})")
-    return Partition(tuple(blocks), report.labelling)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +480,12 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
         raise ValueError("orbit/coset construction needs a finite action")
     orbit = [x0]
     seen = {x0}
-    for x in orbit:
+    for x in orbit:        # a finite group is closed under products: no inverses needed
         for perm in perms.values():
-            for image in (action.act(perm, x), action.act(~perm, x)):
-                if image not in seen:
-                    seen.add(image)
-                    orbit.append(image)
+            image = action.act(perm, x)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
     orbit = sorted(seen)
     restricted = len(orbit) < degree
     position = {x: i for i, x in enumerate(orbit)}

@@ -19,7 +19,6 @@ import functools
 import itertools
 import operator
 import random
-from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,7 +32,7 @@ Configuration = tuple[int, ...]
 
 @value
 class ConfigurationPair:
-    """Ordered elements (g_1..g_n) plus a validated partition (E_1..E_m)."""
+    """Ordered elements (g_1..g_n) plus a partition (E_1..E_m)."""
 
     action: Action
     elements: tuple
@@ -51,9 +50,8 @@ class ConfigurationPair:
     def frames(self) -> Labelling:
         """The blocks' labelling and its moves by each g_j^-1: family j labels
         x with block i of g_j x, as index j * m + i - 1.  The blocks'
-        labelling is the pass that validated the partition, taken here only
-        for a partition built unvalidated."""
-        blocks = self.partition.labelling or labelled_pass(self.partition.blocks)
+        labelling is the partition's one pass over its blocks."""
+        blocks = self.partition.labelling
         return labelled_pass([blocks] + [self.action.act_on_set(self.action.inverse(g), blocks)
                                          for g in self.elements])
 
@@ -142,10 +140,10 @@ class _BaseCells(Mapping):
         return config in self._labels
 
     def sizes(self, configs: Sequence[Configuration]) -> list[int]:
-        """The points of a finite universe labelled each of `configs`, from
-        one count of the labels, without building a cell."""
-        counts = Counter(self._points.labels)
-        return [counts[self._labels[c]] for c in configs]
+        """The points of a finite universe labelled each of `configs`,
+        without building a cell."""
+        states = self._points._states
+        return [len(states[self._labels[c]]) for c in configs]
 
     def __iter__(self):
         return iter(self._labels)
@@ -233,12 +231,12 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 def refinement_block_map(fine: Partition, coarse: Partition) -> tuple[int, ...]:
     """For each fine block, the 1-based index of the coarse block containing it.
 
-    Read off one labelled pass over the fine blocks, then the coarse ones: a
+    Read off one labelled pass over the fine labelling, then the coarse: a
     fine block lies in coarse block l when every label holding it holds l.
     """
     m = len(fine.blocks)
     holders = [set(range(m, m + len(coarse.blocks))) for _ in fine.blocks]
-    for label in labelled_pass([*fine.blocks, *coarse.blocks]).points:
+    for label in labelled_pass([fine.labelling, coarse.labelling]).points:
         for p in label:
             if p < m:
                 holders[p].intersection_update(label)
@@ -501,21 +499,18 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
     if n < 1:
         raise ValueError("n must be positive")
     if action.is_finite:
-        degree = action.degree
-        if degree < n:
+        if action.degree < n:
             return CardinalityProbe(False, None)
-        points = list(range(degree))
-        blocks = [action.point_set([p]) for p in points[: n - 1]]
-        blocks.append(action.point_set(points[n - 1:]))
-        return CardinalityProbe(True, make_partition(action, blocks))
-    capped("n", n, PROBE_N_CAP)
-    full = action.full_set()
-    words: list[FreeWord] = []
-    length = 0
-    while len(words) < n - 1:
-        words = full.enumerate_up_to(length)
-        length += 1
-    chosen = words[: n - 1]
+        chosen = range(n - 1)
+    else:
+        capped("n", n, PROBE_N_CAP)
+        full = action.full_set()
+        words: list[FreeWord] = []
+        length = 0
+        while len(words) < n - 1:
+            words = full.enumerate_up_to(length)
+            length += 1
+        chosen = words[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
     blocks.append(action.point_set(chosen).complement())   # the points in no block
     return CardinalityProbe(True, make_partition(action, blocks))

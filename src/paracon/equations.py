@@ -39,6 +39,12 @@ class LinearSystem:
     columns: tuple[tuple[tuple[int, int | Fraction], ...], ...]
     rhs: tuple[int | Fraction, ...]
 
+    def __post_init__(self):
+        # a negative index would read as a row from the end
+        rows = {row for column in self.columns for row, _ in column}
+        if rows and not 0 <= min(rows) <= max(rows) < self.n_rows:
+            raise ValueError(f"row indices {min(rows)}..{max(rows)} outside 0..{self.n_rows - 1}")
+
     @property
     def n_rows(self) -> int:
         return len(self.rhs)

@@ -549,11 +549,8 @@ class Labelling:
 
     @functools.cached_property
     def points(self) -> Mapping[Label, object]:
-        if self.rank is None:
-            points: dict[Label, object] = {}
-            for point, label in enumerate(self.labels):
-                points.setdefault(label, point)
-            return points
+        if self.rank is None:                    # a label's states are its points, ascending
+            return {label: states[0] for label, states in self._states.items()}
         return _LeastWords(self)
 
     @functools.cached_property

@@ -10,7 +10,7 @@ is the identity.
 from __future__ import annotations
 
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_RANK = 10
@@ -20,45 +20,43 @@ _LETTERS = "abcdfghijk"   # skips "e", which names the identity
 
 def _eq(self, other):
     if other.__class__ is self.__class__:
-        return self._value_key(self) == other._value_key(other)
+        return self._value_key() == other._value_key()
     return NotImplemented
 
 
 def _hash(self):
-    return hash(self._value_key(self))
+    return hash(self._value_key())
 
 
 def _repr(self):
-    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._value_shown)
-    return f"{type(self).__qualname__}({shown})"
+    fields = zip(self._value_fields, self._value_key())
+    return f"{type(self).__qualname__}({', '.join(f'{name}={field!r}' for name, field in fields)})"
 
 
 def _frozen(self, name, *assigned):
     raise AttributeError(f"cannot {'assign to' if assigned else 'delete'} field {name!r}")
 
 
-def value(cls=None, *, hidden: tuple[str, ...] = ()):
+def value(cls):
     """Make `cls` an immutable value, as a frozen dataclass does, for a
     fraction of the import time.  Its fields are its own annotations, in
-    order; a class attribute of the same name is a field's default.  The one
-    generated method, `__init__`, binds each field with object.__setattr__
-    and then calls `__post_init__`, if any.  Equality, hash and repr go by
-    the tuple of fields less the `hidden` ones, unless the class defines
-    its own; setting or deleting an attribute raises AttributeError."""
-    if cls is None:
-        return lambda cls: value(cls, hidden=hidden)
+    order; a class attribute of the same name is a field's default.  The
+    generated methods are `__init__`, which binds each field with
+    object.__setattr__ and then calls `__post_init__`, if any, and
+    `_value_key`, the tuple of fields.  Equality, hash and repr go by that
+    tuple, unless the class defines its own; setting or deleting an
+    attribute raises AttributeError."""
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     params = ", ".join(f"{n}=_d[{n!r}]" if n in defaults else n for n in names)
     body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
     post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    key = "".join(f"self.{n}, " for n in names)
     space = {"_set": object.__setattr__, "_d": defaults}
-    exec(f"def __init__(self, {params}):{body}{post}", space)
-    cls.__init__ = space["__init__"]
+    exec(f"def __init__(self, {params}):{body}{post}\ndef _value_key(self): return ({key})", space)
+    cls.__init__, cls._value_key = space["__init__"], space["_value_key"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls._value_shown = keyed = tuple(n for n in names if n not in hidden)
-    get = attrgetter(*keyed)
-    cls._value_key = staticmethod(get if len(keyed) > 1 else lambda self: (get(self),))
+    cls._value_fields = names
     for name, shared in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr),
                          ("__setattr__", _frozen), ("__delattr__", _frozen)):
         if name not in cls.__dict__:

@@ -100,9 +100,13 @@ class TestValidatePartition:
             build(FreeSelfAction(2), [SymbolicSet.full(1)])
 
     def test_validated_partition_keeps_its_pass(self, f2, five_blocks):
+        # partition() returns the partition it checked, whose labelling is
+        # the pass that validated it, kept from then on
         validated = partition(f2, five_blocks)
-        assert validated.labelling == validate_partition(f2, five_blocks).labelling
+        assert "labelling" in vars(validated)
+        assert validated.labelling is validated.labelling
         assert validated.labelling.width == 5
+        assert validated.labelling == Partition(tuple(five_blocks)).labelling
         assert validated == Partition(tuple(five_blocks))
 
 

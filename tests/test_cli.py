@@ -40,6 +40,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert done.stdout.strip() == "[]"
 
 
+def test_the_library_loads_only_the_standard_library():
+    # the library depends on nothing outside the standard library; -S keeps
+    # site-packages off the path, so a third-party import fails here too
+    probe = ("import importlib, pkgutil, sys, paracon\n"
+             "for module in pkgutil.iter_modules(paracon.__path__):\n"
+             "    importlib.import_module(f'paracon.{module.name}')\n"
+             "print(sorted(name for name in sys.modules if name != '__main__' and\n"
+             "             name.partition('.')[0] not in {*sys.stdlib_module_names, 'paracon'}))")
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def f2_words(length):
     """The reduced words of F2 of exactly this length, in the letters aAbB."""
     words = [""]

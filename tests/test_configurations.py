@@ -163,6 +163,38 @@ class TestVerifyCellPartition:
         assert cli.main(command.split() + ["--input", str(path)]) == 0
         assert calls == [kind] * passes
 
+    def test_one_pass_over_each_partitions_blocks(self, f2, five_blocks, z4, monkeypatch):
+        # a partition's labelling is the only pass over its blocks: a validated
+        # partition takes it to validate, an unvalidated one for its frames,
+        # and the refinement map reads the labellings of both partitions
+        passes = []
+
+        def counted(name):
+            original = getattr(langsets, name)
+            return lambda parts: passes.append(tuple(parts)) or original(parts)
+
+        def over(blocks):        # the passes that read any of these very blocks
+            return [p for p in passes if any(part is block for part in p for block in blocks)]
+
+        e, a, A, b, B = five_blocks
+        identity = langsets.SymbolicSet.singleton(parse_word("e"), 2)     # not the block e itself
+        coarse_blocks = [identity, a.union(A), b.union(B)]
+        for name in ("_symbolic_pass", "_finite_pass"):
+            monkeypatch.setattr(langsets, name, counted(name))
+        pair = configuration_pair(f2, ["ab", "b"], five_blocks)
+        assert verify_cell_partition(compute_configurations(pair)).ok
+        coarse = configuration_pair(f2, ["ab"], coarse_blocks)
+        assert configurations.refinement_block_map(pair.partition, coarse.partition) == (
+            1, 2, 2, 3, 3)
+        assert over(five_blocks) == [tuple(five_blocks)]
+        assert over(coarse.partition.blocks) == [coarse.partition.blocks]
+        bounds = ConSearchBounds(max_blocks=2, family_limit=12)
+        for candidate in configurations.candidate_pairs(z4, bounds):
+            passes.clear()
+            compute_configurations(candidate).as_tuple_set()
+            assert over(candidate.partition.blocks) == [candidate.partition.blocks]
+            assert len(passes) == 2
+
     def test_detects_deleted_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])
         cs = compute_configurations(pair)

@@ -126,6 +126,13 @@ class TestSolveFeasibility:
         report = verify_certificate(system, [Fraction(1)])
         assert report.violation == ("positive-coefficient", (1,), Fraction(1))
 
+    @pytest.mark.parametrize("row", [-1, 2], ids=["negative", "past-the-rows"])
+    def test_a_row_index_outside_the_rows_raises(self, row):
+        # -1 would read as the last row, and 2 would raise IndexError in verify_solution
+        with pytest.raises(ValueError, match=r"row indices .* outside 0\.\.1"):
+            LinearSystem(variables=((1,), (2,)), labels=(("row", 0), ("normalize",)),
+                         columns=(((row, 1), (1, 1)), ((1, 1),)), rhs=(0, 1))
+
     def test_deterministic(self, f2, five_blocks):
         _, system = system_for(f2, ["a", "b"], five_blocks)
         assert solve_feasibility(system) == solve_feasibility(system)
