@@ -46,7 +46,7 @@ subgroups = [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))]
 x1, x2 = cone("a").union(cone("A")), cone("b").union(cone("B"))
 report = check_pingpong_subgroups(f2, subgroups, [x1, x2])
 print(report.conclusion)
-print("verified inclusions:", report.inclusions[0][1])
+print("verified inclusions:", ", ".join(f"{a} in {b}" for a, b in report.inclusions))
 failed = check_pingpong_subgroups(f2, subgroups, [x1.difference(cone("aaaab")), x2])
 print("without cone(aaaab) in X_1 it fails with witness:", word_str(failed.witness))
 

@@ -19,10 +19,12 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
 from .words import (
+    GROUP_ORDER_CAP,
     MAX_RANK,
     FreeWord,
     GroupElement,
     Permutation,
+    capped,
     evaluate_word,
     identity_permutation,
     parse_word,
@@ -99,14 +101,14 @@ def _parse_if_str(g, rank: int) -> GroupElement:
 
 
 class FreeSelfAction(Action):
-    """F_rank acting on itself by left multiplication."""
+    """F_rank acting on itself by left multiplication, rank at most MAX_RANK."""
 
     kind = "free-self"
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be at least 1")
-        self.rank = rank
+        self.rank = capped("rank", rank, MAX_RANK)
 
     def generator_map(self):
         return {i: FreeWord((i,)) for i in range(1, self.rank + 1)}
@@ -139,14 +141,14 @@ class FreeSelfAction(Action):
 
 
 class FinitePermutationAction(Action):
-    """Permutations acting on {0, ..., degree-1}."""
+    """Permutations acting on {0, ..., degree-1}, degree at most GROUP_ORDER_CAP."""
 
     kind = "finite-permutation"
 
     def __init__(self, degree: int, generators: Mapping[int, Permutation] | None = None):
         if degree < 1:
             raise ValueError("degree must be at least 1")
-        self.degree = degree
+        self.degree = capped("degree", degree, GROUP_ORDER_CAP)
         self.generators = dict(generators or {})
         for idx, perm in self.generators.items():
             if perm.degree != degree:
@@ -209,7 +211,7 @@ class TrivialAction(Action):
     Elements are free-word labels (the acting group is irrelevant to the
     action).  The point universe is either finite of a given degree or the
     reduced words of a given rank, so the trivial action is testable over an
-    infinite set too.
+    infinite set too.  Degree and rank have the caps of the other backends.
     """
 
     kind = "trivial"
@@ -217,8 +219,8 @@ class TrivialAction(Action):
     def __init__(self, degree: int | None = None, rank: int | None = None):
         if (degree is None) == (rank is None):
             raise ValueError("specify exactly one of degree, rank")
-        self.degree = degree
-        self.rank = rank
+        self.degree = degree if degree is None else capped("degree", degree, GROUP_ORDER_CAP)
+        self.rank = rank if rank is None else capped("rank", rank, MAX_RANK)
 
     def normalize_element(self, g) -> FreeWord:
         g = _parse_if_str(g, MAX_RANK)
@@ -478,6 +480,8 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     degree = action.degree
     if degree is None:
         raise ValueError("orbit/coset construction needs a finite action")
+    if not 0 <= x0 < degree:
+        raise ValueError(f"base point {x0} outside 0..{degree - 1}")
     orbit = [x0]
     seen = {x0}
     for x in orbit:        # a finite group is closed under products: no inverses needed

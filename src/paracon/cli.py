@@ -7,10 +7,10 @@ wall-clock timing goes to stderr so stdout stays diffable.
 
 Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
-location, 3 = a requested bound exceeds the declared --bound-* cap, or
-a size with a fixed cap (rank, degree, group order, search table bits,
-family limit, candidate family size, tuple length, set nesting depth,
-automaton states, the n of probe cardinality) exceeds it.
+location, 3 = a size past its fixed cap (a search or comparison bound,
+rank, degree, group order, search table bits, family limit, candidate
+family size, tuple length, set nesting depth, automaton states, the n of
+probe cardinality); the report names the bound and its cap.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
 """
@@ -41,7 +41,7 @@ from .serialization import (
     rational_str,
     set_json,
 )
-from .words import BoundExceeded, capped, value
+from .words import BoundExceeded, value
 
 
 def _at(parent: str, key: str) -> str:
@@ -186,11 +186,9 @@ def cmd_compare_con(args, doc, action, cs):
     action_b = parse_action(_require(doc, "action_b"), "action_b")
     raw_bounds = _object(doc.get("bounds", {}), "bounds")
     bounds = cfg.ConSearchBounds(
-        max_tuple_length=capped("max_tuple_length",
-                                _int_field(raw_bounds, "max_tuple_length", 1, "bounds"), args.bound_length),
-        max_word_length=capped("max_word_length",
-                               _int_field(raw_bounds, "max_word_length", 1, "bounds"), args.bound_length),
-        max_blocks=capped("max_blocks", _int_field(raw_bounds, "max_blocks", 3, "bounds"), args.bound_depth),
+        max_tuple_length=_int_field(raw_bounds, "max_tuple_length", 1, "bounds"),
+        max_word_length=_int_field(raw_bounds, "max_word_length", 1, "bounds"),
+        max_blocks=_int_field(raw_bounds, "max_blocks", 3, "bounds"),
         family_limit=_int_field(raw_bounds, "family_limit", 500, "bounds"),
         seed=args.seed,
     )
@@ -267,16 +265,9 @@ def cmd_paradox_chain(args, doc, action, cs):
 
 
 def cmd_paradox_search(args, doc, action, cs):
-    max_pieces = capped("max_pieces", _int_field(doc, "max_pieces", 4), args.bound_pieces)
-    cone_depth = capped("cone_depth", _int_field(doc, "cone_depth", 1), args.bound_depth)
-    translator_length = capped("translator_length",
-                               _int_field(doc, "translator_length", 1), args.bound_length)
-    result = pdx.bounded_paradox_search(action, max_pieces, cone_depth, translator_length)
-    bounds_json = {
-        "max_pieces": max_pieces,
-        "cone_depth": cone_depth,
-        "translator_length": translator_length,
-    }
+    bounds_json = {name: _int_field(doc, name, default)
+                   for name, default in (("max_pieces", 4), ("cone_depth", 1), ("translator_length", 1))}
+    result = pdx.bounded_paradox_search(action, **bounds_json)
     if result.decomposition is not None:
         return "found", {"decomposition": _decomposition_json(result.decomposition)}, bounds_json
     return "none-within-bounds", {"reason": result.reason}, bounds_json
@@ -347,7 +338,7 @@ def cmd_pingpong_subgroups(args, doc, action, cs):
     if report.ok:
         return "ok", {
             "conclusion": report.conclusion,
-            "checks": report.inclusions[0][1],
+            "checks": len(report.inclusions),
         }, {}
     return "failed", {"problem": report.problem, "witness": _witness_json(report.witness)}, {}
 
@@ -428,12 +419,6 @@ PARSER.add_argument("words", nargs="+", metavar="command words",
                     help="one of: " + ", ".join(COMMANDS))
 PARSER.add_argument("--input", help="input JSON document (default: stdin)")
 PARSER.add_argument("--output", help="output path (default: stdout)")
-PARSER.add_argument("--bound-depth", type=int, default=6,
-                    help="cap on cone depths and block counts")
-PARSER.add_argument("--bound-length", type=int, default=8,
-                    help="cap on word, tuple and translator lengths")
-PARSER.add_argument("--bound-pieces", type=int, default=8,
-                    help="cap on decomposition piece counts")
 PARSER.add_argument("--strict-partition", action="store_true",
                     help="verify decompositions as exact covers")
 PARSER.add_argument("--seed", type=int, default=0,

@@ -319,17 +319,24 @@ def coarsen_solution(
 # candidate pairs a bounded comparison may build: `candidate_pairs` decodes
 # at most `family_limit` sampled indices, so this cap bounds that work
 FAMILY_LIMIT_CAP = 1_000_000
+# the largest tuple length, word length and block count a comparison takes
+MAX_TUPLE_LENGTH_CAP, MAX_WORD_LENGTH_CAP, MAX_BLOCKS_CAP = 8, 8, 6
 
 
 @value
 class ConSearchBounds:
+    """Bounds of a comparison; past its cap, each raises BoundExceeded."""
+
     max_tuple_length: int = 1
     max_word_length: int = 1
     max_blocks: int = 3
-    family_limit: int = 500   # at most FAMILY_LIMIT_CAP (BoundExceeded)
+    family_limit: int = 500
     seed: int = 0
 
     def __post_init__(self):
+        capped("max_tuple_length", self.max_tuple_length, MAX_TUPLE_LENGTH_CAP)
+        capped("max_word_length", self.max_word_length, MAX_WORD_LENGTH_CAP)
+        capped("max_blocks", self.max_blocks, MAX_BLOCKS_CAP)
         # no tuple or partition fits a length or block count below 1, a family
         # limit below 1 samples no pair, and a search that checks no pair
         # must not answer included-up-to-bounds

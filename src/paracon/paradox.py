@@ -296,11 +296,11 @@ def check_pingpong_subgroups(
 ) -> PingPongReport:
     """Ping-pong for k subgroups with pairwise disjoint sets X_1..X_k.
 
-    Decides (H_i minus e).X_s inside X_i exactly for every i and s != i, one
-    inclusion each; the witness of a failure is the least point of
-    (H_i minus e).X_s outside X_i.  Size side conditions: for k = 2 we need
-    |H_1| >= 3 and |H_2| >= 2, in general some |H_i| > 2; sizes must be
-    certified (finite enumeration, or infinite order of a generator).
+    Decides (H_i minus e).X_s inside X_i exactly for each i and s != i, in
+    order, and lists the k(k-1) inclusions; a failure's witness is the least
+    point of (H_i minus e).X_s outside X_i.  Size side conditions: for k = 2
+    we need |H_1| >= 3 and |H_2| >= 2, in general some |H_i| > 2; sizes must
+    be certified (finite enumeration, or infinite order of a generator).
     Success concludes <H_1,...,H_k> is their free product.
     """
     k = len(subgroups)
@@ -317,7 +317,8 @@ def check_pingpong_subgroups(
             raise ValueError(f"size condition violated: |H_2| = {sizes[1]} < 2")
     elif not any(size > 2 for size in sizes):
         raise ValueError("size condition violated: some subgroup must have more than 2 elements")
-    for i, s in itertools.permutations(range(k), 2):
+    pairs = tuple(itertools.permutations(range(k), 2))
+    for i, s in pairs:
         outside = moves[i](sets[s]).subset_witness(sets[i])
         if outside is not None:
             return PingPongReport(
@@ -327,7 +328,7 @@ def check_pingpong_subgroups(
     return PingPongReport(
         True,
         conclusion=f"<H_1,...,H_{k}> decomposes as the free product of the {k} subgroups",
-        inclusions=(("checks", k * (k - 1)),),
+        inclusions=tuple((f"(H_{i+1} minus e) X_{s+1}", f"X_{i+1}") for i, s in pairs),
     )
 
 
@@ -536,6 +537,9 @@ class SearchResult:
 # Bits in the search's cover table (translators x atoms x fine atoms); the
 # benchmark menu needs at most 17 * 53 * 485, about 437 kbit.
 SEARCH_TABLE_CAP = 1 << 26
+# The largest bounds a search takes; the table cap alone lets F_1 through at
+# 14 pieces, cone depth 12 and translator length 2, whose search runs past 60 s.
+MAX_PIECES_CAP, CONE_DEPTH_CAP, TRANSLATOR_LENGTH_CAP = 8, 6, 8
 
 
 def _word_count(rank: int, length: int) -> int:
@@ -628,8 +632,9 @@ def bounded_paradox_search(
     over words of length <= L; candidates are scanned in lexicographic
     order (piece count, then split, then atoms of A, then atoms of B; each
     family takes its lex-first covering translators) and the first
-    decomposition found is returned.  Finite and trivial actions are
-    rejected up front with the counting and invariance obstructions.
+    decomposition found is returned.  Bounds past their caps raise
+    BoundExceeded first; finite and trivial actions are then rejected with
+    the counting and invariance obstructions.
 
     Covers are decided on bitmasks of the depth-(d+L) atoms, by a lemma: if
     A is a depth-d atom and |t| <= L, then t A is a union of depth-(d+L)
@@ -649,7 +654,9 @@ def bounded_paradox_search(
     the masks are fixed.  The returned decomposition is verified exactly on
     automata.
     """
-    bounds = (max_pieces, cone_depth, translator_length)
+    bounds = (capped("max_pieces", max_pieces, MAX_PIECES_CAP),
+              capped("cone_depth", cone_depth, CONE_DEPTH_CAP),
+              capped("translator_length", translator_length, TRANSLATOR_LENGTH_CAP))
     if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
         raise ValueError("bounds must allow at least two pieces")
     if isinstance(action, TrivialAction):

@@ -22,7 +22,6 @@ from .actions import (
 )
 from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
 from .words import (
-    GROUP_ORDER_CAP,
     MAX_RANK,
     FreeWord,
     Permutation,
@@ -96,22 +95,19 @@ def element_json(value) -> Any:
 
 
 def parse_action(doc: Any, location: str = "action") -> Action:
-    """An action, with rank and degree under declared caps (BoundExceeded):
-    no word names a letter past MAX_RANK, and a finite universe is no larger
-    than the largest group a closure may enumerate."""
+    """An action; its constructor caps rank and degree (BoundExceeded)."""
     _expect(isinstance(doc, dict), "action must be an object", location)
     backend = doc.get("backend")
     if backend == "free-self":
         rank = doc.get("rank")
         _expect(is_integer(rank) and rank >= 1, "free-self needs integer rank >= 1", f"{location}.rank")
-        return FreeSelfAction(capped("rank", rank, MAX_RANK))
+        return FreeSelfAction(rank)
     if backend == "trivial":
         degree, rank = doc.get("degree"), doc.get("rank")
         _expect((degree is None) != (rank is None),
                 "trivial needs exactly one of degree, rank", location)
         key, size = ("degree", degree) if rank is None else ("rank", rank)
         _expect(is_integer(size) and size >= 1, f"trivial needs integer {key} >= 1", f"{location}.{key}")
-        capped(key, size, MAX_RANK if key == "rank" else GROUP_ORDER_CAP)
         return TrivialAction(degree=degree, rank=rank)
     if backend in ("finite-permutation", "finite-regular"):
         raw = doc.get("generators")
@@ -133,7 +129,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
             degree = doc.get("degree")
             _expect(is_integer(degree) and degree >= 1,
                     "finite-permutation needs integer degree >= 1", f"{location}.degree")
-            return FinitePermutationAction(capped("degree", degree, GROUP_ORDER_CAP), generators)
+            return FinitePermutationAction(degree, generators)
         except DocumentError:
             raise
         except ValueError as err:

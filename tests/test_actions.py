@@ -210,6 +210,13 @@ class TestOrbitCoset:
         quotient = orbit_coset_action(z4, 0)
         assert sorted(quotient.map.point_map) == list(range(4))
 
+    @pytest.mark.parametrize("x0", [4, -1])
+    def test_base_point_outside_the_universe_is_rejected(self, z4, x0):
+        # past the degree the orbit walk would index out of range, and a
+        # negative point would wrap round to the last one
+        with pytest.raises(ValueError, match=rf"^base point {x0} outside 0\.\.3$"):
+            orbit_coset_action(z4, x0)
+
 
 class TestFiniteRegular:
     def test_free_and_transitive(self, s3_regular):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracon.cli import _json, main
+from paracon.cli import PARSER, _json, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
     DocumentError,
@@ -539,14 +539,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert re.fullmatch(rf"{command}: \d+\.\d{{3}}s\n", err), err
 
-    def test_bound_flag_raises_cap(self, capsys, tmp_path):
-        doc = {"action": {"backend": "free-self", "rank": 2},
-               "max_pieces": 4, "cone_depth": 1, "translator_length": 1}
+    def test_caps_take_no_option(self, capsys, tmp_path):
+        # caps are constants of the engines; the old per-run flags are unknown options
         path = tmp_path / "ok.json"
-        path.write_text(json.dumps(doc))
-        code, report = run(capsys, "paradox", "search", "--input", str(path),
-                           "--bound-pieces", "4")
-        assert code == 0
+        path.write_text(json.dumps({"action": {"backend": "free-self", "rank": 2}}))
+        with pytest.raises(SystemExit) as stop:
+            main(["paradox", "search", "--input", str(path), "--bound-pieces", "14"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --bound-pieces 14" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -732,3 +732,13 @@ def test_readme_names_every_bound():
     cli = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
     assert {"automaton_states", "max_pieces", "search_table_bits"} <= names
     assert sorted(name for name in names if f"`{name}`" not in cli) == []
+
+
+def test_readme_names_every_option():
+    # the options `paracon --help` lists are the ones the README's CLI section names
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", cli))
+    listed = set(re.findall(r"--[a-z][a-z-]*", PARSER.format_help())) - {"--help"}
+    assert listed == {"--input", "--output", "--strict-partition", "--seed"}
+    assert named == listed

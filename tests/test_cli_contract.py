@@ -16,10 +16,14 @@ import tracemalloc
 
 import pytest
 
-from paracon import configurations
+from paracon import configurations, paradox
+from paracon.actions import FinitePermutationAction, FreeSelfAction, TrivialAction
 from paracon.cli import COMMANDS, main
+from paracon.configurations import ConSearchBounds
 from paracon.langsets import FiniteSet, SymbolicSet
+from paracon.paradox import bounded_paradox_search
 from paracon.serialization import SET_DEPTH_CAP
+from paracon.words import GROUP_ORDER_CAP, MAX_RANK, BoundExceeded
 from test_golden import (COMMANDS as GOLDEN_RUNS, EXTRA_RUNS, F2_FIRST_LETTER, FIXTURES,
                          FREE2 as F2, S3_REGULAR, TRIVIAL2)
 
@@ -325,6 +329,102 @@ def test_huge_probe_n_exits_3_before_enumerating(capsys, monkeypatch):
     assert report["error"]["bound"] == "n"
     assert report["error"]["requested"] == 10**18
     assert report["error"]["cap"] == configurations.PROBE_N_CAP
+
+
+F1 = FreeSelfAction(1)
+Z4_QUOTIENT = json.loads((FIXTURES / "z4-quotient.json").read_text())
+
+
+def search_doc(**bounds):
+    return {"action": {"backend": "free-self", "rank": 1}, **bounds}
+
+
+def compare_doc(**bounds):
+    return {**Z4_QUOTIENT, "bounds": {**Z4_QUOTIENT["bounds"], **bounds}}
+
+
+def pair_doc(action):
+    return {"action": action, "tuple": ["a"], "partition": [{"kind": "full"}]}
+
+
+# each cap a library call declares and checks itself: (bound, cap, the call
+# at size n, the command and the document that ask for n)
+DECLARED_CAPS = {
+    "max_pieces": ("max_pieces", paradox.MAX_PIECES_CAP,
+                   lambda n: bounded_paradox_search(F1, n, 1, 1),
+                   "paradox search", lambda n: search_doc(max_pieces=n)),
+    "cone_depth": ("cone_depth", paradox.CONE_DEPTH_CAP,
+                   lambda n: bounded_paradox_search(F1, 4, n, 1),
+                   "paradox search", lambda n: search_doc(cone_depth=n)),
+    "translator_length": ("translator_length", paradox.TRANSLATOR_LENGTH_CAP,
+                          lambda n: bounded_paradox_search(F1, 4, 1, n),
+                          "paradox search", lambda n: search_doc(translator_length=n)),
+    "max_tuple_length": ("max_tuple_length", configurations.MAX_TUPLE_LENGTH_CAP,
+                         lambda n: ConSearchBounds(max_tuple_length=n),
+                         "compare con", lambda n: compare_doc(max_tuple_length=n)),
+    "max_word_length": ("max_word_length", configurations.MAX_WORD_LENGTH_CAP,
+                        lambda n: ConSearchBounds(max_word_length=n),
+                        "compare con", lambda n: compare_doc(max_word_length=n)),
+    "max_blocks": ("max_blocks", configurations.MAX_BLOCKS_CAP,
+                   lambda n: ConSearchBounds(max_blocks=n),
+                   "compare con", lambda n: compare_doc(max_blocks=n)),
+    "free-self-rank": ("rank", MAX_RANK, FreeSelfAction,
+                       "con compute", lambda n: pair_doc({"backend": "free-self", "rank": n})),
+    "trivial-rank": ("rank", MAX_RANK, lambda n: TrivialAction(rank=n),
+                     "con compute", lambda n: pair_doc({"backend": "trivial", "rank": n})),
+    "trivial-degree": ("degree", GROUP_ORDER_CAP, lambda n: TrivialAction(degree=n),
+                       "con compute", lambda n: pair_doc({"backend": "trivial", "degree": n})),
+    "permutation-degree": ("degree", GROUP_ORDER_CAP, FinitePermutationAction,
+                           "con compute", lambda n: pair_doc({**Z2, "degree": n})),
+}
+
+
+@pytest.mark.parametrize("bound,cap,call,command,doc", DECLARED_CAPS.values(), ids=DECLARED_CAPS.keys())
+def test_every_declared_cap_is_checked_by_its_library_call(bound, cap, call, command, doc,
+                                                           capsys, monkeypatch):
+    call(cap)      # the cap itself is allowed
+    with pytest.raises(BoundExceeded) as err:
+        call(cap + 1)
+    assert (err.value.name, err.value.requested, err.value.cap) == (bound, cap + 1, cap)
+    # the CLI exits 3 on the same size, with the engine's own constant as the cap
+    code, report = run_stdin(command.split(), json.dumps(doc(cap + 1)).encode(), capsys, monkeypatch)
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"] == {"message": str(err.value), "bound": bound,
+                               "requested": cap + 1, "cap": cap}
+
+
+def test_search_past_its_caps_ends_at_once():
+    # the cover table of F_1 at these bounds is small, but the search itself ran past 60 s
+    started = time.perf_counter()
+    with pytest.raises(BoundExceeded) as err:
+        bounded_paradox_search(F1, 14, 12, 2)
+    assert time.perf_counter() - started < 0.1
+    assert err.value.name == "max_pieces"
+
+
+@pytest.mark.parametrize("action", [F1, TrivialAction(degree=2), FinitePermutationAction(2)],
+                         ids=["free-self", "trivial", "finite"])
+def test_search_caps_come_before_every_other_answer(action):
+    # one piece is a ValueError, and a trivial or finite action an answer, only within the caps
+    with pytest.raises(BoundExceeded, match="cone_depth"):
+        bounded_paradox_search(action, 1, paradox.CONE_DEPTH_CAP + 1, 1)
+
+
+def test_comparison_caps_come_before_the_lower_limits():
+    with pytest.raises(BoundExceeded, match="max_blocks"):
+        ConSearchBounds(max_blocks=configurations.MAX_BLOCKS_CAP + 1, family_limit=0)
+
+
+@pytest.mark.parametrize("command,doc,location", [
+    ("paradox search", search_doc(max_pieces=99, cone_depth="x"), "cone_depth"),
+    ("compare con", compare_doc(max_tuple_length=99, max_word_length="x"), "bounds.max_word_length"),
+], ids=["search", "compare"])
+def test_schema_errors_come_before_caps(command, doc, location, capsys, monkeypatch):
+    # every bound field is read before the engine checks any cap
+    code, report = run_stdin(command.split(), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert code == 2
+    assert report["error"]["location"] == location
 
 
 def nested_kind(kind: str, wrappers: int) -> bytes:

@@ -186,7 +186,8 @@ class TestPingPongSubgroups:
             [CyclicSubgroup(parse_word("a")), CyclicSubgroup(parse_word("b"))],
             [cone("a").union(cone("A")), cone("b").union(cone("B"))])
         assert report.ok
-        assert report.inclusions == (("checks", 2),)     # k(k-1) inclusions, each exact
+        # k(k-1) inclusions, each exact, in the order decided
+        assert report.inclusions == (("(H_1 minus e) X_2", "X_1"), ("(H_2 minus e) X_1", "X_2"))
 
     def test_three_cyclic_subgroups(self):
         f3 = FreeSelfAction(3)
@@ -194,7 +195,8 @@ class TestPingPongSubgroups:
             f3, [CyclicSubgroup(parse_word(x)) for x in "abc"],
             [cone(x, 3).union(cone(x.upper(), 3)) for x in "abc"])
         assert report.ok
-        assert report.inclusions == (("checks", 6),)
+        assert report.inclusions == tuple((f"(H_{i} minus e) X_{s}", f"X_{i}")
+                                          for i in (1, 2, 3) for s in (1, 2, 3) if s != i)
 
     def test_size_condition_quoted(self, s3_regular):
         flip = Permutation((1, 0, 2))
