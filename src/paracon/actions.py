@@ -14,7 +14,7 @@ All values are immutable and every operation is pure.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
@@ -29,6 +29,7 @@ from .words import (
     identity_permutation,
     parse_word,
     permutation_closure,
+    permutation_code,
     value,
 )
 
@@ -211,7 +212,8 @@ class TrivialAction(Action):
     Elements are free-word labels (the acting group is irrelevant to the
     action).  The point universe is either finite of a given degree or the
     reduced words of a given rank, so the trivial action is testable over an
-    infinite set too.  Degree and rank have the caps of the other backends.
+    infinite set too.  Degree and rank are at least 1, and have the caps of
+    the other backends.
     """
 
     kind = "trivial"
@@ -219,6 +221,9 @@ class TrivialAction(Action):
     def __init__(self, degree: int | None = None, rank: int | None = None):
         if (degree is None) == (rank is None):
             raise ValueError("specify exactly one of degree, rank")
+        name, size = ("rank", rank) if degree is None else ("degree", degree)
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1")
         self.degree = degree if degree is None else capped("degree", degree, GROUP_ORDER_CAP)
         self.rank = rank if rank is None else capped("rank", rank, MAX_RANK)
 
@@ -250,10 +255,12 @@ class FiniteRegularAction(FinitePermutationAction):
 
     Points are indices into the element list of G = <generators>, sorted by
     image tuple, and g moves point x to the index of g * elements[x].  The
-    closure and the point index hold image tuples only; `elements` builds
-    Permutations when first read.  g * x has coordinates g[x[p]], so the
-    index permutation of g takes one getter call on g's images per
-    coordinate p, and is computed once per element.  Elements stay the
+    closure and the point index hold the str codes of permutation_code
+    only; `elements` builds Permutations when first read.  The code of
+    g * x is x's code translated by g's, so the index permutation of g
+    takes one `str.translate` and one index lookup per point, and is
+    computed once per element.  Generators have at most GROUP_ORDER_CAP
+    points, which keeps every image a valid chr.  Elements stay the
     generating permutations.  This is where subsets of G itself live.
     """
 
@@ -261,44 +268,40 @@ class FiniteRegularAction(FinitePermutationAction):
 
     def __init__(self, generators: Mapping[int, Permutation]):
         self.generators = dict(generators)
+        capped("degree", max((g.degree for g in self.generators.values()), default=0),
+               GROUP_ORDER_CAP)
         closure = permutation_closure(list(self.generators.values()))
         self._index = dict(zip(closure, range(len(closure))))
         self.degree = len(closure)
-        # order 1: a one-index itemgetter returns a scalar, and degree 0 has no coordinates
-        self._regular = {closure[0]: (0,)} if self.degree == 1 else {}
+        self._regular = {}
 
     @cached_property
     def elements(self) -> list[Permutation]:
         """The group's elements in point order."""
-        return [Permutation(images) for images in self._index]
-
-    @cached_property
-    def _coordinates(self) -> list:
-        """For each coordinate p, the getter of g[x[p]] for every element x in point order."""
-        return [itemgetter(*column) for column in zip(*self._index)]
+        return [Permutation(tuple(map(ord, code))) for code in self._index]
 
     def point_of(self, g) -> int:
         """Index of a group element in the point list."""
-        return self._index[self.normalize_element(g).images]
+        return self._index[permutation_code(self.normalize_element(g).images)]
 
     def normalize_element(self, g) -> Permutation:
         if isinstance(g, (str, FreeWord)):
             return super().normalize_element(g)
         if not isinstance(g, Permutation):
             raise ValueError(f"cannot interpret {g!r} as a group element")
-        if g.images not in self._index:
+        if permutation_code(g.images) not in self._index:
             raise ValueError(f"{g!r} is not in the generated group")
         return g
 
     def identity(self) -> Permutation:
-        return Permutation(next(iter(self._index)))
+        return Permutation(tuple(map(ord, next(iter(self._index)))))
 
     def point_images(self, g) -> tuple[int, ...]:
         """The left-regular index permutation of g."""
         images = self.normalize_element(g).images
         regular = self._regular.get(images)
         if regular is None:
-            products = zip(*[column(images) for column in self._coordinates])
+            products = map(str.translate, self._index, repeat(permutation_code(images)))
             regular = self._regular[images] = tuple(map(self._index.__getitem__, products))
         return regular
 
@@ -506,8 +509,8 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     group = permutation_closure(list(orbit_gens.values()))
     base = position[x0]
     coset_of_point: dict[int, int] = {}
-    for images in group:
-        coset_of_point.setdefault(images[base], len(coset_of_point))
+    for code in group:
+        coset_of_point.setdefault(ord(code[base]), len(coset_of_point))
     point_map = tuple(coset_of_point[i] for i in range(len(orbit)))
     coset_gens = {idx: Permutation(tuple(coset_of_point[perm.images[x]] for x in coset_of_point))
                   for idx, perm in orbit_gens.items()}
@@ -520,5 +523,5 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
         orbit_action=orbit_action,
         orbit=tuple(orbit),
         restricted=restricted,
-        stabilizer_order=sum(images[base] == base for images in group),
+        stabilizer_order=sum(code[base] == chr(base) for code in group),
     )

@@ -10,7 +10,6 @@ is the identity.
 from __future__ import annotations
 
 from math import lcm
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 MAX_RANK = 10
@@ -271,28 +270,35 @@ def capped(name: str, requested: int, cap: int) -> int:
     return requested
 
 
-def permutation_closure(generators: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """The image tuples of the group generated by the given permutations.
+def permutation_code(images: Sequence[int]) -> str:
+    """A permutation coded as the str of its images, chr(g[p]) at position p.
+
+    Codes of one degree sort as their image tuples do, and the code of
+    g * x is `x.translate(code(g))`, one C call."""
+    return "".join(map(chr, images))
+
+
+def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
+    """The codes (see permutation_code) of the group generated by the given
+    permutations.
 
     Returned sorted, identity first; no Permutation is built.  One
-    breadth-first pass multiplies each element x on the right by each
-    generator s, each product one C call: `itemgetter(*s)(x)` is the tuple
-    of x[s(p)], which is x * s.  Below degree 2 the identity is the only
-    permutation, and `tuple` stands in for an itemgetter, which would return
-    a scalar there.  A finite group is closed under products, so no inverses
-    are needed.  Raises BoundExceeded past GROUP_ORDER_CAP elements.
+    breadth-first pass multiplies each element x on the left by each
+    generator s, each product one `str.translate` of x's code by s's code.
+    A finite group is closed under products, so no inverses are needed.
+    Raises BoundExceeded past GROUP_ORDER_CAP elements.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators of mixed degree")
-    steps = [itemgetter(*g.images) if degree > 1 else tuple for g in generators]
-    found = [tuple(range(degree))]
+    steps = [permutation_code(g.images) for g in generators]
+    found = [permutation_code(range(degree))]
     seen = set(found)
     for elem in found:
         for step in steps:
-            product = step(elem)
+            product = elem.translate(step)
             if product not in seen:
                 seen.add(product)
                 found.append(product)

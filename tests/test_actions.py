@@ -237,7 +237,7 @@ class TestFiniteRegular:
 
     def test_closure_matches_permutation_closure(self, s3_regular):
         direct = permutation_closure([Permutation((1, 0, 2)), Permutation((0, 2, 1))])
-        assert [g.images for g in s3_regular.elements] == direct
+        assert [g.images for g in s3_regular.elements] == [tuple(map(ord, c)) for c in direct]
 
 
 class TestTrivialInfinite:
@@ -253,3 +253,11 @@ class TestTrivialInfinite:
             TrivialAction()
         with pytest.raises(ValueError):
             TrivialAction(degree=2, rank=2)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("universe", ["degree", "rank"])
+    def test_universe_of_size_below_1_is_rejected(self, universe, size):
+        # as FreeSelfAction and FinitePermutationAction do: degree -3 gave
+        # FiniteSet(-3, []), and rank 0 a full set whose repr raised IndexError
+        with pytest.raises(ValueError, match=rf"^{universe} must be at least 1$"):
+            TrivialAction(**{universe: size})

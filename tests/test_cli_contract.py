@@ -17,13 +17,14 @@ import tracemalloc
 import pytest
 
 from paracon import configurations, paradox
-from paracon.actions import FinitePermutationAction, FreeSelfAction, TrivialAction
+from paracon.actions import (FinitePermutationAction, FiniteRegularAction, FreeSelfAction,
+                             TrivialAction)
 from paracon.cli import COMMANDS, main
 from paracon.configurations import ConSearchBounds
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.paradox import bounded_paradox_search
 from paracon.serialization import SET_DEPTH_CAP
-from paracon.words import GROUP_ORDER_CAP, MAX_RANK, BoundExceeded
+from paracon.words import GROUP_ORDER_CAP, MAX_RANK, BoundExceeded, identity_permutation
 from test_golden import (COMMANDS as GOLDEN_RUNS, EXTRA_RUNS, F2_FIRST_LETTER, FIXTURES,
                          FREE2 as F2, S3_REGULAR, TRIVIAL2)
 
@@ -270,6 +271,22 @@ def test_group_order_past_its_cap_exits_3(capsys, monkeypatch):
     assert report["error"]["requested"] == report["error"]["cap"] + 1 == 100_001
 
 
+def test_regular_generator_past_the_degree_cap_exits_3(capsys, monkeypatch):
+    # a transposition of 150,000 points generates a group of order 2, which
+    # the regular backend accepted; its generators are capped as the degree
+    # of a permutation action is
+    images = [1, 0] + list(range(2, 150_000))
+    doc = {"action": {"backend": "finite-regular", "generators": {"a": images}},
+           "tuple": ["a"], "partition": [{"kind": "full"}]}
+    started = time.perf_counter()
+    code, report = run_stdin(("eq", "solve"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert report["error"] == {
+        "message": f"requested degree=150000 exceeds declared cap {GROUP_ORDER_CAP}",
+        "bound": "degree", "requested": 150_000, "cap": GROUP_ORDER_CAP}
+
+
 def _never_built(*args):
     raise AssertionError(f"a universe was built for {args}")
 
@@ -376,6 +393,10 @@ DECLARED_CAPS = {
                        "con compute", lambda n: pair_doc({"backend": "trivial", "degree": n})),
     "permutation-degree": ("degree", GROUP_ORDER_CAP, FinitePermutationAction,
                            "con compute", lambda n: pair_doc({**Z2, "degree": n})),
+    "regular-degree": ("degree", GROUP_ORDER_CAP,
+                       lambda n: FiniteRegularAction({1: identity_permutation(n)}),
+                       "con compute", lambda n: pair_doc({"backend": "finite-regular",
+                                                          "generators": {"a": list(range(n))}})),
 }
 
 
