@@ -23,7 +23,8 @@ import json
 import sys
 import time
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable
 
 from . import configurations as cfg
@@ -464,10 +465,40 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
     return 2, _error(message, location)
 
 
+# one C-encoder call writes a whole array of scalars, or of rows of scalars,
+# as "[a, b]" or "[[a, b], [c]]", which _array re-indents
+_SCALARS = {str, int, bool, type(None)}
+_ROWS = {list, tuple}
+_encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ", ", True, False, False)
+
+
+def _array(value, indent: str):
+    """The indented bytes of a nonempty list of scalars, or of nonempty rows
+    of scalars, written by one C-encoder call; None for any other list.
+    Separators are re-indented by str.replace, so the text must hold just
+    one ", " per pair of neighbouring scalars: a string holding ", ", or an
+    empty row, makes it fall back."""
+    inner = indent + "  "
+    types = set(map(type, value))
+    if types <= _SCALARS:
+        text = "".join(_encode(value, 0))
+        if text.count(", ") == len(value) - 1:
+            return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{indent}]"
+    elif types <= _ROWS and set(map(type, chain.from_iterable(value))) <= _SCALARS:
+        text = "".join(_encode(value, 0))
+        if text.count(", ") == sum(map(len, value)) - 1:
+            cell = inner + "  "
+            rows = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
+            return (f"[\n{inner}[\n{cell}" + rows.replace(", ", ",\n" + cell)
+                    + f"\n{inner}]\n{indent}]")
+    return None
+
+
 def _json(value, indent: str = "") -> str:
     """The bytes of json.dumps(value, sort_keys=True, indent=2), nested at
     `indent`, for objects with string keys.  Given an indent, json.dumps runs
-    the json module's pure-Python encoder; this one pass is faster."""
+    the json module's pure-Python encoder; this one pass is faster, and
+    writes an array of scalars or of rows of scalars in one C call."""
     if type(value) is str:
         return encode_basestring_ascii(value)
     if type(value) is int:
@@ -486,11 +517,8 @@ def _json(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(v) is int for v in value):
-            items = map(str, value)
-        else:
-            items = (_json(v, inner) for v in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        items = (_json(v, inner) for v in value)
+        return _array(value, indent) or f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     return json.dumps(value)
 
 

@@ -693,10 +693,25 @@ class TestRoundTrips:
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**80, 2**80)
                | st.floats() | st.text())
+# strings that could pass for the separators the writer re-indents
+SEPARATOR_TEXT = st.sampled_from([", ", "], [", "[", "]", "[[", "]]", "a, [b]"]) | st.text(
+    st.sampled_from(', []"\\a'), max_size=6)
+SCALARS = st.none() | st.booleans() | st.integers() | SEPARATOR_TEXT
+# the arrays the writer encodes in one call, and those it must refuse
+ARRAYS = (
+    st.integers(1, 4).flatmap(lambda k: st.lists(st.lists(st.integers(), min_size=k, max_size=k),
+                                                 min_size=1, max_size=4))   # equal-length int rows
+    | st.lists(st.booleans(), max_size=5) | st.lists(st.none(), max_size=5)
+    | st.lists(SCALARS, max_size=5)
+    | st.lists(st.lists(SCALARS, max_size=3), max_size=4)                   # ragged and empty rows
+    | st.lists(st.lists(st.none() | st.just([]) | st.lists(st.none(), max_size=1), max_size=2),
+               max_size=3)                                                  # nested-empty rows
+)
 JSON_VALUES = st.recursive(
-    JSON_LEAVES,
+    JSON_LEAVES | ARRAYS | ARRAYS.map(tuple),
     lambda inner: st.lists(inner, max_size=4) | st.lists(st.integers(), max_size=4)
     | st.lists(inner, max_size=4).map(tuple) | st.lists(st.integers(), max_size=4).map(tuple)
+    | st.lists(st.lists(inner, min_size=1, max_size=3), min_size=1, max_size=3)
     | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=20)
 
@@ -710,6 +725,8 @@ def test_report_writer_matches_json_dumps(value):
 @pytest.mark.parametrize("value", [
     {}, [], {"": []}, [{}], {"é \x00\x1f\"\\": "ü\n\t€\U0001f600"},
     {"b": [True, False, None, 1], "a": [0, -1, 10**40], "c": [1.5, (2, 3)]},
+    [[None], None], [[None, [None]]], [[1, 2], []], [[]], [(1,), [2, 3]], [[1], [{}]],
+    ["a, b"], [["], ["], ["x"]], [[", "]], ["[", "]"], [[True, None], (False,)],
 ])
 def test_report_writer_edge_cases(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
