@@ -15,6 +15,7 @@ paradox patterns) relies on.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -142,8 +143,8 @@ class _BaseCells(Mapping):
     def sizes(self, configs: Sequence[Configuration]) -> list[int]:
         """The points of a finite universe labelled each of `configs`,
         without building a cell."""
-        states = self._points._states
-        return [len(states[self._labels[c]]) for c in configs]
+        counts = collections.Counter(self._points.labels)
+        return [counts[self._labels[c]] for c in configs]
 
     def __iter__(self):
         return iter(self._labels)

@@ -549,8 +549,12 @@ class Labelling:
 
     @functools.cached_property
     def points(self) -> Mapping[Label, object]:
-        if self.rank is None:                    # a label's states are its points, ascending
-            return {label: states[0] for label, states in self._states.items()}
+        if self.rank is None:
+            # labels in order of their first point; the writes from the last
+            # point down leave each label its least point
+            points = dict.fromkeys(self.labels)
+            points.update(zip(reversed(self.labels), range(len(self.labels) - 1, -1, -1)))
+            return points
         return _LeastWords(self)
 
     @functools.cached_property

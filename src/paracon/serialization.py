@@ -51,6 +51,11 @@ def is_integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _integers(value: Any) -> bool:
+    """A JSON array of integers, checked in one C pass over the entry types."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
+
+
 def parse_rational(value: Any, location: str) -> Fraction:
     _expect(isinstance(value, str), "rational must be a 'p/q' string", location)
     try:
@@ -78,7 +83,7 @@ def parse_element(value: Any, action: Action, location: str):
         except ValueError as err:
             raise DocumentError(str(err), location) from None
     if isinstance(value, list):
-        _expect(all(map(is_integer, value)), "permutation entries must be integers", location)
+        _expect(_integers(value), "permutation entries must be integers", location)
         try:
             return action.normalize_element(Permutation(tuple(value)))
         except ValueError as err:
@@ -117,7 +122,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
         for name, images in raw.items():
             gen_loc = f"{location}.generators.{name}"
             _expect(name in letters, f"bad generator name {name!r}", gen_loc)   # not "A", "ab"
-            _expect(isinstance(images, list) and all(map(is_integer, images)),
+            _expect(_integers(images),
                     "generator must be an image array", gen_loc)
             try:
                 generators[letters[name]] = Permutation(tuple(images))
@@ -175,7 +180,7 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     if kind == "points":
         _expect(not symbolic, "points sets need a finite universe", location)
         points = doc.get("points")
-        _expect(isinstance(points, list) and all(map(is_integer, points)),
+        _expect(_integers(points),
                 "points must be an integer array", f"{location}.points")
         try:
             return action.point_set(points)
