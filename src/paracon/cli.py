@@ -465,10 +465,9 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
     return 2, _error(message, location)
 
 
-# one C-encoder call writes a whole array of scalars, or of rows of scalars,
-# as "[a, b]" or "[[a, b], [c]]", which _array re-indents
 _SCALARS = {str, int, bool, type(None)}
 _ROWS = {list, tuple}
+# json's C encoder, writing an array on one line: "[a, b]" or "[[a, b], [c]]"
 _encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ", ", True, False, False)
 
 

@@ -122,8 +122,7 @@ def parse_action(doc: Any, location: str = "action") -> Action:
         for name, images in raw.items():
             gen_loc = f"{location}.generators.{name}"
             _expect(name in letters, f"bad generator name {name!r}", gen_loc)   # not "A", "ab"
-            _expect(_integers(images),
-                    "generator must be an image array", gen_loc)
+            _expect(_integers(images), "generator must be an image array", gen_loc)
             try:
                 generators[letters[name]] = Permutation(tuple(images))
             except ValueError as err:
@@ -180,8 +179,7 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     if kind == "points":
         _expect(not symbolic, "points sets need a finite universe", location)
         points = doc.get("points")
-        _expect(_integers(points),
-                "points must be an integer array", f"{location}.points")
+        _expect(_integers(points), "points must be an integer array", f"{location}.points")
         try:
             return action.point_set(points)
         except ValueError as err:
