@@ -24,6 +24,7 @@ from .words import (
     FreeWord,
     GroupElement,
     Permutation,
+    Verdict,
     capped,
     evaluate_word,
     identity_permutation,
@@ -340,14 +341,11 @@ class Partition:
 
 
 @value
-class PartitionReport:
+class PartitionReport(Verdict):
     ok: bool
     problem: Optional[str] = None       # "empty-block" | "overlap" | "cover-gap"
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) -> PartitionReport:

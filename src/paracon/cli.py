@@ -8,9 +8,9 @@ wall-clock timing goes to stderr so stdout stays diffable.
 Exit codes: 0 = computed result (including negative outcomes such as
 "infeasible" or "hypothesis-violated"), 2 = schema/parse error with a
 location, 3 = a size past its fixed cap (a search or comparison bound,
-rank, degree, group order, search table bits, family limit, candidate
-family size, tuple length, set nesting depth, automaton states, the n of
-probe cardinality); the report names the bound and its cap.
+rank, degree, group order, closure size, search table bits, family limit,
+candidate family size, tuple length, set nesting depth, automaton states,
+the n of probe cardinality); the report names the bound and its cap.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
 """
@@ -467,29 +467,26 @@ def _run(command: Command, args, raw: bytes) -> tuple[int, dict]:
 
 _SCALARS = {str, int, bool, type(None)}
 _ROWS = {list, tuple}
-# json's C encoder, writing an array on one line: "[a, b]" or "[[a, b], [c]]"
-_encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ", ", True, False, False)
+# json's C encoder, writing an array with one item a line: "[a,\nb]" or "[[a,\nb],\n[c]]"
+_encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n", True, False, False)
 
 
 def _array(value, indent: str):
     """The indented bytes of a nonempty list of scalars, or of nonempty rows
     of scalars, written by one C-encoder call; None for any other list.
-    Separators are re-indented by str.replace, so the text must hold just
-    one ", " per pair of neighbouring scalars: a string holding ", ", or an
-    empty row, makes it fall back."""
+    The encoder escapes every control character in a string, and no scalar
+    starts with "[" or ends with "]", so each newline separates two items and
+    "],\n[" two rows: one str.replace per level re-indents them."""
     inner = indent + "  "
     types = set(map(type, value))
     if types <= _SCALARS:
         text = "".join(_encode(value, 0))
-        if text.count(", ") == len(value) - 1:
-            return f"[\n{inner}" + text[1:-1].replace(", ", ",\n" + inner) + f"\n{indent}]"
-    elif types <= _ROWS and set(map(type, chain.from_iterable(value))) <= _SCALARS:
-        text = "".join(_encode(value, 0))
-        if text.count(", ") == sum(map(len, value)) - 1:
-            cell = inner + "  "
-            rows = text[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{cell}")
-            return (f"[\n{inner}[\n{cell}" + rows.replace(", ", ",\n" + cell)
-                    + f"\n{inner}]\n{indent}]")
+        return f"[\n{inner}" + text[1:-1].replace("\n", "\n" + inner) + f"\n{indent}]"
+    if types <= _ROWS and all(value) and set(map(type, chain.from_iterable(value))) <= _SCALARS:
+        cell = inner + "  "
+        text = "".join(_encode(value, 0))[2:-2].replace("\n", "\n" + cell)
+        rows = text.replace(f"],\n{cell}[", f"\n{inner}],\n{inner}[\n{cell}")
+        return f"[\n{inner}[\n{cell}" + rows + f"\n{inner}]\n{indent}]"
     return None
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .actions import Action, Partition, partition as make_partition
 from .langsets import ActionSet, Label, Labelling, labelled_pass
-from .words import FreeWord, capped, value
+from .words import FreeWord, Verdict, capped, value
 
 Configuration = tuple[int, ...]
 
@@ -166,12 +166,9 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
 
 
 @value
-class CellPartitionReport:
+class CellPartitionReport(Verdict):
     ok: bool
     violations: tuple = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
@@ -349,13 +346,10 @@ class ConSearchBounds:
 
 
 @value
-class ConInclusionReport:
+class ConInclusionReport(Verdict):
     included: bool
     pairs_checked: int
     counterexample: Optional[tuple] = None   # (elements repr, blocks repr, configurations)
-
-    def __bool__(self) -> bool:
-        return self.included
 
 
 def _element_pool(action: Action, max_word_length: int) -> list:
@@ -488,12 +482,9 @@ PROBE_N_CAP = 1_000
 
 
 @value
-class CardinalityProbe:
+class CardinalityProbe(Verdict):
     possible: bool
     witness: Optional[Partition] = None
-
-    def __bool__(self) -> bool:
-        return self.possible
 
 
 def cardinality_probe(action: Action, n: int) -> CardinalityProbe:

@@ -25,7 +25,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from .configurations import Configuration, ConfigurationSet
-from .words import value
+from .words import Verdict, value
 
 
 @value
@@ -75,12 +75,9 @@ def build_equations(cs: ConfigurationSet) -> LinearSystem:
 
 
 @value
-class VerifyReport:
+class VerifyReport(Verdict):
     ok: bool
     violation: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport:

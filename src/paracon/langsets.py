@@ -713,11 +713,8 @@ def _finite_pass(parts: list) -> Labelling:
         if getattr(part, "degree", None) != degree:
             raise ValueError(f"degree mismatch: {degree} vs {getattr(part, 'degree', None)}")
         if isinstance(part, Labelling):
-            if width:
-                shift = {label: tuple([width + i for i in label]) for label in set(part.labels)}
-                labels = list(map(operator.add, labels, map(shift.__getitem__, part.labels)))
-            else:                                # no point is labelled yet
-                labels = list(part.labels)
+            shift = {label: tuple([width + i for i in label]) for label in set(part.labels)}
+            labels = list(map(operator.add, labels, map(shift.__getitem__, part.labels)))
             width += part.width
         else:
             inside = (width,)

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, capped, letter_from_index, value
+from .words import FreeWord, Verdict, capped, letter_from_index, value
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -40,14 +40,11 @@ class ParadoxicalDecomposition:
 
 
 @value
-class DecompositionReport:
+class DecompositionReport(Verdict):
     ok: bool
     piece_count: int
     problem: Optional[str] = None
     witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_decomposition(
@@ -205,15 +202,12 @@ class CyclicTableau:
 
 
 @value
-class PingPongReport:
+class PingPongReport(Verdict):
     ok: bool
     conclusion: Optional[str] = None
     inclusions: tuple = ()
     problem: Optional[str] = None
     witness: object = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongReport:
@@ -464,14 +458,11 @@ class ParadoxPattern:
 
 
 @value
-class PatternReport:
+class PatternReport(Verdict):
     holds: bool
     problem: Optional[str] = None
     counterexample: Optional[tuple] = None
     decomposition: Optional[ParadoxicalDecomposition] = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def pattern_check(cs: ConfigurationSet, pattern: ParadoxPattern) -> PatternReport:
@@ -525,13 +516,10 @@ def pattern_check(cs: ConfigurationSet, pattern: ParadoxPattern) -> PatternRepor
 
 
 @value
-class SearchResult:
+class SearchResult(Verdict):
     decomposition: Optional[ParadoxicalDecomposition]
     bounds: tuple[int, int, int]     # (max_pieces, cone_depth, translator_length)
     reason: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.decomposition is not None
 
 
 # Bits in the search's cover table (translators x atoms x fine atoms); the
@@ -648,17 +636,17 @@ def bounded_paradox_search(
     lex order, and a branch is dropped once the atoms chosen, with every
     atom still after them, cannot reach every fine atom (Knuth, "Dancing
     Links", arXiv:cs/0011047, bounds its search the same way).  Translators
-    are chosen depth-first in lex order too; each distinct union of
-    translates is tried once, and every (atoms left, union) state that no
-    translators complete is remembered for the rest of the search, since
-    the masks are fixed.  The returned decomposition is verified exactly on
-    automata.
+    are chosen depth-first in lex order too, under the same bound.  The
+    returned decomposition is verified exactly on automata.
     """
     bounds = (capped("max_pieces", max_pieces, MAX_PIECES_CAP),
               capped("cone_depth", cone_depth, CONE_DEPTH_CAP),
               capped("translator_length", translator_length, TRANSLATOR_LENGTH_CAP))
-    if max_pieces < 2 or cone_depth < 0 or translator_length < 0:
+    if max_pieces < 2:
         raise ValueError("bounds must allow at least two pieces")
+    for name, bound in (("cone_depth", cone_depth), ("translator_length", translator_length)):
+        if bound < 0:
+            raise ValueError(f"{name} must be >= 0")
     if isinstance(action, TrivialAction):
         return SearchResult(None, bounds, reason=(
             "trivial action: translates equal their pieces, so two disjoint "
@@ -698,8 +686,6 @@ def bounded_paradox_search(
             for rest in subsets(count - 1, skip, i + 1, covered | reach[i]):
                 yield (i,) + rest
 
-    failed = set()     # (atom_indices, covered) that no translators complete
-
     def first_cover(atom_indices: tuple[int, ...], covered: int = 0) -> Optional[tuple[int, ...]]:
         """Lex-first translators whose translates of the atoms, with `covered`, cover X; or None."""
         if reduce(or_, (reach[a] for a in atom_indices), covered) != full:
@@ -710,18 +696,10 @@ def bounded_paradox_search(
                 if covered | mask == full:
                     return (t,)
             return None
-        if (atom_indices, covered) in failed:
-            return None
-        tried = set()      # a later translator with the same union fails alike
         for t, mask in enumerate(columns[head]):
-            union = covered | mask
-            if union in tried:
-                continue
-            tried.add(union)
-            tail = first_cover(rest, union)
+            tail = first_cover(rest, covered | mask)
             if tail is not None:
                 return (t,) + tail
-        failed.add((atom_indices, covered))
         return None
 
     def pieces(atom_indices: tuple[int, ...]) -> tuple[SymbolicSet, ...]:

@@ -63,6 +63,13 @@ def value(cls):
     return cls
 
 
+class Verdict:
+    """Base of a `value` report that is true exactly when its first field is."""
+
+    def __bool__(self) -> bool:
+        return bool(getattr(self, self._value_fields[0]))
+
+
 class WordParseError(ValueError):
     """Raised for malformed word syntax; carries the offending offset."""
 
@@ -251,6 +258,7 @@ def evaluate_word(assignment: Mapping[int, Permutation], w: FreeWord) -> Permuta
 
 
 GROUP_ORDER_CAP = 100_000   # elements a permutation closure may enumerate
+CLOSURE_SIZE_CAP = 10_000_000   # elements times degree: the images a closure holds
 
 
 class BoundExceeded(Exception):
@@ -286,7 +294,9 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
     breadth-first pass multiplies each element x on the left by each
     generator s, each product one `str.translate` of x's code by s's code.
     A finite group is closed under products, so no inverses are needed.
-    Raises BoundExceeded past GROUP_ORDER_CAP elements.
+    Raises BoundExceeded past GROUP_ORDER_CAP elements, or past
+    CLOSURE_SIZE_CAP elements times degree, since each element holds
+    `degree` images.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -296,6 +306,7 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
     steps = [permutation_code(g.images) for g in generators]
     found = [permutation_code(range(degree))]
     seen = set(found)
+    limit = min(GROUP_ORDER_CAP, CLOSURE_SIZE_CAP // max(degree, 1))
     for elem in found:
         for step in steps:
             product = elem.translate(step)
@@ -304,7 +315,8 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
                 found.append(product)
                 # tested inline: calling capped per element made the S6 closure
                 # 10 % slower (2-vCPU VM, Python 3.11)
-                if len(found) > GROUP_ORDER_CAP:
+                if len(found) > limit:
                     capped("group_order", len(found), GROUP_ORDER_CAP)
+                    capped("closure_size", len(found) * degree, CLOSURE_SIZE_CAP)
     found.sort()
     return found

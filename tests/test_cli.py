@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracon.cli import PARSER, _json, main
+from paracon.cli import PARSER, _array, _json, main
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
     DocumentError,
@@ -564,6 +564,18 @@ def test_engine_rejections_exit_2_with_report(command, doc, capsys, tmp_path):
     assert report["status"] == "error"
 
 
+@pytest.mark.parametrize("bounds,message", [
+    ({"cone_depth": -1}, "cone_depth must be >= 0"),
+    ({"translator_length": -2}, "translator_length must be >= 0"),
+], ids=["negative-depth", "negative-length"])
+def test_search_names_the_bound_it_rejects(bounds, message, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"action": {"backend": "free-self", "rank": 2}, **bounds}))
+    code, report = run(capsys, "paradox", "search", "--input", str(path))
+    assert code == 2
+    assert report["error"] == {"location": "", "message": message}
+
+
 Z2 = {"backend": "finite-permutation", "degree": 2, "generators": {"a": [1, 0]}}
 Z2_BLOCKS = [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]
 F1_AUTOMATON = {"kind": "automaton", "rank": 1, "transitions": [[0, 0]], "accepting": [True]}
@@ -716,10 +728,30 @@ JSON_VALUES = st.recursive(
     max_leaves=20)
 
 
+def one_call_arrays(value, indent=""):
+    """(array, indent) for each nonempty list of scalars, or of nonempty rows
+    of scalars, in value, at the indent the report writer nests it."""
+    def scalars(items):
+        return items and all(type(v) in (str, int, bool, type(None)) for v in items)
+
+    if isinstance(value, dict):
+        for v in value.values():
+            yield from one_call_arrays(v, indent + "  ")
+    elif isinstance(value, (list, tuple)):
+        if scalars(value) or value and all(
+                isinstance(row, (list, tuple)) and scalars(row) for row in value):
+            yield value, indent
+        for v in value:
+            yield from one_call_arrays(v, indent + "  ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(value=JSON_VALUES)
 def test_report_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+    # every array of scalars or of nonempty scalar rows takes the one-call path
+    for array, indent in one_call_arrays(value):
+        assert _array(array, indent) == json.dumps(array, indent=2).replace("\n", "\n" + indent)
 
 
 @pytest.mark.parametrize("value", [

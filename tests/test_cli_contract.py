@@ -24,7 +24,13 @@ from paracon.configurations import ConSearchBounds
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.paradox import bounded_paradox_search
 from paracon.serialization import SET_DEPTH_CAP
-from paracon.words import GROUP_ORDER_CAP, MAX_RANK, BoundExceeded, identity_permutation
+from paracon.words import (
+    CLOSURE_SIZE_CAP,
+    GROUP_ORDER_CAP,
+    MAX_RANK,
+    BoundExceeded,
+    identity_permutation,
+)
 from test_golden import (COMMANDS as GOLDEN_RUNS, EXTRA_RUNS, F2_FIRST_LETTER, FIXTURES,
                          FREE2 as F2, S3_REGULAR, TRIVIAL2)
 
@@ -269,6 +275,21 @@ def test_group_order_past_its_cap_exits_3(capsys, monkeypatch):
     assert report["status"] == "bound-exceeded"
     assert report["error"]["bound"] == "group_order"
     assert report["error"]["requested"] == report["error"]["cap"] + 1 == 100_001
+
+
+def test_closure_past_its_size_cap_exits_3(capsys, monkeypatch):
+    # a 101-cycle on 100,000 points has 101 elements, within the group order
+    # cap, but the closure would hold 101 * 100,000 images
+    images = list(range(1, 101)) + [0] + list(range(101, 100_000))
+    doc = {"action": {"backend": "finite-regular", "generators": {"a": images}},
+           "tuple": ["a"], "partition": [{"kind": "full"}]}
+    started = time.perf_counter()
+    code, report = run_stdin(("eq", "solve"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert time.perf_counter() - started < 1
+    assert code == 3
+    assert report["error"] == {
+        "message": f"requested closure_size=10100000 exceeds declared cap {CLOSURE_SIZE_CAP}",
+        "bound": "closure_size", "requested": 10_100_000, "cap": CLOSURE_SIZE_CAP}
 
 
 def test_regular_generator_past_the_degree_cap_exits_3(capsys, monkeypatch):

@@ -487,9 +487,13 @@ ORACLE_BOUNDS = [(d, L) for d in range(4) for L in range(4 - d)]
 # The oracle tries one-piece families too, so at two and three pieces it
 # checks the search's two-pieces-per-family lemma by brute force.  At five
 # pieces it takes 3-5 s on (d, L) = (2, 1) and (3, 0), so those are left out.
+# The F_1 cells are where translators with equal unions of translates, or an
+# (atoms left, union) state met twice, recur in the search.
 @pytest.mark.parametrize("rank,max_pieces,cells", [
     pytest.param(r, p, ORACLE_BOUNDS, id=f"{r}-{p}") for r in (1, 2) for p in (2, 3, 4)
-] + [pytest.param(2, 5, [(0, 3), (1, 0), (1, 1), (1, 2), (2, 0)], id="2-5")])
+] + [pytest.param(2, 5, [(0, 3), (1, 0), (1, 1), (1, 2), (2, 0)], id="2-5"),
+     pytest.param(1, 5, [(3, 3)], id="1-5"), pytest.param(1, 6, [(3, 2)], id="1-6"),
+     pytest.param(1, 8, [(4, 1)], id="1-8")])
 def test_search_returns_the_oracles_first_decomposition(rank, max_pieces, cells):
     for depth, length in cells:
         result = bounded_paradox_search(FreeSelfAction(rank), max_pieces, depth, length)

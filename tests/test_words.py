@@ -11,12 +11,14 @@ from paracon.equations import VerifyReport
 from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
 from paracon.paradox import CyclicSubgroup, FiniteSubgroup
 from paracon.words import (
+    CLOSURE_SIZE_CAP,
     GROUP_ORDER_CAP,
     IDENTITY_WORD,
     MAX_RANK,
     BoundExceeded,
     FreeWord,
     Permutation,
+    Verdict,
     WordParseError,
     evaluate_word,
     identity_permutation,
@@ -218,6 +220,19 @@ def test_permutation_closure_stops_past_the_group_order_cap():
     assert (err.value.name, err.value.requested) == ("group_order", GROUP_ORDER_CAP + 1)
 
 
+def test_permutation_closure_stops_past_the_closure_size_cap():
+    # a 101-cycle on 100,000 points: 101 elements of 100,000 images each
+    # pass the group order cap, and the 100-cycle is exactly at the size cap
+    def cycle(n):
+        return Permutation(tuple(range(1, n)) + (0,) + tuple(range(n, 100_000)))
+
+    assert len(permutation_closure([cycle(100)])) == 100
+    with pytest.raises(BoundExceeded) as err:
+        permutation_closure([cycle(101)])
+    assert (err.value.name, err.value.requested, err.value.cap) == (
+        "closure_size", 101 * 100_000, CLOSURE_SIZE_CAP)
+
+
 def test_permutation_order():
     assert Permutation((1, 0, 2)).order() == 2
     assert Permutation((1, 2, 0)).order() == 3
@@ -327,6 +342,17 @@ class TestValue:
         report = validate_partition(f2, blocks)
         assert report == PartitionReport(True) and hash(report) == hash(PartitionReport(True))
         assert repr(report) == "PartitionReport(ok=True, problem=None, blocks_involved=(), witness=None)"
+
+    def test_a_verdict_is_true_exactly_when_its_first_field_is(self):
+        reports = Verdict.__subclasses__()
+        assert {cls.__name__ for cls in reports} == {
+            "PartitionReport", "CellPartitionReport", "ConInclusionReport", "CardinalityProbe",
+            "VerifyReport", "DecompositionReport", "PingPongReport", "PatternReport",
+            "SearchResult"}
+        for cls in reports:
+            rest = [None] * (len(cls._value_fields) - 1)
+            for first in (True, False, None, self.HALVES, ()):
+                assert bool(cls(first, *rest)) is bool(first), cls.__name__
 
     def test_cached_properties_still_cache(self):
         pair = configuration_pair(FreeSelfAction(2), [parse_word("a")], self.HALVES)
