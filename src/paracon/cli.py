@@ -472,8 +472,8 @@ _encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", ",\n",
 
 
 def _array(value, indent: str):
-    """The indented bytes of a nonempty list of scalars, or of nonempty rows
-    of scalars, written by one C-encoder call; None for any other list.
+    """Given a nonempty list, its indented bytes if it holds scalars, or
+    nonempty rows of scalars, written by one C-encoder call; else None.
     The encoder escapes every control character in a string, and no scalar
     starts with "[" or ends with "]", so each newline separates two items and
     "],\n[" two rows: one str.replace per level re-indents them."""

@@ -221,8 +221,8 @@ def test_permutation_closure_stops_past_the_group_order_cap():
 
 
 def test_permutation_closure_stops_past_the_closure_size_cap():
-    # a 101-cycle on 100,000 points: 101 elements of 100,000 images each
-    # pass the group order cap, and the 100-cycle is exactly at the size cap
+    # a 101-cycle on 100,000 points has 101 elements, far below the group
+    # order cap, of 100,000 images each; the 100-cycle is exactly at the cap
     def cycle(n):
         return Permutation(tuple(range(1, n)) + (0,) + tuple(range(n, 100_000)))
 
