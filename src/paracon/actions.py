@@ -395,51 +395,37 @@ def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
 
 @value
 class EquivariantMap:
-    """A surjection f: X -> Y with f(g.x) = phi(g).f(x) on the generators.
+    """A surjection f: X -> Y with f(g.x) = h.f(x) for every generator g
+    of X, where h is the target's generator of the same index: generators
+    pair by name, and a word acts on each side through that side's own
+    generator table.
 
-    Only finite backends are supported; validation is exhaustive.  phi is
-    given by its images on the source generator indices and extends to words.
+    Only finite backends are supported.  Validation is exhaustive, and
+    reads each generator's point images once on each side.
     """
 
     source: Action
     target: Action
     point_map: tuple[int, ...]
-    gen_images: Mapping[int, GroupElement]
-
-    def phi(self, g) -> GroupElement:
-        """Image of a source element, given as a word in the generators."""
-        if isinstance(g, str):
-            g = parse_word(g)
-        if not isinstance(g, FreeWord):
-            raise ValueError("phi is defined on generator words")
-        result = self.target.identity()
-        for letter in g.letters:
-            image = self.gen_images.get(abs(letter))
-            if image is None:
-                raise ValueError(f"generator {abs(letter)} has no image")
-            image = self.target.normalize_element(image)
-            if letter < 0:
-                image = self.target.inverse(image)
-            result = self.target.multiply(result, image)
-        return result
 
     def validate(self) -> None:
         if not (self.source.is_finite and self.target.is_finite):
             raise ValueError("equivariant maps are only validated on finite backends")
-        n, m = self.source.degree, self.target.degree
-        if len(self.point_map) != n:
-            raise ValueError(f"point map has {len(self.point_map)} entries, expected {n}")
-        if set(self.point_map) != set(range(m)):
+        f, n, m = self.point_map, self.source.degree, self.target.degree
+        if len(f) != n:
+            raise ValueError(f"point map has {len(f)} entries, expected {n}")
+        if set(f) != set(range(m)):
             raise ValueError("point map is not onto the target")
+        images = self.target.generator_map()
         for idx, gen in self.source.generator_map().items():
-            image = self.phi(FreeWord((idx,)))
+            if idx not in images:
+                raise ValueError(f"generator {idx} has no image")
+            moved, image = self.source.point_images(gen), self.target.point_images(images[idx])
             for x in range(n):
-                left = self.point_map[self.source.act(gen, x)]
-                right = self.target.act(image, self.point_map[x])
-                if left != right:
+                if f[moved[x]] != image[f[x]]:
                     raise ValueError(
                         f"not equivariant at generator {idx}, point {x}: "
-                        f"f(g.x)={left} but phi(g).f(x)={right}")
+                        f"f(g.x)={f[moved[x]]} but phi(g).f(x)={image[f[x]]}")
 
     def preimage(self, block: FiniteSet) -> FiniteSet:
         members = [x for x in range(len(self.point_map)) if self.point_map[x] in block.members]
@@ -476,30 +462,26 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     gens = action.generator_map()
     if not gens:
         raise ValueError("action has no generator assignment")
-    perms = {idx: action.normalize_element(g) for idx, g in gens.items()}
-
     degree = action.degree
     if degree is None:
         raise ValueError("orbit/coset construction needs a finite action")
     if not 0 <= x0 < degree:
         raise ValueError(f"base point {x0} outside 0..{degree - 1}")
+    images = {idx: action.point_images(g) for idx, g in gens.items()}
     orbit = [x0]
     seen = {x0}
     for x in orbit:        # a finite group is closed under products: no inverses needed
-        for perm in perms.values():
-            image = action.act(perm, x)
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
+        for moved in images.values():
+            if moved[x] not in seen:
+                seen.add(moved[x])
+                orbit.append(moved[x])
     orbit = sorted(seen)
     restricted = len(orbit) < degree
     position = {x: i for i, x in enumerate(orbit)}
 
     # restriction of the action to the orbit
-    orbit_gens = {
-        idx: Permutation(tuple(position[action.act(perm, orbit[i])] for i in range(len(orbit))))
-        for idx, perm in perms.items()
-    }
+    orbit_gens = {idx: Permutation(tuple(position[moved[x]] for x in orbit))
+                  for idx, moved in images.items()}
     orbit_action = FinitePermutationAction(len(orbit), orbit_gens)
 
     # g Stab(x0) = {h : h.x0 = g.x0}: name each coset by that point, and
@@ -513,7 +495,7 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     coset_gens = {idx: Permutation(tuple(coset_of_point[perm.images[x]] for x in coset_of_point))
                   for idx, perm in orbit_gens.items()}
     coset_action = FinitePermutationAction(len(orbit), coset_gens)
-    emap = EquivariantMap(orbit_action, coset_action, point_map, coset_gens)
+    emap = EquivariantMap(orbit_action, coset_action, point_map)
     emap.validate()
     return OrbitQuotient(
         coset_action=coset_action,

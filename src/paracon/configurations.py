@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from .actions import Action, Partition, partition as make_partition
 from .langsets import ActionSet, Label, Labelling, labelled_pass
-from .words import FreeWord, Verdict, capped, value
+from .words import Verdict, _word_count, capped, value
 
 Configuration = tuple[int, ...]
 
@@ -473,11 +473,12 @@ def con_included(
 # ---------------------------------------------------------------------------
 
 
-# blocks a free-word probe witness may have: its n - 1 singletons, the rest
-# (the complement of one trie over their words) and the pass that validates
-# them each take about n states, so its cost grows about as n; `probe
-# cardinality` with n = 1,000 takes 0.09-0.12 s at rank 2 and 0.16-0.26 s at
-# rank 10 (15 in-process runs each, 2-vCPU VM, Python 3.11)
+# blocks a free-word probe witness may have.  Its n - 1 singletons are the
+# shortlex-least words; at rank 2 and above those are about log n letters
+# long, but at rank 1 the k-th has length about k/2, so the witness and its
+# report grow as n^2.  `probe cardinality` with n = 1,000 takes 1.1-1.4 s at
+# rank 1 (an 18 MB report), 0.05-0.07 s at rank 2 and 0.11-0.17 s at rank 10
+# (5 in-process runs each, 2-vCPU VM, Python 3.11)
 PROBE_N_CAP = 1_000
 
 
@@ -492,8 +493,10 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
 
     Finite universes answer by counting; the free-word universe always says
     yes, for n up to PROBE_N_CAP (BoundExceeded past it, before any word is
-    enumerated).  The witness realizes the singleton-partition construction
-    that makes configuration data detect |X|.
+    enumerated), with the n - 1 shortlex-least words, enumerated once up to
+    the least length that has that many.  The witness realizes the
+    singleton-partition construction that makes configuration data detect
+    |X|.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -503,13 +506,10 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         chosen = range(n - 1)
     else:
         capped("n", n, PROBE_N_CAP)
-        full = action.full_set()
-        words: list[FreeWord] = []
         length = 0
-        while len(words) < n - 1:
-            words = full.enumerate_up_to(length)
+        while _word_count(action.rank, length) < n - 1:
             length += 1
-        chosen = words[: n - 1]
+        chosen = action.full_set().enumerate_up_to(length)[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
     blocks.append(action.point_set(chosen).complement())   # the points in no block
     return CardinalityProbe(True, make_partition(action, blocks))

@@ -60,7 +60,7 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
     is not reduced leads to a state from which no word is accepted (so it
     accepts reduced words only), and no two states reachable from `start`
     are equivalent.  Every constructor builds such an automaton directly,
-    and `_minimized` makes one for `Labelling.cells` and `product`.
+    and `_minimized` makes one for `Labelling.cells`.
 
     The reachable states are numbered breadth-first, letters in canonical
     order, which is the order of their shortlex-least access words; that
@@ -82,19 +82,20 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
 
 
 def _minimized(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
-               start: int = 0, classes: Optional[Sequence] = None) -> "SymbolicSet":
+               start: int, classes: Sequence) -> "SymbolicSet":
     """The set a reduced-closed automaton accepts from state `start`: Moore
     refinement merges its equivalent states, and `_canonical` numbers the
-    quotient.  `Labelling.cells` and `SymbolicSet.product` need it.
+    quotient.  `Labelling.cells`, which every set not built minimal is read
+    off, is its one caller.
 
-    Refinement starts from `classes`, each state's key, or else from
-    acceptance.  Keys must tell accepting states from rejecting ones, and
-    equivalent states must share one; then the coarsest congruence refining
-    the keys is still the equivalence, and it is reached in fewer rounds
-    when the keys already split what acceptance alone would not.
+    Refinement starts from `classes`, each state's key.  Keys must tell
+    accepting states from rejecting ones, and equivalent states must share
+    one; then the coarsest congruence refining the keys is still the
+    equivalence, and it is reached in fewer rounds when the keys already
+    split what acceptance alone would not.
     """
     ids: dict = {}
-    block = [ids.setdefault(c, len(ids)) for c in (accepting if classes is None else classes)]
+    block = [ids.setdefault(c, len(ids)) for c in classes]
     while True:
         count = len(ids)
         ids = {}
@@ -394,8 +395,10 @@ class SymbolicSet(_Queries):
         while other reads c^-1 from its start to b.  Then one subset
         construction reads w: a node is self's state, the set of other's
         states reached after a split so far, and the last letter, whose
-        inverse leads to a dead node.  `_minimized` makes it canonical.
-        Past AUTOMATON_STATES_CAP nodes it raises BoundExceeded.
+        inverse leads to a dead node.  Labelled (0,) where it accepts and ()
+        elsewhere, it is read off by `Labelling.cells`, since a set's
+        canonical form is unique.  Past AUTOMATON_STATES_CAP nodes it
+        raises BoundExceeded.
         """
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
@@ -416,9 +419,9 @@ class SymbolicSet(_Queries):
         dead = (_sink(mine, self.accepting), frozenset(), -1)
         nodes = [(0, frozenset(split[0]), -1)]
         index = {nodes[0]: 0}
-        trans, accepting = [], []
+        trans, labels = [], []
         for a, states, last in nodes:            # nodes grows while we read it
-            accepting.append(any(other.accepting[b] for b in states))
+            labels.append((0,) if any(other.accepting[b] for b in states) else ())
             row = []
             for y in range(2 * self.rank):
                 node = dead
@@ -430,8 +433,8 @@ class SymbolicSet(_Queries):
                     nodes.append(node)
                     capped("automaton_states", len(nodes), AUTOMATON_STATES_CAP)
                 row.append(index[node])
-            trans.append(row)
-        return _minimized(self.rank, trans, accepting)
+            trans.append(tuple(row))
+        return Labelling(1, tuple(labels), self.rank, tuple(trans)).cells([(0,)])
 
     def __repr__(self) -> str:
         sample = ", ".join(str(w) for w in self.enumerate_up_to(2)[:6])
@@ -577,7 +580,8 @@ class Labelling:
         `_minimized` refines the result from the distances: equivalent
         states accept the same words, so they share a distance.  No point's
         state is the sink, so these rows are no more than the machine's,
-        which its pass or its translate already capped.
+        which its pass, its translate or the product's subset construction
+        already capped.
         """
         selected = [s for label in labels for s in self._states.get(label, ())]
         if self.rank is None:
@@ -645,9 +649,8 @@ class _LeastWords(Mapping):
     The states are walked breadth-first from the start, letters in
     canonical order, and each keeps the state it was first reached from, so
     the first state in that order to output a label is reached by the least
-    point with that label, spelled along the tree.  A point is spelled when
-    first read, so a caller that reads only labels, or a few points, spells
-    no other word.
+    point with that label.  Reading a point spells it in one walk up the
+    tree to the start, so a caller that reads only labels spells no word.
     """
 
     def __init__(self, labelling: Labelling):
@@ -665,19 +668,14 @@ class _LeastWords(Mapping):
         self._first.pop(None, None)
         self._trans, self._parent = trans, parent
         self._letters = [letter_from_index(x) for x in range(2 * labelling.rank)]
-        self._words: dict[int, tuple[int, ...]] = {start: ()}
 
     def __getitem__(self, label: Label) -> FreeWord:
         s = self._first[label]
-        path = []
-        while s not in self._words:
-            path.append(s)
-            s = self._parent[s]
-        word = self._words[s]
-        for t in reversed(path):                 # a letter is its parent's first step onto it
-            word += (self._letters[self._trans[self._parent[t]].index(t)],)
-            self._words[t] = word
-        return FreeWord(word)
+        word = []
+        while (p := self._parent[s]) != s:       # a letter is its parent's first step onto it
+            word.append(self._letters[self._trans[p].index(s)])
+            s = p
+        return FreeWord(tuple(reversed(word)))
 
     def __contains__(self, label) -> bool:
         return label in self._first

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, Verdict, capped, letter_from_index, value
+from .words import FreeWord, Verdict, _word_count, capped, letter_from_index, value
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -528,13 +528,6 @@ SEARCH_TABLE_CAP = 1 << 26
 # The largest bounds a search takes; the table cap alone lets F_1 through at
 # 14 pieces, cone depth 12 and translator length 2, whose search runs past 60 s.
 MAX_PIECES_CAP, CONE_DEPTH_CAP, TRANSLATOR_LENGTH_CAP = 8, 6, 8
-
-
-def _word_count(rank: int, length: int) -> int:
-    """Reduced words of length <= `length` over F_rank: 1 + sum 2r(2r-1)^(i-1)."""
-    if rank == 1:
-        return 1 + 2 * length
-    return 1 + rank * ((2 * rank - 1) ** length - 1) // (rank - 1)
 
 
 def _table_bits(rank: int, depth: int, length: int) -> int:

@@ -143,6 +143,13 @@ def reduce_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
     return FreeWord(tuple(stack))
 
 
+def _word_count(rank: int, length: int) -> int:
+    """Reduced words of length <= `length` over F_rank: 1 + sum 2r(2r-1)^(i-1)."""
+    if rank == 1:
+        return 1 + 2 * length
+    return 1 + rank * ((2 * rank - 1) ** length - 1) // (rank - 1)
+
+
 def parse_word(text: str, rank: int = MAX_RANK) -> FreeWord:
     """Parse letter syntax: 'ab' -> a*b, 'A' -> a^-1, 'e' -> identity."""
     if text == "":
@@ -286,27 +293,38 @@ def permutation_code(images: Sequence[int]) -> str:
     return "".join(map(chr, images))
 
 
+def _closure_capped(elements: int, degree: int) -> None:
+    capped("group_order", elements, GROUP_ORDER_CAP)
+    capped("closure_size", elements * degree, CLOSURE_SIZE_CAP)
+
+
 def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
     """The codes (see permutation_code) of the group generated by the given
     permutations.
 
     Returned sorted, identity first; no Permutation is built.  One
     breadth-first pass multiplies each element x on the left by each
-    generator s, each product one `str.translate` of x's code by s's code.
-    A finite group is closed under products, so no inverses are needed.
-    Raises BoundExceeded past GROUP_ORDER_CAP elements, or past
+    distinct generator s, each product one `str.translate` of x's code by
+    s's code.  A finite group is closed under products, so no inverses are
+    needed.  Raises BoundExceeded past GROUP_ORDER_CAP elements, or past
     CLOSURE_SIZE_CAP elements times degree, since each element holds
-    `degree` images.
+    `degree` images.  The group has at least as many elements as its
+    largest generator order, so that order is checked first, before any
+    product.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators of mixed degree")
+    generators = list(dict.fromkeys(generators))
     steps = [permutation_code(g.images) for g in generators]
+    limit = min(GROUP_ORDER_CAP, CLOSURE_SIZE_CAP // max(degree, 1))
+    order = max(g.order() for g in generators)
+    if order > limit:
+        _closure_capped(order, degree)
     found = [permutation_code(range(degree))]
     seen = set(found)
-    limit = min(GROUP_ORDER_CAP, CLOSURE_SIZE_CAP // max(degree, 1))
     for elem in found:
         for step in steps:
             product = elem.translate(step)
@@ -316,7 +334,6 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
                 # tested inline: calling capped per element made the S6 closure
                 # 10 % slower (2-vCPU VM, Python 3.11)
                 if len(found) > limit:
-                    capped("group_order", len(found), GROUP_ORDER_CAP)
-                    capped("closure_size", len(found) * degree, CLOSURE_SIZE_CAP)
+                    _closure_capped(len(found), degree)
     found.sort()
     return found

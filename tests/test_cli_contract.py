@@ -292,6 +292,22 @@ def test_closure_past_its_size_cap_exits_3(capsys, monkeypatch):
         "bound": "closure_size", "requested": 10_100_000, "cap": CLOSURE_SIZE_CAP}
 
 
+def test_repeated_generators_multiply_the_closure_once(capsys, monkeypatch):
+    # all ten generator letters name one 100-cycle on 100,000 points: the
+    # closure multiplies by each distinct generator once, 100 products of
+    # 100,000 images rather than 1,000
+    images = list(range(1, 100)) + [0] + list(range(100, 100_000))
+    doc = {"action": {"backend": "finite-regular",
+                      "generators": dict.fromkeys("abcdfghijk", images)},
+           "tuple": ["a"], "partition": [{"kind": "full"}]}
+    started = time.perf_counter()
+    code, report = run_stdin(("eq", "solve"), json.dumps(doc).encode(), capsys, monkeypatch)
+    assert time.perf_counter() - started < 3
+    assert code == 0
+    assert report["status"] == "feasible"
+    assert report["data"]["variables"] == [[1, 1]]
+
+
 def test_regular_generator_past_the_degree_cap_exits_3(capsys, monkeypatch):
     # a transposition of 150,000 points generates a group of order 2, which
     # the regular backend accepted; its generators are capped as the degree
@@ -367,6 +383,25 @@ def test_huge_probe_n_exits_3_before_enumerating(capsys, monkeypatch):
     assert report["error"]["bound"] == "n"
     assert report["error"]["requested"] == 10**18
     assert report["error"]["cap"] == configurations.PROBE_N_CAP
+
+
+@pytest.mark.parametrize("backend", ["free-self", "trivial"])
+def test_rank_1_probe_at_its_cap_enumerates_words_once(backend, capsys, monkeypatch):
+    # at rank 1 the 999 witness words run to length 499; enumerating again
+    # for each length took 7-8 s
+    calls = []
+    enumerate_up_to = SymbolicSet.enumerate_up_to
+    monkeypatch.setattr(SymbolicSet, "enumerate_up_to",
+                        lambda s, length: calls.append(length) or enumerate_up_to(s, length))
+    raw = json.dumps({"action": {"backend": backend, "rank": 1},
+                      "n": configurations.PROBE_N_CAP}).encode()
+    started = time.perf_counter()
+    code, report = run_stdin(("probe", "cardinality"), raw, capsys, monkeypatch)
+    assert time.perf_counter() - started < 3
+    assert code == 0
+    assert report["status"] == "yes"
+    assert len(report["data"]["witness_partition"]) == configurations.PROBE_N_CAP
+    assert calls == [499]
 
 
 F1 = FreeSelfAction(1)

@@ -282,6 +282,64 @@ def test_compare_consistent_with_enumeration(expr):
         assert not s_members
 
 
+WORDS11_RANK1 = all_reduced_words(1, 11)
+
+
+@st.composite
+def product_operands(draw):
+    """A rank and two expressions S and T, words of length <= 3.  At rank 2
+    one of them is a union of at most four singletons; at rank 1 both may
+    be infinite."""
+    rank = draw(st.integers(1, 2))
+    exprs = [draw(expressions(rank)), draw(expressions(rank))]
+    if rank == 2:
+        finite = ("empty",)
+        for w in draw(st.lists(reduced_words(3, rank), max_size=4)):
+            finite = ("union", finite, ("singleton", w))
+        exprs[draw(st.integers(0, 1))] = finite
+    return rank, *exprs
+
+
+def singletons_of(expr):
+    """The words of a union of singletons built by `product_operands`, or
+    None for any other expression."""
+    if expr[0] == "empty":
+        return []
+    if expr[0] == "union" and expr[2][0] == "singleton":
+        rest = singletons_of(expr[1])
+        return None if rest is None else [*rest, expr[2][1]]
+    return None
+
+
+def in_product_oracle(rank, s_expr, t_expr, w):
+    """Whether some u in S has reduce(u^-1 w) in T.  Membership in S and T
+    depends only on a word's first 3 letters and, up to 3 letters, on the
+    word itself, so at rank 1 a u longer than |w| + 7 can be shortened in
+    the middle, past what cancels against w, to one of that length with the
+    same memberships; at rank 2 the u to try are S's words, or w v^-1 for
+    T's words v."""
+    if rank == 1:
+        candidates = [u for u in WORDS11_RANK1 if len(u) <= len(w) + 7]
+    elif (words := singletons_of(s_expr)) is not None:
+        candidates = words
+    else:
+        candidates = [free_product(w, free_inverse(v)) for v in singletons_of(t_expr)]
+    return any(expr_contains(s_expr, u) and expr_contains(t_expr, free_product(free_inverse(u), w))
+               for u in candidates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_operands())
+def test_product_matches_the_pointwise_oracle(operands):
+    """S.T holds w exactly when the oracle finds u in S with u^-1 w in T,
+    on every reduced word up to length 4, and comes out canonical."""
+    rank, s_expr, t_expr = operands
+    product = build(s_expr, rank).product(build(t_expr, rank))
+    assert labelled_pass([product]).cells([(0,)]) == product
+    for w in all_reduced_words(rank, 4):
+        assert (w in product) == in_product_oracle(rank, s_expr, t_expr, w), word_str(w)
+
+
 class TestFiniteSet:
     def test_algebra(self):
         s = FiniteSet.of(4, [0, 1])
@@ -387,16 +445,15 @@ def test_every_set_is_in_canonical_form(sets):
 
 
 def both_starts(started: list):
-    """`_minimized` that, given a starting partition, also refines the same
-    machine from acceptance alone and asserts the two sets are equal;
-    `started` collects the partitions it was given."""
+    """`_minimized` that also refines the same machine from acceptance alone
+    and asserts the two sets are equal; `started` collects the starting
+    partitions it was given."""
     original = langsets._minimized
 
-    def checked(rank, trans, accepting, start=0, classes=None):
+    def checked(rank, trans, accepting, start, classes):
         result = original(rank, trans, accepting, start, classes)
-        if classes is not None:
-            started.append(classes)
-            assert result == original(rank, trans, accepting, start)
+        started.append(classes)
+        assert result == original(rank, trans, accepting, start, accepting)
         return result
     return checked
 

@@ -233,6 +233,20 @@ def test_permutation_closure_stops_past_the_closure_size_cap():
         "closure_size", 101 * 100_000, CLOSURE_SIZE_CAP)
 
 
+def test_permutation_closure_checks_the_largest_generator_order_first():
+    # cycles of the seven primes 2..17 on 58 points: order 510,510, which
+    # the group holds at least, so the closure stops before any product;
+    # a repeated generator is one generator
+    cycles, start = [], 0
+    for p in (2, 3, 5, 7, 11, 13, 17):
+        cycles += [start + (i + 1) % p for i in range(p)]
+        start += p
+    g = Permutation(tuple(cycles))
+    with pytest.raises(BoundExceeded) as err:
+        permutation_closure([g, g])
+    assert (err.value.name, err.value.requested) == ("group_order", 510_510)
+
+
 def test_permutation_order():
     assert Permutation((1, 0, 2)).order() == 2
     assert Permutation((1, 2, 0)).order() == 3
