@@ -3,8 +3,9 @@
 Refining a partition or extending the tuple produces a finer configuration
 pair; normalized solutions push down along the refinement by adding masses.
 Equivariant quotients pull partitions back, realizing the same
-configuration sets upstairs and downstairs, and the coset construction
-turns any transitive finite action into such a quotient of the group.
+configuration sets upstairs and downstairs.  Every transitive finite action
+is such a quotient of its group's regular action: g -> g.x0 maps the group
+onto the orbit of x0, and its fibres are the cosets of the stabilizer.
 """
 
 from paracon import (
@@ -35,16 +36,17 @@ print("coarse configurations:", coarse_cs.configurations)
 print("coarsened solution:", [str(v) for v in out])
 
 print()
-print("== orbit/coset quotient of the square rotation ==")
-quotient = orbit_coset_action(z4, 0)
-print("cosets:", quotient.coset_action.degree,
+print("== the square's symmetries: the group's regular action onto a corner's orbit ==")
+d4 = FinitePermutationAction(4, {1: Permutation((1, 2, 3, 0)), 2: Permutation((0, 3, 2, 1))})
+quotient = orbit_coset_action(d4, 0)
+print("group order:", quotient.group.degree, "- orbit:", quotient.orbit,
       "- stabilizer order:", quotient.stabilizer_order)
-blocks_y = partition(quotient.coset_action,
-                     [quotient.coset_action.point_set([0, 2]),
-                      quotient.coset_action.point_set([1, 3])])
-blocks_x = pull_back_partition(quotient.map, blocks_y)
-cs_y = compute_configurations(pair(quotient.coset_action, ["a"], blocks_y.blocks))
-cs_x = compute_configurations(pair(quotient.orbit_action, ["a"], blocks_x.blocks))
+corners = partition(quotient.orbit_action,
+                    [quotient.orbit_action.point_set([0, 2]),
+                     quotient.orbit_action.point_set([1, 3])])
+pulled = pull_back_partition(quotient.map, corners)
+cs_y = compute_configurations(pair(quotient.orbit_action, ["a", "b"], corners.blocks))
+cs_x = compute_configurations(pair(quotient.group, ["a", "b"], pulled.blocks))
 print("configuration sets agree across the quotient:",
       cs_x.as_tuple_set() == cs_y.as_tuple_set())
 

@@ -441,10 +441,11 @@ def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Pa
 
 @value
 class OrbitQuotient:
-    """Result of the coset construction at a base point."""
+    """Result of the orbit construction at x0: `map` sends each element g of
+    G's regular action `group` to g.x0, and its fibres are the cosets of Stab(x0)."""
 
-    coset_action: FinitePermutationAction
-    map: EquivariantMap        # from the (orbit-restricted) action onto cosets
+    group: FiniteRegularAction
+    map: EquivariantMap        # from G's regular action onto the orbit action
     orbit_action: FinitePermutationAction
     orbit: tuple[int, ...]
     restricted: bool
@@ -454,10 +455,10 @@ class OrbitQuotient:
 def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     """Identify the orbit of x0 with the coset space G/Stab(x0).
 
-    Enumerates G = <generators> and names the coset g Stab(x0) by g.x0;
-    returns the coset action together with the equivariant bijection sending
-    each orbit point x to the coset {g : g.x0 = x}.  A non-transitive action
-    is restricted to the orbit (flagged in the result).
+    G = <generators> acts regularly on itself, and g -> g.x0 is an
+    equivariant map from that action onto the orbit, whose fibres are the
+    cosets g Stab(x0); the fibre over x0 is Stab(x0).  A non-transitive
+    action is restricted to the orbit (flagged in the result).
     """
     gens = action.generator_map()
     if not gens:
@@ -476,32 +477,16 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
                 seen.add(moved[x])
                 orbit.append(moved[x])
     orbit = sorted(seen)
-    restricted = len(orbit) < degree
     position = {x: i for i, x in enumerate(orbit)}
 
     # restriction of the action to the orbit
     orbit_gens = {idx: Permutation(tuple(position[moved[x]] for x in orbit))
                   for idx, moved in images.items()}
     orbit_action = FinitePermutationAction(len(orbit), orbit_gens)
-
-    # g Stab(x0) = {h : h.x0 = g.x0}: name each coset by that point, and
-    # number the cosets in the order the sorted group first reaches them
-    group = permutation_closure(list(orbit_gens.values()))
+    group = FiniteRegularAction(orbit_gens)
     base = position[x0]
-    coset_of_point: dict[int, int] = {}
-    for code in group:
-        coset_of_point.setdefault(ord(code[base]), len(coset_of_point))
-    point_map = tuple(coset_of_point[i] for i in range(len(orbit)))
-    coset_gens = {idx: Permutation(tuple(coset_of_point[perm.images[x]] for x in coset_of_point))
-                  for idx, perm in orbit_gens.items()}
-    coset_action = FinitePermutationAction(len(orbit), coset_gens)
-    emap = EquivariantMap(orbit_action, coset_action, point_map)
+    emap = EquivariantMap(group, orbit_action, tuple(g.images[base] for g in group.elements))
     emap.validate()
-    return OrbitQuotient(
-        coset_action=coset_action,
-        map=emap,
-        orbit_action=orbit_action,
-        orbit=tuple(orbit),
-        restricted=restricted,
-        stabilizer_order=sum(code[base] == chr(base) for code in group),
-    )
+    return OrbitQuotient(group=group, map=emap, orbit_action=orbit_action, orbit=tuple(orbit),
+                         restricted=len(orbit) < degree,
+                         stabilizer_order=emap.point_map.count(base))

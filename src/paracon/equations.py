@@ -80,13 +80,18 @@ class VerifyReport(Verdict):
     violation: Optional[tuple] = None
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D, the common denominator of values Fraction accepts, and each value times D."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    common = lcm(*{v.denominator for v in values})
+    return common, [v.numerator * (common // v.denominator) for v in values]
+
+
 def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport:
     """Exact check of every row plus nonnegativity of f (any values Fraction accepts),
     in ints over their common denominator D: the columns times D*f, added into
     per-row totals, must equal D * rhs, compared in label order."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in f]
-    common = lcm(*{v.denominator for v in values})
-    scaled = [v.numerator * (common // v.denominator) for v in values]
+    common, scaled = _over_common_denominator(f)
     if len(scaled) != system.n_vars:
         return VerifyReport(False, ("length", len(scaled), system.n_vars))
     totals = [0] * system.n_rows
@@ -104,9 +109,7 @@ def verify_solution(system: LinearSystem, f: Sequence[Fraction]) -> VerifyReport
 def verify_certificate(system: LinearSystem, multipliers: Sequence[Fraction]) -> VerifyReport:
     """A valid certificate combines rows into coefficients <= 0, each summed over
     its column, with rhs > 0; both in ints over the multipliers' common denominator."""
-    values = [y if isinstance(y, (int, Fraction)) else Fraction(y) for y in multipliers]
-    common = lcm(*{y.denominator for y in values})
-    scaled = [y.numerator * (common // y.denominator) for y in values]
+    common, scaled = _over_common_denominator(multipliers)
     if len(scaled) != system.n_rows:
         return VerifyReport(False, ("length", len(scaled), system.n_rows))
     constant = sum(y * b for y, b in zip(scaled, system.rhs) if y)

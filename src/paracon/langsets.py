@@ -470,9 +470,6 @@ class FiniteSet(_Queries):
     def __len__(self) -> int:
         return len(self.members)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
     @property
     def is_empty(self) -> bool:
         return not self.members

@@ -18,7 +18,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .actions import Action, FiniteRegularAction, FreeSelfAction, TrivialAction
 from .configurations import ConfigurationSet
 from .langsets import ActionSet, SymbolicSet, labelled_pass
-from .words import FreeWord, Verdict, _word_count, capped, letter_from_index, value
+from .words import (FreeWord, Permutation, Verdict, _word_count, capped, letter_from_index,
+                    permutation_closure, value)
 
 WAGON_NOTE = (
     "piece count 4 is the least possible for any paradoxical action; "
@@ -256,27 +257,20 @@ SubgroupSpec = Union[CyclicSubgroup, FiniteSubgroup]
 
 
 def _subgroup_moves(action: Action, spec: SubgroupSpec) -> tuple[object, Callable]:
-    """The certified size of H and the map S -> (H minus e).S."""
+    """The certified size of H and the map S -> (H minus e).S.  A listed H is a
+    group when it is as large as `permutation_closure` of it, which runs under
+    the group caps; a word other than e generates an infinite group."""
     identity = action.identity()
     if isinstance(spec, FiniteSubgroup):
         pool = {action.normalize_element(g) for g in spec.elements} | {identity}
         nonidentity = sorted((g for g in pool if g != identity), key=repr)
-        # a finite list closed under products is a group: grow the group its
-        # greedily chosen generators generate, breadth-first, until a product
-        # leaves the list; each generator at least doubles the group, so this
-        # takes about 2 |H| log2 |H| products
-        generators, group, reached = [], {identity}, [identity]
-        for g in nonidentity:
-            if g not in group:
-                generators.append(g)
-                for h in reached:                # reached grows while we read it
-                    for s in generators:
-                        product = action.multiply(h, s)
-                        if product not in pool:
-                            raise ValueError(f"element list not closed under products at {h!r}*{s!r}")
-                        if product not in group:
-                            group.add(product)
-                            reached.append(product)
+        if isinstance(identity, Permutation):
+            order = len(permutation_closure([identity, *nonidentity]))
+        else:
+            order = 1 if len(pool) == 1 else None
+        if order != len(pool):
+            raise ValueError(f"element list not closed under products: its {len(pool)} elements "
+                             f"generate a group of {f'order {order}' if order else 'infinite order'}")
         return len(pool), lambda s: reduce(type(s).union, [action.act_on_set(h, s) for h in nonidentity],
                                            action.empty_set())
     generator = action.normalize_element(spec.generator)

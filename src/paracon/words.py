@@ -302,38 +302,41 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
     """The codes (see permutation_code) of the group generated by the given
     permutations.
 
-    Returned sorted, identity first; no Permutation is built.  One
-    breadth-first pass multiplies each element x on the left by each
-    distinct generator s, each product one `str.translate` of x's code by
-    s's code.  A finite group is closed under products, so no inverses are
-    needed.  Raises BoundExceeded past GROUP_ORDER_CAP elements, or past
-    CLOSURE_SIZE_CAP elements times degree, since each element holds
-    `degree` images.  The group has at least as many elements as its
-    largest generator order, so that order is checked first, before any
-    product.
+    Returned sorted, identity first; no Permutation is built.  A generator
+    already in the group found so far is skipped; each other one resumes the
+    breadth-first pass, which multiplies every element x on the left by each
+    kept generator s, one `str.translate` of x's code by s's code.  A finite
+    group is closed under products, so no inverses are needed.  Raises
+    BoundExceeded past GROUP_ORDER_CAP elements, or past CLOSURE_SIZE_CAP
+    elements times degree, since each element holds `degree` images.  The
+    group has at least as many elements as its largest generator order, so
+    that order is checked first, before any product.
     """
     if not generators:
         raise ValueError("need at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators of mixed degree")
-    generators = list(dict.fromkeys(generators))
-    steps = [permutation_code(g.images) for g in generators]
+    generators = dict.fromkeys(generators)
     limit = min(GROUP_ORDER_CAP, CLOSURE_SIZE_CAP // max(degree, 1))
     order = max(g.order() for g in generators)
     if order > limit:
         _closure_capped(order, degree)
     found = [permutation_code(range(degree))]
     seen = set(found)
-    for elem in found:
-        for step in steps:
-            product = elem.translate(step)
-            if product not in seen:
-                seen.add(product)
-                found.append(product)
-                # tested inline: calling capped per element made the S6 closure
-                # 10 % slower (2-vCPU VM, Python 3.11)
-                if len(found) > limit:
-                    _closure_capped(len(found), degree)
+    steps = []
+    for g in generators:
+        if (code := permutation_code(g.images)) in seen:
+            continue
+        steps.append(code)
+        for elem in found:      # found grows while it is read
+            for step in steps:
+                product = elem.translate(step)
+                if product not in seen:
+                    seen.add(product)
+                    found.append(product)
+                    # inline: capped per element made S6 10 % slower (Python 3.11)
+                    if len(found) > limit:
+                        _closure_capped(len(found), degree)
     found.sort()
     return found

@@ -201,16 +201,16 @@ def test_criterion_7_quotient_configuration_sets():
     for _ in range(100):
         action = _random_finite_action(rng, max_degree=5, max_generators=2)
         quotient = orbit_coset_action(action, 0)
-        coset_action = quotient.coset_action
         orbit_action = quotient.orbit_action
-        blocks_y = _random_blocks(rng, coset_action, max_blocks=3)
-        partition_y = partition(coset_action, blocks_y)
+        blocks_y = _random_blocks(rng, orbit_action, max_blocks=3)
+        partition_y = partition(orbit_action, blocks_y)
+        # the map from the group's regular action onto the orbit is many-to-one
         partition_x = pull_back_partition(quotient.map, partition_y)
         words = _random_words(rng, orbit_action, rng.randint(1, 2), max_length=2)
         cs_y = compute_configurations(
-            configuration_pair(coset_action, words, partition_y.blocks))
+            configuration_pair(orbit_action, words, partition_y.blocks))
         cs_x = compute_configurations(
-            configuration_pair(orbit_action, words, partition_x.blocks))
+            configuration_pair(quotient.group, words, partition_x.blocks))
         assert cs_x.as_tuple_set() == cs_y.as_tuple_set()
     _finish(7, 10.0, started, "100 orbit/coset quotients: pulled-back partitions give equal configuration sets")
 

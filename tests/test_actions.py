@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import cone, singleton
 from paracon import (
@@ -188,14 +189,15 @@ class TestEquivariantMap:
 class TestOrbitCoset:
     def test_z4_regular_is_free(self, z4):
         quotient = orbit_coset_action(z4, 0)
-        assert quotient.coset_action.degree == 4
+        assert quotient.orbit_action.degree == quotient.group.degree == 4
         assert quotient.stabilizer_order == 1
         assert not quotient.restricted
 
     def test_s3_natural_point_stabilizer(self):
         s3 = FinitePermutationAction(3, {1: Permutation((1, 0, 2)), 2: Permutation((0, 2, 1))})
         quotient = orbit_coset_action(s3, 0)
-        assert quotient.coset_action.degree == 3
+        assert quotient.orbit_action.degree == 3
+        assert quotient.group.degree == 6
         assert quotient.stabilizer_order == 2
 
     def test_non_transitive_restricts_with_flag(self):
@@ -203,7 +205,41 @@ class TestOrbitCoset:
         quotient = orbit_coset_action(action, 0)
         assert quotient.restricted
         assert quotient.orbit == (0, 1)
-        assert quotient.coset_action.degree == 2
+        assert quotient.orbit_action.degree == quotient.group.degree == 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), degree=st.integers(1, 6))
+    def test_fibres_are_the_cosets_of_the_stabilizer(self, data, degree):
+        # every base point, including those that are not the least point of
+        # their orbit; the orbit is walked here with inverses, apart from
+        # the library's walk
+        generators = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+        action = FinitePermutationAction(
+            degree, {i: Permutation(tuple(g)) for i, g in enumerate(generators, start=1)})
+        for x0 in range(degree):
+            orbit, frontier = {x0}, [x0]
+            while frontier:
+                x = frontier.pop()
+                for g in generators:
+                    for y in (g[x], g.index(x)):
+                        if y not in orbit:
+                            orbit.add(y)
+                            frontier.append(y)
+            quotient = orbit_coset_action(action, x0)
+            quotient.map.validate()
+            assert quotient.orbit == tuple(sorted(orbit))
+            assert quotient.restricted == (len(orbit) < degree)
+            base = quotient.orbit.index(x0)
+            elements = quotient.group.elements
+            for y in range(len(orbit)):
+                fibre = [g for g, image in zip(elements, quotient.map.point_map) if image == y]
+                assert len(fibre) == quotient.stabilizer_order
+                assert all(quotient.orbit_action.act(g, base) == y for g in fibre)
+            assert quotient.stabilizer_order * len(orbit) == quotient.group.degree
+
+    def test_infinite_action_is_rejected(self, f2):
+        with pytest.raises(ValueError, match="^orbit/coset construction needs a finite action$"):
+            orbit_coset_action(f2, 0)
 
     def test_map_is_equivariant_bijection(self, z4):
         quotient = orbit_coset_action(z4, 0)

@@ -308,6 +308,26 @@ def test_repeated_generators_multiply_the_closure_once(capsys, monkeypatch):
     assert report["data"]["variables"] == [[1, 1]]
 
 
+def test_listed_subgroup_past_the_group_order_cap_exits_3(capsys, monkeypatch):
+    # a transposition and a 9-cycle are a 3-element list that generates S9,
+    # 362,880 elements: checking that the list is closed enumerates what it
+    # generates, under the caps of a finite-regular group
+    points = {"backend": "finite-permutation", "degree": 9,
+              "generators": {"a": [1, 0, 2, 3, 4, 5, 6, 7, 8], "b": [1, 2, 3, 4, 5, 6, 7, 8, 0]}}
+    doc = {"action": points,
+           "subgroups": [{"kind": "finite", "elements": ["a", "b"]},
+                         {"kind": "cyclic", "generator": "a"}],
+           "sets": [{"kind": "points", "points": [0]}, {"kind": "points", "points": [1]}]}
+    started = time.perf_counter()
+    code, report = run_stdin(("pingpong", "subgroups"), json.dumps(doc).encode(), capsys,
+                             monkeypatch)
+    assert time.perf_counter() - started < 2
+    assert code == 3
+    assert report["status"] == "bound-exceeded"
+    assert report["error"]["bound"] == "group_order"
+    assert report["error"]["requested"] == report["error"]["cap"] + 1 == 100_001
+
+
 def test_regular_generator_past_the_degree_cap_exits_3(capsys, monkeypatch):
     # a transposition of 150,000 points generates a group of order 2, which
     # the regular backend accepted; its generators are capped as the degree

@@ -235,6 +235,18 @@ class TestPingPongSubgroups:
                  FiniteSubgroup((Permutation((1, 0, 2)),))],
                 [s3_regular.point_set([0]), s3_regular.point_set([1])])
 
+    @pytest.mark.parametrize("backend", ["free-self", "trivial"])
+    def test_a_word_list_is_closed_only_when_it_is_the_identity(self, backend):
+        # a word other than e has infinite order, on the free self-action and
+        # as the label of a trivial action alike
+        action = FreeSelfAction(2) if backend == "free-self" else TrivialAction(degree=3)
+        sets = [action.point_set([parse_word("e") if backend == "free-self" else 0]),
+                action.point_set([parse_word("b") if backend == "free-self" else 1])]
+        with pytest.raises(ValueError, match="^element list not closed under products: "
+                                             "its 2 elements generate a group of infinite order$"):
+            check_pingpong_subgroups(
+                action, [FiniteSubgroup((parse_word("a"),)), CyclicSubgroup(parse_word("b"))], sets)
+
     # S_7 on the first 7 of 8 points: checking its 5,040 elements pair by
     # pair took 139 s; the swap of the last two points is outside it
     S7 = tuple(Permutation(p + (7,)) for p in itertools.permutations(range(7)))

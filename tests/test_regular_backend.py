@@ -5,7 +5,8 @@ relabelled by a random permutation.  The test enumerates the group by
 multiplying until nothing new appears, sorts it by image tuple, and builds
 each element's left-regular permutation x -> index of g * elements[x] from
 plain Permutation products; none of the library's closure or index code is
-used.  Elements enter the library both as words and as image arrays.
+used.  Some draws append generators that the earlier ones already generate.
+Elements enter the library both as words and as image arrays.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,15 @@ def regular_cases(draw):
     generators = [relabelled(images, sigma) for images in GROUPS[name]]
     if draw(st.booleans()):
         generators.reverse()
+    # redundant generators, already in the group the earlier ones generate:
+    # a repeat, a power, or a product of two earlier generators
+    for kind in draw(st.lists(st.sampled_from(["repeat", "power", "product"]), max_size=2)):
+        g = draw(st.sampled_from(generators))
+        if kind == "power":
+            g = g * g
+        elif kind == "product":
+            g = g * draw(st.sampled_from(generators))
+        generators.append(g)
     letter = st.sampled_from([s * i for i in range(1, len(generators) + 1) for s in (1, -1)])
     words = [reduce_word(w) for w in draw(st.lists(st.lists(letter, max_size=6),
                                                    min_size=1, max_size=3))]

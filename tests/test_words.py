@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -245,6 +246,30 @@ def test_permutation_closure_checks_the_largest_generator_order_first():
     with pytest.raises(BoundExceeded) as err:
         permutation_closure([g, g])
     assert (err.value.name, err.value.requested) == ("group_order", 510_510)
+
+
+def test_permutation_closure_skips_generators_already_in_the_group():
+    # c, c^2, ..., c^10 for a 100-cycle c on 10,000 points: each power past
+    # the first lies in <c>, so it costs one lookup and no pass over the
+    # group; a pass per generator took about 10 times the closure of c
+    c = Permutation(tuple(range(1, 100)) + (0,) + tuple(range(100, 10_000)))
+    powers = [c]
+    while len(powers) < 10:
+        powers.append(c * powers[-1])
+
+    def best_time(generators):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            closure = permutation_closure(generators)
+            times.append(time.perf_counter() - started)
+        return min(times), closure
+
+    alone, closure = best_time([c])
+    all_powers, closure_of_powers = best_time(powers)
+    assert closure_of_powers == closure
+    assert len(closure) == 100
+    assert all_powers < 3 * alone
 
 
 def test_permutation_order():
