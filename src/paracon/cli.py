@@ -13,13 +13,21 @@ candidate family size, tuple length, set nesting depth, automaton states,
 the n of probe cardinality); the report names the bound and its cap.
 Whatever bytes the input holds, the run ends with one of these codes and a
 report; so do an unreadable --input and an unwritable --output (exit 2).
+
+argv is read in one pass, by argparse's rules.  The command words are the
+first run of bare arguments.  An option may be shortened to any unique
+prefix of its name; its value is the next argument, or follows "=", and an
+argument starting with "-" is a value only when it is a negative number.
+The last of a repeated option wins, and after a lone "--" every argument
+is bare.  A malformed argv prints the usage and the error to stderr and
+exits 2 before any input is read.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -413,17 +421,106 @@ COMMANDS = {
     "witness infinite-order": Command(cmd_witness_infinite_order),
 }
 
-PARSER = argparse.ArgumentParser(prog="paracon", usage="%(prog)s <command words> [options]",
-                                 description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-PARSER.add_argument("words", nargs="+", metavar="command words",
-                    help="one of: " + ", ".join(COMMANDS))
-PARSER.add_argument("--input", help="input JSON document (default: stdin)")
-PARSER.add_argument("--output", help="output path (default: stdout)")
-PARSER.add_argument("--strict-partition", action="store_true",
-                    help="verify decompositions as exact covers")
-PARSER.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled candidate families")
+_USAGE = "usage: paracon <command words> [options]\n"
+HELP = (_USAGE + "\n" + __doc__ + "\ncommand words, one of:\n"
+        + "".join(f"  {name}\n" for name in COMMANDS) + """
+options:
+  -h, --help          show this help message and exit
+  --input INPUT       input JSON document (default: stdin)
+  --output OUTPUT     output path (default: stdout)
+  --strict-partition  verify decompositions as exact covers
+  --seed SEED         seed for sampled candidate families
+""")
+# each option and whether it takes a value, in the order an ambiguous
+# prefix's error lists them
+_OPTIONS = {"--help": False, "--input": True, "--output": True,
+            "--strict-partition": False, "--seed": True}
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@value
+class Arguments:
+    """One command line: its command words and options."""
+
+    words: tuple
+    input: str | None = None
+    output: str | None = None
+    strict_partition: bool = False
+    seed: int = 0
+
+
+def _fail(message: str):
+    sys.stderr.write(f"{_USAGE}paracon: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str):
+    """(option, value written after "=" or None) for an option token,
+    ("", None) for an unknown one, None for a bare argument.  "-h" stays
+    apart from "--help": it may carry more h's, as "-hh"."""
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, tail = token.partition("=")
+    if token[1] == "-":
+        names = [name for name in _OPTIONS if name.startswith(head)]
+        if len(names) > 1:
+            _fail(f"ambiguous option: {token} could match {', '.join(names)}")
+        if names:
+            return names[0], (tail if eq else None)
+    elif token[1] == "h":
+        return "-h", (tail if eq and head == "-h" else token[2:] or None)
+    return None if _NEGATIVE.match(token) or " " in token else ("", None)
+
+
+def read_argv(argv: list[str]) -> Arguments:
+    """The command words and options of argv, read as argparse reads them.
+    Help exits 0 with HELP on stdout; a malformed argv exits 2."""
+    argv = list(argv)
+    split = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(token) for token in argv[:split]]
+    words, values, extras = None, {}, []
+    i = 0
+    while i < len(argv):
+        if i == split or kinds[i] is None:   # a run of bare arguments
+            end = next((j for j in range(i, split) if kinds[j] is not None), len(argv))
+            run = [token for j, token in enumerate(argv[i:end], i) if j != split]
+            if words is None and run:
+                words = run
+            else:
+                extras += argv[i:end]
+            i = end
+            continue
+        name, inline = kinds[i]
+        i += 1
+        if not name:
+            extras.append(argv[i - 1])
+        elif name in ("-h", "--help"):
+            if name == "-h" and inline:
+                inline = inline.lstrip("h") or None
+            if inline is not None:
+                _fail(f"argument -h/--help: ignored explicit argument {inline!r}")
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        elif not _OPTIONS[name]:
+            if inline is not None:
+                _fail(f"argument {name}: ignored explicit argument {inline!r}")
+            values["strict_partition"] = True
+        else:
+            if inline is None:
+                if i >= split or kinds[i] is not None:
+                    _fail(f"argument {name}: expected one argument")
+                inline, i = argv[i], i + 1
+            if name == "--seed":
+                try:
+                    inline = int(inline)
+                except ValueError:
+                    _fail(f"argument --seed: invalid int value: {inline!r}")
+            values[name[2:]] = inline
+    if words is None:
+        _fail("the following arguments are required: command words")
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return Arguments(tuple(words), **values)
 
 
 def _load(raw: bytes) -> dict:
@@ -433,6 +530,8 @@ def _load(raw: bytes) -> dict:
         raise DocumentError(f"invalid JSON: {err.msg}", f"line {err.lineno} column {err.colno}") from None
     except UnicodeDecodeError as err:
         raise DocumentError(f"invalid JSON: {err.reason}", f"byte {err.start}") from None
+    except ValueError as err:   # an integer past CPython's limit on its digits
+        raise DocumentError(f"invalid JSON: {err}", "") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply", "") from None
     return _object(doc, "", "document")
@@ -525,14 +624,14 @@ def _report(name: str, seed: int, raw: bytes, body: dict) -> str:
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
+    args = read_argv(sys.argv[1:] if argv is None else argv)
     name = " ".join(args.words)
     if name not in COMMANDS:
-        PARSER.error(f"unknown command {name!r}; one of: {', '.join(COMMANDS)}")
+        _fail(f"unknown command {name!r}; one of: {', '.join(COMMANDS)}")
     started = time.monotonic()
     raw = b""
     try:
-        if args.input:
+        if args.input is not None:
             with open(args.input, "rb") as handle:
                 raw = handle.read()
         else:
@@ -542,7 +641,7 @@ def main(argv=None) -> int:
     else:
         code, body = _run(COMMANDS[name], args, raw)
     text = _report(name, args.seed, raw, body)
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -13,11 +13,13 @@ linear feasibility by Fourier-Motzkin elimination, a reference
 phase-one simplex over Fraction that fixes which answer the solver
 returns, row-by-row Fraction checks of solutions and certificates, and the
 paradox search's cover table and a lex-first paradox search, both testing
-covers word by word.
+covers word by word; and an argparse spec of the command line, which
+cli.read_argv must match argv for argv.
 """
 
 from __future__ import annotations
 
+import argparse
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -478,3 +480,16 @@ def lex_first_search(rank: int, max_pieces: int, depth: int, length: int):
                                     tuple(atoms[i] for i in subset_b),
                                     tuple(translators[t] for t in assign_b))
     return None
+
+
+def argv_parser() -> argparse.ArgumentParser:
+    """The argparse spec of `paracon <command words> [options]`: one or more
+    command words, --input and --output paths, the --strict-partition flag
+    and an integer --seed, 0 by default."""
+    parser = argparse.ArgumentParser(prog="paracon", usage="%(prog)s <command words> [options]")
+    parser.add_argument("words", nargs="+", metavar="command words")
+    parser.add_argument("--input")
+    parser.add_argument("--output")
+    parser.add_argument("--strict-partition", action="store_true")
+    parser.add_argument("--seed", type=int, default=0)
+    return parser

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paracon.cli import PARSER, _array, _json, main
+from oracles import argv_parser
+from paracon.cli import HELP, _array, _json, main, read_argv
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
     DocumentError,
@@ -30,10 +33,12 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_neither_argparse_dataclasses_nor_inspect():
     # every command pays for what `import paracon.cli` loads; dataclasses
-    # (which pulls in inspect) made up about a third of that start-up time
-    probe = "import sys, paracon.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # (which pulls in inspect) made up about a third of that start-up time,
+    # and argparse, with gettext, about 3 ms more
+    probe = ("import sys, paracon.cli; "
+             "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -548,6 +553,43 @@ class TestExitCodes:
         assert stop.value.code == 2
         assert "unrecognized arguments: --bound-pieces 14" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_option_and_exits_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([flag])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert out == HELP
+        for option in ("--input", "--output", "--strict-partition", "--seed"):
+            assert f"\n  {option}" in out
+
+
+def argv_outcome(read, argv):
+    """What reading argv gives: the exit code, or the fields a command uses."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            args = read(argv)
+    except SystemExit as stop:
+        return stop.code
+    return list(args.words), args.input, args.output, args.strict_partition, args.seed
+
+
+ARGV_TOKENS = st.sampled_from([
+    "eq", "solve", "paradox", "search", "unknown",
+    "--input", "--output", "--strict-partition", "--seed", "--inp", "--out", "--st", "--se",
+    "--input=in.json", "--output=", "--seed=-3", "--strict-partition=x", "--s",
+    "in.json", "", "7", "-3", "x", "--bound-pieces", "--", "-h",
+])
+
+
+ARGV_SPEC = argv_parser()
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(ARGV_TOKENS, max_size=7))
+def test_argv_reader_matches_the_argparse_spec(argv):
+    assert argv_outcome(read_argv, argv) == argv_outcome(ARGV_SPEC.parse_args, argv)
+
 
 @pytest.mark.parametrize("command,doc", [
     ("paradox search", {"action": {"backend": "free-self", "rank": 2}, "max_pieces": 1}),
@@ -788,6 +830,6 @@ def test_readme_names_every_option():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     cli = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z-]*", cli))
-    listed = set(re.findall(r"--[a-z][a-z-]*", PARSER.format_help())) - {"--help"}
+    listed = set(re.findall(r"--[a-z][a-z-]*", HELP)) - {"--help"}
     assert listed == {"--input", "--output", "--strict-partition", "--seed"}
     assert named == listed

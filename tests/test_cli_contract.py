@@ -252,6 +252,26 @@ def test_missing_input_file_exits_2_at_input(tmp_path, capsys):
                                "location": "--input"}
 
 
+@pytest.mark.parametrize("option,message", [
+    ("--input", "cannot read input: No such file or directory"),
+    ("--output", "cannot write output: No such file or directory"),
+])
+def test_an_empty_path_is_a_path_not_the_default(option, message, capsys, monkeypatch):
+    # an empty --input or --output names no file; it does not mean stdin or stdout
+    code, report = run_stdin(("eq", "solve", option, ""), json.dumps(TRIVIAL2).encode(),
+                             capsys, monkeypatch)
+    assert code == 2
+    assert report["error"] == {"message": message, "location": option}
+
+
+@pytest.mark.parametrize("words", [("coarsen",), ("paradox", "search")])
+def test_an_integer_past_the_digit_limit_is_invalid_json(words, capsys, monkeypatch):
+    code, report = run_stdin(words, b'{"x": ' + b"7" * 5000 + b"}", capsys, monkeypatch)
+    assert code == 2
+    assert report["error"]["location"] == ""
+    assert report["error"]["message"].startswith("invalid JSON: Exceeds the limit")
+
+
 def test_output_into_missing_directory_exits_2_at_output(tmp_path, capsys, monkeypatch):
     target = tmp_path / "missing" / "report.json"
     code, report = run_stdin(("eq", "solve", "--output", str(target)),
