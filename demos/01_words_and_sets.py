@@ -5,13 +5,13 @@ singletons and shows that boolean operations, membership, inclusion and
 left translation are all decided exactly on a canonical automaton form.
 """
 
-from paracon import SymbolicSet, multiply, parse_word, word_str
+from paracon import SymbolicSet, parse_word, word_str
 
 print("== reduced words ==")
 w = parse_word("aBbAab")
 print("aBbAab reduces to:", word_str(w))
 u, v = parse_word("ab"), parse_word("BA")
-print("ab * BA =", word_str(multiply(u, v)))
+print("ab * BA =", word_str(u * v))
 print("inverse of ab:", word_str(~u))
 
 print()

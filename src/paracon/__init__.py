@@ -6,8 +6,6 @@ from .words import (
     WordParseError,
     evaluate_word,
     identity_permutation,
-    invert,
-    multiply,
     parse_word,
     reduce_word,
     word_str,

@@ -8,6 +8,7 @@ group on its own element list (a finite permutation action too).
 Every backend exposes the same small surface: normalize elements, act on
 points and on sets (and on a labelling, all its sets at once), and build
 sets over its point universe, which Action derives from `degree` or `rank`.
+Products, inverses and orders are the elements' own (`*`, `~`, `order()`).
 All values are immutable and every operation is pure.
 """
 
@@ -76,16 +77,6 @@ class Action:
     def identity(self) -> GroupElement:
         raise NotImplementedError
 
-    def multiply(self, g: GroupElement, h: GroupElement) -> GroupElement:
-        return self.normalize_element(g) * self.normalize_element(h)
-
-    def inverse(self, g: GroupElement) -> GroupElement:
-        return ~self.normalize_element(g)
-
-    def element_order(self, g: GroupElement) -> Optional[int]:
-        """Order of g in the acting group; None means infinite."""
-        raise NotImplementedError
-
     def act(self, g: GroupElement, x: Point) -> Point:
         raise NotImplementedError
 
@@ -125,9 +116,6 @@ class FreeSelfAction(Action):
 
     def identity(self) -> FreeWord:
         return FreeWord(())
-
-    def element_order(self, g) -> Optional[int]:
-        return 1 if self.normalize_element(g).is_identity else None
 
     def act(self, g, x: FreeWord) -> FreeWord:
         return self.normalize_element(g) * x
@@ -174,9 +162,6 @@ class FinitePermutationAction(Action):
     def identity(self) -> Permutation:
         return identity_permutation(self.degree)
 
-    def element_order(self, g) -> int:
-        return self.normalize_element(g).order()
-
     def point_images(self, g) -> tuple[int, ...]:
         """The images of the points 0..degree-1 under g."""
         return self.normalize_element(g).images
@@ -194,7 +179,7 @@ class FinitePermutationAction(Action):
         """Cycle by cycle: g^k, 1 <= k < ord(g), takes a point of S round its
         whole cycle, but for the point itself when the cycle is as long as
         ord(g), so such a cycle holding one point of S misses just that one."""
-        images, order = self.point_images(g), self.element_order(g)
+        images, order = self.point_images(g), self.normalize_element(g).order()
         moved, seen = set(), set()
         for x in s.members:
             if x not in seen:
@@ -211,10 +196,11 @@ class TrivialAction(Action):
     """Any group acting trivially: g.x = x for every g and x.
 
     Elements are free-word labels (the acting group is irrelevant to the
-    action).  The point universe is either finite of a given degree or the
-    reduced words of a given rank, so the trivial action is testable over an
-    infinite set too.  Degree and rank are at least 1, and have the caps of
-    the other backends.
+    action, which cannot tell an order; the labels form a free group, so a
+    label's order is the free group's).  The point universe is either finite
+    of a given degree or the reduced words of a given rank, so the trivial
+    action is testable over an infinite set too.  Degree and rank are at
+    least 1, and have the caps of the other backends.
     """
 
     kind = "trivial"
@@ -236,10 +222,6 @@ class TrivialAction(Action):
 
     def identity(self) -> FreeWord:
         return FreeWord(())
-
-    def element_order(self, g) -> Optional[int]:
-        # unknowable from the action alone; the label group is free
-        return 1 if self.normalize_element(g).is_identity else None
 
     def act(self, g, x: Point) -> Point:
         return x

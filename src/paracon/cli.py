@@ -374,7 +374,7 @@ def cmd_witness_infinite_order(args, doc, action, cs):
         witness = pdx.make_infinite_order_witness(action, element)
     except ValueError as err:
         data = {"message": str(err)}
-        order = action.element_order(element)
+        order = element.order()
         if order is not None:
             data["order"] = order
         return "finite-order", data, {}

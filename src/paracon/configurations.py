@@ -33,7 +33,8 @@ Configuration = tuple[int, ...]
 
 @value
 class ConfigurationPair:
-    """Ordered elements (g_1..g_n) plus a partition (E_1..E_m)."""
+    """Ordered elements (g_1..g_n) plus a partition (E_1..E_m).  The elements
+    are normalized by the action, as `configuration_pair` gives them."""
 
     action: Action
     elements: tuple
@@ -53,7 +54,7 @@ class ConfigurationPair:
         x with block i of g_j x, as index j * m + i - 1.  The blocks'
         labelling is the partition's one pass over its blocks."""
         blocks = self.partition.labelling
-        return labelled_pass([blocks] + [self.action.act_on_set(self.action.inverse(g), blocks)
+        return labelled_pass([blocks] + [self.action.act_on_set(~g, blocks)
                                          for g in self.elements])
 
     def block_shifts(self, offset: int = 0) -> list[int]:
@@ -354,10 +355,10 @@ class ConInclusionReport(Verdict):
 
 def _element_pool(action: Action, max_word_length: int) -> list:
     """Distinct elements reachable by generator words up to a length bound."""
-    steps = [s for gen in action.generator_map().values() for s in (gen, action.inverse(gen))]
+    steps = [s for gen in action.generator_map().values() for s in (gen, ~gen)]
     pool = frontier = {action.identity()}
     for _ in range(max_word_length):
-        frontier = {action.multiply(step, elem) for elem in frontier for step in steps} - pool
+        frontier = {step * elem for elem in frontier for step in steps} - pool
         pool = pool | frontier
     return sorted(pool, key=repr)
 

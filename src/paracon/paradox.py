@@ -152,7 +152,7 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
     stages = []
     suffix = action.identity()
     for h in reversed(elements):
-        suffix = action.multiply(suffix, h)   # builds h_n h_{n-1} ... h_i
+        suffix = suffix * h   # builds h_n h_{n-1} ... h_i
         stages.append(suffix)
     stages.reverse()
     stages.append(action.identity())          # s_{n+1} = e
@@ -168,9 +168,9 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
 
     decomposition = ParadoxicalDecomposition(
         pieces_a=(telescope[0], sets[0].complement()),
-        translators_a=(action.inverse(stages[0]), action.identity()),
+        translators_a=(~stages[0], action.identity()),
         pieces_b=tuple(telescope[1:]),
-        translators_b=tuple(action.inverse(stages[i + 1]) for i in range(n)),
+        translators_b=tuple(~stages[i + 1] for i in range(n)),
     )
     report = verify_decomposition(action, decomposition)
     if not report.ok:
@@ -263,9 +263,9 @@ def _subgroup_moves(action: Action, spec: SubgroupSpec) -> tuple[object, Callabl
     identity = action.identity()
     if isinstance(spec, FiniteSubgroup):
         pool = {action.normalize_element(g) for g in spec.elements} | {identity}
-        nonidentity = sorted((g for g in pool if g != identity), key=repr)
+        nonidentity = pool - {identity}
         if isinstance(identity, Permutation):
-            order = len(permutation_closure([identity, *nonidentity]))
+            order = len(permutation_closure(list(pool)))
         else:
             order = 1 if len(pool) == 1 else None
         if order != len(pool):
@@ -274,7 +274,7 @@ def _subgroup_moves(action: Action, spec: SubgroupSpec) -> tuple[object, Callabl
         return len(pool), lambda s: reduce(type(s).union, [action.act_on_set(h, s) for h in nonidentity],
                                            action.empty_set())
     generator = action.normalize_element(spec.generator)
-    order = action.element_order(generator)
+    order = generator.order()
     size = order if order is not None else float("inf")
     return size, lambda s: action.moved_by_powers(generator, s)
 
@@ -343,9 +343,9 @@ def make_nonabelian_witness(action: Action, g1, g2) -> NonabelianWitness:
     """
     g1 = action.normalize_element(g1)
     g2 = action.normalize_element(g2)
-    if action.multiply(g1, g2) == action.multiply(g2, g1):
+    if g1 * g2 == g2 * g1:
         raise ValueError("elements commute; no witness exists")
-    members = [action.identity(), g1, g2, action.multiply(g2, g1), action.multiply(g1, g2)]
+    members = [action.identity(), g1, g2, g2 * g1, g1 * g2]
     if isinstance(action, FreeSelfAction):
         sets = tuple(action.point_set([w]) for w in members)
     elif isinstance(action, FiniteRegularAction):
@@ -372,8 +372,8 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     g2 = action.normalize_element(witness.g2)
     relations = [
         ("g1 E1 = E2", action.act_on_set(g1, e1), e2),
-        ("g2^-1 E4 = E2", action.act_on_set(action.inverse(g2), e4), e2),
-        ("g1^-1 E5 = E3", action.act_on_set(action.inverse(g1), e5), e3),
+        ("g2^-1 E4 = E2", action.act_on_set(~g2, e4), e2),
+        ("g1^-1 E5 = E3", action.act_on_set(~g1, e5), e3),
         ("g2 E1 = E3", action.act_on_set(g2, e1), e3),
     ]
     for name, left, right in relations:
@@ -408,7 +408,7 @@ def make_infinite_order_witness(action: Action, a) -> InfiniteOrderWitness:
         return InfiniteOrderWitness(e1, e2, a)
     if isinstance(action, TrivialAction):
         raise ValueError("the trivial action cannot exhibit infinite order")
-    raise ValueError(f"element has finite order {action.element_order(a)}")
+    raise ValueError(f"element has finite order {a.order()}")
 
 
 def verify_infinite_order(action: Action, witness: InfiniteOrderWitness) -> PingPongReport:
@@ -492,7 +492,7 @@ def pattern_check(cs: ConfigurationSet, pattern: ParadoxPattern) -> PatternRepor
         for j, i in family:
             pieces.append(blocks[i - 1])
             translators.append(action.identity() if j == 0
-                               else action.inverse(cs.pair.elements[j - 1]))
+                               else ~cs.pair.elements[j - 1])
         return tuple(pieces), tuple(translators)
 
     pieces_a, translators_a = implied(pattern.family_a)

@@ -1,7 +1,8 @@
 """Free-group words in reduced form and finite permutations.
 
 Group elements live in one of two universes: reduced words over signed
-generators (the free group F_k) or permutations of {0, ..., n-1}.  Words use
+generators (the free group F_k) or permutations of {0, ..., n-1}, and each
+type carries the group law: `*`, `~` and `order()` (None: infinite).  Words use
 a compact letter syntax for I/O: the lowercase letters ``a``..``k`` except
 ``e`` are generators 1..10, uppercase letters are their inverses, and ``"e"``
 is the identity.
@@ -105,6 +106,10 @@ class FreeWord:
 
     def __invert__(self) -> "FreeWord":
         return FreeWord(tuple(-l for l in reversed(self.letters)))
+
+    def order(self) -> int | None:
+        """1 for e; every other element of a free group has infinite order, None."""
+        return None if self.letters else 1
 
     def sort_key(self) -> tuple:
         return (len(self.letters), tuple(letter_index(l) for l in self.letters))
@@ -229,19 +234,6 @@ def identity_permutation(degree: int) -> Permutation:
 
 
 GroupElement = Union[FreeWord, Permutation]
-
-
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Group product in a common universe; words concatenate and reduce."""
-    if isinstance(x, FreeWord) and isinstance(y, FreeWord):
-        return x * y
-    if isinstance(x, Permutation) and isinstance(y, Permutation):
-        return x * y
-    raise ValueError(f"universe mismatch: {type(x).__name__} * {type(y).__name__}")
-
-
-def invert(x: GroupElement) -> GroupElement:
-    return ~x
 
 
 def evaluate_word(assignment: Mapping[int, Permutation], w: FreeWord) -> Permutation:

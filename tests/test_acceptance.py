@@ -32,7 +32,6 @@ from paracon import (
     coarsen_solution,
     make_infinite_order_witness,
     make_nonabelian_witness,
-    multiply,
     orbit_coset_action,
     parse_word,
     pattern_check,

@@ -124,12 +124,12 @@ class TestActionAxioms:
         for _ in range(40):
             g, h = random_word("aAbB"), random_word("aAbB")
             x_word = parse_word("Ba")
-            assert f2.act(f2.multiply(g, h), x_word) == f2.act(g, f2.act(h, x_word))
+            assert f2.act(g * h, x_word) == f2.act(g, f2.act(h, x_word))
             for action, chars in ((z3, "aA"), (s3_regular, "aAbB")):
                 gg = action.normalize_element(random_word(chars))
                 hh = action.normalize_element(random_word(chars))
                 for x in range(action.degree):
-                    assert action.act(action.multiply(gg, hh), x) == action.act(gg, action.act(hh, x))
+                    assert action.act(gg * hh, x) == action.act(gg, action.act(hh, x))
 
     def test_translated_partition_still_validates(self, f2, five_blocks):
         g = parse_word("aB")

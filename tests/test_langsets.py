@@ -8,7 +8,7 @@ from paracon import FreeSelfAction, compute_configurations, configuration_pair
 from paracon import langsets
 from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
 from paracon.serialization import parse_set
-from paracon.words import FreeWord, multiply, invert, parse_word, word_str
+from paracon.words import FreeWord, parse_word, word_str
 
 RANK = 2
 WORDS6 = all_reduced_words(RANK, 6)
@@ -134,7 +134,7 @@ class TestTranslate:
         s = SymbolicSet.cone(parse_word("b"), RANK).union(
             SymbolicSet.singleton(parse_word("aa"), RANK))
         g, h = parse_word("ab"), parse_word("Ba")
-        assert s.translate(h).translate(g) == s.translate(multiply(g, h))
+        assert s.translate(h).translate(g) == s.translate(g * h)
 
 
 class TestCompare:
@@ -255,9 +255,9 @@ def test_translation_coherence(expr, g):
     for letter in reversed(g.letters):
         by_letters = by_letters.translate(FreeWord((letter,)))
     assert moved == by_letters
-    g_inv = invert(g)
+    g_inv = ~g
     for w in WORDS6:
-        assert (w in moved) == (multiply(g_inv, w) in s)
+        assert (w in moved) == (g_inv * w in s)
     assert moved.translate(g_inv) == s
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 
 import pytest
@@ -30,7 +31,6 @@ from paracon import (
     configuration_pair,
     make_infinite_order_witness,
     make_nonabelian_witness,
-    multiply,
     parse_word,
     pattern_check,
     solve_feasibility,
@@ -270,6 +270,28 @@ class TestPingPongSubgroups:
                 check_pingpong_subgroups(action, subgroups, sets)
         assert time.perf_counter() - started < 10
 
+    # S_4 on the first 4 of 5 points; less the swap of 2 and 3 it is not closed
+    S4 = tuple(Permutation(p + (4,)) for p in itertools.permutations(range(4)))
+
+    @pytest.mark.parametrize("elements", [S4, S4[:1] + S4[2:]], ids=["s4", "s4-less-a-swap"])
+    def test_listed_subgroup_gives_one_outcome_in_any_order(self, elements):
+        action = FinitePermutationAction(5, {1: Permutation((1, 2, 3, 0, 4))})
+        sets = [action.point_set([4]), action.point_set([0])]
+
+        def outcome(listed):
+            subgroups = [FiniteSubgroup(listed), FiniteSubgroup((Permutation((0, 1, 2, 4, 3)),))]
+            try:
+                return check_pingpong_subgroups(action, subgroups, sets)
+            except ValueError as err:
+                return str(err)
+
+        expected = outcome(elements)
+        assert isinstance(expected, str) == (len(elements) < 24)
+        for seed in range(5):
+            shuffled = list(elements)
+            random.Random(seed).shuffle(shuffled)
+            assert outcome(tuple(shuffled)) == expected
+
     @pytest.mark.parametrize("first,second", [("e", "b"), ("a", "e")])
     def test_identity_generator_fails_the_size_condition(self, f2, first, second):
         # <e> moves no set, so it would pass every inclusion vacuously
@@ -299,7 +321,7 @@ class TestNonabelianWitness:
         report = verify_nonabelian(s3_regular, witness)
         assert report.ok
         g1, g2 = witness.g1, witness.g2
-        assert multiply(g1, g2) != multiply(g2, g1)
+        assert g1 * g2 != g2 * g1
 
     def test_commuting_powers_fail(self):
         f1 = FreeSelfAction(1)
@@ -346,7 +368,7 @@ class TestInfiniteOrderWitness:
         # spot-check a^k != e for k <= 20
         power = parse_word("e")
         for _ in range(20):
-            power = multiply(power, parse_word("abA"))
+            power = power * parse_word("abA")
             assert not power.is_identity
 
     def test_finite_backend_reports_order(self, s3_regular):

@@ -3,10 +3,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import permutation_order, reduce_letters
-from paracon.actions import FreeSelfAction, Partition, PartitionReport, partition, validate_partition
+from paracon.actions import FiniteRegularAction, FreeSelfAction, Partition, PartitionReport, partition, validate_partition
 from paracon.configurations import ConSearchBounds, configuration_pair
 from paracon.equations import VerifyReport
 from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
@@ -23,8 +23,6 @@ from paracon.words import (
     WordParseError,
     evaluate_word,
     identity_permutation,
-    invert,
-    multiply,
     parse_word,
     permutation_closure,
     reduce_word,
@@ -82,22 +80,24 @@ class TestParse:
 
 class TestMultiply:
     def test_inverse_pair(self):
-        assert multiply(parse_word("ab"), parse_word("BA")) == parse_word("e")
+        assert parse_word("ab") * parse_word("BA") == parse_word("e")
 
     def test_no_cancellation(self):
-        assert multiply(parse_word("a"), parse_word("b")) == parse_word("ab")
+        assert parse_word("a") * parse_word("b") == parse_word("ab")
 
     def test_three_cycle_squared(self):
         c = Permutation((1, 2, 0))
-        assert multiply(c, c) == Permutation((2, 0, 1))
+        assert c * c == Permutation((2, 0, 1))
 
     def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            multiply(parse_word("a"), Permutation((1, 0)))
+        with pytest.raises(TypeError):
+            parse_word("a") * Permutation((1, 0))
+        with pytest.raises(TypeError):
+            Permutation((1, 0)) * parse_word("a")
 
     def test_permutation_degree_mismatch(self):
         with pytest.raises(ValueError):
-            multiply(Permutation((1, 0)), Permutation((1, 2, 0)))
+            Permutation((1, 0)) * Permutation((1, 2, 0))
 
     def test_permutation_called_on_a_point_gives_its_image(self):
         c, flip = Permutation((1, 2, 0)), Permutation((1, 0, 2))
@@ -107,11 +107,11 @@ class TestMultiply:
 
 class TestInvert:
     def test_word(self):
-        assert invert(parse_word("ab")) == parse_word("BA")
-        assert invert(parse_word("e")) == parse_word("e")
+        assert ~parse_word("ab") == parse_word("BA")
+        assert ~parse_word("e") == parse_word("e")
 
     def test_permutation(self):
-        assert invert(Permutation((1, 2, 0))) == Permutation((2, 0, 1))
+        assert ~Permutation((1, 2, 0)) == Permutation((2, 0, 1))
 
     def test_composition_convention(self):
         # (x*y)(p) = x(y(p))
@@ -192,6 +192,47 @@ def test_evaluate_word_is_a_homomorphism(a, b):
     u, v = reduce_word(a), reduce_word(b)
     assert evaluate_word(assignment, u * v) == \
         evaluate_word(assignment, u) * evaluate_word(assignment, v)
+
+
+def signed_letters(rank: int):
+    return st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
+
+
+@pytest.mark.parametrize("universe", ["words", "permutations"])
+@given(data=st.data())
+def test_group_law_lives_on_the_elements(universe, data):
+    """`*`, `~` and `order()` on reduced words of rank <= 3 and length <= 6,
+    reduced by the oracle, and on permutations of degree <= 7."""
+    if universe == "words":
+        letters = st.lists(signed_letters(data.draw(st.integers(1, 3))), max_size=6)
+        g, h, k = (FreeWord(reduce_letters(tuple(data.draw(letters)))) for _ in range(3))
+        identity = IDENTITY_WORD
+    else:
+        images = st.permutations(range(data.draw(st.integers(1, 7))))
+        g, h, k = (Permutation(tuple(data.draw(images))) for _ in range(3))
+        identity = identity_permutation(g.degree)
+    assert (g * h) * k == g * (h * k)
+    assert g * ~g == ~g * g == identity
+    assert ~(g * h) == ~h * ~g
+    if universe == "words":
+        assert g.order() == (1 if g == identity else None)
+    else:
+        assert g.order() == permutation_order(g.images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_order_is_the_order_of_the_regular_images(data):
+    """The regular representation is faithful, so an element of a finite
+    regular action has the order of its index permutation."""
+    images = st.permutations(range(data.draw(st.integers(1, 5))))
+    generators = [Permutation(tuple(data.draw(images))) for _ in range(data.draw(st.integers(1, 2)))]
+    action = FiniteRegularAction(dict(enumerate(generators, start=1)))
+    word = FreeWord(reduce_letters(tuple(data.draw(st.lists(signed_letters(len(generators)),
+                                                            max_size=6)))))
+    regular = action.point_images(word)
+    assert action.normalize_element(word).order() == Permutation(regular).order() == \
+        permutation_order(regular)
 
 
 def decoded(codes: list[str]) -> list[tuple[int, ...]]:
