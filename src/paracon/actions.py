@@ -241,10 +241,10 @@ class FiniteRegularAction(FinitePermutationAction):
     closure and the point index hold the str codes of permutation_code
     only; `elements` builds Permutations when first read.  The code of
     g * x is x's code translated by g's, so the index permutation of g
-    takes one `str.translate` and one index lookup per point, and is
-    computed once per element.  Generators have at most GROUP_ORDER_CAP
-    points, which keeps every image a valid chr.  Elements stay the
-    generating permutations.  This is where subsets of G itself live.
+    takes one `str.translate` and one index lookup per point.  Generators
+    have at most GROUP_ORDER_CAP points, which keeps every image a valid
+    chr.  Elements stay the generating permutations.  This is where
+    subsets of G itself live.
     """
 
     kind = "finite-regular"
@@ -256,7 +256,6 @@ class FiniteRegularAction(FinitePermutationAction):
         closure = permutation_closure(list(self.generators.values()))
         self._index = dict(zip(closure, range(len(closure))))
         self.degree = len(closure)
-        self._regular = {}
 
     @cached_property
     def elements(self) -> list[Permutation]:
@@ -281,12 +280,8 @@ class FiniteRegularAction(FinitePermutationAction):
 
     def point_images(self, g) -> tuple[int, ...]:
         """The left-regular index permutation of g."""
-        images = self.normalize_element(g).images
-        regular = self._regular.get(images)
-        if regular is None:
-            products = map(str.translate, self._index, repeat(permutation_code(images)))
-            regular = self._regular[images] = tuple(map(self._index.__getitem__, products))
-        return regular
+        code = permutation_code(self.normalize_element(g).images)
+        return tuple(map(self._index.__getitem__, map(str.translate, self._index, repeat(code))))
 
     # bench/tracer.py times act_on_set per backend class, from its own namespace
     act_on_set = FinitePermutationAction.act_on_set
@@ -382,7 +377,8 @@ class EquivariantMap:
     pair by name, and a word acts on each side through that side's own
     generator table.
 
-    Only finite backends are supported.  Validation is exhaustive, and
+    Only finite backends are supported.  A map is checked exhaustively
+    when made, ValueError if it is not equivariant and onto; the check
     reads each generator's point images once on each side.
     """
 
@@ -390,7 +386,7 @@ class EquivariantMap:
     target: Action
     point_map: tuple[int, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (self.source.is_finite and self.target.is_finite):
             raise ValueError("equivariant maps are only validated on finite backends")
         f, n, m = self.point_map, self.source.degree, self.target.degree
@@ -409,15 +405,13 @@ class EquivariantMap:
                         f"not equivariant at generator {idx}, point {x}: "
                         f"f(g.x)={f[moved[x]]} but phi(g).f(x)={image[f[x]]}")
 
-    def preimage(self, block: FiniteSet) -> FiniteSet:
-        members = [x for x in range(len(self.point_map)) if self.point_map[x] in block.members]
-        return FiniteSet.of(len(self.point_map), members)
-
 
 def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Partition:
-    """Blocks of the preimage partition, in the same order."""
-    emap.validate()
-    blocks = tuple(emap.preimage(block) for block in target_partition)
+    """Blocks of the preimage partition, in the same order; the map was
+    checked when made, and the pulled-back partition is checked here."""
+    f = emap.point_map
+    blocks = [FiniteSet.of(len(f), [x for x, y in enumerate(f) if y in block.members])
+              for block in target_partition]
     return partition(emap.source, blocks)
 
 
@@ -468,7 +462,6 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     group = FiniteRegularAction(orbit_gens)
     base = position[x0]
     emap = EquivariantMap(group, orbit_action, tuple(g.images[base] for g in group.elements))
-    emap.validate()
     return OrbitQuotient(group=group, map=emap, orbit_action=orbit_action, orbit=tuple(orbit),
                          restricted=len(orbit) < degree,
                          stabilizer_order=emap.point_map.count(base))

@@ -195,12 +195,9 @@ def cmd_compare_con(args, doc, action, cs):
     action_b = parse_action(_require(doc, "action_b"), "action_b")
     raw_bounds = _object(doc.get("bounds", {}), "bounds")
     bounds = cfg.ConSearchBounds(
-        max_tuple_length=_int_field(raw_bounds, "max_tuple_length", 1, "bounds"),
-        max_word_length=_int_field(raw_bounds, "max_word_length", 1, "bounds"),
-        max_blocks=_int_field(raw_bounds, "max_blocks", 3, "bounds"),
-        family_limit=_int_field(raw_bounds, "family_limit", 500, "bounds"),
-        seed=args.seed,
-    )
+        **{name: _int_field(raw_bounds, name, getattr(cfg.ConSearchBounds, name), "bounds")
+           for name in ("max_tuple_length", "max_word_length", "max_blocks", "family_limit")},
+        seed=args.seed)
 
     def explicit(key, action):
         if key not in doc:

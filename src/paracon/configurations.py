@@ -24,7 +24,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import Action, Partition, partition as make_partition
+from .actions import Action, Partition, partition as make_partition, validate_partition
 from .langsets import ActionSet, Label, Labelling, labelled_pass
 from .words import Verdict, _word_count, capped, value
 
@@ -304,9 +304,8 @@ def coarsen_solution(
             raise ValueError(f"projection {projected} is not a coarse configuration")
         totals[projected] += value
     result = tuple(totals[c] for c in coarse_cs.configurations)
-    check = verify_solution(build_equations(coarse_cs), result)
-    if not check.ok:
-        raise RuntimeError(f"coarsened vector failed verification: {check.violation}")
+    verify_solution(build_equations(coarse_cs), result).require(
+        "coarsened vector failed verification")
     return result
 
 
@@ -497,7 +496,8 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
     enumerated), with the n - 1 shortlex-least words, enumerated once up to
     the least length that has that many.  The witness realizes the
     singleton-partition construction that makes configuration data detect
-    |X|.
+    |X|.  The witness is re-checked: if it is not a partition, that is a
+    fault in the library, a RuntimeError.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -513,4 +513,6 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         chosen = action.full_set().enumerate_up_to(length)[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
     blocks.append(action.point_set(chosen).complement())   # the points in no block
-    return CardinalityProbe(True, make_partition(action, blocks))
+    witness = Partition(tuple(blocks))
+    validate_partition(action, witness).require("probe witness failed verification")
+    return CardinalityProbe(True, witness)

@@ -201,9 +201,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         for line, var in zip(table, basis):
             if var < n:
                 solution[var] = Fraction(line[-1], line[var])
-        check = verify_solution(system, solution)
-        if not check.ok:
-            raise RuntimeError(f"simplex produced an invalid solution: {check.violation}")
+        verify_solution(system, solution).require("simplex produced an invalid solution")
         return FeasibilityResult(True, solution=tuple(solution))
 
     # infeasible: y = c_B B^-1 sums the artificial block of the rows whose basic
@@ -215,9 +213,7 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     multipliers = [sum(column) * flip for column, flip in zip(zip(*weighted), flips)]
     divisor = gcd(*multipliers)
     certificate = tuple(Fraction(v // divisor) for v in multipliers)
-    check = verify_certificate(system, certificate)
-    if not check.ok:
-        raise RuntimeError(f"simplex produced an invalid certificate: {check.violation}")
+    verify_certificate(system, certificate).require("simplex produced an invalid certificate")
     return FeasibilityResult(False, certificate=certificate)
 
 
@@ -242,7 +238,5 @@ def decide(cs: ConfigurationSet) -> tuple[LinearSystem, FeasibilityResult]:
     if not cs.pair.action.is_finite:
         return system, solve_feasibility(system)
     solution = counting_solution(cs)
-    check = verify_solution(system, solution)
-    if not check.ok:
-        raise RuntimeError(f"counting produced an invalid solution: {check.violation}")
+    verify_solution(system, solution).require("counting produced an invalid solution")
     return system, FeasibilityResult(True, solution=solution)

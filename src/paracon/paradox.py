@@ -172,9 +172,7 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
         pieces_b=tuple(telescope[1:]),
         translators_b=tuple(~stages[i + 1] for i in range(n)),
     )
-    report = verify_decomposition(action, decomposition)
-    if not report.ok:
-        raise RuntimeError(f"constructed decomposition failed verification: {report.problem}")
+    verify_decomposition(action, decomposition).require("constructed decomposition failed verification")
     return ChainResult(
         decomposition=decomposition,
         piece_bound=n + 2,
@@ -394,21 +392,19 @@ class InfiniteOrderWitness:
 def make_infinite_order_witness(action: Action, a) -> InfiniteOrderWitness:
     """E_1 = nonnegative powers of a, E_2 = negative powers, as exact sets.
 
-    Works over the free self-action for any nonidentity a.  On finite
-    backends every element has finite order and construction fails,
-    reporting that order.
+    Works for any element of infinite order, which only the free
+    self-action has; an element of finite order fails, reporting that
+    order.
     """
     a = action.normalize_element(a)
-    if isinstance(action, FreeSelfAction):
-        if a.is_identity:
-            raise ValueError("element has finite order 1")
-        e1 = SymbolicSet.powers(a, action.rank)
-        e2 = SymbolicSet.powers(~a, action.rank).difference(
-            SymbolicSet.singleton(FreeWord(()), action.rank))
-        return InfiniteOrderWitness(e1, e2, a)
     if isinstance(action, TrivialAction):
         raise ValueError("the trivial action cannot exhibit infinite order")
-    raise ValueError(f"element has finite order {a.order()}")
+    if (order := a.order()) is not None:
+        raise ValueError(f"element has finite order {order}")
+    e1 = SymbolicSet.powers(a, action.rank)
+    e2 = SymbolicSet.powers(~a, action.rank).difference(
+        SymbolicSet.singleton(FreeWord(()), action.rank))
+    return InfiniteOrderWitness(e1, e2, a)
 
 
 def verify_infinite_order(action: Action, witness: InfiniteOrderWitness) -> PingPongReport:
@@ -498,9 +494,7 @@ def pattern_check(cs: ConfigurationSet, pattern: ParadoxPattern) -> PatternRepor
     pieces_a, translators_a = implied(pattern.family_a)
     pieces_b, translators_b = implied(pattern.family_b)
     decomposition = ParadoxicalDecomposition(pieces_a, translators_a, pieces_b, translators_b)
-    report = verify_decomposition(action, decomposition)
-    if not report.ok:
-        raise RuntimeError(f"pattern held but decomposition failed: {report.problem}")
+    verify_decomposition(action, decomposition).require("pattern held but decomposition failed")
     return PatternReport(True, decomposition=decomposition)
 
 
@@ -706,8 +700,6 @@ def bounded_paradox_search(
                     dec = ParadoxicalDecomposition(
                         pieces(subset_a), tuple(translators[t] for t in assign_a),
                         pieces(subset_b), tuple(translators[t] for t in assign_b))
-                    report = verify_decomposition(action, dec)
-                    if not report.ok:
-                        raise RuntimeError(f"mask cover failed verification: {report.problem}")
+                    verify_decomposition(action, dec).require("mask cover failed verification")
                     return SearchResult(dec, bounds)
     return not_found

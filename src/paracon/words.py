@@ -65,10 +65,17 @@ def value(cls):
 
 
 class Verdict:
-    """Base of a `value` report that is true exactly when its first field is."""
+    """Base of a `value` report that is true exactly when its first field is.
+    `require(what)` is the library's re-check of its own answer: a failed
+    report is a fault in the library, RuntimeError("what: <report repr>").
+    A check of the caller's input raises ValueError instead."""
 
     def __bool__(self) -> bool:
         return bool(getattr(self, self._value_fields[0]))
+
+    def require(self, what: str) -> None:
+        if not self:
+            raise RuntimeError(f"{what}: {self!r}")
 
 
 class WordParseError(ValueError):

@@ -140,8 +140,7 @@ class TestActionAxioms:
 class TestEquivariantMap:
     def test_z4_mod2(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
-        emap = EquivariantMap(z4, z2, (0, 1, 0, 1))
-        emap.validate()
+        EquivariantMap(z4, z2, (0, 1, 0, 1))
 
     def test_pull_back_blocks(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
@@ -156,34 +155,29 @@ class TestEquivariantMap:
 
     def test_non_equivariant_table_rejected(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
-        emap = EquivariantMap(z4, z2, (0, 0, 1, 1))
         with pytest.raises(ValueError, match=r"^not equivariant at generator 1, point 0: "
                                              r"f\(g\.x\)=0 but phi\(g\)\.f\(x\)=1$"):
-            emap.validate()
+            EquivariantMap(z4, z2, (0, 0, 1, 1))
 
     def test_non_surjective_rejected(self, z4):
         z2 = FinitePermutationAction(2, {1: identity_permutation(2)})
-        emap = EquivariantMap(z4, z2, (0, 0, 0, 0))
         with pytest.raises(ValueError, match="^point map is not onto the target$"):
-            emap.validate()
+            EquivariantMap(z4, z2, (0, 0, 0, 0))
 
     def test_generator_without_image_rejected(self, z4):
         z2 = FinitePermutationAction(2, {2: Permutation((1, 0))})
-        emap = EquivariantMap(z4, z2, (0, 1, 0, 1))
         with pytest.raises(ValueError, match="^generator 1 has no image$"):
-            emap.validate()
+            EquivariantMap(z4, z2, (0, 1, 0, 1))
 
     def test_point_map_of_wrong_length_rejected(self, z4):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
-        emap = EquivariantMap(z4, z2, (0, 1))
         with pytest.raises(ValueError, match="^point map has 2 entries, expected 4$"):
-            emap.validate()
+            EquivariantMap(z4, z2, (0, 1))
 
     def test_infinite_backend_rejected(self):
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
-        emap = EquivariantMap(FreeSelfAction(1), z2, (0, 1))
         with pytest.raises(ValueError, match="^equivariant maps are only validated on finite backends$"):
-            emap.validate()
+            EquivariantMap(FreeSelfAction(1), z2, (0, 1))
 
 
 class TestOrbitCoset:
@@ -226,7 +220,7 @@ class TestOrbitCoset:
                             orbit.add(y)
                             frontier.append(y)
             quotient = orbit_coset_action(action, x0)
-            quotient.map.validate()
+            EquivariantMap(quotient.group, quotient.orbit_action, quotient.map.point_map)
             assert quotient.orbit == tuple(sorted(orbit))
             assert quotient.restricted == (len(orbit) < degree)
             base = quotient.orbit.index(x0)
