@@ -461,7 +461,10 @@ def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
     orbit_action = FinitePermutationAction(len(orbit), orbit_gens)
     group = FiniteRegularAction(orbit_gens)
     base = position[x0]
-    emap = EquivariantMap(group, orbit_action, tuple(g.images[base] for g in group.elements))
+    try:   # the library's own map: a failed check is a fault here, not in the input
+        emap = EquivariantMap(group, orbit_action, tuple(g.images[base] for g in group.elements))
+    except ValueError as err:
+        raise RuntimeError(f"orbit map failed verification: {err}") from err
     return OrbitQuotient(group=group, map=emap, orbit_action=orbit_action, orbit=tuple(orbit),
                          restricted=len(orbit) < degree,
                          stabilizer_order=emap.point_map.count(base))

@@ -129,16 +129,15 @@ def _parse_decomposition(doc: dict, action, location: str) -> pdx.ParadoxicalDec
 
 
 def cmd_con_compute(args, doc, action, cs):
-    cells = cfg.verify_cell_partition(cs)
-    data = {
+    cfg.verify_cell_partition(cs).require("base cells failed verification")
+    return "ok", {
         "tuple_length": cs.pair.tuple_length,
         "block_count": cs.pair.block_count,
         "configurations": cs.configurations,
         "base_cells": [{"configuration": c, "cell": set_json(cs.base_cells[c])}
                        for c in cs.configurations],
-        "cell_partition_ok": bool(cells),
-    }
-    return "ok", data, {}
+        "cell_partition_ok": True,
+    }, {}
 
 
 def cmd_eq_solve(args, doc, action, cs):
@@ -357,12 +356,12 @@ def cmd_witness_nonabelian(args, doc, action, cs):
     except ValueError as err:
         return "no-witness", {"message": str(err)}, {}
     report = pdx.verify_nonabelian(action, witness)
-    data = {
+    report.require("nonabelian witness failed verification")
+    return "ok", {
         "sets": [set_json(s) for s in witness.sets],
-        "verified": report.ok,
+        "verified": True,
         "conclusion": report.conclusion,
-    }
-    return ("ok" if report.ok else "failed"), data, {}
+    }, {}
 
 
 def cmd_witness_infinite_order(args, doc, action, cs):
@@ -376,13 +375,13 @@ def cmd_witness_infinite_order(args, doc, action, cs):
             data["order"] = order
         return "finite-order", data, {}
     report = pdx.verify_infinite_order(action, witness)
-    data = {
+    report.require("infinite-order witness failed verification")
+    return "ok", {
         "e1": set_json(witness.e1),
         "e2": set_json(witness.e2),
-        "verified": report.ok,
+        "verified": True,
         "conclusion": report.conclusion,
-    }
-    return ("ok" if report.ok else "failed"), data, {}
+    }, {}
 
 
 @value

@@ -185,6 +185,7 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     violation's least point in frame j is the least point of the product
     moved by g_j whose label makes it, found breadth-first; the product is
     moved, and least points are spelled, only for a frame with a violation.
+    On the cells of `compute_configurations` a failing report is a library fault.
     """
     action = cs.pair.action
     configs = cs.configurations
@@ -208,14 +209,9 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
                 faults.setdefault((j, *fault), (set(), set()))[0].add(label)
             for i in in_cells - {block}:
                 faults.setdefault((j, 2, i), (set(), set()))[1].add(label)
-    frame_elements = (None, *cs.pair.elements)           # None: frame 0
-    frames = {}                           # element -> the product in its frame
     violations = []
     for j, kind, detail in sorted(faults):
-        g = frame_elements[j]
-        if g not in frames:
-            frames[g] = points if g is None else action.act_on_set(g, points)
-        frame = frames[g]
+        frame = points if j == 0 else action.act_on_set(cs.pair.elements[j - 1], points)
         making = faults[j, kind, detail][0] or faults[j, kind, detail][1]
         witness = frame.points[next(label for label in frame.points if label in making)]
         violations.append((("overlap", "cover-gap", "block-identity")[kind], j, detail, witness))

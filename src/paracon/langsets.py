@@ -6,10 +6,11 @@ are structurally equal exactly when they denote the same set, so boolean
 algebra, membership, emptiness, inclusion, and left translation are all
 decidable and deterministic.
 
-Finite sets are plain subsets of {0, ..., n-1} tagged with their degree.
+Finite sets are plain subsets of {0, ..., n-1} tagged with their degree,
+and their boolean operations are frozenset operations.
 
 Every question about which points lie in which of several sets (partition,
-disjointness, cover, inclusion, the boolean operations themselves) is
+disjointness, cover, inclusion, the boolean operations on symbolic sets) is
 answered by one labelled pass over the universe, `labelled_pass`, and
 every set computed from such a pass is read off it by label, with
 `Labelling.cells`.  A pass's `Labelling` is a value too: it is moved by a

@@ -316,6 +316,28 @@ class TestOtherCommands:
         assert code == 0
         assert report["status"] == "ok" and report["data"]["verified"]
 
+    @pytest.mark.parametrize("command,doc,status,message", [
+        ("pingpong subgroups", {
+            "action": {"backend": "finite-permutation", "degree": 6, "generators": {
+                "a": [1, 0, 2, 3, 4, 5], "b": [0, 1, 3, 2, 4, 5], "c": [0, 1, 2, 3, 5, 4]}},
+            "subgroups": [{"kind": "cyclic", "generator": g} for g in "abc"],
+            "sets": [{"kind": "points", "points": [p]} for p in (0, 2, 4)]},
+         "precondition-failed", "size condition violated: some subgroup must have more than 2 elements"),
+        ("witness nonabelian", {
+            "action": {"backend": "finite-permutation", "degree": 3,
+                       "generators": {"a": [1, 0, 2], "b": [1, 2, 0]}},
+            "g1": "a", "g2": "b"},
+         "no-witness", "witness sets live in the group itself; use a self-action"),
+    ], ids=["three-transpositions", "nonabelian-on-points"])
+    def test_unmet_preconditions_report_their_message(self, command, doc, status, message,
+                                                      capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, *command.split(), "--input", str(path))
+        assert code == 0
+        assert report["status"] == status
+        assert report["data"] == {"message": message}
+
 
 class TestExitCodes:
     def test_bad_word_is_parse_error(self, capsys, tmp_path):
@@ -579,6 +601,7 @@ ARGV_TOKENS = st.sampled_from([
     "--input", "--output", "--strict-partition", "--seed", "--inp", "--out", "--st", "--se",
     "--input=in.json", "--output=", "--seed=-3", "--strict-partition=x", "--s",
     "in.json", "", "7", "-3", "x", "--bound-pieces", "--", "-h",
+    "-hh", "-hx", "-h=x", "--help=x",
 ])
 
 
@@ -591,19 +614,35 @@ def test_argv_reader_matches_the_argparse_spec(argv):
     assert argv_outcome(read_argv, argv) == argv_outcome(ARGV_SPEC.parse_args, argv)
 
 
-@pytest.mark.parametrize("command,doc", [
-    ("paradox search", {"action": {"backend": "free-self", "rank": 2}, "max_pieces": 1}),
+@pytest.mark.parametrize("command,doc,location,message", [
+    ("paradox search", {"action": {"backend": "free-self", "rank": 2}, "max_pieces": 1},
+     "", "bounds must allow at least two pieces"),
     ("con compute", {"action": {"backend": "trivial", "degree": "3"},
-                     "tuple": ["a"], "partition": [{"kind": "full"}]}),
+                     "tuple": ["a"], "partition": [{"kind": "full"}]},
+     "action.degree", "trivial needs integer degree >= 1"),
     ("compare con", {"action_a": {"backend": "free-self", "rank": 2},
-                     "action_b": {"backend": "free-self", "rank": 2}}),
-], ids=["search-one-piece", "trivial-string-degree", "compare-free-without-pairs"])
-def test_engine_rejections_exit_2_with_report(command, doc, capsys, tmp_path):
+                     "action_b": {"backend": "free-self", "rank": 2}},
+     "pairs_a", "supply explicit pairs for infinite actions"),
+    ("eq solve", {"action": {"backend": "free-self", "rank": 1},
+                  "tuple": ["b"], "partition": [{"kind": "full"}]},
+     "tuple[0]", "word b outside rank 1"),
+    ("eq solve", {"action": {"backend": "finite-permutation", "degree": 3,
+                             "generators": {"a": [1, 2, 0]}},
+                  "tuple": ["b"], "partition": [{"kind": "points", "points": [0, 1, 2]}]},
+     "tuple[0]", "generator 2 unassigned"),
+    ("con compute", {"action": {"backend": "finite-regular",
+                                "generators": {"a": [1, 0], "b": [1, 2, 0]}},
+                     "tuple": ["a"], "partition": [{"kind": "full"}]},
+     "action", "generators of mixed degree"),
+], ids=["search-one-piece", "trivial-string-degree", "compare-free-without-pairs",
+        "word-past-the-rank", "unassigned-generator", "generators-of-mixed-degree"])
+def test_engine_rejections_exit_2_with_report(command, doc, location, message, capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, report = run(capsys, *command.split(), "--input", str(path))
     assert code == 2
     assert report["status"] == "error"
+    assert report["error"] == {"location": location, "message": message}
 
 
 @pytest.mark.parametrize("bounds,message", [

@@ -1,11 +1,12 @@
-"""Every builder re-checks its own answer through `Verdict.require`: with the
-verifier it calls made to fail, the builder raises RuntimeError naming the
-check and the whole report, and the CLI writes no exit-2 report blaming the
-caller's document."""
+"""Every builder, and every command that prints its own re-check, re-checks
+its answer through `Verdict.require`: with the verifier it calls made to
+fail, it raises RuntimeError naming the check and the whole report, and the
+CLI writes no report blaming the caller's document."""
 
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -29,14 +30,20 @@ from paracon import (
     pattern_check,
     solve_feasibility,
 )
-from paracon.actions import PartitionReport
+from paracon.actions import FiniteRegularAction, PartitionReport, orbit_coset_action
 from paracon.cli import main
+from paracon.configurations import CellPartitionReport
 from paracon.equations import VerifyReport
-from paracon.paradox import DecompositionReport
+from paracon.paradox import DecompositionReport, PingPongReport
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "paracon"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 FAILED_SOLUTION = VerifyReport(False, ("row", ("forced",), 0, 1))
 FAILED_DECOMPOSITION = DecompositionReport(False, 4, "forced", None)
 FAILED_PARTITION = PartitionReport(False, "forced")
+FAILED_CELLS = CellPartitionReport(False, (("overlap", 0, "forced", 0),))
+FAILED_PINGPONG = PingPongReport(False, problem="forced")
 
 
 def first_letter_blocks():
@@ -132,3 +139,56 @@ def test_cli_probe_does_not_blame_the_document_for_its_own_witness(monkeypatch, 
     with pytest.raises(RuntimeError, match="^probe witness failed verification: "):
         main(["probe", "cardinality", "--input", str(path)])
     assert capsys.readouterr().out == ""
+
+
+Z3 = {"backend": "finite-permutation", "degree": 3, "generators": {"a": [1, 2, 0]}}
+
+# (command words, document, module, verifier, failing report, what): the
+# commands that print their own re-check of the answer a builder returned
+COMMAND_CASES = [
+    (("con", "compute"), {"action": Z3, "tuple": ["a"], "partition": [
+        {"kind": "points", "points": [0]}, {"kind": "points", "points": [1, 2]}]},
+     configurations, "verify_cell_partition", FAILED_CELLS, "base cells failed verification"),
+    (("witness", "nonabelian"), json.loads((FIXTURES / "s3-nonabelian-witness.json").read_text()),
+     paradox, "verify_nonabelian", FAILED_PINGPONG, "nonabelian witness failed verification"),
+    (("witness", "infinite-order"), {"action": {"backend": "free-self", "rank": 2}, "element": "abA"},
+     paradox, "verify_infinite_order", FAILED_PINGPONG, "infinite-order witness failed verification"),
+]
+
+
+@pytest.mark.parametrize("words, doc, module, verifier, report, what", COMMAND_CASES,
+                         ids=["-".join(case[0]) for case in COMMAND_CASES])
+def test_a_failed_re_check_in_a_command_raises_runtime_error(words, doc, module, verifier, report,
+                                                             what, monkeypatch, capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([*words, "--input", str(path)]) == 0   # the real re-check holds
+    capsys.readouterr()
+    monkeypatch.setattr(module, verifier, lambda *args: report)
+    with pytest.raises(RuntimeError, match=f"^{re.escape(f'{what}: {report!r}')}$"):
+        main([*words, "--input", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+def test_every_self_check_is_routed_here():
+    # a new `.require` lands with a case above that makes it fail
+    routed = {case[-1] for case in CASES} | {case[-1] for case in COMMAND_CASES}
+    calls, unrouted = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        calls += text.count(".require(")
+        for what in re.findall(r'\.require\(\s*"([^"]*)"\s*\)', text):
+            calls -= 1
+            if what not in routed:
+                unrouted.append(f"{path.name}: {what}")
+    assert calls == 0, "a .require call whose message is not one string literal"
+    assert not unrouted, unrouted
+
+
+def test_a_fault_in_the_orbit_map_is_a_library_fault(z3, monkeypatch):
+    # reversed, the element list no longer matches the points, so g -> g.x0
+    # is not equivariant: the map orbit_coset_action made itself fails
+    elements = FiniteRegularAction.elements.func
+    monkeypatch.setattr(FiniteRegularAction, "elements", property(lambda self: elements(self)[::-1]))
+    with pytest.raises(RuntimeError, match="^orbit map failed verification: not equivariant"):
+        orbit_coset_action(z3, 0)
