@@ -6,8 +6,9 @@ point universe, and the regular action of a finite permutation-generated
 group on its own element list (a finite permutation action too).
 
 Every backend exposes the same small surface: normalize elements, act on
-points and on sets (and on a labelling, all its sets at once), and build
-sets over its point universe, which Action derives from `degree` or `rank`.
+points and on sets (and on a labelling, all its sets at once), list an
+element's point images over a finite universe, and build sets over its
+point universe, which Action derives from `degree` or `rank`.
 Products, inverses and orders are the elements' own (`*`, `~`, `order()`).
 All values are immutable and every operation is pure.
 """
@@ -15,7 +16,6 @@ All values are immutable and every operation is pure.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
@@ -27,6 +27,8 @@ from .words import (
     Permutation,
     Verdict,
     capped,
+    code_images,
+    code_table,
     evaluate_word,
     identity_permutation,
     parse_word,
@@ -226,6 +228,10 @@ class TrivialAction(Action):
     def act(self, g, x: Point) -> Point:
         return x
 
+    def point_images(self, g) -> tuple[int, ...]:
+        """The images of the points 0..degree-1 under g: the points themselves."""
+        return tuple(range(self.degree))
+
     def act_on_set(self, g, s: ActionSet | Labelling) -> ActionSet | Labelling:
         return s
 
@@ -238,13 +244,14 @@ class FiniteRegularAction(FinitePermutationAction):
 
     Points are indices into the element list of G = <generators>, sorted by
     image tuple, and g moves point x to the index of g * elements[x].  The
-    closure and the point index hold the str codes of permutation_code
-    only; `elements` builds Permutations when first read.  The code of
-    g * x is x's code translated by g's, so the index permutation of g
-    takes one `str.translate` and one index lookup per point.  Generators
-    have at most GROUP_ORDER_CAP points, which keeps every image a valid
-    chr.  Elements stay the generating permutations.  This is where
-    subsets of G itself live.
+    closure and the point index hold the codes of permutation_code only
+    (bytes up to degree 256, str above); `elements` builds Permutations
+    when first read.  The code of g * x is x's code translated by g's
+    table, so the index permutation of g takes one `translate` and one
+    index lookup per point.  Generators have at most GROUP_ORDER_CAP
+    points, which keeps every image of a str code a valid chr.  Elements
+    stay the generating permutations.  This is where subsets of G itself
+    live.
     """
 
     kind = "finite-regular"
@@ -260,7 +267,7 @@ class FiniteRegularAction(FinitePermutationAction):
     @cached_property
     def elements(self) -> list[Permutation]:
         """The group's elements in point order."""
-        return [Permutation(tuple(map(ord, code))) for code in self._index]
+        return [Permutation(code_images(code)) for code in self._index]
 
     def point_of(self, g) -> int:
         """Index of a group element in the point list."""
@@ -276,12 +283,13 @@ class FiniteRegularAction(FinitePermutationAction):
         return g
 
     def identity(self) -> Permutation:
-        return Permutation(tuple(map(ord, next(iter(self._index)))))
+        return Permutation(code_images(next(iter(self._index))))
 
     def point_images(self, g) -> tuple[int, ...]:
         """The left-regular index permutation of g."""
-        code = permutation_code(self.normalize_element(g).images)
-        return tuple(map(self._index.__getitem__, map(str.translate, self._index, repeat(code))))
+        table = code_table(permutation_code(self.normalize_element(g).images))
+        index = self._index
+        return tuple([index[code.translate(table)] for code in index])
 
     # bench/tracer.py times act_on_set per backend class, from its own namespace
     act_on_set = FinitePermutationAction.act_on_set

@@ -50,12 +50,23 @@ class ConfigurationPair:
 
     @functools.cached_property
     def frames(self) -> Labelling:
-        """The blocks' labelling and its moves by each g_j^-1: family j labels
-        x with block i of g_j x, as index j * m + i - 1.  The blocks'
-        labelling is the partition's one pass over its blocks."""
+        """Family j labels x with block i of g_j x, as index j * m + i - 1
+        (g_0 = e).  The blocks' labelling is the partition's one pass over
+        its blocks.  Over a finite universe the labels zip its column of
+        block indices with that column read at each g_j's point images,
+        each shifted by j * m; over F_rank they are one labelled pass over
+        the blocks' labelling and its moves by each g_j^-1."""
         blocks = self.partition.labelling
-        return labelled_pass([blocks] + [self.action.act_on_set(~g, blocks)
-                                         for g in self.elements])
+        if blocks.rank is not None:
+            return labelled_pass([blocks] + [self.action.act_on_set(~g, blocks)
+                                             for g in self.elements])
+        m = self.block_count
+        column = [i for (i,) in blocks.labels]     # raises unless one block per point
+        columns = [column]
+        for j, g in enumerate(self.elements, 1):
+            shifted = [j * m + i for i in column]
+            columns.append(map(shifted.__getitem__, self.action.point_images(g)))
+        return Labelling(len(columns) * m, tuple(zip(*columns)))
 
     def block_shifts(self, offset: int = 0) -> list[int]:
         """Family j's frame index, `offset` into a pass, minus its block."""
@@ -64,9 +75,10 @@ class ConfigurationPair:
 
 
 # elements in the tuple of a given pair: the frames labelling moves the
-# blocks' labelling once per element, and the cell check reads every label
-# once per coordinate, so the tuple length multiplies their work (0.25 s of
-# `con compute` for the slowest document found, pinned in tests/test_cli.py)
+# blocks' labelling, or reads point images, once per element, and the cell
+# check reads every label once per coordinate, so the tuple length multiplies
+# their work (0.25 s of `con compute` for the slowest document found, pinned
+# in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
 

@@ -518,7 +518,9 @@ class Labelling:
     word from `start` along `transitions`, as a set's automaton does, and
     the state reached outputs its label, or None when the word is not
     reduced.  The action moves a labelling as it moves a set, by `translate`
-    or `permuted`, so one move relabels every set at once.
+    or `permuted`, so one move relabels every set at once.  A finite
+    labelling may also be given its labels outright: a finite pair's frames
+    zip columns of block indices read off point images, with no move.
 
     `points` maps every label that occurs to its least point (the
     shortlex-least word, or the least integer), ordered by that point, so

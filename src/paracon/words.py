@@ -284,12 +284,24 @@ def capped(name: str, requested: int, cap: int) -> int:
     return requested
 
 
-def permutation_code(images: Sequence[int]) -> str:
-    """A permutation coded as the str of its images, chr(g[p]) at position p.
+def permutation_code(images: Sequence[int]) -> bytes | str:
+    """A permutation coded by its images, g[p] at position p: the bytes of
+    the images up to degree 256, and above it the str of their chr.
 
     Codes of one degree sort as their image tuples do, and the code of
-    g * x is `x.translate(code(g))`, one C call."""
-    return "".join(map(chr, images))
+    g * x is `x.translate(code_table(code(g)))`, one C call."""
+    return bytes(images) if len(images) <= 256 else "".join(map(chr, images))
+
+
+def code_table(code: bytes | str) -> bytes | str:
+    """The translate table of a code: a bytes code padded to 256 entries with
+    the fixed bytes above its degree, a str code as it is."""
+    return code + bytes(range(len(code), 256)) if isinstance(code, bytes) else code
+
+
+def code_images(code: bytes | str) -> tuple[int, ...]:
+    """The image tuple that a code holds."""
+    return tuple(code) if isinstance(code, bytes) else tuple(map(ord, code))
 
 
 def _closure_capped(elements: int, degree: int) -> None:
@@ -297,14 +309,14 @@ def _closure_capped(elements: int, degree: int) -> None:
     capped("closure_size", elements * degree, CLOSURE_SIZE_CAP)
 
 
-def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
+def permutation_closure(generators: Sequence[Permutation]) -> list[bytes | str]:
     """The codes (see permutation_code) of the group generated by the given
     permutations.
 
     Returned sorted, identity first; no Permutation is built.  A generator
     already in the group found so far is skipped; each other one resumes the
     breadth-first pass, which multiplies every element x on the left by each
-    kept generator s, one `str.translate` of x's code by s's code.  A finite
+    kept generator s, one `translate` of x's code by s's table.  A finite
     group is closed under products, so no inverses are needed.  Raises
     BoundExceeded past GROUP_ORDER_CAP elements, or past CLOSURE_SIZE_CAP
     elements times degree, since each element holds `degree` images.  The
@@ -327,7 +339,7 @@ def permutation_closure(generators: Sequence[Permutation]) -> list[str]:
     for g in generators:
         if (code := permutation_code(g.images)) in seen:
             continue
-        steps.append(code)
+        steps.append(code_table(code))
         for elem in found:      # found grows while it is read
             for step in steps:
                 product = elem.translate(step)

@@ -152,6 +152,21 @@ def word_images(generators: dict[str, list[int]], word: str, degree: int) -> lis
     return images
 
 
+def regular_elements(generators: dict[str, list[int]]) -> list[tuple[int, ...]]:
+    """The image tuples of the group the generators generate, closed by a
+    plain search and sorted: the points of its regular action."""
+    size = len(next(iter(generators.values())))
+    group, frontier = {tuple(range(size))}, [tuple(range(size))]
+    while frontier:
+        elem = frontier.pop()
+        for perm in generators.values():
+            product = tuple(perm[p] for p in elem)
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return sorted(group)
+
+
 def finite_document_images(action: dict, words: list[str]) -> tuple[int, list[list[int]]]:
     """(degree, one image list per tuple word) of a `trivial`,
     `finite-permutation` or `finite-regular` action document.  The regular
@@ -167,15 +182,7 @@ def finite_document_images(action: dict, words: list[str]) -> tuple[int, list[li
         degree = action["degree"]
         return degree, [word_images(generators, w, degree) for w in words]
     size = len(next(iter(generators.values())))
-    group, frontier = {tuple(range(size))}, [tuple(range(size))]
-    while frontier:
-        elem = frontier.pop()
-        for perm in generators.values():
-            product = tuple(perm[p] for p in elem)
-            if product not in group:
-                group.add(product)
-                frontier.append(product)
-    elements = sorted(group)
+    elements = regular_elements(generators)
     index = {elem: k for k, elem in enumerate(elements)}
     images = []
     for w in words:

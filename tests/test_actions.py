@@ -266,7 +266,8 @@ class TestFiniteRegular:
 
     def test_closure_matches_permutation_closure(self, s3_regular):
         direct = permutation_closure([Permutation((1, 0, 2)), Permutation((0, 2, 1))])
-        assert [g.images for g in s3_regular.elements] == [tuple(map(ord, c)) for c in direct]
+        assert [g.images for g in s3_regular.elements] == [
+            tuple(c) if isinstance(c, bytes) else tuple(map(ord, c)) for c in direct]
 
 
 class TestTrivialInfinite:

@@ -9,9 +9,12 @@ used.  Some draws append generators that the earlier ones already generate.
 Elements enter the library both as words and as image arrays.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import brute_force_configurations
+from oracles import brute_force_configurations, finite_document_images, regular_elements
 from paracon import (
     FiniteRegularAction,
     Permutation,
@@ -20,7 +23,7 @@ from paracon import (
     identity_permutation,
     reduce_word,
 )
-from paracon.serialization import parse_element
+from paracon.serialization import parse_action, parse_element
 from paracon.words import permutation_closure, word_str
 
 
@@ -90,7 +93,8 @@ def test_regular_action_matches_left_regular_oracle(case):
     generators, words, rng = case
     action = FiniteRegularAction(dict(enumerate(generators, start=1)))
     elements = naive_closure(generators)
-    assert [tuple(map(ord, code)) for code in permutation_closure(generators)] == \
+    codes = permutation_closure(generators)
+    assert [tuple(c) if isinstance(c, bytes) else tuple(map(ord, c)) for c in codes] == \
         [g.images for g in elements]
     assert action.elements == elements
     assert action.elements is action.elements
@@ -117,3 +121,29 @@ def test_regular_action_matches_left_regular_oracle(case):
                               [action.point_set(b) for b in blocks])
     assert set(compute_configurations(pair).configurations) == brute_force_configurations(
         size, regular, blocks)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_dihedral_groups_either_side_of_the_byte_codes(n):
+    """D_n, generated by the n-cycle and the reflection p -> -p mod n, has
+    2n elements of degree n: coded as bytes up to degree 256 and as str
+    above, and read against the document oracle on both sides.  The
+    hypothesis test's naive closure is cubic in the degree, too slow here."""
+    doc = {"backend": "finite-regular",
+           "generators": {"a": [(p + 1) % n for p in range(n)], "b": [-p % n for p in range(n)]}}
+    action = parse_action(doc)
+    words = ["a", "b", "ab", "Ba"]
+    size, images = finite_document_images(doc, words)
+    assert action.degree == size == 2 * n
+    assert [g.images for g in action.elements] == regular_elements(doc["generators"])
+    assert [list(action.point_images(w)) for w in words] == images
+    codes = permutation_closure(list(action.generator_map().values()))
+    assert isinstance(codes[0], bytes if n <= 256 else str)
+
+    labels = [x % 3 for x in range(size)]
+    random.Random(n).shuffle(labels)
+    blocks = [frozenset(x for x in range(size) if labels[x] == b) for b in range(3)]
+    pair = configuration_pair(action, words, [action.point_set(b) for b in blocks])
+    perms = [Permutation(tuple(moved)) for moved in images]
+    assert set(compute_configurations(pair).configurations) == brute_force_configurations(
+        size, perms, blocks)

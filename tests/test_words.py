@@ -235,9 +235,10 @@ def test_order_is_the_order_of_the_regular_images(data):
         permutation_order(regular)
 
 
-def decoded(codes: list[str]) -> list[tuple[int, ...]]:
-    """The image tuples of permutation codes, chr(g[p]) at position p."""
-    return [tuple(map(ord, code)) for code in codes]
+def decoded(codes: list) -> list[tuple[int, ...]]:
+    """The image tuples of permutation codes, g[p] at position p: a byte up
+    to degree 256, chr(g[p]) above."""
+    return [tuple(code) if isinstance(code, bytes) else tuple(map(ord, code)) for code in codes]
 
 
 def test_permutation_closure_s3():
