@@ -83,7 +83,8 @@ class Action:
         raise NotImplementedError
 
     def act_on_set(self, g: GroupElement, s: ActionSet | Labelling) -> ActionSet | Labelling:
-        """g.S, or for a labelling the labelling that gives g.x the label of x."""
+        """g.S.  Over F_rank a labelling moves too, to the labelling that
+        gives g.x the label of x; a finite labelling is never moved."""
         raise NotImplementedError
 
     def moved_by_powers(self, g: GroupElement, s: ActionSet) -> ActionSet:
@@ -171,10 +172,8 @@ class FinitePermutationAction(Action):
     def act(self, g, x: int) -> int:
         return self.point_images(g)[x]
 
-    def act_on_set(self, g, s: FiniteSet | Labelling) -> FiniteSet | Labelling:
+    def act_on_set(self, g, s: FiniteSet) -> FiniteSet:
         images = self.point_images(g)
-        if isinstance(s, Labelling):
-            return s.permuted(images)
         return FiniteSet.of(self.degree, [images[p] for p in s.members])
 
     def moved_by_powers(self, g, s: FiniteSet) -> FiniteSet:
@@ -425,11 +424,13 @@ def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Pa
 
 @value
 class OrbitQuotient:
-    """Result of the orbit construction at x0: `map` sends each element g of
-    G's regular action `group` to g.x0, and its fibres are the cosets of Stab(x0)."""
+    """Result of the orbit construction at x0: `group` is the regular action
+    of H, the group the generators induce on the orbit, `map` sends each
+    element h of H to h.x0, and its fibres are the cosets of H_x0, whose
+    order is `stabilizer_order`."""
 
     group: FiniteRegularAction
-    map: EquivariantMap        # from G's regular action onto the orbit action
+    map: EquivariantMap        # from H's regular action onto the orbit action
     orbit_action: FinitePermutationAction
     orbit: tuple[int, ...]
     restricted: bool
@@ -437,12 +438,14 @@ class OrbitQuotient:
 
 
 def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
-    """Identify the orbit of x0 with the coset space G/Stab(x0).
+    """Identify the orbit of x0 with the coset space H/H_x0.
 
-    G = <generators> acts regularly on itself, and g -> g.x0 is an
-    equivariant map from that action onto the orbit, whose fibres are the
-    cosets g Stab(x0); the fibre over x0 is Stab(x0).  A non-transitive
-    action is restricted to the orbit (flagged in the result).
+    H is the group the generators induce on the orbit, the image of G =
+    <generators> there, not G.  H acts regularly on itself, and h -> h.x0
+    is an equivariant map from that action onto the orbit, whose fibres
+    are the cosets h H_x0.  A non-transitive action is restricted to the
+    orbit (flagged in the result), and H_x0 can then be smaller than G's
+    Stab(x0): a = (0 1), b = (2 3) at x0 = 0 give |H| = 2 and |H_x0| = 1.
     """
     gens = action.generator_map()
     if not gens:

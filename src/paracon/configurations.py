@@ -194,9 +194,10 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     cells C holding x and the block of g_j x for every j; since x_j(C) =
     g_j x_0(C), that label alone says which violations its points make at
     every coordinate, and the faults are read off the labels that occur.  A
-    violation's least point in frame j is the least point of the product
-    moved by g_j whose label makes it, found breadth-first; the product is
-    moved, and least points are spelled, only for a frame with a violation.
+    point y of frame j makes a violation exactly when g_j^-1 y has a label
+    making it, so its witness is the least point of g_j S, where S is the
+    set of points with those labels.  Only a violation's set is built and
+    moved, and no labelling is moved.
     On the cells of `compute_configurations` a failing report is a library fault.
     """
     action = cs.pair.action
@@ -223,9 +224,10 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
                 faults.setdefault((j, 2, i), (set(), set()))[1].add(label)
     violations = []
     for j, kind, detail in sorted(faults):
-        frame = points if j == 0 else action.act_on_set(cs.pair.elements[j - 1], points)
-        making = faults[j, kind, detail][0] or faults[j, kind, detail][1]
-        witness = frame.points[next(label for label in frame.points if label in making)]
+        making = points.cells(faults[j, kind, detail][0] or faults[j, kind, detail][1])
+        if j:
+            making = action.act_on_set(cs.pair.elements[j - 1], making)
+        witness = labelled_pass([making]).points[(0,)]
         violations.append((("overlap", "cover-gap", "block-identity")[kind], j, detail, witness))
     return CellPartitionReport(not violations, tuple(violations))
 

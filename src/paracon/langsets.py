@@ -517,10 +517,10 @@ class Labelling:
     of point p.  Over F_rank the labelling is a Moore machine: it reads a
     word from `start` along `transitions`, as a set's automaton does, and
     the state reached outputs its label, or None when the word is not
-    reduced.  The action moves a labelling as it moves a set, by `translate`
-    or `permuted`, so one move relabels every set at once.  A finite
-    labelling may also be given its labels outright: a finite pair's frames
-    zip columns of block indices read off point images, with no move.
+    reduced.  Only a labelling over F_rank is moved, by `translate`, so one
+    move relabels every set at once; a finite labelling is only read, and a
+    finite pair's frames are given their labels outright, zipped from
+    columns of block indices read off point images.
 
     `points` maps every label that occurs to its least point (the
     shortlex-least word, or the least integer), ordered by that point, so
@@ -617,14 +617,6 @@ class Labelling:
             return self
         trans, labels = _chain(self.rank, self.transitions, self.labels, self.start, g)
         return Labelling(self.width, labels, self.rank, tuple(trans), len(self.transitions))
-
-    def permuted(self, images: Sequence[int]) -> "Labelling":
-        """The labelling moved by a permutation of a finite universe: point
-        images[p] takes the label of p."""
-        labels: list = [()] * len(self.labels)
-        for image, label in zip(images, self.labels):
-            labels[image] = label
-        return Labelling(self.width, tuple(labels))
 
     def uncovered(self, indices: Iterable[int]):
         """Least point in none of the sets at `indices`, or None if they cover."""

@@ -634,8 +634,7 @@ def bounded_paradox_search(
         return SearchResult(None, bounds, reason=(
             "finite point set: disjoint pieces satisfy |A|+|B| <= |X| while two "
             "covers need |A|+|B| >= 2|X|"))
-    if not isinstance(action, FreeSelfAction):
-        raise ValueError(f"unsupported backend {action.kind}")
+    # every other backend is the free self-action
     not_found = SearchResult(None, bounds, reason="no decomposition within bounds")
     if cone_depth == 0:      # the one depth-0 atom is X: no two disjoint pieces
         return not_found

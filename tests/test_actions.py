@@ -201,6 +201,16 @@ class TestOrbitCoset:
         assert quotient.orbit == (0, 1)
         assert quotient.orbit_action.degree == quotient.group.degree == 2
 
+    def test_group_is_the_one_induced_on_the_orbit(self):
+        # G = <(0 1), (2 3)> has order 4 and Stab(0) = <(2 3)>, but on the
+        # orbit {0, 1} the generators induce H of order 2 with H_0 trivial
+        action = FinitePermutationAction(4, {1: Permutation((1, 0, 2, 3)), 2: Permutation((0, 1, 3, 2))})
+        quotient = orbit_coset_action(action, 0)
+        assert quotient.orbit == (0, 1) and quotient.restricted
+        assert quotient.group.degree == 2
+        assert quotient.stabilizer_order == 1
+        assert quotient.map.point_map == (0, 1)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), degree=st.integers(1, 6))
     def test_fibres_are_the_cosets_of_the_stabilizer(self, data, degree):

@@ -145,6 +145,17 @@ class TestVerifyCellPartition:
         assert verify_cell_partition(compute_configurations(pair)).ok
         assert moves == [parse_word(w) for w in ("BA", "B", "BA")]
 
+    def test_moves_no_labelling_beyond_the_frames_when_failing(self, f2, five_blocks, monkeypatch):
+        # a failing check reads each witness off a moved set of points, so it
+        # too moves no labelling beyond the frames
+        moves = []
+        translate = Labelling.translate
+        monkeypatch.setattr(Labelling, "translate", lambda self, g: moves.append(g) or translate(self, g))
+        cs = compute_configurations(configuration_pair(f2, ["ab", "b"], five_blocks))
+        broken = ConfigurationSet(cs.pair, {c: cs.base_cells[c] for c in cs.configurations[1:]})
+        assert not verify_cell_partition(broken).ok
+        assert moves == [parse_word(w) for w in ("BA", "B")]
+
     @pytest.mark.parametrize("fixture, kind", [("f2-ab-5block", "_symbolic_pass"),
                                                ("z3-cycle", "_finite_pass"),
                                                ("s4-regular-eq", "_finite_pass")])
