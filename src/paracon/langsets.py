@@ -524,7 +524,13 @@ class Labelling:
 
     `points` maps every label that occurs to its least point (the
     shortlex-least word, or the least integer), ordered by that point, so
-    the first label passing a test carries the least point passing it.
+    the first label passing a test carries the least point passing it.  It
+    reads both off the numbering of the states: the labels in order of
+    first occurrence, each at its first state.  Over a finite universe the
+    states are the points.  Over F_rank that is exact for the states of
+    every `_symbolic_pass` and of `SymbolicSet.product`'s subset
+    construction, numbered breadth-first from the start, letters in
+    canonical order; a moved labelling is not, and is read through a pass.
     `cells(labels)` is the set of points whose label is one of `labels`; a
     label that does not occur adds nothing.  Over F_rank each call
     minimizes the live part of the machine once.
@@ -552,13 +558,7 @@ class Labelling:
 
     @functools.cached_property
     def points(self) -> Mapping[Label, object]:
-        if self.rank is None:
-            # labels in order of their first point; the writes from the last
-            # point down leave each label its least point
-            points = dict.fromkeys(self.labels)
-            points.update(zip(reversed(self.labels), range(len(self.labels) - 1, -1, -1)))
-            return points
-        return _LeastWords(self)
+        return _LeastPoints(self)
 
     @functools.cached_property
     def _sources(self) -> list[list[int]]:
@@ -612,7 +612,9 @@ class Labelling:
         of g^-1 v.  It is the `_chain` of the machine with labels as the
         output, started at the chain's first state; the chain is not
         resolved against the machine, since the labelling need not be
-        minimal, and a product pass reaches each chain state by one word."""
+        minimal, and a product pass reaches each chain state by one word.
+        Its states are not numbered breadth-first, so its `points` are read
+        through a pass, as `ConfigurationPair.frames` reads them."""
         if not g.letters:
             return self
         trans, labels = _chain(self.rank, self.transitions, self.labels, self.start, g)
@@ -634,40 +636,33 @@ class Labelling:
         return least and (least[0], self.points[least[1]])
 
 
-class _LeastWords(Mapping):
-    """Label -> least point of a labelling over F_rank, in the order of
-    those points.
-
-    The states are walked breadth-first from the start, letters in
-    canonical order, and each keeps the state it was first reached from, so
-    the first state in that order to output a label is reached by the least
-    point with that label.  Reading a point spells it in one walk up the
-    tree to the start, so a caller that reads only labels spells no word.
+class _LeastPoints(Mapping):
+    """Label -> least point of a labelling numbered breadth-first, in the
+    order of those points: the labels in order of first occurrence, each
+    read at its first state only when asked.  Over F_rank that state's word
+    is spelled up the breadth-first tree to the start, state 0: a state's
+    parent is the least state stepping into it, by the parent's first
+    letter onto it.  It keeps the labelling's tuples, not the labelling
+    that caches it, so the two make no reference cycle.
     """
 
     def __init__(self, labelling: Labelling):
-        trans, labels, start = labelling.transitions, labelling.labels, labelling.start
-        parent = [-1] * len(trans)
-        parent[start] = start
-        order = [start]
-        self._first: dict[Label, int] = {}
-        for s in order:                          # order grows while we read it
-            self._first.setdefault(labels[s], s)
-            for t in trans[s]:
-                if parent[t] < 0:
-                    parent[t] = s
-                    order.append(t)
+        self._labels, self._rank, self._trans = labelling.labels, labelling.rank, labelling.transitions
+        self._first = dict.fromkeys(self._labels)
         self._first.pop(None, None)
-        self._trans, self._parent = trans, parent
-        self._letters = [letter_from_index(x) for x in range(2 * labelling.rank)]
 
-    def __getitem__(self, label: Label) -> FreeWord:
-        s = self._first[label]
-        word = []
-        while (p := self._parent[s]) != s:       # a letter is its parent's first step onto it
-            word.append(self._letters[self._trans[p].index(s)])
-            s = p
-        return FreeWord(tuple(reversed(word)))
+    def __getitem__(self, label: Label):
+        if label not in self._first:
+            raise KeyError(label)
+        s = self._labels.index(label)
+        if self._rank is None:
+            return s
+        letters = []
+        while s:
+            parent = next(p for p, row in enumerate(self._trans) if s in row)
+            letters.append(letter_from_index(self._trans[parent].index(s)))
+            s = parent
+        return FreeWord(tuple(reversed(letters)))
 
     def __contains__(self, label) -> bool:
         return label in self._first
@@ -727,7 +722,8 @@ def _symbolic_pass(parts: list) -> Labelling:
     successors are the columns of its codes' rows.  A node that is a point
     outputs its parts' offset outputs, joined in order, as its label.
     Letters are taken in canonical order, so the product is numbered
-    breadth-first, in the order of its states' shortlex-least access words.
+    breadth-first, in the order of its states' shortlex-least access words:
+    the numbering `Labelling.points` reads least points off.
     Past AUTOMATON_STATES_CAP nodes it raises BoundExceeded.
     """
     rank = parts[0].rank

@@ -9,6 +9,7 @@ action).
 """
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -224,6 +225,25 @@ def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
     assert report.ok == (not expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6))
+def test_frames_least_points_match_pointwise(universe, seed):
+    """The frames' labels, less the block shifts, are the configurations in
+    the order of their least points, and each reads that point."""
+    rng = random.Random(seed)
+    blocks = merge(rng, universe.atoms, rng.randint(2, min(5, len(universe.atoms))))
+    pair = configuration_pair(universe.action, universe.words, [b.value for b in blocks])
+    expected = {}
+    for p in universe.points:
+        moved = [p] + [g(p) for g in universe.forward]
+        config = tuple(next(i for i, b in enumerate(blocks, start=1) if b.contains(q)) for q in moved)
+        expected.setdefault(config, p)
+    shifts = pair.block_shifts()
+    read = {tuple(map(operator.sub, label, shifts)): p for label, p in pair.frames.points.items()}
+    assert read == expected
+    assert list(read) == list(expected)
+
+
 def check_cells(members: list[Member], points: list) -> None:
     """One pass over the members' values against the oracle, point by point:
     its least points, then `cells` of every label, of every two labels, of
@@ -270,20 +290,46 @@ def test_labels_cells_and_least_points_match_pointwise():
     check_cells(finite_members(), list(range(7)))
 
 
+@settings(max_examples=60, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6))
+def test_drawn_families_match_pointwise(universe, seed):
+    """`check_cells` on merged atoms: one member apart from the rest, which
+    are inflated at random so that they overlap, and in half the draws one
+    of them dropped, so that some points lie in no member.  The member kept
+    apart leaves the label of every member absent."""
+    rng = random.Random(seed)
+    atoms = universe.atoms[:]
+    rng.shuffle(atoms)
+    apart = rng.randint(1, len(atoms) - 2)
+    rest = atoms[apart:]
+    others = merge(rng, rest, rng.randint(1, min(4, len(rest))))
+    for i in range(len(others)):
+        if rng.random() < 0.5:
+            others[i] = others[i].union(rng.choice(rest))
+    if len(others) > 1 and rng.random() < 0.5:
+        del others[rng.randrange(len(others))]
+    members = [functools.reduce(Member.union, atoms[:apart])] + others
+    rng.shuffle(members)
+    check_cells(members, universe.points)
+
+
 def check_moved(action, members: list[Member], points: list, g, preimage: Callable) -> None:
     """One pass over the members' values, moved by g through the action,
     against the oracle: the point p takes the label of g^-1 p, so each
     label's least point is the least p whose preimage carries it, and the
     points carrying a label are the g-translate of those carrying it
-    before the move."""
+    before the move.  The moved labelling is read through a pass of its
+    own, as the frames read it, since its states are not numbered
+    breadth-first."""
     labelling = labelled_pass([m.value for m in members])
     moved = action.act_on_set(g, labelling)
     expected = {}
     for p in points:
         q = preimage(p)
         expected.setdefault(tuple(i for i, m in enumerate(members) if m.contains(q)), p)
-    assert moved.points == expected
-    assert list(moved.points) == list(expected)
+    read = labelled_pass([moved]).points
+    assert read == expected
+    assert list(read) == list(expected)
     for label in labelling.points:
         assert moved.cells([label]) == action.act_on_set(g, labelling.cells([label])), label
 
