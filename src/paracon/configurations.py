@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import Action, Partition, partition as make_partition, validate_partition
-from .langsets import ActionSet, Label, Labelling, labelled_pass
+from .langsets import ActionSet, FiniteSet, Label, Labelling, SymbolicSet, _sink, labelled_pass
 from .words import Verdict, _word_count, capped, value
 
 Configuration = tuple[int, ...]
@@ -76,8 +76,8 @@ class ConfigurationPair:
 
 # elements in the tuple of a given pair: the frames labelling moves the
 # blocks' labelling, or reads point images, once per element, and the cell
-# check reads every label once per coordinate, so the tuple length multiplies
-# their work (0.25 s of `con compute` for the slowest document found, pinned
+# check walks the frames once per cell, so the tuple length multiplies their
+# work (0.08-0.11 s of `con compute` for the slowest document found, pinned
 # in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
@@ -178,6 +178,79 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
     return ConfigurationSet(pair, _BaseCells(frames, labels))
 
 
+def _cells_are_preimages(cs: ConfigurationSet) -> bool:
+    """Whether every label of the frames is a configuration and each base
+    cell holds exactly the points the frames label with it.
+
+    A finite universe compares each cell, degree included, with the points
+    labelled C.  Over F_rank the frames states that reach label C are found
+    backwards, and one forward walk pairs them with the cell's states, as
+    Hopcroft and Karp pair two automata ("A linear algorithm for testing
+    equivalence of finite automata", 1971): a successor that reaches no
+    label C must be the cell's dead state (`_sink`), a frames state must
+    meet one cell state only, and the cell must accept exactly where the
+    label is C.  A pass proves the equality for any cells, and a canonical
+    cell, being minimal, always passes when it holds.  The walk reads only
+    the frames' tables and the cells', so it shares no code with the
+    `Labelling.cells` whose output it checks.  False for a cell of another
+    universe.
+    """
+    frames, shifts = cs.pair.frames, cs.pair.block_shifts()
+    groups: dict[Label, list[int]] = {}
+    for s, label in enumerate(frames.labels):
+        if label is not None:
+            groups.setdefault(label, []).append(s)
+    labels = {}
+    for label in groups:
+        config = tuple(map(operator.sub, label, shifts))
+        if len(label) != len(shifts) or config not in cs:
+            return False
+        labels[config] = label
+    if frames.rank is None:
+        degree = frames.degree
+        return all(cs.base_cells[c] == FiniteSet(degree, frozenset(groups.get(labels.get(c), ())))
+                   for c in cs.configurations)
+    rows, outputs = frames.transitions, frames.labels
+    sources: list[list[int]] = [[] for _ in rows]
+    for s, row in enumerate(rows):
+        for t in row:
+            sources[t].append(s)
+    for config in cs.configurations:
+        cell, label = cs.base_cells[config], labels.get(config)
+        if not isinstance(cell, SymbolicSet) or cell.rank != frames.rank:
+            return False
+        reach = set(groups.get(label, ()))
+        todo = list(reach)
+        for t in todo:                               # todo grows while we read it
+            for s in sources[t]:
+                if s not in reach:
+                    reach.add(s)
+                    todo.append(s)
+        trans, accepting = cell.transitions, cell.accepting
+        sink = _sink(trans, accepting)
+        if frames.start not in reach:
+            if sink != 0:
+                return False
+            continue
+        paired = [-1] * len(rows)                    # frames state -> cell state
+        paired[frames.start] = 0
+        todo = [frames.start]
+        for f in todo:                               # todo grows while we read it
+            c = paired[f]
+            if accepting[c] != (outputs[f] == label):
+                return False
+            for t, d in zip(rows[f], trans[c]):
+                if t not in reach:
+                    if d != sink:
+                        return False
+                elif paired[t] < 0:
+                    paired[t] = d
+                    todo.append(t)
+                elif paired[t] != d:
+                    return False
+    return True
+
+
 @value
 class CellPartitionReport(Verdict):
     ok: bool
@@ -189,17 +262,25 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 
     For every j the family {x_j(C)} must be pairwise disjoint with union X,
     and for every block index i, E_i must equal the union of the x_j(C) with
-    C_j = i.  The given base cells and `pair.frames` take one labelled pass,
-    so the check never rests on the blocks alone.  It labels x with the
-    cells C holding x and the block of g_j x for every j; since x_j(C) =
-    g_j x_0(C), that label alone says which violations its points make at
-    every coordinate, and the faults are read off the labels that occur.  A
-    point y of frame j makes a violation exactly when g_j^-1 y has a label
-    making it, so its witness is the least point of g_j S, where S is the
-    set of points with those labels.  Only a violation's set is built and
-    moved, and no labelling is moved.
-    On the cells of `compute_configurations` a failing report is a library fault.
+    C_j = i.  Since x_j(C) = g_j x_0(C), that holds exactly when every label
+    of `pair.frames` is a configuration and each base cell is the set of
+    points the frames label with its configuration.  `_cells_are_preimages`
+    decides that first, by one walk per cell, and a pass is the report.
+    Only when it rejects are the violations listed: the given base cells
+    and `pair.frames` take one labelled pass, so the listing never rests on
+    the blocks alone.  It labels x with the cells C holding x and the block
+    of g_j x for every j; that label alone says which violations its points
+    make at every coordinate, and the faults are read off the labels that
+    occur.  A point y of frame j makes a violation exactly when g_j^-1 y has
+    a label making it, so its witness is the least point of g_j S, where S
+    is the set of points with those labels.  Only a violation's set is
+    built and moved, and no labelling is moved.  The walk is sound for any
+    cells, so a pass means no violation, and complete for canonical ones:
+    on the cells of `compute_configurations` it always passes, and a
+    failing report is a library fault.
     """
+    if _cells_are_preimages(cs):
+        return CellPartitionReport(True)
     action = cs.pair.action
     configs = cs.configurations
     # with no cells, one empty set keeps the universe and holds no point

@@ -93,19 +93,20 @@ def _minimized(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
     accepting states from rejecting ones, and equivalent states must share
     one; then the coarsest congruence refining the keys is still the
     equivalence, and it is reached in fewer rounds when the keys already
-    split what acceptance alone would not.
+    split what acceptance alone would not.  Rounds stop when one splits no
+    class, or once every class is a single state, since a discrete
+    partition cannot split further and needs no confirming round.
     """
     ids: dict = {}
     block = [ids.setdefault(c, len(ids)) for c in classes]
-    while True:
+    count = 0
+    while count < len(ids) < len(block):
         count = len(ids)
         ids = {}
         block = [ids.setdefault((b, *map(block.__getitem__, row)), len(ids))
                  for b, row in zip(block, trans)]
-        if len(ids) == count:
-            break
-    rows: list = [None] * count
-    quotient = [False] * count
+    rows: list = [None] * len(ids)
+    quotient = [False] * len(ids)
     for s, b in enumerate(block):
         if rows[b] is None:
             rows[b] = [block[t] for t in trans[s]]

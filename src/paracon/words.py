@@ -293,10 +293,12 @@ def permutation_code(images: Sequence[int]) -> bytes | str:
     return bytes(images) if len(images) <= 256 else "".join(map(chr, images))
 
 
-def code_table(code: bytes | str) -> bytes | str:
+def code_table(code: bytes | str) -> bytes | tuple[int, ...]:
     """The translate table of a code: a bytes code padded to 256 entries with
-    the fixed bytes above its degree, a str code as it is."""
-    return code + bytes(range(len(code), 256)) if isinstance(code, bytes) else code
+    the fixed bytes above its degree, and for a str code its image tuple,
+    which `str.translate` indexes without building a one-character str per
+    point."""
+    return code + bytes(range(len(code), 256)) if isinstance(code, bytes) else code_images(code)
 
 
 def code_images(code: bytes | str) -> tuple[int, ...]:

@@ -413,9 +413,10 @@ class TestExitCodes:
         assert report["error"]["bound"] == "automaton_states"
 
     # the slowest documents found at the tuple-length cap of 32: the cone of a
-    # and its complement with the tuple a, a^2, ..., a^32 (0.04 s of command
+    # and its complement with the tuple a, a^2, ..., a^32 (0.01 s of command
     # time on a 2-vCPU VM), and the 53 depth-3 atoms of F2 with the slowest of
-    # 14 random tuples of words of length 1 to 3 (638 configurations, 0.25 s)
+    # 14 random tuples of words of length 1 to 3 (638 configurations,
+    # 0.08-0.11 s, 33 ms of it building and checking the cells)
     LONG_TUPLES = {
         "cone-family": ([{"kind": "cone", "word": "a"},
                          {"kind": "complement", "of": {"kind": "cone", "word": "a"}}],

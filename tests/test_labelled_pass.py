@@ -8,7 +8,9 @@ words in shortlex order for the free group, integers for a finite action
 action).
 """
 
+import contextlib
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from paracon import (
     ConfigurationSet,
     FinitePermutationAction,
     FiniteRegularAction,
+    FiniteSet,
     FreeSelfAction,
     Permutation,
     SymbolicSet,
@@ -183,7 +186,9 @@ def expected_cell_violations(universe: Universe, blocks, cells: dict) -> list:
         gap = first(universe.points, lambda p: not owners[p])
         if gap is not None:
             violations.append(("cover-gap", j, None, gap))
-        for i, block in enumerate(blocks, start=1):
+        # a block index past the blocks names an empty block
+        past = [Member(None, lambda p: False)] * max([0, *(c[j] - len(blocks) for c in configs)])
+        for i, block in enumerate(blocks + past, start=1):
             def covered(p):
                 return any(c[j] == i for c in owners[p])
             missing = first(universe.points, lambda p: block.contains(p) and not covered(p))
@@ -193,10 +198,9 @@ def expected_cell_violations(universe: Universe, blocks, cells: dict) -> list:
     return violations
 
 
-@settings(max_examples=40, deadline=None)
-@given(universe=universes(), seed=st.integers(0, 10**6), mutations=MUTATIONS)
-def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
-    rng = random.Random(seed)
+def pair_and_cells(universe: Universe, rng: random.Random):
+    """Blocks merged from the atoms, their pair, and its base cells, each
+    with a pointwise membership test."""
     blocks = merge(rng, universe.atoms, rng.randint(2, min(4, len(universe.atoms))))
     pair = configuration_pair(universe.action, universe.words, [b.value for b in blocks])
     cs = compute_configurations(pair)
@@ -209,6 +213,12 @@ def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
     cells = {c: Member(cs.base_cells[c], lambda p, c=c: configuration(p) == c)
              for c in cs.configurations}
     assert not verify_cell_partition(cs).violations
+    return blocks, pair, cells
+
+
+def mutated_cells(universe: Universe, rng: random.Random, mutations: list):
+    """`pair_and_cells` with its cells dropped, inflated or duplicated."""
+    blocks, pair, cells = pair_and_cells(universe, rng)
     for mutation in mutations:
         c = rng.choice(sorted(cells))
         if mutation == "drop" and len(cells) > 1:
@@ -219,10 +229,125 @@ def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
             fresh = [c[:-1] + (i,) for i in range(1, len(blocks) + 1) if c[:-1] + (i,) not in cells]
             if fresh:
                 cells[rng.choice(fresh)] = cells[c]
-    report = verify_cell_partition(ConfigurationSet(pair, {k: v.value for k, v in cells.items()}))
+    return blocks, pair, cells
+
+
+def cell_set(pair, cells: dict) -> ConfigurationSet:
+    return ConfigurationSet(pair, {k: v.value for k, v in cells.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6), mutations=MUTATIONS)
+def test_mutated_cells_report_least_witnesses(universe, seed, mutations):
+    blocks, pair, cells = mutated_cells(universe, random.Random(seed), mutations)
+    report = verify_cell_partition(cell_set(pair, cells))
     expected = expected_cell_violations(universe, blocks, cells)
     assert list(report.violations) == expected
     assert report.ok == (not expected)
+
+
+@contextlib.contextmanager
+def counted_passes():
+    """The parts of every labelled pass taken inside the block."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_symbolic_pass", "_finite_pass"):
+            original = getattr(langsets, name)
+            patch.setattr(langsets, name,
+                          lambda parts, original=original: calls.append(parts) or original(parts))
+        yield calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6), mutations=MUTATIONS)
+def test_the_product_runs_only_for_violations(universe, seed, mutations):
+    """The walk over the frames decides the verdict; the product of the
+    cells with the frames, and one pass for each witness, run exactly when
+    there are violations to list."""
+    _, pair, cells = mutated_cells(universe, random.Random(seed), mutations)
+    cs = cell_set(pair, cells)
+    with counted_passes() as calls:
+        report = verify_cell_partition(cs)
+    if report.violations:
+        assert calls[0] == [*(cs.base_cells[c] for c in cs.configurations), pair.frames]
+        assert len(calls) == 1 + len(report.violations)
+    else:
+        assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6))
+def test_a_cell_one_point_off_reports_least_witnesses(universe, seed):
+    """One point toggled in one cell, often a short one: the empty word
+    is the only word to reach the frames' start state, and a longer point's
+    state may be reached first by a shorter word, so the walk must check
+    acceptance and every pairing, not only the first.  Words up to length 4
+    keep every least witness within WORDS."""
+    rng = random.Random(seed)
+    blocks, pair, cells = pair_and_cells(universe, rng)
+    c = rng.choice(sorted(cells))
+    q = rng.choice(universe.points[:rng.choice([1, 5, 21, 161])])
+    toggled = cells[c].value.difference(universe.action.point_set([q]))
+    if toggled == cells[c].value:
+        toggled = toggled.union(universe.action.point_set([q]))
+    cells[c] = Member(toggled, lambda p, inside=cells[c].contains: inside(p) != (p == q))
+    report = verify_cell_partition(cell_set(pair, cells))
+    assert list(report.violations) == expected_cell_violations(universe, blocks, cells)
+    assert report.violations and not report.ok
+
+
+def doubled(cell: SymbolicSet) -> SymbolicSet:
+    """The same set with each state split by the parity of the length read,
+    state 2s + p: equivalent states, so not minimal, and no dead state."""
+    trans = tuple(tuple(2 * t + 1 - p for t in row) for row in cell.transitions for p in (0, 1))
+    return SymbolicSet(cell.rank, trans, tuple(a for a in cell.accepting for _ in (0, 1)))
+
+
+def widened(cell: SymbolicSet) -> SymbolicSet:
+    """The same words in the free group of one more rank: its two new
+    letters lead every state to the dead state."""
+    sink = cell.transitions[cell.transitions[0][0]][1]
+    return SymbolicSet(cell.rank + 1, tuple(row + (sink, sink) for row in cell.transitions),
+                       cell.accepting)
+
+
+@settings(max_examples=40, deadline=None)
+@given(universe=universes(), seed=st.integers(0, 10**6))
+def test_hand_built_cells_get_the_products_answer(universe, seed):
+    """Cells the walk is not complete for, or needs no product for, get the
+    answer of the pointwise oracle: a correct cell that is not canonical
+    (over F_rank its states doubled, which the walk cannot pair, so the
+    product decides; over a finite universe the same points anew), the
+    cell of a configuration that does not occur, empty or not, and a cell
+    of another rank or degree."""
+    rng = random.Random(seed)
+    blocks, pair, cells = pair_and_cells(universe, rng)
+    action = universe.action
+    c = rng.choice(sorted(cells))
+    cell = cells[c].value
+    if action.is_finite:
+        equal = FiniteSet(cell.degree, frozenset(cell.members))
+        other = FiniteSet(cell.degree + 1, cell.members)
+    else:
+        equal, other = doubled(cell), widened(cell)
+    renewed = {**cells, c: Member(equal, cells[c].contains)}
+    with counted_passes() as calls:
+        assert verify_cell_partition(cell_set(pair, renewed)).ok
+    assert bool(calls) == (not action.is_finite)
+
+    shapes = itertools.product(range(1, len(blocks) + 2), repeat=len(universe.words) + 1)
+    absent = next(config for config in shapes if config not in cells)
+    with counted_passes() as calls:
+        empty = Member(action.empty_set(), lambda p: False)
+        assert verify_cell_partition(cell_set(pair, {**cells, absent: empty})).ok
+    assert calls == []
+    inflated = {**cells, absent: rng.choice(universe.atoms)}
+    report = verify_cell_partition(cell_set(pair, inflated))
+    assert list(report.violations) == expected_cell_violations(universe, blocks, inflated)
+    assert report.violations and not report.ok
+
+    with pytest.raises(ValueError):
+        verify_cell_partition(cell_set(pair, {**cells, c: Member(other, cells[c].contains)}))
 
 
 @settings(max_examples=40, deadline=None)
