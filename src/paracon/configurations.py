@@ -55,13 +55,17 @@ class ConfigurationPair:
         its blocks.  Over a finite universe the labels zip its column of
         block indices with that column read at each g_j's point images,
         each shifted by j * m; over F_rank they are one labelled pass over
-        the blocks' labelling and its moves by each g_j^-1."""
+        the blocks' labelling and its moves by each g_j^-1.  A point in two
+        blocks or none is a ValueError naming the least one."""
         blocks = self.partition.labelling
+        stray = next((label for label in blocks.points if len(label) != 1), None)
+        if stray is not None:
+            raise ValueError(f"point {blocks.points[stray]} lies in {len(stray)} blocks")
         if blocks.rank is not None:
             return labelled_pass([blocks] + [self.action.act_on_set(~g, blocks)
                                              for g in self.elements])
         m = self.block_count
-        column = [i for (i,) in blocks.labels]     # raises unless one block per point
+        column = [i for (i,) in blocks.labels]
         columns = [column]
         for j, g in enumerate(self.elements, 1):
             shifted = [j * m + i for i in column]
@@ -77,7 +81,7 @@ class ConfigurationPair:
 # elements in the tuple of a given pair: the frames labelling moves the
 # blocks' labelling, or reads point images, once per element, and the cell
 # check walks the frames once per cell, so the tuple length multiplies their
-# work (0.08-0.11 s of `con compute` for the slowest document found, pinned
+# work (0.08-0.12 s of `con compute` for the slowest document found, pinned
 # in tests/test_cli.py)
 TUPLE_LENGTH_CAP = 32
 
@@ -203,7 +207,7 @@ def _cells_are_preimages(cs: ConfigurationSet) -> bool:
     labels = {}
     for label in groups:
         config = tuple(map(operator.sub, label, shifts))
-        if len(label) != len(shifts) or config not in cs:
+        if config not in cs:
             return False
         labels[config] = label
     if frames.rank is None:

@@ -54,64 +54,67 @@ def _sink(trans: Sequence[Sequence[int]], outputs: Sequence) -> int:
 
 
 def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
-               start: int = 0) -> "SymbolicSet":
+               start: int = 0, classes: Optional[Sequence[int]] = None) -> "SymbolicSet":
     """The set accepted from state `start`, numbered canonically.
 
     Precondition: the automaton is reduced-closed, that is, every word that
     is not reduced leads to a state from which no word is accepted (so it
     accepts reduced words only), and no two states reachable from `start`
-    are equivalent.  Every constructor builds such an automaton directly,
-    and `_minimized` makes one for `Labelling.cells`.
+    are equivalent; every constructor builds such an automaton directly.
+    Given `classes`, each state's class (-1 or below the count of states),
+    the classes are numbered instead, and two reachable states must share
+    one exactly when they are equivalent, so any member gives a class's
+    row.  `Labelling.cells` passes the classes `_refine` left.
 
-    The reachable states are numbered breadth-first, letters in canonical
-    order, which is the order of their shortlex-least access words; that
-    numbering of the minimal automaton is the canonical form.  The walk
-    takes no cap: each constructor checks AUTOMATON_STATES_CAP on the rows
-    it built, which are at least as many, and the product pass's cap bounds
-    the rows of `cells`.
+    The reachable states (or classes) are numbered breadth-first, letters in
+    canonical order, which is the order of their shortlex-least access
+    words; that numbering of the minimal automaton is the canonical form.
+    Each row is built as its state is read.  The walk takes no cap: each
+    constructor checks AUTOMATON_STATES_CAP on the rows it built, which are
+    at least as many, and the product pass's cap bounds the rows of `cells`.
     """
-    index = [-1] * len(trans)
-    index[start] = 0
-    order = [start]
+    classes = range(len(trans)) if classes is None else classes
+    index = [-1] * (len(trans) + 1)          # by class; class -1 takes the last slot
+    index[classes[start]] = 0
+    order, rows = [start], []
     for s in order:                          # order grows while we read it
+        row = []
         for t in trans[s]:
-            if index[t] < 0:
-                index[t] = len(order)
+            c = classes[t]
+            if index[c] < 0:
+                index[c] = len(order)
                 order.append(t)
-    return SymbolicSet(rank, tuple([tuple([index[t] for t in trans[s]]) for s in order]),
-                       tuple([accepting[s] for s in order]))
+            row.append(index[c])
+        rows.append(tuple(row))
+    return SymbolicSet(rank, tuple(rows), tuple([accepting[s] for s in order]))
 
 
-def _minimized(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
-               start: int, classes: Sequence) -> "SymbolicSet":
-    """The set a reduced-closed automaton accepts from state `start`: Moore
-    refinement merges its equivalent states, and `_canonical` numbers the
-    quotient.  `Labelling.cells`, which every set not built minimal is read
-    off, is its one caller.
+def _refine(trans: Sequence[Sequence[int]], classes: list[int], live: Sequence[int]) -> int:
+    """Refine `classes` in place by Moore rounds over the `live` states of
+    `trans` (E. F. Moore, "Gedanken-experiments on sequential machines",
+    1956), and return the number of rounds.
 
-    Refinement starts from `classes`, each state's key.  Keys must tell
-    accepting states from rejecting ones, and equivalent states must share
-    one; then the coarsest congruence refining the keys is still the
-    equivalence, and it is reached in fewer rounds when the keys already
-    split what acceptance alone would not.  Rounds stop when one splits no
-    class, or once every class is a single state, since a discrete
-    partition cannot split further and needs no confirming round.
+    A live state's class is a number from 0, and every other state is -1:
+    those must be equivalent and step only among themselves, so they never
+    split.  The classes must tell accepting states from rejecting ones, and
+    equivalent states must share one; then the coarsest congruence refining
+    them is the equivalence, reached in fewer rounds when they already split
+    what acceptance alone would not.  A round keys each live state by its
+    class and its successors' classes.  Rounds stop when one splits no
+    class, or once every class is a single state, which cannot split.
     """
-    ids: dict = {}
-    block = [ids.setdefault(c, len(ids)) for c in classes]
-    count = 0
-    while count < len(ids) < len(block):
+    get = classes.__getitem__
+    count, rounds = len(set(map(get, live))), 0
+    while count < len(live):
+        ids: dict = {}
+        keys = [ids.setdefault((get(s), *map(get, trans[s])), len(ids)) for s in live]
+        rounds += 1
+        if len(ids) == count:
+            break
         count = len(ids)
-        ids = {}
-        block = [ids.setdefault((b, *map(block.__getitem__, row)), len(ids))
-                 for b, row in zip(block, trans)]
-    rows: list = [None] * len(ids)
-    quotient = [False] * len(ids)
-    for s, b in enumerate(block):
-        if rows[b] is None:
-            rows[b] = [block[t] for t in trans[s]]
-            quotient[b] = accepting[s]
-    return _canonical(rank, rows, quotient, block[start])
+        for s, c in zip(live, keys):
+            classes[s] = c
+    return rounds
 
 
 def _registered(rank: int, trans: list, accepting: Sequence[bool],
@@ -533,8 +536,8 @@ class Labelling:
     construction, numbered breadth-first from the start, letters in
     canonical order; a moved labelling is not, and is read through a pass.
     `cells(labels)` is the set of points whose label is one of `labels`; a
-    label that does not occur adds nothing.  Over F_rank each call
-    minimizes the live part of the machine once.
+    label that does not occur adds nothing.  Over F_rank each call refines
+    the classes of the machine's live states once, on its own table.
     """
 
     width: int
@@ -573,40 +576,31 @@ class Labelling:
     def cells(self, labels: Iterable[Label]) -> ActionSet:
         """The points whose label is one of `labels`.
 
-        Over F_rank the machine is trimmed, then minimized.  The trimming
-        walk goes breadth-first backwards from the selected states, so it
-        finds each state that reaches one together with its distance, the
-        length of the shortest word it accepts.  Those states keep their
-        order, every other target goes to one appended rejecting row, and
-        `_minimized` refines the result from the distances: equivalent
-        states accept the same words, so they share a distance.  No point's
-        state is the sink, so these rows are no more than the machine's,
-        which its pass, its translate or the product's subset construction
-        already capped.
+        Over F_rank it is read off the machine's own table.  A walk
+        breadth-first backwards from the selected states finds each state
+        that reaches one and writes its distance, the length of the shortest
+        word it accepts, as its class; every other state is dead, class -1.
+        Equivalent states accept the same words, so they share a distance,
+        and `_refine` splits the classes from there; `_canonical` numbers
+        them.  The classes are no more than the machine's states, which its
+        pass, its translate or the product's subset construction capped.
         """
         selected = [s for label in labels for s in self._states.get(label, ())]
         if self.rank is None:
             return FiniteSet(len(self.labels), frozenset(selected))
-        sources = self._sources
-        distance = [-1] * len(self.transitions)
+        sources, n = self._sources, len(self.transitions)
+        classes, accepting = [-1] * n, [False] * n
         live = list(dict.fromkeys(selected))
         for s in live:
-            distance[s] = 0
+            classes[s], accepting[s] = 0, True
         for t in live:                           # live grows while we read it
-            d = distance[t] + 1
+            d = classes[t] + 1
             for s in sources[t]:
-                if distance[s] < 0:
-                    distance[s] = d
+                if classes[s] < 0:
+                    classes[s] = d
                     live.append(s)
-        live.sort()
-        dead = len(live)
-        renumber = [dead] * len(self.transitions)
-        for i, s in enumerate(live):
-            renumber[s] = i
-        rows = [[renumber[t] for t in self.transitions[s]] for s in live]
-        rows.append([dead] * (2 * self.rank))
-        classes = [distance[s] for s in live] + [-1]
-        return _minimized(self.rank, rows, [d == 0 for d in classes], renumber[self.start], classes)
+        _refine(self.transitions, classes, live)
+        return _canonical(self.rank, self.transitions, accepting, self.start, classes)
 
     def translate(self, g: FreeWord) -> "Labelling":
         """The labelling moved by g over F_rank: the point v takes the label

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import argv_parser
+from paracon import langsets
 from paracon.cli import HELP, _array, _json, main, read_argv
 from paracon.langsets import FiniteSet, SymbolicSet
 from paracon.serialization import (
@@ -412,11 +413,33 @@ class TestExitCodes:
         assert code == 3
         assert report["error"]["bound"] == "automaton_states"
 
+    def test_long_cycle_refinement_takes_its_pinned_rounds(self, capsys, tmp_path, monkeypatch):
+        # the powers of a^999 and their complement, under the cap: Moore
+        # rounds split a long cycle one distance at a time, so its cells take
+        # about one round per state (ROADMAP item 5 asks for Hopcroft's
+        # algorithm); the count pins the rounds of the current refinement
+        rounds = []
+        refine = langsets._refine
+
+        def counted(*args):
+            rounds.append(refine(*args))
+            return rounds[-1]
+        monkeypatch.setattr(langsets, "_refine", counted)
+        powers = {"kind": "powers", "word": "a" * 999}
+        doc = {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"],
+               "partition": [powers, {"kind": "complement", "of": powers}]}
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "con", "compute", "--input", str(path))
+        assert code == 0
+        assert report["data"]["cell_partition_ok"] is True
+        assert sum(rounds) == 1995
+
     # the slowest documents found at the tuple-length cap of 32: the cone of a
     # and its complement with the tuple a, a^2, ..., a^32 (0.01 s of command
     # time on a 2-vCPU VM), and the 53 depth-3 atoms of F2 with the slowest of
     # 14 random tuples of words of length 1 to 3 (638 configurations,
-    # 0.08-0.11 s, 33 ms of it building and checking the cells)
+    # 0.08-0.12 s, 30 ms of it building and checking the cells)
     LONG_TUPLES = {
         "cone-family": ([{"kind": "cone", "word": "a"},
                          {"kind": "complement", "of": {"kind": "cone", "word": "a"}}],

@@ -212,18 +212,39 @@ class TestVerifyCellPartition:
             assert over(candidate.partition.blocks) == [candidate.partition.blocks]
             assert len(passes) == 1
 
-    def test_cells_of_overlapping_blocks_are_listed_by_the_product(self, f2):
-        # an unvalidated pair whose blocks overlap: a point of cone(a) has two
-        # blocks, so the labels of a and aa both read as configuration (1, 0)
-        # and the cells computed from them leave the points labelled like a
-        # in no cell; the walk takes only labels with one block per
-        # coordinate, so the product lists the violations
+    def test_overlapping_blocks_raise_before_any_cell(self, f2):
+        # an unvalidated pair whose blocks overlap: every point of cone(a)
+        # lies in both blocks, so no label of the frames reads as a
+        # configuration, and the frames name the least such point
         blocks = (langsets.SymbolicSet.full(2), cone("a"))
         pair = ConfigurationPair(f2, (parse_word("A"),), Partition(blocks))
-        report = verify_cell_partition(compute_configurations(pair))
-        a, e = parse_word("a"), parse_word("e")
-        assert report.violations == (("cover-gap", 0, None, a), ("block-identity", 0, 1, a),
-                                     ("cover-gap", 1, None, e), ("block-identity", 1, 0, e))
+        with pytest.raises(ValueError, match="point a lies in 2 blocks"):
+            compute_configurations(pair)
+
+    @pytest.mark.parametrize("change,message", [
+        ("widen", "point e lies in 2 blocks"),
+        ("drop", "point e lies in 0 blocks"),
+    ])
+    def test_frames_name_a_point_in_two_blocks_or_none(self, f2, five_blocks, change, message):
+        # the first-letter blocks with cone(a) widened to hold e, or with {e}
+        # dropped: the cell check used to answer ok for the cells read off
+        # such frames, reading e's label (0, 1, 6) or (4,) position by position
+        blocks = list(five_blocks)
+        if change == "widen":
+            blocks[1] = blocks[1].union(blocks[0])
+        else:
+            del blocks[0]
+        pair = ConfigurationPair(f2, (parse_word("ab"),), Partition(tuple(blocks)))
+        with pytest.raises(ValueError, match=message):
+            pair.frames
+
+    def test_finite_frames_name_a_point_in_two_blocks_or_none(self, z3):
+        for blocks, message in ((([0, 1], [1, 2]), "point 1 lies in 2 blocks"),
+                                (([0], [2]), "point 1 lies in 0 blocks")):
+            pair = ConfigurationPair(z3, (z3.normalize_element("a"),),
+                                     Partition(tuple(map(z3.point_set, blocks))))
+            with pytest.raises(ValueError, match=message):
+                compute_configurations(pair)
 
     def test_detects_deleted_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])

@@ -12,6 +12,7 @@ from paracon.words import FreeWord, parse_word, word_str
 
 RANK = 2
 WORDS6 = all_reduced_words(RANK, 6)
+WORDS5 = all_reduced_words(RANK, 5)
 WORDS6_BY_RANK = {1: all_reduced_words(1, 6), RANK: WORDS6}
 
 
@@ -409,6 +410,24 @@ def barren_states(s: SymbolicSet) -> list[int]:
     return [t for t in range(len(s.transitions)) if t not in reaching]
 
 
+def check_canonical(s: SymbolicSet) -> None:
+    """States numbered breadth-first, no two equivalent, and one barren
+    state, the rejecting sink."""
+    assert bfs_order(s) == list(range(len(s.transitions)))
+    assert equivalent_pairs(s) == []
+    [sink] = barren_states(s)
+    assert not s.accepting[sink]
+    assert all(t == sink for t in s.transitions[sink])
+
+
+def check_cell(cell: SymbolicSet, holds) -> None:
+    """A canonical set holding exactly the reduced words up to length 5
+    that `holds`."""
+    check_canonical(cell)
+    for w in WORDS5:
+        assert (w in cell) == holds(w), word_str(w)
+
+
 @st.composite
 def canonical_candidates(draw) -> list[SymbolicSet]:
     """Sets from a random expression, its translate and complement, the
@@ -437,24 +456,28 @@ def canonical_candidates(draw) -> list[SymbolicSet]:
 @given(canonical_candidates())
 def test_every_set_is_in_canonical_form(sets):
     for s in sets:
-        assert bfs_order(s) == list(range(len(s.transitions)))
-        assert equivalent_pairs(s) == []
-        [sink] = barren_states(s)
-        assert not s.accepting[sink]
-        assert all(t == sink for t in s.transitions[sink])
+        check_canonical(s)
 
 
 def both_starts(started: list):
-    """`_minimized` that also refines the same machine from acceptance alone
-    and asserts the two sets are equal; `started` collects the starting
-    partitions it was given."""
-    original = langsets._minimized
+    """`_refine` that also refines the same classes from acceptance alone
+    (live states of distance 0, the other live states, the dead ones) and
+    asserts that both end in the same partition of the live states, so
+    they give the same cell; `started` collects the classes it was given."""
+    original = langsets._refine
 
-    def checked(rank, trans, accepting, start, classes):
-        result = original(rank, trans, accepting, start, classes)
-        started.append(classes)
-        assert result == original(rank, trans, accepting, start, accepting)
-        return result
+    def partition(classes, live):
+        ids: dict = {}
+        return [ids.setdefault(classes[s], len(ids)) for s in live]
+
+    def checked(trans, classes, live):
+        started.append(list(classes))
+        alone = [min(c, 1) for c in classes]
+        rounds = original(trans, classes, live)
+        original(trans, alone, live)
+        assert partition(classes, live) == partition(alone, live)
+        assert {classes[s] for s in set(range(len(trans))) - set(live)} <= {-1}
+        return rounds
     return checked
 
 
@@ -485,7 +508,7 @@ def test_base_cells_from_distances_match_acceptance_and_the_pointwise_oracle(dat
     (block of x, block of g_1 x, ...), is its own."""
     started = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(langsets, "_minimized", both_starts(started))
+        patch.setattr(langsets, "_refine", both_starts(started))
         exprs, words = data.draw(small_f2_pairs())
         pair = configuration_pair(FreeSelfAction(RANK), words, [build(e) for e in exprs])
         cs = compute_configurations(pair)
@@ -510,7 +533,7 @@ def test_distance_start_agrees_with_acceptance_start(data):
     starting partitions."""
     started = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(langsets, "_minimized", both_starts(started))
+        patch.setattr(langsets, "_refine", both_starts(started))
         for s in data.draw(canonical_candidates()):
             assert labelled_pass([s]).cells([(0,)]) == s
     assert started
@@ -553,7 +576,7 @@ def test_no_constructor_refines(data):
         raise AssertionError("a constructor called the refinement")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(langsets, "_minimized", refuse)
+        patch.setattr(langsets, "_refine", refuse)
         SymbolicSet.cone(w, rank)
         SymbolicSet.singleton(w, rank)
         SymbolicSet.words(rank, singletons, cones)
@@ -561,6 +584,86 @@ def test_no_constructor_refines(data):
         SymbolicSet.empty.__wrapped__(rank)
         SymbolicSet.powers(w, rank)
         s.translate(g)
+
+
+def test_base_cell_with_equivalent_live_states_is_merged():
+    """A depth-2 F_2 pair whose cell (2, 2) has 12 live frames states of
+    which only 9 are inequivalent: the refinement merges them, and the
+    cell is canonical and holds x exactly when x and ABx lie in block 2."""
+    words = ["e", "A", "AA", "BA", "BB", "aB", "ab"]
+    first = ("singleton", parse_word("e"))
+    for w in words[1:]:
+        first = ("union", first, ("singleton" if len(w) < 2 else "cone", parse_word(w)))
+    exprs = [first, ("complement", first)]
+    g = parse_word("AB")
+    live_and_classes = []
+    original = langsets._refine
+
+    def counted(trans, classes, live):
+        rounds = original(trans, classes, live)
+        live_and_classes.append((len(live), len({classes[s] for s in live})))
+        return rounds
+
+    pair = configuration_pair(FreeSelfAction(RANK), [g], [build(e) for e in exprs])
+    cs = compute_configurations(pair)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(langsets, "_refine", counted)
+        cell = cs.base_cells[(2, 2)]
+    assert live_and_classes == [(12, 9)]
+
+    def holds(x):
+        return not expr_contains(first, x) and not expr_contains(first, free_product(g, x))
+    check_cell(cell, holds)
+
+
+def test_cell_of_a_label_that_does_not_occur_is_empty():
+    """cone(a) and cone(b) share no point, so no state carries (0, 1): its
+    cell, like the selection of no label, is the empty set."""
+    points = labelled_pass([SymbolicSet.cone(parse_word("a"), RANK),
+                            SymbolicSet.cone(parse_word("b"), RANK)])
+    assert (0, 1) not in points.points
+    for labels in ([(0, 1)], []):
+        cell = points.cells(labels)
+        assert cell == SymbolicSet.empty(RANK)
+        check_cell(cell, lambda w: False)
+
+
+def labels_up_to_5(exprs, move=lambda w: w) -> dict:
+    """Reduced word w up to length 5 -> the indices of the expressions
+    holding move(w)."""
+    return {w: tuple(i for i, e in enumerate(exprs) if expr_contains(e, move(w))) for w in WORDS5}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(exprs, min_size=2, max_size=2), translators.filter(lambda g: g.letters))
+def test_cells_read_straight_off_a_moved_labelling(operands, g):
+    """A translated labelling starts past its own states and is not numbered
+    breadth-first; its cells read straight off it equal those read through
+    a pass over it, and hold v exactly when g^-1 v has the label."""
+    moved = labelled_pass([build(e) for e in operands]).translate(g)
+    assert moved.start != 0
+    through = labelled_pass([moved])
+    g_inv = free_inverse(g)
+    labels = labels_up_to_5(operands, lambda v: free_product(g_inv, v))
+    for label in through.points:
+        cell = moved.cells([label])
+        assert cell == through.cells([label])
+        check_cell(cell, lambda v: labels[v] == label)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_selections_of_several_labels(data):
+    """Over a pass of 2 or 3 drawn sets, the cell of any selection of
+    labels, occurring or not (as `union` reads (0,), (1,) and (0, 1)), is
+    canonical and holds exactly the words whose label is selected."""
+    operands = data.draw(st.lists(exprs, min_size=2, max_size=3))
+    every = [tuple(i for i in range(len(operands)) if mask >> i & 1)
+             for mask in range(1 << len(operands))]
+    selection = data.draw(st.lists(st.sampled_from(every), unique=True))
+    points = labelled_pass([build(e) for e in operands])
+    labels = labels_up_to_5(operands)
+    check_cell(points.cells(selection), lambda w: labels[w] in selection)
 
 
 @pytest.mark.parametrize("rank", [1, 2])
