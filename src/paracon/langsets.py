@@ -25,7 +25,7 @@ import functools
 import itertools
 import operator
 from collections.abc import Mapping
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .words import FreeWord, capped, letter_from_index, letter_index, value
 
@@ -615,11 +615,13 @@ class Labelling:
         trans, labels = _chain(self.rank, self.transitions, self.labels, self.start, g)
         return Labelling(self.width, labels, self.rank, tuple(trans), len(self.transitions))
 
+    def least(self, holds: Callable[[Label], bool]):
+        """Least point whose label passes `holds`, or None."""
+        return next((self.points[label] for label in self.points if holds(label)), None)
+
     def uncovered(self, indices: Iterable[int]):
         """Least point in none of the sets at `indices`, or None if they cover."""
-        wanted = set(indices)
-        gap = next((label for label in self.points if wanted.isdisjoint(label)), None)
-        return None if gap is None else self.points[gap]
+        return self.least(set(indices).isdisjoint)
 
     def overlap(self, indices: Iterable[int]) -> Optional[tuple[tuple[int, int], object]]:
         """The least pair of sets at `indices` that meet, with its least shared

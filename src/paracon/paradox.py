@@ -127,11 +127,11 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
 
         X_1 = s_1 X_1  |_|  s_2 D_1  |_| ... |_|  s_{n+1} D_n,
 
-    where D_i = X_{i+1} minus h_i X_i.  The pieces E_0 = s_1 X_1 and
-    E_i = s_{i+1} D_i live inside X_1; one family {E_0, complement of X_1}
-    recovers X via s_1^-1 and the identity, the other {E_1..E_n} recovers
-    X via the s_{i+1}^-1, using the covering hypothesis X = union of D_i.
-    The partition identity is checked exactly, never assumed.
+    where D_i = X_{i+1} minus h_i X_i, read with the inclusion of h_i X_i in
+    X_{i+1} off one labelled pass.  The pieces E_0 = s_1 X_1 and E_i =
+    s_{i+1} D_i live inside X_1; {E_0, X_1^c} recovers X via s_1^-1 and e,
+    {E_1..E_n} via the s_{i+1}^-1 by the covering hypothesis X = union of
+    D_i.  The partition identity is checked exactly, never assumed.
     """
     n = len(chain.sets)
     sets = list(chain.sets) + [chain.sets[0]]
@@ -139,12 +139,12 @@ def chain_to_decomposition(action: Action, chain: PingPongChain) -> ChainResult:
 
     differences = []
     for i in range(n):
-        image = action.act_on_set(elements[i], sets[i])
-        outside = image.subset_witness(sets[i + 1])
+        pair = labelled_pass([sets[i + 1], action.act_on_set(elements[i], sets[i])])
+        outside = pair.points.get((1,))
         if outside is not None:
             raise ChainHypothesisError(
                 f"h_{i+1} X_{i+1} is not contained in X_{(i + 1) % n + 1}", outside)
-        differences.append(sets[i + 1].difference(image))
+        differences.append(pair.cells([(0,)]))
     gap = labelled_pass(differences).uncovered(range(n))
     if gap is not None:
         raise ChainHypothesisError("the differences X_{i+1} minus h_i X_i do not cover X", gap)
@@ -211,27 +211,24 @@ def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongRep
     """Verify the cyclic ping-pong hypotheses exactly.
 
     All 2k sets must be pairwise disjoint (precondition; violations raise),
-    and each complement B_i^c must be contained in g_i A_i.  Success
-    certifies that g_1..g_k freely generate a free subgroup of rank k.
+    and B_i^c must lie in g_i A_i, read off one labelled pass over B_i and
+    g_i A_i.  Success certifies that g_1..g_k generate a free group of rank k.
     """
     k = len(tableau.elements)
     everything = list(tableau.sets_a) + list(tableau.sets_b)
     if overlap := labelled_pass(everything).overlap(range(2 * k)):
-        (x, y), witness = overlap
+        (x, y), witness = [f"{'AB'[i // k]}_{i % k + 1}" for i in overlap[0]], overlap[1]
         raise ValueError(f"tableau sets {x} and {y} overlap (witness {witness!r})")
-    inclusions = []
     for i in range(k):
-        g = action.normalize_element(tableau.elements[i])
-        target = action.act_on_set(g, tableau.sets_a[i])
-        missing = tableau.sets_b[i].complement().subset_witness(target)
+        target = action.act_on_set(action.normalize_element(tableau.elements[i]), tableau.sets_a[i])
+        missing = labelled_pass([tableau.sets_b[i], target]).uncovered((0, 1))
         if missing is not None:
             return PingPongReport(
                 False, problem=f"B_{i+1}^c is not contained in g_{i+1} A_{i+1}", witness=missing)
-        inclusions.append((f"B_{i+1}^c", f"g_{i+1} A_{i+1}"))
     return PingPongReport(
         True,
         conclusion=f"the {k} elements freely generate a free subgroup of rank {k}",
-        inclusions=tuple(inclusions),
+        inclusions=tuple((f"B_{i+1}^c", f"g_{i+1} A_{i+1}") for i in range(k)),
     )
 
 
@@ -253,9 +250,10 @@ SubgroupSpec = Union[CyclicSubgroup, FiniteSubgroup]
 
 
 def _subgroup_moves(action: Action, spec: SubgroupSpec) -> tuple[object, Callable]:
-    """The certified size of H and the map S -> (H minus e).S.  A listed H is a
-    group when it is as large as `permutation_closure` of it, which runs under
-    the group caps; a word other than e generates an infinite group."""
+    """Certified |H| and a map from S to sets whose union is (H minus e).S:
+    h.S for each h != e of a listed H, or `moved_by_powers` for <g>.  A listed
+    H is a group when as large as its `permutation_closure` (under the group
+    caps); a word other than e generates an infinite group."""
     identity = action.identity()
     if isinstance(spec, FiniteSubgroup):
         pool = {action.normalize_element(g) for g in spec.elements} | {identity}
@@ -267,12 +265,11 @@ def _subgroup_moves(action: Action, spec: SubgroupSpec) -> tuple[object, Callabl
         if order != len(pool):
             raise ValueError(f"element list not closed under products: its {len(pool)} elements "
                              f"generate a group of {f'order {order}' if order else 'infinite order'}")
-        return len(pool), lambda s: reduce(type(s).union, [action.act_on_set(h, s) for h in nonidentity],
-                                           action.empty_set())
+        return len(pool), lambda s: [action.act_on_set(h, s) for h in nonidentity]
     generator = action.normalize_element(spec.generator)
     order = generator.order()
     size = order if order is not None else float("inf")
-    return size, lambda s: action.moved_by_powers(generator, s)
+    return size, lambda s: [action.moved_by_powers(generator, s)]
 
 
 def check_pingpong_subgroups(
@@ -281,11 +278,11 @@ def check_pingpong_subgroups(
     """Ping-pong for k subgroups with pairwise disjoint sets X_1..X_k.
 
     Decides (H_i minus e).X_s inside X_i exactly for each i and s != i, in
-    order, and lists the k(k-1) inclusions; a failure's witness is the least
-    point of (H_i minus e).X_s outside X_i.  Size side conditions: for k = 2
-    we need |H_1| >= 3 and |H_2| >= 2, in general some |H_i| > 2; sizes must
-    be certified (finite enumeration, or infinite order of a generator).
-    Success concludes <H_1,...,H_k> is their free product.
+    order, each on one labelled pass over X_i and the sets `_subgroup_moves`
+    gives, and lists the k(k-1) inclusions; a failure's witness is the least
+    point in one of those sets and outside X_i.  Sizes, certified by
+    enumeration or infinite order: |H_1| >= 3 and |H_2| >= 2 for k = 2, else
+    some |H_i| > 2.  Success concludes <H_1,...,H_k> is their free product.
     """
     k = len(subgroups)
     if k < 2 or len(sets) != k:
@@ -303,7 +300,8 @@ def check_pingpong_subgroups(
         raise ValueError("size condition violated: some subgroup must have more than 2 elements")
     pairs = tuple(itertools.permutations(range(k), 2))
     for i, s in pairs:
-        outside = moves[i](sets[s]).subset_witness(sets[i])
+        points = labelled_pass([sets[i], *moves[i](sets[s])])
+        outside = points.least(lambda label: label and label[0] > 0)   # X_i is index 0
         if outside is not None:
             return PingPongReport(
                 False,
@@ -355,8 +353,9 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     """Check disjointness plus g1 E1 = E2 = g2^-1 E4 and E3 = g1^-1 E5 = g2 E1.
 
     E_1 must be nonempty: with all sets empty the relations hold in any
-    group, so emptiness certifies nothing.  Success certifies that the two
-    elements do not commute.
+    group.  A failed relation's witness, off one labelled pass over its two
+    sides, is the least point of the left outside the right, else the
+    reverse.  Success certifies that the two elements do not commute.
     """
     e1, e2, e3, e4, e5 = witness.sets
     if e1.is_empty:
@@ -374,9 +373,9 @@ def verify_nonabelian(action: Action, witness: NonabelianWitness) -> PingPongRep
     ]
     for name, left, right in relations:
         if left != right:
-            extra = left.subset_witness(right)
+            points = labelled_pass([left, right]).points
             return PingPongReport(False, problem=f"relation {name} fails",
-                                  witness=extra if extra is not None else right.subset_witness(left))
+                                  witness=points[(0,) if (0,) in points else (1,)])
     return PingPongReport(True, conclusion="the two elements do not commute")
 
 
@@ -406,19 +405,18 @@ def make_infinite_order_witness(action: Action, a) -> InfiniteOrderWitness:
 
 
 def verify_infinite_order(action: Action, witness: InfiniteOrderWitness) -> PingPongReport:
-    """Check E1, E2 disjoint, a E1 inside E1, and a E2 meets E1.
-
-    Passing certifies that the element has infinite order; on a finite
-    backend no witness can pass.
+    """Check E1, E2 disjoint, a E1 inside E1, and a E2 meets E1, each on
+    one labelled pass over the two sets it compares.  Passing certifies that
+    the element has infinite order; on a finite backend no witness can pass.
     """
     a = action.normalize_element(witness.element)
     shared = labelled_pass([witness.e1, witness.e2]).points.get((0, 1))
     if shared is not None:
         return PingPongReport(False, problem="E_1 and E_2 overlap", witness=shared)
-    outside = action.act_on_set(a, witness.e1).subset_witness(witness.e1)
+    outside = labelled_pass([action.act_on_set(a, witness.e1), witness.e1]).points.get((0,))
     if outside is not None:
         return PingPongReport(False, problem="a E_1 is not contained in E_1", witness=outside)
-    if action.act_on_set(a, witness.e2).is_disjoint(witness.e1):
+    if (0, 1) not in labelled_pass([action.act_on_set(a, witness.e2), witness.e1]).points:
         return PingPongReport(False, problem="a E_2 does not meet E_1")
     return PingPongReport(True, conclusion="the element has infinite order")
 

@@ -13,15 +13,18 @@ linear feasibility by Fourier-Motzkin elimination, a reference
 phase-one simplex over Fraction that fixes which answer the solver
 returns, row-by-row Fraction checks of solutions and certificates, and the
 paradox search's cover table and a lex-first paradox search, both testing
-covers word by word; and an argparse spec of the command line, which
-cli.read_argv must match argv for argv.
+covers word by word; the hypotheses of ping-pong chains, cyclic tableaux,
+subgroup ping-pong and the non-abelian and infinite-order witnesses, each
+decided point by point (over F_rank, y lies in gS exactly when g^-1 y, reduced
+on a stack, lies in S) with its least failing point; and an argparse spec of
+the command line, which cli.read_argv must match argv for argv.
 """
 
 from __future__ import annotations
 
 import argparse
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 from paracon.words import FreeWord
@@ -123,6 +126,105 @@ def moved_by_powers_points(images: tuple[int, ...], members) -> set[int]:
         moved.update(power[x] for x in members)
         power = tuple(images[p] for p in power)
     return moved
+
+
+def is_power(a: FreeWord, y: FreeWord, least: int) -> bool:
+    """Whether y = a^n for some n >= least, for a != e.  a is a conjugate
+    x c x^-1 of a cyclically reduced c != e, and a^n reduces to x c^n x^-1,
+    so |a^n| >= n and no n past |y| gives y."""
+    power = FreeWord(())
+    for _ in range(least):
+        power = free_product(power, a)
+    for _ in range(len(y.letters) + 1):
+        if power == y:
+            return True
+        power = free_product(power, a)
+    return False
+
+
+# ping-pong, chain and witness hypotheses, decided point by point.  A set is
+# its membership test, a function of a point; a hypothesis is a (problem,
+# fails) pair, `fails` true at the points that break it, listed in the order
+# the library decides them.
+
+
+def translate_test(g: FreeWord, inside):
+    """The membership test of gS from that of S over F_rank: y lies in gS
+    exactly when g^-1 y, reduced on a stack, lies in S."""
+    inverse = free_inverse(g)
+    return lambda y: inside(free_product(inverse, y))
+
+
+def least_failures(hypotheses, points) -> list[tuple]:
+    """(problem, least failing point or None) for each hypothesis, trying the
+    points in the order given."""
+    points = list(points)
+    return [(problem, next((y for y in points if fails(y)), None)) for problem, fails in hypotheses]
+
+
+def _overlaps(named, message: str) -> list[tuple]:
+    """A hypothesis per pair of named sets, pairs in lexicographic order:
+    the two are disjoint."""
+    return [(message.format(x, y), lambda p, s=s, t=t: s(p) and t(p))
+            for (x, s), (y, t) in combinations(named, 2)]
+
+
+def chain_hypotheses(sets, images) -> list[tuple]:
+    """A ping-pong chain X_1..X_n, given with images[i], the test of
+    h_i X_i: h_i X_i inside X_{i+1} for each i (X_{n+1} = X_1), then every
+    point in some difference X_{i+1} minus h_i X_i."""
+    n = len(sets)
+    after = [sets[i % n] for i in range(1, n + 1)]
+    hypotheses = [(f"h_{i} X_{i} is not contained in X_{i % n + 1}",
+                   lambda y, i=i: images[i - 1](y) and not after[i - 1](y)) for i in range(1, n + 1)]
+    hypotheses.append(("the differences X_{i+1} minus h_i X_i do not cover X",
+                       lambda y: not any(x(y) and not image(y) for x, image in zip(after, images))))
+    return hypotheses
+
+
+def cyclic_tableau_hypotheses(sets_a, sets_b, images) -> list[tuple]:
+    """A cyclic tableau A_1..A_k, B_1..B_k, given with images[i], the test of
+    g_i A_i: the 2k sets pairwise disjoint, then each B_i^c inside g_i A_i."""
+    named = [(f"A_{i}", s) for i, s in enumerate(sets_a, 1)] + [(f"B_{i}", s) for i, s in enumerate(sets_b, 1)]
+    return _overlaps(named, "tableau sets {} and {} overlap") + [
+        (f"B_{i}^c is not contained in g_{i} A_{i}", lambda y, b=b, image=image: not b(y) and not image(y))
+        for i, (b, image) in enumerate(zip(sets_b, images), 1)]
+
+
+def subgroup_hypotheses(sets, moved) -> list[tuple]:
+    """Subgroup ping-pong on X_1..X_k, given moved(i, s), the test of
+    (H_i minus e) X_s: the sets pairwise disjoint, then each
+    (H_i minus e) X_s inside X_i, for (i, s) in lexicographic order, s != i."""
+    named = [(f"X_{i}", s) for i, s in enumerate(sets, 1)]
+    return _overlaps(named, "sets {} and {} overlap") + [
+        (f"h X_{s + 1} is not contained in X_{i + 1} for an element of H_{i + 1}",
+         lambda y, i=i, image=moved(i, s): not sets[i](y) and image(y))
+        for i, s in permutations(range(len(sets)), 2)]
+
+
+def nonabelian_hypotheses(sets, g1: FreeWord, g2: FreeWord) -> list[tuple]:
+    """A non-abelian witness E_1..E_5 over F_rank, E_1 nonempty: the sets
+    pairwise disjoint, then g1 E1 = E2, g2^-1 E4 = E2, g1^-1 E5 = E3 and
+    g2 E1 = E3, each as the left side inside the right, then the right
+    inside the left."""
+    e1, e2, e3, e4, e5 = sets
+    relations = [("g1 E1 = E2", translate_test(g1, e1), e2),
+                 ("g2^-1 E4 = E2", translate_test(free_inverse(g2), e4), e2),
+                 ("g1^-1 E5 = E3", translate_test(free_inverse(g1), e5), e3),
+                 ("g2 E1 = E3", translate_test(g2, e1), e3)]
+    hypotheses = _overlaps([(f"E_{i}", s) for i, s in enumerate(sets, 1)], "{} and {} overlap")
+    for name, left, right in relations:
+        hypotheses += [(f"relation {name} fails", lambda y, s=s, t=t: s(y) and not t(y))
+                       for s, t in ((left, right), (right, left))]
+    return hypotheses
+
+
+def infinite_order_hypotheses(e1, e2, a: FreeWord) -> list[tuple]:
+    """An infinite-order witness E_1, E_2 for a over F_rank, before its last
+    hypothesis (a E_2 meets E_1, which no single point can break): E_1 and
+    E_2 disjoint, then a E_1 inside E_1."""
+    return [("E_1 and E_2 overlap", lambda y: e1(y) and e2(y)),
+            ("a E_1 is not contained in E_1", lambda y, image=translate_test(a, e1): image(y) and not e1(y))]
 
 
 def brute_force_configurations(degree: int, perms: list, blocks: list[frozenset]) -> set[tuple]:

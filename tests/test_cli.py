@@ -329,7 +329,13 @@ class TestOtherCommands:
                        "generators": {"a": [1, 0, 2], "b": [1, 2, 0]}},
             "g1": "a", "g2": "b"},
          "no-witness", "witness sets live in the group itself; use a self-action"),
-    ], ids=["three-transpositions", "nonabelian-on-points"])
+        ("pingpong cyclic", {
+            "action": {"backend": "free-self", "rank": 2},
+            "tableau": {"sets_a": [{"kind": "cone", "word": "a"}, {"kind": "cone", "word": "B"}],
+                        "sets_b": [{"kind": "cone", "word": "a"}, {"kind": "cone", "word": "b"}],
+                        "elements": ["a", "b"]}},
+         "precondition-failed", "tableau sets A_1 and B_1 overlap (witness FreeWord('a'))"),
+    ], ids=["three-transpositions", "nonabelian-on-points", "tableau-a1-meets-b1"])
     def test_unmet_preconditions_report_their_message(self, command, doc, status, message,
                                                       capsys, tmp_path):
         path = tmp_path / "doc.json"
@@ -412,6 +418,37 @@ class TestExitCodes:
         assert time.perf_counter() - started < 1
         assert code == 3
         assert report["error"]["bound"] == "automaton_states"
+
+    def test_subgroups_of_long_powers_stay_under_the_state_cap(self, capsys, tmp_path):
+        # each inclusion takes one pass over X_i and (H_i minus e) X_s; one
+        # pass over all four sets of this check would pass the 2,000-state cap
+        doc = {"action": {"backend": "free-self", "rank": 2},
+               "subgroups": [{"kind": "cyclic", "generator": "a" * 45},
+                             {"kind": "cyclic", "generator": "a" * 46}],
+               "sets": [{"kind": "cone", "word": "b"}, {"kind": "cone", "word": "B"}]}
+        path = tmp_path / "powers.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(capsys, "pingpong", "subgroups", "--input", str(path))
+        assert code == 0
+        assert report["status"] == "failed"
+        assert report["data"] == {"problem": "h X_2 is not contained in X_1 for an element of H_1",
+                                  "witness": "a" * 45 + "B"}
+
+    @pytest.mark.parametrize("fixture,command,passes", [
+        # parsing X_1 (its complement and union), the two inclusions, the
+        # differences' cover, the telescope, X_1^c and the verification
+        ("f2-chain-n2.json", "paradox chain", 8),
+        # the tableau's disjointness, then one pass over [B_i, g_i A_i] each
+        ("f2-pingpong-cyclic.json", "pingpong cyclic", 3),
+    ], ids=["chain", "cyclic"])
+    def test_each_hypothesis_takes_one_pass(self, fixture, command, passes, capsys, monkeypatch):
+        calls = []
+        symbolic_pass = langsets._symbolic_pass
+        monkeypatch.setattr(langsets, "_symbolic_pass",
+                            lambda parts: calls.append(len(parts)) or symbolic_pass(parts))
+        code, report = run_fixture(capsys, fixture, *command.split())
+        assert (code, report["status"]) == (0, "ok")
+        assert len(calls) == passes, calls
 
     def test_long_cycle_refinement_takes_its_pinned_rounds(self, capsys, tmp_path, monkeypatch):
         # the powers of a^999 and their complement, under the cap: Moore

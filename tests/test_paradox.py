@@ -1,12 +1,32 @@
+import functools
 import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import cone, singleton
-from oracles import all_reduced_words, cover_table, lex_first_search
+from oracles import (
+    all_reduced_words,
+    chain_hypotheses,
+    cover_table,
+    cyclic_tableau_hypotheses,
+    expr_contains,
+    free_inverse,
+    free_product,
+    in_moved_by_powers,
+    infinite_order_hypotheses,
+    is_power,
+    least_failures,
+    lex_first_search,
+    moved_by_powers_points,
+    nonabelian_hypotheses,
+    permutation_order,
+    regular_elements,
+    subgroup_hypotheses,
+    translate_test,
+)
 from paracon import (
     CyclicSubgroup,
     CyclicTableau,
@@ -42,6 +62,7 @@ from paracon.langsets import labelled_pass
 from paracon import paradox
 from paracon.paradox import SEARCH_TABLE_CAP, _word_count, cover_masks
 from paracon.words import BoundExceeded, FreeWord
+from test_langsets import build, expressions
 
 E, A_, B_ = parse_word("e"), parse_word("a"), parse_word("b")
 
@@ -68,6 +89,29 @@ class TestVerifyDecomposition:
         assert not report.ok
         assert report.problem == "cover-gap-a"
         assert report.witness == parse_word("e")
+
+    def test_cover_gap_b_witness(self, f2):
+        # the a family covers; cone(b) and cone(B), left in place, miss e
+        broken = ParadoxicalDecomposition(
+            (cone("a"), cone("A")), (E, A_), (cone("b"), cone("B")), (E, E))
+        report = verify_decomposition(f2, broken)
+        assert (report.ok, report.problem, report.witness) == (False, "cover-gap-b", E)
+
+    @pytest.mark.parametrize("family", ["a", "b"])
+    def test_strict_mode_flags_overlapping_translates(self, f2, family):
+        # {e} with cone(x) and x cone(X) both cover e; the other family is
+        # the exact cover cone(y), y cone(Y)
+        def exact(x):
+            return (cone(x), cone(x.upper())), (E, parse_word(x))
+
+        def doubled(x):
+            return (singleton("e").union(cone(x)), cone(x.upper())), (E, parse_word(x))
+
+        (pieces_a, translators_a), (pieces_b, translators_b) = (
+            (doubled("a"), exact("b")) if family == "a" else (exact("a"), doubled("b")))
+        report = verify_decomposition(
+            f2, ParadoxicalDecomposition(pieces_a, translators_a, pieces_b, translators_b), strict=True)
+        assert (report.ok, report.problem, report.witness) == (False, f"translates-overlap-{family}", E)
 
     def test_duplicate_pieces_overlap(self, f2):
         broken = ParadoxicalDecomposition(
@@ -127,7 +171,9 @@ class TestChain:
         chain = PingPongChain((x1, x2), (parse_word("aaB"), parse_word("abA")))
         with pytest.raises(ChainHypothesisError) as err:
             chain_to_decomposition(f2, chain)
-        assert "cover" in str(err.value)
+        assert str(err.value) == ("the differences X_{i+1} minus h_i X_i do not cover X "
+                                  "(witness FreeWord('e'))")
+        assert err.value.witness == E
 
     def test_three_step_chain(self, f2):
         # X2 = X3 = cone(a); each stage squeezes into a thinner cone
@@ -337,6 +383,16 @@ class TestNonabelianWitness:
             witness.g1, witness.g2)
         assert not verify_nonabelian(f2, swapped).ok
 
+    def test_witness_on_the_right_hand_side(self, f2):
+        # E_2 = {a, aa} holds g1 E_1 = {a}, so the witness is the point of
+        # the right-hand side outside the left
+        witness = make_nonabelian_witness(f2, parse_word("a"), parse_word("b"))
+        widened = NonabelianWitness((witness.sets[0], witness.sets[1].union(singleton("aa")))
+                                    + witness.sets[2:], witness.g1, witness.g2)
+        report = verify_nonabelian(f2, widened)
+        assert (report.ok, report.problem, report.witness) == (
+            False, "relation g1 E1 = E2 fails", parse_word("aa"))
+
     def test_empty_base_set_is_vacuous(self, f2):
         empty = SymbolicSet.empty(2)
         witness = NonabelianWitness((empty,) * 5, parse_word("a"), parse_word("b"))
@@ -379,6 +435,12 @@ class TestInfiniteOrderWitness:
     def test_overlapping_sets_fail_verify(self, f2):
         witness = InfiniteOrderWitness(cone("a"), cone("a"), parse_word("a"))
         assert not verify_infinite_order(f2, witness).ok
+
+    def test_translate_outside_e1_fails_verify(self, f2):
+        witness = InfiniteOrderWitness(singleton("e"), cone("A"), A_)
+        report = verify_infinite_order(f2, witness)
+        assert (report.ok, report.problem, report.witness) == (
+            False, "a E_1 is not contained in E_1", A_)
 
     def test_empty_negative_powers_fail_verify(self, f2):
         a = parse_word("a")
@@ -609,3 +671,215 @@ def test_no_pieces_decompose_the_amenable_f1():
                 result = bounded_paradox_search(FreeSelfAction(1), max_pieces, depth, length)
                 assert result.decomposition is None, (max_pieces, depth, length)
                 assert result.reason == "no decomposition within bounds"
+
+
+# ---------------------------------------------------------------------------
+# every check's verdict and witness against the point-by-point oracles
+# ---------------------------------------------------------------------------
+
+ORACLE_LENGTH = 5
+ORACLE_WORDS = all_reduced_words(2, ORACLE_LENGTH)
+LETTER = {"a": 1, "A": -1, "b": 2, "B": -2}
+
+
+def fits(point) -> bool:
+    """Whether the oracle tries the point: every finite point, and words
+    up to ORACLE_LENGTH."""
+    return not isinstance(point, FreeWord) or len(point.letters) <= ORACLE_LENGTH
+
+
+def assert_matches_oracle(problem, witness, failures):
+    """The library's first failed hypothesis and its witness against the
+    oracle's least failing points, hypothesis by hypothesis.  problem None:
+    every hypothesis held.  The library decides each hypothesis exactly, so
+    the oracle finds no failure before the one it reports, and finds its
+    witness there when the witness is one of the oracle's points."""
+    first = next((i for i, (_, point) in enumerate(failures) if point is not None), None)
+    if problem is None:
+        assert first is None, failures[first]
+    elif fits(witness):
+        assert first is not None and failures[first] == (problem, witness), (problem, witness, failures)
+    else:
+        assert first is None or first >= [p for p, _ in failures].index(problem), (problem, failures)
+
+
+def raised(err) -> tuple:
+    """(problem, witness) of an error whose message ends in
+    " (witness <repr>)", the repr of a point or of a FreeWord."""
+    problem, _, text = str(err).partition(" (witness ")
+    text = text[:-1]
+    if text.isdigit():
+        return problem, int(text)
+    return problem, FreeWord(tuple(LETTER[c] for c in text[len("FreeWord('"):-2] if c != "e"))
+
+
+def member(expr):
+    return functools.partial(expr_contains, expr)
+
+
+def disjoint(exprs) -> list:
+    """Each expression less every one before it: pairwise disjoint sets."""
+    return [functools.reduce(lambda x, earlier: ("difference", x, earlier), exprs[:j], expr)
+            for j, expr in enumerate(exprs)]
+
+
+def cone_expr(text):
+    return ("cone", parse_word(text))
+
+
+set_exprs = st.one_of(expressions(2), st.sampled_from(
+    [cone_expr(x) for x in ("a", "A", "b", "B", "ab", "aB")]
+    + [("union", cone_expr(x), cone_expr(x.upper())) for x in "ab"]))
+words = st.sampled_from(all_reduced_words(2, 3))
+nonidentity = st.sampled_from(all_reduced_words(2, 3)[1:])
+
+
+def set_lists(data, count):
+    exprs = data.draw(st.lists(set_exprs, min_size=count, max_size=count))
+    return disjoint(exprs) if data.draw(st.booleans()) else exprs
+
+
+FIXTURE_CHAIN = ([("union", ("complement", cone_expr("a")), cone_expr("ab")), cone_expr("a")],
+                 [parse_word("abA"), parse_word("ab")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chain_hypotheses_match_the_oracle(data):
+    if data.draw(st.booleans()):
+        sets, elements = FIXTURE_CHAIN
+        sets = [data.draw(st.sampled_from([x, ("union", x, y), ("difference", x, y)]))
+                for x, y in zip(sets, data.draw(st.lists(set_exprs, min_size=2, max_size=2)))]
+    else:
+        n = data.draw(st.integers(2, 3))
+        sets, elements = set_lists(data, n), data.draw(st.lists(words, min_size=n, max_size=n))
+    try:
+        chain_to_decomposition(FreeSelfAction(2), PingPongChain(tuple(map(build, sets)), tuple(elements)))
+        problem, witness = None, None
+    except ChainHypothesisError as err:
+        problem, witness = str(err).partition(" (witness ")[0], err.witness
+    tests = list(map(member, sets))
+    images = [translate_test(h, test) for h, test in zip(elements, tests)]
+    assert_matches_oracle(problem, witness, least_failures(chain_hypotheses(tests, images), ORACLE_WORDS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cyclic_tableau_matches_the_oracle(data):
+    if data.draw(st.booleans()):
+        k, elements = 2, [parse_word("a"), parse_word("b")]
+        sets = [cone_expr(x) for x in "ABab"]
+        for i in data.draw(st.lists(st.integers(0, 3), max_size=1)):
+            sets[i] = data.draw(set_exprs)
+    else:
+        k = data.draw(st.integers(2, 3))
+        sets, elements = set_lists(data, 2 * k), data.draw(st.lists(words, min_size=k, max_size=k))
+    try:
+        report = check_pingpong_cyclic(FreeSelfAction(2), CyclicTableau(
+            tuple(map(build, sets[:k])), tuple(map(build, sets[k:])), tuple(elements)))
+        problem, witness = report.problem, report.witness
+    except ValueError as err:
+        problem, witness = raised(err)
+    tests = list(map(member, sets))
+    images = [translate_test(g, test) for g, test in zip(elements, tests)]
+    hypotheses = cyclic_tableau_hypotheses(tests[:k], tests[k:], images)
+    assert_matches_oracle(problem, witness, least_failures(hypotheses, ORACLE_WORDS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cyclic_subgroups_of_f2_match_the_oracle(data):
+    if data.draw(st.booleans()):
+        sets = [("union", cone_expr(x), cone_expr(x.upper())) for x in "ab"]
+        for i in data.draw(st.lists(st.integers(0, 1), max_size=1)):
+            sets[i] = data.draw(set_exprs)
+        generators = [parse_word("a"), parse_word(data.draw(st.sampled_from(["b", "bb", "ab"])))]
+    else:
+        k = data.draw(st.integers(2, 3))
+        sets = set_lists(data, k)
+        generators = data.draw(st.lists(nonidentity, min_size=k, max_size=k))
+    try:
+        report = check_pingpong_subgroups(
+            FreeSelfAction(2), [CyclicSubgroup(g) for g in generators], list(map(build, sets)))
+        problem, witness = report.problem, report.witness
+    except ValueError as err:
+        problem, witness = raised(err)
+
+    def moved(i, s):
+        return functools.partial(in_moved_by_powers, generators[i], sets[s])
+
+    hypotheses = subgroup_hypotheses(list(map(member, sets)), moved)
+    assert_matches_oracle(problem, witness, least_failures(hypotheses, ORACLE_WORDS))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_finite_and_cyclic_subgroups_on_points_match_the_oracle(data):
+    degree = data.draw(st.integers(3, 5))
+    perms = st.permutations(range(degree)).map(tuple)
+    identity = tuple(range(degree))
+    k = data.draw(st.integers(2, 3))
+    specs, sizes, moves = [], [], []
+    for _ in range(k):
+        generators = data.draw(st.lists(perms, min_size=1, max_size=2))
+        if data.draw(st.booleans()):
+            group = regular_elements({str(i): list(g) for i, g in enumerate(generators)})
+            specs.append(FiniteSubgroup(tuple(map(Permutation, group))))
+            sizes.append(len(group))
+            moves.append(lambda members, group=group: {h[p] for h in group if h != identity
+                                                       for p in members})
+        else:
+            specs.append(CyclicSubgroup(Permutation(generators[0])))
+            sizes.append(permutation_order(generators[0]))
+            moves.append(functools.partial(moved_by_powers_points, generators[0]))
+    assume(sizes[0] >= 3 and sizes[1] >= 2 if k == 2 else max(sizes) > 2)
+    blocks = data.draw(st.lists(st.integers(0, k), min_size=degree, max_size=degree))
+    members = [{p for p in range(degree) if blocks[p] == i} for i in range(1, k + 1)]
+    action = FinitePermutationAction(degree, {1: Permutation(identity)})
+    report = check_pingpong_subgroups(action, specs, [action.point_set(m) for m in members])
+    hypotheses = subgroup_hypotheses([m.__contains__ for m in members],
+                                     lambda i, s: moves[i](members[s]).__contains__)
+    assert_matches_oracle(report.problem, report.witness,
+                          least_failures(hypotheses, range(degree)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nonabelian_relations_match_the_oracle(data):
+    g1, g2 = data.draw(nonidentity), data.draw(nonidentity)
+    sets = [("singleton", w) for w in (FreeWord(()), g1, g2, free_product(g2, g1), free_product(g1, g2))]
+    # each change widens a set by a point, or replaces it
+    for i in data.draw(st.lists(st.integers(0, 4), max_size=2)):
+        if data.draw(st.booleans()):
+            sets[i] = ("union", sets[i], ("singleton", data.draw(words)))
+        else:
+            sets[i] = data.draw(set_exprs)
+    report = verify_nonabelian(FreeSelfAction(2), NonabelianWitness(tuple(map(build, sets)), g1, g2))
+    tests = list(map(member, sets))
+    if report.problem == "E_1 is empty; relations hold vacuously":
+        assert not any(map(tests[0], ORACLE_WORDS))
+        return
+    hypotheses = nonabelian_hypotheses(tests, g1, g2)
+    assert_matches_oracle(report.problem, report.witness, least_failures(hypotheses, ORACLE_WORDS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_infinite_order_witness_matches_the_oracle(data):
+    a = data.draw(nonidentity)
+    f2 = FreeSelfAction(2)
+    made = make_infinite_order_witness(f2, a)
+    choices = [(made.e1, functools.partial(is_power, a, least=0)),
+               (made.e2, functools.partial(is_power, free_inverse(a), least=1))]
+    for i in data.draw(st.lists(st.integers(0, 1), max_size=2)):
+        expr = data.draw(set_exprs)
+        choices[i] = (build(expr), member(expr))
+    (e1, test1), (e2, test2) = choices
+    report = verify_infinite_order(f2, InfiniteOrderWitness(e1, e2, a))
+    hypotheses = infinite_order_hypotheses(test1, test2, a)
+    failures = least_failures(hypotheses, ORACLE_WORDS)
+    if report.problem == "a E_2 does not meet E_1":
+        assert_matches_oracle(None, None, failures)
+        assert not any(translate_test(a, test2)(y) and test1(y) for y in ORACLE_WORDS)
+    else:
+        assert_matches_oracle(report.problem, report.witness, failures)
