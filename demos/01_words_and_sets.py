@@ -6,6 +6,7 @@ left translation are all decided exactly on a canonical automaton form.
 """
 
 from paracon import SymbolicSet, parse_word, word_str
+from paracon.langsets import labelled_pass
 
 print("== reduced words ==")
 w = parse_word("aBbAab")
@@ -47,6 +48,10 @@ print("b * cone(a) equals cone(ba):",
 
 print()
 print("== decidable comparisons with witnesses ==")
-witness = cone_a.subset_witness(SymbolicSet.cone(parse_word("aB"), 2))
+# one labelled pass over (S, T) labels each point by the sets holding it:
+# the least point labelled (0,) is in S but not in T, and none labelled
+# (0, 1) means S and T are disjoint
+witness = labelled_pass([cone_a, SymbolicSet.cone(parse_word("aB"), 2)]).points.get((0,))
 print("cone(a) inside cone(aB)?", witness is None, "- witness:", word_str(witness))
-print("cone(a) and cone(b) disjoint?", cone_a.is_disjoint(SymbolicSet.cone(parse_word("b"), 2)))
+print("cone(a) and cone(b) disjoint?",
+      (0, 1) not in labelled_pass([cone_a, SymbolicSet.cone(parse_word("b"), 2)]).points)

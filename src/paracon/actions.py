@@ -18,6 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from . import langsets
 from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
 from .words import (
     GROUP_ORDER_CAP,
@@ -305,13 +306,28 @@ class Partition:
 
     `labelling` is the one labelled pass over the blocks, in which block i
     is index i - 1, taken when first read: validation reads it, and the
-    configuration frames start from it.
+    configuration frames start from it.  One made by `labelled` takes no
+    pass: its blocks are that labelling's cells, read off it when first read.
     """
 
     blocks: tuple[ActionSet, ...]
 
+    @staticmethod
+    def labelled(labelling: Labelling) -> "Partition":
+        """The partition whose block i + 1 is the points labelled (i,)."""
+        part = object.__new__(Partition)
+        part.__dict__["labelling"] = labelling
+        return part
+
+    def __getattr__(self, name: str):
+        if name != "blocks":                     # a labelled partition's one missing field
+            raise AttributeError(name)
+        blocks = tuple([self.labelling.cells([(i,)]) for i in range(self.labelling.width)])
+        object.__setattr__(self, "blocks", blocks)
+        return blocks
+
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.blocks) if "blocks" in self.__dict__ else self.labelling.width
 
     def __iter__(self):
         return iter(self.blocks)
@@ -337,7 +353,10 @@ def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) 
 
     Every block must be a set of the action's universe, of its degree or
     rank, else ValueError.  The partition's labelling then decides all
-    three; given a Partition, the check takes that partition's own pass.
+    three; given a Partition, the check takes that partition's own pass,
+    or reads the labelling it was made from.  A partition of cones and
+    singletons read by `prefix_trie` comes here only when the trie finds a
+    point in no block (see `partition`).
     """
     part = blocks if isinstance(blocks, Partition) else Partition(tuple(blocks))
     if not part.blocks:
@@ -362,8 +381,17 @@ def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) 
     return PartitionReport(True)
 
 
-def partition(action: Action, blocks: Sequence[ActionSet]) -> Partition:
-    """Validated constructor: the partition checked, with its validating pass."""
+def partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Partition:
+    """Validated constructor: the partition checked, with its validating pass.
+    Given instead `prefix_trie`'s labelling of disjoint blocks, it takes no
+    pass: its states are capped where the pass would stop, and only a point
+    in no block sends its blocks, read off it, to the pass, for its report."""
+    if isinstance(blocks, Labelling):
+        cap = langsets.AUTOMATON_STATES_CAP
+        capped("automaton_states", min(len(blocks.labels), cap + 1), cap)
+        if () not in blocks.points:
+            return Partition.labelled(blocks)
+        blocks = Partition.labelled(blocks).blocks
     part = Partition(tuple(blocks))
     report = validate_partition(action, part)
     if not report:

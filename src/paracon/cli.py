@@ -45,6 +45,7 @@ from .serialization import (
     parse_action,
     parse_element,
     parse_elements,
+    parse_prefix_partition,
     parse_rational,
     parse_sets,
     rational_str,
@@ -90,9 +91,15 @@ def _rationals(doc: dict, key: str) -> list[Fraction]:
 
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
+    """A validated pair.  A partition over F_rank whose every block is a
+    cone, a singleton or a union of those is read as one labelled trie,
+    which checks it as it is built; any other, and one whose blocks meet,
+    is read block by block and checked by a labelled pass, for the same
+    report."""
     _object(doc, location)
     elements = _field(doc, "tuple", parse_elements, action, location)
-    blocks = _field(doc, "partition", parse_sets, action, location)
+    blocks = (_field(doc, "partition", parse_prefix_partition, action, location)
+              or _field(doc, "partition", parse_sets, action, location))
     try:
         return cfg.configuration_pair(action, elements, blocks)
     except ValueError as err:   # elements are already normalized: only the partition can fail

@@ -86,9 +86,11 @@ class ConfigurationPair:
 TUPLE_LENGTH_CAP = 32
 
 
-def configuration_pair(action: Action, elements: Sequence, blocks: Sequence[ActionSet]) -> ConfigurationPair:
-    """Validated constructor: normalizes elements and checks the partition.
-    Past TUPLE_LENGTH_CAP elements it raises BoundExceeded."""
+def configuration_pair(action: Action, elements: Sequence,
+                       blocks: Sequence[ActionSet] | Labelling) -> ConfigurationPair:
+    """Validated constructor: normalizes elements and checks the partition
+    (see `actions.partition`).  Past TUPLE_LENGTH_CAP elements it raises
+    BoundExceeded."""
     capped("tuple_length", len(elements), TUPLE_LENGTH_CAP)
     normalized = tuple(action.normalize_element(g) for g in elements)
     if not normalized:
@@ -328,8 +330,8 @@ def refinement_block_map(fine: Partition, coarse: Partition) -> tuple[int, ...]:
     Read off one labelled pass over the fine labelling, then the coarse: a
     fine block lies in coarse block l when every label holding it holds l.
     """
-    m = len(fine.blocks)
-    holders = [set(range(m, m + len(coarse.blocks))) for _ in fine.blocks]
+    m = len(fine)
+    holders = [set(range(m, m + len(coarse))) for _ in range(m)]
     for label in labelled_pass([fine.labelling, coarse.labelling]).points:
         for p in label:
             if p < m:
@@ -481,18 +483,16 @@ def _growth_counts(degree: int, max_blocks: int) -> list[list[int]]:
     return ways[::-1]
 
 
-def _partition_at(action: Action, ways: list[list[int]], k: int) -> Partition:
-    """Partition k, in lexicographic order of growth strings, decoded one point at a time."""
-    groups: list[list[int]] = []
-    for point, rest in enumerate(ways[1:]):
-        joins = len(groups) * rest[len(groups)]     # strings where the point joins an open block
-        if k < joins:
-            block, k = divmod(k, rest[len(groups)])
-            groups[block].append(point)
-        else:
-            k -= joins
-            groups.append([point])
-    return Partition(tuple(action.point_set(g) for g in groups))
+def _partition_at(ways: list[list[int]], k: int) -> Partition:
+    """Partition k, in lexicographic order of growth strings, decoded one
+    point at a time into the blocks' column, and made from that labelling."""
+    column, blocks = [], 0
+    for rest in ways[1:]:
+        joins = blocks * rest[blocks]           # strings where the point joins an open block
+        block, k = divmod(k, rest[blocks]) if k < joins else (blocks, k - joins)
+        blocks += block == blocks
+        column.append((block,))
+    return Partition.labelled(Labelling(blocks, tuple(column)))
 
 
 def _tuple_at(pool: Sequence, t: int) -> tuple:
@@ -524,7 +524,7 @@ def candidate_pairs(action: Action, bounds: ConSearchBounds) -> Iterator[Configu
     if size > bounds.family_limit:
         chosen = sorted(random.Random(bounds.seed).sample(range(size), bounds.family_limit))
     return (ConfigurationPair(action, _tuple_at(pool, k // partitions),
-                              _partition_at(action, ways, k % partitions))
+                              _partition_at(ways, k % partitions))
             for k in chosen)
 
 

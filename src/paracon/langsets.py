@@ -16,7 +16,8 @@ every set computed from such a pass is read off it by label, with
 `Labelling.cells`.  A pass's `Labelling` is a value too: it is moved by a
 group element as a set is, by the same chain construction over F_rank, and
 a later pass takes it next to sets, so one move of a labelling moves every
-set it labels.
+set it labels.  Blocks of cones and singletons are labelled without a
+pass, by one trie, `prefix_trie`.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def _sink(trans: Sequence[Sequence[int]], outputs: Sequence) -> int:
     return -1 if outputs[s] or any(t != s for t in trans[s]) else s
 
 
-def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bool],
-               start: int = 0, classes: Optional[Sequence[int]] = None) -> "SymbolicSet":
-    """The set accepted from state `start`, numbered canonically.
+def _canonical(trans: Sequence[Sequence[int]], outputs: Sequence, start: int = 0,
+               classes: Optional[Sequence[int]] = None) -> tuple[_Transitions, tuple]:
+    """The rows and outputs (a set's acceptance, or a labelling's labels)
+    of the machine read from state `start`, numbered canonically.
 
     Precondition: the automaton is reduced-closed, that is, every word that
     is not reduced leads to a state from which no word is accepted (so it
@@ -86,7 +88,7 @@ def _canonical(rank: int, trans: Sequence[Sequence[int]], accepting: Sequence[bo
                 order.append(t)
             row.append(index[c])
         rows.append(tuple(row))
-    return SymbolicSet(rank, tuple(rows), tuple([accepting[s] for s in order]))
+    return tuple(rows), tuple([outputs[s] for s in order])
 
 
 def _refine(trans: Sequence[Sequence[int]], classes: list[int], live: Sequence[int]) -> int:
@@ -117,33 +119,31 @@ def _refine(trans: Sequence[Sequence[int]], classes: list[int], live: Sequence[i
     return rounds
 
 
-def _registered(rank: int, trans: list, accepting: Sequence[bool],
-                fixed: Iterable[int], fresh: Iterable[int]) -> "SymbolicSet":
-    """The set accepted from the last of `fresh`, built minimal with a
-    register (Daciuk, Mihov, Watson and Watson, "Incremental construction of
-    minimal acyclic finite-state automata", Computational Linguistics 26(1),
-    2000).
+def _registered(trans: list, outputs: Sequence, fixed: Iterable[int],
+                fresh: Iterable[int]) -> tuple[_Transitions, tuple]:
+    """The canonical machine read from the last of `fresh`, made minimal
+    with a register (Daciuk, Mihov, Watson and Watson, "Incremental
+    construction of minimal acyclic finite-state automata", Computational
+    Linguistics 26(1), 2000).
 
     The `fixed` states are pairwise inequivalent and step only among
     themselves; each fresh state steps only to fixed states and to fresh
-    states listed before it.  The register maps (accepting, row) to a state
+    states listed before it.  The register maps (output, row) to a state
     and starts with the fixed states.  Each fresh state in turn has its
     targets replaced by what they resolved to, then equals the registered
     state with its row, or is registered as a new one.  Every registered
     state's targets are registered, and those are pairwise inequivalent, so
-    a state is equivalent to a registered one exactly when both accept alike
-    and have the same row: the registered states stay pairwise inequivalent,
-    and no refinement is needed.  The fresh rows of `trans` are rewritten
-    in place.  Past AUTOMATON_STATES_CAP rows it raises BoundExceeded before
-    resolving any.
+    a state is equivalent to a registered one exactly when both output
+    alike and have the same row: the registered states stay pairwise
+    inequivalent, and no refinement is needed.  The fresh rows of `trans`
+    are rewritten in place.  The callers cap the rows they build.
     """
-    capped("automaton_states", len(trans), AUTOMATON_STATES_CAP)
-    register = {(accepting[s], tuple(trans[s])): s for s in fixed}
+    register = {(outputs[s], tuple(trans[s])): s for s in fixed}
     resolved = list(range(len(trans)))
     for s in fresh:
         row = trans[s] = tuple([resolved[t] for t in trans[s]])
-        resolved[s] = register.setdefault((accepting[s], row), s)
-    return _canonical(rank, trans, accepting, resolved[s])
+        resolved[s] = register.setdefault((outputs[s], row), s)
+    return _canonical(trans, outputs, resolved[s])
 
 
 def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: int,
@@ -182,19 +182,8 @@ def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: 
     return trans, (*outputs, *[outputs[r] for r in rest])
 
 
-class _Queries:
-    """Disjointness and inclusion witnesses, each read off one labelled pass."""
-
-    def is_disjoint(self, other) -> bool:
-        return (0, 1) not in labelled_pass([self, other]).points
-
-    def subset_witness(self, other):
-        """Least point of self missing from other; None when self <= other."""
-        return labelled_pass([self, other]).points.get((0,))
-
-
 @value
-class SymbolicSet(_Queries):
+class SymbolicSet:
     """Canonical automaton for a set of reduced words over F_rank."""
 
     rank: int
@@ -206,44 +195,12 @@ class SymbolicSet(_Queries):
     @staticmethod
     def words(rank: int, singletons: Iterable[FreeWord] = (),
               cones: Iterable[FreeWord] = ()) -> "SymbolicSet":
-        """The union of the singletons {w} and the cones of w, as one
-        reduced-closed prefix trie.  State 0 is the empty word, state 1 the
-        dead state, and state 2 + x, one per letter index x, the inside of a
-        cone whose last letter is x: it accepts and steps on a letter y to
-        2 + y, except on the inverse x ^ 1.  A word's last node accepts; a
-        cone's node takes the inside row of its last letter (the empty word,
-        x = -1, takes the row into every inside state), so the trie below it
-        is unreachable, a word walked through a cone stays inside it, and the
-        order of insertion does not matter.
-
-        A node steps only to the dead state, inside states and nodes made
-        after it, so `_registered` resolves the nodes in reverse creation
-        order, then state 0, against a register seeded with the dead state
-        and the inside states, which are pairwise inequivalent: the trie
-        comes out minimal without refinement.
-        """
-        n_letters = 2 * rank
-        # row n_letters, also row -1, has no inverse to block (n_letters ^ 1 > n_letters)
-        inside = [[1 if y == x ^ 1 else 2 + y for y in range(n_letters)]
-                  for x in range(n_letters + 1)]
-        trans = [[1] * n_letters, [1] * n_letters, *inside[:-1]]
-        accepting = [False, False] + [True] * n_letters
-        for is_cone, listed in ((False, singletons), (True, cones)):
-            for w in listed:
-                if any(abs(l) > rank for l in w.letters):
-                    raise ValueError(f"word {w} outside rank {rank}")
-                state, x = 0, -1
-                for x in map(letter_index, w.letters):
-                    if trans[state][x] == 1:
-                        trans[state][x] = len(trans)
-                        trans.append([1] * n_letters)
-                        accepting.append(False)
-                    state = trans[state][x]
-                accepting[state] = True
-                if is_cone:
-                    trans[state] = inside[x]
-        return _registered(rank, trans, accepting, range(1, 2 + n_letters),
-                           [*range(len(trans) - 1, 1 + n_letters, -1), 0])
+        """The union of the singletons {w} and the cones of w: the one-block
+        `prefix_trie`, whose points outside the block are labelled None, as
+        the words that are not reduced are, so its two labels are acceptance
+        and its minimal machine is the set's canonical automaton."""
+        trie = prefix_trie(rank, [(singletons, cones)], None)
+        return SymbolicSet(rank, trie.transitions, tuple(map(bool, trie.labels)))
 
     # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
@@ -319,7 +276,7 @@ class SymbolicSet(_Queries):
         accepting[0] = True                       # a^0 = e
         if p:
             accepting[suffix_at + p] = True
-        return _canonical(rank, trans, accepting)
+        return SymbolicSet(rank, *_canonical(trans, accepting))
 
     # -- queries -------------------------------------------------------------
 
@@ -386,7 +343,7 @@ class SymbolicSet(_Queries):
             return self
         n, k = len(self.transitions), len(g.letters)
         trans, accepting = _chain(self.rank, self.transitions, self.accepting, 0, g)
-        return _registered(self.rank, trans, accepting, range(n), range(n + k, n - 1, -1))
+        return SymbolicSet(self.rank, *_registered(trans, accepting, range(n), range(n + k, n - 1, -1)))
 
     def product(self, other: "SymbolicSet") -> "SymbolicSet":
         """The reduced product {uv : u in self, v in other}, which is regular
@@ -447,7 +404,7 @@ class SymbolicSet(_Queries):
 
 
 @value
-class FiniteSet(_Queries):
+class FiniteSet:
     """Subset of the points {0, ..., degree-1}."""
 
     degree: int
@@ -514,7 +471,8 @@ Label = tuple[int, ...]
 
 @value
 class Labelling:
-    """The label of every point of a universe, from one labelled pass.
+    """The label of every point of a universe, from one labelled pass or
+    one `prefix_trie`.
 
     The label of a point is the tuple of indices of the `width` labelled
     sets that contain it.  Over a finite universe `labels[p]` is the label
@@ -532,8 +490,8 @@ class Labelling:
     reads both off the numbering of the states: the labels in order of
     first occurrence, each at its first state.  Over a finite universe the
     states are the points.  Over F_rank that is exact for the states of
-    every `_symbolic_pass` and of `SymbolicSet.product`'s subset
-    construction, numbered breadth-first from the start, letters in
+    every `_symbolic_pass`, of `prefix_trie` and of `SymbolicSet.product`'s
+    subset construction, numbered breadth-first from the start, letters in
     canonical order; a moved labelling is not, and is read through a pass.
     `cells(labels)` is the set of points whose label is one of `labels`; a
     label that does not occur adds nothing.  Over F_rank each call refines
@@ -582,8 +540,7 @@ class Labelling:
         word it accepts, as its class; every other state is dead, class -1.
         Equivalent states accept the same words, so they share a distance,
         and `_refine` splits the classes from there; `_canonical` numbers
-        them.  The classes are no more than the machine's states, which its
-        pass, its translate or the product's subset construction capped.
+        them.  The classes are no more than the states its builder capped.
         """
         selected = [s for label in labels for s in self._states.get(label, ())]
         if self.rank is None:
@@ -600,7 +557,7 @@ class Labelling:
                     classes[s] = d
                     live.append(s)
         _refine(self.transitions, classes, live)
-        return _canonical(self.rank, self.transitions, accepting, self.start, classes)
+        return SymbolicSet(self.rank, *_canonical(self.transitions, accepting, self.start, classes))
 
     def translate(self, g: FreeWord) -> "Labelling":
         """The labelling moved by g over F_rank: the point v takes the label
@@ -774,3 +731,83 @@ def _symbolic_pass(parts: list) -> Labelling:
             row.append(target)
         trans.append(tuple(row))
     return Labelling(width, tuple(labels), rank, tuple(trans))
+
+
+def prefix_trie(rank: int, blocks: Iterable[tuple[Iterable[FreeWord], Iterable[FreeWord]]],
+                gap: Optional[Label] = ()) -> Optional[Labelling]:
+    """The labelling of blocks of prefix atoms over F_rank, block i given
+    as its singletons {w} and the words w whose cones it holds: block i's
+    points are labelled (i,), the other reduced words `gap`, and the words
+    that are not reduced None.  It is built as one trie, minimal, with no
+    product pass; None when two blocks meet.
+
+    State 0 is the dead state, labelled None, and it is also the gap when
+    `gap` is None.  A label's region, made when first needed, is one inside
+    state per letter index x, which steps on y to the one of y, but to
+    state 0 on x's inverse x ^ 1.  A trie node made on letter x takes the
+    row of the gap's inside state x until it gets children; the root steps
+    into every one.  A word's last node takes its block's label; a cone's
+    node takes its label's inside row too, so the trie below it is
+    unreachable and a word walked into the cone stays in its region.
+    Within a block the singletons go in first, and its atoms may nest or
+    repeat.  An atom meets another block when it ends in another label's
+    region or node, or when it is a cone at a node an earlier block made,
+    which that block's words pass through.
+
+    Each node steps only to the fixed states (state 0 and the regions,
+    pairwise inequivalent) and to nodes made after it, so `_registered`
+    resolves the nodes in reverse creation order, the root last, keyed by
+    (label, row), and numbers the minimal machine breadth-first, as
+    `Labelling.points` reads it.  Each block is capped, before the next is
+    read, on the states its own `SymbolicSet.words` trie would hold; the
+    finished labelling is capped by its callers.
+    """
+    letters = range(2 * rank)
+    trans, labels, fixed, regions = [[0] * len(letters)], [None], {0}, {None: 0}
+
+    def region(label) -> int:
+        if label not in regions:
+            regions[label] = first = len(trans)
+            trans.extend([0 if y == x ^ 1 else first + y for y in letters] for x in letters)
+            labels.extend([label] * len(letters))
+            fixed.update(range(first, len(trans)))
+        return regions[label]
+
+    first = region(gap)
+    holes = [first and first + y for y in letters]   # where each letter leaves the trie
+    root, nodes, width = len(trans), [len(trans)], 0
+    trans.append(holes[:])
+    labels.append(gap)
+    for width, (singletons, cones) in enumerate(blocks, 1):
+        label, mine, made, walked = (width - 1,), len(trans) if width > 1 else 0, len(nodes), {root}
+        for is_cone, w in [(False, w) for w in singletons] + [(True, w) for w in cones]:
+            if max(map(abs, w.letters), default=0) > rank:
+                raise ValueError(f"word {w} outside rank {rank}")
+            state, x = root, -1
+            for x in map(letter_index, w.letters):
+                if trans[state][x] == holes[x]:     # a new node, with the gap's inside row for x
+                    trans[state][x] = len(trans)
+                    nodes.append(len(trans))
+                    trans.append(holes[:])
+                    trans[-1][x ^ 1] = 0
+                    labels.append(gap)
+                state = trans[state][x]
+                if state in fixed:
+                    break
+                if state < mine:                    # a node an earlier block made
+                    walked.add(state)
+            if state in fixed:                      # inside a cone, of this block or another
+                if labels[state] != label:
+                    return None
+            elif labels[state] not in (gap, label) or is_cone and state < mine:
+                return None
+            else:
+                labels[state] = label
+                if is_cone:                         # its label's inside row for x
+                    inside = region(label)
+                    trans[state] = [0 if y == x ^ 1 else inside + y for y in letters]
+        # the block's own trie: the dead state, its inside states and the nodes its words walk
+        capped("automaton_states", 1 + len(letters) + len(walked) + len(nodes) - made,
+               AUTOMATON_STATES_CAP)
+    rows, outputs = _registered(trans, labels, fixed, reversed(nodes))
+    return Labelling(width, outputs, rank, rows)

@@ -11,7 +11,7 @@ value.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
 
 from .actions import (
     Action,
@@ -20,7 +20,7 @@ from .actions import (
     FreeSelfAction,
     TrivialAction,
 )
-from .langsets import ActionSet, FiniteSet, SymbolicSet, labelled_pass
+from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass, prefix_trie
 from .words import (
     MAX_RANK,
     FreeWord,
@@ -156,6 +156,21 @@ def _parse_word_field(doc: Mapping, rank: int, location: str) -> FreeWord:
 SET_DEPTH_CAP = 100   # nesting levels of a set expression
 
 
+def _prefix_block(doc: Any) -> bool:
+    """Whether a set is a cone, a singleton, or a union of those."""
+    parts = doc.get("of") if isinstance(doc, dict) and doc.get("kind") == "union" else [doc]
+    return isinstance(parts, list) and bool(parts) and all(
+        isinstance(p, dict) and p.get("kind") in ("cone", "singleton") for p in parts)
+
+
+def _block_words(doc: dict, rank: int, location: str) -> tuple[list, list]:
+    """The words of such a set's singletons and of its cones, read in order."""
+    atoms = ([(p, f"{location}.of[{i}]") for i, p in enumerate(doc["of"])]
+             if doc["kind"] == "union" else [(doc, location)])
+    words = [(p["kind"], _parse_word_field(p, rank, at)) for p, at in atoms]
+    return [w for k, w in words if k == "singleton"], [w for k, w in words if k == "cone"]
+
+
 def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> ActionSet:
     """Set expression tree over the action's point universe, nested at most
     SET_DEPTH_CAP levels deep (BoundExceeded), checked as it descends."""
@@ -187,13 +202,9 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     if kind in ("union", "intersection"):
         parts = doc.get("of")
         _expect(isinstance(parts, list) and parts, f"{kind} needs a nonempty 'of' array", location)
-        if kind == "union" and symbolic and all(
-                isinstance(p, dict) and p.get("kind") in ("cone", "singleton") for p in parts):
+        if kind == "union" and symbolic and _prefix_block(doc):
             capped("set_depth", depth + 1, SET_DEPTH_CAP)   # one prefix trie, no product pass
-            atoms = [(p["kind"], _parse_word_field(p, rank, f"{location}.of[{i}]"))
-                     for i, p in enumerate(parts)]
-            return SymbolicSet.words(rank, [w for k, w in atoms if k == "singleton"],
-                                     [w for k, w in atoms if k == "cone"])
+            return SymbolicSet.words(rank, *_block_words(doc, rank, location))
         points = labelled_pass([parse_set(p, action, f"{location}.of[{i}]", depth + 1)
                                 for i, p in enumerate(parts)])
         if kind == "union":
@@ -244,6 +255,17 @@ def set_json(value: ActionSet) -> dict:
 def parse_sets(doc: Any, action: Action, location: str) -> list[ActionSet]:
     _expect(isinstance(doc, list) and doc, "expected a nonempty array of sets", location)
     return [parse_set(item, action, f"{location}[{i}]") for i, item in enumerate(doc)]
+
+
+def parse_prefix_partition(doc: Any, action: Action, location: str) -> Optional[Labelling]:
+    """A partition of F_rank whose every block is a cone, a singleton or a
+    union of those, as `prefix_trie`'s labelling, with no set per block.
+    None for any other array, and for blocks that meet, which parse_sets
+    reads instead; each block is read and capped before the next, as there."""
+    if action.is_finite or not (isinstance(doc, list) and doc and all(map(_prefix_block, doc))):
+        return None
+    return prefix_trie(action.rank, (_block_words(block, action.rank, f"{location}[{i}]")
+                                     for i, block in enumerate(doc)))
 
 
 def parse_elements(doc: Any, action: Action, location: str) -> list:
