@@ -302,42 +302,24 @@ class FiniteRegularAction(FinitePermutationAction):
 
 @value
 class Partition:
-    """Ordered blocks E_1..E_m; validity is checked by validate_partition.
-
-    `labelling` is the one labelled pass over the blocks, in which block i
-    is index i - 1, taken when first read: validation reads it, and the
-    configuration frames start from it.  One made by `labelled` takes no
-    pass: its blocks are that labelling's cells, read off it when first read.
+    """Blocks E_1..E_m held as their labelling alone, block i's points
+    labelled (i - 1,): checked when `partition` makes it, and unchecked as
+    `Partition(labelled_pass(blocks))`, whose points may lie in two blocks
+    or none.  `blocks` are read off it when first read, block i as the
+    points whose label holds i - 1; `len` is its width.  Two partitions
+    are equal when their labellings are, `Labelling`'s own rule; a moved
+    labelling is not numbered canonically, so partitions compare by blocks.
     """
 
-    blocks: tuple[ActionSet, ...]
-
-    @staticmethod
-    def labelled(labelling: Labelling) -> "Partition":
-        """The partition whose block i + 1 is the points labelled (i,)."""
-        part = object.__new__(Partition)
-        part.__dict__["labelling"] = labelling
-        return part
-
-    def __getattr__(self, name: str):
-        if name != "blocks":                     # a labelled partition's one missing field
-            raise AttributeError(name)
-        blocks = tuple([self.labelling.cells([(i,)]) for i in range(self.labelling.width)])
-        object.__setattr__(self, "blocks", blocks)
-        return blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks) if "blocks" in self.__dict__ else self.labelling.width
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> ActionSet:
-        return self.blocks[i]
+    labelling: Labelling
 
     @cached_property
-    def labelling(self) -> Labelling:
-        return labelled_pass(self.blocks)
+    def blocks(self) -> tuple[ActionSet, ...]:
+        points = self.labelling
+        return tuple([points.cells([l for l in points.points if i in l]) for i in range(len(self))])
+
+    def __len__(self) -> int:
+        return self.labelling.width
 
 
 @value
@@ -348,26 +330,28 @@ class PartitionReport(Verdict):
     witness: object = None
 
 
-def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) -> PartitionReport:
-    """Check blocks are nonempty, pairwise disjoint, and cover the universe.
-
-    Every block must be a set of the action's universe, of its degree or
-    rank, else ValueError.  The partition's labelling then decides all
-    three; given a Partition, the check takes that partition's own pass,
-    or reads the labelling it was made from.  A partition of cones and
-    singletons read by `prefix_trie` comes here only when the trie finds a
-    point in no block (see `partition`).
-    """
-    part = blocks if isinstance(blocks, Partition) else Partition(tuple(blocks))
-    if not part.blocks:
-        return PartitionReport(False, "empty-block", (), None)
+def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Optional[Labelling]:
+    """The labelling given, or one labelled pass over the blocks (None for
+    none), once each is found to be of the action's degree or rank."""
+    given = isinstance(blocks, Labelling)
     universe = "degree" if action.is_finite else "rank"
     size = getattr(action, universe)
-    for block in part.blocks:
-        if getattr(block, universe, None) != size:
-            raise ValueError(f"{universe} mismatch: {size} vs {getattr(block, universe, None)}")
-    points = part.labelling
-    indices = range(len(part.blocks))
+    for part in [blocks] if given else blocks:
+        if getattr(part, universe, None) != size:
+            raise ValueError(f"{universe} mismatch: {size} vs {getattr(part, universe, None)}")
+    if given:
+        return blocks
+    return labelled_pass(blocks) if blocks else None
+
+
+def validate_partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> PartitionReport:
+    """Check blocks are nonempty, pairwise disjoint, and cover the universe.
+    Every verdict is read off one labelling: the one given (`prefix_trie`'s,
+    say), or one labelled pass over the blocks."""
+    points = _labelling(action, blocks)
+    if points is None:
+        return PartitionReport(False, "empty-block", (), None)
+    indices = range(points.width)
     occupied = {i for label in points.points for i in label}
     for i in indices:
         if i not in occupied:
@@ -382,22 +366,19 @@ def validate_partition(action: Action, blocks: Partition | Sequence[ActionSet]) 
 
 
 def partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Partition:
-    """Validated constructor: the partition checked, with its validating pass.
-    Given instead `prefix_trie`'s labelling of disjoint blocks, it takes no
-    pass: its states are capped where the pass would stop, and only a point
-    in no block sends its blocks, read off it, to the pass, for its report."""
-    if isinstance(blocks, Labelling):
+    """Validated constructor: the partition held as the labelling given, by
+    `prefix_trie` or a column of block indices, or else as one labelled pass
+    over the blocks, once `validate_partition` passes that one labelling.  A
+    labelling over F_rank is capped on its states where a pass would stop."""
+    if isinstance(blocks, Labelling) and blocks.rank is not None:
         cap = langsets.AUTOMATON_STATES_CAP
         capped("automaton_states", min(len(blocks.labels), cap + 1), cap)
-        if () not in blocks.points:
-            return Partition.labelled(blocks)
-        blocks = Partition.labelled(blocks).blocks
-    part = Partition(tuple(blocks))
-    report = validate_partition(action, part)
+    points = _labelling(action, blocks)
+    report = validate_partition(action, points or ())
     if not report:
         raise ValueError(f"invalid partition: {report.problem} "
-                         f"(blocks {list(report.blocks_involved)}, witness {report.witness!r})")
-    return part
+                         f"(blocks {list(report.blocks_involved)}, witness {report.witness})")
+    return Partition(points)
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +423,12 @@ class EquivariantMap:
 
 
 def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Partition:
-    """Blocks of the preimage partition, in the same order; the map was
-    checked when made, and the pulled-back partition is checked here."""
-    f = emap.point_map
-    blocks = [FiniteSet.of(len(f), [x for x, y in enumerate(f) if y in block.members])
-              for block in target_partition]
-    return partition(emap.source, blocks)
+    """The preimage partition, in the same order: each point takes the label
+    of its image.  The map was checked when made, and the pulled-back
+    partition is checked here."""
+    labels = target_partition.labelling.labels
+    return partition(emap.source, Labelling(len(target_partition),
+                                            tuple([labels[y] for y in emap.point_map])))
 
 
 @value

@@ -92,10 +92,10 @@ def _rationals(doc: dict, key: str) -> list[Fraction]:
 
 def _parse_pair(doc: dict, action, location: str) -> cfg.ConfigurationPair:
     """A validated pair.  A partition over F_rank whose every block is a
-    cone, a singleton or a union of those is read as one labelled trie,
-    which checks it as it is built; any other, and one whose blocks meet,
-    is read block by block and checked by a labelled pass, for the same
-    report."""
+    cone, a singleton or a union of those is read as one labelled trie; any
+    other, and one whose blocks meet, is read block by block, and labelled
+    by one pass.  Either way the partition is checked on that one
+    labelling, for the same report."""
     _object(doc, location)
     elements = _field(doc, "tuple", parse_elements, action, location)
     blocks = (_field(doc, "partition", parse_prefix_partition, action, location)
@@ -226,8 +226,8 @@ def cmd_compare_con(args, doc, action, cs):
         return "included-up-to-bounds", data, bounds_json
     elements, blocks, configs = report.counterexample
     data["counterexample"] = {
-        "tuple": elements,
-        "partition": blocks,
+        "tuple": [element_json(g) for g in elements],
+        "partition": [set_json(b) for b in blocks],
         "configurations": configs,
     }
     return "counterexample", data, bounds_json
@@ -238,7 +238,7 @@ def cmd_probe_cardinality(args, doc, action, cs):
     probe = cfg.cardinality_probe(action, n)
     data = {"n": n}
     if probe.possible:
-        data["witness_partition"] = [set_json(b) for b in probe.witness.blocks]
+        data["witness_partition"] = [set_json(b) for b in probe.witness]
         return "yes", data, {}
     return "no", data, {}
 
@@ -366,7 +366,6 @@ def cmd_witness_nonabelian(args, doc, action, cs):
     report.require("nonabelian witness failed verification")
     return "ok", {
         "sets": [set_json(s) for s in witness.sets],
-        "verified": True,
         "conclusion": report.conclusion,
     }, {}
 
@@ -386,7 +385,6 @@ def cmd_witness_infinite_order(args, doc, action, cs):
     return "ok", {
         "e1": set_json(witness.e1),
         "e2": set_json(witness.e2),
-        "verified": True,
         "conclusion": report.conclusion,
     }, {}
 

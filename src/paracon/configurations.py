@@ -51,12 +51,12 @@ class ConfigurationPair:
     @functools.cached_property
     def frames(self) -> Labelling:
         """Family j labels x with block i of g_j x, as index j * m + i - 1
-        (g_0 = e).  The blocks' labelling is the partition's one pass over
-        its blocks.  Over a finite universe the labels zip its column of
-        block indices with that column read at each g_j's point images,
-        each shifted by j * m; over F_rank they are one labelled pass over
-        the blocks' labelling and its moves by each g_j^-1.  A point in two
-        blocks or none is a ValueError naming the least one."""
+        (g_0 = e), read from the partition's labelling.  Over a finite
+        universe the labels zip its column of block indices with that
+        column read at each g_j's point images, each shifted by j * m; over
+        F_rank they are one labelled pass over that labelling and its moves
+        by each g_j^-1.  A point in two blocks or none is a ValueError
+        naming the least one."""
         blocks = self.partition.labelling
         stray = next((label for label in blocks.points if len(label) != 1), None)
         if stray is not None:
@@ -88,9 +88,9 @@ TUPLE_LENGTH_CAP = 32
 
 def configuration_pair(action: Action, elements: Sequence,
                        blocks: Sequence[ActionSet] | Labelling) -> ConfigurationPair:
-    """Validated constructor: normalizes elements and checks the partition
-    (see `actions.partition`).  Past TUPLE_LENGTH_CAP elements it raises
-    BoundExceeded."""
+    """Validated constructor: normalizes elements and checks the partition,
+    given as its blocks or its labelling (see `actions.partition`).  Past
+    TUPLE_LENGTH_CAP elements it raises BoundExceeded."""
     capped("tuple_length", len(elements), TUPLE_LENGTH_CAP)
     normalized = tuple(action.normalize_element(g) for g in elements)
     if not normalized:
@@ -446,7 +446,7 @@ class ConSearchBounds:
 class ConInclusionReport(Verdict):
     included: bool
     pairs_checked: int
-    counterexample: Optional[tuple] = None   # (elements repr, blocks repr, configurations)
+    counterexample: Optional[tuple] = None   # (elements, blocks, configurations)
 
 
 def _element_pool(action: Action, max_word_length: int) -> list:
@@ -492,7 +492,7 @@ def _partition_at(ways: list[list[int]], k: int) -> Partition:
         block, k = divmod(k, rest[blocks]) if k < joins else (blocks, k - joins)
         blocks += block == blocks
         column.append((block,))
-    return Partition.labelled(Labelling(blocks, tuple(column)))
+    return Partition(Labelling(blocks, tuple(column)))
 
 
 def _tuple_at(pool: Sequence, t: int) -> tuple:
@@ -554,11 +554,7 @@ def con_included(
         while wanted not in available and (found := next(pending, None)) is not None:
             available.add(found)
         if wanted not in available:
-            detail = (
-                tuple(repr(g) for g in pair.elements),
-                tuple(repr(b) for b in pair.partition.blocks),
-                tuple(sorted(wanted)),
-            )
+            detail = (pair.elements, pair.partition.blocks, tuple(sorted(wanted)))
             return ConInclusionReport(False, checked, detail)
     return ConInclusionReport(True, checked)
 
@@ -580,7 +576,7 @@ PROBE_N_CAP = 1_000
 @value
 class CardinalityProbe(Verdict):
     possible: bool
-    witness: Optional[Partition] = None
+    witness: Optional[tuple[ActionSet, ...]] = None
 
 
 def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
@@ -608,6 +604,5 @@ def cardinality_probe(action: Action, n: int) -> CardinalityProbe:
         chosen = action.full_set().enumerate_up_to(length)[: n - 1]
     blocks = [action.point_set([w]) for w in chosen]
     blocks.append(action.point_set(chosen).complement())   # the points in no block
-    witness = Partition(tuple(blocks))
-    validate_partition(action, witness).require("probe witness failed verification")
-    return CardinalityProbe(True, witness)
+    validate_partition(action, blocks).require("probe witness failed verification")
+    return CardinalityProbe(True, tuple(blocks))

@@ -107,7 +107,7 @@ class PingPongChain:
 
 class ChainHypothesisError(ValueError):
     def __init__(self, message: str, witness=None):
-        super().__init__(message if witness is None else f"{message} (witness {witness!r})")
+        super().__init__(message if witness is None else f"{message} (witness {witness})")
         self.witness = witness
 
 
@@ -218,7 +218,7 @@ def check_pingpong_cyclic(action: Action, tableau: CyclicTableau) -> PingPongRep
     everything = list(tableau.sets_a) + list(tableau.sets_b)
     if overlap := labelled_pass(everything).overlap(range(2 * k)):
         (x, y), witness = [f"{'AB'[i // k]}_{i % k + 1}" for i in overlap[0]], overlap[1]
-        raise ValueError(f"tableau sets {x} and {y} overlap (witness {witness!r})")
+        raise ValueError(f"tableau sets {x} and {y} overlap (witness {witness})")
     for i in range(k):
         target = action.act_on_set(action.normalize_element(tableau.elements[i]), tableau.sets_a[i])
         missing = labelled_pass([tableau.sets_b[i], target]).uncovered((0, 1))
@@ -289,7 +289,7 @@ def check_pingpong_subgroups(
         raise ValueError("need k >= 2 subgroups with one set each")
     if overlap := labelled_pass(sets).overlap(range(k)):
         (x, y), witness = overlap
-        raise ValueError(f"sets X_{x+1} and X_{y+1} overlap (witness {witness!r})")
+        raise ValueError(f"sets X_{x+1} and X_{y+1} overlap (witness {witness})")
     sizes, moves = zip(*[_subgroup_moves(action, spec) for spec in subgroups])
     if k == 2:
         if sizes[0] < 3:

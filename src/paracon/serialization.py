@@ -259,7 +259,8 @@ def parse_sets(doc: Any, action: Action, location: str) -> list[ActionSet]:
 
 def parse_prefix_partition(doc: Any, action: Action, location: str) -> Optional[Labelling]:
     """A partition of F_rank whose every block is a cone, a singleton or a
-    union of those, as `prefix_trie`'s labelling, with no set per block.
+    union of those, as `prefix_trie`'s labelling, with no set per block: the
+    labelling the partition is held as and checked on, gaps labelled ().
     None for any other array, and for blocks that meet, which parse_sets
     reads instead; each block is read and capped before the next, as there."""
     if action.is_finite or not (isinstance(doc, list) and doc and all(map(_prefix_block, doc))):

@@ -5,7 +5,7 @@ package: word enumeration by direct recursion, free reduction by cancelling
 letter pairs on a stack, set membership by evaluating expression trees
 pointwise, configurations of finite actions by iterating points, the
 counting solution of a finite action document by walking its points
-through plain image lists, permutation orders by repeated composition,
+through plain image lists, the preimage of each block under a point map, permutation orders by repeated composition,
 the union of g^k S over the powers g^k != e (over F_rank by testing
 g^-k v in S for a range of k, on finite points by composing g with
 itself), the dense rows of the configuration equations entry by entry,
@@ -240,6 +240,11 @@ def brute_force_configurations(degree: int, perms: list, blocks: list[frozenset]
     for x in range(degree):
         observed.add(tuple([block_of(x)] + [block_of(p.images[x]) for p in perms]))
     return observed
+
+
+def preimage_blocks(point_map: tuple[int, ...], blocks: list[frozenset]) -> list[frozenset]:
+    """The preimage of each block under a point map, block by block."""
+    return [frozenset(x for x, y in enumerate(point_map) if y in block) for block in blocks]
 
 
 def word_images(generators: dict[str, list[int]], word: str, degree: int) -> list[int]:

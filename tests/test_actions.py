@@ -15,12 +15,14 @@ from paracon import (
     SymbolicSet,
     TrivialAction,
     configuration_pair,
+    langsets,
     orbit_coset_action,
     parse_word,
     partition,
     pull_back_partition,
     validate_partition,
 )
+from paracon.langsets import labelled_pass
 from paracon.words import identity_permutation, permutation_closure
 
 
@@ -100,15 +102,20 @@ class TestValidatePartition:
         with pytest.raises(ValueError, match="rank mismatch: 2 vs 1"):
             build(FreeSelfAction(2), [SymbolicSet.full(1)])
 
-    def test_validated_partition_keeps_its_pass(self, f2, five_blocks):
-        # partition() returns the partition it checked, whose labelling is
-        # the pass that validated it, kept from then on
+    def test_validated_partition_keeps_its_pass(self, f2, five_blocks, monkeypatch):
+        # partition() takes one labelled pass over the blocks, checks it, and
+        # returns the partition held as that pass; its blocks are read back
+        # off it
+        passes = []
+        symbolic_pass = langsets._symbolic_pass
+        monkeypatch.setattr(langsets, "_symbolic_pass",
+                            lambda parts: passes.append(parts) or symbolic_pass(parts))
         validated = partition(f2, five_blocks)
-        assert "labelling" in vars(validated)
-        assert validated.labelling is validated.labelling
-        assert validated.labelling.width == 5
-        assert validated.labelling == Partition(tuple(five_blocks)).labelling
-        assert validated == Partition(tuple(five_blocks))
+        assert len(passes) == 1
+        assert vars(validated) == {"labelling": symbolic_pass(passes[0])}
+        assert len(validated) == validated.labelling.width == 5
+        assert validated.blocks == tuple(five_blocks)
+        assert validated == Partition(labelled_pass(five_blocks))
 
 
 class TestActionAxioms:

@@ -116,7 +116,7 @@ class TestCell:
         cs = compute_configurations(pair)
         for config in cs.configurations:
             for j in range(2):
-                block = pair.partition[config[j] - 1]
+                block = pair.partition.blocks[config[j] - 1]
                 assert (0,) not in labelled_pass([cs.cell(config, j), block]).points
 
     def test_unknown_configuration(self, z3):
@@ -209,7 +209,7 @@ class TestVerifyCellPartition:
         assert configurations.refinement_block_map(pair.partition, coarse.partition) == (
             1, 2, 2, 3, 3)
         assert over(five_blocks) == [tuple(five_blocks)]
-        assert over(coarse.partition.blocks) == [coarse.partition.blocks]
+        assert over(coarse_blocks) == [tuple(coarse_blocks)]
         bounds = ConSearchBounds(max_blocks=2, family_limit=12)
         for candidate in configurations.candidate_pairs(z4, bounds):
             passes.clear()
@@ -221,7 +221,7 @@ class TestVerifyCellPartition:
         # lies in both blocks, so no label of the frames reads as a
         # configuration, and the frames name the least such point
         blocks = (langsets.SymbolicSet.full(2), cone("a"))
-        pair = ConfigurationPair(f2, (parse_word("A"),), Partition(blocks))
+        pair = ConfigurationPair(f2, (parse_word("A"),), Partition(labelled_pass(blocks)))
         with pytest.raises(ValueError, match="point a lies in 2 blocks"):
             compute_configurations(pair)
 
@@ -238,7 +238,7 @@ class TestVerifyCellPartition:
             blocks[1] = blocks[1].union(blocks[0])
         else:
             del blocks[0]
-        pair = ConfigurationPair(f2, (parse_word("ab"),), Partition(tuple(blocks)))
+        pair = ConfigurationPair(f2, (parse_word("ab"),), Partition(labelled_pass(blocks)))
         with pytest.raises(ValueError, match=message):
             pair.frames
 
@@ -246,7 +246,7 @@ class TestVerifyCellPartition:
         for blocks, message in ((([0, 1], [1, 2]), "point 1 lies in 2 blocks"),
                                 (([0], [2]), "point 1 lies in 0 blocks")):
             pair = ConfigurationPair(z3, (z3.normalize_element("a"),),
-                                     Partition(tuple(map(z3.point_set, blocks))))
+                                     Partition(labelled_pass(map(z3.point_set, blocks))))
             with pytest.raises(ValueError, match=message):
                 compute_configurations(pair)
 
@@ -509,18 +509,18 @@ class TestCardinalityProbe:
     def test_witness_partition_shape(self, z4):
         probe = cardinality_probe(z4, 3)
         assert probe.possible
-        assert [sorted(b.members) for b in probe.witness.blocks] == [[0], [1], [2, 3]]
+        assert [sorted(b.members) for b in probe.witness] == [[0], [1], [2, 3]]
 
     def test_free_always_possible(self, f2):
         for n in (1, 2, 5, 8):
             probe = cardinality_probe(f2, n)
             assert probe.possible
-            assert len(probe.witness.blocks) == n
+            assert len(probe.witness) == n
 
     def test_n_one(self, z3):
         probe = cardinality_probe(z3, 1)
         assert probe.possible
-        assert len(probe.witness.blocks) == 1
+        assert len(probe.witness) == 1
 
 
 def random_finite_instance(rng):

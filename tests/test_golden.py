@@ -289,6 +289,26 @@ def test_extra_report_matches_golden(name, words, doc, capsys, tmp_path):
     assert capsys.readouterr().out.encode() == (GOLDEN / f"extra-{name}.json").read_bytes()
 
 
+def _action_a(stem: str) -> dict:
+    return json.loads((FIXTURES / f"{stem}.json").read_text())["action_a"]
+
+
+@pytest.mark.parametrize("golden, action_a", [
+    ("extra-compare-con-pairs", FREE2),
+    ("s3-sampled-tuples.compare-con-seed-5", _action_a("s3-sampled-tuples")),
+    ("z4-quotient-sampled.compare-con-seed-3", _action_a("z4-quotient-sampled")),
+], ids=["free", "s3-sampled", "z4-sampled"])
+def test_a_counterexample_is_a_document_con_compute_reads(golden, action_a, capsys, tmp_path):
+    # the tuple and partition of a counterexample, fed back to `con compute`
+    # with action_a, realize exactly the counterexample's configurations
+    counterexample = json.loads((GOLDEN / f"{golden}.json").read_text())["data"]["counterexample"]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"action": action_a, "tuple": counterexample["tuple"],
+                                "partition": counterexample["partition"]}))
+    assert main(["con", "compute", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["configurations"] == counterexample["configurations"]
+
+
 if __name__ == "__main__":
     import contextlib
     import io

@@ -172,7 +172,7 @@ class TestChain:
         with pytest.raises(ChainHypothesisError) as err:
             chain_to_decomposition(f2, chain)
         assert str(err.value) == ("the differences X_{i+1} minus h_i X_i do not cover X "
-                                  "(witness FreeWord('e'))")
+                                  "(witness e)")
         assert err.value.witness == E
 
     def test_three_step_chain(self, f2):
@@ -705,12 +705,12 @@ def assert_matches_oracle(problem, witness, failures):
 
 def raised(err) -> tuple:
     """(problem, witness) of an error whose message ends in
-    " (witness <repr>)", the repr of a point or of a FreeWord."""
+    " (witness <point>)", a point's integer or a word's letters."""
     problem, _, text = str(err).partition(" (witness ")
     text = text[:-1]
     if text.isdigit():
         return problem, int(text)
-    return problem, FreeWord(tuple(LETTER[c] for c in text[len("FreeWord('"):-2] if c != "e"))
+    return problem, FreeWord(tuple(LETTER[c] for c in text if c != "e"))
 
 
 def member(expr):

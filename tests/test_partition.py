@@ -1,0 +1,110 @@
+"""A partition held as its labelling alone, and checked on that one labelling.
+
+A partition is given as its blocks, checked on one labelled pass over
+them, or as a labelling (a prefix trie's, a column of block indices, a
+pulled-back one), checked on that labelling with no pass.  Both ways must
+give the same report and the same blocks.  Finite partitions of degree at
+most 6 are drawn as a column of block indices, then maybe given an overlap,
+a gap or an empty block; partitions of F_1, F_2 and F_3 are drawn as in
+tests/test_prefix_trie.py, valid, overlapping or gapped.  A pulled-back
+partition is compared with the preimages of its target's blocks, taken one
+by one.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import preimage_blocks
+from paracon import (
+    FinitePermutationAction,
+    FreeSelfAction,
+    Partition,
+    Permutation,
+    SymbolicSet,
+    langsets,
+    orbit_coset_action,
+    partition,
+    pull_back_partition,
+    validate_partition,
+)
+from paracon.langsets import labelled_pass, prefix_trie
+from test_prefix_trie import drawn_blocks, words_of
+
+
+def valid_blocks(rng: random.Random, degree: int) -> list[set]:
+    column = [rng.randrange(rng.randint(1, degree)) for _ in range(degree)]
+    return [{p for p, b in enumerate(column) if b == i} for i in sorted(set(column))]
+
+
+def finite_blocks(rng: random.Random, degree: int) -> list[set]:
+    """Valid blocks, then maybe a point put in a second block, a point
+    dropped, or an empty block put in."""
+    blocks = valid_blocks(rng, degree)
+    mutation = rng.choice(["none", "overlap", "gap", "empty"])
+    if mutation == "overlap" and len(blocks) > 1:
+        rng.choice(blocks).add(rng.randrange(degree))
+    elif mutation == "gap":
+        block = rng.choice(blocks)
+        block.discard(rng.choice(sorted(block)))
+    elif mutation == "empty":
+        blocks.insert(rng.randint(0, len(blocks)), set())
+    return blocks
+
+
+def check_both_ways(action, blocks) -> object:
+    """The report of the blocks, which their labelling gives too, and
+    which `partition` raises on or makes a partition of those very blocks."""
+    report = validate_partition(action, blocks)
+    assert report == validate_partition(action, labelled_pass(blocks))
+    assert Partition(labelled_pass(blocks)).blocks == tuple(blocks)
+    if report:
+        assert partition(action, blocks).blocks == tuple(blocks)
+    else:
+        with pytest.raises(ValueError, match=f"invalid partition: {report.problem}"):
+            partition(action, blocks)
+    return report
+
+
+@settings(max_examples=200, deadline=None)
+@given(degree=st.integers(1, 6), seed=st.integers(0, 10**6))
+def test_finite_partitions_are_checked_on_one_labelling(degree, seed):
+    action = FinitePermutationAction(degree)
+    check_both_ways(action, [action.point_set(b) for b in finite_blocks(random.Random(seed), degree)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(1, 3), seed=st.integers(0, 10**6))
+def test_prefix_partitions_are_checked_on_one_labelling(rank, seed):
+    words = [words_of(b) for b in drawn_blocks(random.Random(seed), rank)]
+    action, blocks = FreeSelfAction(rank), [SymbolicSet.words(rank, *b) for b in words]
+    report = check_both_ways(action, blocks)
+    trie = prefix_trie(rank, words)
+    if trie is None:                 # two blocks meet
+        assert report.problem == "overlap"
+        return
+    # no pass over the blocks: the trie is the labelling the verdict is read off
+    with mock.patch.object(langsets, "_symbolic_pass", wraps=langsets._symbolic_pass) as passes:
+        assert validate_partition(action, trie) == report
+        assert (report.problem == "cover-gap") == (() in trie.points)
+        if report:
+            assert partition(action, trie).blocks == tuple(blocks)
+    assert passes.call_count == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(degree=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_a_pulled_back_partition_is_the_preimage_of_each_block(degree, seed):
+    rng = random.Random(seed)
+    generators = {}
+    for index in range(1, rng.randint(1, 2) + 1):
+        images = list(range(degree))
+        rng.shuffle(images)
+        generators[index] = Permutation(tuple(images))
+    quotient = orbit_coset_action(FinitePermutationAction(degree, generators), rng.randrange(degree))
+    target = quotient.orbit_action
+    blocks = valid_blocks(rng, target.degree)
+    pulled = pull_back_partition(quotient.map, partition(target, [target.point_set(b) for b in blocks]))
+    assert [b.members for b in pulled.blocks] == preimage_blocks(quotient.map.point_map, blocks)

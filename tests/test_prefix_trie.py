@@ -151,26 +151,27 @@ def test_partitions_near_the_state_cap_keep_their_exit(partition, code, requeste
     assert run(wrapped(doc)) == result
 
 
-@pytest.mark.parametrize("partition, code, validations", [
+@pytest.mark.parametrize("partition, code, passes", [
     ([{"kind": "singleton", "word": "e"}, {"kind": "cone", "word": "a"},
       {"kind": "union", "of": [{"kind": "cone", "word": "A"}]}], 0, 0),
     ([{"kind": "powers", "word": "a"}, {"kind": "complement", "of": {"kind": "powers", "word": "a"}}], 0, 1),
     ([{"kind": "cone", "word": "a"}, {"kind": "complement", "of": {"kind": "cone", "word": "a"}}], 0, 1),
-    ([{"kind": "singleton", "word": "e"}, {"kind": "cone", "word": "a"}], 2, 1),     # a gap at A
+    ([{"kind": "singleton", "word": "e"}, {"kind": "cone", "word": "a"}], 2, 0),     # a gap at A
     ([{"kind": "cone", "word": "e"}, {"kind": "cone", "word": "a"}], 2, 1),          # an overlap
 ], ids=["prefix-atoms", "powers", "complement", "gap", "overlap"])
-def test_only_other_partitions_take_the_validating_pass(partition, code, validations, monkeypatch):
-    # a partition of cones and singletons is checked as its trie is built; a
-    # block of any other kind, or a trie that finds a gap or an overlap, sends
-    # the partition to the one pass over its blocks, and its report
-    calls, passes = [], []
+def test_only_other_partitions_take_the_validating_pass(partition, code, passes, monkeypatch):
+    # every partition is checked once, on its one labelling: a partition of
+    # cones and singletons on its trie, gaps included, and one with a block
+    # of any other kind, or whose trie finds an overlap, on the one pass over
+    # its blocks
+    calls, taken = [], []
     validate, symbolic_pass = actions.validate_partition, langsets._symbolic_pass
     monkeypatch.setattr(actions, "validate_partition", lambda *a: calls.append(a) or validate(*a))
-    monkeypatch.setattr(langsets, "_symbolic_pass", lambda parts: passes.append(parts) or symbolic_pass(parts))
+    monkeypatch.setattr(langsets, "_symbolic_pass", lambda parts: taken.append(parts) or symbolic_pass(parts))
     doc = {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"], "partition": partition}
     assert run(doc)[0] == code
-    assert len(calls) == validations
-    over_blocks = [p for p in passes if all(isinstance(part, SymbolicSet) for part in p)
+    assert len(calls) == 1
+    over_blocks = [p for p in taken if all(isinstance(part, SymbolicSet) for part in p)
                    and len(p) == len(partition)]
-    assert len(over_blocks) == validations
+    assert len(over_blocks) == passes
 

@@ -390,7 +390,7 @@ class TestValue:
             assert hash(v) == hash(fields)
 
     def test_a_class_keeps_its_own_repr(self):
-        # these reprs appear in compare con reports
+        # each keeps the repr it defines, not the generated one
         assert repr(self.CONE_A) == "SymbolicSet(rank=2, ~{a, aa, ab, aB, ...})"
         assert repr(FiniteSet.of(4, [3, 1])) == "FiniteSet(4, [1, 3])"
         assert repr(parse_word("aB")) == "FreeWord('aB')"
@@ -411,15 +411,16 @@ class TestValue:
             del w.letters
         assert w.letters == (1, 2)
 
-    def test_labelling_is_left_out_of_partition_values(self):
-        # a partition's labelling is a cached property, not a field, so a
-        # partition that has taken its pass equals one that has not
+    def test_blocks_are_left_out_of_partition_values(self):
+        # a partition's one field is its labelling; its blocks are a cached
+        # property, so a partition that has read them equals one that has not
         f2, blocks = FreeSelfAction(2), self.HALVES
-        validated, bare = partition(f2, blocks), Partition(blocks)
-        assert "labelling" in vars(validated) and "labelling" not in vars(bare)
+        validated, bare = partition(f2, blocks), Partition(labelled_pass(blocks))
+        assert validated.blocks == blocks
+        assert "blocks" in vars(validated) and "blocks" not in vars(bare)
         assert validated == bare and hash(validated) == hash(bare)
-        assert repr(validated) == repr(bare) == f"Partition(blocks={blocks!r})"
-        assert bare.labelling == validated.labelling and validated == bare
+        assert repr(validated) == repr(bare) == f"Partition(labelling={bare.labelling!r})"
+        assert bare.blocks == validated.blocks and validated == bare
         report = validate_partition(f2, blocks)
         assert report == PartitionReport(True) and hash(report) == hash(PartitionReport(True))
         assert repr(report) == "PartitionReport(ok=True, problem=None, blocks_involved=(), witness=None)"
