@@ -424,9 +424,9 @@ class EquivariantMap:
 
 def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Partition:
     """The preimage partition, in the same order: each point takes the label
-    of its image.  The map was checked when made, and the pulled-back
-    partition is checked here."""
-    labels = target_partition.labelling.labels
+    of its image.  The map was checked when made; the target partition must
+    be of the target's degree, and the pulled-back one is checked here."""
+    labels = _labelling(emap.target, target_partition.labelling).labels
     return partition(emap.source, Labelling(len(target_partition),
                                             tuple([labels[y] for y in emap.point_map])))
 

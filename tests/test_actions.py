@@ -155,6 +155,13 @@ class TestEquivariantMap:
         pulled = pull_back_partition(emap, partition(z2, [z2.point_set([0]), z2.point_set([1])]))
         assert [sorted(b.members) for b in pulled.blocks] == [[0, 2], [1, 3]]
 
+    def test_pull_back_of_another_universe_raises(self, z3, z4):
+        # a partition of Z/3 is not one of Z/2, whose points the map reaches
+        z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
+        emap = EquivariantMap(z4, z2, (0, 1, 0, 1))
+        with pytest.raises(ValueError, match="degree mismatch: 2 vs 3"):
+            pull_back_partition(emap, partition(z3, [z3.point_set([0]), z3.point_set([1, 2])]))
+
     def test_identity_map_round_trip(self, z3):
         emap = EquivariantMap(z3, z3, (0, 1, 2))
         original = partition(z3, [z3.point_set([0]), z3.point_set([1, 2])])
