@@ -331,8 +331,8 @@ class PartitionReport(Verdict):
 
 
 def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Optional[Labelling]:
-    """The labelling given, or one labelled pass over the blocks (None for
-    none), once each is found to be of the action's degree or rank."""
+    """The labelling given, or one pass over the blocks (None for none),
+    each first found of the action's degree or rank, else ValueError."""
     given = isinstance(blocks, Labelling)
     universe = "degree" if action.is_finite else "rank"
     size = getattr(action, universe)
