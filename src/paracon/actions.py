@@ -303,20 +303,26 @@ class FiniteRegularAction(FinitePermutationAction):
 @value
 class Partition:
     """Blocks E_1..E_m held as their labelling alone, block i's points
-    labelled (i - 1,): checked when `partition` makes it, and unchecked as
-    `Partition(labelled_pass(blocks))`, whose points may lie in two blocks
-    or none.  `blocks` are read off it when first read, block i as the
-    points whose label holds i - 1; `len` is its width.  Two partitions
-    are equal when their labellings are, `Labelling`'s own rule; a moved
-    labelling is not numbered canonically, so partitions compare by blocks.
+    labelled (i - 1,), and checked when made: the labels that occur must be
+    the `width` singletons, else ValueError with `validate_partition`'s
+    report.  `blocks` are read off it when first read, block i as the
+    points labelled (i - 1,); `len` is its width.  Two partitions are equal
+    when their labellings are, `Labelling`'s own rule; a moved labelling is
+    not numbered canonically, so partitions compare by blocks.
     """
 
     labelling: Labelling
 
+    def __post_init__(self):
+        width = self.labelling.width      # a label None is a word that is not reduced
+        if not width or set(self.labelling.labels) - {None} != {(i,) for i in range(width)}:
+            report = _report(self.labelling)
+            raise ValueError(f"invalid partition: {report.problem} "
+                             f"(blocks {list(report.blocks_involved)}, witness {report.witness})")
+
     @cached_property
     def blocks(self) -> tuple[ActionSet, ...]:
-        points = self.labelling
-        return tuple([points.cells([l for l in points.points if i in l]) for i in range(len(self))])
+        return tuple([self.labelling.cells([(i,)]) for i in range(len(self))])
 
     def __len__(self) -> int:
         return self.labelling.width
@@ -330,32 +336,31 @@ class PartitionReport(Verdict):
     witness: object = None
 
 
-def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Optional[Labelling]:
-    """The labelling given, or one pass over the blocks (None for none),
-    each first found of the action's degree or rank, else ValueError."""
-    given = isinstance(blocks, Labelling)
+def _check_universe(action: Action, part) -> None:
+    """ValueError unless a set or labelling is of the action's degree or rank."""
     universe = "degree" if action.is_finite else "rank"
     size = getattr(action, universe)
+    if getattr(part, universe, None) != size:
+        raise ValueError(f"{universe} mismatch: {size} vs {getattr(part, universe, None)}")
+
+
+def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Labelling:
+    """The labelling given, or one pass over the blocks (`Labelling(0, ())`
+    for none), each first checked to be of the action's degree or rank."""
+    given = isinstance(blocks, Labelling)
     for part in [blocks] if given else blocks:
-        if getattr(part, universe, None) != size:
-            raise ValueError(f"{universe} mismatch: {size} vs {getattr(part, universe, None)}")
-    if given:
-        return blocks
-    return labelled_pass(blocks) if blocks else None
+        _check_universe(action, part)
+    return blocks if given else labelled_pass(blocks) if blocks else Labelling(0, ())
 
 
-def validate_partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> PartitionReport:
-    """Check blocks are nonempty, pairwise disjoint, and cover the universe.
-    Every verdict is read off one labelling: the one given (`prefix_trie`'s,
-    say), or one labelled pass over the blocks."""
-    points = _labelling(action, blocks)
-    if points is None:
-        return PartitionReport(False, "empty-block", (), None)
+def _report(points: Labelling) -> PartitionReport:
+    """The least empty block, else the least overlap, else the least point
+    in no block, read off a labelling of blocks; no blocks is `empty-block`."""
     indices = range(points.width)
     occupied = {i for label in points.points for i in label}
-    for i in indices:
-        if i not in occupied:
-            return PartitionReport(False, "empty-block", (i + 1,), None)
+    empty = [i + 1 for i in indices if i not in occupied]
+    if empty or not indices:
+        return PartitionReport(False, "empty-block", tuple(empty[:1]), None)
     if overlap := points.overlap(indices):
         (i, j), witness = overlap
         return PartitionReport(False, "overlap", (i + 1, j + 1), witness)
@@ -365,20 +370,22 @@ def validate_partition(action: Action, blocks: Sequence[ActionSet] | Labelling) 
     return PartitionReport(True)
 
 
+def validate_partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> PartitionReport:
+    """Check blocks are nonempty, pairwise disjoint, and cover the universe,
+    on one labelling: the one given (`prefix_trie`'s, say), or one labelled
+    pass over the blocks.  A `Partition` of it raises with this report."""
+    return _report(_labelling(action, blocks))
+
+
 def partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Partition:
-    """Validated constructor: the partition held as the labelling given, by
-    `prefix_trie` or a column of block indices, or else as one labelled pass
-    over the blocks, once `validate_partition` passes that one labelling.  A
-    labelling over F_rank is capped on its states where a pass would stop."""
+    """The partition held as the labelling given, by `prefix_trie` or a
+    column of block indices, or else as one labelled pass over the blocks;
+    `Partition` checks that labelling.  A labelling over F_rank is capped
+    on its states where a pass would stop."""
     if isinstance(blocks, Labelling) and blocks.rank is not None:
         cap = langsets.AUTOMATON_STATES_CAP
         capped("automaton_states", min(len(blocks.labels), cap + 1), cap)
-    points = _labelling(action, blocks)
-    report = validate_partition(action, points or ())
-    if not report:
-        raise ValueError(f"invalid partition: {report.problem} "
-                         f"(blocks {list(report.blocks_involved)}, witness {report.witness})")
-    return Partition(points)
+    return Partition(_labelling(action, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +431,10 @@ class EquivariantMap:
 
 def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Partition:
     """The preimage partition, in the same order: each point takes the label
-    of its image.  The map was checked when made; the target partition must
-    be of the target's degree, and the pulled-back one is checked here."""
+    of its image.  The map was checked when made, and the target partition
+    must be of the target's degree; `Partition` checks the pulled-back one."""
     labels = _labelling(emap.target, target_partition.labelling).labels
-    return partition(emap.source, Labelling(len(target_partition),
-                                            tuple([labels[y] for y in emap.point_map])))
+    return Partition(Labelling(len(target_partition), tuple([labels[y] for y in emap.point_map])))
 
 
 @value

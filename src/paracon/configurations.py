@@ -24,7 +24,7 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import Action, Partition, partition as make_partition, validate_partition
+from .actions import Action, Partition, _check_universe, partition as make_partition, validate_partition
 from .langsets import ActionSet, FiniteSet, Label, Labelling, SymbolicSet, _sink, labelled_pass
 from .words import Verdict, _word_count, capped, value
 
@@ -55,12 +55,10 @@ class ConfigurationPair:
         universe the labels zip its column of block indices with that
         column read at each g_j's point images, each shifted by j * m; over
         F_rank they are one labelled pass over that labelling and its moves
-        by each g_j^-1.  A point in two blocks or none is a ValueError
-        naming the least one."""
+        by each g_j^-1.  The partition was checked when made; one of another
+        universe than the action's is a ValueError."""
         blocks = self.partition.labelling
-        stray = next((label for label in blocks.points if len(label) != 1), None)
-        if stray is not None:
-            raise ValueError(f"point {blocks.points[stray]} lies in {len(stray)} blocks")
+        _check_universe(self.action, blocks)
         if blocks.rank is not None:
             return labelled_pass([blocks] + [self.action.act_on_set(~g, blocks)
                                              for g in self.elements])
@@ -327,19 +325,17 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
 def refinement_block_map(fine: Partition, coarse: Partition) -> tuple[int, ...]:
     """For each fine block, the 1-based index of the coarse block containing it.
 
-    Read off one labelled pass over the fine labelling, then the coarse: a
-    fine block lies in coarse block l when every label holding it holds l.
+    Read off one labelled pass over the fine labelling, then the coarse:
+    both are partitions, so each label that occurs is one pair (fine block,
+    m + coarse block), and a fine block in two such pairs is split.
     """
     m = len(fine)
-    holders = [set(range(m, m + len(coarse))) for _ in range(m)]
-    for label in labelled_pass([fine.labelling, coarse.labelling]).points:
-        for p in label:
-            if p < m:
-                holders[p].intersection_update(label)
-    for p, held in enumerate(holders, start=1):
-        if not held:
-            raise ValueError(f"fine block {p} lies in no coarse block: not a refinement")
-    return tuple(min(held) - m + 1 for held in holders)
+    pairs = set(labelled_pass([fine.labelling, coarse.labelling]).points)
+    block_map = dict(pairs)
+    if len(block_map) < len(pairs):
+        split = min(p for p, l in pairs if block_map[p] != l)
+        raise ValueError(f"fine block {split + 1} lies in no coarse block: not a refinement")
+    return tuple(block_map[p] - m + 1 for p in range(m))
 
 
 def _projection(mode: str, fine_pair: ConfigurationPair, coarse_pair: ConfigurationPair):

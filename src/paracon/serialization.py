@@ -181,12 +181,11 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     rank = action.rank
     if kind in ("cone", "singleton", "powers"):
         _expect(symbolic, f"{kind} sets need a free-word universe", location)
-        w = _parse_word_field(doc, rank, location)
-        if kind == "cone":
-            return SymbolicSet.cone(w, rank)
-        if kind == "singleton":
-            return SymbolicSet.singleton(w, rank)
-        return SymbolicSet.powers(w, rank)
+    if symbolic and _prefix_block(doc):           # one prefix trie, no product pass
+        capped("set_depth", depth + (kind == "union"), SET_DEPTH_CAP)
+        return SymbolicSet.words(rank, *_block_words(doc, rank, location))
+    if kind == "powers":
+        return SymbolicSet.powers(_parse_word_field(doc, rank, location), rank)
     if kind == "full":
         return action.full_set()
     if kind == "empty":
@@ -202,9 +201,6 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
     if kind in ("union", "intersection"):
         parts = doc.get("of")
         _expect(isinstance(parts, list) and parts, f"{kind} needs a nonempty 'of' array", location)
-        if kind == "union" and symbolic and _prefix_block(doc):
-            capped("set_depth", depth + 1, SET_DEPTH_CAP)   # one prefix trie, no product pass
-            return SymbolicSet.words(rank, *_block_words(doc, rank, location))
         points = labelled_pass([parse_set(p, action, f"{location}.of[{i}]", depth + 1)
                                 for i, p in enumerate(parts)])
         if kind == "union":

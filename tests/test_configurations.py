@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from paracon import (
     ConfigurationSet,
     ConSearchBounds,
     FinitePermutationAction,
+    FreeSelfAction,
     Partition,
     Permutation,
     TrivialAction,
@@ -23,6 +25,7 @@ from paracon import (
     configuration_pair,
     counting_solution,
     parse_word,
+    partition,
     project_configuration,
     verify_cell_partition,
 )
@@ -217,38 +220,61 @@ class TestVerifyCellPartition:
             assert passes == []
 
     def test_overlapping_blocks_raise_before_any_cell(self, f2):
-        # an unvalidated pair whose blocks overlap: every point of cone(a)
-        # lies in both blocks, so no label of the frames reads as a
-        # configuration, and the frames name the least such point
+        # blocks that overlap: every point of cone(a) lies in both, and the
+        # partition names the least such point when it is made, so no pair,
+        # frames or cell is ever built around it
         blocks = (langsets.SymbolicSet.full(2), cone("a"))
-        pair = ConfigurationPair(f2, (parse_word("A"),), Partition(labelled_pass(blocks)))
-        with pytest.raises(ValueError, match="point a lies in 2 blocks"):
-            compute_configurations(pair)
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid partition: overlap (blocks [1, 2], witness a)")):
+            Partition(labelled_pass(blocks))
 
     @pytest.mark.parametrize("change,message", [
-        ("widen", "point e lies in 2 blocks"),
-        ("drop", "point e lies in 0 blocks"),
+        ("widen", "overlap (blocks [1, 2], witness e)"),
+        ("drop", "cover-gap (blocks [], witness e)"),
     ])
     def test_frames_name_a_point_in_two_blocks_or_none(self, f2, five_blocks, change, message):
         # the first-letter blocks with cone(a) widened to hold e, or with {e}
-        # dropped: the cell check used to answer ok for the cells read off
-        # such frames, reading e's label (0, 1, 6) or (4,) position by position
+        # dropped: the cell check once answered ok for the cells read off
+        # such frames, reading e's label (0, 1, 6) or (4,) position by
+        # position; the partition now names e when it is made
         blocks = list(five_blocks)
         if change == "widen":
             blocks[1] = blocks[1].union(blocks[0])
         else:
             del blocks[0]
-        pair = ConfigurationPair(f2, (parse_word("ab"),), Partition(labelled_pass(blocks)))
-        with pytest.raises(ValueError, match=message):
-            pair.frames
+        with pytest.raises(ValueError, match=re.escape(f"invalid partition: {message}")):
+            Partition(labelled_pass(blocks))
 
     def test_finite_frames_name_a_point_in_two_blocks_or_none(self, z3):
-        for blocks, message in ((([0, 1], [1, 2]), "point 1 lies in 2 blocks"),
-                                (([0], [2]), "point 1 lies in 0 blocks")):
-            pair = ConfigurationPair(z3, (z3.normalize_element("a"),),
-                                     Partition(labelled_pass(map(z3.point_set, blocks))))
-            with pytest.raises(ValueError, match=message):
-                compute_configurations(pair)
+        for blocks, message in ((([0, 1], [1, 2]), "overlap (blocks [1, 2], witness 1)"),
+                                (([0], [2]), "cover-gap (blocks [], witness 1)")):
+            with pytest.raises(ValueError, match=re.escape(f"invalid partition: {message}")):
+                Partition(labelled_pass(map(z3.point_set, blocks)))
+
+    @pytest.mark.parametrize("acting, partitioned, message", [
+        ("z3", "z4", "degree mismatch: 3 vs 4"),
+        ("f2", "f3", "rank mismatch: 2 vs 3"),
+        ("z4", "z3", "degree mismatch: 4 vs 3"),
+        ("z3", "f3", "degree mismatch: 3 vs None"),
+        ("f2", "z3", "rank mismatch: 2 vs None"),
+    ])
+    def test_a_pair_rejects_a_partition_of_another_universe(self, acting, partitioned, message):
+        # a pair built directly around another universe's partition once read
+        # some of its points (Z/3 over {0, 1}, {2, 3} realized (1, 2) and
+        # (2, 1), and its cells checked ok) or failed with IndexError or
+        # AttributeError; the frames compare the universes first
+        z3 = FinitePermutationAction(3, {1: Permutation((1, 2, 0))})
+        z4 = FinitePermutationAction(4, {1: Permutation((1, 2, 3, 0))})
+        f2, f3 = FreeSelfAction(2), FreeSelfAction(3)
+        partitions = {
+            "z3": partition(z3, [z3.point_set([0]), z3.point_set([1, 2])]),
+            "z4": partition(z4, [z4.point_set([0, 1]), z4.point_set([2, 3])]),
+            "f3": partition(f3, [singleton("e", 3)] + [cone(x, 3) for x in "aAbBcC"]),
+        }
+        action = {"z3": z3, "z4": z4, "f2": f2}[acting]
+        pair = ConfigurationPair(action, (action.normalize_element("a"),), partitions[partitioned])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_configurations(pair)
 
     def test_detects_deleted_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])

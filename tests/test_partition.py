@@ -3,15 +3,17 @@
 A partition is given as its blocks, checked on one labelled pass over
 them, or as a labelling (a prefix trie's, a column of block indices, a
 pulled-back one), checked on that labelling with no pass.  Both ways must
-give the same report and the same blocks.  Finite partitions of degree at
-most 6 are drawn as a column of block indices, then maybe given an overlap,
-a gap or an empty block; partitions of F_1, F_2 and F_3 are drawn as in
-tests/test_prefix_trie.py, valid, overlapping or gapped.  A pulled-back
-partition is compared with the preimages of its target's blocks, taken one
-by one.
+give the same report and the same blocks, and a `Partition` is checked
+when made: it raises exactly when the report fails, with that report.
+Finite partitions of degree at most 6 are drawn as a column of block
+indices, then maybe given an overlap, a gap or an empty block; partitions
+of F_1, F_2 and F_3 are drawn as in tests/test_prefix_trie.py, valid,
+overlapping or gapped.  A pulled-back partition is compared with the
+preimages of its target's blocks, taken one by one.
 """
 
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -55,16 +57,20 @@ def finite_blocks(rng: random.Random, degree: int) -> list[set]:
 
 
 def check_both_ways(action, blocks) -> object:
-    """The report of the blocks, which their labelling gives too, and
-    which `partition` raises on or makes a partition of those very blocks."""
+    """The report of the blocks, which their labelling gives too, and which
+    a `Partition` of that labelling, made by `partition` or directly, raises
+    on, or else makes a partition of those very blocks."""
     report = validate_partition(action, blocks)
     assert report == validate_partition(action, labelled_pass(blocks))
-    assert Partition(labelled_pass(blocks)).blocks == tuple(blocks)
     if report:
+        assert Partition(labelled_pass(blocks)).blocks == tuple(blocks)
         assert partition(action, blocks).blocks == tuple(blocks)
     else:
-        with pytest.raises(ValueError, match=f"invalid partition: {report.problem}"):
-            partition(action, blocks)
+        message = re.escape(f"invalid partition: {report.problem} "
+                            f"(blocks {list(report.blocks_involved)}, witness {report.witness})")
+        for make in (lambda: Partition(labelled_pass(blocks)), lambda: partition(action, blocks)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
     return report
 
 

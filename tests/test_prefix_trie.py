@@ -160,13 +160,13 @@ def test_partitions_near_the_state_cap_keep_their_exit(partition, code, requeste
     ([{"kind": "cone", "word": "e"}, {"kind": "cone", "word": "a"}], 2, 1),          # an overlap
 ], ids=["prefix-atoms", "powers", "complement", "gap", "overlap"])
 def test_only_other_partitions_take_the_validating_pass(partition, code, passes, monkeypatch):
-    # every partition is checked once, on its one labelling: a partition of
-    # cones and singletons on its trie, gaps included, and one with a block
-    # of any other kind, or whose trie finds an overlap, on the one pass over
-    # its blocks
+    # every partition is checked once, when made, on its one labelling: a
+    # partition of cones and singletons on its trie, gaps included, and one
+    # with a block of any other kind, or whose trie finds an overlap, on the
+    # one pass over its blocks
     calls, taken = [], []
-    validate, symbolic_pass = actions.validate_partition, langsets._symbolic_pass
-    monkeypatch.setattr(actions, "validate_partition", lambda *a: calls.append(a) or validate(*a))
+    check, symbolic_pass = actions.Partition.__post_init__, langsets._symbolic_pass
+    monkeypatch.setattr(actions.Partition, "__post_init__", lambda self: calls.append(self) or check(self))
     monkeypatch.setattr(langsets, "_symbolic_pass", lambda parts: taken.append(parts) or symbolic_pass(parts))
     doc = {"action": {"backend": "free-self", "rank": 1}, "tuple": ["a"], "partition": partition}
     assert run(doc)[0] == code
