@@ -56,7 +56,7 @@ blocks = [
     SymbolicSet.cone(parse_word("B"), 2),
 ]
 cs = compute_configurations(pair(f2, ["a", "b"], blocks))
-print("number of realized configurations:", len(cs))
+print("number of realized configurations:", len(cs.configurations))
 system = build_equations(cs)
 result = solve_feasibility(system)
 print("feasible:", result.feasible)

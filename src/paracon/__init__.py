@@ -19,7 +19,6 @@ from .actions import (
     FreeSelfAction,
     Partition,
     TrivialAction,
-    orbit_coset_action,
     partition,
     pull_back_partition,
     validate_partition,
@@ -33,7 +32,6 @@ from .configurations import (
     compute_configurations,
     con_included,
     configuration_pair,
-    project_configuration,
     verify_cell_partition,
 )
 from .equations import (

@@ -315,7 +315,7 @@ class Partition:
 
     def __post_init__(self):
         width = self.labelling.width      # a label None is a word that is not reduced
-        if not width or set(self.labelling.labels) - {None} != {(i,) for i in range(width)}:
+        if width < 1 or set(self.labelling.labels) - {None} != {(i,) for i in range(width)}:
             report = _report(self.labelling)
             raise ValueError(f"invalid partition: {report.problem} "
                              f"(blocks {list(report.blocks_involved)}, witness {report.witness})")
@@ -331,7 +331,7 @@ class Partition:
 @value
 class PartitionReport(Verdict):
     ok: bool
-    problem: Optional[str] = None       # "empty-block" | "overlap" | "cover-gap"
+    problem: Optional[str] = None  # empty-block | overlap | cover-gap | negative-width | label-past-width
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
 
@@ -355,9 +355,17 @@ def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Label
 
 def _report(points: Labelling) -> PartitionReport:
     """The least empty block, else the least overlap, else the least point
-    in no block, read off a labelling of blocks; no blocks is `empty-block`."""
+    in no block, read off a labelling of blocks; no blocks is `empty-block`.
+    A hand-built labelling fails first for a negative width, or for a label
+    index at or past its width, the least named as its block, with a point."""
+    if points.width < 0:
+        return PartitionReport(False, "negative-width")
     indices = range(points.width)
     occupied = {i for label in points.points for i in label}
+    if past := [i for i in occupied if i >= points.width]:
+        least = min(past)
+        return PartitionReport(False, "label-past-width", (least + 1,),
+                               points.least(lambda label: least in label))
     empty = [i + 1 for i in indices if i not in occupied]
     if empty or not indices:
         return PartitionReport(False, "empty-block", tuple(empty[:1]), None)
@@ -389,7 +397,7 @@ def partition(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Partit
 
 
 # ---------------------------------------------------------------------------
-# equivariant maps and quotients
+# equivariant maps
 # ---------------------------------------------------------------------------
 
 
@@ -435,62 +443,3 @@ def pull_back_partition(emap: EquivariantMap, target_partition: Partition) -> Pa
     must be of the target's degree; `Partition` checks the pulled-back one."""
     labels = _labelling(emap.target, target_partition.labelling).labels
     return Partition(Labelling(len(target_partition), tuple([labels[y] for y in emap.point_map])))
-
-
-@value
-class OrbitQuotient:
-    """Result of the orbit construction at x0: `group` is the regular action
-    of H, the group the generators induce on the orbit, `map` sends each
-    element h of H to h.x0, and its fibres are the cosets of H_x0, whose
-    order is `stabilizer_order`."""
-
-    group: FiniteRegularAction
-    map: EquivariantMap        # from H's regular action onto the orbit action
-    orbit_action: FinitePermutationAction
-    orbit: tuple[int, ...]
-    restricted: bool
-    stabilizer_order: int
-
-
-def orbit_coset_action(action: Action, x0: int) -> OrbitQuotient:
-    """Identify the orbit of x0 with the coset space H/H_x0.
-
-    H is the group the generators induce on the orbit, the image of G =
-    <generators> there, not G.  H acts regularly on itself, and h -> h.x0
-    is an equivariant map from that action onto the orbit, whose fibres
-    are the cosets h H_x0.  A non-transitive action is restricted to the
-    orbit (flagged in the result), and H_x0 can then be smaller than G's
-    Stab(x0): a = (0 1), b = (2 3) at x0 = 0 give |H| = 2 and |H_x0| = 1.
-    """
-    gens = action.generator_map()
-    if not gens:
-        raise ValueError("action has no generator assignment")
-    degree = action.degree
-    if degree is None:
-        raise ValueError("orbit/coset construction needs a finite action")
-    if not 0 <= x0 < degree:
-        raise ValueError(f"base point {x0} outside 0..{degree - 1}")
-    images = {idx: action.point_images(g) for idx, g in gens.items()}
-    orbit = [x0]
-    seen = {x0}
-    for x in orbit:        # a finite group is closed under products: no inverses needed
-        for moved in images.values():
-            if moved[x] not in seen:
-                seen.add(moved[x])
-                orbit.append(moved[x])
-    orbit = sorted(seen)
-    position = {x: i for i, x in enumerate(orbit)}
-
-    # restriction of the action to the orbit
-    orbit_gens = {idx: Permutation(tuple(position[moved[x]] for x in orbit))
-                  for idx, moved in images.items()}
-    orbit_action = FinitePermutationAction(len(orbit), orbit_gens)
-    group = FiniteRegularAction(orbit_gens)
-    base = position[x0]
-    try:   # the library's own map: a failed check is a fault here, not in the input
-        emap = EquivariantMap(group, orbit_action, tuple(g.images[base] for g in group.elements))
-    except ValueError as err:
-        raise RuntimeError(f"orbit map failed verification: {err}") from err
-    return OrbitQuotient(group=group, map=emap, orbit_action=orbit_action, orbit=tuple(orbit),
-                         restricted=len(orbit) < degree,
-                         stabilizer_order=emap.point_map.count(base))

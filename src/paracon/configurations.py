@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import operator
 import random
 from collections.abc import Iterator, Mapping
@@ -25,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .actions import Action, Partition, _check_universe, partition as make_partition, validate_partition
-from .langsets import ActionSet, FiniteSet, Label, Labelling, SymbolicSet, _sink, labelled_pass
+from .langsets import ActionSet, FiniteSet, Label, Labelling, _sink, labelled_pass
 from .words import Verdict, _word_count, capped, value
 
 Configuration = tuple[int, ...]
@@ -111,12 +110,6 @@ class ConfigurationSet:
     def __contains__(self, config: Configuration) -> bool:
         return tuple(config) in self.base_cells
 
-    def __len__(self) -> int:
-        return len(self.configurations)
-
-    def __iter__(self):
-        return iter(self.configurations)
-
     def as_tuple_set(self) -> frozenset[Configuration]:
         return frozenset(self.configurations)
 
@@ -125,22 +118,6 @@ class ConfigurationSet:
         if isinstance(self.base_cells, _BaseCells):
             return self.base_cells.sizes(self.configurations)
         return [len(self.base_cells[c]) for c in self.configurations]
-
-    def cell(self, config: Configuration, j: int) -> ActionSet:
-        """x_j(C): the base cell for j = 0, its g_j-translate for j >= 1."""
-        config = tuple(config)
-        if config not in self.base_cells:
-            raise ValueError(f"configuration {config} not realized")
-        n = self.pair.tuple_length
-        if j < 0 or j > n:
-            raise ValueError(f"coordinate {j} out of range 0..{n}")
-        base = self.base_cells[config]
-        if j == 0:
-            return base
-        return self.pair.action.act_on_set(self.pair.elements[j - 1], base)
-
-    def __repr__(self) -> str:
-        return f"ConfigurationSet({len(self.configurations)} configurations, n={self.pair.tuple_length}, m={self.pair.block_count})"
 
 
 class _BaseCells(Mapping):
@@ -184,20 +161,19 @@ def compute_configurations(pair: ConfigurationPair) -> ConfigurationSet:
 
 def _cells_are_preimages(cs: ConfigurationSet) -> bool:
     """Whether every label of the frames is a configuration and each base
-    cell holds exactly the points the frames label with it.
+    cell, of the frames' universe, holds exactly the points labelled with it.
 
-    A finite universe compares each cell, degree included, with the points
-    labelled C.  Over F_rank the frames states that reach label C are found
-    backwards, and one forward walk pairs them with the cell's states, as
-    Hopcroft and Karp pair two automata ("A linear algorithm for testing
-    equivalence of finite automata", 1971): a successor that reaches no
-    label C must be the cell's dead state (`_sink`), a frames state must
-    meet one cell state only, and the cell must accept exactly where the
-    label is C.  A pass proves the equality for any cells, and a canonical
-    cell, being minimal, always passes when it holds.  The walk reads only
-    the frames' tables and the cells', so it shares no code with the
-    `Labelling.cells` whose output it checks.  False for a cell of another
-    universe.
+    A finite universe compares each cell with the points labelled C.  Over
+    F_rank the frames states that reach label C are found backwards, and
+    one forward walk pairs them with the cell's states, as Hopcroft and Karp
+    pair two automata ("A linear algorithm for testing equivalence of
+    finite automata", 1971): a successor that reaches no label C must be
+    the cell's dead state (`_sink`), a frames state must meet one cell
+    state only, and the cell must accept exactly where the label is C.  A
+    pass proves the equality, and a canonical cell, being minimal, passes
+    when it holds; every `SymbolicSet` is canonical, so the walk decides
+    it.  It reads only the frames' tables and the cells', sharing no code
+    with the `Labelling.cells` whose output it checks.
     """
     frames, shifts = cs.pair.frames, cs.pair.block_shifts()
     groups: dict[Label, list[int]] = {}
@@ -221,8 +197,6 @@ def _cells_are_preimages(cs: ConfigurationSet) -> bool:
             sources[t].append(s)
     for config in cs.configurations:
         cell, label = cs.base_cells[config], labels.get(config)
-        if not isinstance(cell, SymbolicSet) or cell.rank != frames.rank:
-            return False
         reach = set(groups.get(label, ()))
         todo = list(reach)
         for t in todo:                               # todo grows while we read it
@@ -258,7 +232,6 @@ def _cells_are_preimages(cs: ConfigurationSet) -> bool:
 @value
 class CellPartitionReport(Verdict):
     ok: bool
-    violations: tuple = ()
 
 
 def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
@@ -268,53 +241,15 @@ def verify_cell_partition(cs: ConfigurationSet) -> CellPartitionReport:
     and for every block index i, E_i must equal the union of the x_j(C) with
     C_j = i.  Since x_j(C) = g_j x_0(C), that holds exactly when every label
     of `pair.frames` is a configuration and each base cell is the set of
-    points the frames label with its configuration.  `_cells_are_preimages`
-    decides that first, by one walk per cell, and a pass is the report.
-    Only when it rejects are the violations listed: the given base cells
-    and `pair.frames` take one labelled pass, so the listing never rests on
-    the blocks alone.  It labels x with the cells C holding x and the block
-    of g_j x for every j; that label alone says which violations its points
-    make at every coordinate, and the faults are read off the labels that
-    occur.  A point y of frame j makes a violation exactly when g_j^-1 y has
-    a label making it, so its witness is the least point of g_j S, where S
-    is the set of points with those labels.  Only a violation's set is
-    built and moved, and no labelling is moved.  The walk is sound for any
-    cells, so a pass means no violation, and complete for canonical ones:
-    on the cells of `compute_configurations` it always passes, and a
-    failing report is a library fault.
+    points the frames label with it: the verdict of `_cells_are_preimages`'
+    walk, which takes no labelled pass.  A failing report on the cells of
+    `compute_configurations` is a library fault.  A cell of another
+    universe than the action's (another degree or rank) is a ValueError.
     """
-    if _cells_are_preimages(cs):
-        return CellPartitionReport(True)
     action = cs.pair.action
-    configs = cs.configurations
-    # with no cells, one empty set keeps the universe and holds no point
-    cells = [cs.base_cells[c] for c in configs] or [action.empty_set()]
-    k = len(cells)
-    shifts = cs.pair.block_shifts(k)
-    points = labelled_pass([*cells, cs.pair.frames])
-    # (j, kind, detail) -> the labels making it, and for a block the labels of
-    # its cells' points outside it, which witness only when E_i lies in its cells
-    faults: dict[tuple, tuple[set, set]] = {}
-    for label in set(points.labels) - {None}:
-        inside = [c for c in label if c < k]             # a label lists its cells first
-        # overlaps and gaps, the same at every coordinate
-        shared = [(0, (configs[x], configs[y])) for x, y in itertools.combinations(inside, 2)]
-        if not inside:
-            shared.append((1, None))
-        for j, block in enumerate(map(operator.sub, label[len(inside):], shifts)):
-            in_cells = {configs[c][j] for c in inside}
-            for fault in shared if block in in_cells else shared + [(2, block)]:
-                faults.setdefault((j, *fault), (set(), set()))[0].add(label)
-            for i in in_cells - {block}:
-                faults.setdefault((j, 2, i), (set(), set()))[1].add(label)
-    violations = []
-    for j, kind, detail in sorted(faults):
-        making = points.cells(faults[j, kind, detail][0] or faults[j, kind, detail][1])
-        if j:
-            making = action.act_on_set(cs.pair.elements[j - 1], making)
-        witness = labelled_pass([making]).points[(0,)]
-        violations.append((("overlap", "cover-gap", "block-identity")[kind], j, detail, witness))
-    return CellPartitionReport(not violations, tuple(violations))
+    for config in cs.configurations:
+        _check_universe(action, cs.base_cells[config])
+    return CellPartitionReport(_cells_are_preimages(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +274,14 @@ def refinement_block_map(fine: Partition, coarse: Partition) -> tuple[int, ...]:
 
 
 def _projection(mode: str, fine_pair: ConfigurationPair, coarse_pair: ConfigurationPair):
-    """The projection of project_configuration, once `mode` is checked to hold."""
+    """The projection of fine configurations onto coarse ones, once `mode`
+    is checked to hold.
+
+    Every mode projects alike: C maps to (l(C_0), ..., l(C_n)) for l the
+    refinement_block_map and n the coarse tuple length.  `mode` is a checked
+    declaration: "partition" (same tuple), "string" (same partition) or
+    "composed"; the fine tuple must extend the coarse one.
+    """
     if mode == "partition" and fine_pair.elements != coarse_pair.elements:
         raise ValueError("partition mode needs identical tuples")
     if mode == "string" and fine_pair.partition.blocks != coarse_pair.partition.blocks:
@@ -353,25 +295,6 @@ def _projection(mode: str, fine_pair: ConfigurationPair, coarse_pair: Configurat
     return lambda config: tuple(block_map[c - 1] for c in config[: n + 1])
 
 
-def project_configuration(
-    mode: str,
-    fine_pair: ConfigurationPair,
-    coarse_pair: ConfigurationPair,
-    config: Configuration,
-) -> Configuration:
-    """The unique coarse configuration under a fine one.
-
-    Every mode projects alike: C maps to (l(C_0), ..., l(C_n)) for l the
-    refinement_block_map and n the coarse tuple length.  `mode` is a checked
-    declaration: "partition" (same tuple), "string" (same partition) or
-    "composed"; the fine tuple must extend the coarse one.
-    """
-    config = tuple(config)
-    if len(config) != fine_pair.tuple_length + 1:
-        raise ValueError(f"configuration length {len(config)} does not match the fine pair")
-    return _projection(mode, fine_pair, coarse_pair)(config)
-
-
 def coarsen_solution(
     mode: str,
     fine_cs: ConfigurationSet,
@@ -380,9 +303,9 @@ def coarsen_solution(
 ) -> tuple[Fraction, ...]:
     """Push a verified normalized solution down a refinement.
 
-    Masses add up along the projection of project_configuration, built
-    once per call: z_D = sum of z_C over the fine C projecting to D.  Both
-    the input and the result are verified exactly.
+    Masses add up along the projection `_projection` builds, once per call:
+    z_D = sum of z_C over the fine C projecting to D.  Both the input and
+    the result are verified exactly.
     """
     from .equations import build_equations, verify_solution
 

@@ -1,10 +1,12 @@
 """Exact set algebra for subsets of a free group and of finite point sets.
 
 Symbolic sets are regular languages of reduced words, stored as complete
-minimal DFAs with a canonical (breadth-first) state numbering.  Two values
-are structurally equal exactly when they denote the same set, so boolean
-algebra, membership, emptiness, inclusion, and left translation are all
-decidable and deterministic.
+minimal DFAs with a canonical (breadth-first) state numbering.  Every way
+to make a set gives that form: the library's builders build it directly,
+and a table given to `SymbolicSet(...)` is checked and then canonicalized.
+So two values are structurally equal exactly when they denote the same set,
+and boolean algebra, membership, emptiness, inclusion, and left translation
+are all decidable and deterministic.
 
 Finite sets are plain subsets of {0, ..., n-1} tagged with their degree,
 and their boolean operations are frozenset operations.
@@ -48,8 +50,9 @@ def _sink(trans: Sequence[Sequence[int]], outputs: Sequence) -> int:
     """The state after aA, which is not reduced, when it is a self-loop
     that outputs nothing (rejects, or labels no point), else -1.  In a
     canonical set it is the one state that reaches no member, and in a
-    labelling the one state that is no point; a hand-written table may have
-    no such state there."""
+    labelling the one state that is no point; only a table given to
+    `SymbolicSet(...)`, in the pass that canonicalizes it, may have no such
+    state there."""
     s = trans[trans[0][0]][1]
     return -1 if outputs[s] or any(t != s for t in trans[s]) else s
 
@@ -184,11 +187,39 @@ def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: 
 
 @value
 class SymbolicSet:
-    """Canonical automaton for a set of reduced words over F_rank."""
+    """Canonical automaton for a set of reduced words over F_rank.
+
+    `SymbolicSet(rank, transitions, accepting)` checks any complete table
+    read from state 0 (else ValueError) and canonicalizes it by a labelled
+    pass; the builders below make canonical tables and take `_trusted`."""
 
     rank: int
     transitions: _Transitions
     accepting: tuple[bool, ...]
+
+    def __post_init__(self):
+        n, width = len(self.transitions), 2 * self.rank
+        if self.rank < 1 or not n or len(self.accepting) != n:
+            raise ValueError(f"rank {self.rank}, {n} rows, {len(self.accepting)} accepting entries: "
+                             "need rank 1 or more, and rows, one entry each")
+        for i, row in enumerate(self.transitions):
+            if len(row) != width or not all(isinstance(t, int) and 0 <= t < n for t in row):
+                raise ValueError(f"transition row {i} must hold {width} states below {n}")
+        if not all(isinstance(a, bool) for a in self.accepting):
+            raise ValueError("accepting entries must be true or false")
+        raw = SymbolicSet._trusted(self.rank, self.transitions, self.accepting)
+        canonical = labelled_pass([raw]).cells([(0,)])
+        object.__setattr__(self, "transitions", canonical.transitions)
+        object.__setattr__(self, "accepting", canonical.accepting)
+
+    @staticmethod
+    def _trusted(rank: int, transitions: _Transitions, accepting: tuple) -> "SymbolicSet":
+        """The set of a table that is canonical already, made with no check."""
+        made = object.__new__(SymbolicSet)
+        object.__setattr__(made, "rank", rank)
+        object.__setattr__(made, "transitions", transitions)
+        object.__setattr__(made, "accepting", accepting)
+        return made
 
     # -- constructors -------------------------------------------------------
 
@@ -200,7 +231,7 @@ class SymbolicSet:
         the words that are not reduced are, so its two labels are acceptance
         and its minimal machine is the set's canonical automaton."""
         trie = prefix_trie(rank, [(singletons, cones)], None)
-        return SymbolicSet(rank, trie.transitions, tuple(map(bool, trie.labels)))
+        return SymbolicSet._trusted(rank, trie.transitions, tuple(map(bool, trie.labels)))
 
     # built once per rank: sets are immutable, and parsing asks for these often
     @staticmethod
@@ -276,7 +307,7 @@ class SymbolicSet:
         accepting[0] = True                       # a^0 = e
         if p:
             accepting[suffix_at + p] = True
-        return SymbolicSet(rank, *_canonical(trans, accepting))
+        return SymbolicSet._trusted(rank, *_canonical(trans, accepting))
 
     # -- queries -------------------------------------------------------------
 
@@ -343,7 +374,7 @@ class SymbolicSet:
             return self
         n, k = len(self.transitions), len(g.letters)
         trans, accepting = _chain(self.rank, self.transitions, self.accepting, 0, g)
-        return SymbolicSet(self.rank, *_registered(trans, accepting, range(n), range(n + k, n - 1, -1)))
+        return SymbolicSet._trusted(self.rank, *_registered(trans, accepting, range(n), range(n + k, n - 1, -1)))
 
     def product(self, other: "SymbolicSet") -> "SymbolicSet":
         """The reduced product {uv : u in self, v in other}, which is regular
@@ -557,7 +588,7 @@ class Labelling:
                     classes[s] = d
                     live.append(s)
         _refine(self.transitions, classes, live)
-        return SymbolicSet(self.rank, *_canonical(self.transitions, accepting, self.start, classes))
+        return SymbolicSet._trusted(self.rank, *_canonical(self.transitions, accepting, self.start, classes))
 
     def translate(self, g: FreeWord) -> "Labelling":
         """The labelling moved by g over F_rank: the point v takes the label

@@ -231,9 +231,7 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
                     f"{location}.transitions")
         _expect(all(isinstance(v, bool) for v in acc),
                 "accepting entries must be true or false", f"{location}.accepting")
-        raw = SymbolicSet(rank, tuple(tuple(row) for row in trans), tuple(acc))
-        # re-canonicalize so hand-written tables compare like computed ones
-        return labelled_pass([raw]).cells([(0,)])
+        return SymbolicSet(rank, trans, acc)
     raise DocumentError(f"unknown set kind {kind!r}", f"{location}.kind")
 
 

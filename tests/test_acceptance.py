@@ -32,7 +32,6 @@ from paracon import (
     coarsen_solution,
     make_infinite_order_witness,
     make_nonabelian_witness,
-    orbit_coset_action,
     parse_word,
     pattern_check,
     pull_back_partition,
@@ -45,6 +44,7 @@ from paracon import (
     verify_nonabelian,
     verify_solution,
 )
+from test_partition import orbit_map
 
 E = parse_word("e")
 
@@ -199,19 +199,19 @@ def test_criterion_7_quotient_configuration_sets():
     rng = random.Random(701)
     for _ in range(100):
         action = _random_finite_action(rng, max_degree=5, max_generators=2)
-        quotient = orbit_coset_action(action, 0)
-        orbit_action = quotient.orbit_action
+        # the map from the group's regular action onto the orbit of 0 is many-to-one
+        emap = orbit_map(action.generator_map(), 0)
+        orbit_action = emap.target
         blocks_y = _random_blocks(rng, orbit_action, max_blocks=3)
         partition_y = partition(orbit_action, blocks_y)
-        # the map from the group's regular action onto the orbit is many-to-one
-        partition_x = pull_back_partition(quotient.map, partition_y)
+        partition_x = pull_back_partition(emap, partition_y)
         words = _random_words(rng, orbit_action, rng.randint(1, 2), max_length=2)
         cs_y = compute_configurations(
             configuration_pair(orbit_action, words, partition_y.blocks))
         cs_x = compute_configurations(
-            configuration_pair(quotient.group, words, partition_x.blocks))
+            configuration_pair(emap.source, words, partition_x.blocks))
         assert cs_x.as_tuple_set() == cs_y.as_tuple_set()
-    _finish(7, 10.0, started, "100 orbit/coset quotients: pulled-back partitions give equal configuration sets")
+    _finish(7, 10.0, started, "100 orbit maps: pulled-back partitions give equal configuration sets")
 
 
 def test_criterion_8_pingpong_cyclic_certificate():

@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from conftest import cone, singleton
 from paracon import (
@@ -16,7 +15,6 @@ from paracon import (
     TrivialAction,
     configuration_pair,
     langsets,
-    orbit_coset_action,
     parse_word,
     partition,
     pull_back_partition,
@@ -192,83 +190,6 @@ class TestEquivariantMap:
         z2 = FinitePermutationAction(2, {1: Permutation((1, 0))})
         with pytest.raises(ValueError, match="^equivariant maps are only validated on finite backends$"):
             EquivariantMap(FreeSelfAction(1), z2, (0, 1))
-
-
-class TestOrbitCoset:
-    def test_z4_regular_is_free(self, z4):
-        quotient = orbit_coset_action(z4, 0)
-        assert quotient.orbit_action.degree == quotient.group.degree == 4
-        assert quotient.stabilizer_order == 1
-        assert not quotient.restricted
-
-    def test_s3_natural_point_stabilizer(self):
-        s3 = FinitePermutationAction(3, {1: Permutation((1, 0, 2)), 2: Permutation((0, 2, 1))})
-        quotient = orbit_coset_action(s3, 0)
-        assert quotient.orbit_action.degree == 3
-        assert quotient.group.degree == 6
-        assert quotient.stabilizer_order == 2
-
-    def test_non_transitive_restricts_with_flag(self):
-        action = FinitePermutationAction(4, {1: Permutation((1, 0, 2, 3))})
-        quotient = orbit_coset_action(action, 0)
-        assert quotient.restricted
-        assert quotient.orbit == (0, 1)
-        assert quotient.orbit_action.degree == quotient.group.degree == 2
-
-    def test_group_is_the_one_induced_on_the_orbit(self):
-        # G = <(0 1), (2 3)> has order 4 and Stab(0) = <(2 3)>, but on the
-        # orbit {0, 1} the generators induce H of order 2 with H_0 trivial
-        action = FinitePermutationAction(4, {1: Permutation((1, 0, 2, 3)), 2: Permutation((0, 1, 3, 2))})
-        quotient = orbit_coset_action(action, 0)
-        assert quotient.orbit == (0, 1) and quotient.restricted
-        assert quotient.group.degree == 2
-        assert quotient.stabilizer_order == 1
-        assert quotient.map.point_map == (0, 1)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), degree=st.integers(1, 6))
-    def test_fibres_are_the_cosets_of_the_stabilizer(self, data, degree):
-        # every base point, including those that are not the least point of
-        # their orbit; the orbit is walked here with inverses, apart from
-        # the library's walk
-        generators = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
-        action = FinitePermutationAction(
-            degree, {i: Permutation(tuple(g)) for i, g in enumerate(generators, start=1)})
-        for x0 in range(degree):
-            orbit, frontier = {x0}, [x0]
-            while frontier:
-                x = frontier.pop()
-                for g in generators:
-                    for y in (g[x], g.index(x)):
-                        if y not in orbit:
-                            orbit.add(y)
-                            frontier.append(y)
-            quotient = orbit_coset_action(action, x0)
-            EquivariantMap(quotient.group, quotient.orbit_action, quotient.map.point_map)
-            assert quotient.orbit == tuple(sorted(orbit))
-            assert quotient.restricted == (len(orbit) < degree)
-            base = quotient.orbit.index(x0)
-            elements = quotient.group.elements
-            for y in range(len(orbit)):
-                fibre = [g for g, image in zip(elements, quotient.map.point_map) if image == y]
-                assert len(fibre) == quotient.stabilizer_order
-                assert all(quotient.orbit_action.act(g, base) == y for g in fibre)
-            assert quotient.stabilizer_order * len(orbit) == quotient.group.degree
-
-    def test_infinite_action_is_rejected(self, f2):
-        with pytest.raises(ValueError, match="^orbit/coset construction needs a finite action$"):
-            orbit_coset_action(f2, 0)
-
-    def test_map_is_equivariant_bijection(self, z4):
-        quotient = orbit_coset_action(z4, 0)
-        assert sorted(quotient.map.point_map) == list(range(4))
-
-    @pytest.mark.parametrize("x0", [4, -1])
-    def test_base_point_outside_the_universe_is_rejected(self, z4, x0):
-        # past the degree the orbit walk would index out of range, and a
-        # negative point would wrap round to the last one
-        with pytest.raises(ValueError, match=rf"^base point {x0} outside 0\.\.3$"):
-            orbit_coset_action(z4, x0)
 
 
 class TestFiniteRegular:

@@ -26,7 +26,6 @@ from paracon import (
     counting_solution,
     parse_word,
     partition,
-    project_configuration,
     verify_cell_partition,
 )
 from paracon import cli, configurations, langsets, serialization
@@ -58,11 +57,10 @@ class TestComputeConfigurations:
             3, [Permutation((1, 2, 0))], [frozenset({0}), frozenset({1, 2})])
         assert set(cs.configurations) == oracle
 
-    def test_set_contains_iterates_and_prints(self, z3):
+    def test_set_contains_its_configurations(self, z3):
         cs = compute_configurations(finite_pair(z3, ["a"], [[0], [1, 2]]))
-        assert list(cs) == [(1, 2), (2, 1), (2, 2)]
+        assert cs.configurations == ((1, 2), (2, 1), (2, 2))
         assert (2, 1) in cs and [2, 1] in cs and (1, 1) not in cs
-        assert repr(cs) == "ConfigurationSet(3 configurations, n=1, m=2)"
 
     def test_free_self_single_generator(self, f2):
         pair = configuration_pair(f2, ["a"], [cone("a"), cone("a").complement()])
@@ -96,23 +94,29 @@ class TestComputeConfigurations:
         assert together == [0, 1, 2, 3]
 
 
+def cell(cs, config, j):
+    """x_j(C): the base cell for j = 0, its g_j-translate for j >= 1."""
+    base = cs.base_cells[config]
+    return base if j == 0 else cs.pair.action.act_on_set(cs.pair.elements[j - 1], base)
+
+
 class TestCell:
     def test_z3_cells(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])
         cs = compute_configurations(pair)
-        assert cs.cell((1, 2), 0).members == {0}
-        assert cs.cell((1, 2), 1).members == {1}
+        assert cell(cs, (1, 2), 0).members == {0}
+        assert cell(cs, (1, 2), 1).members == {1}
 
     def test_trivial_cells_are_blocks(self, trivial3):
         pair = finite_pair(trivial3, ["a"], [[0, 1], [2]])
         cs = compute_configurations(pair)
-        assert cs.cell((1, 1), 0) == cs.cell((1, 1), 1) == trivial3.point_set([0, 1])
+        assert cell(cs, (1, 1), 0) == cell(cs, (1, 1), 1) == trivial3.point_set([0, 1])
 
     def test_free_self_cell(self, f2):
         pair = configuration_pair(f2, ["a"], [cone("a"), cone("a").complement()])
         cs = compute_configurations(pair)
         expected = singleton("e").union(cone("b")).union(cone("B"))
-        assert cs.cell((2, 1), 0) == expected
+        assert cell(cs, (2, 1), 0) == expected
 
     def test_cell_is_inside_its_block(self, z4):
         pair = finite_pair(z4, ["a"], [[0, 2], [1, 3]])
@@ -120,15 +124,7 @@ class TestCell:
         for config in cs.configurations:
             for j in range(2):
                 block = pair.partition.blocks[config[j] - 1]
-                assert (0,) not in labelled_pass([cs.cell(config, j), block]).points
-
-    def test_unknown_configuration(self, z3):
-        pair = finite_pair(z3, ["a"], [[0], [1, 2]])
-        cs = compute_configurations(pair)
-        with pytest.raises(ValueError):
-            cs.cell((1, 1), 0)
-        with pytest.raises(ValueError):
-            cs.cell((1, 2), 5)
+                assert (0,) not in labelled_pass([cell(cs, config, j), block]).points
 
 
 class TestVerifyCellPartition:
@@ -151,8 +147,8 @@ class TestVerifyCellPartition:
         assert moves == [parse_word(w) for w in ("BA", "B", "BA")]
 
     def test_moves_no_labelling_beyond_the_frames_when_failing(self, f2, five_blocks, monkeypatch):
-        # a failing check reads each witness off a moved set of points, so it
-        # too moves no labelling beyond the frames
+        # a failing check is the same walk, so it too moves no labelling
+        # beyond the frames
         moves = []
         translate = Labelling.translate
         monkeypatch.setattr(Labelling, "translate", lambda self, g: moves.append(g) or translate(self, g))
@@ -281,10 +277,10 @@ class TestVerifyCellPartition:
         cs = compute_configurations(pair)
         broken = ConfigurationSet(pair, {
             c: cs.base_cells[c] for c in cs.configurations if c != (1, 2)})
-        report = verify_cell_partition(broken)
-        assert not report.ok
-        kinds = {v[0] for v in report.violations}
-        assert "cover-gap" in kinds
+        # the pointwise reason: point 0, whose cell was deleted, is in none
+        assert [p for p in range(3)
+                if not any(p in broken.base_cells[c].members for c in broken.configurations)] == [0]
+        assert not verify_cell_partition(broken).ok
 
     def test_detects_inflated_cell(self, z3):
         pair = finite_pair(z3, ["a"], [[0], [1, 2]])
@@ -296,43 +292,49 @@ class TestVerifyCellPartition:
 
 
 class TestProjection:
+    # a refinement's projection, read through the solution it coarsens
     def test_partition_mode_z4(self, z4):
-        fine = finite_pair(z4, ["a"], [[0], [2], [1, 3]])
-        coarse = finite_pair(z4, ["a"], [[0, 2], [1, 3]])
-        assert project_configuration("partition", fine, coarse, (1, 3)) == (1, 2)
+        # (1, 3) and (2, 3) project to (1, 2), and (3, 1) and (3, 2) to (2, 1);
+        # this solution, not the counting one, puts no mass on (2, 3) or (3, 2)
+        fine_cs = compute_configurations(finite_pair(z4, ["a"], [[0], [2], [1, 3]]))
+        coarse_cs = compute_configurations(finite_pair(z4, ["a"], [[0, 2], [1, 3]]))
+        assert fine_cs.configurations == ((1, 3), (2, 3), (3, 1), (3, 2))
+        z = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
+        assert coarsen_solution("partition", fine_cs, coarse_cs, z) == (Fraction(1, 2),) * 2
 
     def test_string_mode_truncates(self, z3):
-        fine = finite_pair(z3, ["a", "aa"], [[0], [1, 2]])
-        coarse = finite_pair(z3, ["a"], [[0], [1, 2]])
-        assert project_configuration("string", fine, coarse, (1, 2, 2)) == (1, 2)
+        fine_cs = compute_configurations(finite_pair(z3, ["a", "aa"], [[0], [1, 2]]))
+        coarse_cs = compute_configurations(finite_pair(z3, ["a"], [[0], [1, 2]]))
+        out = coarsen_solution("string", fine_cs, coarse_cs, counting_solution(fine_cs))
+        assert out == counting_solution(coarse_cs)
 
     def test_identical_pairs_identity(self, z3):
-        pair = finite_pair(z3, ["a"], [[0], [1, 2]])
-        assert project_configuration("partition", pair, pair, (1, 2)) == (1, 2)
-        assert project_configuration("string", pair, pair, (1, 2)) == (1, 2)
+        cs = compute_configurations(finite_pair(z3, ["a"], [[0], [1, 2]]))
+        z = counting_solution(cs)
+        assert coarsen_solution("partition", cs, cs, z) == z
+        assert coarsen_solution("string", cs, cs, z) == z
 
     def test_not_a_refinement(self, z4):
-        left = finite_pair(z4, ["a"], [[0, 1], [2, 3]])
-        right = finite_pair(z4, ["a"], [[0, 2], [1, 3]])
-        with pytest.raises(ValueError):
-            project_configuration("partition", left, right, (1, 1))
+        left = compute_configurations(finite_pair(z4, ["a"], [[0, 1], [2, 3]]))
+        right = compute_configurations(finite_pair(z4, ["a"], [[0, 2], [1, 3]]))
+        with pytest.raises(ValueError, match="not a refinement"):
+            coarsen_solution("partition", left, right, counting_solution(left))
 
     def test_partition_mode_needs_same_tuple(self, z4):
-        fine = finite_pair(z4, ["a"], [[0], [2], [1, 3]])
-        coarse = finite_pair(z4, ["aa"], [[0, 2], [1, 3]])
-        with pytest.raises(ValueError):
-            project_configuration("partition", fine, coarse, (1, 3))
+        fine = compute_configurations(finite_pair(z4, ["a"], [[0], [2], [1, 3]]))
+        coarse = compute_configurations(finite_pair(z4, ["aa"], [[0, 2], [1, 3]]))
+        with pytest.raises(ValueError, match="^partition mode needs identical tuples$"):
+            coarsen_solution("partition", fine, coarse, counting_solution(fine))
 
     def test_projection_surjective_with_fiber_partition(self, z4):
-        # every coarse configuration is hit, and the fibers partition the fine set
-        fine = finite_pair(z4, ["a"], [[0], [2], [1, 3]])
-        coarse = finite_pair(z4, ["a"], [[0, 2], [1, 3]])
-        fine_cs, coarse_cs = compute_configurations(fine), compute_configurations(coarse)
-        fibers = {d: [] for d in coarse_cs.configurations}
-        for c in fine_cs.configurations:
-            fibers[project_configuration("partition", fine, coarse, c)].append(c)
-        assert all(fibers.values())
-        assert sorted(c for fiber in fibers.values() for c in fiber) == list(fine_cs.configurations)
+        # every coarse configuration is hit, and the fibers partition the fine
+        # set: the fine cell sizes, added up along the projection, are the
+        # coarse ones, none of them zero
+        fine_cs = compute_configurations(finite_pair(z4, ["a"], [[0], [2], [1, 3]]))
+        coarse_cs = compute_configurations(finite_pair(z4, ["a"], [[0, 2], [1, 3]]))
+        out = coarsen_solution("partition", fine_cs, coarse_cs, counting_solution(fine_cs))
+        assert out == counting_solution(coarse_cs)
+        assert all(out)
 
 
 class TestCoarsening:
@@ -398,7 +400,7 @@ class TestCoarsening:
         monkeypatch.setattr(configurations, "refinement_block_map", counted("block_map", block_map))
         monkeypatch.setattr(configurations, "compute_configurations", counted("compute", compute))
         coarsen_solution(mode, fine_cs, coarse_cs, counting_solution(fine_cs))
-        assert len(fine_cs) > 1
+        assert len(fine_cs.configurations) > 1
         assert calls == {"block_map": 1, "compute": 0}
 
     @pytest.mark.parametrize("mode,fine_words,fine_blocks,coarse_words,coarse_blocks,message", [

@@ -21,6 +21,7 @@ from paracon import (
     FreeWord,
     LinearSystem,
     ParadoxicalDecomposition,
+    Partition,
     Permutation,
     SymbolicSet,
     TrivialAction,
@@ -29,16 +30,14 @@ from paracon import (
     compute_configurations,
     configuration_pair,
     evaluate_word,
-    orbit_coset_action,
     partition,
-    project_configuration,
     solve_feasibility,
     validate_partition,
     verify_decomposition,
 )
 from paracon.actions import PartitionReport
 from paracon.cli import _USAGE, COMMANDS, main
-from paracon.langsets import labelled_pass
+from paracon.langsets import Labelling, labelled_pass
 from paracon.serialization import element_json
 from paracon.words import permutation_closure
 
@@ -62,14 +61,13 @@ CASES = [
      "cannot interpret 3 as a group element"),
     ("partition-of-no-blocks", lambda: partition(Z3, []), ValueError,
      "invalid partition: empty-block (blocks [], witness None)"),
-    ("orbit-without-generators", lambda: orbit_coset_action(FinitePermutationAction(3), 0),
-     ValueError, "action has no generator assignment"),
+    ("partition-with-a-label-past-its-width", lambda: Partition(Labelling(1, ((0, 5),))),
+     ValueError, "invalid partition: label-past-width (blocks [6], witness 0)"),
+    ("partition-of-negative-width", lambda: Partition(Labelling(-1, ())), ValueError,
+     "invalid partition: negative-width (blocks [], witness None)"),
     ("pair-of-no-elements",
      lambda: configuration_pair(Z3, [], [Z3.point_set([0]), Z3.point_set([1, 2])]),
      ValueError, "tuple must contain at least one element"),
-    ("projection-of-a-short-configuration",
-     lambda: project_configuration("partition", z3_pair(), z3_pair(), (1,)), ValueError,
-     "configuration length 1 does not match the fine pair"),
     ("equations-of-no-configurations", lambda: build_equations(ConfigurationSet(z3_pair(), {})),
      ValueError, "configuration set is empty; nothing to solve"),
     ("feasibility-of-no-variables", lambda: solve_feasibility(LinearSystem((), (), (), ())),

@@ -1,3 +1,5 @@
+import random
+import re
 import time
 
 import pytest
@@ -9,6 +11,7 @@ from paracon import langsets
 from paracon.langsets import FiniteSet, SymbolicSet, labelled_pass
 from paracon.serialization import parse_set
 from paracon.words import FreeWord, parse_word, word_str
+from test_labelled_pass import doubled
 
 RANK = 2
 WORDS6 = all_reduced_words(RANK, 6)
@@ -196,6 +199,26 @@ class TestCanonicity:
         one = SymbolicSet.full(RANK).difference(SymbolicSet.cone(parse_word("a"), RANK))
         two = SymbolicSet.cone(parse_word("a"), RANK).complement()
         assert one == two and hash(one) == hash(two)
+
+    NEEDS = "need rank 1 or more, and rows, one entry each"
+
+    def test_a_table_given_by_hand_is_canonicalized(self):
+        # every word accepted, by two equivalent states and with no dead state
+        assert SymbolicSet(1, ((1, 1), (1, 1)), (True, True)) == SymbolicSet.full(1)
+
+    @pytest.mark.parametrize("rank, transitions, accepting, message", [
+        (2, ((0,),), (True,), "transition row 0 must hold 4 states below 1"),
+        (1, ((0, 1),), (True,), "transition row 0 must hold 2 states below 1"),
+        (1, ((0, -1),), (True,), "transition row 0 must hold 2 states below 1"),
+        (1, ((0, 0), (0, 0.5)), (True, False), "transition row 1 must hold 2 states below 2"),
+        (1, ((0, 0),), (True, False), f"rank 1, 1 rows, 2 accepting entries: {NEEDS}"),
+        (1, (), (), f"rank 1, 0 rows, 0 accepting entries: {NEEDS}"),
+        (0, ((),), (True,), f"rank 0, 1 rows, 1 accepting entries: {NEEDS}"),
+        (1, ((0, 0),), (1,), "accepting entries must be true or false"),
+    ])
+    def test_a_malformed_table_is_rejected(self, rank, transitions, accepting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SymbolicSet(rank, transitions, accepting)
 
 
 class TestPowers:
@@ -557,6 +580,60 @@ def test_constructors_need_no_canonicalization(data):
               SymbolicSet.full(rank), SymbolicSet.empty(rank), union,
               SymbolicSet.powers(w, rank), s.translate(g)):
         assert labelled_pass([t]).cells([(0,)]) == t
+
+
+def renumbered(rng: random.Random, transitions, accepting) -> tuple:
+    """The same table with its states other than the start numbered anew."""
+    new = [0] + rng.sample(range(1, len(transitions)), len(transitions) - 1)
+    rows, accepts = [None] * len(new), [None] * len(new)
+    for s, row in enumerate(transitions):
+        rows[new[s]], accepts[new[s]] = tuple(new[t] for t in row), accepting[s]
+    return tuple(rows), tuple(accepts)
+
+
+def with_unreachable(rng: random.Random, transitions, accepting) -> tuple:
+    """The same table with one to three states added, which no state steps
+    into but which step anywhere."""
+    n, k = len(transitions), rng.randint(1, 3)
+    extra = [tuple(rng.randrange(n + k) for _ in transitions[0]) for _ in range(k)]
+    return (*transitions, *extra), (*accepting, *(rng.random() < 0.5 for _ in range(k)))
+
+
+def with_unreduced(rng: random.Random, transitions, accepting) -> tuple:
+    """The same reduced words and every word that is not reduced: each state
+    split by the last letter read (none, -1, first), and a letter cancelling
+    it leading to one more state, accepting and looping."""
+    width = len(transitions[0])
+    junk = len(transitions) * (width + 1)
+    rows = [tuple(junk if y == last ^ 1 else t * (width + 1) + y + 1
+                  for y, t in enumerate(transitions[s]))
+            for s in range(len(transitions)) for last in range(-1, width)]
+    return (*rows, (junk,) * width), (*(a for a in accepting for _ in range(width + 1)), True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_table_in_another_form_makes_the_same_set(data):
+    """`SymbolicSet(...)` canonicalizes whatever table it is given.  A
+    library set's own table makes the set itself, and so does that table
+    with its states doubled, renumbered, joined by unreachable states, or
+    accepting the words that are not reduced too, in a drawn order."""
+    rank = data.draw(st.integers(1, 3))
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    w, g = data.draw(reduced_words(4, rank)), data.draw(reduced_words(4, rank))
+    t = data.draw(st.sampled_from([
+        lambda: build(data.draw(expressions(rank)), rank),
+        lambda: SymbolicSet.powers(w, rank),
+        lambda: build(data.draw(expressions(rank)), rank).translate(g),
+        lambda: SymbolicSet.words(rank, data.draw(word_lists(rank)), data.draw(word_lists(rank))),
+    ]))()
+    assert SymbolicSet(t.rank, t.transitions, t.accepting) == t
+    forms = data.draw(st.permutations([renumbered, with_unreachable, with_unreduced,
+                                       lambda rng, *table: doubled(*table)]))
+    table = t.transitions, t.accepting
+    for form in forms[:data.draw(st.integers(1, len(forms)))]:
+        table = form(rng, *table)
+        assert SymbolicSet(rank, *table) == t
 
 
 @settings(max_examples=100, deadline=None)

@@ -9,7 +9,8 @@ Finite partitions of degree at most 6 are drawn as a column of block
 indices, then maybe given an overlap, a gap or an empty block; partitions
 of F_1, F_2 and F_3 are drawn as in tests/test_prefix_trie.py, valid,
 overlapping or gapped.  A pulled-back partition is compared with the
-preimages of its target's blocks, taken one by one.
+preimages of its target's blocks, taken one by one, along the map from a
+group's regular action onto the orbit of a point, built by `orbit_map`.
 """
 
 import random
@@ -21,19 +22,39 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import preimage_blocks
 from paracon import (
+    EquivariantMap,
     FinitePermutationAction,
+    FiniteRegularAction,
     FreeSelfAction,
     Partition,
     Permutation,
     SymbolicSet,
     langsets,
-    orbit_coset_action,
     partition,
     pull_back_partition,
     validate_partition,
 )
 from paracon.langsets import labelled_pass, prefix_trie
 from test_prefix_trie import drawn_blocks, words_of
+
+
+def orbit_map(generators: dict, x0: int) -> EquivariantMap:
+    """g -> g.x0, from the regular action of the group H the generators
+    induce on the orbit of x0 onto the orbit, renumbered from 0: a map
+    many-to-one whenever x0 has a stabilizer in H.  A finite group's orbit
+    is closed under the generators alone."""
+    orbit = [x0]
+    for x in orbit:                              # orbit grows while we read it
+        for g in generators.values():
+            if g.images[x] not in orbit:
+                orbit.append(g.images[x])
+    orbit.sort()
+    position = {x: i for i, x in enumerate(orbit)}
+    induced = {i: Permutation(tuple(position[g.images[x]] for x in orbit))
+               for i, g in generators.items()}
+    group = FiniteRegularAction(induced)
+    return EquivariantMap(group, FinitePermutationAction(len(orbit), induced),
+                          tuple(h.images[position[x0]] for h in group.elements))
 
 
 def valid_blocks(rng: random.Random, degree: int) -> list[set]:
@@ -109,8 +130,8 @@ def test_a_pulled_back_partition_is_the_preimage_of_each_block(degree, seed):
         images = list(range(degree))
         rng.shuffle(images)
         generators[index] = Permutation(tuple(images))
-    quotient = orbit_coset_action(FinitePermutationAction(degree, generators), rng.randrange(degree))
-    target = quotient.orbit_action
+    emap = orbit_map(generators, rng.randrange(degree))
+    target = emap.target
     blocks = valid_blocks(rng, target.degree)
-    pulled = pull_back_partition(quotient.map, partition(target, [target.point_set(b) for b in blocks]))
-    assert [b.members for b in pulled.blocks] == preimage_blocks(quotient.map.point_map, blocks)
+    pulled = pull_back_partition(emap, partition(target, [target.point_set(b) for b in blocks]))
+    assert [b.members for b in pulled.blocks] == preimage_blocks(emap.point_map, blocks)
