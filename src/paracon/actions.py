@@ -36,6 +36,7 @@ from .words import (
     permutation_closure,
     permutation_code,
     value,
+    word_in_rank,
 )
 
 Point = Union[int, FreeWord]
@@ -93,10 +94,6 @@ class Action:
         raise NotImplementedError
 
 
-def _parse_if_str(g, rank: int) -> GroupElement:
-    return parse_word(g, rank) if isinstance(g, str) else g
-
-
 class FreeSelfAction(Action):
     """F_rank acting on itself by left multiplication, rank at most MAX_RANK."""
 
@@ -111,12 +108,11 @@ class FreeSelfAction(Action):
         return {i: FreeWord((i,)) for i in range(1, self.rank + 1)}
 
     def normalize_element(self, g) -> FreeWord:
-        g = _parse_if_str(g, self.rank)
+        if isinstance(g, str):
+            return parse_word(g, self.rank)
         if not isinstance(g, FreeWord):
             raise ValueError(f"free self-action needs words, got {type(g).__name__}")
-        if any(abs(l) > self.rank for l in g.letters):
-            raise ValueError(f"word {g} outside rank {self.rank}")
-        return g
+        return word_in_rank(g, self.rank)
 
     def identity(self) -> FreeWord:
         return FreeWord(())
@@ -152,7 +148,7 @@ class FinitePermutationAction(Action):
         return dict(self.generators)
 
     def normalize_element(self, g) -> Permutation:
-        g = _parse_if_str(g, MAX_RANK)
+        g = parse_word(g) if isinstance(g, str) else g
         if isinstance(g, FreeWord):
             if g.is_identity:
                 return self.identity()
@@ -217,7 +213,7 @@ class TrivialAction(Action):
         self.rank = rank if rank is None else capped("rank", rank, MAX_RANK)
 
     def normalize_element(self, g) -> FreeWord:
-        g = _parse_if_str(g, MAX_RANK)
+        g = parse_word(g) if isinstance(g, str) else g
         if not isinstance(g, FreeWord):
             raise ValueError("trivial-action elements are word labels")
         return g

@@ -30,7 +30,7 @@ import operator
 from collections.abc import Mapping
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .words import FreeWord, capped, letter_from_index, letter_index, value
+from .words import FreeWord, capped, letter_from_index, letter_index, value, word_in_rank
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,7 @@ def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: 
     the automaton does.  Past AUTOMATON_STATES_CAP rows it raises
     BoundExceeded.
     """
-    if any(abs(l) > rank for l in g.letters):
-        raise ValueError(f"word {g} outside rank {rank}")
+    word_in_rank(g, rank)
     k, n = len(g.letters), len(table)
     capped("automaton_states", n + k + 1, AUTOMATON_STATES_CAP)
     sink = _sink(table, outputs)
@@ -183,6 +182,15 @@ def _chain(rank: int, table: Sequence[Sequence[int]], outputs: Sequence, start: 
             row[letter_index(-g.letters[j - 1])] = sink
         trans.append(row)
     return trans, (*outputs, *[outputs[r] for r in rest])
+
+
+class TableError(ValueError):
+    """A bad row or accepting entry of a table given to `SymbolicSet(...)`;
+    `field` says which: "transitions" or "accepting"."""
+
+    def __init__(self, message: str, field: str):
+        super().__init__(message)
+        self.field = field
 
 
 @value
@@ -203,30 +211,29 @@ class SymbolicSet:
             raise ValueError(f"rank {self.rank}, {n} rows, {len(self.accepting)} accepting entries: "
                              "need rank 1 or more, and rows, one entry each")
         for i, row in enumerate(self.transitions):
-            if len(row) != width or not all(isinstance(t, int) and 0 <= t < n for t in row):
-                raise ValueError(f"transition row {i} must hold {width} states below {n}")
+            if not (isinstance(row, (list, tuple)) and len(row) == width
+                    and all(type(t) is int and 0 <= t < n for t in row)):
+                raise TableError(f"transition row {i} must hold {width} states below {n}", "transitions")
         if not all(isinstance(a, bool) for a in self.accepting):
-            raise ValueError("accepting entries must be true or false")
+            raise TableError("accepting entries must be true or false", "accepting")
         raw = SymbolicSet._trusted(self.rank, self.transitions, self.accepting)
         canonical = labelled_pass([raw]).cells([(0,)])
         object.__setattr__(self, "transitions", canonical.transitions)
         object.__setattr__(self, "accepting", canonical.accepting)
-
-    @staticmethod
-    def _trusted(rank: int, transitions: _Transitions, accepting: tuple) -> "SymbolicSet":
-        """The set of a table that is canonical already, made with no check."""
-        made = object.__new__(SymbolicSet)
-        object.__setattr__(made, "rank", rank)
-        object.__setattr__(made, "transitions", transitions)
-        object.__setattr__(made, "accepting", accepting)
-        return made
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def words(rank: int, singletons: Iterable[FreeWord] = (),
               cones: Iterable[FreeWord] = ()) -> "SymbolicSet":
-        """The union of the singletons {w} and the cones of w: the one-block
+        """The union of the singletons {w} and the cones of w, words of
+        F_rank (else ValueError)."""
+        return SymbolicSet._words(rank, [word_in_rank(w, rank) for w in singletons],
+                                  [word_in_rank(w, rank) for w in cones])
+
+    @staticmethod
+    def _words(rank: int, singletons: Iterable[FreeWord], cones: Iterable[FreeWord]) -> "SymbolicSet":
+        """`words` of words checked to lie in F_rank: the one-block
         `prefix_trie`, whose points outside the block are labelled None, as
         the words that are not reduced are, so its two labels are acceptance
         and its minimal machine is the set's canonical automaton."""
@@ -280,9 +287,7 @@ class SymbolicSet:
         """
         if a.is_identity:
             return SymbolicSet.singleton(a, rank)
-        if any(abs(l) > rank for l in a.letters):
-            raise ValueError(f"word {a} outside rank {rank}")
-        letters = list(a.letters)
+        letters = list(word_in_rank(a, rank).letters)
         wing: list[int] = []
         while len(letters) >= 2 and letters[0] == -letters[-1]:
             wing.append(letters[0])
@@ -767,10 +772,11 @@ def _symbolic_pass(parts: list) -> Labelling:
 def prefix_trie(rank: int, blocks: Iterable[tuple[Iterable[FreeWord], Iterable[FreeWord]]],
                 gap: Optional[Label] = ()) -> Optional[Labelling]:
     """The labelling of blocks of prefix atoms over F_rank, block i given
-    as its singletons {w} and the words w whose cones it holds: block i's
-    points are labelled (i,), the other reduced words `gap`, and the words
-    that are not reduced None.  It is built as one trie, minimal, with no
-    product pass; None when two blocks meet.
+    as its singletons {w} and the words w whose cones it holds, all words
+    of F_rank (the callers check): block i's points are labelled (i,), the
+    other reduced words `gap`, and the words that are not reduced None.
+    It is built as one trie, minimal, with no product pass; None when two
+    blocks meet.
 
     State 0 is the dead state, labelled None, and it is also the gap when
     `gap` is None.  A label's region, made when first needed, is one inside
@@ -812,8 +818,6 @@ def prefix_trie(rank: int, blocks: Iterable[tuple[Iterable[FreeWord], Iterable[F
     for width, (singletons, cones) in enumerate(blocks, 1):
         label, mine, made, walked = (width - 1,), len(trans) if width > 1 else 0, len(nodes), {root}
         for is_cone, w in [(False, w) for w in singletons] + [(True, w) for w in cones]:
-            if max(map(abs, w.letters), default=0) > rank:
-                raise ValueError(f"word {w} outside rank {rank}")
             state, x = root, -1
             for x in map(letter_index, w.letters):
                 if trans[state][x] == holes[x]:     # a new node, with the gap's inside row for x

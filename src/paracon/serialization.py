@@ -20,7 +20,7 @@ from .actions import (
     FreeSelfAction,
     TrivialAction,
 )
-from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass, prefix_trie
+from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, TableError, labelled_pass, prefix_trie
 from .words import (
     MAX_RANK,
     FreeWord,
@@ -28,6 +28,7 @@ from .words import (
     WordParseError,
     capped,
     parse_word,
+    word_in_rank,
     word_str,
 )
 
@@ -75,11 +76,9 @@ def parse_element(value: Any, action: Action, location: str):
     """A group element: a word string, or an image array for permutations."""
     if isinstance(value, str):
         try:
-            word = parse_word(value)
+            return action.normalize_element(parse_word(value))
         except WordParseError as err:
             raise DocumentError(f"bad word {value!r}: {err}", location) from None
-        try:
-            return action.normalize_element(word)
         except ValueError as err:
             raise DocumentError(str(err), location) from None
     if isinstance(value, list):
@@ -148,9 +147,10 @@ def _parse_word_field(doc: Mapping, rank: int, location: str) -> FreeWord:
         w = parse_word(value)
     except WordParseError as err:
         raise DocumentError(f"bad word {value!r}: {err}", f"{location}.word") from None
-    if any(abs(l) > rank for l in w.letters):
-        raise DocumentError(f"word {word_str(w)!r} outside rank {rank}", f"{location}.word")
-    return w
+    try:
+        return word_in_rank(w, rank)
+    except ValueError:
+        raise DocumentError(f"word {word_str(w)!r} outside rank {rank}", f"{location}.word") from None
 
 
 SET_DEPTH_CAP = 100   # nesting levels of a set expression
@@ -183,7 +183,7 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
         _expect(symbolic, f"{kind} sets need a free-word universe", location)
     if symbolic and _prefix_block(doc):           # one prefix trie, no product pass
         capped("set_depth", depth + (kind == "union"), SET_DEPTH_CAP)
-        return SymbolicSet.words(rank, *_block_words(doc, rank, location))
+        return SymbolicSet._words(rank, *_block_words(doc, rank, location))
     if kind == "powers":
         return SymbolicSet.powers(_parse_word_field(doc, rank, location), rank)
     if kind == "full":
@@ -223,15 +223,10 @@ def parse_set(doc: Any, action: Action, location: str, depth: int = 1) -> Action
         _expect(isinstance(trans, list) and isinstance(acc, list) and trans
                 and len(trans) == len(acc),
                 "automaton needs matching transitions/accepting lists", location)
-        n_states = len(trans)
-        for i, row in enumerate(trans):
-            _expect(isinstance(row, list) and len(row) == 2 * rank
-                    and all(is_integer(t) and 0 <= t < n_states for t in row),
-                    f"transition row {i} must hold {2*rank} states below {n_states}",
-                    f"{location}.transitions")
-        _expect(all(isinstance(v, bool) for v in acc),
-                "accepting entries must be true or false", f"{location}.accepting")
-        return SymbolicSet(rank, trans, acc)
+        try:
+            return SymbolicSet(rank, trans, acc)
+        except TableError as err:
+            raise DocumentError(str(err), f"{location}.{err.field}") from None
     raise DocumentError(f"unknown set kind {kind!r}", f"{location}.kind")
 
 

@@ -3,9 +3,9 @@
 Group elements live in one of two universes: reduced words over signed
 generators (the free group F_k) or permutations of {0, ..., n-1}, and each
 type carries the group law: `*`, `~` and `order()` (None: infinite).  Words use
-a compact letter syntax for I/O: the lowercase letters ``a``..``k`` except
-``e`` are generators 1..10, uppercase letters are their inverses, and ``"e"``
-is the identity.
+a compact letter syntax for I/O: the lowercase ASCII letters ``a``..``k``
+except ``e`` are generators 1..10, uppercase letters are their inverses,
+and ``"e"`` is the identity.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from typing import Iterable, Mapping, Sequence, Union
 MAX_RANK = 10
 
 _LETTERS = "abcdfghijk"   # skips "e", which names the identity
+_SIGNED = {**{ch: i for i, ch in enumerate(_LETTERS, 1)},       # the 20 letters, exactly
+           **{ch.upper(): -i for i, ch in enumerate(_LETTERS, 1)}}
+_NAMES = {letter: ch for ch, letter in _SIGNED.items()}
 
 
 def _eq(self, other):
@@ -42,7 +45,9 @@ def value(cls):
     fraction of the import time.  Its fields are its own annotations, in
     order; a class attribute of the same name is a field's default.  The
     generated methods are `__init__`, which binds each field with
-    object.__setattr__ and then calls `__post_init__`, if any, and
+    object.__setattr__ and then calls `__post_init__`, if any; the static
+    `_trusted`, which binds them with no `__post_init__`, for fields that
+    are valid by construction (the class itself, when it has none); and
     `_value_key`, the tuple of fields.  Equality, hash and repr go by that
     tuple, unless the class defines its own; setting or deleting an
     attribute raises AttributeError."""
@@ -52,9 +57,11 @@ def value(cls):
     body = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
     post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
     key = "".join(f"self.{n}, " for n in names)
-    space = {"_set": object.__setattr__, "_d": defaults}
-    exec(f"def __init__(self, {params}):{body}{post}\ndef _value_key(self): return ({key})", space)
+    trusted = f"\ndef _trusted({params}):\n self = _new(_cls){body}\n return self" if post else ""
+    space = {"_set": object.__setattr__, "_d": defaults, "_new": object.__new__, "_cls": cls}
+    exec(f"def __init__(self, {params}):{body}{post}\ndef _value_key(self): return ({key}){trusted}", space)
     cls.__init__, cls._value_key = space["__init__"], space["_value_key"]
+    cls._trusted = staticmethod(space.get("_trusted", cls))
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls._value_fields = names
     for name, shared in (("__eq__", _eq), ("__hash__", _hash), ("__repr__", _repr),
@@ -112,14 +119,11 @@ class FreeWord:
         return reduce_word(self.letters + other.letters)
 
     def __invert__(self) -> "FreeWord":
-        return FreeWord(tuple(-l for l in reversed(self.letters)))
+        return FreeWord._trusted(tuple([-l for l in reversed(self.letters)]))
 
     def order(self) -> int | None:
         """1 for e; every other element of a free group has infinite order, None."""
         return None if self.letters else 1
-
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple(letter_index(l) for l in self.letters))
 
     def __str__(self) -> str:
         return word_str(self)
@@ -141,18 +145,24 @@ def letter_from_index(index: int) -> int:
     return -(gen + 1) if neg else gen + 1
 
 
-def reduce_word(letters: Iterable[int], rank: int | None = None) -> FreeWord:
+def reduce_word(letters: Iterable[int]) -> FreeWord:
     """Cancel adjacent inverse pairs until the word is reduced."""
-    limit = rank if rank is not None else MAX_RANK
     stack: list[int] = []
     for pos, letter in enumerate(letters):
-        if letter == 0 or abs(letter) > limit:
+        if letter == 0 or abs(letter) > MAX_RANK:
             raise ValueError(f"letter {letter} out of range at position {pos}")
         if stack and stack[-1] == -letter:
             stack.pop()
         else:
             stack.append(letter)
-    return FreeWord(tuple(stack))
+    return FreeWord._trusted(tuple(stack))
+
+
+def word_in_rank(w: FreeWord, rank: int) -> FreeWord:
+    """`w`, or ValueError when it has a letter past generator `rank`."""
+    if w.letters and max(map(abs, w.letters)) > rank:
+        raise ValueError(f"word {w} outside rank {rank}")
+    return w
 
 
 def _word_count(rank: int, length: int) -> int:
@@ -163,31 +173,27 @@ def _word_count(rank: int, length: int) -> int:
 
 
 def parse_word(text: str, rank: int = MAX_RANK) -> FreeWord:
-    """Parse letter syntax: 'ab' -> a*b, 'A' -> a^-1, 'e' -> identity."""
+    """Parse letter syntax: 'ab' -> a*b, 'A' -> a^-1, 'e' -> identity, in
+    one pass that checks each character against `rank` and cancels it."""
     if text == "":
         raise WordParseError("empty word (use 'e' for the identity)", 0)
     if text == "e":
         return IDENTITY_WORD
-    letters = []
+    stack: list[int] = []
     for pos, ch in enumerate(text):
-        low = ch.lower()
-        if low == "e":
-            raise WordParseError("'e' is only valid as a whole word", pos)
-        idx = _LETTERS.find(low)
-        if idx < 0 or idx >= rank:
-            raise WordParseError(f"invalid letter {ch!r} for rank {rank}", pos)
-        letters.append(idx + 1 if ch.islower() else -(idx + 1))
-    return reduce_word(letters, rank)
+        letter = _SIGNED.get(ch, 0)
+        if not letter or abs(letter) > rank:
+            raise WordParseError("'e' is only valid as a whole word" if ch in "eE"
+                                 else f"invalid letter {ch!r} for rank {rank}", pos)
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return FreeWord._trusted(tuple(stack))
 
 
 def word_str(w: FreeWord) -> str:
-    if w.is_identity:
-        return "e"
-    chars = []
-    for letter in w.letters:
-        ch = _LETTERS[abs(letter) - 1]
-        chars.append(ch if letter > 0 else ch.upper())
-    return "".join(chars)
+    return "".join([_NAMES[letter] for letter in w.letters]) or "e"
 
 
 @value
@@ -203,9 +209,6 @@ class Permutation:
     @property
     def degree(self) -> int:
         return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # composition convention: (x*y)(p) = x(y(p))

@@ -1,9 +1,10 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately naive and shares no code path with the
-package: word enumeration by direct recursion, free reduction by cancelling
-letter pairs on a stack, set membership by evaluating expression trees
-pointwise, configurations of finite actions by iterating points, the
+package: word enumeration by direct recursion, the letter syntax read
+character by character against the ASCII letter string, free reduction
+by cancelling letter pairs on a stack, set membership by evaluating
+expression trees pointwise, configurations of finite actions by iterating points, the
 counting solution of a finite action document by walking its points
 through plain image lists, the preimage of each block under a point map, permutation orders by repeated composition,
 the union of g^k S over the powers g^k != e (over F_rank by testing
@@ -39,6 +40,36 @@ def shortlex_words(rank: int, max_length: int) -> list[tuple[int, ...]]:
         level = [w + (l,) for w in level for l in letters if not (w and w[-1] == -l)]
         out += level
     return out
+
+
+def shortlex_key(word: FreeWord) -> tuple:
+    """Sort key of shortlex order, a < A < b < B < ..., as shortlex_words
+    lists the words: length, then each letter's generator and sign."""
+    return len(word.letters), [(abs(l), l < 0) for l in word.letters]
+
+
+def parse_letters(text: str, rank: int) -> tuple:
+    """The letter syntax read by hand: ("ok", the reduced letters) or
+    ("error", message, offset) at the first character that is no letter of
+    F_rank.  Generators are the ASCII letters "abcdfghijk"[:rank], their
+    capitals the inverses, and "e" alone the identity."""
+    if text == "":
+        return "error", "empty word (use 'e' for the identity)", 0
+    if text == "e":
+        return "ok", ()
+    lower = "abcdfghijk"[:rank]
+    upper = lower.upper()
+    letters = []
+    for pos, ch in enumerate(text):
+        if ch == "e" or ch == "E":
+            return "error", "'e' is only valid as a whole word", pos
+        if ch in lower:
+            letters.append(lower.index(ch) + 1)
+        elif ch in upper:
+            letters.append(-(upper.index(ch) + 1))
+        else:
+            return "error", f"invalid letter {ch!r} for rank {rank}", pos
+    return "ok", reduce_letters(tuple(letters))
 
 
 def reduce_letters(word: tuple[int, ...]) -> tuple[int, ...]:

@@ -715,8 +715,15 @@ def test_argv_reader_matches_the_argparse_spec(argv):
                                 "generators": {"a": [1, 0], "b": [1, 2, 0]}},
                      "tuple": ["a"], "partition": [{"kind": "full"}]},
      "action", "generators of mixed degree"),
+    ("con compute", {"action": {"backend": "free-self", "rank": 2},
+                     "tuple": ["\u212a"], "partition": [{"kind": "full"}]},
+     "tuple[0]", "bad word '\u212a': invalid letter '\u212a' for rank 10 (offset 0)"),
+    ("con compute", {"action": {"backend": "free-self", "rank": 2}, "tuple": ["a"],
+                     "partition": [{"kind": "cone", "word": "a"}, {"kind": "cone", "word": "c"}]},
+     "partition[1].word", "word 'c' outside rank 2"),
 ], ids=["search-one-piece", "trivial-string-degree", "compare-free-without-pairs",
-        "word-past-the-rank", "unassigned-generator", "generators-of-mixed-degree"])
+        "word-past-the-rank", "unassigned-generator", "generators-of-mixed-degree",
+        "kelvin-sign", "atom-past-the-rank"])
 def test_engine_rejections_exit_2_with_report(command, doc, location, message, capsys, tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -724,6 +731,22 @@ def test_engine_rejections_exit_2_with_report(command, doc, location, message, c
     assert code == 2
     assert report["status"] == "error"
     assert report["error"] == {"location": location, "message": message}
+
+
+def test_an_atom_that_reduces_into_the_rank_is_read(capsys, tmp_path):
+    # cC names a letter past rank 2 but reduces to e, and the rank is
+    # checked on the reduced word
+    path = tmp_path / "doc.json"
+    reports = []
+    for word in ("cC", "e"):
+        partition = [{"kind": "singleton", "word": word}] + [
+            {"kind": "cone", "word": w} for w in ("a", "A", "b", "B")]
+        path.write_text(json.dumps({"action": {"backend": "free-self", "rank": 2},
+                                    "tuple": ["a"], "partition": partition}))
+        code, report = run(capsys, "con", "compute", "--input", str(path))
+        assert code == 0
+        reports.append(report["data"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("bounds,message", [

@@ -37,9 +37,9 @@ from paracon import (
 )
 from paracon.actions import PartitionReport
 from paracon.cli import _USAGE, COMMANDS, main
-from paracon.langsets import Labelling, labelled_pass
+from paracon.langsets import Labelling, TableError, labelled_pass
 from paracon.serialization import element_json
-from paracon.words import permutation_closure
+from paracon.words import WordParseError, permutation_closure, reduce_word
 
 Z3 = FinitePermutationAction(3, {1: Permutation((1, 2, 0))})
 S3 = FiniteRegularAction({1: Permutation((1, 0, 2)), 2: Permutation((0, 2, 1))})
@@ -80,12 +80,27 @@ CASES = [
     ("powers-past-the-rank", lambda: SymbolicSet.powers(C, 2), ValueError,
      "word c outside rank 2"),
     ("cone-past-the-rank", lambda: SymbolicSet.cone(C, 2), ValueError, "word c outside rank 2"),
+    ("singleton-past-the-rank", lambda: SymbolicSet.singleton(C, 2), ValueError,
+     "word c outside rank 2"),
+    ("words-past-the-rank", lambda: SymbolicSet.words(2, [A], [A, C]), ValueError,
+     "word c outside rank 2"),
+    ("labelling-translate-past-the-rank",
+     lambda: labelled_pass([SymbolicSet.full(2)]).translate(C), ValueError, "word c outside rank 2"),
+    ("element-past-the-rank", lambda: F2.normalize_element(C), ValueError, "word c outside rank 2"),
+    ("element-string-past-the-rank", lambda: F2.normalize_element("cC"), WordParseError,
+     "invalid letter 'c' for rank 2 (offset 0)"),
+    ("table-with-a-bool-state", lambda: SymbolicSet(1, ((0, True),), (False,)), TableError,
+     "transition row 0 must hold 2 states below 1"),
+    ("table-with-an-int-entry", lambda: SymbolicSet(1, ((0, 0),), (1,)), TableError,
+     "accepting entries must be true or false"),
     ("decomposition-with-an-empty-family",
      lambda: verify_decomposition(F2, ParadoxicalDecomposition((), (), (F2.full_set(),), (A,))),
      ValueError, "both families must be nonempty"),
     ("element-json-of-an-int", lambda: element_json(3), TypeError, "not a group element: 3"),
     ("letter-0", lambda: FreeWord((0,)), ValueError, "letter 0 out of range at position 0"),
     ("letter-11", lambda: FreeWord((11,)), ValueError, "letter 11 out of range at position 0"),
+    ("reduce-letter-11", lambda: reduce_word([1, -1, 11]), ValueError,
+     "letter 11 out of range at position 2"),
     ("word-over-no-generators", lambda: evaluate_word({}, A), ValueError,
      "empty generator assignment"),
     ("closure-of-no-generators", lambda: permutation_closure([]), ValueError,
@@ -98,6 +113,16 @@ CASES = [
 def test_an_error_branch_raises_its_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("table, field", [
+    (((0, True),), "transitions"), (((0, 0), [0]), "transitions"), ((5,), "transitions"),
+    (((0, 0),), "accepting")], ids=["bool-state", "short-row", "int-row", "int-entry"])
+def test_a_table_error_names_its_field(table, field):
+    # the field that `parse_set` appends to an automaton document's location
+    with pytest.raises(TableError) as err:
+        SymbolicSet(1, table, (1,) if field == "accepting" else (False,) * len(table))
+    assert err.value.field == field
 
 
 def test_a_word_past_the_rank_is_no_member():

@@ -14,6 +14,7 @@ import contextlib
 import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,10 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import all_reduced_words
-from paracon import SymbolicSet, actions, langsets
+from paracon import SymbolicSet, actions, langsets, serialization, words
 from paracon.cli import main
 from paracon.langsets import labelled_pass, prefix_trie
 from paracon.words import FreeWord, letter_from_index, word_str
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def below(rng: random.Random, rank: int, w: FreeWord) -> FreeWord:
@@ -175,3 +178,37 @@ def test_only_other_partitions_take_the_validating_pass(partition, code, passes,
                    and len(p) == len(partition)]
     assert len(over_blocks) == passes
 
+
+def test_each_atom_word_is_read_once_and_checked_once(monkeypatch):
+    """Over the partitions of a free-decide round (bench/workloads.py,
+    imported read-only), the partition and each of its blocks read as a set:
+    one `parse_word` call and one rank check per atom, and no `FreeWord`
+    built through its checking constructor."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+
+    parsed, checked = [], []
+    parse, check = words.parse_word, words.word_in_rank
+    monkeypatch.setattr(serialization, "parse_word",
+                        lambda text, *rank: parsed.append(text) or parse(text, *rank))
+    for module in (serialization, langsets, actions):
+        monkeypatch.setattr(module, "word_in_rank", lambda w, rank: checked.append(w) or check(w, rank))
+
+    def refuse(self):
+        raise AssertionError("a word was built through FreeWord(...)")
+
+    monkeypatch.setattr(FreeWord, "__post_init__", refuse)
+    for command, doc in workloads.make_round("free-decide", 1, 0):
+        action = serialization.parse_action(doc["action"])
+        blocks = doc["partition"]
+        atoms = [[a["word"] for a in (b["of"] if b["kind"] == "union" else [b])] for b in blocks]
+        del parsed[:], checked[:]
+        assert serialization.parse_prefix_partition(blocks, action, "partition") is not None
+        assert parsed == [w for block in atoms for w in block]
+        assert list(map(word_str, checked)) == parsed
+        for block, block_atoms in zip(blocks, atoms):
+            del parsed[:], checked[:]
+            serialization.parse_set(block, action, "set")
+            assert parsed == block_atoms
+            assert list(map(word_str, checked)) == parsed

@@ -5,7 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import permutation_order, reduce_letters
+from oracles import parse_letters, permutation_order, reduce_letters, shortlex_key
 from paracon.actions import FiniteRegularAction, FreeSelfAction, Partition, PartitionReport, partition, validate_partition
 from paracon.configurations import ConSearchBounds, configuration_pair
 from paracon.equations import VerifyReport
@@ -77,6 +77,43 @@ class TestParse:
         with pytest.raises(WordParseError):
             parse_word("")
 
+    def test_the_kelvin_sign_is_no_letter(self):
+        # U+212A lowers to "k", and is no letter of the syntax
+        with pytest.raises(WordParseError, match="^invalid letter '\u212a' for rank 10 \\(offset 1\\)$"):
+            parse_word("a\u212a")
+
+    def test_a_parsed_word_is_reduced_and_in_range(self):
+        w = parse_word("abBAcC" + "K" * 3)
+        assert w == FreeWord(w.letters) == FreeWord((-10, -10, -10))
+        assert ~w == FreeWord((10, 10, 10))
+
+    def test_reduce_word_takes_no_rank(self):
+        with pytest.raises(TypeError):
+            reduce_word([1], 2)
+
+
+# the 20 letters, e and E, the Kelvin sign (which lowers to k), letters
+# past k, and other characters, some of which lower or upper to ASCII
+WORD_CHARACTERS = st.sampled_from(
+    list("abcdfghijkABCDFGHIJK") + ["e", "E", "\u212a", "l", "L", "z", "0", " ", "\u0131",
+                                    "\u0130", "\u017f", "\u00e9", "\xff"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank=st.integers(1, MAX_RANK),
+       text=st.text(WORD_CHARACTERS, max_size=12) | st.text(max_size=4))
+def test_parse_word_reads_as_the_oracle_parser(rank, text):
+    """The same letters, or the same message at the same offset."""
+    expected = parse_letters(text, rank)
+    try:
+        w = parse_word(text, rank)
+    except WordParseError as err:
+        assert expected[0] == "error"
+        assert (str(err), err.offset) == (f"{expected[1]} (offset {expected[2]})", expected[2])
+    else:
+        assert expected == ("ok", w.letters)
+        assert FreeWord(w.letters) == w
+
 
 class TestMultiply:
     def test_inverse_pair(self):
@@ -98,11 +135,6 @@ class TestMultiply:
     def test_permutation_degree_mismatch(self):
         with pytest.raises(ValueError):
             Permutation((1, 0)) * Permutation((1, 2, 0))
-
-    def test_permutation_called_on_a_point_gives_its_image(self):
-        c, flip = Permutation((1, 2, 0)), Permutation((1, 0, 2))
-        assert [c(p) for p in range(3)] == [1, 2, 0]
-        assert [(c * flip)(p) for p in range(3)] == [c(flip(p)) for p in range(3)]
 
 
 class TestInvert:
@@ -175,7 +207,7 @@ def test_associativity_exhaustive_short_words():
         words.extend(
             reduce_word(ls) for ls in itertools.product([1, -1, 2, -2], repeat=length)
         )
-    words = sorted(set(words), key=FreeWord.sort_key)
+    words = sorted(set(words), key=shortlex_key)
     for x, y, z in itertools.product(words[:20], repeat=3):
         assert (x * y) * z == x * (y * z)
 
@@ -328,17 +360,11 @@ def test_permutation_order_matches_repeated_composition():
         assert Permutation(tuple(images)).order() == permutation_order(tuple(images))
 
 
-def test_word_sort_key_order():
-    words = [parse_word(s) for s in ["b", "e", "aa", "A", "a", "aB", "ab"]]
-    ordered = sorted(words, key=FreeWord.sort_key)
-    assert [word_str(w) for w in ordered] == ["e", "a", "A", "b", "aa", "ab", "aB"]
-
-
 @pytest.mark.parametrize("rank", range(1, MAX_RANK + 1))
 @given(data=st.data())
 def test_word_str_round_trips_at_every_rank(rank, data):
     generators = st.integers(1, rank).flatmap(lambda g: st.sampled_from((g, -g)))
-    w = reduce_word(data.draw(st.lists(generators, max_size=8)), rank)
+    w = reduce_word(data.draw(st.lists(generators, max_size=8)))
     assert parse_word(word_str(w), rank) == w
 
 
