@@ -5,21 +5,22 @@ free group on itself, trivial actions (g.x = x) over a finite or free-word
 point universe, and the regular action of a finite permutation-generated
 group on its own element list (a finite permutation action too).
 
-Every backend exposes the same small surface: normalize elements, act on
-points and on sets (and on a labelling, all its sets at once), list an
-element's point images over a finite universe, and build sets over its
-point universe, which Action derives from `degree` or `rank`.
-Products, inverses and orders are the elements' own (`*`, `~`, `order()`).
-All values are immutable and every operation is pure.
+Every backend exposes the same small surface: normalize elements, move a
+set of its own degree or rank (another is a ValueError), or over F_rank a
+labelling, all its sets at once; list an element's point images over a
+finite universe, which move its points (over F_rank g moves x to g * x);
+and build sets over its point universe, which Action derives from
+`degree` or `rank`.  Products, inverses and orders are the elements' own
+(`*`, `~`, `order()`).  All values are immutable and every operation is pure.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import langsets
-from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, labelled_pass
+from .langsets import ActionSet, FiniteSet, Labelling, SymbolicSet, _check_universe, labelled_pass
 from .words import (
     GROUP_ORDER_CAP,
     MAX_RANK,
@@ -38,9 +39,6 @@ from .words import (
     value,
     word_in_rank,
 )
-
-Point = Union[int, FreeWord]
-
 
 class Action:
     """Common backend interface; concrete actions subclass this.
@@ -66,7 +64,7 @@ class Action:
             return FiniteSet.empty(self.degree)
         return SymbolicSet.empty(self.rank)
 
-    def point_set(self, points: Iterable[Point]) -> ActionSet:
+    def point_set(self, points: Iterable[int | FreeWord]) -> ActionSet:
         if self.degree is not None:
             return FiniteSet.of(self.degree, points)
         return SymbolicSet.words(self.rank, singletons=points)
@@ -79,9 +77,6 @@ class Action:
         raise NotImplementedError
 
     def identity(self) -> GroupElement:
-        raise NotImplementedError
-
-    def act(self, g: GroupElement, x: Point) -> Point:
         raise NotImplementedError
 
     def act_on_set(self, g: GroupElement, s: ActionSet | Labelling) -> ActionSet | Labelling:
@@ -117,10 +112,8 @@ class FreeSelfAction(Action):
     def identity(self) -> FreeWord:
         return FreeWord(())
 
-    def act(self, g, x: FreeWord) -> FreeWord:
-        return self.normalize_element(g) * x
-
     def act_on_set(self, g, s: SymbolicSet | Labelling) -> SymbolicSet | Labelling:
+        _check_universe(self, s)
         return s.translate(self.normalize_element(g))
 
     def moved_by_powers(self, g, s: SymbolicSet) -> SymbolicSet:
@@ -166,10 +159,8 @@ class FinitePermutationAction(Action):
         """The images of the points 0..degree-1 under g."""
         return self.normalize_element(g).images
 
-    def act(self, g, x: int) -> int:
-        return self.point_images(g)[x]
-
     def act_on_set(self, g, s: FiniteSet) -> FiniteSet:
+        _check_universe(self, s)
         images = self.point_images(g)
         return FiniteSet.of(self.degree, [images[p] for p in s.members])
 
@@ -177,6 +168,7 @@ class FinitePermutationAction(Action):
         """Cycle by cycle: g^k, 1 <= k < ord(g), takes a point of S round its
         whole cycle, but for the point itself when the cycle is as long as
         ord(g), so such a cycle holding one point of S misses just that one."""
+        _check_universe(self, s)
         images, order = self.point_images(g), self.normalize_element(g).order()
         moved, seen = set(), set()
         for x in s.members:
@@ -221,17 +213,16 @@ class TrivialAction(Action):
     def identity(self) -> FreeWord:
         return FreeWord(())
 
-    def act(self, g, x: Point) -> Point:
-        return x
-
     def point_images(self, g) -> tuple[int, ...]:
         """The images of the points 0..degree-1 under g: the points themselves."""
         return tuple(range(self.degree))
 
     def act_on_set(self, g, s: ActionSet | Labelling) -> ActionSet | Labelling:
+        _check_universe(self, s)
         return s
 
     def moved_by_powers(self, g, s: ActionSet) -> ActionSet:
+        _check_universe(self, s)
         return self.empty_set() if self.normalize_element(g).is_identity else s
 
 
@@ -330,14 +321,6 @@ class PartitionReport(Verdict):
     problem: Optional[str] = None  # empty-block | overlap | cover-gap | negative-width | label-past-width
     blocks_involved: tuple[int, ...] = ()
     witness: object = None
-
-
-def _check_universe(action: Action, part) -> None:
-    """ValueError unless a set or labelling is of the action's degree or rank."""
-    universe = "degree" if action.is_finite else "rank"
-    size = getattr(action, universe)
-    if getattr(part, universe, None) != size:
-        raise ValueError(f"{universe} mismatch: {size} vs {getattr(part, universe, None)}")
 
 
 def _labelling(action: Action, blocks: Sequence[ActionSet] | Labelling) -> Labelling:

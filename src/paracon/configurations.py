@@ -23,8 +23,8 @@ from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import Action, Partition, _check_universe, partition as make_partition, validate_partition
-from .langsets import ActionSet, FiniteSet, Label, Labelling, _sink, labelled_pass
+from .actions import Action, Partition, partition as make_partition, validate_partition
+from .langsets import ActionSet, FiniteSet, Label, Labelling, _check_universe, _sink, labelled_pass
 from .words import Verdict, _word_count, capped, value
 
 Configuration = tuple[int, ...]
@@ -188,7 +188,7 @@ def _cells_are_preimages(cs: ConfigurationSet) -> bool:
         labels[config] = label
     if frames.rank is None:
         degree = frames.degree
-        return all(cs.base_cells[c] == FiniteSet(degree, frozenset(groups.get(labels.get(c), ())))
+        return all(cs.base_cells[c] == FiniteSet._trusted(degree, frozenset(groups.get(labels.get(c), ())))
                    for c in cs.configurations)
     rows, outputs = frames.transitions, frames.labels
     sources: list[list[int]] = [[] for _ in rows]

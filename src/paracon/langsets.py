@@ -8,18 +8,18 @@ So two values are structurally equal exactly when they denote the same set,
 and boolean algebra, membership, emptiness, inclusion, and left translation
 are all decidable and deterministic.
 
-Finite sets are plain subsets of {0, ..., n-1} tagged with their degree,
-and their boolean operations are frozenset operations.
+Finite sets are plain subsets of {0, ..., n-1} tagged with their degree.
 
 Every question about which points lie in which of several sets (partition,
-disjointness, cover, inclusion, the boolean operations on symbolic sets) is
-answered by one labelled pass over the universe, `labelled_pass`, and
-every set computed from such a pass is read off it by label, with
-`Labelling.cells`.  A pass's `Labelling` is a value too: it is moved by a
-group element as a set is, by the same chain construction over F_rank, and
-a later pass takes it next to sets, so one move of a labelling moves every
-set it labels.  Blocks of cones and singletons are labelled without a
-pass, by one trie, `prefix_trie`.
+disjointness, cover, inclusion, the boolean operations on either kind of
+set) is answered by one labelled pass over the universe, `labelled_pass`,
+and every set computed from such a pass is read off it by label, with
+`Labelling.cells`; a part of another degree or rank is a ValueError.  A
+pass's `Labelling` is a value too: it is moved by a group element as a set
+is, by the same chain construction over F_rank, and a later pass takes it
+next to sets, so one move of a labelling moves every set it labels.
+Blocks of cones and singletons are labelled without a pass, by one trie,
+`prefix_trie`.
 """
 
 from __future__ import annotations
@@ -353,18 +353,18 @@ class SymbolicSet:
             level = next_level
         return out
 
-    # -- algebra -------------------------------------------------------------
+    # -- algebra: read by label off one labelled pass; FiniteSet's too ------
 
-    def union(self, other: "SymbolicSet") -> "SymbolicSet":
+    def union(self, other: ActionSet) -> ActionSet:
         return labelled_pass([self, other]).cells([(0,), (1,), (0, 1)])
 
-    def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
+    def intersection(self, other: ActionSet) -> ActionSet:
         return labelled_pass([self, other]).cells([(0, 1)])
 
-    def difference(self, other: "SymbolicSet") -> "SymbolicSet":
+    def difference(self, other: ActionSet) -> ActionSet:
         return labelled_pass([self, other]).cells([(0,)])
 
-    def complement(self) -> "SymbolicSet":
+    def complement(self) -> ActionSet:
         return labelled_pass([self]).cells([()])
 
     def translate(self, g: FreeWord) -> "SymbolicSet":
@@ -398,8 +398,7 @@ class SymbolicSet:
         canonical form is unique.  Past AUTOMATON_STATES_CAP nodes it
         raises BoundExceeded.
         """
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+        _check_universe(self, other)
         mine, theirs = self.transitions, other.transitions
         sink = _sink(theirs, other.accepting)
         sources: list[list] = [[] for _ in mine]
@@ -441,12 +440,14 @@ class SymbolicSet:
 
 @value
 class FiniteSet:
-    """Subset of the points {0, ..., degree-1}."""
+    """Subset of the points {0, ..., degree-1}, which are ints."""
 
     degree: int
     members: frozenset[int]
 
     def __post_init__(self):
+        if not all(type(point) is int for point in self.members):
+            raise ValueError("points must be ints")
         if self.members and (min(self.members) < 0 or max(self.members) >= self.degree):
             raise ValueError(f"point outside 0..{self.degree-1}")
 
@@ -472,24 +473,9 @@ class FiniteSet:
     def is_empty(self) -> bool:
         return not self.members
 
-    def _check(self, other: "FiniteSet") -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def union(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.degree, self.members | other.members)
-
-    def intersection(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.degree, self.members & other.members)
-
-    def difference(self, other: "FiniteSet") -> "FiniteSet":
-        self._check(other)
-        return FiniteSet(self.degree, self.members - other.members)
-
-    def complement(self) -> "FiniteSet":
-        return FiniteSet(self.degree, frozenset(range(self.degree)) - self.members)
+    # bound here, not inherited: bench/tracer.py wraps each from its owner's namespace
+    union, intersection = SymbolicSet.union, SymbolicSet.intersection
+    difference, complement = SymbolicSet.difference, SymbolicSet.complement
 
     def __repr__(self) -> str:
         return f"FiniteSet({self.degree}, {sorted(self.members)})"
@@ -580,7 +566,7 @@ class Labelling:
         """
         selected = [s for label in labels for s in self._states.get(label, ())]
         if self.rank is None:
-            return FiniteSet(len(self.labels), frozenset(selected))
+            return FiniteSet._trusted(len(self.labels), frozenset(selected))
         sources, n = self._sources, len(self.transitions)
         classes, accepting = [-1] * n, [False] * n
         live = list(dict.fromkeys(selected))
@@ -664,6 +650,15 @@ class _LeastPoints(Mapping):
         return len(self._first)
 
 
+def _check_universe(owner, part) -> None:
+    """ValueError unless a set or labelling is of the degree or rank of its
+    owner, an action, a set or a labelling."""
+    universe = "degree" if getattr(owner, "degree", None) is not None else "rank"
+    size = getattr(owner, universe)
+    if getattr(part, universe, None) != size:
+        raise ValueError(f"{universe} mismatch: {size} vs {getattr(part, universe, None)}")
+
+
 def labelled_pass(parts: Sequence[Union[ActionSet, Labelling]]) -> Labelling:
     """Label every point of the parts' common universe in one pass.
 
@@ -673,6 +668,8 @@ def labelled_pass(parts: Sequence[Union[ActionSet, Labelling]]) -> Labelling:
     parts = list(parts)
     if not parts:
         raise ValueError("labelled pass over no sets")
+    for part in parts:
+        _check_universe(parts[0], part)
     finite = getattr(parts[0], "degree", None) is not None
     return (_finite_pass if finite else _symbolic_pass)(parts)
 
@@ -685,8 +682,6 @@ def _finite_pass(parts: list) -> Labelling:
     labels: list[Label] = [()] * degree
     width = 0
     for part in parts:
-        if getattr(part, "degree", None) != degree:
-            raise ValueError(f"degree mismatch: {degree} vs {getattr(part, 'degree', None)}")
         if isinstance(part, Labelling):
             shift = {label: tuple([width + i for i in label]) for label in set(part.labels)}
             labels = list(map(operator.add, labels, map(shift.__getitem__, part.labels)))
@@ -717,9 +712,6 @@ def _symbolic_pass(parts: list) -> Labelling:
     Past AUTOMATON_STATES_CAP nodes it raises BoundExceeded.
     """
     rank = parts[0].rank
-    for part in parts:
-        if getattr(part, "rank", None) != rank:
-            raise ValueError(f"rank mismatch: {rank} vs {getattr(part, 'rank', None)}")
     lead = 0 if isinstance(parts[0], Labelling) else 1
     machines = [SymbolicSet.full(rank)] * lead + parts
     rows: list[Sequence[int]] = [(0,) * (2 * rank)]

@@ -116,7 +116,11 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return reduce_word(self.letters + other.letters)
+        left, right = self.letters, other.letters
+        k = 0                     # both are reduced, so they cancel only at the junction
+        while k < len(left) and k < len(right) and left[-1 - k] == -right[k]:
+            k += 1
+        return FreeWord._trusted(left[:len(left) - k] + right[k:])
 
     def __invert__(self) -> "FreeWord":
         return FreeWord._trusted(tuple([-l for l in reversed(self.letters)]))
@@ -216,13 +220,13 @@ class Permutation:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[other.images[p]] for p in range(self.degree)))
+        return Permutation._trusted(tuple([self.images[p] for p in other.images]))
 
     def __invert__(self) -> "Permutation":
         inv = [0] * self.degree
         for src, dst in enumerate(self.images):
             inv[dst] = src
-        return Permutation(tuple(inv))
+        return Permutation._trusted(tuple(inv))
 
     def order(self) -> int:
         """The lcm of the cycle lengths."""
@@ -240,7 +244,7 @@ class Permutation:
 
 
 def identity_permutation(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
+    return Permutation._trusted(tuple(range(degree)))
 
 
 GroupElement = Union[FreeWord, Permutation]

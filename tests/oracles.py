@@ -6,7 +6,8 @@ character by character against the ASCII letter string, free reduction
 by cancelling letter pairs on a stack, set membership by evaluating
 expression trees pointwise, configurations of finite actions by iterating points, the
 counting solution of a finite action document by walking its points
-through plain image lists, the preimage of each block under a point map, permutation orders by repeated composition,
+through plain image lists, the preimage of each block under a point map,
+permutation products, inverses and orders by composing image lists,
 the union of g^k S over the powers g^k != e (over F_rank by testing
 g^-k v in S for a range of k, on finite points by composing g with
 itself), the dense rows of the configuration equations entry by entry,
@@ -339,6 +340,16 @@ def counting_oracle(degree: int, images: list[list[int]], blocks: list[list[int]
         config = (block_of[x],) + tuple(block_of[image[x]] for image in images)
         counts[config] = counts.get(config, 0) + 1
     return {config: Fraction(count, degree) for config, count in counts.items()}
+
+
+def compose_images(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of x*y, which is x after y: point p goes to x[y[p]]."""
+    return tuple(x[y[p]] for p in range(len(x)))
+
+
+def inverse_images(x: tuple[int, ...]) -> tuple[int, ...]:
+    """The images of x's inverse: the point that x sends to p, for each p."""
+    return tuple(x.index(p) for p in range(len(x)))
 
 
 def permutation_order(images: tuple[int, ...]) -> int:

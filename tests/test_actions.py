@@ -4,49 +4,54 @@ import pytest
 
 from conftest import cone, singleton
 from paracon import (
+    CyclicTableau,
     EquivariantMap,
     FinitePermutationAction,
     FiniteRegularAction,
     FiniteSet,
     FreeSelfAction,
+    ParadoxicalDecomposition,
     Partition,
     Permutation,
     SymbolicSet,
     TrivialAction,
+    check_pingpong_cyclic,
     configuration_pair,
     langsets,
     parse_word,
     partition,
     pull_back_partition,
     validate_partition,
+    verify_decomposition,
 )
 from paracon.langsets import labelled_pass
 from paracon.words import identity_permutation, permutation_closure
 
 
 class TestAct:
+    # a point moves by its image, point_images(g)[x], or over F_rank to g * x
     def test_free_self_cancellation(self, f2):
-        assert f2.act(parse_word("a"), parse_word("A")) == parse_word("e")
+        assert f2.normalize_element(parse_word("a")) * parse_word("A") == parse_word("e")
 
     def test_finite_permutation(self, z3):
-        assert z3.act(Permutation((1, 2, 0)), 0) == 1
+        assert z3.point_images(Permutation((1, 2, 0)))[0] == 1
 
     def test_trivial_fixes_everything(self, trivial3):
         for x in range(3):
-            assert trivial3.act(parse_word("ab"), x) == x
+            assert trivial3.point_images(parse_word("ab"))[x] == x
 
     def test_words_act_through_generators(self, z3):
-        assert z3.act(parse_word("aa"), 0) == 2
+        assert z3.point_images(parse_word("aa"))[0] == 2
 
     def test_regular_action_by_left_multiplication(self, s3_regular):
         g = Permutation((1, 0, 2))
         x = s3_regular.point_of(Permutation((0, 2, 1)))
-        moved = s3_regular.act(g, x)
+        moved = s3_regular.point_images(g)[x]
         assert s3_regular.elements[moved] == g * Permutation((0, 2, 1))
 
     def test_incompatible_element(self, z3):
         with pytest.raises(ValueError):
-            z3.act(Permutation((1, 0)), 0)
+            z3.point_images(Permutation((1, 0)))
 
 
 class TestActOnSet:
@@ -126,20 +131,63 @@ class TestActionAxioms:
                 out = out * parse_word(rng.choice(chars))
             return out
 
+        word = f2.normalize_element
         for _ in range(40):
             g, h = random_word("aAbB"), random_word("aAbB")
             x_word = parse_word("Ba")
-            assert f2.act(g * h, x_word) == f2.act(g, f2.act(h, x_word))
+            assert word(g * h) * x_word == word(g) * (word(h) * x_word)
             for action, chars in ((z3, "aA"), (s3_regular, "aAbB")):
                 gg = action.normalize_element(random_word(chars))
                 hh = action.normalize_element(random_word(chars))
+                moved_by_gg, moved_by_hh = action.point_images(gg), action.point_images(hh)
                 for x in range(action.degree):
-                    assert action.act(gg * hh, x) == action.act(gg, action.act(hh, x))
+                    assert action.point_images(gg * hh)[x] == moved_by_gg[moved_by_hh[x]]
 
     def test_translated_partition_still_validates(self, f2, five_blocks):
         g = parse_word("aB")
         moved = [f2.act_on_set(g, block) for block in five_blocks]
         assert validate_partition(f2, moved).ok
+
+
+def f3_cone(word):
+    return SymbolicSet.cone(parse_word(word), 3)
+
+
+class TestAnotherUniverse:
+    """A move, a pass or a product takes only sets of its own degree or
+    rank.  Each call below mixes two universes, where any answer (an `ok`
+    verdict, a set of another degree) would be wrong, and raises the one
+    mismatch message."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: verify_decomposition(FreeSelfAction(2), ParadoxicalDecomposition(
+            (f3_cone("a"), f3_cone("A")), tuple(map(parse_word, "ea")),
+            (f3_cone("b"), f3_cone("B")), tuple(map(parse_word, "eb")))),
+         "rank mismatch: 2 vs 3"),
+        (lambda: check_pingpong_cyclic(FreeSelfAction(2), CyclicTableau(
+            (f3_cone("A"), f3_cone("B")), (f3_cone("a"), f3_cone("b")),
+            tuple(map(parse_word, "ab")))),
+         "rank mismatch: 2 vs 3"),
+        (lambda: FreeSelfAction(2).act_on_set(parse_word("a"), f3_cone("a")),
+         "rank mismatch: 2 vs 3"),
+        (lambda: FinitePermutationAction(3, {1: Permutation((1, 2, 0))}).act_on_set(
+            Permutation((1, 2, 0)), FiniteSet.of(2, [0, 1])),
+         "degree mismatch: 3 vs 2"),
+        (lambda: FinitePermutationAction(3, {1: Permutation((1, 2, 0))}).moved_by_powers(
+            Permutation((1, 2, 0)), FiniteSet.of(2, [0, 1])),
+         "degree mismatch: 3 vs 2"),
+        (lambda: TrivialAction(degree=3).act_on_set(parse_word("a"), FiniteSet.of(5, [4])),
+         "degree mismatch: 3 vs 5"),
+        (lambda: TrivialAction(degree=3).moved_by_powers(parse_word("a"), FiniteSet.of(5, [4])),
+         "degree mismatch: 3 vs 5"),
+        (lambda: FiniteSet.of(3, [0]).union(SymbolicSet.full(2)), "degree mismatch: 3 vs None"),
+        (lambda: SymbolicSet.full(2).product(FiniteSet.of(3, [0])), "rank mismatch: 2 vs None"),
+    ], ids=["verify-decomposition", "pingpong-cyclic", "free-act-on-set",
+            "permutation-act-on-set", "permutation-moved-by-powers", "trivial-act-on-set",
+            "trivial-moved-by-powers", "finite-union-of-symbolic", "product-of-finite"])
+    def test_a_set_of_another_universe_raises(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestEquivariantMap:
@@ -199,8 +247,8 @@ class TestFiniteRegular:
             if g == identity:
                 continue
             for x in range(s3_regular.degree):
-                assert s3_regular.act(g, x) != x
-        orbit = {s3_regular.act(g, 0) for g in s3_regular.elements}
+                assert s3_regular.point_images(g)[x] != x
+        orbit = {s3_regular.point_images(g)[0] for g in s3_regular.elements}
         assert orbit == set(range(6))
 
     def test_rejects_elements_outside_group(self):

@@ -80,8 +80,8 @@ class TestComputeConfigurations:
         observed = set()
         for x in all_reduced_words(2, 5):
             observed.add((block_of(x),
-                          block_of(f2.act(parse_word("a"), x)),
-                          block_of(f2.act(parse_word("b"), x))))
+                          block_of(parse_word("a") * x),
+                          block_of(parse_word("b") * x)))
         assert observed == set(cs.configurations)
         for config in cs.configurations:
             witnesses = cs.base_cells[config].enumerate_up_to(6)

@@ -70,12 +70,12 @@ def test_regular_actions_free_and_transitive_up_to_24():
         assert action.degree <= 24
         identity = action.identity()
         for g in action.elements:
-            moved = [action.act(g, x) for x in range(action.degree)]
+            moved = list(action.point_images(g))
             if g == identity:
                 assert moved == list(range(action.degree))
             else:
                 assert all(moved[x] != x for x in range(action.degree)), name
-        assert {action.act(g, 0) for g in action.elements} == set(range(action.degree))
+        assert {action.point_images(g)[0] for g in action.elements} == set(range(action.degree))
 
 
 def test_act_on_set_preserves_size_and_partitions():

@@ -375,12 +375,31 @@ class TestFiniteSet:
         assert s.complement().members == {2, 3}
 
     def test_degree_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^degree mismatch: 3 vs 4$"):
             FiniteSet.of(3, [0]).union(FiniteSet.of(4, [0]))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             FiniteSet.of(2, [5])
+
+    @pytest.mark.parametrize("point", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+    def test_a_point_that_is_not_an_int_is_rejected(self, point):
+        # a pass cannot label a float point, and set_json would write a bool
+        # point as `true`
+        with pytest.raises(ValueError, match="^points must be ints$"):
+            FiniteSet.of(3, [0, point])
+
+    @given(data=st.data())
+    def test_the_four_operations_are_frozenset_operations(self, data):
+        degree = data.draw(st.integers(1, 8))
+        subsets = st.one_of(st.just(frozenset()), st.just(frozenset(range(degree))),
+                            st.frozensets(st.integers(0, degree - 1)))
+        s, t = data.draw(subsets), data.draw(subsets)
+        x, y = FiniteSet(degree, s), FiniteSet(degree, t)
+        assert x.union(y) == FiniteSet(degree, s | t)
+        assert x.intersection(y) == FiniteSet(degree, s & t)
+        assert x.difference(y) == FiniteSet(degree, s - t)
+        assert x.complement() == FiniteSet(degree, frozenset(range(degree)) - s)
 
     def test_compare_and_witness(self):
         assert labelled_pass([FiniteSet.of(3, [0, 1]), FiniteSet.of(3, [1])]).points.get((0,)) == 0

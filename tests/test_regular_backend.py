@@ -111,7 +111,7 @@ def test_regular_action_matches_left_regular_oracle(case):
             element = parse_element(given_as, action, "g")
             assert element == g
             assert action.point_of(element) == index[g]
-            assert [action.act(element, x) for x in range(size)] == list(moved.images)
+            assert action.point_images(element) == moved.images
             image = action.act_on_set(element, action.point_set(subset))
             assert image.members == {moved.images[x] for x in subset}
 

@@ -5,7 +5,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_letters, permutation_order, reduce_letters, shortlex_key
+from oracles import (compose_images, free_inverse, free_product, inverse_images, parse_letters,
+                     permutation_order, reduce_letters, shortlex_key)
 from paracon.actions import FiniteRegularAction, FreeSelfAction, Partition, PartitionReport, partition, validate_partition
 from paracon.configurations import ConSearchBounds, configuration_pair
 from paracon.equations import VerifyReport
@@ -199,6 +200,30 @@ def test_product_matches_independent_reducer(rank, data):
                        max_size=12)
     x, y = (FreeWord(reduce_letters(tuple(data.draw(letters)))) for _ in range(2))
     assert x * y == FreeWord(reduce_letters(x.letters + y.letters))
+
+
+@pytest.mark.parametrize("universe", ["words", "permutations"])
+@given(data=st.data())
+def test_products_and_inverses_match_the_oracles(universe, data):
+    """Products, inverses and the identity permutation are built with no
+    check; each equals the oracle's and passes the public constructor's.
+    A word's second factor starts with the inverse of a drawn suffix of
+    the first, so the two cancel deep into the junction."""
+    if universe == "words":
+        letters = st.lists(signed_letters(3), max_size=8)
+        x, z = (FreeWord(reduce_letters(tuple(data.draw(letters)))) for _ in range(2))
+        y = free_product(free_inverse(FreeWord(x.letters[data.draw(st.integers(0, len(x))):])), z)
+        for got, want in ((x * y, free_product(x, y)), (y * x, free_product(y, x)),
+                          (~x, free_inverse(x))):
+            assert got == want == FreeWord(got.letters)
+    else:
+        degree = data.draw(st.integers(1, 7))
+        g, h = (Permutation(tuple(data.draw(st.permutations(range(degree))))) for _ in range(2))
+        for got, want in ((g * h, compose_images(g.images, h.images)),
+                          (~g, inverse_images(g.images)),
+                          (identity_permutation(degree), tuple(range(degree)))):
+            assert got.images == want
+            assert got == Permutation(got.images)
 
 
 def test_associativity_exhaustive_short_words():
